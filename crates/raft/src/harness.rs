@@ -1,16 +1,23 @@
 //! Deterministic simulated-network harness for Raft clusters.
 //!
 //! Drives a set of [`RaftNode`]s over the DES event queue with a
-//! configurable message-latency model, message drops, and per-node
+//! configurable message-latency model (independent draws, so messages
+//! overtake each other), message drops and duplicates, and per-node
 //! disconnects. Used by the test suite, the property tests, and the
 //! Criterion benches that calibrate the round-accurate election model used
 //! in the full-platform simulation.
+//!
+//! With [`Network::check_safety`] on (always, in this crate's own tests) a
+//! [`SafetyChecker`] looks at every node after every event and proposal,
+//! and the harness panics at the first step that breaks a Raft safety
+//! property.
 
 use std::collections::HashMap;
 
 use notebookos_des::{EventQueue, SimRng, SimTime};
 
 use crate::config::RaftConfig;
+use crate::invariants::SafetyChecker;
 use crate::message::Message;
 use crate::node::{Output, ProposeError, RaftNode, Role};
 use crate::types::{EntryPayload, LogIndex, Membership, NodeId};
@@ -44,11 +51,16 @@ pub struct Network<C: Clone + Eq> {
     disconnected: HashMap<NodeId, bool>,
     /// Probability that any individual message is dropped.
     drop_rate: f64,
+    /// Probability that a message that was not dropped arrives twice.
+    duplicate_rate: f64,
     /// Message latency bounds (uniform), in microseconds.
     latency_min_us: u64,
     latency_max_us: u64,
     /// Count of messages delivered (for instrumentation).
     delivered: u64,
+    /// Count of log entries sent in `AppendEntries`, dropped ones included.
+    entries_shipped: u64,
+    checker: Option<SafetyChecker<C>>,
 }
 
 impl<C: Clone + Eq> Network<C> {
@@ -84,9 +96,12 @@ impl<C: Clone + Eq> Network<C> {
             tick_at: HashMap::new(),
             disconnected: HashMap::new(),
             drop_rate: 0.0,
+            duplicate_rate: 0.0,
             latency_min_us: 100,
             latency_max_us: 800,
             delivered: 0,
+            entries_shipped: 0,
+            checker: cfg!(test).then(SafetyChecker::new),
         };
         for &id in &ids {
             net.schedule_tick(id);
@@ -97,6 +112,23 @@ impl<C: Clone + Eq> Network<C> {
     /// Sets the per-message drop probability.
     pub fn set_drop_rate(&mut self, p: f64) {
         self.drop_rate = p.clamp(0.0, 1.0);
+    }
+
+    /// Sets the probability that a message is delivered twice, each copy
+    /// after a latency of its own.
+    pub fn set_duplicate_rate(&mut self, p: f64) {
+        self.duplicate_rate = p.clamp(0.0, 1.0);
+    }
+
+    /// From now on, checks Raft's safety properties after every event and
+    /// proposal, and panics at the first step that breaks one.
+    pub fn check_safety(&mut self) {
+        self.checker.get_or_insert_with(SafetyChecker::new);
+    }
+
+    /// Steps the safety checker has looked at (0 while it is off).
+    pub fn safety_checks(&self) -> u64 {
+        self.checker.as_ref().map_or(0, SafetyChecker::checks)
     }
 
     /// Sets the uniform message-latency bounds in microseconds.
@@ -129,6 +161,12 @@ impl<C: Clone + Eq> Network<C> {
     /// Total messages delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
+    }
+
+    /// Total log entries sent in `AppendEntries` so far, whether or not
+    /// the message then arrived.
+    pub fn entries_shipped(&self) -> u64 {
+        self.entries_shipped
     }
 
     /// The current leader, if exactly the highest-term node claims
@@ -310,18 +348,16 @@ impl<C: Clone + Eq> Network<C> {
         for output in outputs {
             match output {
                 Output::Send { to, message } => {
+                    if let Message::AppendEntries { entries, .. } = &message {
+                        self.entries_shipped += entries.len() as u64;
+                    }
                     if self.drop_rate > 0.0 && self.rng.chance(self.drop_rate) {
                         continue;
                     }
-                    let latency = self
-                        .rng
-                        .below(self.latency_max_us - self.latency_min_us + 1)
-                        + self.latency_min_us;
-                    self.queue.schedule_in(
-                        self.now,
-                        SimTime::from_micros(latency),
-                        NetEvent::Deliver { from, to, message },
-                    );
+                    if self.duplicate_rate > 0.0 && self.rng.chance(self.duplicate_rate) {
+                        self.send(from, to, message.clone());
+                    }
+                    self.send(from, to, message);
                 }
                 Output::Apply(entry) => {
                     if let EntryPayload::Command(c) = entry.payload {
@@ -332,6 +368,25 @@ impl<C: Clone + Eq> Network<C> {
             }
         }
         self.schedule_tick(from);
+        if let Some(checker) = &mut self.checker {
+            if let Err(violation) = checker.check(self.nodes.values()) {
+                panic!("raft safety violated at {}: {violation}", self.now);
+            }
+        }
+    }
+
+    /// Puts `message` on the wire: it arrives after a latency drawn for it
+    /// alone.
+    fn send(&mut self, from: NodeId, to: NodeId, message: Message<C>) {
+        let latency = self
+            .rng
+            .below(self.latency_max_us - self.latency_min_us + 1)
+            + self.latency_min_us;
+        self.queue.schedule_in(
+            self.now,
+            SimTime::from_micros(latency),
+            NetEvent::Deliver { from, to, message },
+        );
     }
 
     fn schedule_tick(&mut self, id: NodeId) {
@@ -417,6 +472,18 @@ mod tests {
         net.propose(leader, "x".into()).unwrap();
         // Retries via heartbeats should eventually push it through.
         assert!(net.run_until_applied_everywhere(1, 5_000_000));
+    }
+
+    #[test]
+    fn every_message_delivered_twice_applies_every_command_once() {
+        let mut net: Network<String> = Network::new(3, 6);
+        net.set_duplicate_rate(1.0);
+        let leader = net.run_until_leader();
+        net.propose(leader, "x".into()).unwrap();
+        net.propose(leader, "y".into()).unwrap();
+        net.run_micros(100_000);
+        assert!(net.all_applied(&["x".into(), "y".into()]));
+        assert!(net.safety_checks() > 0, "the checker is on in this crate");
     }
 
     #[test]

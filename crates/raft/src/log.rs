@@ -22,6 +22,10 @@ pub struct MergeOutcome {
 #[derive(Debug, Clone)]
 pub struct RaftLog<C> {
     entries: Vec<Entry<C>>,
+    /// Indices of the `Config` entries, ascending, kept in step with every
+    /// push and truncation: the membership in effect is the last one, found
+    /// without walking the log.
+    config_indices: Vec<LogIndex>,
 }
 
 impl<C: Clone> RaftLog<C> {
@@ -29,6 +33,7 @@ impl<C: Clone> RaftLog<C> {
     pub fn new() -> Self {
         RaftLog {
             entries: Vec::new(),
+            config_indices: Vec::new(),
         }
     }
 
@@ -62,7 +67,7 @@ impl<C: Clone> RaftLog<C> {
     /// index.
     pub fn append(&mut self, term: Term, payload: EntryPayload<C>) -> LogIndex {
         let index = self.last_index() + 1;
-        self.entries.push(Entry {
+        self.push(Entry {
             term,
             index,
             payload,
@@ -70,23 +75,37 @@ impl<C: Clone> RaftLog<C> {
         index
     }
 
-    /// Entries in `[from, to]` (1-based, inclusive), capped at `limit`.
-    pub fn slice(&self, from: LogIndex, to: LogIndex, limit: usize) -> Vec<Entry<C>> {
+    /// The one place an entry joins the log, so `config_indices` cannot
+    /// fall out of step with it.
+    fn push(&mut self, entry: Entry<C>) {
+        if matches!(entry.payload, EntryPayload::Config(_)) {
+            self.config_indices.push(entry.index);
+        }
+        self.entries.push(entry);
+    }
+
+    /// The entries in `[from, to]` (1-based, inclusive), borrowed.
+    pub fn range(&self, from: LogIndex, to: LogIndex) -> &[Entry<C>] {
         if from == 0 || from > to || from > self.last_index() {
-            return Vec::new();
+            return &[];
         }
         let to = to.min(self.last_index());
-        self.entries[(from as usize - 1)..(to as usize)]
-            .iter()
-            .take(limit)
-            .cloned()
-            .collect()
+        &self.entries[(from as usize - 1)..(to as usize)]
+    }
+
+    /// Entries in `[from, to]` (1-based, inclusive), capped at `limit`.
+    pub fn slice(&self, from: LogIndex, to: LogIndex, limit: usize) -> Vec<Entry<C>> {
+        let range = self.range(from, to);
+        range[..range.len().min(limit)].to_vec()
     }
 
     /// Truncates the log so that `last_index() == index` (entries after
     /// `index` are discarded). Truncating to 0 clears the log.
     pub fn truncate_to(&mut self, index: LogIndex) {
         self.entries.truncate(index as usize);
+        while self.config_indices.last().is_some_and(|&c| c > index) {
+            self.config_indices.pop();
+        }
     }
 
     /// Follower-side merge of entries received via AppendEntries.
@@ -99,20 +118,47 @@ impl<C: Clone> RaftLog<C> {
     /// mirror the truncation + appends exactly — without it, a
     /// conflicting-leader overwrite would silently diverge from the WAL.
     pub fn merge(&mut self, incoming: &[Entry<C>]) -> MergeOutcome {
-        let mut last = incoming.first().map_or(self.last_index(), |e| e.index - 1);
+        let (held, last) = self.held_prefix(incoming);
+        self.write_suffix(last, incoming[held..].iter().cloned())
+    }
+
+    /// [`RaftLog::merge`] for a caller that owns the batch (a follower
+    /// holding an `AppendEntries`): what the log lacks is moved in, not
+    /// cloned.
+    pub fn merge_owned(&mut self, mut incoming: Vec<Entry<C>>) -> MergeOutcome {
+        let (held, last) = self.held_prefix(&incoming);
+        self.write_suffix(last, incoming.drain(held..))
+    }
+
+    /// How many leading entries of `incoming` the log already holds (same
+    /// index and term), and the index a merge covers if it writes nothing
+    /// beyond them.
+    fn held_prefix(&self, incoming: &[Entry<C>]) -> (usize, LogIndex) {
+        let held = incoming
+            .iter()
+            .take_while(|e| self.term_at(e.index) == Some(e.term))
+            .count();
+        let last = match held.checked_sub(1) {
+            Some(i) => incoming[i].index,
+            None => self.last_index(),
+        };
+        (held, last)
+    }
+
+    /// Replaces everything from the first of `fresh` on with `fresh`.
+    fn write_suffix(
+        &mut self,
+        mut last: LogIndex,
+        fresh: impl Iterator<Item = Entry<C>>,
+    ) -> MergeOutcome {
         let mut first_written = None;
-        for entry in incoming {
-            match self.term_at(entry.index) {
-                Some(t) if t == entry.term => {
-                    last = entry.index; // already have it
-                }
-                _ => {
-                    self.truncate_to(entry.index - 1);
-                    self.entries.push(entry.clone());
-                    first_written.get_or_insert(entry.index);
-                    last = entry.index;
-                }
+        for entry in fresh {
+            if first_written.is_none() {
+                self.truncate_to(entry.index - 1);
+                first_written = Some(entry.index);
             }
+            last = entry.index;
+            self.push(entry);
         }
         MergeOutcome {
             last,
@@ -123,13 +169,21 @@ impl<C: Clone> RaftLog<C> {
     /// The latest membership recorded in the log up to and including
     /// `index`, if any `Config` entry exists in that prefix.
     pub fn membership_at(&self, index: LogIndex) -> Option<&Membership> {
-        self.entries[..(index.min(self.last_index()) as usize)]
-            .iter()
-            .rev()
-            .find_map(|e| match &e.payload {
-                EntryPayload::Config(m) => Some(m),
-                _ => None,
-            })
+        let configs = self.config_indices.partition_point(|&c| c <= index);
+        self.config_at(*self.config_indices[..configs].last()?)
+    }
+
+    /// The latest membership recorded anywhere in the log, in constant
+    /// time.
+    pub fn latest_membership(&self) -> Option<&Membership> {
+        self.config_at(*self.config_indices.last()?)
+    }
+
+    fn config_at(&self, index: LogIndex) -> Option<&Membership> {
+        match &self.get(index)?.payload {
+            EntryPayload::Config(m) => Some(m),
+            _ => None,
+        }
     }
 
     /// Whether a candidate whose log ends at `(last_term, last_index)` is at
@@ -264,8 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn membership_lookup_scans_prefix() {
+    fn membership_lookup_covers_a_prefix() {
         let mut log: RaftLog<u32> = RaftLog::new();
+        assert_eq!(log.latest_membership(), None);
         log.append(1, EntryPayload::Noop);
         log.append(1, EntryPayload::Config(Membership::new(vec![1, 2, 3])));
         log.append(2, EntryPayload::Config(Membership::new(vec![1, 2, 4])));
@@ -273,6 +328,59 @@ mod tests {
         assert_eq!(log.membership_at(2).unwrap().voters(), &[1, 2, 3]);
         assert_eq!(log.membership_at(3).unwrap().voters(), &[1, 2, 4]);
         assert_eq!(log.membership_at(99).unwrap().voters(), &[1, 2, 4]);
+        assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 4]);
+    }
+
+    #[test]
+    fn latest_membership_follows_truncation_and_merge() {
+        let config = |term, index, voters: &[u64]| Entry {
+            term,
+            index,
+            payload: EntryPayload::<u32>::Config(Membership::new(voters.to_vec())),
+        };
+        let mut log: RaftLog<u32> = RaftLog::new();
+        log.merge(&[config(1, 1, &[1, 2, 3]), config(1, 2, &[1, 2, 4])]);
+        assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 4]);
+        // A conflicting leader overwrites the second change with a command:
+        // the first is in effect again.
+        log.merge_owned(vec![Entry {
+            term: 2,
+            index: 2,
+            payload: EntryPayload::Command(7),
+        }]);
+        assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 3]);
+        log.merge_owned(vec![config(2, 3, &[1, 2, 5])]);
+        assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 5]);
+        log.truncate_to(0);
+        assert_eq!(log.latest_membership(), None);
+    }
+
+    #[test]
+    fn merge_owned_does_what_merge_does() {
+        let local = log_with(&[1, 1, 1, 1]);
+        let batch: Vec<Entry<u32>> = [(1, 2), (1, 3), (2, 4), (2, 5)]
+            .iter()
+            .map(|&(term, index)| Entry {
+                term,
+                index,
+                payload: EntryPayload::Command(index as u32 * 10),
+            })
+            .collect();
+        let (mut borrowed, mut owned) = (local.clone(), local);
+        let outcome = borrowed.merge(&batch);
+        assert_eq!(owned.merge_owned(batch), outcome);
+        assert_eq!((outcome.last, outcome.first_written), (5, Some(4)));
+        assert!(borrowed.iter().eq(owned.iter()));
+    }
+
+    #[test]
+    fn range_borrows_what_slice_clones() {
+        let log = log_with(&[1, 1, 2, 2, 3]);
+        assert_eq!(log.range(2, 4), log.slice(2, 4, usize::MAX).as_slice());
+        assert_eq!(log.range(4, 100).len(), 2);
+        assert!(log.range(0, 3).is_empty());
+        assert!(log.range(3, 2).is_empty());
+        assert!(log.range(6, 9).is_empty());
     }
 
     #[test]

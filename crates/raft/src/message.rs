@@ -51,6 +51,10 @@ pub enum Message<C> {
         /// the responder. On failure: the responder's suggestion for where
         /// the leader should back up to (a conflict hint).
         match_index: LogIndex,
+        /// The `prev_log_index` of the append this answers, echoed so the
+        /// leader can tell the answer to its outstanding probe from a
+        /// stale or reordered one.
+        prev_log_index: LogIndex,
     },
 }
 
@@ -100,6 +104,7 @@ mod tests {
                 term: 3,
                 success: true,
                 match_index: 0,
+                prev_log_index: 0,
             },
         ];
         for m in &msgs {

@@ -1,4 +1,39 @@
 //! The sans-io Raft node state machine.
+//!
+//! # Replication
+//!
+//! A leader keeps one `Progress` per peer and ships every entry to it
+//! once, in the shape etcd's raft made standard:
+//!
+//! * **Probe** — the leader does not know where the peer's log ends (it
+//!   was just elected, or the peer rejected an append). One append is
+//!   outstanding at a time and `next` stands still until it is answered;
+//!   a reject moves `next` back to the peer's hint, a success switches the
+//!   peer to Replicate.
+//! * **Replicate** — the peer is known to match through `match`. Every
+//!   append advances `next` past what it carries as soon as it is *sent*,
+//!   so the next proposal ships only the new entry instead of the whole
+//!   unacknowledged suffix. At most `MAX_IN_FLIGHT` (32) appends are
+//!   unanswered; past that the peer's entries wait in the log and leave,
+//!   batched, with the next ack or heartbeat.
+//!
+//! **Repair.** A lost or overtaken append shows up as a gap at the
+//! follower, which rejects the next one; the reject sends the peer back to
+//! Probe just past the follower's hint and one append from there closes
+//! the gap. Every response echoes the `prev_log_index` it answers: a
+//! reject that is neither the latest append's answer nor (in Replicate)
+//! ahead of `match` was overtaken on the wire, and is dropped rather than
+//! answered with another resend. A lost *response* costs nothing — acks
+//! are cumulative — and whatever stays unanswered is written off at the
+//! next heartbeat, which reopens the window and sends again.
+//!
+//! **Bookkeeping that does not grow with the log.** No input handler walks
+//! the log: the membership in effect comes, by reference, from
+//! [`RaftLog::latest_membership`] (the log tracks where its `Config`
+//! entries are); entries are persisted and applied from borrowed slices of
+//! the log, and a follower moves an append's entries into its log instead
+//! of cloning them; the commit rule looks only at the indices above
+//! `commit_index`, which are the ones in flight.
 
 use std::collections::{HashMap, HashSet};
 
@@ -69,6 +104,42 @@ impl std::fmt::Display for ProposeError {
 
 impl std::error::Error for ProposeError {}
 
+/// Appends a leader leaves unanswered to one replicating peer before it
+/// holds further entries back for the next ack or heartbeat. Bounds what a
+/// slow peer can pile up on the wire; a three-replica kernel with a
+/// handful of proposals outstanding never reaches it.
+const MAX_IN_FLIGHT: usize = 32;
+
+/// How a leader is feeding one peer (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProgressState {
+    Probe,
+    Replicate,
+}
+
+/// What a leader knows about one peer's log.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    /// Highest index known replicated on the peer.
+    match_index: LogIndex,
+    /// First index of the next append to it.
+    next_index: LogIndex,
+    state: ProgressState,
+    /// Appends sent and not yet answered (or written off by a heartbeat).
+    in_flight: usize,
+}
+
+impl Progress {
+    fn probe(next_index: LogIndex) -> Self {
+        Progress {
+            match_index: 0,
+            next_index,
+            state: ProgressState::Probe,
+            in_flight: 0,
+        }
+    }
+}
+
 /// A single Raft participant, driven entirely by explicit inputs.
 ///
 /// See the crate-level docs for the sans-io contract. All time parameters
@@ -98,8 +169,9 @@ pub struct RaftNode<C: Clone> {
     role: Role,
     leader_hint: Option<NodeId>,
     votes: HashSet<NodeId>,
-    next_index: HashMap<NodeId, LogIndex>,
-    match_index: HashMap<NodeId, LogIndex>,
+    /// Leader only: one per voter. Its own records the end of its log as
+    /// `match`; nothing is ever sent to it.
+    progress: HashMap<NodeId, Progress>,
     election_deadline_us: u64,
     heartbeat_deadline_us: u64,
     rng_state: u64,
@@ -168,8 +240,7 @@ impl<C: Clone> RaftNode<C> {
             role: Role::Follower,
             leader_hint: None,
             votes: HashSet::new(),
-            next_index: HashMap::new(),
-            match_index: HashMap::new(),
+            progress: HashMap::new(),
             election_deadline_us: 0,
             heartbeat_deadline_us: u64::MAX,
             rng_state: seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
@@ -217,13 +288,17 @@ impl<C: Clone> RaftNode<C> {
         &self.log
     }
 
+    /// The candidate this node voted for in the current term, if any.
+    pub fn voted_for(&self) -> Option<NodeId> {
+        self.voted_for
+    }
+
     /// The membership currently in effect (latest `Config` entry in the
     /// log, falling back to the bootstrap membership).
-    pub fn membership(&self) -> Membership {
+    pub fn membership(&self) -> &Membership {
         self.log
-            .membership_at(self.log.last_index())
-            .cloned()
-            .unwrap_or_else(|| self.initial_membership.clone())
+            .latest_membership()
+            .unwrap_or(&self.initial_membership)
     }
 
     /// Highest log index the node's storage reports durable (0 for
@@ -255,7 +330,13 @@ impl<C: Clone> RaftNode<C> {
         match self.role {
             Role::Leader => {
                 if now_us >= self.heartbeat_deadline_us {
-                    self.broadcast_appends(out);
+                    for peer in self.progress.values_mut() {
+                        // Whatever is still unanswered has had a whole
+                        // interval: write it off, so a full window or a
+                        // vanished probe is tried again.
+                        peer.in_flight = 0;
+                    }
+                    self.broadcast_appends(true, out);
                     self.heartbeat_deadline_us = now_us + self.config.heartbeat_interval_us;
                 }
             }
@@ -313,7 +394,8 @@ impl<C: Clone> RaftNode<C> {
                 term,
                 success,
                 match_index,
-            } => self.on_append_response(from, term, success, match_index, out),
+                prev_log_index,
+            } => self.on_append_response(from, term, success, match_index, prev_log_index, out),
         }
         // Persist-before-send: see `tick`.
         self.storage.sync();
@@ -361,11 +443,15 @@ impl<C: Clone> RaftNode<C> {
                 leader_hint: self.leader_hint,
             });
         }
+        let reconfigures = matches!(payload, EntryPayload::Config(_));
         let index = self.log.append(self.term, payload);
-        self.storage
-            .append_entries(&self.log.slice(index, index, 1));
-        self.match_index.insert(self.id, index);
-        self.broadcast_appends(out);
+        self.storage.append_entries(self.log.range(index, index));
+        if reconfigures {
+            // A joining peer starts from an empty log.
+            self.track_voters(1);
+        }
+        self.record_own_match(index);
+        self.broadcast_appends(false, out);
         self.try_advance_commit(out);
         // Persist-before-send: see `tick`.
         self.storage.sync();
@@ -377,8 +463,7 @@ impl<C: Clone> RaftNode<C> {
     // ------------------------------------------------------------------
 
     fn start_election(&mut self, now_us: u64, out: &mut Vec<Output<C>>) {
-        let membership = self.membership();
-        if !membership.contains(self.id) {
+        if !self.membership().contains(self.id) {
             // Removed from the cluster (e.g. a migrated-away kernel
             // replica): stay quiet.
             self.reset_election_deadline(now_us);
@@ -396,12 +481,12 @@ impl<C: Clone> RaftNode<C> {
             role: Role::Candidate,
             term: self.term,
         });
-        if self.votes.len() >= membership.quorum() {
+        if self.votes.len() >= self.membership().quorum() {
             // Single-node cluster: win immediately.
             self.become_leader(now_us, out);
             return;
         }
-        for &peer in membership.voters() {
+        for &peer in self.membership().voters() {
             if peer == self.id {
                 continue;
             }
@@ -466,13 +551,8 @@ impl<C: Clone> RaftNode<C> {
     fn become_leader(&mut self, now_us: u64, out: &mut Vec<Output<C>>) {
         self.role = Role::Leader;
         self.leader_hint = Some(self.id);
-        self.next_index.clear();
-        self.match_index.clear();
-        let next = self.log.last_index() + 1;
-        for &peer in self.membership().voters() {
-            self.next_index.insert(peer, next);
-            self.match_index.insert(peer, 0);
-        }
+        self.progress.clear();
+        self.track_voters(self.log.last_index() + 1);
         out.push(Output::RoleChanged {
             role: Role::Leader,
             term: self.term,
@@ -480,23 +560,23 @@ impl<C: Clone> RaftNode<C> {
         // Leader-completeness no-op: lets the new leader commit entries
         // from prior terms.
         let index = self.log.append(self.term, EntryPayload::Noop);
-        self.storage
-            .append_entries(&self.log.slice(index, index, 1));
-        self.match_index.insert(self.id, index);
+        self.storage.append_entries(self.log.range(index, index));
+        self.record_own_match(index);
         self.heartbeat_deadline_us = now_us + self.config.heartbeat_interval_us;
-        self.broadcast_appends(out);
+        self.broadcast_appends(false, out);
         self.try_advance_commit(out);
     }
 
     fn become_follower(&mut self, term: Term, now_us: u64, out: &mut Vec<Output<C>>) {
         let was = self.role;
-        let term_changed = term != self.term;
-        self.term = term;
-        self.role = Role::Follower;
-        self.voted_for = None;
-        if term_changed {
+        if term != self.term {
+            // A vote lasts the whole term: stepping down within one (a
+            // candidate hearing that term's leader) keeps it.
+            self.term = term;
+            self.voted_for = None;
             self.storage.persist_hard_state(self.term, self.voted_for);
         }
+        self.role = Role::Follower;
         self.votes.clear();
         self.heartbeat_deadline_us = u64::MAX;
         self.reset_election_deadline(now_us);
@@ -512,31 +592,68 @@ impl<C: Clone> RaftNode<C> {
     // Log replication
     // ------------------------------------------------------------------
 
-    fn broadcast_appends(&mut self, out: &mut Vec<Output<C>>) {
-        let membership = self.membership();
-        for &peer in membership.voters() {
+    /// Brings `progress` in step with the membership in effect: one entry
+    /// per voter. Voters already tracked keep theirs; a new one is probed
+    /// from `next_index`.
+    fn track_voters(&mut self, next_index: LogIndex) {
+        let membership = self
+            .log
+            .latest_membership()
+            .unwrap_or(&self.initial_membership);
+        self.progress.retain(|&id, _| membership.contains(id));
+        for &id in membership.voters() {
+            self.progress
+                .entry(id)
+                .or_insert_with(|| Progress::probe(next_index));
+        }
+    }
+
+    /// The leader holds what it appends: its own `match` is its log's end.
+    fn record_own_match(&mut self, index: LogIndex) {
+        if let Some(own) = self.progress.get_mut(&self.id) {
+            own.match_index = index;
+        }
+    }
+
+    /// One append to every peer whose window has room, in voter order.
+    fn broadcast_appends(&mut self, allow_empty: bool, out: &mut Vec<Output<C>>) {
+        for i in 0..self.membership().len() {
+            let peer = self.membership().voters()[i];
             if peer != self.id {
-                self.send_append(peer, out);
+                self.send_append(peer, allow_empty, out);
             }
         }
     }
 
-    fn send_append(&mut self, peer: NodeId, out: &mut Vec<Output<C>>) {
-        let next = *self.next_index.entry(peer).or_insert(1);
-        let prev_log_index = next - 1;
-        let prev_log_term = self.log.term_at(prev_log_index).unwrap_or(0);
-        let entries = self.log.slice(
-            next,
-            self.log.last_index(),
-            self.config.max_entries_per_append,
-        );
+    /// Sends `to` the entries from its `next` on, unless its window is full
+    /// or (without `allow_empty`) there is nothing to send.
+    fn send_append(&mut self, to: NodeId, allow_empty: bool, out: &mut Vec<Output<C>>) {
+        let last = self.log.last_index();
+        let Some(peer) = self.progress.get_mut(&to) else {
+            return;
+        };
+        let window = match peer.state {
+            ProgressState::Probe => 1,
+            ProgressState::Replicate => MAX_IN_FLIGHT,
+        };
+        if peer.in_flight >= window || (peer.next_index > last && !allow_empty) {
+            return;
+        }
+        let prev_log_index = peer.next_index - 1;
+        let entries = self
+            .log
+            .slice(peer.next_index, last, self.config.max_entries_per_append);
+        if peer.state == ProgressState::Replicate {
+            peer.next_index += entries.len() as LogIndex;
+        }
+        peer.in_flight += 1;
         out.push(Output::Send {
-            to: peer,
+            to,
             message: Message::AppendEntries {
                 term: self.term,
                 leader: self.id,
                 prev_log_index,
-                prev_log_term,
+                prev_log_term: self.log.term_at(prev_log_index).unwrap_or(0),
                 entries,
                 leader_commit: self.commit_index,
             },
@@ -555,15 +672,17 @@ impl<C: Clone> RaftNode<C> {
         leader_commit: LogIndex,
         out: &mut Vec<Output<C>>,
     ) {
+        let respond = |term, success, match_index| Output::Send {
+            to: leader,
+            message: Message::AppendEntriesResponse {
+                term,
+                success,
+                match_index,
+                prev_log_index,
+            },
+        };
         if term < self.term {
-            out.push(Output::Send {
-                to: leader,
-                message: Message::AppendEntriesResponse {
-                    term: self.term,
-                    success: false,
-                    match_index: 0,
-                },
-            });
+            out.push(respond(self.term, false, 0));
             return;
         }
         // Valid leader for our term.
@@ -578,42 +697,31 @@ impl<C: Clone> RaftNode<C> {
             // Conflict hint: ask the leader to back up to our log end (or
             // one before the probe point, whichever is smaller).
             let hint = self.log.last_index().min(prev_log_index.saturating_sub(1));
-            out.push(Output::Send {
-                to: leader,
-                message: Message::AppendEntriesResponse {
-                    term: self.term,
-                    success: false,
-                    match_index: hint,
-                },
-            });
+            out.push(respond(self.term, false, hint));
             return;
         }
         let last_new = if entries.is_empty() {
             prev_log_index
         } else {
-            let outcome = self.log.merge(&entries);
+            let outcome = self.log.merge_owned(entries);
             if let Some(first) = outcome.first_written {
                 // Mirror the merge into storage exactly: drop the
                 // conflicting durable suffix (a no-op for pure appends),
                 // then persist what the merge wrote.
                 self.storage.truncate_suffix(first - 1);
                 self.storage
-                    .append_entries(&self.log.slice(first, outcome.last, usize::MAX));
+                    .append_entries(self.log.range(first, outcome.last));
             }
             outcome.last
         };
-        if leader_commit > self.commit_index {
-            self.commit_index = leader_commit.min(last_new);
+        // Never backwards: an append that was overtaken on the wire vouches
+        // for less of the log than the one already processed.
+        let commit = self.commit_index.max(leader_commit.min(last_new));
+        if commit > self.commit_index {
+            self.commit_index = commit;
             self.apply_committed(out);
         }
-        out.push(Output::Send {
-            to: leader,
-            message: Message::AppendEntriesResponse {
-                term: self.term,
-                success: true,
-                match_index: last_new,
-            },
-        });
+        out.push(respond(self.term, true, last_new));
     }
 
     fn on_append_response(
@@ -622,27 +730,55 @@ impl<C: Clone> RaftNode<C> {
         term: Term,
         success: bool,
         match_index: LogIndex,
+        prev_log_index: LogIndex,
         out: &mut Vec<Output<C>>,
     ) {
         if self.role != Role::Leader || term != self.term {
             return;
         }
-        if success {
-            let entry = self.match_index.entry(from).or_insert(0);
-            *entry = (*entry).max(match_index);
-            self.next_index.insert(from, *entry + 1);
-            self.try_advance_commit(out);
-            // Keep streaming if the follower is still behind.
-            if *self.next_index.get(&from).unwrap_or(&1) <= self.log.last_index() {
-                self.send_append(from, out);
+        let Some(peer) = self.progress.get_mut(&from) else {
+            return;
+        };
+        if !success {
+            // For real if it answers the latest append, or bounced off a
+            // gap ahead of what the peer has acknowledged; anything else
+            // was overtaken on the wire and has been dealt with since.
+            let answers_latest = prev_log_index + 1 == peer.next_index;
+            let bounced_ahead =
+                peer.state == ProgressState::Replicate && prev_log_index > peer.match_index;
+            if answers_latest || bounced_ahead {
+                // Not floored at `match`: a peer restarted on storage that
+                // forgot its log is walked back as far as it asks.
+                peer.next_index = (match_index + 1).min(prev_log_index).max(1);
+                peer.state = ProgressState::Probe;
+                peer.in_flight = 0;
+                self.send_append(from, true, out);
             }
-        } else {
-            let next = self.next_index.entry(from).or_insert(1);
-            *next = (*next - 1).max(1).min(match_index + 1).max(1);
-            self.send_append(from, out);
+            return;
         }
+        let advanced = match_index > peer.match_index;
+        let answers_latest = prev_log_index + 1 == peer.next_index;
+        peer.match_index = peer.match_index.max(match_index);
+        peer.next_index = peer.next_index.max(match_index + 1);
+        match peer.state {
+            ProgressState::Replicate => peer.in_flight = peer.in_flight.saturating_sub(1),
+            // The probe has been answered, or overtaken by news as good.
+            ProgressState::Probe if advanced || answers_latest => {
+                peer.state = ProgressState::Replicate;
+                peer.in_flight = 0;
+            }
+            ProgressState::Probe => return,
+        }
+        if advanced {
+            self.try_advance_commit(out);
+        }
+        self.send_append(from, false, out);
     }
 
+    /// The Raft commit rule, as the paper states it: the highest index of
+    /// the current term that a quorum of voters holds is committed. The
+    /// indices above `commit_index` are the ones no quorum has acknowledged
+    /// yet, so the walk covers what is in flight, not the log.
     fn try_advance_commit(&mut self, out: &mut Vec<Output<C>>) {
         let membership = self.membership();
         let last = self.log.last_index();
@@ -651,12 +787,12 @@ impl<C: Clone> RaftNode<C> {
             if self.log.term_at(n) != Some(self.term) {
                 continue;
             }
-            let replicated = membership
+            let holders = membership
                 .voters()
                 .iter()
-                .filter(|&&v| self.match_index.get(&v).copied().unwrap_or(0) >= n)
+                .filter(|&&v| self.progress.get(&v).is_some_and(|p| p.match_index >= n))
                 .count();
-            if replicated >= membership.quorum() {
+            if holders >= membership.quorum() {
                 new_commit = n;
             }
         }
@@ -667,12 +803,9 @@ impl<C: Clone> RaftNode<C> {
     }
 
     fn apply_committed(&mut self, out: &mut Vec<Output<C>>) {
-        while self.last_applied < self.commit_index {
-            self.last_applied += 1;
-            if let Some(entry) = self.log.get(self.last_applied) {
-                out.push(Output::Apply(entry.clone()));
-            }
-        }
+        let committed = self.log.range(self.last_applied + 1, self.commit_index);
+        out.extend(committed.iter().cloned().map(Output::Apply));
+        self.last_applied = self.commit_index;
     }
 
     // ------------------------------------------------------------------
@@ -1047,5 +1180,320 @@ mod tests {
             &mut out,
         );
         assert_eq!(n1.membership().voters(), &[1, 2, 4]);
+    }
+
+    // ------------------------------------------------------------------
+    // Replication pipeline
+    // ------------------------------------------------------------------
+
+    fn appends(out: &[Output<String>]) -> Vec<(NodeId, LogIndex, Vec<LogIndex>)> {
+        sends(out)
+            .into_iter()
+            .filter_map(|(to, m)| match m {
+                Message::AppendEntries {
+                    prev_log_index,
+                    entries,
+                    ..
+                } => Some((
+                    to,
+                    prev_log_index,
+                    entries.iter().map(|e| e.index).collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn ack(prev_log_index: LogIndex, match_index: LogIndex) -> Message<String> {
+        Message::AppendEntriesResponse {
+            term: 1,
+            success: true,
+            match_index,
+            prev_log_index,
+        }
+    }
+
+    fn reject(prev_log_index: LogIndex, hint: LogIndex) -> Message<String> {
+        Message::AppendEntriesResponse {
+            term: 1,
+            success: false,
+            match_index: hint,
+            prev_log_index,
+        }
+    }
+
+    /// Node 1 leading term 1 with its no-op (index 1) sent to both peers and
+    /// not yet answered: both are being probed.
+    fn fresh_leader() -> Node {
+        let (mut n1, _, _) = trio();
+        let mut out = Vec::new();
+        force_election(&mut n1, &mut out);
+        n1.receive(
+            100,
+            2,
+            Message::RequestVoteResponse {
+                term: 1,
+                granted: true,
+            },
+            &mut out,
+        );
+        assert!(n1.is_leader());
+        n1
+    }
+
+    /// [`fresh_leader`] after both peers acknowledged the no-op: both are
+    /// replicating.
+    fn settled_leader() -> Node {
+        let mut n1 = fresh_leader();
+        let mut out = Vec::new();
+        n1.receive(200, 2, ack(0, 1), &mut out);
+        n1.receive(200, 3, ack(0, 1), &mut out);
+        assert_eq!(n1.commit_index(), 1);
+        assert!(appends(&out).is_empty(), "nothing left to send");
+        n1
+    }
+
+    #[test]
+    fn a_replicating_peer_is_sent_every_entry_exactly_once() {
+        let mut n1 = settled_leader();
+        let mut out = Vec::new();
+        for (i, cmd) in ["a", "b", "c"].iter().enumerate() {
+            out.clear();
+            let index = n1.propose(cmd.to_string(), &mut out).unwrap();
+            // Nothing has been acknowledged, yet each proposal ships only
+            // its own entry, from just behind it.
+            assert_eq!(
+                appends(&out),
+                vec![(2, index - 1, vec![index]), (3, index - 1, vec![index])],
+                "proposal {i}"
+            );
+        }
+        // Acks catch up one by one: nothing is resent, and the quorum's
+        // highest index commits.
+        out.clear();
+        n1.receive(300, 2, ack(1, 2), &mut out);
+        n1.receive(300, 2, ack(2, 3), &mut out);
+        n1.receive(300, 3, ack(3, 4), &mut out);
+        assert!(appends(&out).is_empty());
+        assert_eq!(n1.commit_index(), 4);
+    }
+
+    #[test]
+    fn a_probed_peer_gets_one_append_at_a_time() {
+        let mut n1 = fresh_leader();
+        let mut out = Vec::new();
+        // The no-op is the outstanding probe: proposals wait in the log.
+        n1.propose("a".to_string(), &mut out).unwrap();
+        n1.propose("b".to_string(), &mut out).unwrap();
+        assert!(appends(&out).is_empty());
+        // Its answer releases everything that piled up, in one append, to
+        // the peer that answered only.
+        n1.receive(200, 2, ack(0, 1), &mut out);
+        assert_eq!(appends(&out), vec![(2, 1, vec![2, 3])]);
+    }
+
+    #[test]
+    fn a_reject_falls_back_to_probe_and_a_stale_one_is_dropped() {
+        let mut n1 = settled_leader();
+        let mut out = Vec::new();
+        for cmd in ["a", "b", "c"] {
+            n1.propose(cmd.to_string(), &mut out).unwrap();
+        }
+        out.clear();
+        // Peer 2 never saw the append carrying index 2: it rejects the one
+        // behind it (prev 2), holding only index 1.
+        n1.receive(300, 2, reject(2, 1), &mut out);
+        assert_eq!(appends(&out), vec![(2, 1, vec![2, 3, 4])], "one repair");
+        // The reject of the third pipelined append (prev 3) arrives next:
+        // it is not the probe's answer, so nothing is sent for it...
+        out.clear();
+        n1.receive(310, 2, reject(3, 1), &mut out);
+        assert!(appends(&out).is_empty());
+        // ...and while the probe is out, neither is a new proposal.
+        n1.propose("d".to_string(), &mut out).unwrap();
+        assert_eq!(appends(&out), vec![(3, 4, vec![5])], "peer 3 only");
+        // The probe's answer resumes replication from where it stopped.
+        out.clear();
+        n1.receive(320, 2, ack(1, 4), &mut out);
+        assert_eq!(appends(&out), vec![(2, 4, vec![5])]);
+        // A reject that predates what the peer has since acknowledged
+        // (prev 3 <= match 4) is recognised by the echoed index.
+        out.clear();
+        n1.receive(330, 2, reject(3, 1), &mut out);
+        assert!(appends(&out).is_empty());
+    }
+
+    #[test]
+    fn the_window_holds_entries_back_until_an_ack_or_a_heartbeat() {
+        let mut n1 = settled_leader();
+        let mut out = Vec::new();
+        for i in 0..MAX_IN_FLIGHT + 3 {
+            out.clear();
+            n1.propose(format!("c{i}"), &mut out).unwrap();
+            let expect = if i < MAX_IN_FLIGHT { 2 } else { 0 };
+            assert_eq!(appends(&out).len(), expect, "proposal {i}");
+        }
+        let full = MAX_IN_FLIGHT as LogIndex + 1;
+        // One ack opens one slot, and the backlog leaves as one batch.
+        out.clear();
+        n1.receive(300, 2, ack(1, 2), &mut out);
+        assert_eq!(
+            appends(&out),
+            vec![(2, full, vec![full + 1, full + 2, full + 3])]
+        );
+        // Peer 3 never answers: the heartbeat writes its window off and
+        // sends the backlog; peer 2, with nothing new, gets the empty one.
+        out.clear();
+        n1.tick(n1.next_deadline_us(), &mut out);
+        assert_eq!(
+            appends(&out),
+            vec![
+                (2, full + 3, vec![]),
+                (3, full, vec![full + 1, full + 2, full + 3])
+            ]
+        );
+    }
+
+    #[test]
+    fn a_peer_that_forgot_its_log_is_walked_back_past_what_it_once_acknowledged() {
+        let mut n1 = settled_leader();
+        let mut out = Vec::new();
+        n1.propose("a".to_string(), &mut out).unwrap();
+        n1.receive(300, 2, ack(1, 2), &mut out);
+        // Peer 2 restarts on storage that kept nothing: it rejects the
+        // heartbeat from behind index 2, holding no entry at all.
+        out.clear();
+        n1.tick(n1.next_deadline_us(), &mut out);
+        assert_eq!(appends(&out)[0], (2, 2, vec![]));
+        out.clear();
+        n1.receive(400, 2, reject(2, 0), &mut out);
+        assert_eq!(appends(&out), vec![(2, 0, vec![1, 2])]);
+        // Its answer tells the leader nothing it had not been told before
+        // the restart, and is not taken as a cue to send it all again.
+        out.clear();
+        n1.receive(500, 2, ack(0, 2), &mut out);
+        assert!(appends(&out).is_empty());
+        // It does end the probe: the next proposal goes straight out.
+        let index = n1.propose("b".to_string(), &mut out).unwrap();
+        assert_eq!(appends(&out)[0], (2, index - 1, vec![index]));
+    }
+
+    // ------------------------------------------------------------------
+    // Regressions
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn a_candidate_that_steps_down_in_its_term_keeps_its_vote() {
+        use crate::storage::WalStorage;
+        let dir = std::env::temp_dir().join(format!("notebookos-node-vote-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("candidate.wal");
+        let _ = std::fs::remove_file(&path);
+        let m = Membership::new(vec![1, 2, 3]);
+        let wal: WalStorage<String> = WalStorage::open(&path).unwrap();
+        let mut n1: Node =
+            RaftNode::with_storage(1, m.clone(), RaftConfig::fast(), 7, 0, Box::new(wal));
+        let mut out = Vec::new();
+        force_election(&mut n1, &mut out);
+        assert_eq!((n1.term(), n1.voted_for()), (1, Some(1)));
+        // Node 2 won term 1: its first append makes the candidate a
+        // follower of the same term.
+        n1.receive(
+            50,
+            2,
+            Message::AppendEntries {
+                term: 1,
+                leader: 2,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries: vec![],
+                leader_commit: 0,
+            },
+            &mut out,
+        );
+        assert_eq!(n1.role(), Role::Follower);
+        assert_eq!(n1.voted_for(), Some(1), "one vote per term");
+        // A third node asking for the same term's vote is refused.
+        out.clear();
+        n1.receive(
+            60,
+            3,
+            Message::RequestVote {
+                term: 1,
+                candidate: 3,
+                last_log_index: 0,
+                last_log_term: 0,
+            },
+            &mut out,
+        );
+        assert!(matches!(
+            sends(&out)[0].1,
+            Message::RequestVoteResponse { granted: false, .. }
+        ));
+        // Memory and disk agree on the hard state.
+        let held = (n1.term(), n1.voted_for());
+        drop(n1);
+        let wal: WalStorage<String> = WalStorage::open(&path).unwrap();
+        let n1: Node = RaftNode::with_storage(1, m, RaftConfig::fast(), 7, 0, Box::new(wal));
+        assert_eq!((n1.term(), n1.voted_for()), held);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_overtaken_append_does_not_move_the_commit_index_back() {
+        let (_, mut n2, _) = trio();
+        let entry = |index| Entry {
+            term: 1,
+            index,
+            payload: EntryPayload::Command(format!("c{index}")),
+        };
+        let mut out = Vec::new();
+        // The later append arrives first: six entries, five committed.
+        n2.receive(
+            0,
+            1,
+            Message::AppendEntries {
+                term: 1,
+                leader: 1,
+                prev_log_index: 0,
+                prev_log_term: 0,
+                entries: (1..=6).map(entry).collect(),
+                leader_commit: 5,
+            },
+            &mut out,
+        );
+        assert_eq!(n2.commit_index(), 5);
+        // The one it overtook vouches for the log only through index 2.
+        out.clear();
+        n2.receive(
+            10,
+            1,
+            Message::AppendEntries {
+                term: 1,
+                leader: 1,
+                prev_log_index: 2,
+                prev_log_term: 1,
+                entries: vec![],
+                leader_commit: 6,
+            },
+            &mut out,
+        );
+        assert_eq!(n2.commit_index(), 5);
+        assert!(!out.iter().any(|o| matches!(o, Output::Apply(_))));
+        // And once it can vouch for more, the index moves on from there.
+        n2.receive(
+            20,
+            1,
+            Message::AppendEntries {
+                term: 1,
+                leader: 1,
+                prev_log_index: 6,
+                prev_log_term: 1,
+                entries: vec![],
+                leader_commit: 6,
+            },
+            &mut out,
+        );
+        assert_eq!(n2.commit_index(), 6);
     }
 }

@@ -41,11 +41,32 @@
 //! I/O errors are fail-stop by design: a WAL that cannot write can no
 //! longer promise durability, and a panicking replica is exactly the
 //! failure the §3.2.5 recovery machinery (and the chaos drills) handle.
+//!
+//! # Flush spacing
+//!
+//! A thread that comes back from a blocking fsync runs cold, and how cold
+//! follows the disk: on the reference box the input after a 170 µs fsync
+//! costs about 1.3 µs more than it does warm, after a 500 µs fsync 4 to
+//! 5 µs more, and the disk drifts between the two within the hour. With
+//! every entry shipped once, a commit on a WAL is three fsyncs and a few µs
+//! of processor time between them, so that time followed the disk too: 11
+//! to 16 µs a commit on the same code. [`WalStorage`] therefore spends a
+//! fixed interval there instead: a thread that has just come back from a
+//! physical fsync returns from its next `append_entries` no earlier than
+//! [`FLUSH_SPACING`] after it, spinning out the remainder once the entries
+//! are written. The time a commit spends outside its fsyncs becomes a
+//! constant of the code, which is what lets the perf ledger's `raft-wal`
+//! rows be compared from one run to the next; README, "Raft replication
+//! pipeline", says what it costs and when it can go. Nothing waits when
+//! syncs are batched and no fsync has just happened, and hard-state and
+//! truncate records (rare: elections, conflicts) never wait.
 
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use crate::types::{Entry, EntryPayload, LogIndex, Membership, NodeId, Term};
 
@@ -297,6 +318,28 @@ pub struct WalStats {
     pub appends: u64,
     /// Physical fsyncs issued since open.
     pub fsyncs: u64,
+}
+
+/// The least time between a thread's return from a physical fsync and its
+/// return from the next `append_entries`; see "Flush spacing" in the module
+/// docs.
+pub const FLUSH_SPACING: Duration = Duration::from_micros(15);
+
+thread_local! {
+    /// When this thread came back from its last physical fsync, until it
+    /// next appends entries. Per thread, not per WAL: what runs cold is the
+    /// core, whichever of the thread's logs did the waiting.
+    static LAST_FSYNC: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// Spins out what is left of [`FLUSH_SPACING`] since this thread's last
+/// physical fsync, once per fsync.
+fn wait_out_flush_spacing() {
+    if let Some(back) = LAST_FSYNC.take() {
+        while back.elapsed() < FLUSH_SPACING {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// Record type tags.
@@ -581,6 +624,8 @@ impl<C: WalCodec + Send> RaftStorage<C> for WalStorage<C> {
             self.written_index = entry.index;
         }
         self.flush_scratch();
+        // Last: the write runs as cold as the rest, so it is covered too.
+        wait_out_flush_spacing();
     }
 
     fn truncate_suffix(&mut self, to: LogIndex) {
@@ -608,6 +653,7 @@ impl<C: WalCodec + Send> RaftStorage<C> for WalStorage<C> {
             self.pending_syncs = 0;
             self.dirty = false;
             self.synced_index = self.written_index;
+            LAST_FSYNC.set(Some(Instant::now()));
         }
     }
 
@@ -895,6 +941,34 @@ mod tests {
         assert!(cost.fsync_us_per_append > 0.0);
         assert!(cost.slowdown() > 0.0);
         assert!(cost.render().contains("µs/append"));
+    }
+
+    #[test]
+    fn entries_after_an_fsync_keep_the_flush_spacing() {
+        let back = Instant::now();
+        LAST_FSYNC.set(Some(back));
+        wait_out_flush_spacing();
+        assert!(back.elapsed() >= FLUSH_SPACING);
+        assert!(LAST_FSYNC.get().is_none(), "once per fsync");
+
+        // Through the WAL: a physical fsync arms the wait, the next entries
+        // spend it, and a batched sync that did not fsync arms nothing.
+        let dir = tempdir("spacing");
+        let mut wal: WalStorage<String> = WalStorage::open(dir.join("each.wal")).unwrap();
+        wal.append_entries(&[entry(1, 1, "a")]);
+        RaftStorage::<String>::sync(&mut wal);
+        let back = LAST_FSYNC.get().expect("armed by the fsync");
+        wal.persist_hard_state(2, None);
+        assert!(LAST_FSYNC.get().is_some(), "hard state does not wait");
+        wal.append_entries(&[entry(1, 2, "b")]);
+        assert!(back.elapsed() >= FLUSH_SPACING);
+        assert!(LAST_FSYNC.get().is_none());
+
+        let mut batched: WalStorage<String> =
+            WalStorage::open_with(dir.join("batched.wal"), WalOptions { fsync_batch: 8 }).unwrap();
+        batched.append_entries(&[entry(1, 1, "a")]);
+        RaftStorage::<String>::sync(&mut batched);
+        assert!(LAST_FSYNC.get().is_none(), "no fsync, no wait");
     }
 
     #[test]
