@@ -19,6 +19,17 @@
 //! each other on the raw sequence, which catches divergence that
 //! deduplication could mask.
 //!
+//! The retrying client is the drill's own. `propose_blocking` returns when a
+//! leader has *accepted* a command, not when it is committed, and a leader
+//! that loses its term before the entry reaches a quorum — an election
+//! timer firing on a starved box is enough — has it overwritten by its
+//! successor. So before it sends command `i + 1` the drill confirms command
+//! `i` applied on some replica, sending it again every `RETRY_AFTER` until
+//! it is: first-application order stays issue order, nothing acknowledged
+//! is silently missing when a wait counts commands, and the *last* command
+//! before each kill is still unconfirmed when the kill lands, so kills keep
+//! racing an in-flight entry.
+//!
 //! Every kill→recover cycle is decomposed into the [`RecoveryBreakdown`]
 //! phases (detect / failover / WAL replay / catch-up), and the report
 //! carries the measured [`WalFsyncCost`] so the durability tax shows up
@@ -225,6 +236,78 @@ fn poll<T>(
     }
 }
 
+/// What a quiescence wait that ran out saw: per node its role, term,
+/// `commit_index`, `last_log_index` and how much it applied (raw and with
+/// re-proposals collapsed), or that `inspect` did not answer — enough to tell
+/// a lost proposal (every node idle below `want`) from a stalled node thread
+/// (no answer) from a cluster still electing (terms climbing, no leader).
+fn stall_report(cluster: &LiveCluster<String>, waited_for: &str, want: usize) -> String {
+    let mut report =
+        format!("{waited_for}: waited {QUIESCE_TIMEOUT:?} for {want} distinct commands");
+    for id in cluster.node_ids() {
+        let line = match cluster.inspect(id, Duration::from_secs(1)) {
+            Some(s) => format!(
+                "\n  node {id}: {:?} term {} commit_index {} last_index {} applied {} ({} distinct)",
+                s.role,
+                s.term,
+                s.commit_index,
+                s.last_log_index,
+                s.applied.len(),
+                dedup_applied(&s.applied).len(),
+            ),
+            None if cluster.is_running(id) => format!("\n  node {id}: inspect did not answer"),
+            None => format!("\n  node {id}: not running"),
+        };
+        report.push_str(&line);
+    }
+    report
+}
+
+/// How long the drill's client waits for a command it sent to show up as
+/// applied before it sends it again (module docs).
+const RETRY_AFTER: Duration = Duration::from_millis(250);
+
+/// Blocks until the last of the `sent` commands is applied on some running
+/// replica — and with it, as the client confirms in order, all before it.
+fn confirm_last(cluster: &LiveCluster<String>, sent: usize) {
+    let Some(last) = sent.checked_sub(1) else {
+        return;
+    };
+    let wanted = command(last);
+    let deadline = Instant::now() + QUIESCE_TIMEOUT;
+    let applied_somewhere = || {
+        cluster.node_ids().into_iter().any(|id| {
+            cluster
+                .inspect(id, Duration::from_millis(100))
+                .is_some_and(|snap| snap.applied.contains(&wanted))
+        })
+    };
+    loop {
+        let seen = poll(Instant::now() + RETRY_AFTER, POLL, || {
+            applied_somewhere().then_some(())
+        });
+        if seen.is_some() {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{}",
+            stall_report(cluster, &format!("confirming `{wanted}`"), sent)
+        );
+        cluster
+            .propose_blocking(wanted.clone(), PROPOSE_TIMEOUT)
+            .expect("re-sent proposal accepted");
+    }
+}
+
+/// Sends command `i` once every command before it is confirmed applied.
+fn propose_in_order(cluster: &LiveCluster<String>, i: usize) {
+    confirm_last(cluster, i);
+    cluster
+        .propose_blocking(command(i), PROPOSE_TIMEOUT)
+        .expect("proposal accepted");
+}
+
 const PROPOSE_TIMEOUT: Duration = Duration::from_secs(20);
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 const POLL: Duration = Duration::from_millis(5);
@@ -240,16 +323,15 @@ fn command(i: usize) -> String {
 fn golden_run(opts: &ChaosOpts) -> (Vec<String>, Vec<u8>) {
     let cluster = LiveCluster::<String>::start(opts.replicas);
     for i in 0..opts.commands {
-        cluster
-            .propose_blocking(command(i), PROPOSE_TIMEOUT)
-            .expect("golden run proposal accepted");
+        propose_in_order(&cluster, i);
     }
+    confirm_last(&cluster, opts.commands);
     let deadline = Instant::now() + QUIESCE_TIMEOUT;
     let snap = poll(deadline, POLL, || {
         let snap = cluster.inspect(1, Duration::from_secs(1))?;
         (dedup_applied(&snap.applied).len() == opts.commands).then_some(snap)
     })
-    .expect("golden run quiesced");
+    .unwrap_or_else(|| panic!("{}", stall_report(&cluster, "golden run", opts.commands)));
     cluster.shutdown();
     let golden = dedup_applied(&snap.applied);
     let bytes = encode_commands(&golden);
@@ -308,9 +390,7 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
             if *next_cmd >= opts.commands {
                 return;
             }
-            cluster
-                .propose_blocking(command(*next_cmd), PROPOSE_TIMEOUT)
-                .expect("chaos run proposal accepted");
+            propose_in_order(cluster, *next_cmd);
             *next_cmd += 1;
         }
     };
@@ -369,13 +449,18 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
         let replay_ms = t_restart.elapsed().as_secs_f64() * 1e3;
         detector.register(replica_of(victim), now_us());
 
-        // Catch-up: the replica re-applies everything committed so far.
+        // Catch-up: the replica re-applies everything committed so far —
+        // every command sent, once the last of them is confirmed.
+        confirm_last(&cluster, next_cmd);
         let target = next_cmd;
         poll(t_restart + QUIESCE_TIMEOUT, POLL, || {
             let snap = cluster.inspect(victim, Duration::from_secs(1))?;
             (dedup_applied(&snap.applied).len() >= target).then_some(())
         })
-        .expect("restarted replica caught up");
+        .unwrap_or_else(|| {
+            let waited_for = format!("restarted replica {victim} catching up");
+            panic!("{}", stall_report(&cluster, &waited_for, target))
+        });
         let catch_up_ms = t_restart.elapsed().as_secs_f64() * 1e3 - replay_ms;
         let total_ms = t_kill.elapsed().as_secs_f64() * 1e3;
 
@@ -398,6 +483,7 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
     // Drain any remaining stream and quiesce every replica on the full
     // golden prefix.
     propose_n(&cluster, &mut next_cmd, opts.commands);
+    confirm_last(&cluster, next_cmd);
     let deadline = Instant::now() + QUIESCE_TIMEOUT;
     let mut snapshots: Vec<NodeSnapshot<String>> = Vec::new();
     for &id in &ids {
@@ -405,7 +491,10 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
             let snap = cluster.inspect(id, Duration::from_secs(1))?;
             (dedup_applied(&snap.applied).len() >= golden.len()).then_some(snap)
         })
-        .unwrap_or_else(|| panic!("replica {id} never converged"));
+        .unwrap_or_else(|| {
+            let waited_for = format!("replica {id} converging");
+            panic!("{}", stall_report(&cluster, &waited_for, golden.len()))
+        });
         snapshots.push(snap);
     }
     cluster.shutdown();

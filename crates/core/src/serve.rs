@@ -25,9 +25,9 @@ use std::collections::HashMap;
 use notebookos_cluster::{Cluster, HostId, ResourceBundle, ResourceRequest};
 use notebookos_des::SimTime;
 use notebookos_jupyter::{
-    wire_pair, Bytes, ConnectionInfo, Json, JupyterMessage, KernelProvisioner, KernelResourceSpec,
-    KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, Session, SessionManager,
-    WireEndpoint,
+    wire_pair, Bytes, ConnectionInfo, Header, Json, JupyterMessage, KernelProvisioner,
+    KernelResourceSpec, KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router,
+    Session, SessionManager, WireEndpoint,
 };
 
 use crate::gateway::GatewayProvisioner;
@@ -64,8 +64,9 @@ pub struct AcceptedExecution {
 pub struct GatewayStats {
     /// Well-formed `execute_request`s accepted and fanned out.
     pub accepted: u64,
-    /// Messages dropped: bad signature, wrong type, unknown session, or
-    /// missing duration metadata.
+    /// Messages dropped: bad signature, wrong type, missing duration
+    /// metadata, unknown session, a destination that is not the session's
+    /// own kernel, or a message id that is still in flight.
     pub rejected: u64,
     /// Merged `execute_reply`s returned to clients.
     pub replies: u64,
@@ -209,10 +210,12 @@ pub struct SessionExport {
     pub route: KernelRoute,
 }
 
-/// A fanned-out execution awaiting its completion deadline.
+/// A fanned-out execution awaiting its completion deadline: what the
+/// replies are built from (the request's header — they name it as parent)
+/// and routed by, not the request itself.
 #[derive(Debug)]
 struct PendingExecution {
-    request: JupyterMessage,
+    header: Header,
     identities: Vec<Bytes>,
     designated: u32,
     execution_count: u64,
@@ -325,7 +328,7 @@ impl LiveGateway {
         let in_flight = self
             .pending
             .values()
-            .any(|p| p.request.header.session == session_id);
+            .any(|p| p.header.session == session_id);
         assert!(
             !in_flight,
             "session `{session_id}` exported with an in-flight execution"
@@ -366,9 +369,10 @@ impl LiveGateway {
 
     /// Drains the wire and fans out every well-formed `execute_request`
     /// (Fig. 3 steps 2–3), returning the accepted executions so the driver
-    /// can schedule their completion deadlines. Malformed traffic — bad
-    /// signatures, non-request types, unknown sessions, missing
-    /// [`DURATION_KEY`] — is counted in [`GatewayStats::rejected`].
+    /// can schedule their completion deadlines. Refused traffic — bad
+    /// signatures, non-request types, missing [`DURATION_KEY`], unknown
+    /// sessions, another session's kernel, a `msg_id` still in flight — is
+    /// counted in [`GatewayStats::rejected`] and changes nothing else.
     pub fn pump(&mut self, now: SimTime) -> Vec<AcceptedExecution> {
         let mut accepted = Vec::new();
         while let Some(decoded) = self.endpoint.try_recv() {
@@ -388,6 +392,8 @@ impl LiveGateway {
         accepted
     }
 
+    /// Validates first, mutates after: a refused request leaves the session
+    /// record, the rotation, the router and `pending` as they were.
     fn accept(
         &mut self,
         identities: Vec<Bytes>,
@@ -399,34 +405,45 @@ impl LiveGateway {
         }
         let duration =
             SimTime::from_micros(message.metadata.get(DURATION_KEY).and_then(Json::as_u64)?);
-        let session_id = message.header.session.clone();
-        let kernel_id = message.destination()?.to_string();
-        let execution_count = self
-            .sessions
-            .record_execution(&session_id, now.as_micros())?;
+        let session = self.sessions.get(&message.header.session)?;
+        let kernel_id = message.destination()?;
+        if kernel_id != session.kernel_id {
+            return None;
+        }
         // Rotate the designated executor across replicas — the live
         // stand-in for the §3.2.2 election the DES models in detail.
-        let designated = ((execution_count - 1) % u64::from(self.replication_factor)) as u32;
-        let copies = self.router.route_execute(&message, Some(designated)).ok()?;
-        let fan_out = copies.len();
-        let msg_id = message.header.msg_id.clone();
+        let designated = (session.execution_count % u64::from(self.replication_factor)) as u32;
+        // The last check and the first change: the router tracks the fan-in
+        // only if the route exists and the `msg_id` is not already in flight.
+        let fan_out = self
+            .router
+            .route_execute(&message, Some(designated))
+            .ok()?
+            .len();
+        let kernel_id = kernel_id.to_string();
+        let header = message.header;
+        let execution_count = self
+            .sessions
+            .record_execution(&header.session, now.as_micros())
+            .expect("session looked up above");
+        let accepted = AcceptedExecution {
+            msg_id: header.msg_id.clone(),
+            session_id: header.session.clone(),
+            kernel_id,
+            duration,
+            fan_out,
+        };
         self.pending.insert(
-            msg_id.clone(),
+            header.msg_id.clone(),
             PendingExecution {
-                request: message,
+                header,
                 identities,
                 designated,
                 execution_count,
                 replicas: fan_out,
             },
         );
-        Some(AcceptedExecution {
-            msg_id,
-            session_id,
-            kernel_id,
-            duration,
-            fan_out,
-        })
+        Some(accepted)
     }
 
     /// Completes an accepted execution: every replica answers (Fig. 5
@@ -439,7 +456,7 @@ impl LiveGateway {
         };
         let mut merged = None;
         for replica in 0..pending.replicas as u32 {
-            let reply = pending.request.execute_reply(
+            let reply = pending.header.execute_reply(
                 self.reply_ids.next_id(),
                 ReplyStatus::Ok,
                 pending.execution_count,
@@ -728,5 +745,123 @@ mod tests {
             Err(ProvisionError::InsufficientResources(_))
         ));
         assert_eq!(gw.session_count(), 0);
+    }
+
+    fn request_to(msg_id: &str, session: &str, kernel: &str, at: SimTime) -> JupyterMessage {
+        client_request(msg_id, session, kernel, "x", SimTime::from_millis(1), at)
+    }
+
+    /// Runs one request to completion and reads, off the merged reply, the
+    /// session's execution count and which replica was designated: replica
+    /// `r` of the gateway's `k`-th completion answers as `gw-reply-{3k+r+1}`
+    /// and the merged reply is the designated replica's.
+    fn complete(
+        gw: &mut LiveGateway,
+        client: &mut WireEndpoint,
+        request: &JupyterMessage,
+        now: SimTime,
+    ) -> (u64, u64) {
+        client.send(&[], request);
+        assert_eq!(gw.pump(now).len(), 1, "accepted");
+        assert!(gw.finish_execution(&request.header.msg_id, now));
+        let (_, reply) = client.try_recv().expect("reply").expect("verifies");
+        let count = reply.content.get("execution_count").unwrap().as_u64();
+        let ordinal: u64 = reply.header.msg_id["gw-reply-".len()..].parse().unwrap();
+        (count.unwrap(), (ordinal - 1) % 3)
+    }
+
+    #[test]
+    fn a_request_for_an_unknown_kernel_does_not_count_as_an_execution() {
+        let (mut gw, mut client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        client.send(
+            &[],
+            &request_to("m1", "s1", "kernel-ghost", SimTime::from_secs(9)),
+        );
+        assert!(gw.pump(SimTime::from_secs(9)).is_empty());
+        assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
+        let session = gw.export_session("s1").unwrap().session;
+        assert_eq!((session.execution_count, session.last_activity_us), (0, 0));
+    }
+
+    #[test]
+    fn a_session_cannot_execute_on_another_sessions_kernel() {
+        let (mut gw, mut client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        gw.start_session("s2", spec(), SimTime::ZERO).unwrap();
+        client.send(&[], &request_to("m1", "s1", "kernel-s2", SimTime::ZERO));
+        assert!(gw.pump(SimTime::ZERO).is_empty());
+        let stats = gw.stats();
+        assert_eq!(
+            (stats.accepted, stats.rejected, stats.fan_out_copies),
+            (0, 1, 0)
+        );
+        assert_eq!(gw.in_flight(), 0, "nothing parked against s2's kernel");
+        for id in ["s1", "s2"] {
+            assert_eq!(gw.export_session(id).unwrap().session.execution_count, 0);
+        }
+    }
+
+    #[test]
+    fn a_msg_id_still_in_flight_is_refused_and_the_first_request_completes() {
+        let (mut gw, mut client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        gw.start_session("s2", spec(), SimTime::ZERO).unwrap();
+        client.send(&[], &request_to("m1", "s1", "kernel-s1", SimTime::ZERO));
+        client.send(&[], &request_to("m1", "s2", "kernel-s2", SimTime::ZERO));
+        client.send(&[], &request_to("m1", "s1", "kernel-s1", SimTime::ZERO));
+        let accepted = gw.pump(SimTime::ZERO);
+        assert_eq!(accepted.len(), 1);
+        assert_eq!(accepted[0].session_id, "s1");
+        assert_eq!((gw.stats().accepted, gw.stats().rejected), (1, 2));
+        assert!(gw.finish_execution("m1", SimTime::from_secs(1)));
+        let (_, reply) = client.try_recv().expect("reply").expect("verifies");
+        assert_eq!(reply.parent.unwrap().session, "s1", "the first request's");
+        assert_eq!((gw.stats().replies, gw.in_flight()), (1, 0));
+        // Answered, the id may be used again — and s2 never executed.
+        let again = request_to("m1", "s2", "kernel-s2", SimTime::from_secs(2));
+        assert_eq!(
+            complete(&mut gw, &mut client, &again, SimTime::from_secs(2)).0,
+            1
+        );
+        assert_eq!((gw.stats().accepted, gw.stats().replies), (2, 2));
+    }
+
+    #[test]
+    fn refused_requests_leave_the_count_and_the_rotation_where_they_were() {
+        let (mut gw, mut client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        gw.start_session("s2", spec(), SimTime::ZERO).unwrap();
+        let at = SimTime::from_secs;
+        let first = request_to("m1", "s1", "kernel-s1", at(1));
+        assert_eq!(complete(&mut gw, &mut client, &first, at(1)), (1, 0));
+
+        // One of each refusal, the duplicate against a request in flight.
+        client.send(&[], &request_to("held", "s2", "kernel-s2", at(2)));
+        assert_eq!(gw.pump(at(2)).len(), 1);
+        let mut no_duration = request_to("m2", "s1", "kernel-s1", at(3));
+        no_duration.metadata = Json::object().with("kernel_id", "kernel-s1");
+        for refused in [
+            request_to("m2", "s1", "kernel-ghost", at(3)),
+            request_to("m2", "s1", "kernel-s2", at(3)),
+            request_to("held", "s1", "kernel-s1", at(3)),
+            request_to("m2", "ghost", "kernel-s1", at(3)),
+            no_duration,
+        ] {
+            client.send(&[], &refused);
+        }
+        assert!(gw.pump(at(3)).is_empty());
+        assert_eq!(gw.stats().rejected, 5);
+        assert!(gw.finish_execution("held", at(3)));
+        client.drain();
+
+        // s1's second execution is its second, on the second replica.
+        let second = request_to("m2", "s1", "kernel-s1", at(4));
+        assert_eq!(complete(&mut gw, &mut client, &second, at(4)), (2, 1));
+        let session = gw.export_session("s1").unwrap().session;
+        assert_eq!(
+            (session.execution_count, session.last_activity_us),
+            (2, at(4).as_micros())
+        );
     }
 }

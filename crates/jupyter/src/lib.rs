@@ -32,6 +32,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The codec and the signer write into their output directly; a
+// `push_str(&format!(..))` allocates a temporary per call and was a
+// measurable part of the wire path (README, "Wire path").
+#![warn(clippy::format_push_string)]
 
 pub mod channels;
 pub mod json;

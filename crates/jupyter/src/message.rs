@@ -6,9 +6,10 @@
 //! NotebookOS-specific `yield_request` conversion (§3.2.2), kernel-info and
 //! shutdown messages, and status updates.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use crate::json::{encode_number, encode_string, Json};
 
 /// Protocol version stamped into every header.
 pub const PROTOCOL_VERSION: &str = "5.4";
@@ -123,28 +124,82 @@ impl Header {
             .with("date", self.date_us)
     }
 
-    /// Parses from the protocol's JSON dict.
+    /// The header's canonical JSON text — what `self.to_json().encode()`
+    /// returns, written field by field in sorted-key order without building
+    /// the dict. This is the header frame [`crate::wire::encode`] signs.
+    pub fn encode(&self) -> String {
+        let mut out = String::with_capacity(
+            96 + self.msg_id.len() + self.session.len() + self.username.len() + self.version.len(),
+        );
+        out.push_str("{\"date\":");
+        encode_number(self.date_us as f64, &mut out);
+        for (key, value) in [
+            (",\"msg_id\":", self.msg_id.as_str()),
+            (",\"msg_type\":", self.msg_type.as_str()),
+            (",\"session\":", self.session.as_str()),
+            (",\"username\":", self.username.as_str()),
+            (",\"version\":", self.version.as_str()),
+        ] {
+            out.push_str(key);
+            encode_string(value, &mut out);
+        }
+        out.push('}');
+        out
+    }
+
+    /// Parses from the protocol's JSON dict, taking the strings out of it.
     ///
     /// # Errors
     ///
     /// Returns a description of the missing/invalid field.
-    pub fn from_json(v: &Json) -> Result<Header, String> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("header missing `{k}`"))
+    pub fn from_json(v: Json) -> Result<Header, String> {
+        // Anything but a dict has no fields, and reports the first it lacks.
+        let mut fields = match v {
+            Json::Obj(fields) => fields,
+            _ => BTreeMap::new(),
         };
-        let msg_type_raw = field("msg_type")?;
+        let missing = |k: &str| format!("header missing `{k}`");
+        // A missing `msg_type` is reported first, an unknown one only after
+        // the fields before it in the struct: the order callers have seen.
+        let msg_type = match fields.get("msg_type") {
+            Some(Json::Str(raw)) => {
+                MsgType::parse_wire(raw).ok_or_else(|| format!("unknown msg_type `{raw}`"))
+            }
+            _ => return Err(missing("msg_type")),
+        };
+        let mut take = |k: &str| match fields.remove(k) {
+            Some(Json::Str(s)) => Ok(s),
+            _ => Err(missing(k)),
+        };
         Ok(Header {
-            msg_id: field("msg_id")?,
-            session: field("session")?,
-            username: field("username")?,
-            msg_type: MsgType::parse_wire(&msg_type_raw)
-                .ok_or_else(|| format!("unknown msg_type `{msg_type_raw}`"))?,
-            version: field("version")?,
-            date_us: v.get("date").and_then(Json::as_u64).unwrap_or(0),
+            msg_id: take("msg_id")?,
+            session: take("session")?,
+            username: take("username")?,
+            msg_type: msg_type?,
+            version: take("version")?,
+            date_us: fields.get("date").and_then(Json::as_u64).unwrap_or(0),
         })
+    }
+
+    /// Builds the `execute_reply` to the request this header belongs to
+    /// ([`JupyterMessage::execute_reply`], for a caller that kept only the
+    /// request's header).
+    pub fn execute_reply(
+        &self,
+        msg_id: impl Into<String>,
+        status: ReplyStatus,
+        execution_count: u64,
+        executed: bool,
+        date_us: u64,
+    ) -> JupyterMessage {
+        JupyterMessage {
+            header: Header::new(msg_id, self.session.clone(), MsgType::ExecuteReply, date_us),
+            parent: Some(self.clone()),
+            metadata: Json::object().with("executed", executed),
+            content: Json::object()
+                .with("status", status.as_str())
+                .with("execution_count", execution_count),
+        }
     }
 }
 
@@ -214,19 +269,8 @@ impl JupyterMessage {
         executed: bool,
         date_us: u64,
     ) -> JupyterMessage {
-        JupyterMessage {
-            header: Header::new(
-                msg_id,
-                self.header.session.clone(),
-                MsgType::ExecuteReply,
-                date_us,
-            ),
-            parent: Some(self.header.clone()),
-            metadata: Json::object().with("executed", executed),
-            content: Json::object()
-                .with("status", status.as_str())
-                .with("execution_count", execution_count),
-        }
+        self.header
+            .execute_reply(msg_id, status, execution_count, executed, date_us)
     }
 
     /// The code payload, for execute/yield requests.
@@ -302,14 +346,17 @@ impl ReplyStatus {
 /// Preference order: the executor's reply (metadata `executed: true`), then
 /// any successful reply, then the first reply.
 ///
-/// Returns `None` when `replies` is empty.
-pub fn merge_replies(replies: &[JupyterMessage]) -> Option<JupyterMessage> {
-    replies
+/// Returns `None` when `replies` is empty. Takes the replies by value and
+/// hands the winner back by move: the others are dropped, nothing is cloned.
+pub fn merge_replies(mut replies: Vec<JupyterMessage>) -> Option<JupyterMessage> {
+    let executed =
+        |r: &JupyterMessage| r.metadata.get("executed").and_then(Json::as_bool) == Some(true);
+    let winner = replies
         .iter()
-        .find(|r| r.metadata.get("executed").and_then(Json::as_bool) == Some(true))
-        .or_else(|| replies.iter().find(|r| r.is_ok_reply()))
-        .or_else(|| replies.first())
-        .cloned()
+        .position(executed)
+        .or_else(|| replies.iter().position(JupyterMessage::is_ok_reply))
+        .unwrap_or(0);
+    (!replies.is_empty()).then(|| replies.swap_remove(winner))
 }
 
 #[cfg(test)]
@@ -320,19 +367,21 @@ mod tests {
         JupyterMessage::execute_request("m1", "sess-1", "model.fit()", 123)
     }
 
+    const ALL_TYPES: [MsgType; 9] = [
+        MsgType::ExecuteRequest,
+        MsgType::ExecuteReply,
+        MsgType::YieldRequest,
+        MsgType::Status,
+        MsgType::KernelInfoRequest,
+        MsgType::KernelInfoReply,
+        MsgType::ShutdownRequest,
+        MsgType::ShutdownReply,
+        MsgType::Stream,
+    ];
+
     #[test]
     fn msg_type_round_trips() {
-        for t in [
-            MsgType::ExecuteRequest,
-            MsgType::ExecuteReply,
-            MsgType::YieldRequest,
-            MsgType::Status,
-            MsgType::KernelInfoRequest,
-            MsgType::KernelInfoReply,
-            MsgType::ShutdownRequest,
-            MsgType::ShutdownReply,
-            MsgType::Stream,
-        ] {
+        for t in ALL_TYPES {
             assert_eq!(MsgType::parse_wire(t.as_str()), Some(t));
         }
         assert_eq!(MsgType::parse_wire("bogus"), None);
@@ -341,18 +390,47 @@ mod tests {
     #[test]
     fn header_json_round_trips() {
         let h = Header::new("m1", "s1", MsgType::ExecuteRequest, 42);
-        let parsed = Header::from_json(&h.to_json()).unwrap();
+        let parsed = Header::from_json(h.to_json()).unwrap();
         assert_eq!(parsed, h);
+    }
+
+    #[test]
+    fn header_writer_equals_the_dict_encoding() {
+        let ids = [
+            "m1",
+            "",
+            "quo\"te",
+            "back\\slash",
+            "\"\\\"",
+            "nl\nctl\u{1}",
+            "é☃😀",
+        ];
+        for msg_type in ALL_TYPES {
+            for id in ids {
+                for date_us in [0, 99, 9_000_000_000_000_000, u64::MAX] {
+                    let mut header = Header::new(id, id, msg_type, date_us);
+                    header.username = id.to_string();
+                    header.version = id.to_string();
+                    let text = header.encode();
+                    assert_eq!(text, header.to_json().encode());
+                    let parsed = Header::from_json(Json::parse(&text).unwrap()).unwrap();
+                    // `date` travels as an f64, exact below 2^53.
+                    if date_us < 1 << 53 {
+                        assert_eq!(parsed, header);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn header_json_rejects_missing_fields() {
         let bad = Json::object().with("msg_id", "x");
-        assert!(Header::from_json(&bad).is_err());
+        assert!(Header::from_json(bad).is_err());
         let bad_type = Header::new("m", "s", MsgType::Status, 0)
             .to_json()
             .with("msg_type", "nope");
-        assert!(Header::from_json(&bad_type).is_err());
+        assert!(Header::from_json(bad_type).is_err());
     }
 
     #[test]
@@ -404,15 +482,15 @@ mod tests {
         let standby1 = m.execute_reply("r1", ReplyStatus::Ok, 1, false, 10);
         let executor = m.execute_reply("r2", ReplyStatus::Ok, 1, true, 11);
         let standby2 = m.execute_reply("r3", ReplyStatus::Ok, 1, false, 12);
-        let merged = merge_replies(&[standby1.clone(), executor.clone(), standby2]).unwrap();
+        let merged = merge_replies(vec![standby1.clone(), executor, standby2]).unwrap();
         assert_eq!(merged.header.msg_id, "r2");
         // Without an executor flag, falls back to any ok reply.
         let err = m.execute_reply("r4", ReplyStatus::Error, 1, false, 13);
-        let merged = merge_replies(&[err.clone(), standby1.clone()]).unwrap();
+        let merged = merge_replies(vec![err.clone(), standby1]).unwrap();
         assert_eq!(merged.header.msg_id, "r1");
         // All errors: first wins.
-        let merged = merge_replies(std::slice::from_ref(&err)).unwrap();
+        let merged = merge_replies(vec![err]).unwrap();
         assert_eq!(merged.header.msg_id, "r4");
-        assert!(merge_replies(&[]).is_none());
+        assert!(merge_replies(Vec::new()).is_none());
     }
 }

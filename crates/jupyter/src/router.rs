@@ -6,7 +6,21 @@
 //! the designated executor's copy into a `yield_request`. Replies flow the
 //! other way and are aggregated (step 9 of Fig. 5). This module implements
 //! that routing table and the fan-out/fan-in bookkeeping.
+//!
+//! # Descriptors, not copies
+//!
+//! The R copies of a request differ in exactly one field, the header's
+//! `msg_type`, so [`Router::route_execute`] does not build them: it returns
+//! one [`RoutedCopy`] descriptor per replica — where the copy goes, which
+//! replica it is for, and the type it carries — and the request stays with
+//! the caller. Whoever puts a copy on a wire materialises it there, once per
+//! destination: a Local Scheduler transport would take the request,
+//! [`JupyterMessage::to_yield_request`] for the descriptors that say so, and
+//! [`crate::wire::encode`]. The in-process live gateway has no such hop and
+//! counts the descriptors. Fan-in is by move as well: [`Router::accept_reply`]
+//! owns each reply it is given and returns the winning one, not a clone.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::message::{merge_replies, JupyterMessage, MsgType};
@@ -21,16 +35,18 @@ pub struct KernelRoute {
     pub replicas: Vec<LocalSchedulerId>,
 }
 
-/// One outgoing copy of a routed request.
-#[derive(Debug, Clone, PartialEq)]
+/// One outgoing copy of a routed request, described rather than built
+/// (module docs, "Descriptors, not copies").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutedCopy {
     /// Destination Local Scheduler.
     pub to: LocalSchedulerId,
     /// Replica index at that destination.
     pub replica: u32,
-    /// The message to deliver (converted to `yield_request` for
-    /// non-designated replicas when a designation is supplied).
-    pub message: JupyterMessage,
+    /// The type the delivered copy carries: the request's own for the
+    /// designated replica (or for every replica without a designation),
+    /// `yield_request` for the others.
+    pub msg_type: MsgType,
 }
 
 /// Errors from routing operations.
@@ -44,6 +60,9 @@ pub enum RouteError {
     BadDesignation(u32),
     /// A reply arrived for a request the router is not tracking.
     UnknownRequest(String),
+    /// A request reuses the id of one still awaiting its replies; routing it
+    /// would overwrite that request's fan-in.
+    DuplicateRequest(String),
 }
 
 impl std::fmt::Display for RouteError {
@@ -53,6 +72,7 @@ impl std::fmt::Display for RouteError {
             RouteError::UnknownKernel(k) => write!(f, "no route for kernel `{k}`"),
             RouteError::BadDesignation(i) => write!(f, "designated replica {i} out of range"),
             RouteError::UnknownRequest(m) => write!(f, "no pending request `{m}`"),
+            RouteError::DuplicateRequest(m) => write!(f, "request `{m}` is already in flight"),
         }
     }
 }
@@ -133,8 +153,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError`] if the destination is missing/unknown or the
-    /// designation is out of range.
+    /// Returns [`RouteError`] if the destination is missing/unknown, the
+    /// designation is out of range, or the request's id is already in
+    /// flight; nothing is tracked in that case.
     pub fn route_execute(
         &mut self,
         message: &JupyterMessage,
@@ -142,17 +163,19 @@ impl Router {
     ) -> Result<Vec<RoutedCopy>, RouteError> {
         let kernel_id = message
             .destination()
-            .ok_or(RouteError::MissingDestination)?
-            .to_string();
+            .ok_or(RouteError::MissingDestination)?;
         let route = self
             .routes
-            .get(&kernel_id)
-            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.clone()))?;
+            .get(kernel_id)
+            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
         if let Some(i) = designated_executor {
             if i as usize >= route.replicas.len() {
                 return Err(RouteError::BadDesignation(i));
             }
         }
+        let Entry::Vacant(fan_in) = self.pending.entry(message.header.msg_id.clone()) else {
+            return Err(RouteError::DuplicateRequest(message.header.msg_id.clone()));
+        };
         let copies: Vec<RoutedCopy> = route
             .replicas
             .iter()
@@ -162,16 +185,15 @@ impl Router {
                 RoutedCopy {
                     to,
                     replica: idx as u32,
-                    message: if is_executor {
-                        message.clone()
+                    msg_type: if is_executor {
+                        message.header.msg_type
                     } else {
-                        message.to_yield_request()
+                        MsgType::YieldRequest
                     },
                 }
             })
             .collect();
-        self.pending
-            .insert(message.header.msg_id.clone(), (copies.len(), Vec::new()));
+        fan_in.insert((copies.len(), Vec::new()));
         Ok(copies)
     }
 
@@ -187,22 +209,23 @@ impl Router {
         &mut self,
         reply: JupyterMessage,
     ) -> Result<Option<JupyterMessage>, RouteError> {
-        let parent_id = reply
+        let Some(parent) = reply
             .parent
             .as_ref()
             .filter(|_| reply.header.msg_type == MsgType::ExecuteReply)
-            .map(|p| p.msg_id.clone())
-            .ok_or_else(|| RouteError::UnknownRequest(reply.header.msg_id.clone()))?;
-        let (expected, received) = self
-            .pending
-            .get_mut(&parent_id)
-            .ok_or(RouteError::UnknownRequest(parent_id.clone()))?;
-        received.push(reply);
-        if received.len() >= *expected {
-            let (_, replies) = self.pending.remove(&parent_id).expect("just present");
-            return Ok(merge_replies(&replies));
+        else {
+            return Err(RouteError::UnknownRequest(reply.header.msg_id));
+        };
+        let Some((expected, received)) = self.pending.get_mut(&parent.msg_id) else {
+            return Err(RouteError::UnknownRequest(parent.msg_id.clone()));
+        };
+        if received.len() + 1 < *expected {
+            received.push(reply);
+            return Ok(None);
         }
-        Ok(None)
+        let (_, mut replies) = self.pending.remove(&parent.msg_id).expect("just present");
+        replies.push(reply);
+        Ok(merge_replies(replies))
     }
 
     /// Requests currently awaiting replies.
@@ -236,9 +259,9 @@ mod tests {
         let mut r = router();
         let copies = r.route_execute(&request(), Some(1)).unwrap();
         assert_eq!(copies.len(), 3);
-        assert_eq!(copies[1].message.header.msg_type, MsgType::ExecuteRequest);
-        assert_eq!(copies[0].message.header.msg_type, MsgType::YieldRequest);
-        assert_eq!(copies[2].message.header.msg_type, MsgType::YieldRequest);
+        assert_eq!(copies[1].msg_type, MsgType::ExecuteRequest);
+        assert_eq!(copies[0].msg_type, MsgType::YieldRequest);
+        assert_eq!(copies[2].msg_type, MsgType::YieldRequest);
         assert_eq!(
             copies.iter().map(|c| c.to).collect::<Vec<_>>(),
             vec![10, 20, 30]
@@ -250,9 +273,7 @@ mod tests {
     fn fan_out_without_designation_sends_originals() {
         let mut r = router();
         let copies = r.route_execute(&request(), None).unwrap();
-        assert!(copies
-            .iter()
-            .all(|c| c.message.header.msg_type == MsgType::ExecuteRequest));
+        assert!(copies.iter().all(|c| c.msg_type == MsgType::ExecuteRequest));
     }
 
     #[test]
@@ -325,5 +346,52 @@ mod tests {
         assert!(!r.deregister("kernel-1"));
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
+    }
+
+    #[test]
+    fn descriptors_say_what_the_materialised_copies_would_carry() {
+        let mut r = router();
+        let req = request();
+        for copy in r.route_execute(&req, Some(2)).unwrap() {
+            let delivered = if copy.msg_type == MsgType::YieldRequest {
+                req.to_yield_request()
+            } else {
+                req.clone()
+            };
+            assert_eq!(delivered.header.msg_type, copy.msg_type);
+            assert_eq!(copy.msg_type == MsgType::ExecuteRequest, copy.replica == 2);
+            assert_eq!(delivered.code(), req.code());
+        }
+    }
+
+    #[test]
+    fn a_request_id_in_flight_is_not_routed_twice() {
+        let mut r = router();
+        let req = request();
+        r.route_execute(&req, Some(0)).unwrap();
+        r.accept_reply(req.execute_reply("r0", ReplyStatus::Ok, 1, true, 5))
+            .unwrap();
+        assert_eq!(
+            r.route_execute(&req, Some(1)).unwrap_err(),
+            RouteError::DuplicateRequest("m1".into())
+        );
+        // The first request's fan-in is intact: two more replies complete it.
+        let s1 = req.execute_reply("r1", ReplyStatus::Ok, 1, false, 6);
+        let s2 = req.execute_reply("r2", ReplyStatus::Ok, 1, false, 7);
+        assert_eq!(r.accept_reply(s1).unwrap(), None);
+        let merged = r.accept_reply(s2).unwrap().expect("all replies in");
+        assert_eq!(merged.header.msg_id, "r0");
+        // Once answered, the id is free again.
+        assert!(r.route_execute(&req, Some(1)).is_ok());
+    }
+
+    #[test]
+    fn a_refused_request_is_not_tracked() {
+        let mut r = router();
+        assert!(r.route_execute(&request(), Some(9)).is_err());
+        assert!(r
+            .route_execute(&request().with_destination("ghost"), None)
+            .is_err());
+        assert_eq!(r.pending_requests(), 0);
     }
 }

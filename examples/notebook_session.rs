@@ -67,7 +67,7 @@ fn main() {
         routed.execute_reply(ids.next_id(), ReplyStatus::Ok, 1, true, 2_001),
         routed.execute_reply(ids.next_id(), ReplyStatus::Ok, 1, false, 2_002),
     ];
-    let merged = merge_replies(&replies).expect("three replies");
+    let merged = merge_replies(replies).expect("three replies");
     println!(
         "merged execute_reply: msg {} (executor's), status ok = {}",
         merged.header.msg_id,

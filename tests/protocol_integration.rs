@@ -40,7 +40,7 @@ fn execute_request_to_reply_full_cycle() {
     let replies: Vec<JupyterMessage> = (0..3)
         .map(|i| routed.execute_reply(format!("r{i}"), ReplyStatus::Ok, 1, i == 2, 10))
         .collect();
-    let merged = merge_replies(&replies).expect("replies present");
+    let merged = merge_replies(replies).expect("replies present");
     assert_eq!(merged.header.msg_id, "r2");
 }
 
