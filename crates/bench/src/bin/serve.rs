@@ -14,28 +14,19 @@
 //! proves it by comparing the shard-invariant fields and the full
 //! latency multiset against a previous run's artifact — CI cross-checks
 //! `--shards 4 --virtual` against `--shards 1` this way. `--scale-out`
-//! measures the virtual-time throughput curve at 1/2/4/8 shards and
-//! writes the `serve_ns_per_exec` family `perf_gate` consumes.
-//!
-//! `--balance` swaps the static partition for the skew-aware mode
-//! (rendezvous affinity, power-of-two admission, quiescent-point work
-//! stealing); `--skew zipf:THETA` makes the generated tenants Zipfian so
-//! the skew defense has something to defend against. Balancing moves
-//! *where* sessions run, never *what* runs, and `--check-counters`
-//! proves it against a static run's artifact. With `--scale-out`,
-//! `--balance` emits the static-vs-balanced comparison curve and the
-//! `balanced_p99_under_skew` family gated against `BENCH_pr10.json`;
-//! `--expect-occupancy-cut` exits nonzero unless balancing beats the
-//! static partition's hottest-shard occupancy at 4+ shards.
+//! measures the virtual-time throughput curve at 1/2/4/8 shards
+//! (`serve_ns_per_exec` plus its coordination decomposition), and
+//! `--expect-speedup X` fails the run unless 4 shards beat 1 by X on a
+//! box with at least 4 cores. `--skew zipf:THETA` makes the generated
+//! tenants Zipfian instead of uniform.
 //!
 //! Usage:
 //!
 //! ```text
 //! serve [--users N] [--duration SECS] [--hosts N] [--seed N]
 //!       [--max-cell-ms N] [--out FILE] [--smoke] [--virtual]
-//!       [--shards N] [--check-against FILE] [--check-counters FILE]
-//!       [--balance] [--skew zipf:THETA]
-//!       [--scale-out FILE] [--expect-speedup X] [--expect-occupancy-cut]
+//!       [--shards N] [--check-against FILE] [--skew zipf:THETA]
+//!       [--scale-out FILE] [--expect-speedup X]
 //! ```
 //!
 //! `--smoke` is the CI job: a few wall-clock seconds of traffic at small
@@ -44,7 +35,6 @@
 
 use std::process::ExitCode;
 
-use notebookos_bench::balance::{run_serve_balanced, run_serve_balanced_cooperative, BalEv};
 use notebookos_bench::serve::{
     run_serve, run_serve_sharded, ServeEv, ServeOpts, ServeReport, ShardedServeReport,
 };
@@ -53,9 +43,8 @@ use notebookos_jupyter::Json;
 
 const USAGE: &str = "serve [--users N] [--duration SECS] [--hosts N] [--seed N] \
                      [--max-cell-ms N] [--out FILE] [--smoke] [--virtual] \
-                     [--shards N] [--check-against FILE] [--check-counters FILE] \
-                     [--balance] [--skew zipf:THETA] \
-                     [--scale-out FILE] [--expect-speedup X] [--expect-occupancy-cut]";
+                     [--shards N] [--check-against FILE] [--skew zipf:THETA] \
+                     [--scale-out FILE] [--expect-speedup X]";
 
 struct Cli {
     opts: ServeOpts,
@@ -63,12 +52,9 @@ struct Cli {
     virtual_time: bool,
     out: Option<String>,
     shards: usize,
-    balance: bool,
     check_against: Option<String>,
-    check_counters: Option<String>,
     scale_out: Option<String>,
     expect_speedup: Option<f64>,
-    expect_occupancy_cut: bool,
 }
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
@@ -78,12 +64,9 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         virtual_time: false,
         out: None,
         shards: 1,
-        balance: false,
         check_against: None,
-        check_counters: None,
         scale_out: None,
         expect_speedup: None,
-        expect_occupancy_cut: false,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -124,7 +107,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             }
             "--virtual" => cli.virtual_time = true,
             "--shards" => cli.shards = positive("--shards", value("--shards")?)? as usize,
-            "--balance" => cli.balance = true,
             "--skew" => {
                 let spec = value("--skew")?;
                 let theta = spec
@@ -137,9 +119,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 cli.opts.skew = Some(theta);
             }
             "--check-against" => cli.check_against = Some(value("--check-against")?),
-            "--check-counters" => cli.check_counters = Some(value("--check-counters")?),
             "--scale-out" => cli.scale_out = Some(value("--scale-out")?),
-            "--expect-occupancy-cut" => cli.expect_occupancy_cut = true,
             "--expect-speedup" => {
                 cli.expect_speedup = Some(
                     value("--expect-speedup")?
@@ -161,18 +141,14 @@ fn write_artifact(json: &Json, path: &str) -> std::io::Result<()> {
     std::fs::write(path, json.encode())
 }
 
-/// Compares this run's report against a previous artifact. With
-/// `timing` (the `--check-against` contract between static shard
-/// counts), every shard-invariant field must match, including
-/// `logical_secs`, the gauge floor, and the full latency multiset. The
-/// counters-only mode (`--check-counters`, the balanced-vs-static
-/// contract) checks just *what happened* — balancing relocates sessions,
-/// which legitimately re-times events and gauge samples but must never
-/// change a counter. Returns the mismatches; empty means the contract
-/// held.
-fn cross_check(report: &ServeReport, prior: &Json, timing: bool) -> Vec<String> {
+/// Compares this run's report against a previous artifact (the
+/// `--check-against` contract between shard counts): every
+/// shard-invariant field must match, including `logical_secs`, the gauge
+/// floor, and the full latency multiset. Returns the mismatches; empty
+/// means the contract held.
+fn cross_check(report: &ServeReport, prior: &Json) -> Vec<String> {
     let mut mismatches = Vec::new();
-    let mut counters: Vec<(&str, f64)> = vec![
+    let counters = [
         ("users", report.users as f64),
         ("sessions_started", report.sessions_started as f64),
         ("sessions_ended", report.sessions_ended as f64),
@@ -185,20 +161,15 @@ fn cross_check(report: &ServeReport, prior: &Json, timing: bool) -> Vec<String> 
         ("wire_fan_out_copies", report.gateway.fan_out_copies as f64),
         ("client_sent", report.client_sent as f64),
         ("client_received", report.client_received as f64),
+        ("logical_secs", report.logical_secs),
+        ("min_viable_hosts", report.min_viable_hosts as f64),
     ];
-    if timing {
-        counters.push(("logical_secs", report.logical_secs));
-        counters.push(("min_viable_hosts", report.min_viable_hosts as f64));
-    }
-    for &(key, ours) in &counters {
+    for (key, ours) in counters {
         match prior.get(key).and_then(Json::as_f64) {
             Some(theirs) if theirs == ours => {}
             Some(theirs) => mismatches.push(format!("{key}: {ours} here vs {theirs} in prior")),
             None => mismatches.push(format!("{key}: missing from prior artifact")),
         }
-    }
-    if !timing {
-        return mismatches;
     }
     let ours = report.latency.canonical_samples();
     match prior.get("latency_ms").and_then(Json::as_arr) {
@@ -279,84 +250,6 @@ fn scale_out(opts: &ServeOpts, cores: usize) -> (Json, Vec<(usize, f64)>) {
     (json, curve)
 }
 
-/// Skew-defense curve over shard counts: at 1/2/4/8 shards, run the
-/// static partition and the balanced mode on the identical trace and
-/// compare the hottest shard's occupancy high-water mark and the logical
-/// p99. Emits the `balanced_p99_under_skew` family (p99 ms keyed by
-/// shard count) that `perf_gate` checks against `BENCH_pr10.json`. The
-/// balanced side uses the deterministic cooperative driver so the
-/// committed numbers reproduce bit-for-bit on any machine.
-///
-/// Returns the artifact plus, per shard count, `(static max occupancy,
-/// balanced max occupancy)` for the `--expect-occupancy-cut` check.
-fn scale_out_balanced(opts: &ServeOpts, cores: usize) -> (Json, Vec<(usize, u64, u64)>) {
-    let mut family = Json::object();
-    let mut decomposition: Vec<Json> = Vec::new();
-    let mut occupancies: Vec<(usize, u64, u64)> = Vec::new();
-    eprintln!(
-        "serve: {:>6} {:>14} {:>14} {:>12} {:>12} {:>7} {:>7}",
-        "shards",
-        "static-max-occ",
-        "balance-max-occ",
-        "static-p99",
-        "balance-p99",
-        "steals",
-        "moved"
-    );
-    for &shards in &[1usize, 2, 4, 8] {
-        let started = std::time::Instant::now();
-        let fixed = run_serve_sharded(opts, shards, &|_| {
-            Box::new(DesScheduler::new()) as Box<dyn Scheduler<ServeEv>>
-        });
-        let fixed_wall = started.elapsed();
-        let started = std::time::Instant::now();
-        let balanced = run_serve_balanced_cooperative(opts, shards, &|_| {
-            Box::new(DesScheduler::new()) as Box<dyn Scheduler<BalEv>>
-        });
-        let balanced_wall = started.elapsed();
-        let occ_fixed = fixed.coordination.max_shard_occupancy();
-        let occ_balanced = balanced.coordination.max_shard_occupancy();
-        occupancies.push((shards, occ_fixed, occ_balanced));
-        family = family.with(&format!("{shards}"), balanced.report.latency_p99_ms);
-        decomposition.push(
-            Json::object()
-                .with("shards", shards as u64)
-                .with("executions", balanced.report.executions)
-                .with("static_wall_s", fixed_wall.as_secs_f64())
-                .with("balanced_wall_s", balanced_wall.as_secs_f64())
-                .with("static_p99_ms", fixed.report.latency_p99_ms)
-                .with("balanced_p99_ms", balanced.report.latency_p99_ms)
-                .with("static_max_shard_occupancy", occ_fixed)
-                .with("balanced_max_shard_occupancy", occ_balanced)
-                .with("steals", balanced.coordination.steals())
-                .with("sessions_moved", balanced.coordination.sessions_moved()),
-        );
-        eprintln!(
-            "serve: {:>6} {:>14} {:>14} {:>12.1} {:>12.1} {:>7} {:>7}",
-            shards,
-            occ_fixed,
-            occ_balanced,
-            fixed.report.latency_p99_ms,
-            balanced.report.latency_p99_ms,
-            balanced.coordination.steals(),
-            balanced.coordination.sessions_moved(),
-        );
-    }
-    let json = Json::object()
-        .with("bench", "serve-balance-scale-out")
-        .with("cores", cores as u64)
-        .with("users", opts.users as u64)
-        .with("duration_s", opts.duration.as_secs_f64())
-        .with("hosts", opts.hosts as u64)
-        .with(
-            "skew_theta",
-            opts.skew.map_or(Json::from("uniform"), Json::from),
-        )
-        .with("balanced_p99_under_skew", family)
-        .with("decomposition", decomposition);
-    (json, occupancies)
-}
-
 fn main() -> ExitCode {
     let cli = match parse(std::env::args().skip(1)) {
         Ok(cli) => cli,
@@ -368,48 +261,6 @@ fn main() -> ExitCode {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     if let Some(path) = &cli.scale_out {
-        if cli.balance {
-            eprintln!(
-                "serve: balance scale-out, {} users over {:.0}s virtual on {} hosts \
-                 ({cores} cores, skew {})",
-                cli.opts.users,
-                cli.opts.duration.as_secs_f64(),
-                cli.opts.hosts,
-                cli.opts
-                    .skew
-                    .map_or("uniform".into(), |t| format!("zipf:{t}")),
-            );
-            let (json, occupancies) = scale_out_balanced(&cli.opts, cores);
-            if let Err(error) = write_artifact(&json, path) {
-                eprintln!("serve: writing {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("serve: balance scale-out curve written to {path}");
-            if cli.expect_occupancy_cut {
-                let mut failed = false;
-                for &(shards, occ_fixed, occ_balanced) in &occupancies {
-                    if shards < 4 {
-                        continue;
-                    }
-                    if occ_balanced < occ_fixed {
-                        eprintln!(
-                            "serve: OCCUPANCY OK — {shards} shards: balanced max \
-                             {occ_balanced} < static max {occ_fixed}"
-                        );
-                    } else {
-                        eprintln!(
-                            "serve: OCCUPANCY FAIL — {shards} shards: balanced max \
-                             {occ_balanced} did not beat static max {occ_fixed}"
-                        );
-                        failed = true;
-                    }
-                }
-                if failed {
-                    return ExitCode::FAILURE;
-                }
-            }
-            return ExitCode::SUCCESS;
-        }
         eprintln!(
             "serve: scale-out curve, {} users over {:.0}s virtual on {} hosts ({cores} cores)",
             cli.opts.users,
@@ -454,31 +305,18 @@ fn main() -> ExitCode {
         "wall-clock"
     };
     eprintln!(
-        "serve: {} users over {:.0}s ({label}), {} hosts, {} shard(s){}, seed {}",
+        "serve: {} users over {:.0}s ({label}), {} hosts, {} shard(s), seed {}",
         cli.opts.users,
         cli.opts.duration.as_secs_f64(),
         cli.opts.hosts,
         cli.shards,
-        if cli.balance { " balanced" } else { "" },
         cli.opts.seed,
     );
 
     let started = std::time::Instant::now();
     let mut max_lateness = None;
     let mut sharded: Option<ShardedServeReport> = None;
-    let report = if cli.balance {
-        let virtual_time = cli.virtual_time;
-        let run = run_serve_balanced(&cli.opts, cli.shards, &move |_| {
-            if virtual_time {
-                Box::new(DesScheduler::new()) as Box<dyn Scheduler<BalEv>>
-            } else {
-                Box::new(RealTimeScheduler::new()) as Box<dyn Scheduler<BalEv>>
-            }
-        });
-        let report = run.report.clone();
-        sharded = Some(run);
-        report
-    } else if cli.shards > 1 {
+    let report = if cli.shards > 1 {
         let virtual_time = cli.virtual_time;
         let run = run_serve_sharded(&cli.opts, cli.shards, &move |_| {
             if virtual_time {
@@ -520,14 +358,6 @@ fn main() -> ExitCode {
             coord.placement_calls(),
             coord.merge.as_secs_f64(),
         );
-        if cli.balance {
-            println!(
-                "balance: max shard occupancy {}, {} steals moved {} session(s)",
-                coord.max_shard_occupancy(),
-                coord.steals(),
-                coord.sessions_moved(),
-            );
-        }
     }
 
     if let Some(path) = &cli.out {
@@ -542,12 +372,7 @@ fn main() -> ExitCode {
         eprintln!("serve: report written to {path}");
     }
 
-    for (path, timing) in cli
-        .check_against
-        .iter()
-        .map(|p| (p, true))
-        .chain(cli.check_counters.iter().map(|p| (p, false)))
-    {
+    if let Some(path) = &cli.check_against {
         let prior = match std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| Json::parse(&text).map_err(|e| format!("{e:?}")))
@@ -558,29 +383,21 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let mismatches = cross_check(&report, &prior, timing);
+        let mismatches = cross_check(&report, &prior);
         if mismatches.is_empty() {
-            if timing {
-                eprintln!(
-                    "serve: CROSS-CHECK OK — {} latencies and all invariant counters \
-                     match {path}",
-                    report.latency.len()
-                );
-            } else {
-                eprintln!("serve: COUNTER-CHECK OK — all counters match {path}");
-            }
+            eprintln!(
+                "serve: CROSS-CHECK OK — {} latencies and all invariant counters \
+                 match {path}",
+                report.latency.len()
+            );
         } else {
             for mismatch in &mismatches {
                 eprintln!("serve: CROSS-CHECK MISMATCH — {mismatch}");
             }
             eprintln!(
-                "serve: CROSS-CHECK FAIL — {} field(s) diverge from {path}; {}",
+                "serve: CROSS-CHECK FAIL — {} field(s) diverge from {path}; \
+                 sharded and single-shard runs must serve identical latencies",
                 mismatches.len(),
-                if timing {
-                    "sharded and single-shard runs must serve identical latencies"
-                } else {
-                    "balanced and static runs must serve identical counters"
-                },
             );
             return ExitCode::FAILURE;
         }

@@ -1,5 +1,6 @@
-//! Shared support for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared support for the figure-regeneration binaries, plus the
+//! live-service load generator ([`serve`]), the Raft chaos drill
+//! ([`chaos`]) and the sharded-sweep CLI ([`sweep_cli`]).
 //!
 //! Each `fig*`/`table*` binary regenerates one evaluation artifact:
 //!
@@ -8,8 +9,8 @@
 //! ```
 //!
 //! `repro_all` regenerates every artifact, fanning the regenerators out on
-//! the sweep engine's worker pool. The Criterion benches (`cargo bench`)
-//! measure protocol and scheduling hot paths plus the DESIGN.md ablations.
+//! the sweep engine's worker pool. Performance is measured by the ledger
+//! under `benchmark/` (a package of its own), not from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +20,6 @@ use notebookos_core::sweep::{self, Scenario, SweepJob};
 use notebookos_core::{Platform, PlatformConfig, PolicyKind, RunMetrics};
 use notebookos_trace::{generate, ArrivalPattern, SyntheticConfig, WorkloadTrace};
 
-pub mod balance;
 pub mod chaos;
 pub mod serve;
 pub mod sweep_cli;
@@ -107,39 +107,6 @@ pub fn smoke_heterogeneous() -> Scenario {
         (ResourceBundle::p3_16xlarge(), 2),
         (ResourceBundle::new(32_000, 249_856, 4), 2),
     ])
-}
-
-/// A fleet of `hosts` 8-GPU servers with uneven subscriptions (skewed by
-/// `i % 7`) and commitments (every third host), so placement rankings do
-/// real sorting work — the shared fixture behind the `platform_bench`
-/// placement benches and the `perf_bench` bin (the two must measure the
-/// same fleet for the committed `BENCH_pr5.json` numbers to stay
-/// comparable).
-pub fn loaded_cluster(hosts: usize) -> notebookos_cluster::Cluster {
-    use notebookos_cluster::{Cluster, HostMutation, ResourceRequest};
-    let mut cluster = Cluster::with_hosts(hosts, ResourceBundle::p3_16xlarge());
-    // Batch-applied typed mutations keep the placement index incremental —
-    // raw `host_mut` churn here would dirty it and make the first measured
-    // query pay the O(n log n) rebuild instead of steady-state cost.
-    let mut batch = Vec::new();
-    for i in 0..hosts {
-        for _ in 0..(i % 7) {
-            batch.push(HostMutation::Subscribe {
-                host: i as u64,
-                request: ResourceRequest::one_gpu(),
-            });
-        }
-        if i % 3 == 0 {
-            batch.push(HostMutation::Commit {
-                host: i as u64,
-                owner: 1_000_000 + i as u64,
-                request: ResourceRequest::one_gpu(),
-            });
-        }
-    }
-    let applied = cluster.apply_batch(batch);
-    assert!(applied > 0 || hosts <= 1, "fixture mutations all applied");
-    cluster
 }
 
 /// The 17.5-hour AdobeTrace excerpt (§5.2's prototype workload).

@@ -193,8 +193,8 @@ impl ServeReport {
     }
 
     /// A zeroed report covering `owned_users` users — the accumulator
-    /// both the static loop and the balanced shard cores start from.
-    pub(crate) fn empty(owned_users: usize) -> ServeReport {
+    /// [`run_loop`] starts from.
+    fn empty(owned_users: usize) -> ServeReport {
         ServeReport {
             users: owned_users,
             sessions_started: 0,
@@ -220,7 +220,7 @@ impl ServeReport {
     /// Finalizes derived fields: resolves the never-sampled gauge
     /// sentinel, computes percentiles from the latency multiset, and the
     /// throughput rate from the logical span.
-    pub(crate) fn finish(&mut self) {
+    fn finish(&mut self) {
         if self.min_viable_hosts == usize::MAX {
             self.min_viable_hosts = 0;
         }
@@ -266,55 +266,28 @@ impl ServeReport {
 
 /// Per-user client state.
 #[derive(Debug, Default)]
-pub(crate) struct UserState {
-    pub(crate) kernel_id: String,
-    pub(crate) active: bool,
-    pub(crate) busy: bool,
-    pub(crate) queued: VecDeque<SimTime>,
-    pub(crate) end_requested: bool,
-}
-
-/// A shard's occupancy gauge: live sessions plus queued and in-flight
-/// executions — the load signal the balanced mode equalizes. The static
-/// path meters it too (purely local bookkeeping, so the static loop stays
-/// bit-identical) so balanced-vs-static occupancy is an apples-to-apples
-/// comparison in the coordination decomposition.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct OccupancyMeter {
-    /// Current occupancy.
-    pub(crate) current: u64,
-    /// High-water mark.
-    pub(crate) max: u64,
-    /// `(logical_secs, occupancy)` samples, taken at gauge ticks.
-    pub(crate) timeline: Vec<(f64, u64)>,
-}
-
-impl OccupancyMeter {
-    #[inline]
-    pub(crate) fn add(&mut self, delta: i64) {
-        self.current = self.current.saturating_add_signed(delta);
-        self.max = self.max.max(self.current);
-    }
-
-    pub(crate) fn sample(&mut self, now: SimTime) {
-        self.timeline.push((now.as_secs_f64(), self.current));
-    }
+struct UserState {
+    kernel_id: String,
+    active: bool,
+    busy: bool,
+    queued: VecDeque<SimTime>,
+    end_requested: bool,
 }
 
 /// The compressed per-user workload plus the resource spec of each
 /// session, derived from one generated trace.
 #[derive(Debug)]
-pub(crate) struct CompressedTrace {
-    pub(crate) specs: Vec<KernelResourceSpec>,
-    /// `(deadline, event)` pairs to pre-schedule.
-    pub(crate) events: Vec<(SimTime, ServeEv)>,
+struct CompressedTrace {
+    specs: Vec<KernelResourceSpec>,
+    /// Each user's `(deadline, event)` pairs to pre-schedule, by user id.
+    events: Vec<Vec<(SimTime, ServeEv)>>,
 }
 
 fn compress(trace: &WorkloadTrace, opts: &ServeOpts) -> CompressedTrace {
     let span_s = trace.span_s().max(1.0);
     let factor = opts.duration.as_secs_f64() / span_s;
     let mut specs = Vec::with_capacity(trace.sessions.len());
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity(trace.sessions.len());
     for (user, session) in trace.sessions.iter().enumerate() {
         specs.push(KernelResourceSpec {
             millicpus: session.millicpus as u32,
@@ -324,15 +297,17 @@ fn compress(trace: &WorkloadTrace, opts: &ServeOpts) -> CompressedTrace {
         });
         let start = SimTime::from_secs_f64(session.start_s * factor);
         let end = SimTime::from_secs_f64(session.end_s * factor).max(start);
-        events.push((start, ServeEv::SessionStart(user)));
-        events.push((end, ServeEv::SessionEnd(user)));
+        let mut own = Vec::with_capacity(session.events.len() + 2);
+        own.push((start, ServeEv::SessionStart(user)));
+        own.push((end, ServeEv::SessionEnd(user)));
         for event in &session.events {
             let submit = SimTime::from_secs_f64(event.submit_s * factor);
             let duration = SimTime::from_secs_f64(event.duration_s * factor)
                 .min(opts.max_cell)
                 .max(SimTime::from_millis(1));
-            events.push((submit, ServeEv::Submit { user, duration }));
+            own.push((submit, ServeEv::Submit { user, duration }));
         }
+        events.push(own);
     }
     CompressedTrace { specs, events }
 }
@@ -340,7 +315,7 @@ fn compress(trace: &WorkloadTrace, opts: &ServeOpts) -> CompressedTrace {
 /// Generates the workload once: one AdobeTrace-shaped hour, compressed
 /// onto the serving window. Every user submits (gpu_active_fraction 1.0):
 /// a load generator that mostly idles would make smoke runs flaky.
-pub(crate) fn compressed_trace(opts: &ServeOpts) -> CompressedTrace {
+fn compressed_trace(opts: &ServeOpts) -> CompressedTrace {
     let config = SyntheticConfig {
         sessions: opts.users,
         span_s: 3_600.0,
@@ -370,16 +345,14 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
         notebookos_cluster::ResourceBundle::p3_16xlarge(),
         opts.replication_factor,
     );
-    let mut meter = OccupancyMeter::default();
     run_loop(
         opts,
         &compressed.specs,
-        compressed.events,
+        compressed.events.into_iter().flatten(),
         opts.users,
         &mut gateway,
         &mut client,
         sched,
-        &mut meter,
     )
 }
 
@@ -390,16 +363,14 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
 /// is how many of the trace's users they cover (reported as `users`).
 /// No locks anywhere: the loop owns its gateway, wire, scheduler, and
 /// latency accumulator outright.
-#[allow(clippy::too_many_arguments)]
 fn run_loop(
     opts: &ServeOpts,
     specs: &[KernelResourceSpec],
-    events: Vec<(SimTime, ServeEv)>,
+    events: impl IntoIterator<Item = (SimTime, ServeEv)>,
     owned_users: usize,
     gateway: &mut LiveGateway,
     client: &mut WireEndpoint,
     sched: &mut dyn Scheduler<ServeEv>,
-    meter: &mut OccupancyMeter,
 ) -> ServeReport {
     // Indexed by global user id, so shard partitions need no remapping.
     let mut users: Vec<UserState> = (0..opts.users).map(|_| UserState::default()).collect();
@@ -415,6 +386,8 @@ fn run_loop(
     sched.schedule(SimTime::ZERO, ServeEv::ProgressTick);
 
     while let Some((now, event)) = sched.pop_next() {
+        // Stamped before dispatch, so no arm can leave the span short.
+        report.logical_secs = now.as_secs_f64();
         match event {
             ServeEv::SessionStart(user) => {
                 let session_id = format!("user-{user}");
@@ -424,23 +397,21 @@ fn run_loop(
                         users[user].active = true;
                         report.sessions_started += 1;
                         report.peak_sessions = report.peak_sessions.max(gateway.session_count());
-                        meter.add(1);
                     }
                     Err(_) => report.shortfalls += 1,
                 }
             }
             ServeEv::SessionEnd(user) => {
                 let state = &mut users[user];
-                if !state.active {
-                    continue;
-                }
-                if state.busy || !state.queued.is_empty() {
-                    state.end_requested = true;
-                } else {
-                    state.active = false;
-                    gateway.end_session(&format!("user-{user}"));
-                    report.sessions_ended += 1;
-                    meter.add(-1);
+                // A session that never started (shortfall) has nothing to end.
+                if state.active {
+                    if state.busy || !state.queued.is_empty() {
+                        state.end_requested = true;
+                    } else {
+                        state.active = false;
+                        gateway.end_session(&format!("user-{user}"));
+                        report.sessions_ended += 1;
+                    }
                 }
             }
             ServeEv::Submit { user, duration } => {
@@ -450,9 +421,7 @@ fn run_loop(
                     // §2.3.2: a user's cells never overlap — queue behind
                     // the running one.
                     users[user].queued.push_back(duration);
-                    meter.add(1);
                 } else {
-                    meter.add(1);
                     submit_cell(
                         user,
                         duration,
@@ -464,7 +433,6 @@ fn run_loop(
                         &mut in_flight,
                         &mut report,
                         sched,
-                        meter,
                     );
                 }
             }
@@ -484,14 +452,11 @@ fn run_loop(
                         .latency
                         .record(now.saturating_sub(submitted).as_millis_f64());
                     users[owner].busy = false;
-                    meter.add(-1);
                 }
                 // The user is free again: drain their queue, then honor a
                 // deferred session end.
                 if !users[user].busy {
                     if let Some(duration) = users[user].queued.pop_front() {
-                        // Already metered when it queued; `submit_cell`
-                        // un-meters it if the gateway drops it.
                         submit_cell(
                             user,
                             duration,
@@ -503,13 +468,11 @@ fn run_loop(
                             &mut in_flight,
                             &mut report,
                             sched,
-                            meter,
                         );
                     } else if users[user].end_requested {
                         users[user].active = false;
                         gateway.end_session(&format!("user-{user}"));
                         report.sessions_ended += 1;
-                        meter.add(-1);
                     }
                 }
             }
@@ -519,13 +482,11 @@ fn run_loop(
                     .min_viable_hosts
                     .min(gateway.viable_count(gauge_spec));
                 report.peak_sessions = report.peak_sessions.max(gateway.session_count());
-                meter.sample(now);
                 if now + opts.tick <= opts.duration {
                     sched.schedule_in(opts.tick, ServeEv::ProgressTick);
                 }
             }
         }
-        report.logical_secs = now.as_secs_f64();
     }
 
     report.finish();
@@ -536,7 +497,7 @@ fn run_loop(
 }
 
 /// The one-GPU probe request the viable-host gauge samples.
-pub(crate) fn gauge_probe_spec() -> KernelResourceSpec {
+fn gauge_probe_spec() -> KernelResourceSpec {
     KernelResourceSpec {
         millicpus: 4_000,
         memory_mb: 16_384,
@@ -546,8 +507,6 @@ pub(crate) fn gauge_probe_spec() -> KernelResourceSpec {
 }
 
 /// Sends one cell over the wire and schedules its completion deadline.
-/// The caller has already metered this execution; a gateway drop
-/// un-meters it here.
 #[allow(clippy::too_many_arguments)]
 fn submit_cell(
     user: usize,
@@ -560,7 +519,6 @@ fn submit_cell(
     in_flight: &mut HashMap<String, (usize, SimTime)>,
     report: &mut ServeReport,
     sched: &mut dyn Scheduler<ServeEv>,
-    meter: &mut OccupancyMeter,
 ) {
     let msg_id = ids.next_id();
     let session_id = format!("user-{user}");
@@ -591,28 +549,16 @@ fn submit_cell(
         in_flight.remove(&msg_id);
         users[user].busy = false;
         report.dropped += 1;
-        meter.add(-1);
     }
-}
-
-/// Maps a kernel id onto one of `shards` gateway shards (FNV-1a 64-bit).
-/// Stable across processes and platforms, so a router in front of the
-/// shards and the shards themselves always agree — and deterministic, so
-/// the same trace partitions identically on every run.
-pub fn shard_of(kernel_id: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in kernel_id.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    (hash % shards as u64) as usize
 }
 
 /// FNV-1a over a user id's little-endian bytes — the numeric partition
-/// key. The sharded loops hash the integer id directly instead of
-/// formatting `"kernel-user-{user}"` per event (the string render +
-/// 16-plus-digit hash dominated partitioning cost in >1M-event scale-out
-/// runs); the rendezvous layer reuses the same key.
+/// key. Stable across processes and platforms, so a router in front of the
+/// shards and the shards themselves always agree — and deterministic, so
+/// the same trace partitions identically on every run. The integer id is
+/// hashed directly instead of formatting `"kernel-user-{user}"` per event
+/// (the string render + 16-plus-digit hash dominated partitioning cost in
+/// >1M-event scale-out runs).
 pub fn shard_key_of_user(user: usize) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in (user as u64).to_le_bytes() {
@@ -627,24 +573,12 @@ pub fn shard_of_user(user: usize, shards: usize) -> usize {
     (shard_key_of_user(user) % shards as u64) as usize
 }
 
-/// The user a pre-scheduled trace event belongs to. Only session/submit
-/// events are partitioned (`ExecDone`/`ProgressTick` are scheduled inside
-/// a shard's own loop and never cross shards).
-pub(crate) fn owner_of(event: &ServeEv) -> usize {
-    match event {
-        ServeEv::SessionStart(user) | ServeEv::SessionEnd(user) => *user,
-        ServeEv::Submit { user, .. } | ServeEv::ExecDone { user, .. } => *user,
-        ServeEv::ProgressTick => 0,
-    }
-}
-
 /// One shard's coordination footprint in a sharded run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCoordination {
     /// Shard index.
     pub shard: usize,
-    /// Users (sessions) partitioned onto this shard (static) or admitted
-    /// plus stolen into it (balanced).
+    /// Users (sessions) partitioned onto this shard.
     pub sessions: usize,
     /// Wall time this shard spent blocked on the placement channel.
     pub placement_wait: Duration,
@@ -652,16 +586,6 @@ pub struct ShardCoordination {
     pub placement_calls: u64,
     /// Wall time of the shard thread, end to end.
     pub wall: Duration,
-    /// High-water occupancy (live sessions + queued/in-flight cells).
-    pub max_occupancy: u64,
-    /// `(logical_secs, occupancy)` timeline sampled at gauge ticks.
-    pub occupancy: Vec<(f64, u64)>,
-    /// Steals this shard initiated that landed a session (balanced only).
-    pub steals: u64,
-    /// Sessions migrated into this shard by steals (balanced only).
-    pub moved_in: u64,
-    /// Sessions migrated out of this shard by steals (balanced only).
-    pub moved_out: u64,
 }
 
 /// Where a sharded run's wall time went — the roofline-style
@@ -690,26 +614,6 @@ impl CoordinationStats {
     pub fn placement_calls(&self) -> u64 {
         self.shards.iter().map(|s| s.placement_calls).sum()
     }
-
-    /// Total sessions landed by work stealing (zero on the static path).
-    pub fn steals(&self) -> u64 {
-        self.shards.iter().map(|s| s.steals).sum()
-    }
-
-    /// Total sessions migrated between shards (zero on the static path).
-    pub fn sessions_moved(&self) -> u64 {
-        self.shards.iter().map(|s| s.moved_in).sum()
-    }
-
-    /// The hottest shard's high-water occupancy — the skew metric the
-    /// balanced mode exists to cut.
-    pub fn max_shard_occupancy(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.max_occupancy)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A sharded run: the merged deterministic [`ServeReport`] plus the
@@ -735,22 +639,12 @@ impl ShardedServeReport {
             .shards
             .iter()
             .map(|s| {
-                let occupancy: Vec<Json> = s
-                    .occupancy
-                    .iter()
-                    .map(|&(t, occ)| Json::object().with("t_s", t).with("occupancy", occ))
-                    .collect();
                 Json::object()
                     .with("shard", s.shard as u64)
                     .with("sessions", s.sessions as u64)
                     .with("placement_wait_s", s.placement_wait.as_secs_f64())
                     .with("placement_calls", s.placement_calls)
                     .with("wall_s", s.wall.as_secs_f64())
-                    .with("max_occupancy", s.max_occupancy)
-                    .with("steals", s.steals)
-                    .with("moved_in", s.moved_in)
-                    .with("moved_out", s.moved_out)
-                    .with("occupancy", occupancy)
             })
             .collect();
         self.report
@@ -766,12 +660,6 @@ impl ShardedServeReport {
                         self.coordination.placement_wait().as_secs_f64(),
                     )
                     .with("placement_calls", self.coordination.placement_calls())
-                    .with("steals", self.coordination.steals())
-                    .with("sessions_moved", self.coordination.sessions_moved())
-                    .with(
-                        "max_shard_occupancy",
-                        self.coordination.max_shard_occupancy(),
-                    )
                     .with(
                         "service_busy_s",
                         self.coordination.service.busy.as_secs_f64(),
@@ -805,7 +693,7 @@ impl ShardedServeReport {
 /// Runs the serving loop across `shards` gateway shards, one OS thread
 /// each.
 ///
-/// Sessions are partitioned by [`shard_of`] over their kernel id; each
+/// Sessions are partitioned by [`shard_of_user`] over their user id; each
 /// shard owns its own scheduler (built by `make_sched`, called *on* the
 /// shard thread so non-`Send` schedulers work), [`LiveGateway`], wire
 /// endpoints, and latency accumulator — no locks on the per-execution
@@ -831,20 +719,13 @@ pub fn run_serve_sharded(
     assert!(shards > 0, "at least one shard");
     let compressed = compressed_trace(opts);
     let mut shard_events: Vec<Vec<(SimTime, ServeEv)>> = vec![Vec::new(); shards];
-    // Hash each numeric user id once and reuse the table per event —
-    // formatting and hashing `"kernel-user-{user}"` per event dominated
-    // partitioning cost in >1M-event scale-out runs.
-    let user_shard: Vec<usize> = (0..opts.users)
-        .map(|user| shard_of_user(user, shards))
-        .collect();
     let mut shard_users = vec![0usize; shards];
-    for &shard in &user_shard {
-        shard_users[shard] += 1;
-    }
     // Stable partition: within a shard, events keep global trace order,
     // so a one-shard run schedules exactly what `run_serve` schedules.
-    for (deadline, event) in compressed.events {
-        shard_events[user_shard[owner_of(&event)]].push((deadline, event));
+    for (user, events) in compressed.events.into_iter().enumerate() {
+        let shard = shard_of_user(user, shards);
+        shard_users[shard] += 1;
+        shard_events[shard].extend(events);
     }
 
     let service = PlacementService::spawn(
@@ -866,7 +747,6 @@ pub fn run_serve_sharded(
                     let (mut gateway, mut wire) =
                         LiveGateway::with_backend(Box::new(backend), opts.replication_factor);
                     let mut sched = make_sched(shard);
-                    let mut meter = OccupancyMeter::default();
                     let report = run_loop(
                         opts,
                         specs,
@@ -875,7 +755,6 @@ pub fn run_serve_sharded(
                         &mut gateway,
                         &mut wire,
                         sched.as_mut(),
-                        &mut meter,
                     );
                     let (placement_wait, placement_calls) = gateway.coordination_wait();
                     (
@@ -886,11 +765,6 @@ pub fn run_serve_sharded(
                             placement_wait,
                             placement_calls,
                             wall: shard_start.elapsed(),
-                            max_occupancy: meter.max,
-                            occupancy: meter.timeline,
-                            steals: 0,
-                            moved_in: 0,
-                            moved_out: 0,
                         },
                     )
                 })
@@ -929,7 +803,7 @@ pub fn run_serve_sharded(
 /// last event), and the latency distributions merge in shard order with
 /// percentiles recomputed over the union — so the merged report depends
 /// only on the partition contents, not on thread interleaving.
-pub(crate) fn merge_reports(parts: &[ServeReport]) -> ServeReport {
+fn merge_reports(parts: &[ServeReport]) -> ServeReport {
     let mut report = ServeReport {
         users: parts.iter().map(|p| p.users).sum(),
         sessions_started: parts.iter().map(|p| p.sessions_started).sum(),
@@ -955,14 +829,7 @@ pub(crate) fn merge_reports(parts: &[ServeReport]) -> ServeReport {
         gauge_samples: parts.iter().map(|p| p.gauge_samples).sum(),
         latency: Cdf::merged("request-latency-ms", parts.iter().map(|p| &p.latency)),
     };
-    if !report.latency.is_empty() {
-        report.latency_p50_ms = report.latency.percentile(50.0);
-        report.latency_p99_ms = report.latency.percentile(99.0);
-        report.latency_mean_ms = report.latency.mean();
-    }
-    if report.logical_secs > 0.0 {
-        report.execs_per_sec = report.executions as f64 / report.logical_secs;
-    }
+    report.finish();
     report
 }
 
@@ -1105,17 +972,46 @@ mod tests {
     fn shard_of_is_a_total_stable_partition() {
         for shards in 1..=8usize {
             for user in 0..64 {
-                let id = format!("kernel-user-{user}");
-                let a = shard_of(&id, shards);
+                let a = shard_of_user(user, shards);
                 assert!(a < shards);
-                assert_eq!(a, shard_of(&id, shards), "stable");
+                assert_eq!(a, shard_of_user(user, shards), "stable");
             }
         }
-        // The hash actually spreads: 64 users over 4 shards leave none empty.
+        // The hash actually spreads: 64 users over 4 shards leave none
+        // empty — and the counts are the partition the engine ran with.
         let mut counts = [0usize; 4];
         for user in 0..64 {
-            counts[shard_of(&format!("kernel-user-{user}"), 4)] += 1;
+            counts[shard_of_user(user, 4)] += 1;
         }
         assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+        let mut opts = ServeOpts::smoke();
+        opts.users = 64;
+        opts.hosts = 64;
+        let run = run_serve_sharded(&opts, 4, &|_| Box::new(DesScheduler::new()));
+        let ran: Vec<usize> = run.coordination.shards.iter().map(|s| s.sessions).collect();
+        assert_eq!(ran, counts, "the engine partitions with `shard_of_user`");
+    }
+
+    #[test]
+    fn refused_session_ends_still_advance_logical_time() {
+        // Every session is refused (R = 3 on 2 hosts), so the run's last
+        // event is a `SessionEnd` for a session that never started; the
+        // 800 ms window keeps the final gauge tick (500 ms) from hiding it.
+        let mut opts = ServeOpts::new(3, SimTime::from_millis(800));
+        opts.hosts = 2;
+        let last_deadline = compressed_trace(&opts)
+            .events
+            .iter()
+            .flatten()
+            .map(|&(deadline, _)| deadline)
+            .max()
+            .expect("trace has events");
+        let report = run_serve(&opts, &mut DesScheduler::new());
+        assert_eq!(report.shortfalls, 3);
+        assert!(
+            last_deadline > SimTime::from_millis(500),
+            "past the last tick"
+        );
+        assert_eq!(report.logical_secs, last_deadline.as_secs_f64());
     }
 }

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod balance;
 pub mod billing;
 pub mod config;
 pub mod elasticity;
@@ -59,7 +58,6 @@ pub mod smr;
 pub mod sweep;
 pub mod types;
 
-pub use balance::{rendezvous_shard, rendezvous_top2, rendezvous_weight, ShardLoadBoard};
 pub use billing::BillingMeter;
 pub use config::{
     AutoscaleConfig, BillingConfig, ElasticityKind, PlacementKind, PlatformConfig, PolicyKind,
@@ -81,7 +79,7 @@ pub use reclamation::{analyze as analyze_reclamation, fig13_sweep, ReclamationSa
 pub use results::{RunCounters, RunMetrics};
 pub use serve::{
     client_request, AcceptedExecution, GatewayStats, LiveGateway, LocalBackend,
-    ProvisioningBackend, SessionExport, DURATION_KEY, GATEWAY_KEY,
+    ProvisioningBackend, DURATION_KEY, GATEWAY_KEY,
 };
 pub use smr::{ElectionOutcome, ElectionTracker, KernelCommand, KernelProtocolHarness, Proposal};
 pub use sweep::{

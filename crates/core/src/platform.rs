@@ -1446,8 +1446,8 @@ impl Platform {
     }
 
     /// Simulation events dispatched by the completed run — populated by
-    /// [`Platform::run_for_inspection`]; the numerator of the events/sec
-    /// throughput benches (`perf_bench`, the CI perf gate).
+    /// [`Platform::run_for_inspection`]; the numerator of the ledger's
+    /// events/sec rows (`benchmark/`, `sim-summer` and `sim-fleet`).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

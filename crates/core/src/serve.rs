@@ -197,19 +197,6 @@ impl ProvisioningBackend for LocalBackend {
     }
 }
 
-/// Everything a gateway needs to hand an idle session to a sibling:
-/// the session record (execution count intact, so designated-replica
-/// rotation continues seamlessly) and its replica route. Produced by
-/// [`LiveGateway::export_session`], consumed by
-/// [`LiveGateway::import_session`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionExport {
-    /// The migrating session record.
-    pub session: Session,
-    /// The kernel's replica route (local-scheduler ids).
-    pub route: KernelRoute,
-}
-
 /// A fanned-out execution awaiting its completion deadline: what the
 /// replies are built from (the request's header — they name it as parent)
 /// and routed by, not the request itself.
@@ -308,52 +295,6 @@ impl LiveGateway {
         self.sessions
             .create(session_id, &kernel_id, now.as_micros());
         Ok(info)
-    }
-
-    /// Detaches an **idle** session for migration to another gateway:
-    /// removes the session record and its replica route *without*
-    /// shutting the kernel down — the kernel keeps running in the shared
-    /// fleet and the importing gateway takes over its lifecycle.
-    ///
-    /// Callers must guarantee the session has no in-flight execution on
-    /// this gateway (the balanced serving loop only migrates quiescent
-    /// sessions); pending executions keyed by this session would
-    /// otherwise dangle. Returns `None` for unknown sessions.
-    ///
-    /// Only meaningful when both gateways share one provisioning backend
-    /// (e.g. [`crate::PlacementClient`]): with a private [`LocalBackend`]
-    /// the kernel's resources live in the exporter's fleet and the
-    /// importer could never release them.
-    pub fn export_session(&mut self, session_id: &str) -> Option<SessionExport> {
-        let in_flight = self
-            .pending
-            .values()
-            .any(|p| p.header.session == session_id);
-        assert!(
-            !in_flight,
-            "session `{session_id}` exported with an in-flight execution"
-        );
-        let session = self.sessions.remove(session_id)?;
-        let route = self
-            .router
-            .route_of(&session.kernel_id)
-            .cloned()
-            .expect("every live session has a registered route");
-        self.router.deregister(&session.kernel_id);
-        Some(SessionExport { session, route })
-    }
-
-    /// Attaches a session exported from a sibling gateway, preserving its
-    /// execution count (so designated-replica rotation continues where it
-    /// left off) and replica route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session id is already registered here.
-    pub fn import_session(&mut self, export: SessionExport) {
-        self.router
-            .register(&export.session.kernel_id, export.route);
-        self.sessions.adopt(export.session);
     }
 
     /// Ends a session: deregisters the route and releases the kernel's
@@ -495,6 +436,11 @@ impl LiveGateway {
     /// placement plane ([`ProvisioningBackend::coordination_wait`]).
     pub fn coordination_wait(&self) -> (std::time::Duration, u64) {
         self.backend.coordination_wait()
+    }
+
+    /// The record of a live session (execution count, last activity).
+    pub fn session(&self, session_id: &str) -> Option<&Session> {
+        self.sessions.get(session_id)
     }
 
     /// Live session count.
@@ -685,58 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn exported_session_resumes_after_import() {
-        let (mut gw, mut client) = gateway();
-        gw.start_session("s1", spec(), SimTime::ZERO)
-            .expect("starts");
-        // Run one execution so the export carries a non-zero count.
-        client.send(
-            &[],
-            &client_request(
-                "m1",
-                "s1",
-                "kernel-s1",
-                "x",
-                SimTime::from_millis(5),
-                SimTime::ZERO,
-            ),
-        );
-        gw.pump(SimTime::ZERO);
-        gw.finish_execution("m1", SimTime::from_millis(5));
-        client.drain();
-        let kernels = gw.kernel_count();
-
-        let export = gw.export_session("s1").expect("exports");
-        assert_eq!(export.session.execution_count, 1);
-        assert_eq!(gw.session_count(), 0);
-        assert!(
-            gw.export_session("s1").is_none(),
-            "second export is a no-op"
-        );
-        // The kernel keeps running — export is a handoff, not a shutdown.
-        assert_eq!(gw.kernel_count(), kernels);
-
-        gw.import_session(export);
-        assert_eq!(gw.session_count(), 1);
-        client.send(
-            &[],
-            &client_request(
-                "m2",
-                "s1",
-                "kernel-s1",
-                "y",
-                SimTime::from_millis(5),
-                SimTime::from_secs(1),
-            ),
-        );
-        let accepted = gw.pump(SimTime::from_secs(1));
-        assert_eq!(accepted.len(), 1, "imported session accepts executions");
-        assert!(gw.finish_execution("m2", SimTime::from_secs(2)));
-        let (replies, rejected) = client.drain();
-        assert_eq!((replies.len(), rejected), (1, 0));
-    }
-
-    #[test]
     fn shortfall_propagates_to_caller() {
         // 2 hosts cannot place R = 3 replicas.
         let (mut gw, _client) = LiveGateway::new(2, ResourceBundle::p3_16xlarge(), 3);
@@ -780,7 +674,7 @@ mod tests {
         );
         assert!(gw.pump(SimTime::from_secs(9)).is_empty());
         assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
-        let session = gw.export_session("s1").unwrap().session;
+        let session = gw.session("s1").unwrap();
         assert_eq!((session.execution_count, session.last_activity_us), (0, 0));
     }
 
@@ -798,7 +692,7 @@ mod tests {
         );
         assert_eq!(gw.in_flight(), 0, "nothing parked against s2's kernel");
         for id in ["s1", "s2"] {
-            assert_eq!(gw.export_session(id).unwrap().session.execution_count, 0);
+            assert_eq!(gw.session(id).unwrap().execution_count, 0);
         }
     }
 
@@ -858,7 +752,7 @@ mod tests {
         // s1's second execution is its second, on the second replica.
         let second = request_to("m2", "s1", "kernel-s1", at(4));
         assert_eq!(complete(&mut gw, &mut client, &second, at(4)), (2, 1));
-        let session = gw.export_session("s1").unwrap().session;
+        let session = gw.session("s1").unwrap();
         assert_eq!(
             (session.execution_count, session.last_activity_us),
             (2, at(4).as_micros())

@@ -424,8 +424,7 @@ impl Scenario {
 
     /// The excerpt workload under Zipfian per-user popularity: the
     /// session at arrival rank `r` submits at a rate ∝ `(r + 1)^-theta`,
-    /// so a handful of hot tenants dominate execution volume — the
-    /// skewed-load scenario behind the balanced-serving benchmarks.
+    /// so a handful of hot tenants dominate execution volume.
     pub fn skewed(theta: f64) -> Self {
         Scenario::new(
             format!("skewed-zipf{theta}"),

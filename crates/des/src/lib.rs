@@ -10,28 +10,20 @@
 //! # Example
 //!
 //! ```
-//! use notebookos_des::{EventQueue, SimTime, Simulation, World};
+//! use notebookos_des::{DesScheduler, Scheduler, SimTime};
 //!
-//! struct Counter {
-//!     fired: u32,
-//! }
-//!
-//! impl World for Counter {
-//!     type Event = &'static str;
-//!
-//!     fn handle(&mut self, now: SimTime, event: &'static str, queue: &mut EventQueue<&'static str>) {
-//!         self.fired += 1;
-//!         if event == "ping" && self.fired < 3 {
-//!             queue.schedule_in(now, SimTime::from_secs(1), "ping");
-//!         }
+//! // The caller owns the loop: pop an event, react, schedule follow-ups.
+//! let mut sched = DesScheduler::new();
+//! sched.schedule(SimTime::ZERO, "ping");
+//! let mut fired = 0;
+//! while let Some((_now, event)) = sched.pop_next() {
+//!     fired += 1;
+//!     if event == "ping" && fired < 3 {
+//!         sched.schedule_in(SimTime::from_secs(1), "ping");
 //!     }
 //! }
-//!
-//! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.queue_mut().schedule(SimTime::ZERO, "ping");
-//! sim.run();
-//! assert_eq!(sim.world().fired, 3);
-//! assert_eq!(sim.now(), SimTime::from_secs(2));
+//! assert_eq!(fired, 3);
+//! assert_eq!(sched.now(), SimTime::from_secs(2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,7 +33,6 @@ pub mod dist;
 pub mod queue;
 pub mod rng;
 pub mod scheduler;
-pub mod sim;
 pub mod time;
 
 pub use dist::{Distribution, Empirical, Exponential, LogNormal, Normal, Uniform};
@@ -50,5 +41,4 @@ pub use rng::SimRng;
 pub use scheduler::{
     Clock, DesScheduler, ManualClock, MonotonicClock, RealTimeScheduler, Scheduler,
 };
-pub use sim::{Simulation, World};
 pub use time::SimTime;

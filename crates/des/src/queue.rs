@@ -1,9 +1,8 @@
 //! The pending-event queue.
 //!
 //! [`EventQueue`] is the ordering backbone for both execution modes: the
-//! [`Simulation`](crate::sim::Simulation) driver and the
 //! [`DesScheduler`](crate::scheduler::DesScheduler) /
-//! [`RealTimeScheduler`](crate::scheduler::RealTimeScheduler) pair all pop
+//! [`RealTimeScheduler`](crate::scheduler::RealTimeScheduler) pair both pop
 //! from it, so `(time, seq)` tie-breaking — and therefore determinism — is
 //! identical no matter which front end drives the events.
 

@@ -65,23 +65,6 @@ impl SessionManager {
         &self.sessions[&id]
     }
 
-    /// Re-registers a fully-formed session record, preserving its
-    /// execution count and activity timestamps — the receiving half of a
-    /// cross-shard session migration (the sending half is [`Self::remove`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session id is already registered.
-    pub fn adopt(&mut self, session: Session) -> &Session {
-        let id = session.id.clone();
-        assert!(
-            !self.sessions.contains_key(&id),
-            "session `{id}` already exists"
-        );
-        self.sessions.insert(id.clone(), session);
-        &self.sessions[&id]
-    }
-
     /// Looks up a session.
     pub fn get(&self, id: &str) -> Option<&Session> {
         self.sessions.get(id)
@@ -190,21 +173,6 @@ mod tests {
         let idle = m.idle_sessions(2_000_000, 1_500_000);
         assert_eq!(idle.len(), 1);
         assert_eq!(idle[0].id, "a");
-    }
-
-    #[test]
-    fn adopt_preserves_execution_count() {
-        let mut a = SessionManager::new();
-        a.create("s1", "k1", 0);
-        a.record_execution("s1", 500);
-        a.record_execution("s1", 900);
-        let moved = a.remove("s1").unwrap();
-        let mut b = SessionManager::new();
-        let adopted = b.adopt(moved);
-        assert_eq!(adopted.execution_count, 2);
-        assert_eq!(adopted.last_activity_us, 900);
-        // The count keeps advancing where it left off.
-        assert_eq!(b.record_execution("s1", 1_000), Some(3));
     }
 
     #[test]
