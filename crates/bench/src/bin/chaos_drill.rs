@@ -1,13 +1,17 @@
 //! Kill-anywhere chaos drill over WAL-backed replicated kernels.
 //!
 //! Runs an uninterrupted golden cluster and a WAL-backed chaos cluster
-//! over the same command stream, fail-stops every replica at least once
-//! at pseudo-random points, recovers each via the §3.2.5 heartbeat
-//! detector + recreate path, and exits nonzero unless every replica's
-//! recovered committed state is byte-identical to the golden run. The
-//! report decomposes each cycle into detect / failover / WAL-replay /
-//! catch-up latency and includes the measured fsync cost per append in
-//! both durability modes.
+//! over the same command stream on the seeded virtual-time Raft harness,
+//! fail-stops every replica at least once at seeded points, recovers each
+//! via the §3.2.5 heartbeat detector + recreate path, and exits nonzero
+//! unless every replica's recovered committed state is byte-identical to
+//! the golden run. The Raft safety checker is on throughout. The report
+//! decomposes each cycle into detect / failover / WAL-replay / catch-up
+//! and includes the measured fsync cost per append in both durability
+//! modes. Detect, failover, catch-up and the total are virtual time: one
+//! seed gives one report, whatever the machine. The WAL replay time and
+//! the fsync cost are wall clock, because the files are real. A drill
+//! that fails names its seed; `--seed N` runs it again, step for step.
 //!
 //! Usage:
 //!
@@ -17,7 +21,8 @@
 //! ```
 //!
 //! `--smoke` is the CI job: 3 kill/restart cycles (one per replica) over
-//! a short stream, a few wall-clock seconds end to end.
+//! a short stream — about a second of virtual time, tens of wall-clock
+//! milliseconds, most of them in the fsync probe.
 
 use std::process::ExitCode;
 
@@ -26,7 +31,9 @@ use notebookos_bench::EVAL_SEED;
 use notebookos_jupyter::Json;
 
 const USAGE: &str = "chaos_drill [--replicas N] [--commands N] [--cycles N] [--seed N] \
-                     [--fsync-batch N] [--out FILE] [--smoke]";
+                     [--fsync-batch N] [--out FILE] [--smoke]\n\
+                     runs in virtual time: one --seed, one report (bar the wall-clock \
+                     replay_ms and wal_fsync_cost); a failing drill prints its seed";
 
 struct Cli {
     opts: ChaosOpts,

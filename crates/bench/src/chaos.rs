@@ -1,49 +1,63 @@
-//! Kill-anywhere chaos drills over the WAL-backed live Raft cluster.
+//! Kill-anywhere chaos drills over WAL-backed Raft replicas, in virtual
+//! time on the seeded [`Network`] harness.
 //!
 //! The drill runs two clusters over the same command stream:
 //!
 //! 1. a **golden** run — in-memory storage, never interrupted — whose
 //!    committed command sequence is the reference state, and
-//! 2. the **chaos** run — WAL-backed replicas, each fail-stopped at a
-//!    pseudo-random point mid-stream at least once, detected by the
-//!    §3.2.5 heartbeat [`FailureDetector`], recovered per
-//!    [`recovery_action`], and restarted over its own WAL.
+//! 2. the **chaos** run — every replica on a [`WalStorage`] of its own in a
+//!    temp directory, each fail-stopped at a seeded point mid-stream at
+//!    least once, detected by the §3.2.5 heartbeat [`FailureDetector`],
+//!    recovered per [`recovery_action`], and restarted over its own WAL.
 //!
 //! After the last cycle the drill quiesces and asserts the recovered
 //! committed state **byte-for-byte**: every replica's applied sequence is
 //! encoded with the same canonical codec the WAL uses
-//! ([`encode_commands`]) and compared against the golden bytes. Client
-//! retries across a dying leader give at-least-once delivery, so the
+//! ([`encode_commands`]) and compared against the golden bytes. The
+//! drill's client is at-least-once — it proposes a command on the current
+//! leader, runs the network until some replica has applied it, and
+//! proposes it again whenever the leader changes first — so the
 //! comparison is over each replica's first-application order with
-//! duplicate re-proposals collapsed — replicas must *also* agree with
-//! each other on the raw sequence, which catches divergence that
-//! deduplication could mask.
+//! duplicate re-proposals collapsed. Replicas must *also* agree with each
+//! other on the raw sequence, which catches divergence that deduplication
+//! could mask. A command is in flight, proposed and not yet confirmed,
+//! whenever a kill lands.
 //!
-//! The retrying client is the drill's own. `propose_blocking` returns when a
-//! leader has *accepted* a command, not when it is committed, and a leader
-//! that loses its term before the entry reaches a quorum — an election
-//! timer firing on a starved box is enough — has it overwritten by its
-//! successor. So before it sends command `i + 1` the drill confirms command
-//! `i` applied on some replica, sending it again every `RETRY_AFTER` until
-//! it is: first-application order stays issue order, nothing acknowledged
-//! is silently missing when a wait counts commands, and the *last* command
-//! before each kill is still unconfirmed when the kill lands, so kills keep
-//! racing an in-flight entry.
+//! Both runs have the harness's `SafetyChecker` on, after every delivered
+//! message and every restart — where a restart may reset a replica's commit
+//! index but not the term or the vote its WAL holds.
 //!
 //! Every kill→recover cycle is decomposed into the [`RecoveryBreakdown`]
-//! phases (detect / failover / WAL replay / catch-up), and the report
-//! carries the measured [`WalFsyncCost`] so the durability tax shows up
-//! next to the availability numbers.
+//! phases. Detect, failover, catch-up and the total are **virtual**
+//! milliseconds, the same for a given seed on any machine. WAL replay is
+//! reported exactly, as records replayed, and — the files being real — as
+//! wall-clock milliseconds: with the measured [`WalFsyncCost`], the only
+//! figures that differ between two runs of one seed. Nothing waits on a
+//! wall clock; a step still unfinished after 30 s of virtual time
+//! panics with the seed that reproduces it.
 
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use notebookos_core::{recovery_action, FailureDetector, RecoveryAction, RecoveryBreakdown};
 use notebookos_core::{RecoveryPhase, ReplicaId};
+use notebookos_des::{SimRng, SimTime};
 use notebookos_jupyter::Json;
-use notebookos_raft::live::{LiveCluster, NodeSnapshot};
-use notebookos_raft::{encode_commands, measure_wal_fsync_cost, NodeId, WalFsyncCost, WalOptions};
+use notebookos_raft::harness::Network;
+use notebookos_raft::{encode_commands, measure_wal_fsync_cost, NodeId, RaftConfig, Term};
+use notebookos_raft::{RaftStorage, WalFsyncCost, WalOptions, WalStorage};
+
+/// Heartbeat-timeout window of the failure detector, in virtual µs.
+const DETECT_TIMEOUT_US: u64 = 150_000;
+/// Replicas heartbeat on this grid of virtual time.
+const HEARTBEAT_US: u64 = 10_000;
+/// How often the client and the detector look at the cluster.
+const STEP_US: u64 = 1_000;
+/// Virtual time any one wait may take before the drill gives up on it.
+const BUDGET_US: u64 = 30_000_000;
 
 /// Chaos-drill parameters.
 #[derive(Debug, Clone)]
@@ -55,13 +69,12 @@ pub struct ChaosOpts {
     /// Kill/restart cycles; every replica is killed at least once as long
     /// as `cycles >= replicas`.
     pub cycles: usize,
-    /// Seed for the kill-point jitter.
+    /// Seed of the network schedule and of the kill points.
     pub seed: u64,
     /// WAL fsync batching (1 = fsync per input, full durability).
     pub fsync_batch: usize,
-    /// Heartbeat-timeout window of the failure detector.
-    pub detect_timeout: Duration,
-    /// Where node WALs live; `None` uses a per-run temp directory.
+    /// Where node WALs live; `None` uses a temp directory of this call's
+    /// own. Removed when the drill returns.
     pub dir: Option<PathBuf>,
 }
 
@@ -74,7 +87,6 @@ impl ChaosOpts {
             cycles: 6,
             seed,
             fsync_batch: 1,
-            detect_timeout: Duration::from_millis(150),
             dir: None,
         }
     }
@@ -90,20 +102,23 @@ impl ChaosOpts {
     }
 }
 
-/// One kill→recover cycle's measured phases.
+/// One kill→recover cycle's phases: virtual time, except `replay_ms`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleLatency {
     /// The replica that was killed.
     pub victim: NodeId,
     /// Kill → failure detector declares the replica failed.
     pub detect_ms: f64,
-    /// Detection → surviving quorum accepted the next proposal.
+    /// Detection → the surviving quorum has committed the command that was
+    /// in flight at the kill and one proposed after it.
     pub failover_ms: f64,
-    /// WAL open + replay on restart.
+    /// Records the restarted replica replayed from its WAL.
+    pub replayed_records: u64,
+    /// WAL open + replay on restart, **wall clock** (real file I/O).
     pub replay_ms: f64,
     /// Restart → replica re-applied every command committed so far.
     pub catch_up_ms: f64,
-    /// Kill → fully caught up.
+    /// Kill → fully caught up, in virtual time (so without `replay_ms`).
     pub total_ms: f64,
 }
 
@@ -128,12 +143,13 @@ pub struct ChaosReport {
     pub state_match: bool,
     /// Human-readable mismatch description when `state_match` is false.
     pub mismatch: Option<String>,
-    /// Measured WAL append cost, batched vs fsync-per-append.
+    /// Measured WAL append cost, batched vs fsync-per-append (wall clock).
     pub fsync_cost: WalFsyncCost,
 }
 
 impl ChaosReport {
-    /// JSON artifact for `--out` (consumed by CI upload).
+    /// JSON artifact for `--out` (consumed by CI upload). Two runs of one
+    /// seed differ in `replay_ms` and `wal_fsync_cost` and nowhere else.
     pub fn to_json(&self) -> Json {
         let cycles: Vec<Json> = self
             .cycle_latencies
@@ -143,6 +159,7 @@ impl ChaosReport {
                     .with("victim", c.victim)
                     .with("detect_ms", c.detect_ms)
                     .with("failover_ms", c.failover_ms)
+                    .with("replayed_records", c.replayed_records)
                     .with("replay_ms", c.replay_ms)
                     .with("catch_up_ms", c.catch_up_ms)
                     .with("total_ms", c.total_ms)
@@ -180,33 +197,28 @@ impl ChaosReport {
             "STATE MATCH — every replica recovered the golden committed bytes".to_string()
         } else {
             format!(
-                "STATE MISMATCH — {}",
-                self.mismatch.as_deref().unwrap_or("unknown divergence")
+                "STATE MISMATCH — {} (rerun with --seed {})",
+                self.mismatch.as_deref().unwrap_or("unknown divergence"),
+                self.opts.seed,
             )
         };
+        let replayed: Vec<u64> = self
+            .cycle_latencies
+            .iter()
+            .map(|c| c.replayed_records)
+            .collect();
         format!(
-            "{}\n{} replicas killed across {} cycles, {} duplicate re-proposals collapsed\n{}\n{}",
+            "{}\nvirtual ms, the same on every run of seed {}; only wal-replay is wall clock \
+             (WAL records replayed per cycle: {replayed:?})\n\
+             {} replicas killed across {} cycles, {} duplicate re-proposals collapsed\n{}\n{}",
             self.recovery.to_table(),
+            self.opts.seed,
             self.replicas_killed,
             self.cycle_latencies.len(),
             self.duplicates,
             self.fsync_cost.render(),
             verdict,
         )
-    }
-}
-
-/// Deterministic xorshift64* stream for kill-point jitter.
-struct Jitter(u64);
-
-impl Jitter {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 }
 
@@ -220,304 +232,276 @@ fn dedup_applied(applied: &[String]) -> Vec<String> {
         .collect()
 }
 
-fn poll<T>(
-    deadline: Instant,
-    interval: Duration,
-    mut probe: impl FnMut() -> Option<T>,
-) -> Option<T> {
-    loop {
-        if let Some(v) = probe() {
-            return Some(v);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        std::thread::sleep(interval);
-    }
-}
-
-/// What a quiescence wait that ran out saw: per node its role, term,
-/// `commit_index`, `last_log_index` and how much it applied (raw and with
-/// re-proposals collapsed), or that `inspect` did not answer — enough to tell
-/// a lost proposal (every node idle below `want`) from a stalled node thread
-/// (no answer) from a cluster still electing (terms climbing, no leader).
-fn stall_report(cluster: &LiveCluster<String>, waited_for: &str, want: usize) -> String {
-    let mut report =
-        format!("{waited_for}: waited {QUIESCE_TIMEOUT:?} for {want} distinct commands");
-    for id in cluster.node_ids() {
-        let line = match cluster.inspect(id, Duration::from_secs(1)) {
-            Some(s) => format!(
-                "\n  node {id}: {:?} term {} commit_index {} last_index {} applied {} ({} distinct)",
-                s.role,
-                s.term,
-                s.commit_index,
-                s.last_log_index,
-                s.applied.len(),
-                dedup_applied(&s.applied).len(),
-            ),
-            None if cluster.is_running(id) => format!("\n  node {id}: inspect did not answer"),
-            None => format!("\n  node {id}: not running"),
-        };
-        report.push_str(&line);
-    }
-    report
-}
-
-/// How long the drill's client waits for a command it sent to show up as
-/// applied before it sends it again (module docs).
-const RETRY_AFTER: Duration = Duration::from_millis(250);
-
-/// Blocks until the last of the `sent` commands is applied on some running
-/// replica — and with it, as the client confirms in order, all before it.
-fn confirm_last(cluster: &LiveCluster<String>, sent: usize) {
-    let Some(last) = sent.checked_sub(1) else {
-        return;
-    };
-    let wanted = command(last);
-    let deadline = Instant::now() + QUIESCE_TIMEOUT;
-    let applied_somewhere = || {
-        cluster.node_ids().into_iter().any(|id| {
-            cluster
-                .inspect(id, Duration::from_millis(100))
-                .is_some_and(|snap| snap.applied.contains(&wanted))
-        })
-    };
-    loop {
-        let seen = poll(Instant::now() + RETRY_AFTER, POLL, || {
-            applied_somewhere().then_some(())
-        });
-        if seen.is_some() {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{}",
-            stall_report(cluster, &format!("confirming `{wanted}`"), sent)
-        );
-        cluster
-            .propose_blocking(wanted.clone(), PROPOSE_TIMEOUT)
-            .expect("re-sent proposal accepted");
-    }
-}
-
-/// Sends command `i` once every command before it is confirmed applied.
-fn propose_in_order(cluster: &LiveCluster<String>, i: usize) {
-    confirm_last(cluster, i);
-    cluster
-        .propose_blocking(command(i), PROPOSE_TIMEOUT)
-        .expect("proposal accepted");
-}
-
-const PROPOSE_TIMEOUT: Duration = Duration::from_secs(20);
-const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
-const POLL: Duration = Duration::from_millis(5);
-
 /// The command stream; unique payloads so first-application order is
 /// recoverable under at-least-once client retries.
 fn command(i: usize) -> String {
     format!("cell-{i}: acc += grad[{i}]")
 }
 
-/// Runs the uninterrupted golden cluster over the same command stream and
-/// returns its canonical committed bytes.
-fn golden_run(opts: &ChaosOpts) -> (Vec<String>, Vec<u8>) {
-    let cluster = LiveCluster::<String>::start(opts.replicas);
-    for i in 0..opts.commands {
-        propose_in_order(&cluster, i);
+/// One cluster under the drill's client: the command stream in order, one
+/// command outstanding, each confirmed applied before the next is proposed.
+struct Drill<'a> {
+    opts: &'a ChaosOpts,
+    net: Network<String>,
+    /// The first command not yet confirmed.
+    next: usize,
+    /// The leader, and its term, that `next` was last proposed on.
+    sent_to: Option<(NodeId, Term)>,
+}
+
+impl<'a> Drill<'a> {
+    fn new(opts: &'a ChaosOpts, mut net: Network<String>) -> Self {
+        net.check_safety();
+        net.run_until_leader();
+        Drill {
+            opts,
+            net,
+            next: 0,
+            sent_to: None,
+        }
     }
-    confirm_last(&cluster, opts.commands);
-    let deadline = Instant::now() + QUIESCE_TIMEOUT;
-    let snap = poll(deadline, POLL, || {
-        let snap = cluster.inspect(1, Duration::from_secs(1))?;
-        (dedup_applied(&snap.applied).len() == opts.commands).then_some(snap)
-    })
-    .unwrap_or_else(|| panic!("{}", stall_report(&cluster, "golden run", opts.commands)));
-    cluster.shutdown();
-    let golden = dedup_applied(&snap.applied);
-    let bytes = encode_commands(&golden);
-    (golden, bytes)
+
+    /// Runs the network a [`STEP_US`] at a time until `done` says so; panics,
+    /// naming the seed, once that has taken [`BUDGET_US`].
+    fn run_until(&mut self, what: &str, mut done: impl FnMut(&mut Self) -> bool) {
+        let deadline = self.net.now().as_micros() + BUDGET_US;
+        while !done(self) {
+            assert!(
+                self.net.now().as_micros() < deadline,
+                "chaos drill: {what} did not finish in {} s of virtual time; \
+                 rerun with --seed {}",
+                BUDGET_US / 1_000_000,
+                self.opts.seed,
+            );
+            self.net.run_micros(STEP_US);
+        }
+    }
+
+    /// Proposes the outstanding command on the current leader, unless that
+    /// leader took it already in this term (then it is in its log, and
+    /// stays there for as long as it leads).
+    fn send(&mut self) {
+        let Some(leader) = self.net.leader() else {
+            return;
+        };
+        let at = (leader, self.net.node(leader).term());
+        if self.next < self.opts.commands
+            && self.sent_to != Some(at)
+            && self.net.propose(leader, command(self.next)).is_ok()
+        {
+            self.sent_to = Some(at);
+        }
+    }
+
+    /// Commits the next `n` commands of the stream (or what is left of it),
+    /// one after the other: each is proposed, and proposed again after every
+    /// change of leader, until some replica has applied it.
+    fn commit(&mut self, n: usize) {
+        for _ in 0..n.min(self.opts.commands - self.next) {
+            let wanted = command(self.next);
+            self.run_until(&format!("committing `{wanted}`"), |drill| {
+                let applied = |id| drill.net.applied_by(id).contains(&wanted);
+                (1..=drill.opts.replicas as NodeId).any(applied) || {
+                    drill.send();
+                    false
+                }
+            });
+            self.next += 1;
+            self.sent_to = None;
+        }
+    }
+
+    /// Runs until `replica` has applied every command confirmed so far (and
+    /// with them, possibly, re-proposals).
+    fn catch_up(&mut self, replica: NodeId) {
+        self.run_until(&format!("replica {replica} catching up"), |drill| {
+            dedup_applied(drill.net.applied_by(replica)).len() >= drill.next
+        });
+    }
+}
+
+/// Runs the uninterrupted golden cluster over the command stream and
+/// returns its committed sequence.
+fn golden_run(opts: &ChaosOpts) -> Vec<String> {
+    let net = Network::with_config(opts.replicas, opts.seed, RaftConfig::fast());
+    let mut drill = Drill::new(opts, net);
+    drill.commit(opts.commands);
+    drill.catch_up(1);
+    dedup_applied(drill.net.applied_by(1))
+}
+
+/// A fresh directory for one drill's WALs. Two drills with one seed in one
+/// process — the determinism test, or `cargo test` running them in
+/// parallel — must not share (and delete) each other's.
+fn wal_dir(opts: &ChaosOpts) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let dir = opts.dir.clone().unwrap_or_else(|| {
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let name = format!(
+            "notebookos-chaos-{}-{}-{call}",
+            std::process::id(),
+            opts.seed
+        );
+        std::env::temp_dir().join(name)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create WAL directory");
+    dir
 }
 
 /// Runs the full drill; see the module docs for the shape.
 ///
 /// # Panics
 ///
-/// Panics if the drill infrastructure itself fails (cluster threads dying,
-/// timeouts): those are harness bugs, not state divergence — divergence is
-/// reported via [`ChaosReport::state_match`].
+/// Panics if the drill itself fails — a WAL cannot be opened, a wait
+/// exceeds its virtual-time budget, the safety checker finds a broken
+/// property — always naming what reproduces it. State divergence is not a
+/// panic: it is reported via [`ChaosReport::state_match`].
 pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
     assert!(opts.replicas >= 3, "need a quorum-capable cluster");
     assert!(opts.cycles >= 1 && opts.commands >= opts.cycles);
 
-    let (golden, golden_bytes) = golden_run(opts);
+    let golden = golden_run(opts);
+    let golden_bytes = encode_commands(&golden);
 
-    let dir = opts.dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "notebookos-chaos-{}-{}",
-            std::process::id(),
-            opts.seed
-        ))
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    let wal_options = WalOptions {
+    let dir = wal_dir(opts);
+    let wal = WalOptions {
         fsync_batch: opts.fsync_batch,
     };
-    let mut cluster = LiveCluster::<String>::start_durable(opts.replicas, &dir, wal_options);
-    let ids = cluster.node_ids();
+    // What the most recent WAL open replayed, and how long it took.
+    let last_open = Rc::new(Cell::new((0u64, 0.0f64)));
+    let factory = {
+        let (dir, last_open) = (dir.clone(), last_open.clone());
+        move |id| -> Box<dyn RaftStorage<String>> {
+            // The drill's one wall-clock reading: the files are real.
+            let opening = std::time::Instant::now();
+            let wal = WalStorage::<String>::open_with(dir.join(format!("node-{id}.wal")), wal)
+                .expect("open node WAL");
+            let replay_ms = opening.elapsed().as_secs_f64() * 1e3;
+            last_open.set((wal.stats().replayed_records, replay_ms));
+            Box::new(wal)
+        }
+    };
+    let net = Network::with_storage(
+        opts.replicas,
+        opts.seed,
+        RaftConfig::fast(),
+        Box::new(factory),
+    );
+    let mut drill = Drill::new(opts, net);
+    let ids: Vec<NodeId> = (1..=opts.replicas as NodeId).collect();
 
     // §3.2.5 wiring: one kernel, R replicas, heartbeat detector.
     let kernel = 1u64;
     let replica_of = |id: NodeId| ReplicaId::new(kernel, id as u32);
-    let epoch = Instant::now();
-    let now_us = || epoch.elapsed().as_micros() as u64;
-    let mut detector = FailureDetector::new(opts.detect_timeout.as_micros() as u64);
+    let mut detector = FailureDetector::new(DETECT_TIMEOUT_US);
     for &id in &ids {
-        detector.register(replica_of(id), now_us());
+        detector.register(replica_of(id), 0);
     }
 
-    let mut jitter = Jitter(opts.seed | 1);
+    let mut kill_points = SimRng::seed(opts.seed);
     let mut recovery = RecoveryBreakdown::new(format!(
         "chaos seed={} fsync_batch={}",
         opts.seed, opts.fsync_batch
     ));
     let mut cycle_latencies = Vec::new();
-    let mut killed: HashSet<NodeId> = HashSet::new();
-    let mut next_cmd = 0usize;
     let per_cycle = opts.commands / opts.cycles;
-
-    let propose_n = |cluster: &LiveCluster<String>, next_cmd: &mut usize, n: usize| {
-        for _ in 0..n {
-            if *next_cmd >= opts.commands {
-                return;
-            }
-            propose_in_order(cluster, *next_cmd);
-            *next_cmd += 1;
-        }
-    };
+    let ms = |from: SimTime, to: SimTime| (to - from).as_millis_f64();
 
     for cycle in 0..opts.cycles {
         // Round-robin victims guarantee everyone dies at least once; the
-        // kill lands at a jittered point inside the cycle's stream.
+        // kill lands at a seeded point inside the cycle's stream (leaving it
+        // the two commands of the failover), up to 3 ms after a command was
+        // proposed — before, while or after it replicates.
         let victim = ids[cycle % ids.len()];
-        let before_kill = (jitter.next() as usize) % per_cycle.max(1);
-        propose_n(&cluster, &mut next_cmd, before_kill);
-        std::thread::sleep(Duration::from_micros(jitter.next() % 3_000));
+        let before_kill = kill_points.index(per_cycle.saturating_sub(2) + 1);
+        drill.commit(before_kill);
+        drill.send();
+        drill.net.run_micros(kill_points.below(3_000));
 
-        let t_kill = Instant::now();
-        assert!(cluster.kill(victim), "victim {victim} was running");
+        let t_kill = drill.net.now();
+        // The victim's last heartbeat left on the grid point before it died.
+        let last_beat = t_kill.as_micros() / HEARTBEAT_US * HEARTBEAT_US;
+        for &id in &ids {
+            detector.heartbeat(replica_of(id), last_beat);
+        }
+        assert!(drill.net.kill(victim), "victim {victim} was running");
 
-        // Detection: live replicas keep heartbeating (inspect responses
-        // stand in for the schedulers' liveness traffic); the victim goes
-        // silent and trips the timeout window.
-        let t_detected = poll(t_kill + QUIESCE_TIMEOUT, POLL, || {
-            for &id in &ids {
-                if cluster.is_running(id)
-                    && cluster.inspect(id, Duration::from_millis(100)).is_some()
-                {
-                    detector.heartbeat(replica_of(id), now_us());
-                }
+        // Detection: live replicas keep heartbeating; the victim has gone
+        // silent and trips the timeout window. The client meanwhile stays
+        // on its outstanding command: if the victim led, the new leader is
+        // sent it too, whether or not it inherited the first copy.
+        drill.run_until("detecting the failure", |drill| {
+            drill.send();
+            let now = drill.net.now().as_micros();
+            for &id in ids.iter().filter(|&&id| id != victim) {
+                detector.heartbeat(replica_of(id), now);
             }
-            let failed = detector.tick(now_us());
-            failed.contains(&replica_of(victim)).then(Instant::now)
-        })
-        .expect("detector declared the victim failed");
-        let detect_ms = (t_detected - t_kill).as_secs_f64() * 1e3;
-
-        let failed = detector.failed_replicas_of(kernel);
+            detector.tick(now).contains(&replica_of(victim))
+        });
+        let t_detected = drill.net.now();
         assert_eq!(
-            recovery_action(&failed, opts.replicas as u32),
+            recovery_action(&detector.failed_replicas_of(kernel), opts.replicas as u32),
             RecoveryAction::RecreateReplica(replica_of(victim)),
             "single failure with quorum intact recreates the replica"
         );
 
-        // Failover: the surviving quorum must accept the next command.
-        propose_n(&cluster, &mut next_cmd, 1);
-        let failover_ms = t_detected.elapsed().as_secs_f64() * 1e3;
+        // Failover: the surviving quorum commits the command the kill
+        // raced, then a fresh one. The rest of the cycle's stream runs
+        // against the degraded cluster before the replica comes back.
+        drill.commit(2);
+        let t_failed_over = drill.net.now();
+        drill.commit(per_cycle.saturating_sub(before_kill + 2));
 
-        // The rest of the cycle's stream runs against the degraded
-        // cluster before the replica comes back.
-        propose_n(
-            &cluster,
-            &mut next_cmd,
-            per_cycle.saturating_sub(before_kill + 1),
-        );
+        // Recreate: restart() re-invokes the WAL factory. Then catch-up: the
+        // replica re-applies everything committed so far.
+        let t_restart = drill.net.now();
+        assert!(drill.net.restart(victim), "victim restarts");
+        let (replayed_records, replay_ms) = last_open.get();
+        detector.register(replica_of(victim), t_restart.as_micros());
+        drill.catch_up(victim);
+        let t_recovered = drill.net.now();
 
-        // Recreate: restart() re-invokes the WAL factory, so open+replay
-        // cost is exactly the restart call.
-        let t_restart = Instant::now();
-        assert!(cluster.restart(victim), "victim restarts");
-        let replay_ms = t_restart.elapsed().as_secs_f64() * 1e3;
-        detector.register(replica_of(victim), now_us());
-
-        // Catch-up: the replica re-applies everything committed so far —
-        // every command sent, once the last of them is confirmed.
-        confirm_last(&cluster, next_cmd);
-        let target = next_cmd;
-        poll(t_restart + QUIESCE_TIMEOUT, POLL, || {
-            let snap = cluster.inspect(victim, Duration::from_secs(1))?;
-            (dedup_applied(&snap.applied).len() >= target).then_some(())
-        })
-        .unwrap_or_else(|| {
-            let waited_for = format!("restarted replica {victim} catching up");
-            panic!("{}", stall_report(&cluster, &waited_for, target))
-        });
-        let catch_up_ms = t_restart.elapsed().as_secs_f64() * 1e3 - replay_ms;
-        let total_ms = t_kill.elapsed().as_secs_f64() * 1e3;
-
-        killed.insert(victim);
-        recovery.record_phase(RecoveryPhase::Detect, detect_ms);
-        recovery.record_phase(RecoveryPhase::Failover, failover_ms);
-        recovery.record_phase(RecoveryPhase::Replay, replay_ms);
-        recovery.record_phase(RecoveryPhase::CatchUp, catch_up_ms);
-        recovery.record_total(total_ms);
-        cycle_latencies.push(CycleLatency {
+        let cycle = CycleLatency {
             victim,
-            detect_ms,
-            failover_ms,
+            detect_ms: ms(t_kill, t_detected),
+            failover_ms: ms(t_detected, t_failed_over),
+            replayed_records,
             replay_ms,
-            catch_up_ms,
-            total_ms,
-        });
+            catch_up_ms: ms(t_restart, t_recovered),
+            total_ms: ms(t_kill, t_recovered),
+        };
+        recovery.record_phase(RecoveryPhase::Detect, cycle.detect_ms);
+        recovery.record_phase(RecoveryPhase::Failover, cycle.failover_ms);
+        recovery.record_phase(RecoveryPhase::Replay, cycle.replay_ms);
+        recovery.record_phase(RecoveryPhase::CatchUp, cycle.catch_up_ms);
+        recovery.record_total(cycle.total_ms);
+        cycle_latencies.push(cycle);
     }
 
     // Drain any remaining stream and quiesce every replica on the full
     // golden prefix.
-    propose_n(&cluster, &mut next_cmd, opts.commands);
-    confirm_last(&cluster, next_cmd);
-    let deadline = Instant::now() + QUIESCE_TIMEOUT;
-    let mut snapshots: Vec<NodeSnapshot<String>> = Vec::new();
+    drill.commit(opts.commands);
     for &id in &ids {
-        let snap = poll(deadline, POLL, || {
-            let snap = cluster.inspect(id, Duration::from_secs(1))?;
-            (dedup_applied(&snap.applied).len() >= golden.len()).then_some(snap)
-        })
-        .unwrap_or_else(|| {
-            let waited_for = format!("replica {id} converging");
-            panic!("{}", stall_report(&cluster, &waited_for, golden.len()))
-        });
-        snapshots.push(snap);
+        drill.catch_up(id);
     }
-    cluster.shutdown();
+    let net = drill.net;
 
     // Byte-for-byte verdict.
     let mut duplicates = 0u64;
-    let mut state_match = true;
     let mut mismatch = None;
-    let raw_reference = &snapshots[0].applied;
-    for snap in &snapshots {
-        let deduped = dedup_applied(&snap.applied);
-        duplicates += (snap.applied.len() - deduped.len()) as u64;
-        let bytes = encode_commands(&deduped);
-        if bytes != golden_bytes {
-            state_match = false;
+    for &id in &ids {
+        let applied = net.applied_by(id);
+        let deduped = dedup_applied(applied);
+        duplicates += (applied.len() - deduped.len()) as u64;
+        if encode_commands(&deduped) != golden_bytes {
             let diverged = deduped
                 .iter()
                 .zip(&golden)
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| deduped.len().min(golden.len()));
             mismatch.get_or_insert(format!(
-                "replica {} recovered {} commands vs golden {} (first divergence at #{diverged})",
-                snap.id,
+                "replica {id} recovered {} commands vs golden {} (first divergence at #{diverged})",
                 deduped.len(),
                 golden.len(),
             ));
@@ -525,11 +509,10 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
         // Replicas must agree on the raw sequence too: a replica that
         // "recovers" by inventing or reordering duplicates is divergent
         // even if deduplication hides it.
-        if &snap.applied != raw_reference && state_match {
-            state_match = false;
+        if applied != net.applied_by(ids[0]) {
             mismatch.get_or_insert(format!(
-                "replica {} raw applied sequence disagrees with replica {}",
-                snap.id, snapshots[0].id,
+                "replica {id} raw applied sequence disagrees with replica {}",
+                ids[0],
             ));
         }
     }
@@ -538,6 +521,7 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
         measure_wal_fsync_cost(&dir, 256).expect("fsync cost probe on the WAL directory");
     let _ = std::fs::remove_dir_all(&dir);
 
+    let killed: HashSet<NodeId> = cycle_latencies.iter().map(|c| c.victim).collect();
     ChaosReport {
         opts: opts.clone(),
         cycle_latencies,
@@ -545,7 +529,7 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
         replicas_killed: killed.len(),
         golden_commands: golden.len(),
         duplicates,
-        state_match,
+        state_match: mismatch.is_none(),
         mismatch,
         fsync_cost,
     }
@@ -574,8 +558,48 @@ mod tests {
         );
         assert_eq!(report.recovery.cycles(), opts.cycles);
         assert!(report.fsync_cost.fsync_us_per_append > 0.0);
+        for cycle in &report.cycle_latencies {
+            let lo = (DETECT_TIMEOUT_US - HEARTBEAT_US) as f64 / 1e3;
+            let hi = (DETECT_TIMEOUT_US + STEP_US) as f64 / 1e3;
+            assert!((lo..=hi).contains(&cycle.detect_ms), "{cycle:?}");
+            assert!(cycle.replayed_records > 0, "the WAL had something in it");
+        }
         let json = report.to_json();
         assert_eq!(json.get("state_match").and_then(Json::as_bool), Some(true));
         assert!(report.render().contains("STATE MATCH"));
+    }
+
+    /// A report's virtual-time story: everything but the wall-clock readings.
+    fn story(report: &ChaosReport) -> (Vec<CycleLatency>, u64, usize, bool) {
+        let zeroed = |c: &CycleLatency| CycleLatency {
+            replay_ms: 0.0,
+            ..*c
+        };
+        let cycles = report.cycle_latencies.iter().map(zeroed).collect();
+        let recovered_golden_bytes = report.state_match;
+        (
+            cycles,
+            report.duplicates,
+            report.replicas_killed,
+            recovered_golden_bytes,
+        )
+    }
+
+    #[test]
+    fn same_seed_same_report() {
+        let first = run_chaos_drill(&ChaosOpts::smoke(7));
+        assert!(first.state_match, "{:?}", first.mismatch);
+        assert_eq!(story(&first), story(&run_chaos_drill(&ChaosOpts::smoke(7))));
+        assert_ne!(story(&first), story(&run_chaos_drill(&ChaosOpts::smoke(8))));
+    }
+
+    #[test]
+    fn thirty_two_smoke_seeds_recover_the_golden_state_under_the_checker() {
+        for seed in 1..=32 {
+            println!("smoke seed {seed}"); // shown if the checker panics inside it
+            let report = run_chaos_drill(&ChaosOpts::smoke(seed));
+            assert!(report.state_match, "seed {seed}: {:?}", report.mismatch);
+            assert_eq!(report.replicas_killed, 3, "seed {seed}");
+        }
     }
 }

@@ -15,7 +15,13 @@
 //! * **State-machine safety** — no two nodes commit different entries at
 //!   one index.
 //! * A node's term and `commit_index` never move back, the latter never
-//!   passes the end of its log, and it votes for one candidate per term.
+//!   passes the end of its log, and the vote it casts in a term stays cast,
+//!   for that one candidate, until the term ends.
+//!
+//! A node that is killed and rebuilt from its storage
+//! ([`SafetyChecker::restarted`]) starts over on what it held in memory —
+//! its commit index, its leadership — and on nothing else: the term and the
+//! vote it persisted must come back with it.
 //!
 //! [`crate::harness::Network`] runs one after every event it delivers (in
 //! this crate's own tests always, elsewhere on request), so a schedule
@@ -72,6 +78,17 @@ impl<C: Clone + PartialEq> SafetyChecker<C> {
         self.checks
     }
 
+    /// Records that `node` was killed and rebuilt from its storage: its
+    /// commit index starts again from zero and it leads nothing. Its term
+    /// and votes stay on record, so the next [`SafetyChecker::check`] fails
+    /// a node whose storage gave back an older term or dropped its vote.
+    pub fn restarted(&mut self, node: NodeId) {
+        if let Some(seen) = self.seen.get_mut(&node) {
+            seen.commit_index = 0;
+            seen.led = None;
+        }
+    }
+
     /// Checks every property over `nodes` as they stand now, against what
     /// earlier calls saw.
     ///
@@ -122,13 +139,21 @@ impl<C: Clone + PartialEq> SafetyChecker<C> {
         if term < seen.term {
             return Err(format!("node {id}: term went back {} -> {term}", seen.term));
         }
-        if let Some(vote) = node.voted_for() {
-            let first = *self.votes.entry((id, term)).or_insert(vote);
-            if first != vote {
+        match (self.votes.get(&(id, term)), node.voted_for()) {
+            (Some(&first), Some(vote)) if first != vote => {
                 return Err(format!(
                     "node {id} voted for {first} and for {vote} in term {term}"
                 ));
             }
+            (Some(first), None) => {
+                return Err(format!(
+                    "node {id} lost its vote for {first} in term {term}"
+                ));
+            }
+            (None, Some(vote)) => {
+                self.votes.insert((id, term), vote);
+            }
+            _ => {}
         }
         let commit = node.commit_index();
         if commit < seen.commit_index {
@@ -275,6 +300,34 @@ mod tests {
         b.receive(0, 9, append(1, (0, 0), &[(1, 7)], 1), &mut out);
         checker.check([&a, &b]).unwrap();
         assert_eq!(checker.checks(), 2);
+    }
+
+    #[test]
+    fn a_restart_gives_back_the_commit_index_but_not_the_term_or_the_vote() {
+        let mut out = Vec::new();
+        let mut first_life = node(1);
+        first_life.tick(first_life.next_deadline_us(), &mut out);
+        assert_eq!((first_life.term(), first_life.voted_for()), (1, Some(1)));
+        first_life.receive(0, 9, append(1, (0, 0), &[(1, 7)], 1), &mut out);
+        let mut checker = SafetyChecker::new();
+        checker.check([&first_life]).unwrap();
+
+        // Rebuilt with its vote and its log, its commit index back at zero.
+        let mut durable = node(1);
+        durable.tick(durable.next_deadline_us(), &mut out);
+        durable.receive(0, 9, append(1, (0, 0), &[(1, 7)], 0), &mut out);
+        let err = checker.clone().check([&durable]).unwrap_err();
+        assert!(err.contains("commit_index went back"), "{err}");
+        checker.restarted(1);
+        checker.clone().check([&durable]).unwrap();
+
+        // Rebuilt in its term but without its vote, and with nothing at all.
+        let mut no_vote = node(1);
+        no_vote.receive(0, 9, append(1, (0, 0), &[(1, 7)], 0), &mut out);
+        let err = checker.clone().check([&no_vote]).unwrap_err();
+        assert!(err.contains("lost its vote for 1 in term 1"), "{err}");
+        let err = checker.check([&node(1)]).unwrap_err();
+        assert!(err.contains("term went back"), "{err}");
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! * log replication with the Raft commit rule,
 //! * single-server membership change (used when a kernel replica is migrated
 //!   to a different GPU server),
-//! * a deterministic simulated-network harness ([`harness::Network`]) for
-//!   tests and latency calibration,
+//! * a durable log behind the [`RaftStorage`] seam ([`WalStorage`]),
+//! * one driver: a deterministic simulated-network harness
+//!   ([`harness::Network`]) in seeded virtual time, with message delay,
+//!   loss, duplication and partitions, and fail-stop `kill` / `restart` of
+//!   a node over whatever storage it was given, and
 //! * the Raft safety properties as one step-by-step checker
 //!   ([`invariants::SafetyChecker`]) that the harness runs after every
-//!   event, and
-//! * a threaded live harness ([`live::LiveCluster`]) proving the node logic
-//!   is transport-agnostic.
+//!   event and every restart.
 //!
 //! # Design: sans-io
 //!
@@ -25,8 +26,9 @@
 //! `tick(now)`, `receive(now, from, msg)`, `propose(cmd)` — and it pushes
 //! [`Output`]s (messages to send, committed entries to apply, role changes)
 //! into a caller-supplied buffer. This makes the protocol equally usable from
-//! the discrete-event simulator, from the threaded harness, and from unit
-//! tests that drive pathological schedules by hand.
+//! the discrete-event simulator, from the seeded harness, from the perf
+//! ledger's FIFO driver, and from unit tests that drive pathological
+//! schedules by hand.
 //!
 //! # Replication
 //!
@@ -77,7 +79,6 @@
 pub mod config;
 pub mod harness;
 pub mod invariants;
-pub mod live;
 pub mod log;
 pub mod message;
 pub mod node;

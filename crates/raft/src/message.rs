@@ -5,7 +5,7 @@ use crate::types::{Entry, LogIndex, NodeId, Term};
 /// Messages exchanged between Raft peers.
 ///
 /// These are the four RPCs of the Raft paper, expressed as plain data so the
-/// transport (simulated network, threaded channels) is the caller's choice.
+/// transport (the simulated network, a FIFO queue) is the caller's choice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message<C> {
     /// Candidate solicits a vote.

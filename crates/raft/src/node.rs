@@ -144,7 +144,7 @@ impl Progress {
 ///
 /// See the crate-level docs for the sans-io contract. All time parameters
 /// are microseconds on whatever clock the driver uses (virtual time in the
-/// simulator, `Instant`-derived in the live harness).
+/// simulator and the harness).
 ///
 /// # Durability
 ///
