@@ -7,8 +7,9 @@
 //! cell, so everything the scheduler reads on that path is served from
 //! state maintained *incrementally* instead of being re-derived per query:
 //!
-//! * the host slab is ascending by id (ids are never reused), so host
-//!   lookup is a binary search instead of a linear scan;
+//! * the host slab is ascending by id (ids are consecutive and never
+//!   reused), so host lookup is `id − first id` while no host has been
+//!   removed and a binary search below that offset afterwards;
 //! * `ΣG`/`ΣS`/`ΣC` fleet totals are cached and updated in place by the
 //!   cluster-level mutators ([`Cluster::subscribe`], [`Cluster::try_commit`],
 //!   [`Cluster::release`], …);
@@ -25,6 +26,27 @@
 //! the cached totals *and the placement index* dirty and they are
 //! transparently recomputed on the next read or typed mutation, so the
 //! fast path stays exact without constraining the slow one.
+//!
+//! # Which mutator moves which ordering
+//!
+//! The index keeps four orderings of a host: fleet-wide `by_idle` keyed
+//! `(idle, id)`, and in the host's shape class `by_idle_sub` keyed
+//! `idle → (subscribed, id)`, `by_sub` keyed `(subscribed, committed, id)`
+//! and `by_id` keyed `id → subscribed`. A typed mutator snapshots
+//! `(idle, subscribed, committed, draining)` around the per-host change
+//! and re-keys the host only where the snapshot says its key moved:
+//!
+//! | mutator | `by_idle` | `by_idle_sub` | `by_sub` | `by_id` |
+//! |---|---|---|---|---|
+//! | `try_commit` / `release` | re-key | re-key | re-key | untouched |
+//! | `subscribe` / `unsubscribe` | untouched | re-key | re-key | value in place |
+//! | failed commit, 0-GPU request | untouched | untouched | untouched | untouched |
+//! | `set_draining` flip | stays | leaves / joins | leaves / joins | leaves / joins |
+//! | `add_host` / `remove_host` | joins / leaves | joins / leaves | joins / leaves | joins / leaves |
+//!
+//! A draining host lives in `by_idle` alone, so a commit or release on it
+//! re-keys just that. `tests::index_equals_rebuild_after_every_typed_mutation`
+//! holds the result to a rebuild from the slab after every mutation.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,7 +120,7 @@ fn census_key(shape: &ResourceBundle) -> (u32, u64, u64) {
 /// capacity [`ResourceBundle`], hence one viability verdict per request
 /// and one SR denominator — which is what makes the integer BTree keys
 /// below order-equivalent to the float sort keys the scan path computes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ShapeClass {
     shape: ResourceBundle,
     /// idle GPUs → `(subscribed, id)`: walking buckets in descending idle
@@ -126,14 +148,56 @@ impl ShapeClass {
             len: 0,
         }
     }
+
+    fn bucket_insert(&mut self, key: HostKey, id: HostId) {
+        self.by_idle_sub
+            .entry(key.idle)
+            .or_default()
+            .insert((key.subscribed, id));
+    }
+
+    /// Removes `id` from its idle bucket, dropping the bucket with its
+    /// last member.
+    fn bucket_remove(&mut self, key: HostKey, id: HostId) {
+        let bucket = self
+            .by_idle_sub
+            .get_mut(&key.idle)
+            .expect("indexed host's idle bucket exists");
+        bucket.remove(&(key.subscribed, id));
+        if bucket.is_empty() {
+            self.by_idle_sub.remove(&key.idle);
+        }
+    }
+}
+
+/// Everything about a host the index orders by (its id and shape never
+/// change): taken before and after a typed mutation, the two snapshots say
+/// which orderings the mutation moved the host in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HostKey {
+    idle: u32,
+    subscribed: u64,
+    committed: u64,
+    draining: bool,
+}
+
+impl HostKey {
+    fn of(h: &Host) -> Self {
+        HostKey {
+            idle: h.idle_gpus(),
+            subscribed: h.subscribed_gpus(),
+            committed: u64::from(h.committed_gpus()),
+            draining: h.is_draining(),
+        }
+    }
 }
 
 /// Capacity-bucketed placement index: the ordered structures behind the
 /// sub-linear `rank_*_top` / `best_commit_host*` queries. Maintained
-/// incrementally by the typed cluster mutators (unlink → apply → link);
-/// raw [`Cluster::host_mut`] access marks it dirty and the next query
-/// rebuilds it from the slab.
-#[derive(Debug, Clone, Default)]
+/// incrementally by the typed cluster mutators (apply → `relink`); raw
+/// [`Cluster::host_mut`] access marks it dirty and the next query rebuilds
+/// it from the slab.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct HostIndex {
     /// Per-shape structures over *non-draining* hosts (the placement
     /// viability screen excludes draining), ascending by `census_key`.
@@ -165,8 +229,9 @@ impl HostIndex {
 
     /// Inserts `h` (in its current state) into every structure.
     fn link(&mut self, h: &Host) {
-        self.by_idle.insert((h.idle_gpus(), h.id()));
-        if h.is_draining() {
+        let (id, key) = (h.id(), HostKey::of(h));
+        self.by_idle.insert((key.idle, id));
+        if key.draining {
             return;
         }
         let shape = h.capacity();
@@ -178,44 +243,71 @@ impl HostIndex {
             }
         };
         let class = &mut self.classes[slot];
-        class
-            .by_idle_sub
-            .entry(h.idle_gpus())
-            .or_default()
-            .insert((h.subscribed_gpus(), h.id()));
-        class
-            .by_sub
-            .insert((h.subscribed_gpus(), u64::from(h.committed_gpus()), h.id()));
-        class.by_id.insert(h.id(), h.subscribed_gpus());
+        class.bucket_insert(key, id);
+        class.by_sub.insert((key.subscribed, key.committed, id));
+        class.by_id.insert(id, key.subscribed);
         class.len += 1;
     }
 
-    /// Removes `h` (in its current state) from every structure; the exact
+    /// Removes `h`, indexed under `key`, from every structure; the exact
     /// inverse of [`HostIndex::link`].
-    fn unlink(&mut self, h: &Host) {
-        self.by_idle.remove(&(h.idle_gpus(), h.id()));
-        if h.is_draining() {
+    fn unlink(&mut self, h: &Host, key: HostKey) {
+        let id = h.id();
+        self.by_idle.remove(&(key.idle, id));
+        if key.draining {
             return;
         }
         let slot = self
             .class_position(&h.capacity())
             .expect("indexed host's shape class exists");
         let class = &mut self.classes[slot];
-        let bucket = class
-            .by_idle_sub
-            .get_mut(&h.idle_gpus())
-            .expect("indexed host's idle bucket exists");
-        bucket.remove(&(h.subscribed_gpus(), h.id()));
-        if bucket.is_empty() {
-            class.by_idle_sub.remove(&h.idle_gpus());
-        }
-        class
-            .by_sub
-            .remove(&(h.subscribed_gpus(), u64::from(h.committed_gpus()), h.id()));
-        class.by_id.remove(&h.id());
+        class.bucket_remove(key, id);
+        class.by_sub.remove(&(key.subscribed, key.committed, id));
+        class.by_id.remove(&id);
         class.len -= 1;
         if class.len == 0 {
             self.classes.remove(slot);
+        }
+    }
+
+    /// Moves `h`, indexed under `old`, to its current state, touching only
+    /// the orderings whose key changed (see the module docs for which
+    /// mutator moves which). A draining flip changes which structures hold
+    /// the host at all and takes the full unlink → link.
+    fn relink(&mut self, h: &Host, old: HostKey) {
+        let (id, new) = (h.id(), HostKey::of(h));
+        if new == old {
+            return;
+        }
+        if new.draining != old.draining {
+            self.unlink(h, old);
+            self.link(h);
+            return;
+        }
+        if new.idle != old.idle {
+            self.by_idle.remove(&(old.idle, id));
+            self.by_idle.insert((new.idle, id));
+        }
+        if new.draining {
+            return;
+        }
+        let slot = self
+            .class_position(&h.capacity())
+            .expect("indexed host's shape class exists");
+        let class = &mut self.classes[slot];
+        if (new.idle, new.subscribed) != (old.idle, old.subscribed) {
+            class.bucket_remove(old, id);
+            class.bucket_insert(new, id);
+        }
+        if (new.subscribed, new.committed) != (old.subscribed, old.committed) {
+            class.by_sub.remove(&(old.subscribed, old.committed, id));
+            class.by_sub.insert((new.subscribed, new.committed, id));
+        }
+        if new.subscribed != old.subscribed {
+            *class
+                .by_id
+                .get_mut(&id)
+                .expect("indexed host is in its class's rotation") = new.subscribed;
         }
     }
 }
@@ -410,8 +502,8 @@ fn least_loaded_first(keyed: &mut [(u32, f64, HostId)]) {
 /// The fleet of GPU servers.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    /// Hosts ascending by id (ids grow monotonically and are never
-    /// reused), so lookups binary-search.
+    /// Hosts ascending by id (ids grow by one per host and are never
+    /// reused): see `Cluster::host_position`.
     hosts: Vec<Host>,
     next_host_id: HostId,
     /// Persistent shape census, ascending by
@@ -552,7 +644,7 @@ impl Cluster {
         let idx = self.host_position(id)?;
         let index = self.index.get_mut();
         if !index.dirty {
-            index.unlink(&self.hosts[idx]);
+            index.unlink(&self.hosts[idx], HostKey::of(&self.hosts[idx]));
         }
         let host = self.hosts.remove(idx);
         let shape = host.capacity();
@@ -574,10 +666,17 @@ impl Cluster {
         Some(host)
     }
 
-    /// Slab position of host `id` (binary search — the slab is ascending
-    /// by id).
+    /// Slab position of host `id`. Ids are handed out consecutively and
+    /// the slab is ascending by id, so `id − first id` *is* the position
+    /// until a host is removed, and removals only ever shift hosts down:
+    /// after them it is still an upper bound for the binary search.
     fn host_position(&self, id: HostId) -> Option<usize> {
-        self.hosts.binary_search_by_key(&id, Host::id).ok()
+        let offset = id.checked_sub(self.hosts.first()?.id())?;
+        let guess = offset.min(self.hosts.len() as u64) as usize;
+        match self.hosts.get(guess) {
+            Some(h) if h.id() == id => Some(guess),
+            _ => self.hosts[..guess].binary_search_by_key(&id, Host::id).ok(),
+        }
     }
 
     /// All hosts, ascending by id.
@@ -636,16 +735,19 @@ impl Cluster {
     // placement query O(log hosts + k).
     // ------------------------------------------------------------------
 
-    /// Unlink → `apply` → relink `self.hosts[idx]` so the placement index
-    /// tracks the mutation; while the index is dirty (raw `host_mut`
-    /// access happened) the relink is skipped and the next query rebuilds.
+    /// `apply` to `self.hosts[idx]`, then move the host in the orderings
+    /// whose key the mutation changed; while the index is dirty (raw
+    /// `host_mut` access happened) the relink is skipped and the next
+    /// query rebuilds.
     fn apply_indexed<T>(&mut self, idx: usize, apply: impl FnOnce(&mut Host) -> T) -> T {
-        if self.index.get_mut().dirty {
-            return apply(&mut self.hosts[idx]);
+        let index = self.index.get_mut();
+        let host = &mut self.hosts[idx];
+        if index.dirty {
+            return apply(host);
         }
-        self.index.get_mut().unlink(&self.hosts[idx]);
-        let result = apply(&mut self.hosts[idx]);
-        self.index.get_mut().link(&self.hosts[idx]);
+        let before = HostKey::of(host);
+        let result = apply(host);
+        index.relink(host, before);
         result
     }
 
@@ -728,9 +830,9 @@ impl Cluster {
         let Some(idx) = self.host_position(host) else {
             return false;
         };
-        // unlink sees the old flag, link the new one, so the host moves
-        // in/out of the per-shape class structures exactly when the
-        // viability screen starts/stops seeing it.
+        // A flip unlinks under the old flag and links under the new one,
+        // so the host moves in/out of the per-shape class structures
+        // exactly when the viability screen starts/stops seeing it.
         self.apply_indexed(idx, |h| h.set_draining(draining));
         true
     }
@@ -1764,6 +1866,119 @@ mod tests {
             },
             "index equals scan after dirty add/remove (new host {id})"
         );
+    }
+
+    /// The incremental index after every one of a few thousand seeded
+    /// typed mutations — each kind, on live, draining and missing hosts —
+    /// is the index a rebuild from the slab gives.
+    #[test]
+    fn index_equals_rebuild_after_every_typed_mutation() {
+        let small = ResourceBundle::new(32_000, 249_856, 4);
+        let big = ResourceBundle::p3_16xlarge();
+        let mut c = Cluster::with_host_mix(&[(big, 40), (small, 24)]);
+        let mut rng = notebookos_des::SimRng::seed(22);
+        let mut subscriptions: Vec<(HostId, u32)> = Vec::new();
+        let mut commitments: Vec<(HostId, OwnerId)> = Vec::new();
+        let mut devices = Vec::new();
+        let mut applied = [0u32; 9];
+        for step in 0..4000u64 {
+            // Mostly live ids, sometimes one that was removed or never was.
+            let host = if c.is_empty() || rng.chance(0.05) {
+                rng.below(c.next_host_id + 2)
+            } else {
+                c.hosts[rng.index(c.len())].id()
+            };
+            let kind = rng.index(applied.len());
+            let ok = match kind {
+                0 => {
+                    let gpus = rng.below(5) as u32;
+                    let ok = c.subscribe(host, &gpu_req(gpus));
+                    if ok {
+                        subscriptions.push((host, gpus));
+                    }
+                    ok
+                }
+                1 if !subscriptions.is_empty() => {
+                    let (host, gpus) = subscriptions.swap_remove(rng.index(subscriptions.len()));
+                    c.unsubscribe(host, &gpu_req(gpus))
+                }
+                // A commit of 0 to 9 GPUs: some fit, some fail on a full
+                // host or a small shape, and a repeated owner is refused.
+                2 | 3 => {
+                    let owner = if kind == 3 && !commitments.is_empty() {
+                        commitments[rng.index(commitments.len())].1
+                    } else {
+                        step
+                    };
+                    let gpus = rng.below(10) as u32;
+                    let ok = c.try_commit(host, owner, &gpu_req(gpus), &mut devices);
+                    if ok {
+                        commitments.push((host, owner));
+                    }
+                    ok
+                }
+                4 if !commitments.is_empty() => {
+                    let (host, owner) = commitments.swap_remove(rng.index(commitments.len()));
+                    c.release(host, owner)
+                }
+                5 => c.set_draining(host, true),
+                6 => c.set_draining(host, false),
+                7 => {
+                    c.add_host(if rng.chance(0.5) { big } else { small });
+                    true
+                }
+                8 if rng.chance(0.3) => {
+                    subscriptions.retain(|&(h, _)| h != host);
+                    commitments.retain(|&(h, _)| h != host);
+                    c.remove_host(host).is_some()
+                }
+                _ => false,
+            };
+            applied[kind] += u32::from(ok);
+            let mut rebuilt = HostIndex::default();
+            rebuilt.rebuild(&c.hosts);
+            assert_eq!(*c.index.borrow(), rebuilt, "step {step}, kind {kind}");
+        }
+        assert!(
+            applied.iter().all(|&n| n > 20),
+            "every kind ran: {applied:?}"
+        );
+        assert_eq!(
+            c.total_subscribed_gpus(),
+            subscriptions
+                .iter()
+                .map(|&(_, g)| u64::from(g))
+                .sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn host_position_agrees_with_the_binary_search() {
+        let mut c = Cluster::with_hosts(12, ResourceBundle::p3_16xlarge());
+        let check = |c: &Cluster| {
+            for id in 0..c.next_host_id + 2 {
+                assert_eq!(
+                    c.host_position(id),
+                    c.hosts.binary_search_by_key(&id, Host::id).ok(),
+                    "id {id}"
+                );
+            }
+        };
+        check(&c);
+        // Front, middle, end; then growth past the hole, then the front
+        // again so that the first id itself has moved.
+        for id in [0, 5, 6, 11] {
+            assert!(c.remove_host(id).is_some());
+            check(&c);
+        }
+        c.add_host(ResourceBundle::p3_16xlarge());
+        check(&c);
+        assert!(c.remove_host(1).is_some());
+        check(&c);
+        for id in c.hosts.iter().map(Host::id).collect::<Vec<_>>() {
+            assert!(c.remove_host(id).is_some());
+            check(&c);
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! actions, which is what makes [`Threshold`] reproduce the pre-refactor
 //! RNG stream exactly.
 
-use notebookos_cluster::{Cluster, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
+use notebookos_cluster::{Cluster, Host, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
 
 use crate::config::{AutoscaleConfig, ElasticityKind};
 
@@ -209,19 +209,33 @@ pub fn seed_prewarm_pool(pool: &mut PrewarmPool, cluster: &Cluster, min_per_host
     }
 }
 
+/// §3.4.2's idle server: no kernel replicas and no commitments (the rule
+/// behind [`Cluster::idle_hosts`]).
+fn is_idle(host: &Host) -> bool {
+    host.replica_count() == 0 && host.active_commitments() == 0
+}
+
+/// The per-step release cap and the `min_hosts` floor: how many hosts a
+/// tick may retire whatever the surplus. 0 on a fleet pinned at its floor,
+/// where the scale-in arms return without looking for idle hosts.
+fn release_budget(ctx: &ElasticityContext<'_>) -> u32 {
+    let cfg = ctx.autoscale;
+    cfg.max_release_per_step
+        .min((ctx.cluster.len() as u32).saturating_sub(cfg.min_hosts))
+}
+
 /// Scale-in candidates shared by the threshold-family policies: idle
 /// hosts in ascending-id order, bounded by the per-step release cap and
 /// the `min_hosts` floor — exactly the pre-elasticity platform's rule.
+/// The slab walk stops at the cap.
 fn retire_candidates(ctx: &ElasticityContext<'_>, surplus_hosts: u32) -> Vec<ElasticityAction> {
-    let cfg = ctx.autoscale;
-    let idle = ctx.cluster.idle_hosts();
-    let releasable = surplus_hosts
-        .min(cfg.max_release_per_step)
-        .min(idle.len() as u32)
-        .min((ctx.cluster.len() as u32).saturating_sub(cfg.min_hosts));
-    idle.into_iter()
+    let releasable = surplus_hosts.min(release_budget(ctx));
+    ctx.cluster
+        .hosts()
+        .iter()
+        .filter(|h| is_idle(h))
         .take(releasable as usize)
-        .map(|host| ElasticityAction::RetireHost { host })
+        .map(|h| ElasticityAction::RetireHost { host: h.id() })
         .collect()
 }
 
@@ -342,16 +356,16 @@ impl ElasticityPolicy for ShapeAware {
             // bigger than the remaining surplus would undershoot the
             // fleet and make the next tick re-provision — exactly the
             // churn this policy exists to avoid.
-            let cfg = ctx.autoscale;
+            let mut host_budget = release_budget(ctx);
+            if host_budget == 0 {
+                return Vec::new();
+            }
             let mut surplus_gpus = current_gpus - target_gpus;
             let mut idle = ctx.cluster.idle_hosts();
             idle.sort_by_key(|&id| {
                 let gpus = ctx.cluster.host(id).map(|h| h.capacity().gpus).unwrap_or(0);
                 (std::cmp::Reverse(gpus), id)
             });
-            let mut host_budget = cfg
-                .max_release_per_step
-                .min((ctx.cluster.len() as u32).saturating_sub(cfg.min_hosts));
             let mut actions = Vec::new();
             for host in idle {
                 if host_budget == 0 {

@@ -115,6 +115,13 @@ pub struct Platform {
     election: ElectionModel,
     rng: SimRng,
     sessions: Vec<SessionRt>,
+    /// GPUs requested by `active` sessions — what the reserved gauge reads.
+    /// Kept where `active` flips: re-summing every session made each
+    /// session start and end O(sessions).
+    active_gpus: u64,
+    /// GPUs requested by sessions holding a `reserved_host` (all of them
+    /// active) — the Reservation arm of the provisioned gauge.
+    reserved_host_gpus: u64,
     /// FCFS queue of (session, event, submit_us) for the Batch baseline.
     batch_queue: VecDeque<(usize, usize, u64)>,
     /// Sessions whose kernel creation awaits capacity.
@@ -225,6 +232,8 @@ impl Platform {
             election: ElectionModel::new(),
             rng: rng.fork(0),
             sessions,
+            active_gpus: 0,
+            reserved_host_gpus: 0,
             batch_queue: VecDeque::new(),
             pending_kernels: VecDeque::new(),
             hosts_in_flight: 0,
@@ -428,12 +437,7 @@ impl Platform {
 
     fn refresh_provisioned_gauge(&mut self, now_s: f64) {
         let provisioned = match self.config.policy {
-            PolicyKind::Reservation => self
-                .sessions
-                .iter()
-                .filter(|s| s.active && s.reserved_host.is_some())
-                .map(|s| f64::from(s.req.gpus))
-                .sum(),
+            PolicyKind::Reservation => self.reserved_host_gpus as f64,
             PolicyKind::Batch => self.cluster.total_committed_gpus() as f64,
             PolicyKind::NotebookOs | PolicyKind::NotebookOsLcp => self.cluster.total_gpus() as f64,
         };
@@ -463,15 +467,12 @@ impl Platform {
     }
 
     fn refresh_reserved_gauge(&mut self, now_s: f64) {
-        let reserved: f64 = self
-            .sessions
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| f64::from(s.req.gpus))
-            .sum();
-        self.metrics.reserved_gpus.set(now_s, reserved);
+        // An integer total is exact in `f64`: the same bit pattern as
+        // summing `f64::from(gpus)` over the active sessions, in any order.
+        let reserved = self.active_gpus;
+        self.metrics.reserved_gpus.set(now_s, reserved as f64);
         if self.config.policy == PolicyKind::Reservation {
-            self.billing.set_reserved_gpus(now_s, reserved as u64);
+            self.billing.set_reserved_gpus(now_s, reserved);
         }
     }
 
@@ -514,6 +515,7 @@ impl Platform {
     fn on_session_start(&mut self, now: SimTime, s: usize, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
         self.sessions[s].active = true;
+        self.active_gpus += u64::from(self.sessions[s].req.gpus);
         self.refresh_reserved_gauge(now_s);
         match self.config.policy {
             PolicyKind::Reservation => self.reservation_reserve(now, s),
@@ -530,7 +532,10 @@ impl Platform {
             return;
         }
         session.active = false;
+        let gpus = u64::from(session.req.gpus);
+        self.active_gpus -= gpus;
         if let Some(host) = session.reserved_host.take() {
+            self.reserved_host_gpus -= gpus;
             let owner = reservation_owner(s);
             self.release_on(now_s, host, owner);
         }
@@ -565,6 +570,7 @@ impl Platform {
         let committed = self.commit_on(now_s, host, owner, &req);
         debug_assert!(committed, "fresh host must fit a session reservation");
         self.sessions[s].reserved_host = Some(host);
+        self.reserved_host_gpus += u64::from(req.gpus);
     }
 
     /// NotebookOS: place R replica subscriptions (§3.2.1); on shortfall,
@@ -1606,6 +1612,93 @@ mod tests {
         // Recovery is off the critical path: every cell still completes.
         let expected = smoke_trace(9).total_events() as u64;
         assert_eq!(m.counters.executions + m.counters.aborted, expected);
+    }
+
+    /// A [`Scheduler`] over a bare `BinaryHeap`: the queue as it was
+    /// before it grew a sorted run, for runs big enough to reach one.
+    #[derive(Default)]
+    struct HeapScheduler {
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
+        events: std::collections::HashMap<u64, Ev>,
+        seq: u64,
+        now: SimTime,
+    }
+
+    impl Scheduler<Ev> for HeapScheduler {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn schedule(&mut self, at: SimTime, event: Ev) {
+            self.heap.push(std::cmp::Reverse((at, self.seq)));
+            self.events.insert(self.seq, event);
+            self.seq += 1;
+        }
+        fn schedule_in(&mut self, delay: SimTime, event: Ev) {
+            self.schedule(self.now.saturating_add(delay), event);
+        }
+        fn pop_next(&mut self) -> Option<(SimTime, Ev)> {
+            let std::cmp::Reverse((at, seq)) = self.heap.pop()?;
+            self.now = at;
+            Some((at, self.events.remove(&seq).expect("scheduled")))
+        }
+        fn peek_deadline(&self) -> Option<SimTime> {
+            self.heap.peek().map(|r| r.0 .0)
+        }
+        fn pending(&self) -> usize {
+            self.heap.len()
+        }
+        fn scheduled_total(&self) -> u64 {
+            self.seq
+        }
+    }
+
+    /// The goldens run 8 sessions and never freeze the queue; this is the
+    /// ledger's `sim-fleet --smoke` shape, 3 000 events loaded up front.
+    #[test]
+    fn fleet_run_is_identical_under_a_bare_heap_scheduler() {
+        let workload = SyntheticConfig {
+            sessions: 400,
+            span_s: 86_400.0,
+            long_lived_fraction: 0.1,
+            ..SyntheticConfig::summer_90d()
+        };
+        let trace = generate(&workload, 22);
+        assert!(trace.total_events() > 2000, "{}", trace.total_events());
+        let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
+        config.seed = 22;
+        config.initial_hosts = 82;
+        config.autoscale.min_hosts = 82;
+        let des = Platform::run_for_inspection(config.clone(), trace.clone());
+        let mut heap = HeapScheduler::default();
+        let bare = Platform::run_with_scheduler(config, trace, &mut heap);
+        assert_eq!(des.metrics(), bare.metrics());
+        assert_eq!(des.events_processed(), bare.events_processed());
+        assert!(des.events_processed() > 3000);
+    }
+
+    #[test]
+    fn running_gauge_totals_equal_a_resum_after_every_event() {
+        for policy in PolicyKind::ALL {
+            let mut config = PlatformConfig::evaluation(policy);
+            config.seed = 8;
+            let mut platform = Platform::new(config, smoke_trace(8));
+            let mut sched = DesScheduler::new();
+            platform.schedule_initial(&mut sched);
+            let mut reserved_seen = 0;
+            while let Some((now, event)) = sched.pop_next() {
+                platform.handle_event(now, event, &mut sched);
+                let gpus = |keep: fn(&SessionRt) -> bool| -> u64 {
+                    let kept = platform.sessions.iter().filter(|s| keep(s));
+                    kept.map(|s| u64::from(s.req.gpus)).sum()
+                };
+                assert_eq!(platform.active_gpus, gpus(|s| s.active), "{policy}");
+                let reserved = gpus(|s| s.active && s.reserved_host.is_some());
+                assert_eq!(platform.reserved_host_gpus, reserved, "{policy}");
+                reserved_seen = reserved_seen.max(reserved);
+            }
+            assert_eq!(platform.active_gpus, 0, "{policy}: every session ended");
+            assert_eq!(reserved_seen > 0, policy == PolicyKind::Reservation);
+        }
     }
 
     #[test]
