@@ -9,6 +9,11 @@
 //! * **Committed** — what is *exclusively bound* right now, i.e. the
 //!   resources of replicas actively executing a cell. Committed resources
 //!   can never exceed capacity.
+//!
+//! Reads are public; the methods that change a host's accounting are
+//! crate-private, so outside this crate a host changes only through a typed
+//! [`Cluster`](crate::Cluster) mutator, which moves the fleet totals and the
+//! placement index in the same call.
 
 use std::collections::HashMap;
 
@@ -148,8 +153,14 @@ impl Host {
         self.draining
     }
 
+    /// §3.4.2's idle server: no kernel replicas and no commitments.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.replica_count == 0 && self.commitments.is_empty()
+    }
+
     /// Marks/unmarks the host as draining.
-    pub fn set_draining(&mut self, draining: bool) {
+    pub(crate) fn set_draining(&mut self, draining: bool) {
         self.draining = draining;
     }
 
@@ -166,7 +177,7 @@ impl Host {
 
     /// Registers a kernel replica's subscription (does **not** commit
     /// resources).
-    pub fn subscribe(&mut self, request: &ResourceRequest) {
+    pub(crate) fn subscribe(&mut self, request: &ResourceRequest) {
         self.subscribed_gpus += u64::from(request.gpus);
         self.replica_count += 1;
     }
@@ -176,7 +187,7 @@ impl Host {
     /// # Panics
     ///
     /// Panics if no matching subscription exists (accounting bug).
-    pub fn unsubscribe(&mut self, request: &ResourceRequest) {
+    pub(crate) fn unsubscribe(&mut self, request: &ResourceRequest) {
         assert!(
             self.subscribed_gpus >= u64::from(request.gpus) && self.replica_count > 0,
             "unsubscribe without subscription on host {}",
@@ -193,16 +204,9 @@ impl Host {
             .covers(&ResourceBundle::from_request(request))
     }
 
-    /// Exclusively binds `request` for `owner`, returning the GPU device ids
-    /// bound (§3.3: the Global Scheduler embeds these into the request
-    /// metadata).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommitError::Insufficient`] when capacity is lacking and
-    /// [`CommitError::AlreadyCommitted`] when `owner` already holds a
-    /// commitment here.
-    pub fn commit(
+    /// Allocating form of [`Host::commit_into`], for this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn commit(
         &mut self,
         owner: OwnerId,
         request: &ResourceRequest,
@@ -212,16 +216,18 @@ impl Host {
         Ok(devices)
     }
 
-    /// Allocation-free form of [`Host::commit`]: the bound GPU device ids
-    /// are written into `devices` (cleared first), so a caller that
-    /// reuses the buffer commits on every cell execution without
-    /// allocating.
+    /// Exclusively binds `request` for `owner`, writing the GPU device ids
+    /// bound into `devices` (cleared first; §3.3: the Global Scheduler
+    /// embeds these into the request metadata), so a caller that reuses the
+    /// buffer commits on every cell execution without allocating.
     ///
     /// # Errors
     ///
-    /// Exactly [`Host::commit`]'s; on error `devices` is left empty and
-    /// nothing is bound.
-    pub fn commit_into(
+    /// Returns [`CommitError::Insufficient`] when capacity is lacking and
+    /// [`CommitError::AlreadyCommitted`] when `owner` already holds a
+    /// commitment here; on error `devices` is left empty and nothing is
+    /// bound.
+    pub(crate) fn commit_into(
         &mut self,
         owner: OwnerId,
         request: &ResourceRequest,
@@ -262,7 +268,7 @@ impl Host {
     /// # Panics
     ///
     /// Panics if `owner` holds no commitment (accounting bug).
-    pub fn release(&mut self, owner: OwnerId) -> ResourceBundle {
+    pub(crate) fn release(&mut self, owner: OwnerId) -> ResourceBundle {
         let bundle = self
             .commitments
             .remove(&owner)

@@ -9,19 +9,23 @@
 //! # Example
 //!
 //! ```
-//! use notebookos_cluster::{Cluster, ResourceBundle, ResourceRequest};
+//! use notebookos_cluster::{Cluster, RankScratch, ResourceBundle, ResourceRequest};
 //!
 //! let mut cluster = Cluster::with_hosts(30, ResourceBundle::p3_16xlarge());
 //! assert_eq!(cluster.total_gpus(), 240);
 //!
 //! // Subscribe a replica, then exclusively commit during a cell execution.
+//! // A host's accounting changes only through these typed mutators, which
+//! // move the fleet totals and the placement index in the same call.
 //! let req = ResourceRequest::one_gpu();
-//! let host_id = cluster.subscription_candidates(&req, 3, 1.0)[0];
-//! let host = cluster.host_mut(host_id).unwrap();
-//! host.subscribe(&req);
-//! let devices = host.commit(7, &req)?;
+//! let (mut scratch, mut ranked) = (RankScratch::default(), Vec::new());
+//! cluster.rank_least_loaded_top(&req, 3, 1.0, 1, &mut scratch, &mut ranked);
+//! let host_id = ranked[0];
+//! assert!(cluster.subscribe(host_id, &req));
+//! let mut devices = Vec::new();
+//! assert!(cluster.try_commit(host_id, 7, &req, &mut devices));
 //! assert_eq!(devices.len(), 1);
-//! # Ok::<(), notebookos_cluster::CommitError>(())
+//! assert_eq!(cluster.total_committed_gpus(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

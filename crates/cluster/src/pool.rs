@@ -5,6 +5,7 @@
 //! skip cold container provisioning. Policies are pluggable; the default
 //! keeps a minimum number of warm containers on every host.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 use crate::host::HostId;
@@ -158,10 +159,15 @@ impl PrewarmPool {
     /// [`PrewarmPool::provision_complete`] as each becomes warm. In-flight
     /// provisions count toward a host's current stock so repeated deficit
     /// evaluations never double-provision.
-    pub fn deficits<P: PrewarmPolicy>(&self, hosts: &[HostId], policy: &P) -> Vec<(HostId, u32)> {
+    pub fn deficits<P: PrewarmPolicy>(
+        &self,
+        hosts: impl IntoIterator<Item = impl Borrow<HostId>>,
+        policy: &P,
+    ) -> Vec<(HostId, u32)> {
         let mut out: Vec<(HostId, u32)> = hosts
-            .iter()
-            .filter_map(|&h| {
+            .into_iter()
+            .filter_map(|h| {
+                let h = *h.borrow();
                 let current = self.warm_on(h) + self.in_flight_on(h);
                 let target = policy.target_for(h, current);
                 (target > current).then(|| (h, target - current))
@@ -267,7 +273,7 @@ mod tests {
         pool.begin_provision(2, 2);
         // Host 1 has 1 warm + 1 in flight, host 2 has 2 in flight: neither
         // needs more under MinPerHost(2); host 3 still needs both.
-        assert_eq!(pool.deficits(&[1, 2, 3], &MinPerHost(2)), vec![(3, 2)]);
+        assert_eq!(pool.deficits([1, 2, 3], &MinPerHost(2)), vec![(3, 2)]);
     }
 
     #[test]
@@ -275,11 +281,11 @@ mod tests {
         let mut pool = PrewarmPool::new();
         pool.put(2);
         pool.put(2);
-        let d = pool.deficits(&[1, 2, 3], &MinPerHost(2));
+        let d = pool.deficits([1, 2, 3], &MinPerHost(2));
         assert_eq!(d, vec![(1, 2), (3, 2)]);
         // Satisfied hosts are omitted.
-        assert!(pool.deficits(&[2], &MinPerHost(2)).is_empty());
+        assert!(pool.deficits([2], &MinPerHost(2)).is_empty());
         // Zero-minimum policy never asks for containers.
-        assert!(pool.deficits(&[1, 2, 3], &MinPerHost(0)).is_empty());
+        assert!(pool.deficits([1, 2, 3], &MinPerHost(0)).is_empty());
     }
 }

@@ -30,7 +30,7 @@
 //! actions, which is what makes [`Threshold`] reproduce the pre-refactor
 //! RNG stream exactly.
 
-use notebookos_cluster::{Cluster, Host, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
+use notebookos_cluster::{Cluster, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
 
 use crate::config::{AutoscaleConfig, ElasticityKind};
 
@@ -209,12 +209,6 @@ pub fn seed_prewarm_pool(pool: &mut PrewarmPool, cluster: &Cluster, min_per_host
     }
 }
 
-/// §3.4.2's idle server: no kernel replicas and no commitments (the rule
-/// behind [`Cluster::idle_hosts`]).
-fn is_idle(host: &Host) -> bool {
-    host.replica_count() == 0 && host.active_commitments() == 0
-}
-
 /// The per-step release cap and the `min_hosts` floor: how many hosts a
 /// tick may retire whatever the surplus. 0 on a fleet pinned at its floor,
 /// where the scale-in arms return without looking for idle hosts.
@@ -233,7 +227,7 @@ fn retire_candidates(ctx: &ElasticityContext<'_>, surplus_hosts: u32) -> Vec<Ela
     ctx.cluster
         .hosts()
         .iter()
-        .filter(|h| is_idle(h))
+        .filter(|h| h.is_idle())
         .take(releasable as usize)
         .map(|h| ElasticityAction::RetireHost { host: h.id() })
         .collect()
@@ -361,22 +355,20 @@ impl ElasticityPolicy for ShapeAware {
                 return Vec::new();
             }
             let mut surplus_gpus = current_gpus - target_gpus;
-            let mut idle = ctx.cluster.idle_hosts();
-            idle.sort_by_key(|&id| {
-                let gpus = ctx.cluster.host(id).map(|h| h.capacity().gpus).unwrap_or(0);
-                (std::cmp::Reverse(gpus), id)
-            });
+            let mut idle: Vec<_> = ctx
+                .cluster
+                .hosts()
+                .iter()
+                .filter(|h| h.is_idle())
+                .map(|h| (std::cmp::Reverse(h.capacity().gpus), h.id()))
+                .collect();
+            idle.sort_unstable();
             let mut actions = Vec::new();
-            for host in idle {
+            for (std::cmp::Reverse(gpus), host) in idle {
                 if host_budget == 0 {
                     break;
                 }
-                let gpus = u64::from(
-                    ctx.cluster
-                        .host(host)
-                        .map(|h| h.capacity().gpus)
-                        .unwrap_or(0),
-                );
+                let gpus = u64::from(gpus);
                 if gpus == 0 || gpus > surplus_gpus {
                     continue; // this shape would overshoot; try a smaller one
                 }
@@ -543,11 +535,8 @@ mod tests {
     }
 
     fn commit_gpus(cluster: &mut Cluster, host: HostId, owner: u64, gpus: u32) {
-        cluster
-            .host_mut(host)
-            .unwrap()
-            .commit(owner, &ResourceRequest::new(1000, 1024, gpus, 16))
-            .unwrap();
+        let request = ResourceRequest::new(1000, 1024, gpus, 16);
+        assert!(cluster.try_commit(host, owner, &request, &mut Vec::new()));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 use std::collections::VecDeque;
 
 use notebookos_cluster::{
-    Cluster, HostId, MinPerHost, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
+    Cluster, Host, HostId, MinPerHost, PrewarmPool, ProvisioningModel, ResourceBundle,
+    ResourceRequest,
 };
 use notebookos_datastore::DataStore;
 use notebookos_des::{DesScheduler, Scheduler, SimRng, SimTime};
@@ -1401,9 +1402,9 @@ impl Platform {
     /// [`ElasticityAction::ReconcilePrewarm`]), so pools recover after a
     /// flash crowd instead of waiting for the next host arrival.
     fn reconcile_prewarm(&mut self, sched: &mut dyn Scheduler<Ev>) {
-        let hosts: Vec<HostId> = self.cluster.hosts().iter().map(|h| h.id()).collect();
         let minimum = MinPerHost(self.config.prewarm_min_per_host);
-        for (host, missing) in self.pool.deficits(&hosts, &minimum) {
+        let hosts = self.cluster.hosts().iter().map(Host::id);
+        for (host, missing) in self.pool.deficits(hosts, &minimum) {
             self.pool.begin_provision(host, missing);
             self.metrics.counters.prewarms_reconciled += u64::from(missing);
             for _ in 0..missing {

@@ -7,12 +7,14 @@
 //! (least-loaded with the dynamic SR cap), round-robin, bin-packing, and
 //! seeded-random.
 //!
-//! The ranking interface is scratch-buffer based
-//! ([`PlacementPolicy::rank_into`]): the caller owns the output buffer and
-//! each policy owns whatever decorated-key scratch its ordering needs, so
-//! the per-placement steady state performs no heap allocation. The
-//! allocating [`PlacementPolicy::rank`] wrapper remains for tests and
-//! one-shot callers.
+//! The interface ranks through one method,
+//! [`PlacementPolicy::rank_top_into`]: the scheduler only ever consumes the
+//! first `R` hosts and the viable total, the caller owns the output buffer
+//! and each policy owns whatever scratch its ordering needs, so the
+//! per-placement steady state performs no heap allocation. The indexed
+//! policies answer from the cluster's placement index without scanning the
+//! fleet; [`scan_rank`] is the full-scan reference their orderings are
+//! held to by the test suites.
 
 use notebookos_cluster::{Cluster, HostId, RankScratch, ResourceRequest, Viability};
 use notebookos_des::SimRng;
@@ -36,25 +38,19 @@ impl PlacementContext<'_> {
         self.cluster.sr_limit(self.replication_factor).max(1.0)
     }
 
-    /// The shared viability screen ([`Cluster::viable_hosts`]) under this
-    /// context's SR cap. All bundled policies rank from this same set so
-    /// no baseline prefers a host the SR cap forbids.
-    pub fn viable(&self) -> Viability {
-        self.cluster
-            .viable_hosts(self.request, self.replication_factor, self.sr_cap())
-    }
-
-    /// Allocation-free form of [`PlacementContext::viable`]: refills a
-    /// caller-owned buffer ([`Cluster::viable_hosts_into`]).
+    /// The shared viability screen ([`Cluster::viable_hosts_into`]) under
+    /// this context's SR cap, refilling a caller-owned buffer. All bundled
+    /// policies rank this same set, so no baseline prefers a host the SR
+    /// cap forbids.
     pub fn viable_into(&self, out: &mut Viability) {
         self.cluster
             .viable_hosts_into(self.request, self.replication_factor, self.sr_cap(), out);
     }
 
-    /// [`PlacementContext::viable`]'s total `len()` without materializing
-    /// the host lists — served from the placement index's per-class live
-    /// counts ([`Cluster::viable_count`], O(shape classes)). The SR cap
-    /// only splits the set into preference segments, so the total is
+    /// The screen's total `len()` without materializing the host lists —
+    /// served from the placement index's per-class live counts
+    /// ([`Cluster::viable_count`], O(shape classes)). The SR cap only
+    /// splits the set into preference segments, so the total is
     /// cap-independent; gauges and screen paths that only need "how many
     /// hosts could take this kernel" should call this instead of paying
     /// the O(hosts) scan.
@@ -62,12 +58,11 @@ impl PlacementContext<'_> {
         self.cluster.viable_count(self.request)
     }
 
-    /// The `(within_cap, over_cap)` segment lengths of
-    /// [`PlacementContext::viable`] without materializing the host lists
-    /// ([`Cluster::viable_counts`]): homogeneous shape classes resolve
-    /// from BTree boundary keys, so screen users that only need the split
-    /// — SR-pressure gauges, shortfall diagnostics — skip the O(hosts)
-    /// scan entirely.
+    /// The `(within_cap, over_cap)` segment lengths of the screen without
+    /// materializing the host lists ([`Cluster::viable_counts`]):
+    /// homogeneous shape classes resolve from BTree boundary keys, so
+    /// screen users that only need the split — SR-pressure gauges,
+    /// shortfall diagnostics — skip the O(hosts) scan entirely.
     pub fn viable_counts(&self) -> (usize, usize) {
         self.cluster
             .viable_counts(self.request, self.replication_factor, self.sr_cap())
@@ -81,46 +76,23 @@ pub trait PlacementPolicy: std::fmt::Debug {
     /// Human-readable policy name.
     fn name(&self) -> &'static str;
 
-    /// Writes the hosts able to take the subscription into `out`
-    /// (cleared first), best first. Implementations must rank from the
-    /// shared viability screen ([`PlacementContext::viable_into`]):
-    /// capacity covers the request, host not draining, and
-    /// SR-cap-forbidden hosts never ahead of allowed ones. Ranking must
-    /// not consume rotation state — fairness feedback arrives through
-    /// [`PlacementPolicy::placed`]. Implementations keep their own sort
-    /// scratch, so a caller that reuses `out` ranks without allocating.
-    fn rank_into(&mut self, ctx: &PlacementContext<'_>, out: &mut Vec<HostId>);
-
-    /// Allocating convenience wrapper over
-    /// [`PlacementPolicy::rank_into`].
-    fn rank(&mut self, ctx: &PlacementContext<'_>) -> Vec<HostId> {
-        let mut out = Vec::new();
-        self.rank_into(ctx, &mut out);
-        out
-    }
-
-    /// Writes the first `limit` hosts of the full
-    /// [`PlacementPolicy::rank_into`] ordering into `out` (cleared first)
-    /// and returns the *total* number of viable hosts — everything the
-    /// scheduler consumes per placement (`R` hosts plus the shortfall
-    /// count when fewer exist).
-    ///
-    /// The default ranks everything and truncates; indexed policies
-    /// override it to answer from the cluster's placement index in
-    /// O(log hosts + limit) instead of rescanning the fleet. Overrides
-    /// must produce exactly `rank_into`'s prefix — the golden determinism
-    /// suite pins this.
+    /// Writes the best `limit` hosts able to take the subscription into
+    /// `out` (cleared first), best first, and returns the *total* number
+    /// of viable hosts — everything the scheduler consumes per placement
+    /// (`R` hosts plus the shortfall count when fewer exist).
+    /// Implementations must rank the shared viability screen
+    /// ([`PlacementContext::viable_into`]): capacity covers the request,
+    /// host not draining, and SR-cap-forbidden hosts never ahead of
+    /// allowed ones. Ranking must not consume rotation state — fairness
+    /// feedback arrives through [`PlacementPolicy::placed`].
+    /// Implementations keep their own scratch, so a caller that reuses
+    /// `out` ranks without allocating.
     fn rank_top_into(
         &mut self,
         ctx: &PlacementContext<'_>,
         limit: usize,
         out: &mut Vec<HostId>,
-    ) -> usize {
-        self.rank_into(ctx, out);
-        let total = out.len();
-        out.truncate(limit);
-        total
-    }
+    ) -> usize;
 
     /// The scheduler consumed these hosts (in ranking order) for one
     /// placement of `R` replicas. Stateful policies advance their rotation
@@ -132,28 +104,71 @@ pub trait PlacementPolicy: std::fmt::Debug {
     }
 }
 
+/// The full-scan reference for the indexed policies: the complete ranking
+/// `policy` (a [`PlacementPolicy::name`]) gives `ctx`, derived from a walk
+/// of the whole slab instead of the placement index. `last` is the
+/// round-robin rotation point (the last host a placement consumed); the
+/// other orderings ignore it. The policy unit tests and
+/// `tests/index_equivalence.rs` hold every `rank_top_into` to a prefix of
+/// this; nothing on a placement path calls it.
+///
+/// # Panics
+///
+/// Panics on a name other than `"least-loaded"`, `"round-robin"` or
+/// `"bin-packing"` — [`RandomPlacement`] has no index to check: its
+/// `rank_top_into` *is* the full scan.
+pub fn scan_rank(policy: &str, ctx: &PlacementContext<'_>, last: Option<HostId>) -> Vec<HostId> {
+    let mut out = Vec::new();
+    if policy == "least-loaded" {
+        ctx.cluster.subscription_candidates_into(
+            ctx.request,
+            ctx.replication_factor,
+            ctx.sr_cap(),
+            &mut RankScratch::default(),
+            &mut out,
+        );
+        return out;
+    }
+    let mut viable = Viability::default();
+    ctx.viable_into(&mut viable);
+    for ids in [&viable.within_cap, &viable.over_cap] {
+        match policy {
+            // The ascending-id segment rotated to start at the first id
+            // strictly after `last` (wrapping to the lowest id).
+            "round-robin" => {
+                let pivot = last.map_or(0, |last| ids.partition_point(|&h| h <= last));
+                out.extend_from_slice(&ids[pivot..]);
+                out.extend_from_slice(&ids[..pivot]);
+            }
+            // Most subscribed, then most committed, then highest id.
+            "bin-packing" => {
+                let mut keyed: Vec<(u64, u64, HostId)> = ids
+                    .iter()
+                    .map(|&id| {
+                        let h = ctx.cluster.host(id).expect("viable host exists");
+                        (h.subscribed_gpus(), u64::from(h.committed_gpus()), id)
+                    })
+                    .collect();
+                keyed.sort_by(|a, b| b.cmp(a));
+                out.extend(keyed.iter().map(|&(_, _, id)| id));
+            }
+            other => panic!("no scan reference for placement policy `{other}`"),
+        }
+    }
+    out
+}
+
 /// The paper's default: most idle GPUs first, dynamic cluster-wide SR cap
 /// as a soft preference (§3.4.1).
 #[derive(Debug, Default)]
 pub struct LeastLoaded {
-    /// Decorated-key scratch reused across rankings
-    /// ([`Cluster::subscription_candidates_into`]).
+    /// Decorated-key scratch reused across rankings.
     scratch: RankScratch,
 }
 
 impl PlacementPolicy for LeastLoaded {
     fn name(&self) -> &'static str {
         "least-loaded"
-    }
-
-    fn rank_into(&mut self, ctx: &PlacementContext<'_>, out: &mut Vec<HostId>) {
-        ctx.cluster.subscription_candidates_into(
-            ctx.request,
-            ctx.replication_factor,
-            ctx.sr_cap(),
-            &mut self.scratch,
-            out,
-        );
     }
 
     fn rank_top_into(
@@ -185,38 +200,13 @@ pub struct RoundRobin {
     /// The last host id a placement consumed; the next ranking resumes at
     /// the first viable id after it (wrapping).
     last: Option<HostId>,
-    /// Viability scratch reused across rankings.
-    viable: Viability,
     /// Over-cap candidates gathered by the indexed top-k walk, reused.
     over_scratch: Vec<HostId>,
-}
-
-impl RoundRobin {
-    /// Appends an ascending-id segment to `out` rotated to start at the
-    /// first id strictly after `last` (wrapping to the lowest id).
-    fn extend_resumed(out: &mut Vec<HostId>, ids: &[HostId], last: Option<HostId>) {
-        if let Some(last) = last {
-            if !ids.is_empty() {
-                let pivot = ids.partition_point(|&h| h <= last) % ids.len();
-                out.extend_from_slice(&ids[pivot..]);
-                out.extend_from_slice(&ids[..pivot]);
-                return;
-            }
-        }
-        out.extend_from_slice(ids);
-    }
 }
 
 impl PlacementPolicy for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
-    }
-
-    fn rank_into(&mut self, ctx: &PlacementContext<'_>, out: &mut Vec<HostId>) {
-        ctx.viable_into(&mut self.viable);
-        out.clear();
-        Self::extend_resumed(out, &self.viable.within_cap, self.last);
-        Self::extend_resumed(out, &self.viable.over_cap, self.last);
     }
 
     fn rank_top_into(
@@ -251,8 +241,6 @@ impl PlacementPolicy for RoundRobin {
 /// contention). SR-cap-forbidden hosts still rank last.
 #[derive(Debug, Default)]
 pub struct BinPacking {
-    /// Viability scratch reused across rankings.
-    viable: Viability,
     /// Decorated `(subscribed, committed, id)` sort keys, reused.
     keyed: Vec<(u64, u64, HostId)>,
 }
@@ -260,21 +248,6 @@ pub struct BinPacking {
 impl PlacementPolicy for BinPacking {
     fn name(&self) -> &'static str {
         "bin-packing"
-    }
-
-    fn rank_into(&mut self, ctx: &PlacementContext<'_>, out: &mut Vec<HostId>) {
-        ctx.viable_into(&mut self.viable);
-        out.clear();
-        for segment in [&self.viable.within_cap, &self.viable.over_cap] {
-            self.keyed.clear();
-            for &id in segment {
-                let h = ctx.cluster.host(id).expect("viable host exists");
-                self.keyed
-                    .push((h.subscribed_gpus(), u64::from(h.committed_gpus()), id));
-            }
-            self.keyed.sort_by(|a, b| b.cmp(a));
-            out.extend(self.keyed.iter().map(|&(_, _, id)| id));
-        }
     }
 
     fn rank_top_into(
@@ -296,10 +269,9 @@ impl PlacementPolicy for BinPacking {
 
 /// Uniformly random viable host order (a sanity baseline for ablations).
 ///
-/// Deliberately keeps the default [`PlacementPolicy::rank_top_into`]
-/// (full shuffle, then truncate): a Fisher–Yates over only the top `k`
-/// would consume a different RNG draw sequence than the full shuffle and
-/// change every seeded simulation downstream.
+/// Shuffles the whole screen and then truncates: a Fisher–Yates over only
+/// the top `k` would consume a different RNG draw sequence than the full
+/// shuffle and change every seeded simulation downstream.
 #[derive(Debug)]
 pub struct RandomPlacement {
     rng: SimRng,
@@ -330,7 +302,12 @@ impl PlacementPolicy for RandomPlacement {
         "random"
     }
 
-    fn rank_into(&mut self, ctx: &PlacementContext<'_>, out: &mut Vec<HostId>) {
+    fn rank_top_into(
+        &mut self,
+        ctx: &PlacementContext<'_>,
+        limit: usize,
+        out: &mut Vec<HostId>,
+    ) -> usize {
         ctx.viable_into(&mut self.viable);
         out.clear();
         // Shuffle per segment, keeping SR-cap-forbidden hosts behind
@@ -341,6 +318,9 @@ impl PlacementPolicy for RandomPlacement {
         out.extend_from_slice(&self.viable.over_cap);
         Self::shuffle(&mut self.rng, &mut out[..within]);
         Self::shuffle(&mut self.rng, &mut out[within..]);
+        let total = out.len();
+        out.truncate(limit);
+        total
     }
 }
 
@@ -353,17 +333,11 @@ mod tests {
         let mut c = Cluster::with_hosts(4, ResourceBundle::p3_16xlarge());
         // Host 0 heavily subscribed, host 3 untouched.
         for _ in 0..5 {
-            c.host_mut(0)
-                .unwrap()
-                .subscribe(&ResourceRequest::one_gpu());
+            assert!(c.subscribe(0, &ResourceRequest::one_gpu()));
         }
-        c.host_mut(1)
-            .unwrap()
-            .subscribe(&ResourceRequest::one_gpu());
-        c.host_mut(2)
-            .unwrap()
-            .commit(9, &ResourceRequest::new(1000, 1024, 4, 16))
-            .unwrap();
+        assert!(c.subscribe(1, &ResourceRequest::one_gpu()));
+        let four = ResourceRequest::new(1000, 1024, 4, 16);
+        assert!(c.try_commit(2, 9, &four, &mut Vec::new()));
         c
     }
 
@@ -375,20 +349,33 @@ mod tests {
         }
     }
 
+    /// The materialized viability screen.
+    fn viable(ctx: &PlacementContext<'_>) -> Viability {
+        let mut out = Viability::default();
+        ctx.viable_into(&mut out);
+        out
+    }
+
+    /// The policy's full ranking through its one ranking method.
+    fn rank_all(policy: &mut dyn PlacementPolicy, ctx: &PlacementContext<'_>) -> Vec<HostId> {
+        let mut out = Vec::new();
+        let total = policy.rank_top_into(ctx, usize::MAX, &mut out);
+        assert_eq!(total, out.len(), "{}: viable total", policy.name());
+        out
+    }
+
     #[test]
     fn viable_count_matches_materialized_screen() {
-        // The indexed total must agree with `viable().len()` everywhere the
+        // The indexed total must agree with the screen's `len()` everywhere the
         // screen's filters bite: mixed shapes, draining hosts, and hosts
         // pushed over the SR cap (which moves them between segments but
         // never out of the set).
         let mut c = cluster();
         c.add_host(ResourceBundle::new(8_000, 32_768, 0)); // CPU-only, id 4
         for _ in 0..30 {
-            c.host_mut(1)
-                .unwrap()
-                .subscribe(&ResourceRequest::one_gpu()); // far over the cap
+            assert!(c.subscribe(1, &ResourceRequest::one_gpu())); // far over the cap
         }
-        c.host_mut(3).unwrap().set_draining(true);
+        assert!(c.set_draining(3, true));
         for req in [
             ResourceRequest::one_gpu(),
             ResourceRequest::new(4000, 16_384, 4, 16),
@@ -396,12 +383,8 @@ mod tests {
             ResourceRequest::new(1_000_000, 1, 0, 0), // nothing covers
         ] {
             let context = ctx(&c, &req);
-            assert_eq!(
-                context.viable_count(),
-                context.viable().len(),
-                "request {req:?}"
-            );
-            let v = context.viable();
+            let v = viable(&context);
+            assert_eq!(context.viable_count(), v.len(), "request {req:?}");
             assert_eq!(
                 context.viable_counts(),
                 (v.within_cap.len(), v.over_cap.len()),
@@ -414,7 +397,7 @@ mod tests {
     fn least_loaded_prefers_idle_hosts() {
         let c = cluster();
         let req = ResourceRequest::one_gpu();
-        let ranked = LeastLoaded::default().rank(&ctx(&c, &req));
+        let ranked = rank_all(&mut LeastLoaded::default(), &ctx(&c, &req));
         // Hosts 0, 1, 3 all have 8 idle GPUs; host 2 has 4 committed.
         assert_eq!(*ranked.last().unwrap(), 2);
         assert_eq!(ranked.len(), 4);
@@ -432,7 +415,7 @@ mod tests {
             Box::new(RandomPlacement::new(3)),
         ];
         for policy in &mut policies {
-            policy.rank_into(&ctx(&c, &req), &mut out);
+            policy.rank_top_into(&ctx(&c, &req), usize::MAX, &mut out);
             assert_eq!(
                 out.len(),
                 4,
@@ -448,7 +431,7 @@ mod tests {
     /// Ranks, then reports the first `r` hosts as consumed — what the
     /// scheduler does for one `R`-replica placement.
     fn place(rr: &mut RoundRobin, c: &Cluster, req: &ResourceRequest, r: usize) -> Vec<HostId> {
-        let ranked = rr.rank(&ctx(c, req));
+        let ranked = rank_all(rr, &ctx(c, req));
         let consumed: Vec<HostId> = ranked.into_iter().take(r).collect();
         rr.placed(&consumed);
         consumed
@@ -463,7 +446,10 @@ mod tests {
         let second = place(&mut rr, &c, &req, 1)[0];
         assert_ne!(first, second, "cursor advances");
         // Ranking alone does not rotate — only consumption does.
-        assert_eq!(rr.rank(&ctx(&c, &req))[0], rr.rank(&ctx(&c, &req))[0]);
+        assert_eq!(
+            rank_all(&mut rr, &ctx(&c, &req))[0],
+            rank_all(&mut rr, &ctx(&c, &req))[0]
+        );
         // Four single-host placements cycle back to the start.
         place(&mut rr, &c, &req, 1);
         let fourth_start = place(&mut rr, &c, &req, 1)[0];
@@ -487,9 +473,9 @@ mod tests {
         c.add_host(ResourceBundle::p3_16xlarge()); // id 4
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 2);
         // A draining host is skipped but remembered ground is kept.
-        c.host_mut(3).unwrap().set_draining(true);
+        assert!(c.set_draining(3, true));
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 4);
-        c.host_mut(3).unwrap().set_draining(false);
+        assert!(c.set_draining(3, false));
         // Wraps to the lowest id after the highest.
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 1);
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 2);
@@ -538,14 +524,12 @@ mod tests {
         // old RoundRobin/BinPacking ranked purely on total capacity and
         // would happily put host 0 first.
         let mut c = Cluster::with_hosts(3, ResourceBundle::p3_16xlarge());
-        for _ in 0..30 {
-            c.host_mut(0)
-                .unwrap()
-                .subscribe(&ResourceRequest::new(4000, 16_384, 4, 16));
-        }
         let req = ResourceRequest::new(4000, 16_384, 4, 16);
+        for _ in 0..30 {
+            assert!(c.subscribe(0, &req));
+        }
         let context = ctx(&c, &req);
-        let forbidden = context.viable().over_cap;
+        let forbidden = viable(&context).over_cap;
         assert_eq!(forbidden, vec![0], "host 0 is over the cap");
         let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
             Box::new(LeastLoaded::default()),
@@ -554,7 +538,7 @@ mod tests {
             Box::new(RandomPlacement::new(3)),
         ];
         for policy in &mut policies {
-            let ranked = policy.rank(&context);
+            let ranked = rank_all(policy.as_mut(), &context);
             assert_eq!(ranked.len(), 3, "{}: all hosts stay usable", policy.name());
             assert_eq!(
                 *ranked.last().unwrap(),
@@ -569,7 +553,7 @@ mod tests {
     fn bin_packing_prefers_most_subscribed() {
         let c = cluster();
         let req = ResourceRequest::one_gpu();
-        let ranked = BinPacking::default().rank(&ctx(&c, &req));
+        let ranked = rank_all(&mut BinPacking::default(), &ctx(&c, &req));
         assert_eq!(ranked[0], 0, "most subscribed host first");
     }
 
@@ -577,8 +561,8 @@ mod tests {
     fn random_is_seed_deterministic_and_complete() {
         let c = cluster();
         let req = ResourceRequest::one_gpu();
-        let a = RandomPlacement::new(5).rank(&ctx(&c, &req));
-        let b = RandomPlacement::new(5).rank(&ctx(&c, &req));
+        let a = rank_all(&mut RandomPlacement::new(5), &ctx(&c, &req));
+        let b = rank_all(&mut RandomPlacement::new(5), &ctx(&c, &req));
         assert_eq!(a, b);
         let mut sorted = a.clone();
         sorted.sort_unstable();
@@ -589,10 +573,10 @@ mod tests {
     fn oversized_requests_yield_no_hosts() {
         let c = cluster();
         let req = ResourceRequest::new(1000, 1024, 99, 16);
-        assert!(LeastLoaded::default().rank(&ctx(&c, &req)).is_empty());
-        assert!(RoundRobin::default().rank(&ctx(&c, &req)).is_empty());
-        assert!(BinPacking::default().rank(&ctx(&c, &req)).is_empty());
-        assert!(RandomPlacement::new(1).rank(&ctx(&c, &req)).is_empty());
+        assert!(rank_all(&mut LeastLoaded::default(), &ctx(&c, &req)).is_empty());
+        assert!(rank_all(&mut RoundRobin::default(), &ctx(&c, &req)).is_empty());
+        assert!(rank_all(&mut BinPacking::default(), &ctx(&c, &req)).is_empty());
+        assert!(rank_all(&mut RandomPlacement::new(1), &ctx(&c, &req)).is_empty());
     }
 
     #[test]
@@ -600,9 +584,7 @@ mod tests {
         let mut c = cluster();
         c.add_host(ResourceBundle::new(32_000, 249_856, 4)); // id 4, smaller shape
         for _ in 0..20 {
-            c.host_mut(1)
-                .unwrap()
-                .subscribe(&ResourceRequest::one_gpu()); // push host 1 over the cap
+            assert!(c.subscribe(1, &ResourceRequest::one_gpu())); // push host 1 over the cap
         }
         let req = ResourceRequest::one_gpu();
         let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
@@ -616,14 +598,14 @@ mod tests {
                 // Random draws from its RNG per ranking; clone the stream
                 // state by re-seeding so both paths see the same draws.
                 let (full, mut top) = if policy.name() == "random" {
-                    let full = RandomPlacement::new(7).rank(&ctx(&c, &req));
+                    let full = rank_all(&mut RandomPlacement::new(7), &ctx(&c, &req));
                     let mut rng_twin = RandomPlacement::new(7);
                     let mut top = Vec::new();
                     let total = rng_twin.rank_top_into(&ctx(&c, &req), limit, &mut top);
                     assert_eq!(total, full.len(), "random: total viable");
                     (full, top)
                 } else {
-                    let full = policy.rank(&ctx(&c, &req));
+                    let full = scan_rank(policy.name(), &ctx(&c, &req), None);
                     let mut top = Vec::new();
                     let total = policy.rank_top_into(&ctx(&c, &req), limit, &mut top);
                     assert_eq!(total, full.len(), "{}: total viable", policy.name());
@@ -643,7 +625,7 @@ mod tests {
         let mut top = Vec::new();
         rr.rank_top_into(&ctx(&c, &req), 2, &mut top);
         rr.placed(&top);
-        let resumed_full = rr.rank(&ctx(&c, &req));
+        let resumed_full = scan_rank("round-robin", &ctx(&c, &req), top.last().copied());
         let mut resumed_top = Vec::new();
         rr.rank_top_into(&ctx(&c, &req), 3, &mut resumed_top);
         assert_eq!(resumed_top, resumed_full[..3]);

@@ -621,8 +621,9 @@ mod tests {
             request: &request,
             replication_factor: 3,
         };
-        assert_eq!(gw.viable_count(spec()), ctx.viable().len());
-        let v = ctx.viable();
+        let mut v = notebookos_cluster::Viability::default();
+        ctx.viable_into(&mut v);
+        assert_eq!(gw.viable_count(spec()), v.len());
         assert_eq!(
             gw.viable_counts(spec()),
             (v.within_cap.len(), v.over_cap.len()),

@@ -4,12 +4,12 @@
 //! ranking order bit for bit — otherwise seeded simulations diverge the
 //! moment the platform consults the index. These properties drive random
 //! typed-mutation sequences (add/remove/subscribe/unsubscribe/commit/
-//! release/drain) interleaved with raw `host_mut` dirtying, and after
-//! every step compare each indexed query against its scan-based
-//! reference:
+//! release/drain) interleaved with typed calls that must change nothing
+//! (a refused commit, a drain flag set to itself), and after every step
+//! compare each indexed query against its scan-based reference:
 //!
-//! * `rank_top_into` for all four placement policies vs the full
-//!   `rank_into` prefix (plus the viable total),
+//! * `rank_top_into` for all four placement policies vs the prefix of the
+//!   full-scan `scan_rank` ordering (plus the viable total),
 //! * `best_commit_host` / `best_commit_host_excluding` /
 //!   `best_warm_commit_host` vs the reservation/batch, migration, and
 //!   LCP baseline scans they replaced.
@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest};
+use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest, Viability};
+use notebookos::core::policy::scan_rank;
 use notebookos::core::{
     BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, RandomPlacement, RoundRobin,
 };
@@ -35,9 +36,9 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>()), 5..50)
 }
 
-/// Applies `ops` through the typed mutators (plus occasional raw
-/// `host_mut` access), tracking live subscriptions/commitments so every
-/// inverse operation is legal.
+/// Applies `ops` through the typed mutators (plus occasional typed calls
+/// that must be refused or change nothing), tracking live
+/// subscriptions/commitments so every inverse operation is legal.
 fn churned_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
     let mut c = Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 3), (small_shape(), 2)]);
     let mut subs: Vec<(HostId, u32)> = Vec::new();
@@ -91,17 +92,20 @@ fn churned_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
                 let draining = c.host(host).expect("host exists").is_draining();
                 assert!(c.set_draining(host, !draining));
             }
-            _ => {
-                // Raw access the index cannot observe: the next query must
-                // self-heal via the lazy rebuild.
-                let h = c.host_mut(host).expect("host exists");
-                if arg % 2 == 0 {
-                    h.subscribe(&req(gpus));
-                    subs.push((host, gpus));
-                } else {
-                    let flag = h.is_draining();
-                    h.set_draining(!flag);
+            // Typed calls that change nothing: a commit the host must
+            // refuse — no shape has 99 GPUs, and an owner holds at most one
+            // commitment per host — and a drain flag set to itself.
+            _ if arg % 2 == 0 => {
+                assert!(!c.try_commit(host, next_owner, &req(99), &mut devices));
+                assert!(devices.is_empty(), "a refused commit binds no device");
+                if let Some(&(h, owner)) = commits.iter().find(|&&(h, _)| h == host) {
+                    assert!(!c.try_commit(h, owner, &req(1), &mut devices));
                 }
+            }
+            _ => {
+                let draining = c.host(host).expect("host exists").is_draining();
+                assert!(c.set_draining(host, draining), "the host exists");
+                assert_eq!(c.host(host).map(|h| h.is_draining()), Some(draining));
             }
         }
     }
@@ -156,7 +160,8 @@ fn assert_index_matches_scan(c: &Cluster) -> Result<(), TestCaseError> {
             request: &request,
             replication_factor: 3,
         };
-        let viable = ctx.viable();
+        let mut viable = Viability::default();
+        ctx.viable_into(&mut viable);
         prop_assert_eq!(c.viable_count(&request), viable.len(), "viable count");
 
         let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
@@ -165,7 +170,7 @@ fn assert_index_matches_scan(c: &Cluster) -> Result<(), TestCaseError> {
             Box::new(BinPacking::default()),
         ];
         for policy in &mut policies {
-            let full = policy.rank(&ctx);
+            let full = scan_rank(policy.name(), &ctx, None);
             for limit in [1usize, 3, full.len(), full.len() + 2] {
                 let mut top = Vec::new();
                 let total = policy.rank_top_into(&ctx, limit, &mut top);
@@ -182,17 +187,19 @@ fn assert_index_matches_scan(c: &Cluster) -> Result<(), TestCaseError> {
         }
         // RoundRobin rotation state feeds the indexed walk too.
         let mut rr = RoundRobin::default();
-        let ranked = rr.rank(&ctx);
+        let ranked = scan_rank("round-robin", &ctx, None);
         if !ranked.is_empty() {
-            rr.placed(&ranked[..1.max(ranked.len() / 2)]);
-            let resumed = rr.rank(&ctx);
+            let consumed = &ranked[..1.max(ranked.len() / 2)];
+            rr.placed(consumed);
+            let resumed = scan_rank("round-robin", &ctx, consumed.last().copied());
             let mut top = Vec::new();
             rr.rank_top_into(&ctx, 3, &mut top);
             prop_assert_eq!(&top[..], &resumed[..3.min(resumed.len())], "rotated top-3");
         }
-        // Random shares the default truncating path; equality of the RNG
-        // stream needs twin instances.
-        let full = RandomPlacement::new(11).rank(&ctx);
+        // Random shuffles the whole screen and truncates; equality of the
+        // RNG stream needs twin instances.
+        let mut full = Vec::new();
+        RandomPlacement::new(11).rank_top_into(&ctx, usize::MAX, &mut full);
         let mut top = Vec::new();
         let total = RandomPlacement::new(11).rank_top_into(&ctx, 3, &mut top);
         prop_assert_eq!(total, full.len(), "random: viable total");
@@ -245,40 +252,22 @@ proptest! {
     }
 }
 
-/// Deterministic churn: heavy raw `host_mut` dirtying between queries —
-/// the index must self-heal on every query after every dirtying, and
-/// typed mutations layered on top must stay exact.
+/// The two no-op kinds drawn for certain, on a host that holds a commitment
+/// and while it drains: refused and unchanged at every step.
 #[test]
-fn index_self_heals_under_host_mut_churn() {
-    let mut c = Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 8), (small_shape(), 4)]);
-    let mut devices = Vec::new();
-    for round in 0..40u64 {
-        let ids: Vec<HostId> = c.hosts().iter().map(|h| h.id()).collect();
-        let id = ids[(round as usize * 7 + 3) % ids.len()];
-        // Raw dirtying the index cannot see.
-        let h = c.host_mut(id).expect("host exists");
-        match round % 4 {
-            0 => h.subscribe(&req(round as u32 % 4 + 1)),
-            1 => {
-                let flag = h.is_draining();
-                h.set_draining(!flag);
-            }
-            2 => {
-                let _ = h.commit(1_000 + round, &req(1));
-            }
-            _ => {
-                if h.has_commitment(1_000 + round - 2) {
-                    h.release(1_000 + round - 2);
-                }
-            }
-        }
-        // Typed mutation layered on the dirty state.
-        if round % 3 == 0 {
-            let target = ids[(round as usize + 5) % ids.len()];
-            c.subscribe(target, &req(1));
-            c.try_commit(target, 5_000 + round, &req(1), &mut devices);
-        }
-        assert_index_matches_scan(&c)
-            .unwrap_or_else(|e| panic!("round {round}: index drifted from scan: {e:?}"));
+fn refused_and_no_op_mutations_leave_the_index_exact() {
+    let ops = [
+        (5, 0, 2),
+        (9, 0, 0),
+        (9, 0, 1),
+        (8, 0, 0),
+        (9, 0, 0),
+        (9, 0, 1),
+    ];
+    for prefix in 1..=ops.len() {
+        let c = churned_cluster(&ops[..prefix]);
+        assert_eq!(c.total_committed_gpus(), 2, "one commit, never a second");
+        assert_eq!(c.hosts()[0].is_draining(), prefix >= 4);
+        assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("prefix {prefix}: {e:?}"));
     }
 }

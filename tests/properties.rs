@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use notebookos::cluster::{Cluster, Host, ResourceBundle, ResourceRequest};
+use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest, Viability};
 use notebookos::core::sweep::{Scenario, SweepSpec};
 use notebookos::core::{
     BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, Platform, PlatformConfig,
@@ -118,19 +118,21 @@ proptest! {
 
     #[test]
     fn host_accounting_never_oversubscribes_exclusive_resources(ops in proptest::collection::vec((0u64..12, 1u32..5), 1..60)) {
-        let mut host = Host::p3_16xlarge(1);
+        let mut cluster = Cluster::with_hosts(1, ResourceBundle::p3_16xlarge());
+        let mut devices = Vec::new();
         let mut live: Vec<(u64, u32)> = Vec::new();
         for (owner, gpus) in ops {
             if let Some(pos) = live.iter().position(|&(o, _)| o == owner) {
                 let (o, _) = live.remove(pos);
-                host.release(o);
+                prop_assert!(cluster.release(0, o));
             } else {
                 let req = ResourceRequest::new(1000, 4096, gpus, 16);
-                if host.commit(owner, &req).is_ok() {
+                if cluster.try_commit(0, owner, &req, &mut devices) {
                     live.push((owner, gpus));
                 }
             }
             // Invariants after every operation.
+            let host = &cluster.hosts()[0];
             let committed: u32 = live.iter().map(|&(_, g)| g).sum();
             prop_assert_eq!(host.committed_gpus(), committed);
             prop_assert!(host.committed_gpus() <= host.capacity().gpus);
@@ -164,18 +166,24 @@ fn arb_cluster_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 fn build_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
     let mut c = Cluster::with_hosts(ops.len(), ResourceBundle::p3_16xlarge());
     for (i, &(drain_die, subs, commits)) in ops.iter().enumerate() {
-        let draining = drain_die == 0;
-        let host = c.host_mut(i as u64).expect("host exists");
+        let (host, one_gpu) = (i as u64, ResourceRequest::one_gpu());
         for _ in 0..subs {
-            host.subscribe(&ResourceRequest::one_gpu());
+            assert!(c.subscribe(host, &one_gpu));
         }
         for k in 0..commits {
-            host.commit(u64::from(k) + 1, &ResourceRequest::one_gpu())
-                .expect("commit fits");
+            let fits = c.try_commit(host, u64::from(k) + 1, &one_gpu, &mut Vec::new());
+            assert!(fits, "commit fits");
         }
-        host.set_draining(draining);
+        assert!(c.set_draining(host, drain_die == 0));
     }
     c
+}
+
+/// The policy's full ranking through its one ranking method.
+fn rank_all(policy: &mut dyn PlacementPolicy, ctx: &PlacementContext<'_>) -> Vec<HostId> {
+    let mut out = Vec::new();
+    policy.rank_top_into(ctx, usize::MAX, &mut out);
+    out
 }
 
 fn all_policies(seed: u64) -> Vec<Box<dyn PlacementPolicy>> {
@@ -204,7 +212,7 @@ proptest! {
         for policy in &mut all_policies(seed) {
             // Repeated calls (stateful policies rotate) stay clean too.
             for _ in 0..3 {
-                let ranked = policy.rank(&ctx);
+                let ranked = rank_all(policy.as_mut(), &ctx);
                 let mut unique = ranked.clone();
                 unique.sort_unstable();
                 unique.dedup();
@@ -236,7 +244,12 @@ proptest! {
         let mut b = all_policies(seed);
         for (pa, pb) in a.iter_mut().zip(b.iter_mut()) {
             for _ in 0..4 {
-                prop_assert_eq!(pa.rank(&ctx), pb.rank(&ctx), "{} diverged", pa.name());
+                prop_assert_eq!(
+                    rank_all(pa.as_mut(), &ctx),
+                    rank_all(pb.as_mut(), &ctx),
+                    "{} diverged",
+                    pa.name()
+                );
             }
         }
     }
@@ -253,9 +266,10 @@ proptest! {
             request: &request,
             replication_factor: 3,
         };
-        let viable = ctx.viable();
+        let mut viable = Viability::default();
+        ctx.viable_into(&mut viable);
         for policy in &mut all_policies(seed) {
-            let ranked = policy.rank(&ctx);
+            let ranked = rank_all(policy.as_mut(), &ctx);
             prop_assert_eq!(ranked.len(), viable.len(), "{} changed the viable set", policy.name());
             // All within-cap hosts precede all over-cap hosts.
             let first_over = ranked
