@@ -2,56 +2,30 @@
 //! elasticity policies (threshold / shape-aware / hysteresis) across the
 //! three stress scenarios they were built for — flash-crowd arrivals,
 //! diurnal arrivals, and a heterogeneous host fleet — and reports
-//! per-policy cost/latency aggregates with 95 % CIs. Per-run records are
-//! persisted as JSON + CSV so figures re-render without re-running, and
-//! the sweep shards, resumes, and merges like any other:
+//! per-policy cost/latency aggregates with 95 % CIs: 45 runs at excerpt
+//! scale, 0.22 s on two cores. Per-run records are persisted as JSON +
+//! CSV, and the sweep shards and merges like any other:
 //!
 //! ```text
 //! cargo run --release -p notebookos-bench --bin elasticity_sweep -- \
-//!     [--smoke] [--workers N] [--shard I/M] [--out FILE] \
-//!     [--resume FILE] [--fsync] [--merge FILES...]
+//!     [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]
 //! ```
-//!
-//! `--fsync` (with `--resume`) upgrades the checkpoint journal to
-//! per-record durability — each completed cell is fsynced, so it survives
-//! power loss, not just process death — and prints the measured
-//! µs/record cost of the upgrade before the sweep starts.
 //!
 //! `--out FILE` names the JSON report (default
 //! `results/elasticity/elasticity_sweep.json` for unsharded runs; a
-//! `--shard` run must name its own `--out` or `--resume` file so a
-//! partial report can never clobber the default complete one); the
-//! headline CSV is written next to it. Summary tables and the
-//! control-plane sanity assertions only run when the report covers the
-//! full matrix (partial shards just persist their cells).
+//! `--shard` run must name its own `--out` file so a partial report can
+//! never clobber the default complete one); the headline CSV is written
+//! next to it. Summary tables and the control-plane sanity assertions only
+//! run when the report covers the full matrix (partial shards just persist
+//! their cells).
 
+use notebookos_bench::elastic_config;
 use notebookos_bench::sweep_cli::SweepCli;
-use notebookos_bench::{
-    elastic_config, elastic_smoke_config, smoke_diurnal, smoke_flash_crowd, smoke_heterogeneous,
-};
 use notebookos_core::sweep::{Scenario, SweepSpec};
 use notebookos_core::{ElasticityKind, PolicyKind};
 use notebookos_metrics::Table;
 
-const USAGE: &str =
-    "elasticity_sweep [--smoke] [--workers N] [--shard I/M] [--out FILE] [--resume FILE] \
-     [--fsync] [--merge FILES...]";
-
-/// The full-scale scenario axis: the three stress patterns at excerpt
-/// scale (§5.2's 17.5-hour window).
-fn full_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::flash_crowd(),
-        Scenario::diurnal(),
-        Scenario::heterogeneous_hosts(),
-    ]
-}
-
-/// CI-speed variants: same stress shapes, quarter-scale populations and
-/// windows, tuned so each scenario still trips its control-plane path.
-fn smoke_scenarios() -> Vec<Scenario> {
-    vec![smoke_flash_crowd(), smoke_diurnal(), smoke_heterogeneous()]
-}
+const USAGE: &str = "elasticity_sweep [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]";
 
 fn main() {
     let mut cli = SweepCli::parse(std::env::args().skip(1), USAGE).unwrap_or_else(|msg| {
@@ -60,7 +34,7 @@ fn main() {
     });
     // The default report path only applies to a plain full run — the
     // one mode guaranteed to produce the *complete* report. A shard must
-    // name its own file (SweepCli::parse enforces --out/--resume), and a
+    // name its own file (SweepCli::parse enforces --out), and a
     // merge (which may cover only a subset of shards) only writes where
     // explicitly told, so a partial report can never clobber a
     // previously completed default one. Parent directories are created
@@ -71,26 +45,19 @@ fn main() {
     });
     cli.out = out.clone();
 
-    let scenarios = if cli.smoke {
-        smoke_scenarios()
-    } else {
-        full_scenarios()
-    };
-    let seeds: Vec<u64> = if cli.smoke {
-        vec![1, 2]
-    } else {
-        (0..5).map(|i| 2026 + i).collect()
-    };
+    // The three stress patterns at excerpt scale (§5.2's 17.5-hour
+    // window).
+    let scenarios = vec![
+        Scenario::flash_crowd(),
+        Scenario::diurnal(),
+        Scenario::heterogeneous_hosts(),
+    ];
     let spec = SweepSpec::new()
         .policies(vec![PolicyKind::NotebookOs])
         .all_elasticities()
-        .seeds(seeds)
+        .seeds((0..5).map(|i| 2026 + i).collect())
         .scenarios(scenarios.clone())
-        .configure(if cli.smoke {
-            elastic_smoke_config
-        } else {
-            elastic_config
-        });
+        .configure(elastic_config);
     eprintln!(
         "elasticity_sweep: {} runs ({} scenarios x {} elasticities x {} seeds)",
         spec.total_jobs(),
@@ -118,8 +85,8 @@ fn main() {
 
     if !SweepCli::is_complete(&spec, &report) {
         println!(
-            "elasticity_sweep: partial report ({} of {} cells) — merge the shards or \
-             --resume to complete it",
+            "elasticity_sweep: partial report ({} of {} cells) — merge the shards to \
+             complete it",
             report.len(),
             spec.total_jobs()
         );
@@ -167,7 +134,7 @@ fn main() {
         println!("{table}");
     }
 
-    // Control-plane sanity the CI smoke run enforces: the shape-aware
+    // Control-plane sanity the CI run enforces: the shape-aware
     // policy must actually diversify on the heterogeneous fleet.
     let diversified = report
         .runs_for_cell(

@@ -1,67 +1,48 @@
-//! `placement × elasticity` interaction sweep — the flagship sharded
-//! workload (ROADMAP: "Elasticity × placement interaction study").
+//! `placement × elasticity` interaction sweep — the study the shard →
+//! merge path is exercised on (ROADMAP: "Elasticity × placement interaction
+//! study").
 //!
-//! Both axes are sweepable since PR 3; crossing all four placement
-//! policies with all three elasticity policies over the heterogeneous
-//! and diurnal stress scenarios shows which pairings compound — and at
-//! full scale (72 runs of 17.5-hour simulations) it is exactly the sweep
-//! that needs to be split across machines, killed, resumed, and merged:
+//! Crossing all four placement policies with all three elasticity policies
+//! over the heterogeneous and diurnal stress scenarios shows which pairings
+//! compound: 72 runs of 17.5-hour simulations, 0.2 s on two cores. It
+//! needs no splitting at that size; it is split anyway, in CI, because the
+//! split is the contract a larger campaign would lean on — merged shards
+//! are byte-identical to one process:
 //!
 //! ```text
 //! # One process:
 //! cargo run --release -p notebookos-bench --bin sweep_shard
-//! # Two machines, then a merge with a bit-identity gate (CI does this):
-//! cargo run ... --bin sweep_shard -- --smoke --shard 0/2 --out shard-0.json
-//! cargo run ... --bin sweep_shard -- --smoke --shard 1/2 --out shard-1.json
-//! cargo run ... --bin sweep_shard -- --smoke --merge shard-0.json shard-1.json --out merged.json
-//! # Kill it, then pick up where it died:
-//! cargo run ... --bin sweep_shard -- --smoke --resume partial.json
+//! # Two shards, then a merge with a bit-identity gate (CI does this):
+//! cargo run ... --bin sweep_shard -- --shard 0/2 --out shard-0.json
+//! cargo run ... --bin sweep_shard -- --shard 1/2 --out shard-1.json
+//! cargo run ... --bin sweep_shard -- --merge shard-0.json shard-1.json --out merged.json
+//! cargo run ... --bin sweep_shard -- --shard 0/1 --out single.json
+//! cmp merged.json single.json
 //! ```
 //!
-//! Flags: `[--smoke] [--workers N] [--shard I/M] [--out FILE]
-//! [--resume FILE] [--fsync] [--merge FILES...]`. Merged or
-//! resumed-to-completion reports render the interaction tables; partial
-//! (sharded) runs just persist their cells. `--fsync` hardens the
-//! `--resume` checkpoint journal to per-record durability and prints the
-//! measured throughput cost of doing so.
+//! Flags: `[--workers N] [--shard I/M] [--out FILE] [--merge FILES...]`.
+//! A complete report (one process, or merged) renders the interaction
+//! tables; a partial (sharded) run just persists its cells. A shard that
+//! dies is run again.
 
+use notebookos_bench::elastic_config;
 use notebookos_bench::sweep_cli::SweepCli;
-use notebookos_bench::{elastic_config, elastic_smoke_config, smoke_heterogeneous};
 use notebookos_core::sweep::{Scenario, SweepSpec};
 use notebookos_core::{ElasticityKind, PlacementKind, PolicyKind};
 use notebookos_metrics::Table;
 
-const USAGE: &str =
-    "sweep_shard [--smoke] [--workers N] [--shard I/M] [--out FILE] [--resume FILE] \
-     [--fsync] [--merge FILES...]";
+const USAGE: &str = "sweep_shard [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]";
 
 /// The interaction matrix: NotebookOS under every placement × elasticity
 /// pairing, on the scenarios where the pairings differ most.
-fn interaction_spec(smoke: bool) -> SweepSpec {
-    let scenarios = if smoke {
-        vec![smoke_heterogeneous()]
-    } else {
-        vec![Scenario::heterogeneous_hosts(), Scenario::diurnal()]
-    };
-    // Two smoke seeds so the matrix spans two (scenario, seed) trace
-    // blocks — the CI shard matrix partitions it with `--shard-by block`
-    // and both shards must receive work.
-    let seeds: Vec<u64> = if smoke {
-        vec![1, 2]
-    } else {
-        (0..3).map(|i| 2026 + i).collect()
-    };
+fn interaction_spec() -> SweepSpec {
     SweepSpec::new()
         .policies(vec![PolicyKind::NotebookOs])
         .all_placements()
         .all_elasticities()
-        .seeds(seeds)
-        .scenarios(scenarios)
-        .configure(if smoke {
-            elastic_smoke_config
-        } else {
-            elastic_config
-        })
+        .seeds((0..3).map(|i| 2026 + i).collect())
+        .scenarios(vec![Scenario::heterogeneous_hosts(), Scenario::diurnal()])
+        .configure(elastic_config)
 }
 
 fn main() {
@@ -69,7 +50,7 @@ fn main() {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    let spec = interaction_spec(cli.smoke);
+    let spec = interaction_spec();
     eprintln!(
         "sweep_shard: {} interaction cells ({} scenarios x {} placements x {} elasticities x {} seeds)",
         spec.total_jobs(),
@@ -87,8 +68,7 @@ fn main() {
     // checks only make sense over the full matrix.
     if !SweepCli::is_complete(&spec, &report) {
         println!(
-            "sweep_shard: partial report ({} of {} cells) — merge the shards or \
-             --resume to complete it",
+            "sweep_shard: partial report ({} of {} cells) — merge the shards to complete it",
             report.len(),
             spec.total_jobs()
         );
@@ -127,7 +107,7 @@ fn main() {
         println!("{table}");
     }
 
-    // Sanity the CI smoke run enforces: every cell executed work, and
+    // Sanity the CI run enforces: every cell executed work, and
     // the interaction actually varies across pairings (a sweep that
     // produced one flat surface would mean an axis is not being stamped
     // through to the platform).

@@ -25,6 +25,7 @@ use notebookos_core::placement_service::{
 };
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
 use notebookos_des::{Scheduler, SimTime};
+use notebookos_jupyter::wire::fnv1a;
 use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, WireEndpoint};
 use notebookos_metrics::Cdf;
 use notebookos_trace::{generate, Popularity, SyntheticConfig, WorkloadTrace};
@@ -560,12 +561,7 @@ fn submit_cell(
 /// (the string render + 16-plus-digit hash dominated partitioning cost in
 /// >1M-event scale-out runs).
 pub fn shard_key_of_user(user: usize) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in (user as u64).to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
+    fnv1a(&(user as u64).to_le_bytes())
 }
 
 /// Maps a numeric user id onto one of `shards` shards (static partition).

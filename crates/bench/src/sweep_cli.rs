@@ -1,50 +1,36 @@
 //! Shared command-line plumbing for the sweep-driven bench binaries.
 //!
 //! Every binary that executes a [`SweepSpec`] (`sweep_shard`,
-//! `elasticity_sweep`) speaks the same four sharding/persistence flags:
+//! `elasticity_sweep`) speaks the same four flags — the one way this
+//! workspace splits a sweep across processes:
 //!
-//! * `--shard I/M` — run only shard `I` of `M` ([`SweepSpec::shard`])
-//! * `--shard-by job|block` — partition single jobs round-robin (the
-//!   default) or whole `(scenario, seed)` trace blocks
-//!   ([`SweepSpec::shard_by`], so a shard only generates its own traces)
+//! * `--shard I/M` — run only shard `I` of `M`, round-robin by global job
+//!   index ([`SweepSpec::shard`])
 //! * `--out FILE` — persist the report as JSON ([`SweepReport::write_json`])
-//! * `--resume FILE` — skip cells already persisted in `FILE` and append
-//!   the missing ones ([`SweepSpec::run_resuming`])
-//! * `--fsync` — with `--resume`, fsync the checkpoint journal after
-//!   every record ([`SweepSpec::journal_fsync`]); the measured per-record
-//!   throughput cost is printed before the sweep starts
 //! * `--merge FILES...` — run nothing; merge previously persisted shard
 //!   reports ([`SweepReport::merge`])
+//! * `--workers N` — size the worker pool (default: the machine's cores)
 //!
-//! [`SweepCli::parse`] recognizes them (plus `--smoke` and `--workers N`)
-//! and [`SweepCli::execute`] drives the corresponding engine entry point,
-//! so the binaries only build their spec and render their tables.
+//! A shard is the unit of loss: a killed shard is run again, whole. Pick
+//! `M` accordingly.
+//!
+//! [`SweepCli::parse`] recognizes the flags and [`SweepCli::execute`]
+//! drives the corresponding engine entry point, so the binaries only build
+//! their spec and render their tables.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use notebookos_core::sweep::{
-    measure_journal_fsync_cost, ShardStrategy, SweepError, SweepReport, SweepSpec,
-};
+use notebookos_core::sweep::{SweepError, SweepReport, SweepSpec};
 
 /// Parsed sharding/persistence flags shared by the sweep binaries.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCli {
-    /// `--smoke`: CI-scale workloads.
-    pub smoke: bool,
     /// `--workers N` (0 = automatic).
     pub workers: usize,
     /// `--shard I/M`.
     pub shard: Option<(usize, usize)>,
-    /// `--shard-by job|block` (default `job`): whether shards partition
-    /// single jobs round-robin or whole `(scenario, seed)` trace blocks
-    /// (so a shard only generates the traces it runs).
-    pub shard_by: ShardStrategy,
     /// `--out FILE`.
     pub out: Option<PathBuf>,
-    /// `--resume FILE`.
-    pub resume: Option<PathBuf>,
-    /// `--fsync`: per-record journal durability for resumable runs.
-    pub fsync: bool,
     /// `--merge FILES...` (every following argument up to the next
     /// `--flag`).
     pub merge: Vec<PathBuf>,
@@ -84,7 +70,6 @@ impl SweepCli {
                     .ok_or_else(|| format!("{flag} takes a value; usage: {usage}"))
             };
             match arg.as_str() {
-                "--smoke" => cli.smoke = true,
                 "--workers" => {
                     cli.workers = value("--workers")?
                         .parse()
@@ -95,20 +80,7 @@ impl SweepCli {
                         })?;
                 }
                 "--shard" => cli.shard = Some(parse_shard(&value("--shard")?)?),
-                "--shard-by" => {
-                    cli.shard_by = match value("--shard-by")?.as_str() {
-                        "job" => ShardStrategy::JobRoundRobin,
-                        "block" => ShardStrategy::TraceBlock,
-                        other => {
-                            return Err(format!(
-                                "--shard-by takes `job` or `block`, got `{other}`; usage: {usage}"
-                            ))
-                        }
-                    };
-                }
                 "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
-                "--resume" => cli.resume = Some(PathBuf::from(value("--resume")?)),
-                "--fsync" => cli.fsync = true,
                 "--merge" => {
                     // Shard report paths run up to the next `--flag`.
                     while args.peek().is_some_and(|a| !a.starts_with("--")) {
@@ -121,29 +93,21 @@ impl SweepCli {
                 other => return Err(format!("unknown argument {other:?}; usage: {usage}")),
             }
         }
-        // Merge mode runs nothing, so a shard restriction or resume file
-        // alongside it would be silently ignored — reject the
-        // combination instead of letting the user believe it happened.
-        if !cli.merge.is_empty() && (cli.shard.is_some() || cli.resume.is_some()) {
+        // Merge mode runs nothing, so a shard restriction alongside it
+        // would be silently ignored — reject the combination instead of
+        // letting the user believe it happened.
+        if !cli.merge.is_empty() && cli.shard.is_some() {
             return Err(format!(
-                "--merge cannot be combined with --shard or --resume; usage: {usage}"
+                "--merge cannot be combined with --shard; usage: {usage}"
             ));
         }
         // A sharded run must name a persistence target: partial results
-        // exist only to be merged or resumed, so running a shard and
-        // discarding its report would waste every cell it computed.
-        if cli.shard.is_some() && cli.out.is_none() && cli.resume.is_none() {
+        // exist only to be merged, so running a shard and discarding its
+        // report would waste every cell it computed.
+        if cli.shard.is_some() && cli.out.is_none() {
             return Err(format!(
-                "--shard produces partial results; give it --out FILE or --resume FILE \
-                 so the other shards can be merged in; usage: {usage}"
-            ));
-        }
-        // The checkpoint journal only exists on resumable runs, so
-        // `--fsync` without `--resume` would silently do nothing.
-        if cli.fsync && cli.resume.is_none() {
-            return Err(format!(
-                "--fsync hardens the --resume checkpoint journal; give it --resume FILE; \
-                 usage: {usage}"
+                "--shard produces partial results; give it --out FILE so the other \
+                 shards can be merged in; usage: {usage}"
             ));
         }
         Ok(cli)
@@ -152,11 +116,9 @@ impl SweepCli {
     /// Executes the flags against `spec`:
     ///
     /// * merge mode reads and merges the shard reports (running nothing);
-    /// * resume mode shards the spec if asked, then resumes from the
-    ///   `--resume` file;
-    /// * otherwise the (possibly sharded) spec runs from scratch.
+    /// * otherwise the (possibly sharded) spec runs.
     ///
-    /// In every mode the resulting report is persisted to `--out` when
+    /// In both modes the resulting report is persisted to `--out` when
     /// given, and per-run progress goes to stderr under `label`.
     ///
     /// # Errors
@@ -165,12 +127,11 @@ impl SweepCli {
     /// errors — the binaries print the error and exit non-zero.
     pub fn execute(&self, spec: &SweepSpec, label: &str) -> Result<SweepReport, SweepError> {
         let report = if !self.merge.is_empty() {
-            let mut reports = Vec::with_capacity(self.merge.len());
-            for path in &self.merge {
-                // Journal-aware: a shard killed before its final
-                // compaction still contributes every completed cell.
-                reports.push(SweepReport::read_json_with_journal(path)?);
-            }
+            let reports = self
+                .merge
+                .iter()
+                .map(SweepReport::read_json)
+                .collect::<Result<Vec<_>, _>>()?;
             let merged = SweepReport::merge(reports)?;
             // The shard files must agree with each other *and* with the
             // spec this binary would run — stale artifacts from an older
@@ -190,10 +151,9 @@ impl SweepCli {
         } else {
             let spec = match self.shard {
                 Some((index, total)) => {
-                    let sharded = spec.clone().shard(index, total).shard_by(self.shard_by);
+                    let sharded = spec.clone().shard(index, total);
                     eprintln!(
-                        "{label}: shard {index}/{total} (by {}) — {} of {} jobs",
-                        self.shard_by,
+                        "{label}: shard {index}/{total} — {} of {} jobs",
                         sharded.job_indices().len(),
                         spec.total_jobs()
                     );
@@ -201,27 +161,8 @@ impl SweepCli {
                 }
                 None => spec.clone(),
             };
-            let spec = spec.workers(self.workers).journal_fsync(self.fsync);
-            if self.fsync {
-                // Price the durability upgrade on the disk the journal
-                // will actually live on, and say so up front.
-                if let Some(path) = &self.resume {
-                    let dir = path
-                        .parent()
-                        .filter(|p| !p.as_os_str().is_empty())
-                        .unwrap_or(Path::new("."));
-                    match measure_journal_fsync_cost(dir, 64) {
-                        Ok(cost) => eprintln!("{label}: {}", cost.render()),
-                        Err(error) => eprintln!("{label}: fsync cost probe failed: {error}"),
-                    }
-                }
-            }
-            let progress =
-                |done: usize, total: usize| eprintln!("  [{done}/{total}] runs complete");
-            match &self.resume {
-                Some(path) => spec.run_resuming_with_progress(path, progress)?,
-                None => spec.run_with_progress(progress),
-            }
+            spec.workers(self.workers)
+                .run_with_progress(|done, total| eprintln!("  [{done}/{total}] runs complete"))
         };
         if let Some(out) = &self.out {
             report.write_json(out).map_err(|source| SweepError::Io {
@@ -250,21 +191,11 @@ mod tests {
 
     #[test]
     fn parses_the_shared_flag_set() {
-        let cli = parse(&[
-            "--smoke",
-            "--workers",
-            "4",
-            "--shard",
-            "1/3",
-            "--out",
-            "r.json",
-        ])
-        .expect("valid flags");
-        assert!(cli.smoke);
+        let cli =
+            parse(&["--workers", "4", "--shard", "1/3", "--out", "r.json"]).expect("valid flags");
         assert_eq!(cli.workers, 4);
         assert_eq!(cli.shard, Some((1, 3)));
         assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("r.json")));
-        assert!(cli.resume.is_none());
         assert!(cli.merge.is_empty());
     }
 
@@ -289,26 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_strategy() {
-        assert_eq!(parse(&[]).unwrap().shard_by, ShardStrategy::JobRoundRobin);
-        assert_eq!(
-            parse(&["--shard", "0/2", "--shard-by", "block", "--out", "s.json"])
-                .unwrap()
-                .shard_by,
-            ShardStrategy::TraceBlock
-        );
-        assert_eq!(
-            parse(&["--shard-by", "job"]).unwrap().shard_by,
-            ShardStrategy::JobRoundRobin
-        );
-        assert!(parse(&["--shard-by", "frob"]).is_err());
-        assert!(parse(&["--shard-by"]).is_err());
-    }
-
-    #[test]
     fn rejects_merge_combined_with_run_flags() {
         assert!(parse(&["--merge", "a.json", "--shard", "0/2", "--out", "s.json"]).is_err());
-        assert!(parse(&["--resume", "r.json", "--merge", "a.json"]).is_err());
         // --out with --merge is meaningful (persist the merged report).
         assert!(parse(&["--merge", "a.json", "--out", "m.json"]).is_ok());
     }
@@ -318,17 +231,6 @@ mod tests {
         let err = parse(&["--shard", "0/2"]).unwrap_err();
         assert!(err.contains("--out"), "{err}");
         assert!(parse(&["--shard", "0/2", "--out", "s.json"]).is_ok());
-        assert!(parse(&["--shard", "0/2", "--resume", "r.json"]).is_ok());
-    }
-
-    #[test]
-    fn fsync_requires_a_resume_journal() {
-        let err = parse(&["--fsync"]).unwrap_err();
-        assert!(err.contains("--resume"), "{err}");
-        assert!(parse(&["--fsync", "--out", "r.json"]).is_err());
-        let cli = parse(&["--fsync", "--resume", "r.json"]).expect("valid");
-        assert!(cli.fsync);
-        assert!(!parse(&["--resume", "r.json"]).unwrap().fsync);
     }
 
     #[test]

@@ -13,41 +13,33 @@
 //!   by the pool.
 //! * [`SweepReport`] — per-run [`RunMetrics`] plus cross-seed aggregation
 //!   (pooled CDFs, means, and 95 % confidence intervals —
-//!   [`SweepAggregate`]) and persistence ([`SweepReport::write_csv`],
-//!   [`SweepReport::write_json`]) so long sweeps re-render figures from
-//!   disk instead of re-running.
+//!   [`SweepAggregate`]) and persistence ([`SweepReport::write_json`],
+//!   the full records; [`SweepReport::write_csv`], the headline scalars).
 //!
-//! # Sharding, resuming, merging
+//! # Sharding and merging
 //!
-//! The job list is deterministic and indexable, which makes cross-process
-//! partitioning safe and merge-order irrelevant:
+//! There is one way to split a sweep across processes. The job list is
+//! deterministic and indexable, which makes the partition safe and the
+//! merge order irrelevant:
 //!
 //! * [`SweepSpec::shard`] restricts a spec to the jobs whose global index
 //!   is congruent to `index` modulo `total` — run shard `i/M` on `M`
-//!   machines and every job runs exactly once. [`SweepSpec::shard_by`]
-//!   with [`ShardStrategy::TraceBlock`] partitions whole
-//!   `(scenario, seed)` trace blocks instead, so each shard only
-//!   generates the traces it actually runs.
-//! * [`SweepReport::read_json`] loads a persisted report back into full
-//!   [`SweepRun`]s (round trip: `write_json → read_json` is
-//!   `PartialEq`-identity); [`SweepReport::read_csv`] loads the headline
-//!   scalars for spot checks.
+//!   machines and every job runs exactly once.
+//! * [`SweepReport::write_json`] persists a shard's runs and
+//!   [`SweepReport::read_json`] loads them back into full [`SweepRun`]s
+//!   (`write_json → read_json` is `PartialEq`-identity).
 //! * [`SweepReport::merge`] combines shard reports after validating that
 //!   their [`SweepSpec::fingerprint`]s match and their job indices are
 //!   disjoint; runs are re-ordered by job index, so the merged report is
 //!   bit-identical to a single-process run of the unsharded spec.
-//! * [`SweepSpec::run_resuming`] skips cells already present in a
-//!   persisted report and appends only the missing ones — kill a sweep,
-//!   re-invoke it, and completed cells are never re-run.
 //!
-//! Writes go through a `.tmp` sibling plus rename, so a sweep killed
-//! mid-write cannot leave a truncated report that poisons a later resume.
-//! Resume progress is checkpointed through an append-only
-//! `<report>.journal` sidecar (one fingerprint-stamped record per
-//! completed cell, compacted into the canonical report at the end and
-//! recovered by [`SweepReport::read_json_with_journal`]), so checkpoint
-//! I/O is O(cells) instead of the O(cells²) a whole-report rewrite per
-//! cell would cost.
+//! Resuming is sharding in time: the shard is the unit of loss, so a sweep
+//! long enough to fear a kill is run as `M` shards and only the shard that
+//! died is run again. There is no per-cell checkpoint — the largest sweep
+//! this repository commits (72 runs of the 17.5-hour excerpt) takes 0.2 s
+//! on two cores. Writes go through a `.tmp` sibling plus rename, so a
+//! process killed mid-write cannot leave a truncated report for a later
+//! merge to trip over.
 //!
 //! # Determinism
 //!
@@ -57,7 +49,7 @@
 //! inputs produces, whatever the worker count — the
 //! `sweep_runs_equal_sequential_runs` property test in `tests/properties.rs`
 //! locks this in, and `tests/sweep_sharding.rs` extends the guarantee
-//! across shard/resume/merge boundaries.
+//! across shard/merge boundaries.
 //!
 //! # Example
 //!
@@ -77,7 +69,6 @@
 //! assert_eq!(agg.interactivity_p50_ms.n, 2);
 //! ```
 
-use std::collections::HashSet;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -85,6 +76,8 @@ use std::sync::{Arc, Mutex};
 
 use crossbeam::channel;
 use notebookos_cluster::ResourceBundle;
+use notebookos_jupyter::json::encode_string;
+use notebookos_jupyter::wire::fnv1a;
 use notebookos_jupyter::Json;
 use notebookos_metrics::{Cdf, MeanCi, Timeline};
 use notebookos_trace::{generate_with_profile, SyntheticConfig, TraceProfile, WorkloadTrace};
@@ -94,10 +87,10 @@ use crate::latency_breakdown::Step;
 use crate::platform::Platform;
 use crate::results::{RunCounters, RunMetrics};
 
-/// Failure loading, merging, or resuming persisted sweep reports. Every
-/// variant carries enough context to say *which* file or cell is bad —
-/// a truncated or hand-edited report must surface as a clear error, never
-/// a panic, because `--resume` feeds these files back into long runs.
+/// Failure loading or merging persisted sweep reports. Every variant
+/// carries enough context to say *which* file or cell is bad — a truncated
+/// or hand-edited report must surface as a clear error, never a panic,
+/// because `--merge` feeds these files back into a study's tables.
 #[derive(Debug)]
 pub enum SweepError {
     /// Reading or writing `path` failed at the I/O layer.
@@ -123,8 +116,8 @@ pub enum SweepError {
         /// What was missing or malformed.
         message: String,
     },
-    /// Two reports (or a report and the resuming spec) were produced by
-    /// different sweep specifications and cannot be combined.
+    /// Two reports (or the merged reports and the spec they are rendered
+    /// against) come from different sweep specifications.
     FingerprintMismatch {
         /// Fingerprint of the spec or first report.
         expected: u64,
@@ -185,28 +178,9 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — the stable, dependency-free hash behind
-/// [`SweepSpec::fingerprint`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Worker count used when a spec asks for `0`: the
-/// `NOTEBOOKOS_SWEEP_WORKERS` environment variable if set to a positive
-/// integer, otherwise the machine's available parallelism.
+/// Worker count used when a spec asks for `0`: the machine's available
+/// parallelism.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("NOTEBOOKOS_SWEEP_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -458,32 +432,6 @@ impl Scenario {
     }
 }
 
-/// How [`SweepSpec::shard`] assigns jobs to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Jobs round-robin by global index (`index % total`). Balances load
-    /// to the single job whatever the axis shape, but every shard of a
-    /// wide matrix touches most `(scenario, seed)` blocks and therefore
-    /// regenerates most traces.
-    #[default]
-    JobRoundRobin,
-    /// Whole `(scenario, seed)` trace blocks round-robin
-    /// (`block % total`): a shard only generates the traces it actually
-    /// runs, cutting per-shard trace-generation from O(blocks) to
-    /// O(blocks / total). Block granularity — shards can differ by up to
-    /// one block's worth of jobs.
-    TraceBlock,
-}
-
-impl fmt::Display for ShardStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardStrategy::JobRoundRobin => write!(f, "job"),
-            ShardStrategy::TraceBlock => write!(f, "block"),
-        }
-    }
-}
-
 /// A matrix of policies × placements × elasticities × seeds × scenarios,
 /// executed by the worker pool — optionally restricted to one shard of
 /// the job list for cross-process partitioning.
@@ -513,11 +461,6 @@ pub struct SweepSpec {
     /// `(index, total)` shard restriction set by [`SweepSpec::shard`];
     /// `None` runs every job.
     shard: Option<(usize, usize)>,
-    /// How the shard restriction maps jobs to shards.
-    shard_strategy: ShardStrategy,
-    /// Whether resumable runs fsync the checkpoint journal after every
-    /// appended record (see [`SweepSpec::journal_fsync`]).
-    journal_fsync: bool,
 }
 
 impl Default for SweepSpec {
@@ -538,8 +481,6 @@ impl SweepSpec {
             configure: PlatformConfig::evaluation,
             workers: 0,
             shard: None,
-            shard_strategy: ShardStrategy::default(),
-            journal_fsync: false,
         }
     }
 
@@ -616,66 +557,11 @@ impl SweepSpec {
         self
     }
 
-    /// Sets how [`SweepSpec::shard`] maps jobs to shards (the default is
-    /// [`ShardStrategy::JobRoundRobin`]). Block alignment
-    /// ([`ShardStrategy::TraceBlock`]) keeps every job of a
-    /// `(scenario, seed)` block on one shard, so a shard only generates
-    /// the traces it actually runs — the right choice when trace
-    /// generation is a visible fraction of shard runtime. The strategy
-    /// never changes *which* global indices exist, only their grouping,
-    /// so shards produced under different strategies still merge (though
-    /// a complete partition must of course use one strategy throughout).
-    pub fn shard_by(mut self, strategy: ShardStrategy) -> Self {
-        self.shard_strategy = strategy;
-        self
-    }
-
-    /// Opts resumable runs into per-record durability: every journal
-    /// append is followed by `fsync` (`File::sync_data`), so a completed
-    /// cell survives power loss, not just process death. The default
-    /// (`false`) leaves appends buffered in the page cache — a kill still
-    /// loses at most the cells in flight, but an OS crash can lose
-    /// recently completed ones.
-    ///
-    /// This is an execution-durability knob, not part of the sweep's
-    /// identity: like `workers` and the shard restriction, it is
-    /// deliberately excluded from [`SweepSpec::fingerprint`], so fsync
-    /// and buffered shards of one spec resume and merge freely. Measure
-    /// the throughput cost with [`measure_journal_fsync_cost`].
-    pub fn journal_fsync(mut self, fsync: bool) -> Self {
-        self.journal_fsync = fsync;
-        self
-    }
-
-    /// Whether resumable runs fsync the journal after every record.
-    pub fn journal_fsync_enabled(&self) -> bool {
-        self.journal_fsync
-    }
-
-    /// The shard restriction, if any, as `(index, total)`.
-    pub fn shard_of(&self) -> Option<(usize, usize)> {
-        self.shard
-    }
-
-    /// The active shard-assignment strategy.
-    pub fn shard_strategy(&self) -> ShardStrategy {
-        self.shard_strategy
-    }
-
-    /// Jobs per `(scenario, seed)` trace block: consecutive global
-    /// indices sharing one generated trace.
-    fn jobs_per_block(&self) -> usize {
-        (self.policies.len() * self.placements.len().max(1) * self.elasticities.len()).max(1)
-    }
-
     /// Whether global job `index` belongs to this spec's shard.
     fn shard_selects(&self, index: usize) -> bool {
         match self.shard {
             None => true,
-            Some((shard_index, total)) => match self.shard_strategy {
-                ShardStrategy::JobRoundRobin => index % total == shard_index,
-                ShardStrategy::TraceBlock => (index / self.jobs_per_block()) % total == shard_index,
-            },
+            Some((shard_index, total)) => index % total == shard_index,
         }
     }
 
@@ -705,14 +591,12 @@ impl SweepSpec {
     /// the hook is a function pointer with no stable identity, so the
     /// sample [`PlatformConfig`] it produces for each policy on the axis
     /// is hashed instead. Two specs differing only in base configuration
-    /// (e.g. replication factor or autoscale tuning) therefore no longer
-    /// alias each other's resume files and shard reports.
+    /// (e.g. replication factor or autoscale tuning) therefore do not
+    /// alias each other's shard reports.
     ///
     /// Two specs share a fingerprint iff they expand to the same job
-    /// list. Deliberately *excluded*: `workers`, the shard
-    /// restriction/strategy (shards of one spec must agree), and the
-    /// [`SweepSpec::journal_fsync`] durability knob (it changes how
-    /// checkpoints hit disk, never which cells exist).
+    /// list. Deliberately *excluded*: `workers` and the shard restriction
+    /// (shards of one spec must agree).
     pub fn fingerprint(&self) -> u64 {
         let mut desc = String::from("sweep-v2;policies=[");
         for p in &self.policies {
@@ -815,450 +699,41 @@ impl SweepSpec {
 
     /// Executes the matrix, invoking `progress(done_so_far, total)` on the
     /// coordinating thread as each run completes.
-    pub fn run_with_progress<P: FnMut(usize, usize)>(&self, progress: P) -> SweepReport {
-        SweepReport {
-            fingerprint: self.fingerprint(),
-            runs: execute_jobs(self.jobs(), self.workers, progress),
-        }
-    }
-
-    /// Executes the matrix *resuming* from the report persisted at
-    /// `path`: cells whose [`RunMetrics`] already exist there are skipped,
-    /// only the missing ones run, and the combined report (existing runs
-    /// plus new ones, in job order) is written back to `path` atomically
-    /// and returned.
-    ///
-    /// The persisted report must carry this spec's
-    /// [`SweepSpec::fingerprint`]; a report from a different spec is
-    /// rejected rather than silently mixed. A missing file resumes from
-    /// nothing — `run_resuming` on a fresh path is `run` plus
-    /// `write_json`. Runs from other shards already in the file are
-    /// preserved untouched, so shards running *sequentially* may share
-    /// one resume file. There is no file locking: two shard processes
-    /// resuming the same file *concurrently* race on the final
-    /// read-modify-write and the last rename wins, dropping the other's
-    /// runs — concurrent shards must write one file each and
-    /// [`SweepReport::merge`] afterwards.
-    ///
-    /// Progress is checkpointed: after every completed cell the combined
-    /// report is atomically rewritten to `path`, so killing the process
-    /// at any point loses only the cells still in flight. Checkpoint
-    /// write failures are deliberately swallowed mid-sweep (a transient
-    /// full disk must not abort hours of simulation); the final write is
-    /// authoritative and error-checked.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unreadable/corrupt reports (including duplicate job
-    /// indices in the file), fingerprint mismatches, and I/O errors
-    /// writing the combined report back.
-    pub fn run_resuming(&self, path: impl AsRef<Path>) -> Result<SweepReport, SweepError> {
-        self.run_resuming_with_progress(path, |_, _| {})
-    }
-
-    /// [`SweepSpec::run_resuming`] with a `progress(done, missing_total)`
-    /// callback counting only the cells that actually run — a fully
-    /// persisted sweep reports `missing_total == 0` and never invokes it.
-    ///
-    /// Checkpointing is O(cells), not O(cells²): each completed cell
-    /// appends exactly one record to the `<path>.journal` sidecar instead
-    /// of rewriting the whole report, and the journal is compacted into
-    /// the canonical report (then deleted) once the sweep finishes. A
-    /// kill at any point loses only the cells still in flight — the next
-    /// resume folds both the report and any surviving journal back in.
-    pub fn run_resuming_with_progress<P: FnMut(usize, usize)>(
-        &self,
-        path: impl AsRef<Path>,
-        mut progress: P,
-    ) -> Result<SweepReport, SweepError> {
-        let path = path.as_ref();
-        let fingerprint = self.fingerprint();
-        let existing = match load_report_with_journal(path)? {
-            Some(report) => {
-                if report.fingerprint != fingerprint {
-                    return Err(SweepError::FingerprintMismatch {
-                        expected: fingerprint,
-                        found: report.fingerprint,
-                    });
-                }
-                report.runs
-            }
-            None => Vec::new(),
-        };
-        // A hand-assembled file with the same cell twice would silently
-        // satisfy completeness checks and double-count aggregates.
-        let mut have_sorted: Vec<usize> = existing.iter().map(|r| r.job_index).collect();
-        have_sorted.sort_unstable();
-        if let Some(pair) = have_sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Err(SweepError::OverlappingRuns { job_index: pair[0] });
-        }
-        let have: HashSet<usize> = have_sorted.into_iter().collect();
-        let missing: Vec<SweepJob> = self
-            .jobs()
-            .into_iter()
-            .filter(|job| !have.contains(&job.index))
-            .collect();
-        let missing_total = missing.len();
-        let labels: Vec<RunLabels> = missing.iter().map(RunLabels::of).collect();
-        let mut report = SweepReport {
-            fingerprint,
-            runs: existing,
-        };
-        // Checkpoint journal — kill-anywhere durability at one appended
-        // record per completed cell. Open/append failures are tolerated
-        // (a transient full disk must not abort hours of simulation) and
-        // caught by the authoritative final write below.
-        let mut journal = if missing_total > 0 {
-            SweepJournal::open(&journal_path(path), fingerprint, self.journal_fsync).ok()
-        } else {
-            None
-        };
+    pub fn run_with_progress<P: FnMut(usize, usize)>(&self, mut progress: P) -> SweepReport {
+        let jobs = self.jobs();
+        let total = jobs.len();
         let mut done = 0usize;
-        parallel_map_indexed(
-            missing,
+        let runs = parallel_map_indexed(
+            jobs,
             self.workers,
-            |_, job: SweepJob| job.run(),
-            |idx, metrics: &RunMetrics| {
-                let run = labels[idx].clone().into_run(metrics.clone());
-                if let Some(journal) = journal.as_mut() {
-                    journal.append(&run).ok();
-                }
-                report.runs.push(run);
+            // The labels are read off the job before `run` consumes it
+            // (and with it the job's share of the trace).
+            |_, job: SweepJob| SweepRun {
+                job_index: job.index,
+                scenario: job.scenario.clone(),
+                policy: job.policy,
+                placement: job.placement,
+                elasticity: job.elasticity,
+                seed: job.seed,
+                metrics: job.run(),
+            },
+            |_, _| {
                 done += 1;
-                progress(done, missing_total);
+                progress(done, total);
             },
         );
-        drop(journal);
-        report.runs.sort_by_key(|r| r.job_index);
-        report.write_json(path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        // The canonical report now holds everything the journal did;
-        // removing it keeps a later resume from re-reading stale records
-        // (they would dedup away, but the file would linger forever).
-        std::fs::remove_file(journal_path(path)).ok();
-        Ok(report)
-    }
-}
-
-/// The append-only checkpoint sidecar of a resumable sweep at `path`:
-/// `<path>.journal` next to the report.
-pub fn journal_path(report: &Path) -> PathBuf {
-    match report.file_name() {
-        Some(name) => report.with_file_name(format!("{}.journal", name.to_string_lossy())),
-        None => report.with_file_name(".journal"),
-    }
-}
-
-/// One resumable sweep's append-only checkpoint file: a fingerprint
-/// header line followed by one single-line JSON run record per completed
-/// cell. Appends are newline-framed, so a record is durable iff its
-/// newline made it to disk — a kill mid-append loses at most that record.
-struct SweepJournal {
-    file: std::fs::File,
-    /// Fsync after every append ([`SweepSpec::journal_fsync`]): records
-    /// survive power loss, at a measurable per-record cost.
-    fsync: bool,
-}
-
-impl SweepJournal {
-    /// Opens (creating if needed) the journal, writing the fingerprint
-    /// header when the file is new or empty. Any torn trailing partial
-    /// line (a previous process killed mid-append) is truncated away
-    /// first — appending straight after the fragment would glue the next
-    /// record onto it and turn a tolerated interruption into a malformed
-    /// *complete* line that every later read rejects as corruption.
-    fn open(path: &Path, fingerprint: u64, fsync: bool) -> std::io::Result<SweepJournal> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)?;
-        let len = file.metadata()?.len();
-        if len > 0 {
-            let content = std::fs::read(path)?;
-            let durable = content
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map(|i| i as u64 + 1)
-                .unwrap_or(0);
-            if durable < len {
-                file.set_len(durable)?;
-            }
-        }
-        if file.metadata()?.len() == 0 {
-            file.write_all(format!("{{\"fingerprint\": \"{fingerprint:#018x}\"}}\n").as_bytes())?;
-            if fsync {
-                file.sync_data()?;
-            }
-        }
-        Ok(SweepJournal { file, fsync })
-    }
-
-    /// Appends one run record as a single newline-terminated line (the
-    /// record and its terminator go down in one write), followed by
-    /// `sync_data` when the journal is in fsync mode.
-    fn append(&mut self, run: &SweepRun) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        write_run_json(&mut buf, run)?;
-        // `write_run_json` pretty-prints; JSON is whitespace-insensitive,
-        // so flattening the newlines (string values escape control
-        // characters) turns it into one JSONL-framed line.
-        for b in &mut buf {
-            if *b == b'\n' {
-                *b = b' ';
-            }
-        }
-        buf.push(b'\n');
-        self.file.write_all(&buf)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        Ok(())
-    }
-}
-
-/// Measured per-record append cost of the sweep checkpoint journal with
-/// buffered (default) and per-record-fsync durability — the number the
-/// sweep binaries print when `--fsync` is requested, so the trade is
-/// visible rather than folklore.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JournalFsyncCost {
-    /// Mean buffered append cost, microseconds per record.
-    pub buffered_us_per_record: f64,
-    /// Mean fsync-mode append cost (`write` + `sync_data`), microseconds
-    /// per record.
-    pub fsync_us_per_record: f64,
-    /// Records appended in each mode.
-    pub records: usize,
-}
-
-impl JournalFsyncCost {
-    /// Multiplicative slowdown of fsync mode over buffered appends.
-    pub fn slowdown(&self) -> f64 {
-        if self.buffered_us_per_record <= 0.0 {
-            1.0
-        } else {
-            self.fsync_us_per_record / self.buffered_us_per_record
+        SweepReport {
+            fingerprint: self.fingerprint(),
+            runs,
         }
     }
-
-    /// One-line human rendering, e.g. for sweep-binary output.
-    pub fn render(&self) -> String {
-        format!(
-            "journal fsync cost: {:.1} µs/record buffered vs {:.1} µs/record fsynced \
-             ({:.1}x, {} records measured)",
-            self.buffered_us_per_record,
-            self.fsync_us_per_record,
-            self.slowdown(),
-            self.records,
-        )
-    }
-}
-
-/// Measures what [`SweepSpec::journal_fsync`] actually costs on the disk
-/// under `dir`: appends `records` synthetic run records to a throwaway
-/// journal in each mode and reports the mean per-record append time. The
-/// probe files are created inside `dir` and removed before returning.
-///
-/// # Errors
-///
-/// Fails on I/O errors creating, appending to, or removing the probe
-/// journals.
-pub fn measure_journal_fsync_cost(dir: &Path, records: usize) -> std::io::Result<JournalFsyncCost> {
-    let probe = SweepRun {
-        job_index: 0,
-        scenario: "fsync-probe".to_string(),
-        policy: PolicyKind::NotebookOs,
-        placement: PlacementKind::LeastLoaded,
-        elasticity: ElasticityKind::Threshold,
-        seed: 0,
-        metrics: RunMetrics::new("fsync-probe"),
-    };
-    let measure = |fsync: bool| -> std::io::Result<f64> {
-        let path = dir.join(if fsync {
-            "fsync-probe-synced.journal"
-        } else {
-            "fsync-probe-buffered.journal"
-        });
-        let mut journal = SweepJournal::open(&path, 0, fsync)?;
-        let started = std::time::Instant::now();
-        for _ in 0..records {
-            journal.append(&probe)?;
-        }
-        let elapsed = started.elapsed();
-        drop(journal);
-        std::fs::remove_file(&path)?;
-        Ok(elapsed.as_secs_f64() * 1e6 / records.max(1) as f64)
-    };
-    Ok(JournalFsyncCost {
-        buffered_us_per_record: measure(false)?,
-        fsync_us_per_record: measure(true)?,
-        records,
-    })
-}
-
-/// Reads a checkpoint journal back: `Ok(None)` when the file does not
-/// exist or holds no complete header line (a kill before the header's
-/// newline), otherwise the header fingerprint plus every durable
-/// (newline-terminated) record. A partial trailing line — the signature
-/// of a kill mid-append — is ignored; a malformed *complete* line is an
-/// error, because that means corruption rather than interruption.
-fn read_journal(path: &Path) -> Result<Option<(u64, Vec<SweepRun>)>, SweepError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(source) => {
-            return Err(SweepError::Io {
-                path: path.to_path_buf(),
-                source,
-            })
-        }
-    };
-    // Only newline-terminated lines are durable records.
-    let durable = match text.rfind('\n') {
-        Some(end) => &text[..end],
-        None => return Ok(None),
-    };
-    let mut lines = durable.lines();
-    let Some(header) = lines.next() else {
-        return Ok(None);
-    };
-    let json_err = |message: String| SweepError::Json {
-        path: path.to_path_buf(),
-        message,
-    };
-    let format_err = |message: String| SweepError::Format {
-        path: path.to_path_buf(),
-        message,
-    };
-    let header = Json::parse(header).map_err(|e| json_err(format!("journal header: {e}")))?;
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .and_then(|s| s.strip_prefix("0x"))
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .ok_or_else(|| format_err("journal header has no valid `fingerprint`".into()))?;
-    let mut runs = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = Json::parse(line).map_err(|e| json_err(format!("journal record {i}: {e}")))?;
-        runs.push(decode_run(&record).map_err(|m| format_err(format!("journal record {i}: {m}")))?);
-    }
-    Ok(Some((fingerprint, runs)))
-}
-
-/// Loads the report at `path` together with any surviving checkpoint
-/// journal: journal records whose cells the report already holds are
-/// skipped (the signature of a kill between compaction and journal
-/// deletion), the rest are folded in by job index. `Ok(None)` when
-/// neither file exists.
-fn load_report_with_journal(path: &Path) -> Result<Option<SweepReport>, SweepError> {
-    let journal = read_journal(&journal_path(path))?;
-    let mut report = if path.exists() {
-        Some(SweepReport::read_json(path)?)
-    } else {
-        None
-    };
-    if let Some((journal_fingerprint, journal_runs)) = journal {
-        let report = report.get_or_insert_with(|| SweepReport {
-            fingerprint: journal_fingerprint,
-            runs: Vec::new(),
-        });
-        if report.fingerprint != journal_fingerprint {
-            return Err(SweepError::FingerprintMismatch {
-                expected: report.fingerprint,
-                found: journal_fingerprint,
-            });
-        }
-        let mut have: HashSet<usize> = report.runs.iter().map(|r| r.job_index).collect();
-        for run in journal_runs {
-            if have.insert(run.job_index) {
-                report.runs.push(run);
-            }
-        }
-        report.runs.sort_by_key(|r| r.job_index);
-    }
-    Ok(report)
-}
-
-/// The axis labels of one job, captured before the job (and its shared
-/// trace) moves onto the worker pool; [`RunLabels::into_run`] re-attaches
-/// them to the produced metrics. One definition serves both the plain-run
-/// and the resume path, so a future axis (as `placement` was in this
-/// revision) threads through exactly one place.
-#[derive(Clone)]
-struct RunLabels {
-    job_index: usize,
-    scenario: String,
-    policy: PolicyKind,
-    placement: PlacementKind,
-    elasticity: ElasticityKind,
-    seed: u64,
-}
-
-impl RunLabels {
-    fn of(job: &SweepJob) -> RunLabels {
-        RunLabels {
-            job_index: job.index,
-            scenario: job.scenario.clone(),
-            policy: job.policy,
-            placement: job.placement,
-            elasticity: job.elasticity,
-            seed: job.seed,
-        }
-    }
-
-    fn into_run(self, metrics: RunMetrics) -> SweepRun {
-        SweepRun {
-            job_index: self.job_index,
-            scenario: self.scenario,
-            policy: self.policy,
-            placement: self.placement,
-            elasticity: self.elasticity,
-            seed: self.seed,
-            metrics,
-        }
-    }
-}
-
-/// Runs labelled jobs on the pool and pairs each result with its labels,
-/// in job order — shared by [`SweepSpec::run_with_progress`] and the
-/// resume path.
-fn execute_jobs<P: FnMut(usize, usize)>(
-    jobs: Vec<SweepJob>,
-    workers: usize,
-    mut progress: P,
-) -> Vec<SweepRun> {
-    let total = jobs.len();
-    let labels: Vec<RunLabels> = jobs.iter().map(RunLabels::of).collect();
-    let mut done = 0usize;
-    let metrics = parallel_map_indexed(
-        jobs,
-        workers,
-        |_, job: SweepJob| job.run(),
-        |_, _| {
-            done += 1;
-            progress(done, total);
-        },
-    );
-    labels
-        .into_iter()
-        .zip(metrics)
-        .map(|(labels, metrics)| labels.into_run(metrics))
-        .collect()
 }
 
 /// One completed run inside a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
     /// Global index of the run's job in the unsharded job order — the
-    /// identity [`SweepReport::merge`] and resume deduplicate by.
+    /// identity [`SweepReport::merge`] checks disjointness by.
     pub job_index: usize,
     /// Scenario label.
     pub scenario: String,
@@ -1278,7 +753,7 @@ pub struct SweepRun {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// [`SweepSpec::fingerprint`] of the spec that produced the runs —
-    /// the compatibility check for merging shards and resuming.
+    /// the compatibility check for merging shards.
     pub fingerprint: u64,
     /// Per-run records, in the deterministic job order of
     /// [`SweepSpec::jobs`].
@@ -1438,15 +913,15 @@ impl SweepReport {
     }
 
     // ------------------------------------------------------------------
-    // Persistence: long sweeps serialize per-run records so figures can
-    // re-render without re-running, shards can merge, and interrupted
-    // sweeps can resume (ROADMAP: sweep-level resumability + sharding).
-    // Both writers stage into a `.tmp` sibling and rename, so a killed
-    // sweep never leaves a truncated file behind.
+    // Persistence: per-run records are serialized so shards can merge and
+    // a study's numbers can be read outside this process. Both writers
+    // stage into a `.tmp` sibling and rename, so a killed sweep never
+    // leaves a truncated file behind.
     // ------------------------------------------------------------------
 
-    /// Writes one CSV row of headline scalars per run. Re-rendering a
-    /// summary table or cost/latency comparison needs only this file.
+    /// Writes one CSV row of headline scalars per run — the spreadsheet
+    /// view of a study. Nothing in this workspace reads it back; the full
+    /// records live in the JSON report.
     ///
     /// # Errors
     ///
@@ -1500,8 +975,7 @@ impl SweepReport {
     }
 
     /// Writes the full per-run records — every CDF sample, timeline point,
-    /// breakdown step, and counter — as JSON, so any figure can re-render
-    /// from disk without re-running the sweep. [`SweepReport::read_json`]
+    /// breakdown step, and counter — as JSON. [`SweepReport::read_json`]
     /// inverts this exactly; the serialization is deterministic, so equal
     /// reports produce byte-identical files (the property the CI shard
     /// determinism gate compares with `cmp`).
@@ -1526,33 +1000,10 @@ impl SweepReport {
         writeln!(out, "}}")
     }
 
-    /// [`SweepReport::read_json`] plus recovery of any surviving
-    /// `<path>.journal` checkpoint sidecar: cells a killed
-    /// [`SweepSpec::run_resuming`] completed but never compacted are
-    /// folded in by job index (records the report already holds are
-    /// skipped). Works even when only the journal exists — the file a
-    /// sweep killed before its first compaction leaves behind — so
-    /// `--merge` can stitch partial shard work together.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SweepReport::read_json`] raises, plus
-    /// [`SweepError::FingerprintMismatch`] when the journal belongs to a
-    /// different spec than the report, and [`SweepError::Io`] when
-    /// neither file exists.
-    pub fn read_json_with_journal(path: impl AsRef<Path>) -> Result<SweepReport, SweepError> {
-        let path = path.as_ref();
-        match load_report_with_journal(path)? {
-            Some(report) => Ok(report),
-            // Neither file exists: surface the report's NotFound.
-            None => SweepReport::read_json(path),
-        }
-    }
-
     /// Loads a report persisted by [`SweepReport::write_json`] back into
     /// full [`SweepRun`]s — every CDF sample, timeline point, breakdown
-    /// step, and counter — so figures re-render and sweeps resume without
-    /// re-running. `write_json → read_json` is `PartialEq`-identity.
+    /// step, and counter — so shard reports merge without re-running.
+    /// `write_json → read_json` is `PartialEq`-identity.
     ///
     /// Integers above 2⁵³ (never produced by the platform's counters or
     /// the bundled seeds) would lose precision through the JSON number
@@ -1596,134 +1047,16 @@ impl SweepReport {
         }
         Ok(SweepReport { fingerprint, runs })
     }
-
-    /// Loads the headline scalars persisted by [`SweepReport::write_csv`]
-    /// — one [`SweepCsvRow`] per run, fields resolved by header name so
-    /// future column additions stay compatible. The full measurement
-    /// records live only in the JSON report; this is the spot-check path.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Io`] when the file cannot be read and
-    /// [`SweepError::Format`] when the header or a row is malformed.
-    pub fn read_csv(path: impl AsRef<Path>) -> Result<Vec<SweepCsvRow>, SweepError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let format_err = |message: String| SweepError::Format {
-            path: path.to_path_buf(),
-            message,
-        };
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| format_err("empty CSV".into()))?;
-        let columns: Vec<String> = split_csv_row(header);
-        let column = |name: &str| {
-            columns
-                .iter()
-                .position(|c| c == name)
-                .ok_or_else(|| format_err(format!("missing column `{name}`")))
-        };
-        let idx_scenario = column("scenario")?;
-        let idx_policy = column("policy")?;
-        let idx_elasticity = column("elasticity")?;
-        let idx_placement = column("placement")?;
-        let idx_seed = column("seed")?;
-        let idx_job_index = column("job_index")?;
-        let idx_executions = column("executions")?;
-        let idx_aborted = column("aborted")?;
-        let idx_interactivity = column("interactivity_p50_ms")?;
-        let idx_tct = column("tct_p50_ms")?;
-        let idx_cost = column("provider_cost_usd")?;
-        let idx_end = column("end_s")?;
-        let mut rows = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let fields = split_csv_row(line);
-            if fields.len() != columns.len() {
-                return Err(format_err(format!(
-                    "row {}: {} fields, header has {}",
-                    lineno + 2,
-                    fields.len(),
-                    columns.len()
-                )));
-            }
-            let cell_err =
-                |name: &str| format_err(format!("row {}: bad `{name}` field", lineno + 2));
-            rows.push(SweepCsvRow {
-                scenario: fields[idx_scenario].clone(),
-                policy: fields[idx_policy].clone(),
-                elasticity: fields[idx_elasticity].clone(),
-                placement: fields[idx_placement].clone(),
-                seed: fields[idx_seed].parse().map_err(|_| cell_err("seed"))?,
-                job_index: fields[idx_job_index]
-                    .parse()
-                    .map_err(|_| cell_err("job_index"))?,
-                executions: fields[idx_executions]
-                    .parse()
-                    .map_err(|_| cell_err("executions"))?,
-                aborted: fields[idx_aborted]
-                    .parse()
-                    .map_err(|_| cell_err("aborted"))?,
-                interactivity_p50_ms: fields[idx_interactivity]
-                    .parse()
-                    .map_err(|_| cell_err("interactivity_p50_ms"))?,
-                tct_p50_ms: fields[idx_tct]
-                    .parse()
-                    .map_err(|_| cell_err("tct_p50_ms"))?,
-                provider_cost_usd: fields[idx_cost]
-                    .parse()
-                    .map_err(|_| cell_err("provider_cost_usd"))?,
-                end_s: fields[idx_end].parse().map_err(|_| cell_err("end_s"))?,
-            });
-        }
-        Ok(rows)
-    }
-}
-
-/// Headline scalars of one persisted run, parsed back from the CSV report
-/// by [`SweepReport::read_csv`] for spot checks and external tooling.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepCsvRow {
-    /// Scenario label.
-    pub scenario: String,
-    /// Policy label (the [`PolicyKind`] `Display` form).
-    pub policy: String,
-    /// Elasticity label (the [`ElasticityKind`] `Display` form).
-    pub elasticity: String,
-    /// Placement label (the [`PlacementKind`] `Display` form).
-    pub placement: String,
-    /// The run's seed.
-    pub seed: u64,
-    /// Global job index of the run.
-    pub job_index: usize,
-    /// Executions completed.
-    pub executions: u64,
-    /// Executions aborted.
-    pub aborted: u64,
-    /// Median interactivity delay, milliseconds.
-    pub interactivity_p50_ms: f64,
-    /// Median task completion time, milliseconds.
-    pub tct_p50_ms: f64,
-    /// Final provider cost, USD.
-    pub provider_cost_usd: f64,
-    /// Virtual end time of the run, seconds.
-    pub end_s: f64,
 }
 
 /// Writes a file atomically: `emit` streams into a buffered `.tmp`
 /// sibling in the same directory, which is then renamed over the target
 /// (and removed when staging fails). Missing parent directories are
 /// created — an `--out results/study/s0.json` into a directory that
-/// does not exist yet must not fail *after* hours of sweep have run. A
-/// process killed mid-write leaves at worst a stale `.tmp`, never a
-/// truncated file, and full-scale reports never buffer whole in memory.
-/// Public because every artifact feeding a `--resume`-style loop (sweep
-/// reports, `repro_all` manifests) needs the same guarantees.
-pub fn write_atomic(
+/// does not exist yet must not fail *after* the sweep has run. A process
+/// killed mid-write leaves at worst a stale `.tmp`, never a truncated
+/// file, and full-scale reports never buffer whole in memory.
+fn write_atomic(
     path: &Path,
     emit: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
@@ -1749,32 +1082,6 @@ pub fn write_atomic(
     std::fs::rename(&tmp, path)
 }
 
-/// Splits one CSV row honoring the quoting [`csv_field`] emits (labels
-/// like `hysteresis(cooldown=120s,surplus=4)` contain commas).
-fn split_csv_row(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => fields.push(std::mem::take(&mut field)),
-            c => field.push(c),
-        }
-    }
-    fields.push(field);
-    fields
-}
-
 /// Median of a CDF without mutating it (`percentile` sorts in place, so
 /// a clone is queried); empty CDFs report `0.0`. Shared by the CSV writer
 /// and [`SweepAggregate`] so the two can never drift.
@@ -1795,25 +1102,10 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Escapes a JSON string (labels here are ASCII, control chars excepted).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A JSON number: f64 `{:?}` is shortest-round-trip and always parses
 /// back bit-identically; non-finite values (never produced by a run)
-/// degrade to null.
+/// degrade to null. Not `jupyter::json`'s `encode_number`: that writes an
+/// integral value as `12`, and `12.0` is what the committed reports hold.
 fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
@@ -1835,7 +1127,19 @@ fn json_pairs_array<'a>(points: impl IntoIterator<Item = &'a (f64, f64)>) -> Str
     format!("[{}]", items.join(","))
 }
 
+/// Writes one run object. The layout is this function's own (one line per
+/// collector, pinned byte for byte by the shard-merge `cmp` gate); the
+/// labels go through `jupyter::json`'s string escaper. The escaper this
+/// module used to carry differed from it only in spelling `\n`, `\r` and
+/// `\t` as `\u000a`-style escapes — both parse back equal — and no
+/// scenario, policy, placement or elasticity label holds a control
+/// character, so the switch moved no byte of any report.
 fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> {
+    let json_string = |label: &str| {
+        let mut quoted = String::with_capacity(label.len() + 2);
+        encode_string(label, &mut quoted);
+        quoted
+    };
     let m = &run.metrics;
     writeln!(out, "    {{")?;
     writeln!(out, "      \"job_index\": {},", run.job_index)?;
@@ -2395,20 +1699,32 @@ mod tests {
         let csv = std::fs::read_to_string(&csv_path).expect("csv readable");
         assert_eq!(csv.lines().count(), 3, "header + one row per run");
         let header = csv.lines().next().unwrap();
-        assert!(header.starts_with("scenario,policy,elasticity,placement,seed,job_index"));
+        assert_eq!(
+            header,
+            "scenario,policy,elasticity,placement,seed,job_index,executions,aborted,\
+             kernel_creations,migrations,scale_outs,scale_ins,cold_starts,warm_hits,\
+             prewarms_discarded,prewarms_reconciled,distinct_shapes_provisioned,\
+             interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,gpu_hours_saved,\
+             provider_cost_usd,revenue_usd,end_s"
+        );
         let columns = header.split(',').count();
         for row in csv.lines().skip(1) {
             assert_eq!(row.split(',').count(), columns, "row width: {row}");
             assert!(row.starts_with("smoke,NotebookOS,threshold,least-loaded,"));
         }
-        let rows = SweepReport::read_csv(&csv_path).expect("csv parses back");
+        // No label here holds a comma, so a plain split reads the row.
+        let rows: Vec<Vec<&str>> = csv
+            .lines()
+            .skip(1)
+            .map(|r| r.split(',').collect())
+            .collect();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].seed, 1);
-        assert_eq!(rows[1].seed, 2);
-        assert_eq!(rows[0].job_index, 0);
+        assert_eq!(rows[0][4], "1", "seed");
+        assert_eq!(rows[1][4], "2", "seed");
+        assert_eq!(rows[0][5], "0", "job_index");
         assert_eq!(
-            rows[0].executions,
-            report.runs[0].metrics.counters.executions
+            rows[0][6],
+            report.runs[0].metrics.counters.executions.to_string()
         );
         // No staging file may survive an atomic write.
         assert!(!dir.join("report.csv.tmp").exists());
@@ -2499,7 +1815,7 @@ mod tests {
         );
         // The configure hook's *output* is hashed (the PR 4 gap): two
         // specs differing only in base config no longer alias under
-        // --resume / --merge.
+        // --merge.
         fn tuned(policy: PolicyKind) -> PlatformConfig {
             let mut config = PlatformConfig::evaluation(policy);
             config.replication_factor = 5;
@@ -2562,293 +1878,6 @@ mod tests {
             SweepReport::merge(Vec::new()),
             Err(SweepError::NothingToMerge)
         ));
-    }
-
-    #[test]
-    fn block_shards_partition_whole_trace_blocks() {
-        let spec = SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation, PolicyKind::NotebookOs])
-            .all_elasticities()
-            .seeds(vec![7, 8])
-            .scenarios(vec![
-                Scenario::new("a", SyntheticConfig::smoke()),
-                Scenario::new("b", SyntheticConfig::smoke()),
-            ]);
-        // 2 scenarios × 2 seeds = 4 blocks of 2 policies × 3 elasticities.
-        assert_eq!(spec.total_jobs(), 24);
-        let mut union: Vec<usize> = Vec::new();
-        for i in 0..2 {
-            let shard = spec.clone().shard(i, 2).shard_by(ShardStrategy::TraceBlock);
-            let jobs = shard.jobs();
-            assert_eq!(
-                shard.job_indices(),
-                jobs.iter().map(|j| j.index).collect::<Vec<_>>()
-            );
-            // Every selected job's block belongs to this shard, so the
-            // shard generates exactly half the traces…
-            let blocks: HashSet<(String, u64)> =
-                jobs.iter().map(|j| (j.scenario.clone(), j.seed)).collect();
-            assert_eq!(blocks.len(), 2, "2 of 4 (scenario, seed) blocks");
-            // …whereas a job-round-robin shard of the same spec touches
-            // all of them (regenerating every trace).
-            let rr_blocks: HashSet<(String, u64)> = spec
-                .clone()
-                .shard(i, 2)
-                .jobs()
-                .iter()
-                .map(|j| (j.scenario.clone(), j.seed))
-                .collect();
-            assert_eq!(rr_blocks.len(), 4);
-            union.extend(shard.job_indices());
-        }
-        union.sort_unstable();
-        assert_eq!(union, (0..24).collect::<Vec<_>>(), "no loss, no dupes");
-        // Strategy does not perturb the fingerprint.
-        assert_eq!(
-            spec.clone()
-                .shard_by(ShardStrategy::TraceBlock)
-                .fingerprint(),
-            spec.fingerprint()
-        );
-    }
-
-    #[test]
-    fn merged_block_shards_equal_the_unsharded_run() {
-        let spec = SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation, PolicyKind::NotebookOs])
-            .seeds(vec![1, 2])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(1);
-        let full = spec.run();
-        let shards: Vec<SweepReport> = (0..2)
-            .map(|i| {
-                spec.clone()
-                    .shard(i, 2)
-                    .shard_by(ShardStrategy::TraceBlock)
-                    .run()
-            })
-            .collect();
-        let merged = SweepReport::merge(shards).expect("block shards merge");
-        assert_eq!(merged, full, "block-aligned sharding is bit-identical");
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("notebookos-sweep-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
-    }
-
-    fn journal_spec() -> SweepSpec {
-        SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation, PolicyKind::NotebookOs])
-            .seeds(vec![1, 2])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(1)
-    }
-
-    #[test]
-    fn resume_checkpoint_volume_is_one_journal_record_per_cell() {
-        let dir = tmp_dir("journal-growth");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        let mut checkpoints = 0usize;
-        let report = spec
-            .run_resuming_with_progress(&path, |done, total| {
-                assert_eq!(total, 4);
-                // The journal appends exactly one record per completed
-                // cell (plus the fingerprint header line)…
-                let journal = std::fs::read_to_string(journal_path(&path)).expect("journal exists");
-                assert_eq!(
-                    journal.lines().count(),
-                    done + 1,
-                    "header + one record per completed cell"
-                );
-                assert!(journal.ends_with('\n'), "records are newline-framed");
-                // …and the canonical report is *not* rewritten per cell —
-                // that was the O(cells²) behavior this replaces.
-                assert!(!path.exists(), "report only written at compaction");
-                checkpoints += 1;
-            })
-            .expect("resumes");
-        assert_eq!(checkpoints, 4);
-        assert_eq!(report.len(), 4);
-        assert!(path.exists(), "compacted report written");
-        assert!(
-            !journal_path(&path).exists(),
-            "journal deleted after compaction"
-        );
-        // The compacted report is exactly what a plain run produces.
-        assert_eq!(report, spec.run());
-        assert_eq!(SweepReport::read_json(&path).expect("readable"), report);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_recovers_cells_from_a_surviving_journal() {
-        let dir = tmp_dir("journal-recovery");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        let full = spec.run();
-        // Shard 0 completed and compacted normally.
-        spec.clone()
-            .shard(0, 2)
-            .run_resuming(&path)
-            .expect("shard 0");
-        // Simulate a killed second shard: its cells reached the journal
-        // but were never compacted into the report.
-        let mut journal = SweepJournal::open(&journal_path(&path), spec.fingerprint(), false)
-            .expect("journal opens");
-        for run in &spec.clone().shard(1, 2).run().runs {
-            journal.append(run).expect("journal append");
-        }
-        drop(journal);
-        // The journal-aware loader sees every cell…
-        let recovered = SweepReport::read_json_with_journal(&path).expect("recovered");
-        assert_eq!(recovered, full, "journal cells folded in by job index");
-        // …and a resume re-runs nothing.
-        let mut ran = 0usize;
-        let report = spec
-            .run_resuming_with_progress(&path, |_, _| ran += 1)
-            .expect("resumes");
-        assert_eq!(ran, 0, "no cell re-ran");
-        assert_eq!(report, full);
-        assert!(!journal_path(&path).exists(), "journal compacted away");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_tolerates_a_partial_trailing_record() {
-        let dir = tmp_dir("journal-partial");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        let full = spec.run();
-        // A journal killed mid-append: one durable record, then a torn
-        // line with no terminating newline.
-        let mut journal = SweepJournal::open(&journal_path(&path), spec.fingerprint(), false)
-            .expect("journal opens");
-        journal.append(&full.runs[0]).expect("append");
-        drop(journal);
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(journal_path(&path))
-            .expect("reopen");
-        file.write_all(b"{\"job_index\": 1, \"scenario\": \"smo")
-            .expect("torn write");
-        drop(file);
-        // A later resume must not glue its first append onto the torn
-        // fragment (the double-kill case): reopening truncates the
-        // fragment away, so the journal stays parseable afterwards.
-        let mut journal =
-            SweepJournal::open(&journal_path(&path), spec.fingerprint(), false).expect("reopens");
-        journal
-            .append(&full.runs[1])
-            .expect("append after torn line");
-        drop(journal);
-        let (_, recovered) = read_journal(&journal_path(&path))
-            .expect("journal parseable after torn-line reopen")
-            .expect("journal has durable content");
-        assert_eq!(recovered.len(), 2, "both durable records readable");
-        // Only the durable records are recovered; the torn cell re-runs.
-        let mut ran = 0usize;
-        let report = spec
-            .run_resuming_with_progress(&path, |_, total| {
-                ran += 1;
-                assert_eq!(total, 2);
-            })
-            .expect("resumes");
-        assert_eq!(ran, 2);
-        assert_eq!(report, full);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_corruption_and_mismatch_error_clearly() {
-        let dir = tmp_dir("journal-corrupt");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        // A malformed *complete* line is corruption, not interruption.
-        std::fs::write(
-            journal_path(&path),
-            format!(
-                "{{\"fingerprint\": \"{:#018x}\"}}\nnot json at all\n",
-                spec.fingerprint()
-            ),
-        )
-        .expect("write journal");
-        assert!(matches!(
-            spec.run_resuming(&path),
-            Err(SweepError::Json { .. })
-        ));
-        // A journal from a different spec is refused.
-        std::fs::write(
-            journal_path(&path),
-            "{\"fingerprint\": \"0x0000000000000001\"}\n",
-        )
-        .expect("write journal");
-        assert!(matches!(
-            spec.run_resuming(&path),
-            Err(SweepError::FingerprintMismatch { .. })
-        ));
-        std::fs::remove_file(journal_path(&path)).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fsync_mode_changes_durability_not_results_or_identity() {
-        let dir = tmp_dir("journal-fsync");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        let synced = spec.clone().journal_fsync(true);
-        // The durability knob is execution-only: fingerprints agree, so
-        // fsync and buffered shards of one spec resume and merge freely.
-        assert_eq!(spec.fingerprint(), synced.fingerprint());
-        assert!(synced.journal_fsync_enabled());
-        assert!(!spec.journal_fsync_enabled());
-        // A resumable run under fsync produces the bit-identical report
-        // (and still compacts its journal away).
-        let report = synced.run_resuming(&path).expect("fsync resume");
-        assert_eq!(report, spec.run());
-        assert!(!journal_path(&path).exists(), "journal compacted away");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fsynced_journal_is_readable_midway() {
-        let dir = tmp_dir("journal-fsync-read");
-        let path = dir.join("report.json");
-        let spec = journal_spec();
-        let full = spec.run();
-        // An fsynced journal frames records exactly like a buffered one:
-        // a kill after any append leaves a parseable file.
-        let mut journal = SweepJournal::open(&journal_path(&path), spec.fingerprint(), true)
-            .expect("journal opens");
-        journal.append(&full.runs[0]).expect("append");
-        journal.append(&full.runs[1]).expect("append");
-        drop(journal);
-        let (fingerprint, recovered) = read_journal(&journal_path(&path))
-            .expect("parseable")
-            .expect("has content");
-        assert_eq!(fingerprint, spec.fingerprint());
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[0], full.runs[0]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fsync_cost_measurement_returns_sane_values() {
-        let dir = tmp_dir("journal-fsync-cost");
-        let cost = measure_journal_fsync_cost(&dir, 32).expect("measures");
-        assert_eq!(cost.records, 32);
-        assert!(cost.buffered_us_per_record > 0.0);
-        assert!(cost.fsync_us_per_record > 0.0);
-        assert!(cost.slowdown() > 0.0);
-        let line = cost.render();
-        assert!(line.contains("µs/record"), "render names the unit: {line}");
-        // The probe journals are cleaned up.
-        assert!(std::fs::read_dir(&dir).expect("dir").next().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

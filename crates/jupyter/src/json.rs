@@ -294,8 +294,10 @@ const ESCAPE: [u8; 256] = {
 pub(crate) const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Writes `s` as a JSON string: clean runs copied whole, escapes from the
-/// table (module docs, "What the fast paths rely on").
-pub(crate) fn encode_string(s: &str, out: &mut String) {
+/// table (module docs, "What the fast paths rely on"). Public so that a
+/// writer that lays out its own document (`core::sweep`'s reports) escapes
+/// its labels with this function instead of a second one.
+pub fn encode_string(s: &str, out: &mut String) {
     out.reserve(s.len() + 2);
     out.push('"');
     // One pass that remembers where the run began, not a `position` search

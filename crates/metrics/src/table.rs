@@ -4,8 +4,8 @@ use std::fmt;
 
 /// A simple column-aligned text table.
 ///
-/// Used by every `fig*`/`table*` binary to print the rows/series the paper's
-/// figures report.
+/// Used by every figure and table of `repro` to print the rows/series the
+/// paper's figures report.
 ///
 /// # Example
 ///

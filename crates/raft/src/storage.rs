@@ -663,7 +663,7 @@ impl<C: WalCodec + Send> RaftStorage<C> for WalStorage<C> {
 }
 
 // ----------------------------------------------------------------------
-// fsync-cost measurement (the PR 7 `measure_journal_fsync_cost` pattern)
+// fsync-cost measurement
 // ----------------------------------------------------------------------
 
 /// Measured per-append cost of the WAL in both durability modes.

@@ -35,7 +35,7 @@ fn main() {
         "\nNotebookOS keeps Reservation-class interactivity while binding GPUs\n\
          only during cell execution. At this toy scale its minimum fleet\n\
          dominates the GPU-hour column; at the paper's scale (90 sessions,\n\
-         17.5 h — see `cargo run -p notebookos-bench --bin fig08`) it saves\n\
+         17.5 h — see `cargo run -p notebookos-bench --bin repro fig08`) it saves\n\
          roughly a third of Reservation's GPU-hours."
     );
 }

@@ -1,17 +1,18 @@
 //! Cross-process sweep invariants: sharding partitions the job list
 //! exactly, persisted reports round-trip bit-identically, shard reports
-//! merge into the unsharded report, resuming never re-runs persisted
-//! cells, and corrupt report files surface clear errors instead of
-//! panics. These are the properties the CI shard-matrix + merge jobs
-//! exercise end to end through the `sweep_shard` binary.
+//! merge into the unsharded report, a duplicated cell or a report from
+//! another spec is refused, and corrupt report files surface clear errors
+//! instead of panics. These are the properties CI's `sweep-determinism`
+//! job exercises end to end through the `sweep_shard` binary.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use notebookos::core::sweep::{journal_path, Scenario, SweepError, SweepReport, SweepSpec};
+use notebookos::core::sweep::{Scenario, SweepError, SweepReport, SweepSpec};
 use notebookos::core::{ElasticityKind, PlacementKind, PolicyKind};
 use notebookos::trace::SyntheticConfig;
+use notebookos_bench::sweep_cli::SweepCli;
 
 /// A tiny workload so property cases and multi-run tests stay fast.
 fn tiny_workload() -> SyntheticConfig {
@@ -85,18 +86,41 @@ fn csv_report_round_trips_headline_scalars() {
     let dir = temp_dir();
     let path = dir.join("round-trip.csv");
     report.write_csv(&path).expect("write csv");
-    let rows = SweepReport::read_csv(&path).expect("read csv");
-    assert_eq!(rows.len(), report.len());
+    let text = std::fs::read_to_string(&path).expect("read csv");
+    let mut lines = text.lines();
+    assert_eq!(
+        lines.next(),
+        Some(
+            "scenario,policy,elasticity,placement,seed,job_index,executions,aborted,\
+             kernel_creations,migrations,scale_outs,scale_ins,cold_starts,warm_hits,\
+             prewarms_discarded,prewarms_reconciled,distinct_shapes_provisioned,\
+             interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,gpu_hours_saved,\
+             provider_cost_usd,revenue_usd,end_s"
+        )
+    );
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), report.len(), "one row per run");
+    // Hysteresis labels contain commas; quoting must survive.
+    assert!(text.contains(",\"hysteresis(cooldown=90s,surplus=3)\","));
     for (row, run) in rows.iter().zip(&report.runs) {
-        assert_eq!(row.scenario, run.scenario);
-        assert_eq!(row.policy, run.policy.to_string());
-        assert_eq!(row.placement, run.placement.to_string());
-        // Hysteresis labels contain commas; quoting must survive.
-        assert_eq!(row.elasticity, run.elasticity.to_string());
-        assert_eq!(row.seed, run.seed);
-        assert_eq!(row.job_index, run.job_index);
-        assert_eq!(row.executions, run.metrics.counters.executions);
-        assert_eq!(row.end_s, run.metrics.end_s);
+        let mut elasticity = run.elasticity.to_string();
+        if elasticity.contains(',') {
+            elasticity = format!("\"{elasticity}\"");
+        }
+        let labels = format!(
+            "{},{},{elasticity},{},{},{},{},",
+            run.scenario,
+            run.policy,
+            run.placement,
+            run.seed,
+            run.job_index,
+            run.metrics.counters.executions
+        );
+        assert!(row.starts_with(&labels), "{row} !~ {labels}");
+        assert!(
+            row.ends_with(&format!(",{:?}", run.metrics.end_s)),
+            "{row} does not end in end_s"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
@@ -134,71 +158,10 @@ fn merged_shard_files_equal_unsharded_report() {
 }
 
 // ---------------------------------------------------------------------
-// Resume: persisted cells are never re-run.
+// What a merge refuses: a cell twice, a report from another spec. (The
+// names date from the resume path these checks once guarded; resuming is
+// now re-running a shard, and the same files arrive through `--merge`.)
 // ---------------------------------------------------------------------
-
-#[test]
-fn resume_skips_persisted_cells_and_completes_the_sweep() {
-    let spec = interaction_spec();
-    let full = spec.run();
-    let dir = temp_dir();
-    let path = dir.join("resume.json");
-
-    // Simulate a sweep killed after shard 0 finished: only its half is
-    // on disk.
-    let shard0 = spec.clone().shard(0, 2);
-    let partial = shard0.run_resuming(&path).expect("first half");
-    assert_eq!(partial.len(), 2);
-
-    // Resuming the full spec runs only the missing cells...
-    let mut executed = Vec::new();
-    let resumed = spec
-        .run_resuming_with_progress(&path, |done, total| executed.push((done, total)))
-        .expect("resume");
-    assert_eq!(
-        executed.last(),
-        Some(&(2, 2)),
-        "exactly the 2 missing cells ran — shard 0's cells were skipped"
-    );
-    assert_eq!(resumed, full, "resumed report equals the one-shot run");
-    assert_eq!(
-        SweepReport::read_json(&path).expect("final file"),
-        full,
-        "the persisted file holds the complete report"
-    );
-
-    // ...and a second resume finds nothing to do.
-    let mut calls = 0usize;
-    let again = spec
-        .run_resuming_with_progress(&path, |_, _| calls += 1)
-        .expect("no-op resume");
-    assert_eq!(calls, 0, "fully persisted sweep re-runs nothing");
-    assert_eq!(again, full);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn resume_checkpoints_after_every_completed_cell() {
-    let spec = interaction_spec().workers(1);
-    let dir = temp_dir();
-    let path = dir.join("checkpoint.json");
-    // After each completion the durable state on disk (the append-only
-    // journal sidecar — O(cells) checkpoint volume, one record per cell,
-    // recovered by the journal-aware loader) must already hold exactly
-    // the finished cells — killing the process at any point loses only
-    // in-flight work (the README's kill-anywhere guarantee).
-    let mut observed = Vec::new();
-    spec.run_resuming_with_progress(&path, |done, _| {
-        let on_disk = SweepReport::read_json_with_journal(&path).expect("checkpoint readable");
-        observed.push((done, on_disk.len()));
-    })
-    .expect("resume");
-    assert_eq!(observed, vec![(1, 1), (2, 2), (3, 3), (4, 4)]);
-    // Compaction replaced the journal with the canonical report.
-    assert!(!journal_path(&path).exists());
-    assert_eq!(SweepReport::read_json(&path).expect("report").len(), 4);
-    std::fs::remove_file(&path).ok();
-}
 
 #[test]
 fn resume_rejects_duplicate_job_indices_in_the_file() {
@@ -209,7 +172,8 @@ fn resume_rejects_duplicate_job_indices_in_the_file() {
     let duplicate = report.runs[0].clone();
     report.runs.push(duplicate);
     report.write_json(&path).expect("write");
-    let err = spec.run_resuming(&path).unwrap_err();
+    // One hand-assembled file holding the same cell twice.
+    let err = SweepReport::merge([SweepReport::read_json(&path).expect("read")]).unwrap_err();
     assert!(
         matches!(err, SweepError::OverlappingRuns { job_index: 0 }),
         "duplicated cell must be refused, not double-counted: {err}"
@@ -223,14 +187,22 @@ fn resume_rejects_reports_from_a_different_spec() {
     let path = dir.join("foreign.json");
     interaction_spec()
         .shard(0, 2)
-        .run_resuming(&path)
+        .run()
+        .write_json(&path)
         .expect("seed the file");
     let other_spec = interaction_spec().seeds(vec![1, 2]);
-    let err = other_spec.run_resuming(&path).unwrap_err();
+    let cli = SweepCli {
+        merge: vec![path.clone()],
+        ..SweepCli::default()
+    };
+    let err = cli.execute(&other_spec, "test").unwrap_err();
     assert!(
         matches!(err, SweepError::FingerprintMismatch { .. }),
-        "resuming with a different spec must be refused, got: {err}"
+        "merging under a different spec must be refused, got: {err}"
     );
+    // The same file under its own spec merges (into a partial report).
+    let merged = cli.execute(&interaction_spec(), "test").expect("own spec");
+    assert_eq!(merged.len(), 2);
     std::fs::remove_file(&path).ok();
 }
 
