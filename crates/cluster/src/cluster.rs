@@ -15,11 +15,12 @@
 //!   [`Cluster::release`], …) together with the per-host change;
 //! * the shape census is a persistent sorted index updated on host
 //!   add/remove, not an O(hosts × shapes) scan per query;
-//! * a capacity-bucketed placement index (`HostIndex`, private) keeps
-//!   every host ordered by the exact keys the placement policies and the
-//!   commit-side scans sort by, so top-k host selection is O(log hosts +
-//!   k) instead of an O(hosts) slab rescan per decision (see
-//!   [`Cluster::rank_least_loaded_top`] and friends).
+//! * a placement index (`HostIndex`, private) buckets every host by the
+//!   two small integers the placement policies and the commit-side scans
+//!   sort by — idle and subscribed GPUs — in id bitsets, so top-k host
+//!   selection walks a few buckets instead of rescanning the slab per
+//!   decision (see [`Cluster::rank_least_loaded_top`] and friends), and
+//!   re-keying a host is a few word operations.
 //!
 //! Index ≡ slab holds by construction, not by repair: every `&mut Host` is
 //! taken inside `apply_indexed`, which re-keys the host in the same call,
@@ -27,31 +28,55 @@
 //! crate the typed `Cluster` mutators are the only way to change a host,
 //! and no query ever has anything to rebuild or re-sum.
 //!
-//! # Which mutator moves which ordering
+//! # The grid, and the walk each query takes
 //!
-//! The index keeps four orderings of a host: fleet-wide `by_idle` keyed
-//! `(idle, id)`, and in the host's shape class `by_idle_sub` keyed
-//! `idle → (subscribed, id)`, `by_sub` keyed `(subscribed, committed, id)`
-//! and `by_id` keyed `id → subscribed`. A typed mutator snapshots
-//! `(idle, subscribed, committed, draining)` around the per-host change
-//! and re-keys the host only where the snapshot says its key moved:
+//! Every order the queries read is a function of two small integers: a
+//! host's idle GPUs `I` and its subscribed GPUs `S`. Within a shape class
+//! of `G` GPUs, committed is `G − I`, and the SR `S / (G·R)` is monotone in
+//! `S`. So the index keeps hosts in dense buckets keyed by those two
+//! integers, each bucket an id bitset (`IdSet`):
 //!
-//! | mutator | `by_idle` | `by_idle_sub` | `by_sub` | `by_id` |
-//! |---|---|---|---|---|
-//! | `try_commit` / `release` | re-key | re-key | re-key | untouched |
-//! | `subscribe` / `unsubscribe` | untouched | re-key | re-key | value in place |
-//! | failed commit, 0-GPU request | untouched | untouched | untouched | untouched |
-//! | `set_draining` flip | stays | leaves / joins | leaves / joins | leaves / joins |
-//! | `add_host` / `remove_host` | joins / leaves | joins / leaves | joins / leaves | joins / leaves |
+//! * fleet-wide, `by_idle[I]`: every host, draining included;
+//! * per shape class, over its non-draining hosts: the grid `cell(I, S)`;
+//!   `occupied[I]`, the `S` levels whose cell in row `I` is non-empty;
+//!   `per_sub[S]`, the count of hosts at level `S`; `subs`, the levels
+//!   with a non-zero count; and `by_id` (id → `S`) for the rotation.
 //!
-//! A draining host lives in `by_idle` alone, so a commit or release on it
-//! re-keys just that. `tests::index_equals_rebuild_after_every_typed_mutation`
-//! holds the result to a rebuild from the slab after every mutation.
+//! | query | order | walk |
+//! |---|---|---|
+//! | least-loaded | `I`↓, `S`↑, id↑ | rows `I` descending; `occupied[I]` ascending; cell ids ascending |
+//! | bin-packing | `S`↓, `C`↓, id↓ | `subs` descending; `I` ascending (`C = G − I`); cell ids descending |
+//! | best-commit picks | `I`↓, id↓ | `by_idle` rows descending, down to the request's GPUs; ids descending |
+//! | SR-cap split | by `S` | first and last of `subs` against the `class_cap` threshold |
+//! | `viable_counts` | by `S` | `per_sub` summed over the `subs` above the threshold |
+//! | round-robin | id, rotated | `by_id` ranges |
+//!
+//! A typed mutator snapshots `(I, S, draining)` around the per-host change
+//! and moves the host only where its key moved:
+//!
+//! * `try_commit` / `release` clear one bit and set another in `by_idle`
+//!   and in the grid;
+//! * `subscribe` / `unsubscribe` move the grid bit and the `per_sub`
+//!   count, and rewrite the host's `by_id` value in place;
+//! * a failed commit or a 0-GPU request moves nothing;
+//! * a `set_draining` flip leaves or joins the class (a draining host lives
+//!   in `by_idle` alone);
+//! * `add_host` / `remove_host` join or leave everything.
+//!
+//! Each move is a few word operations, independent of fleet size; an
+//! occupancy bit or a `subs` bit flips only when its bucket empties or
+//! fills. The grid grows by whole `S` rows to the highest level a host of
+//! the class has held (a few dozen: replicas × GPUs per replica), and a
+//! bitset to the highest id it has held. Neither gives capacity back, so
+//! in steady state a commit, release, subscribe or unsubscribe allocates
+//! nothing. `tests::index_equals_rebuild_after_every_typed_mutation` holds
+//! the result to a rebuild from the slab after every mutation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::host::{Host, HostId, OwnerId};
+use crate::idset::IdSet;
 use crate::resources::{ResourceBundle, ResourceRequest};
 
 /// Placement candidates screened by one shared viability rule (capacity
@@ -85,13 +110,6 @@ impl Viability {
         self.within_cap.is_empty() && self.over_cap.is_empty()
     }
 
-    /// All viable hosts, preferred segment first.
-    pub fn into_ranked(self) -> Vec<HostId> {
-        let mut out = self.within_cap;
-        out.extend(self.over_cap);
-        out
-    }
-
     /// Empties both segments (keeping their capacity for reuse).
     pub fn clear(&mut self) {
         self.within_cap.clear();
@@ -115,20 +133,24 @@ fn census_key(shape: &ResourceBundle) -> (u32, u64, u64) {
     (shape.gpus, shape.millicpus, shape.memory_mb)
 }
 
-/// Per-shape slice of the placement index. All hosts in a class share one
-/// capacity [`ResourceBundle`], hence one viability verdict per request
-/// and one SR denominator — which is what makes the integer BTree keys
-/// below order-equivalent to the float sort keys the scan path computes.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-shape slice of the placement index, over the class's non-draining
+/// hosts. All hosts in a class share one capacity [`ResourceBundle`],
+/// hence one viability verdict per request, one SR denominator and
+/// `committed = G − idle` — which is what lets the `(idle, subscribed)`
+/// grid carry every order the queries read (module docs).
+#[derive(Debug, Clone)]
 struct ShapeClass {
     shape: ResourceBundle,
-    /// idle GPUs → `(subscribed, id)`: walking buckets in descending idle
-    /// order and each bucket ascending yields exactly the least-loaded
-    /// order `(idle desc, SR asc, id asc)` within the class.
-    by_idle_sub: BTreeMap<u32, BTreeSet<(u64, HostId)>>,
-    /// `(subscribed, committed, id)`: reverse iteration yields exactly
-    /// the bin-packing order `(S desc, C desc, id desc)` within the class.
-    by_sub: BTreeSet<(u64, u64, HostId)>,
+    /// `cells[S · (G + 1) + I]`: the hosts with `S` subscribed and `I` idle
+    /// GPUs. Grows by whole `S` rows and never shrinks.
+    cells: Vec<IdSet>,
+    /// `occupied[I]`: the `S` whose `(I, S)` cell is non-empty; `G + 1`
+    /// rows.
+    occupied: Vec<IdSet>,
+    /// `per_sub[S]`: how many hosts have `S` subscribed GPUs.
+    per_sub: Vec<usize>,
+    /// The `S` with `per_sub[S] > 0`.
+    subs: IdSet,
     /// id → subscribed GPUs: in-order iteration is exactly the
     /// round-robin rotation order within the class, with the subscription
     /// level at hand for the SR-cap check.
@@ -137,46 +159,108 @@ struct ShapeClass {
     len: usize,
 }
 
+/// Set equality: grid rows and counts past the highest level held are
+/// empty on one side and absent on the other, depending on how high a
+/// subscription once went, so they do not count.
+impl PartialEq for ShapeClass {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.len == other.len
+            && self.by_id == other.by_id
+            && self.subs == other.subs
+            && self.occupied == other.occupied
+            && eq_padded(&self.per_sub, &other.per_sub)
+            && eq_padded(&self.cells, &other.cells)
+    }
+}
+
+/// Whether `a` and `b` agree where both are defined and the longer one
+/// holds only defaults past the shorter.
+fn eq_padded<T: PartialEq + Default>(a: &[T], b: &[T]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    long[..short.len()] == *short && long[short.len()..].iter().all(|x| *x == T::default())
+}
+
 impl ShapeClass {
     fn new(shape: ResourceBundle) -> Self {
         ShapeClass {
             shape,
-            by_idle_sub: BTreeMap::new(),
-            by_sub: BTreeSet::new(),
+            cells: Vec::new(),
+            occupied: vec![IdSet::default(); shape.gpus as usize + 1],
+            per_sub: Vec::new(),
+            subs: IdSet::default(),
             by_id: BTreeMap::new(),
             len: 0,
         }
     }
 
-    fn bucket_insert(&mut self, key: HostKey, id: HostId) {
-        self.by_idle_sub
-            .entry(key.idle)
-            .or_default()
-            .insert((key.subscribed, id));
+    /// Where the `(idle, subscribed)` cell sits in `cells`.
+    fn slot(&self, idle: usize, subscribed: u64) -> usize {
+        subscribed as usize * self.occupied.len() + idle
     }
 
-    /// Removes `id` from its idle bucket, dropping the bucket with its
-    /// last member.
-    fn bucket_remove(&mut self, key: HostKey, id: HostId) {
-        let bucket = self
-            .by_idle_sub
-            .get_mut(&key.idle)
-            .expect("indexed host's idle bucket exists");
-        bucket.remove(&(key.subscribed, id));
-        if bucket.is_empty() {
-            self.by_idle_sub.remove(&key.idle);
+    /// The hosts with `subscribed` subscribed and `idle` idle GPUs; the
+    /// cell must lie in the grid.
+    fn cell(&self, idle: usize, subscribed: u64) -> &IdSet {
+        &self.cells[self.slot(idle, subscribed)]
+    }
+
+    /// Puts `id` in the cell of `key`, growing the grid to its row.
+    fn cell_insert(&mut self, key: HostKey, id: HostId) {
+        let at = self.slot(key.idle as usize, key.subscribed);
+        if at >= self.cells.len() {
+            let rows = key.subscribed as usize + 1;
+            self.cells
+                .resize_with(rows * self.occupied.len(), IdSet::default);
+        }
+        let cell = &mut self.cells[at];
+        if cell.is_empty() {
+            self.occupied[key.idle as usize].insert(key.subscribed);
+        }
+        cell.insert(id);
+    }
+
+    /// Takes `id`, indexed under `key`, out of its cell.
+    fn cell_remove(&mut self, key: HostKey, id: HostId) {
+        let at = self.slot(key.idle as usize, key.subscribed);
+        let cell = &mut self.cells[at];
+        let present = cell.remove(id);
+        debug_assert!(present, "indexed host {id} is in its cell");
+        if cell.is_empty() {
+            self.occupied[key.idle as usize].remove(key.subscribed);
+        }
+    }
+
+    /// Counts one more host at `subscribed`.
+    fn count_insert(&mut self, subscribed: u64) {
+        let s = subscribed as usize;
+        if s >= self.per_sub.len() {
+            self.per_sub.resize(s + 1, 0);
+        }
+        self.per_sub[s] += 1;
+        if self.per_sub[s] == 1 {
+            self.subs.insert(subscribed);
+        }
+    }
+
+    /// Counts one host fewer at `subscribed`.
+    fn count_remove(&mut self, subscribed: u64) {
+        let s = subscribed as usize;
+        self.per_sub[s] -= 1;
+        if self.per_sub[s] == 0 {
+            self.subs.remove(subscribed);
         }
     }
 }
 
 /// Everything about a host the index orders by (its id and shape never
-/// change): taken before and after a typed mutation, the two snapshots say
-/// which orderings the mutation moved the host in.
+/// change, and within a class committed is capacity minus idle): taken
+/// before and after a typed mutation, the two snapshots say whether and
+/// where the mutation moved the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HostKey {
     idle: u32,
     subscribed: u64,
-    committed: u64,
     draining: bool,
 }
 
@@ -185,24 +269,31 @@ impl HostKey {
         HostKey {
             idle: h.idle_gpus(),
             subscribed: h.subscribed_gpus(),
-            committed: u64::from(h.committed_gpus()),
             draining: h.is_draining(),
         }
     }
 }
 
-/// Capacity-bucketed placement index: the ordered structures behind the
-/// sub-linear `rank_*_top` / `best_commit_host*` queries. Maintained
-/// incrementally by the typed cluster mutators (apply → `relink`).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The placement index: the id-bitset buckets behind the `rank_*_top` /
+/// `best_commit_host*` queries (module docs). Maintained incrementally by
+/// the typed cluster mutators (apply → `relink`).
+#[derive(Debug, Clone, Default)]
 struct HostIndex {
     /// Per-shape structures over *non-draining* hosts (the placement
     /// viability screen excludes draining), ascending by `census_key`.
     classes: Vec<ShapeClass>,
-    /// Every host — draining included — keyed by `(idle GPUs, id)`; the
-    /// commit-side baseline scans (reservation/batch/LCP) do not filter
-    /// on draining, and migration filters it inline.
-    by_idle: BTreeSet<(u32, HostId)>,
+    /// `by_idle[I]`: every host — draining included — with `I` idle GPUs;
+    /// the commit-side baseline scans (reservation/batch/LCP) do not
+    /// filter on draining, and migration filters it inline.
+    by_idle: Vec<IdSet>,
+}
+
+/// Set equality, as for [`ShapeClass`]: `by_idle` rows above every live
+/// host's capacity are empty or absent depending on which hosts once were.
+impl PartialEq for HostIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.classes == other.classes && eq_padded(&self.by_idle, &other.by_idle)
+    }
 }
 
 impl HostIndex {
@@ -227,10 +318,33 @@ impl HostIndex {
             .binary_search_by_key(&census_key(shape), |c| census_key(&c.shape))
     }
 
+    /// The first host `accept` takes in the commit-side picks' order —
+    /// most idle GPUs first, then highest id first — among hosts with at
+    /// least `min_idle` idle GPUs.
+    fn find_most_idle(
+        &self,
+        min_idle: u32,
+        mut accept: impl FnMut(HostId) -> bool,
+    ) -> Option<HostId> {
+        let rows = self.by_idle.get(min_idle as usize..).unwrap_or_default();
+        for row in rows.iter().rev() {
+            for id in row.iter_rev() {
+                if accept(id) {
+                    return Some(id);
+                }
+            }
+        }
+        None
+    }
+
     /// Inserts `h` (in its current state) into every structure.
     fn link(&mut self, h: &Host) {
         let (id, key) = (h.id(), HostKey::of(h));
-        self.by_idle.insert((key.idle, id));
+        let rows = h.capacity().gpus as usize + 1;
+        if rows > self.by_idle.len() {
+            self.by_idle.resize_with(rows, IdSet::default);
+        }
+        self.by_idle[key.idle as usize].insert(id);
         if key.draining {
             return;
         }
@@ -243,8 +357,8 @@ impl HostIndex {
             }
         };
         let class = &mut self.classes[slot];
-        class.bucket_insert(key, id);
-        class.by_sub.insert((key.subscribed, key.committed, id));
+        class.cell_insert(key, id);
+        class.count_insert(key.subscribed);
         class.by_id.insert(id, key.subscribed);
         class.len += 1;
     }
@@ -253,7 +367,7 @@ impl HostIndex {
     /// inverse of [`HostIndex::link`].
     fn unlink(&mut self, h: &Host, key: HostKey) {
         let id = h.id();
-        self.by_idle.remove(&(key.idle, id));
+        self.by_idle[key.idle as usize].remove(id);
         if key.draining {
             return;
         }
@@ -261,8 +375,8 @@ impl HostIndex {
             .class_position(&h.capacity())
             .expect("indexed host's shape class exists");
         let class = &mut self.classes[slot];
-        class.bucket_remove(key, id);
-        class.by_sub.remove(&(key.subscribed, key.committed, id));
+        class.cell_remove(key, id);
+        class.count_remove(key.subscribed);
         class.by_id.remove(&id);
         class.len -= 1;
         if class.len == 0 {
@@ -271,7 +385,7 @@ impl HostIndex {
     }
 
     /// Moves `h`, indexed under `old`, to its current state, touching only
-    /// the orderings whose key changed (see the module docs for which
+    /// the buckets whose key changed (see the module docs for which
     /// mutator moves which). A draining flip changes which structures hold
     /// the host at all and takes the full unlink → link.
     fn relink(&mut self, h: &Host, old: HostKey) {
@@ -285,8 +399,8 @@ impl HostIndex {
             return;
         }
         if new.idle != old.idle {
-            self.by_idle.remove(&(old.idle, id));
-            self.by_idle.insert((new.idle, id));
+            self.by_idle[old.idle as usize].remove(id);
+            self.by_idle[new.idle as usize].insert(id);
         }
         if new.draining {
             return;
@@ -295,15 +409,11 @@ impl HostIndex {
             .class_position(&h.capacity())
             .expect("indexed host's shape class exists");
         let class = &mut self.classes[slot];
-        if (new.idle, new.subscribed) != (old.idle, old.subscribed) {
-            class.bucket_remove(old, id);
-            class.bucket_insert(new, id);
-        }
-        if (new.subscribed, new.committed) != (old.subscribed, old.committed) {
-            class.by_sub.remove(&(old.subscribed, old.committed, id));
-            class.by_sub.insert((new.subscribed, new.committed, id));
-        }
+        class.cell_remove(old, id);
+        class.cell_insert(new, id);
         if new.subscribed != old.subscribed {
+            class.count_remove(old.subscribed);
+            class.count_insert(new.subscribed);
             *class
                 .by_id
                 .get_mut(&id)
@@ -326,10 +436,15 @@ fn class_sr(shape: ResourceBundle, replication_factor: u32, subscribed: u64) -> 
 /// Largest subscribed-GPU count that keeps a host of `shape` within
 /// `sr_cap` after accepting `request` — the scan path's
 /// `post_sr(h) > sr_cap` predicate, which is monotone in `S`, so the
-/// within-cap hosts of a class form a contiguous `(S, …)` prefix in the
-/// BTree keys. `Some(u64::MAX)` when no subscription level is over the
-/// cap (always the case for CPU-only requests, which are exempt), `None`
-/// when even `S = 0` is over.
+/// within-cap hosts of a class are exactly its levels `S ≤` the threshold.
+/// `Some(u64::MAX)` when no subscription level is over the cap (always the
+/// case for CPU-only requests, which are exempt), `None` when even `S = 0`
+/// is over.
+///
+/// In O(1): the real-number answer `⌊cap · denom⌋ − g` is off from the
+/// float predicate's by at most a few float roundings, so stepping it by
+/// one until the predicate flips lands on the exact threshold (one or two
+/// steps at the caps a fleet sees; a few thousand at most near `2^64`).
 fn class_cap(
     request: &ResourceRequest,
     shape: ResourceBundle,
@@ -351,16 +466,19 @@ fn class_cap(
     if within(u64::MAX) {
         return Some(u64::MAX);
     }
-    let (mut lo, mut hi) = (0u64, u64::MAX); // invariant: within(lo), !within(hi)
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if within(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
+    // Past the two edges `sr_cap` is finite and the answer lies in
+    // `[0, u64::MAX)`; the float-to-int cast saturates at both ends.
+    let mut s = ((sr_cap * denom).floor() as u64).saturating_sub(u64::from(request.gpus));
+    if within(s) {
+        while within(s + 1) {
+            s += 1;
+        }
+    } else {
+        while !within(s) {
+            s -= 1;
         }
     }
-    Some(lo)
+    Some(s)
 }
 
 /// How one shape class's members fall against the SR cap for a request:
@@ -376,19 +494,31 @@ enum CapSplit {
     Mixed(u64),
 }
 
-/// Classifies `class` against the [`class_cap`] threshold using only the
-/// BTree boundary keys — O(log) for the homogeneous verdicts every
+/// Classifies `class` against the [`class_cap`] threshold from its lowest
+/// and highest subscribed levels alone — the homogeneous verdicts every
 /// same-load fleet hits, which is what keeps the round-robin walk and the
 /// viability split flat when *all* hosts are over the cap.
 fn cap_split(class: &ShapeClass, cap: Option<u64>) -> CapSplit {
     match cap {
         Some(u64::MAX) => CapSplit::AllWithin,
         None => CapSplit::AllOver,
-        Some(t) => match (class.by_sub.first(), class.by_sub.last()) {
-            (_, Some(&(max_s, _, _))) if max_s <= t => CapSplit::AllWithin,
-            (Some(&(min_s, _, _)), _) if min_s > t => CapSplit::AllOver,
+        Some(t) => match (class.subs.first(), class.subs.last()) {
+            (_, Some(max_s)) if max_s <= t => CapSplit::AllWithin,
+            (Some(min_s), _) if min_s > t => CapSplit::AllOver,
             _ => CapSplit::Mixed(t),
         },
+    }
+}
+
+/// The subscribed levels `lo..=hi` on one side of the `cap` split — the
+/// over-cap side when `over` — or `None` when the threshold alone leaves
+/// that side empty.
+fn cap_side(cap: Option<u64>, over: bool) -> Option<(u64, u64)> {
+    match (cap, over) {
+        (None, false) | (Some(u64::MAX), true) => None,
+        (Some(t), false) => Some((0, t)),
+        (Some(t), true) => Some((t + 1, u64::MAX)),
+        (None, true) => Some((0, u64::MAX)),
     }
 }
 
@@ -420,13 +550,9 @@ fn gather_round_robin(
     }
 }
 
-/// Inclusive-range bounds over one idle bucket's `(subscribed, id)` set.
-type SubRange = (Bound<(u64, HostId)>, Bound<(u64, HostId)>);
-/// Inclusive-range bounds over a class's `(subscribed, committed, id)` set.
-type SubCommitRange = (Bound<(u64, u64, HostId)>, Bound<(u64, u64, HostId)>);
-
-/// Appends up to `take` least-loaded keys `(idle, SR, id)` from one shape
-/// class — the `over` flag selects the over-cap side of the `cap` split.
+/// Appends up to `take` (≥ 1) least-loaded keys `(idle, SR, id)` from one
+/// shape class, in that order — the `over` flag selects the over-cap side
+/// of the `cap` split.
 fn gather_least_loaded(
     class: &ShapeClass,
     cap: Option<u64>,
@@ -435,32 +561,26 @@ fn gather_least_loaded(
     take: usize,
     out: &mut Vec<(u32, f64, HostId)>,
 ) {
-    let range: SubRange = if over {
-        match cap {
-            Some(u64::MAX) => return,
-            Some(t) => (Bound::Excluded((t, HostId::MAX)), Bound::Unbounded),
-            None => (Bound::Unbounded, Bound::Unbounded),
-        }
-    } else {
-        match cap {
-            Some(t) => (Bound::Unbounded, Bound::Included((t, HostId::MAX))),
-            None => return,
-        }
+    let Some((lo, hi)) = cap_side(cap, over) else {
+        return;
     };
-    let mut taken = 0;
-    for (&idle, bucket) in class.by_idle_sub.iter().rev() {
-        for &(s, id) in bucket.range(range) {
-            out.push((idle, class_sr(class.shape, replication_factor, s), id));
-            taken += 1;
-            if taken >= take {
-                return;
+    let start = out.len();
+    for (idle, levels) in class.occupied.iter().enumerate().rev() {
+        for s in levels.iter_from(lo).take_while(|&s| s <= hi) {
+            let sr = class_sr(class.shape, replication_factor, s);
+            for id in class.cell(idle, s).iter() {
+                out.push((idle as u32, sr, id));
+                if out.len() - start >= take {
+                    return;
+                }
             }
         }
     }
 }
 
-/// Appends up to `take` bin-packing keys `(S, C, id)` — descending — from
-/// one shape class; `over` selects the over-cap side of the `cap` split.
+/// Appends up to `take` (≥ 1) bin-packing keys `(S, C, id)` — descending —
+/// from one shape class; `over` selects the over-cap side of the `cap`
+/// split.
 fn gather_bin_packing(
     class: &ShapeClass,
     cap: Option<u64>,
@@ -468,25 +588,22 @@ fn gather_bin_packing(
     take: usize,
     out: &mut Vec<(u64, u64, HostId)>,
 ) {
-    let range: SubCommitRange = if over {
-        match cap {
-            Some(u64::MAX) => return,
-            Some(t) => (
-                Bound::Excluded((t, u64::MAX, HostId::MAX)),
-                Bound::Unbounded,
-            ),
-            None => (Bound::Unbounded, Bound::Unbounded),
-        }
-    } else {
-        match cap {
-            Some(t) => (
-                Bound::Unbounded,
-                Bound::Included((t, u64::MAX, HostId::MAX)),
-            ),
-            None => return,
-        }
+    let Some((lo, hi)) = cap_side(cap, over) else {
+        return;
     };
-    out.extend(class.by_sub.range(range).rev().take(take));
+    let start = out.len();
+    let gpus = u64::from(class.shape.gpus);
+    for s in class.subs.iter_rev_through(hi).take_while(|&s| s >= lo) {
+        // Committed descending is idle ascending.
+        for idle in 0..class.occupied.len() {
+            for id in class.cell(idle, s).iter_rev() {
+                out.push((s, gpus - idle as u64, id));
+                if out.len() - start >= take {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 /// The exact comparator [`Cluster::subscription_candidates_into`] sorts
@@ -743,10 +860,9 @@ impl Cluster {
         let Some(idx) = self.host_position(host) else {
             return false;
         };
-        if !self.hosts[idx].has_commitment(owner) {
+        let Some(freed) = self.apply_indexed(idx, |h| h.release(owner)) else {
             return false;
-        }
-        let freed = self.apply_indexed(idx, |h| h.release(owner));
+        };
         self.total_committed -= u64::from(freed.gpus);
         true
     }
@@ -914,17 +1030,6 @@ impl Cluster {
         self.census.clone()
     }
 
-    /// Hosts with zero replicas and zero commitments — candidates for
-    /// scale-in (§3.4.2: "idle servers are those with no active training
-    /// kernel replicas").
-    pub fn idle_hosts(&self) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .filter(|h| h.is_idle())
-            .map(Host::id)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Indexed placement queries: sub-linear replacements for the slab
     // scans. Each reproduces its scan counterpart's ordering bit for bit
@@ -942,10 +1047,10 @@ impl Cluster {
 
     /// The viability *split* — [`Cluster::viable_hosts_into`]'s segment lengths
     /// `(within_cap, over_cap)` — without materializing the host lists.
-    /// Per covering class the `class_cap` threshold plus the BTree
-    /// boundary keys resolve homogeneous classes in O(log); only a class
-    /// the cap genuinely splits counts its (over-cap) range, so no host
-    /// in the slab is ever dereferenced.
+    /// Per covering class the `class_cap` threshold against the lowest and
+    /// highest subscribed levels resolves homogeneous classes in O(1); only
+    /// a class the cap genuinely splits sums its per-level counts above the
+    /// threshold, so no host in the slab is ever dereferenced.
     pub fn viable_counts(
         &self,
         request: &ResourceRequest,
@@ -960,11 +1065,11 @@ impl Cluster {
                 CapSplit::AllWithin => within += class.len,
                 CapSplit::AllOver => over += class.len,
                 CapSplit::Mixed(t) => {
-                    let range: SubCommitRange = (
-                        Bound::Excluded((t, u64::MAX, HostId::MAX)),
-                        Bound::Unbounded,
-                    );
-                    let o = class.by_sub.range(range).count();
+                    let o: usize = class
+                        .subs
+                        .iter_from(t + 1)
+                        .map(|s| class.per_sub[s as usize])
+                        .sum();
                     over += o;
                     within += class.len - o;
                 }
@@ -976,9 +1081,9 @@ impl Cluster {
     /// The first `limit` hosts of [`Cluster::subscription_candidates_into`]
     /// (the least-loaded ranking) without scanning the slab, plus the
     /// total viable count as the return value. Within each covering shape
-    /// class the BTree order *is* the least-loaded order, so this gathers
-    /// ≤ `limit` candidates per class and merges the handful with the
-    /// scan's exact comparator: O(classes · (log hosts + limit)).
+    /// class the grid walk (module docs) *is* the least-loaded order, so
+    /// this gathers ≤ `limit` candidates per class and merges the handful
+    /// with the scan's exact comparator.
     pub fn rank_least_loaded_top(
         &self,
         request: &ResourceRequest,
@@ -1077,14 +1182,14 @@ impl Cluster {
     /// The first `limit` hosts of the round-robin ranking (ids rotated
     /// past `last`, within-cap segment first) and the total viable count.
     ///
-    /// Served from the per-class rotation-ordered BTrees rather than a
+    /// Served from the per-class rotation-ordered `by_id` maps rather than a
     /// circular slab walk: each rotation phase (ids after `last`, then
     /// the wrap back to `last`) range-scans every covering class in
     /// ascending-id order — which *is* the global rotation order within a
     /// phase — takes at most `limit` qualifying ids per class, and keeps
     /// the smallest across classes. Draining hosts are not in the class
     /// structures at all, and a class whose members are uniformly over
-    /// (or under) the SR cap is classified from its BTree boundary keys,
+    /// (or under) the SR cap is classified from its extreme subscribed levels,
     /// so the all-over-cap and mostly-draining fleets that degraded the
     /// slab walk to O(hosts) now answer in O(classes · (log hosts +
     /// limit)). Only a class the cap genuinely splits walks members past
@@ -1156,19 +1261,15 @@ impl Cluster {
 
     /// The host the commit-side baseline scans pick: maximum
     /// `(idle GPUs, id)` among hosts that can commit `request` right now.
-    /// Served by a reverse walk of the global idle-GPU index — O(log
-    /// hosts) when the most-idle host accepts, which is the common case.
+    /// Served by a reverse walk of the global idle-GPU buckets — a few
+    /// word reads when the most-idle host accepts, which is the common
+    /// case.
     pub fn best_commit_host(&self, request: &ResourceRequest) -> Option<HostId> {
-        for &(idle, id) in self.index.by_idle.iter().rev() {
-            if request.gpus > 0 && idle < request.gpus {
-                break;
-            }
-            let h = self.host(id).expect("indexed host exists");
-            if h.can_commit(request) {
-                return Some(id);
-            }
-        }
-        None
+        self.index.find_most_idle(request.gpus, |id| {
+            self.host(id)
+                .expect("indexed host exists")
+                .can_commit(request)
+        })
     }
 
     /// [`Cluster::best_commit_host`] with the migration target scan's
@@ -1179,19 +1280,13 @@ impl Cluster {
         request: &ResourceRequest,
         exclude: &[HostId],
     ) -> Option<HostId> {
-        for &(idle, id) in self.index.by_idle.iter().rev() {
-            if request.gpus > 0 && idle < request.gpus {
-                break;
-            }
+        self.index.find_most_idle(request.gpus, |id| {
             if exclude.contains(&id) {
-                continue;
+                return false;
             }
             let h = self.host(id).expect("indexed host exists");
-            if !h.is_draining() && h.can_commit(request) {
-                return Some(id);
-            }
-        }
-        None
+            !h.is_draining() && h.can_commit(request)
+        })
     }
 
     /// The host the LCP submit scan picks: maximum `(has warm container,
@@ -1205,22 +1300,18 @@ impl Cluster {
         warm_on: impl Fn(HostId) -> u32,
     ) -> Option<HostId> {
         let mut cold_best = None;
-        for &(idle, id) in self.index.by_idle.iter().rev() {
-            if request.gpus > 0 && idle < request.gpus {
-                break;
+        let warm = self.index.find_most_idle(request.gpus, |id| {
+            if !self
+                .host(id)
+                .expect("indexed host exists")
+                .can_commit(request)
+            {
+                return false;
             }
-            let h = self.host(id).expect("indexed host exists");
-            if !h.can_commit(request) {
-                continue;
-            }
-            if warm_on(id) > 0 {
-                return Some(id);
-            }
-            if cold_best.is_none() {
-                cold_best = Some(id);
-            }
-        }
-        cold_best
+            cold_best.get_or_insert(id);
+            warm_on(id) > 0
+        });
+        warm.or(cold_best)
     }
 }
 
@@ -1401,7 +1492,7 @@ mod tests {
         slab[0].commit(7, &gpu_req(4)).unwrap();
         slab[1].commit(8, &gpu_req(2)).unwrap();
         slab[2].unsubscribe(&gpu_req(1));
-        slab[1].release(8);
+        assert!(slab[1].release(8).is_some());
         slab[3].set_draining(true);
         assert_eq!(
             slab[0].commit(7, &gpu_req(1)),
@@ -1510,7 +1601,6 @@ mod tests {
         assert_eq!(v.over_cap, vec![0]);
         assert_eq!(v.len(), 2);
         assert!(!v.is_empty());
-        assert_eq!(v.into_ranked(), vec![1, 0]);
         // CPU-only requests are exempt from the cap.
         let cpu = ResourceRequest::new(1000, 1024, 0, 0);
         let v = viable(&c, &cpu, 3, 1.0);
@@ -1561,7 +1651,13 @@ mod tests {
     fn idle_host_detection() {
         let mut c = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
         assert!(c.subscribe(0, &gpu_req(1)));
-        assert_eq!(c.idle_hosts(), vec![1]);
+        let idle: Vec<HostId> = c
+            .hosts()
+            .iter()
+            .filter(|h| h.is_idle())
+            .map(Host::id)
+            .collect();
+        assert_eq!(idle, vec![1]);
     }
 
     /// Scan-path reference for [`Cluster::best_commit_host`].
@@ -1800,6 +1896,33 @@ mod tests {
         );
     }
 
+    /// Index equality is set equality: grid rows, counts, `by_idle` rows
+    /// and bitset words that no host holds any more do not count.
+    #[test]
+    fn index_equality_ignores_buckets_no_host_holds() {
+        let mut c = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
+        let wide = ResourceBundle::new(64_000, 499_712, 16);
+        let extra: Vec<HostId> = (0..100).map(|_| c.add_host(wide)).collect();
+        for _ in 0..150 {
+            assert!(c.subscribe(1, &gpu_req(1)));
+        }
+        for _ in 0..150 {
+            assert!(c.unsubscribe(1, &gpu_req(1)));
+        }
+        for id in extra {
+            assert!(c.remove_host(id).is_some());
+        }
+        let mut rebuilt = HostIndex::default();
+        rebuilt.rebuild(&c.hosts);
+        assert!(c.index.classes[0].cells.len() > rebuilt.classes[0].cells.len());
+        assert!(c.index.by_idle.len() > rebuilt.by_idle.len());
+        assert_eq!(c.index, rebuilt);
+        // …while a host in another cell does count.
+        let mut devices = Vec::new();
+        assert!(c.try_commit(1, 7, &gpu_req(1), &mut devices));
+        assert_ne!(c.index, rebuilt);
+    }
+
     #[test]
     fn host_position_agrees_with_the_binary_search() {
         let mut c = Cluster::with_hosts(12, ResourceBundle::p3_16xlarge());
@@ -1915,6 +2038,82 @@ mod tests {
             assert_eq!(total, full.len());
             assert_eq!(top, full[..3.min(full.len())], "mixed class, last {last:?}");
         }
+    }
+
+    /// The binary search [`class_cap`] replaced: 64 halvings of
+    /// `[0, u64::MAX]` on the same `within` predicate.
+    fn class_cap_search(
+        request: &ResourceRequest,
+        shape: ResourceBundle,
+        replication_factor: u32,
+        sr_cap: f64,
+    ) -> Option<u64> {
+        if request.gpus == 0 {
+            return Some(u64::MAX);
+        }
+        let denom = (u64::from(shape.gpus.max(1)) * u64::from(replication_factor.max(1))) as f64;
+        let g = u128::from(request.gpus);
+        let within = |s: u64| ((u128::from(s) + g) as f64) / denom <= sr_cap;
+        if !within(0) {
+            return None;
+        }
+        if within(u64::MAX) {
+            return Some(u64::MAX);
+        }
+        let (mut lo, mut hi) = (0u64, u64::MAX); // invariant: within(lo), !within(hi)
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if within(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo)
+    }
+
+    #[test]
+    fn class_cap_equals_the_binary_search() {
+        let one = 1.0f64;
+        let mut caps = vec![
+            1.0,
+            f64::from_bits(one.to_bits() + 1),
+            f64::from_bits(one.to_bits() - 1),
+            2.999_999_999_999_999_6,
+            3.0,
+            0.0,
+            -1.0,
+            1e-300,
+            4.5e15,
+            1e17,
+            1.8e19,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = notebookos_des::SimRng::seed(26);
+        for _ in 0..200 {
+            caps.push(rng.below(4_000) as f64 / 1_000.0);
+        }
+        let mut checked = 0;
+        for &cap in &caps {
+            for req_gpus in 0..=9 {
+                for shape_gpus in 1..=8 {
+                    for rf in 1..=5 {
+                        let req = gpu_req(req_gpus);
+                        let shape = ResourceBundle::new(64_000, 499_712, shape_gpus);
+                        assert_eq!(
+                            class_cap(&req, shape, rf, cap),
+                            class_cap_search(&req, shape, rf, cap),
+                            "cap {cap:e}, request {req_gpus}, shape {shape_gpus}, R {rf}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, caps.len() * 10 * 8 * 5);
     }
 
     #[test]

@@ -263,23 +263,17 @@ impl Host {
         Ok(())
     }
 
-    /// Releases `owner`'s commitment, returning the freed bundle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owner` holds no commitment (accounting bug).
-    pub(crate) fn release(&mut self, owner: OwnerId) -> ResourceBundle {
-        let bundle = self
-            .commitments
-            .remove(&owner)
-            .unwrap_or_else(|| panic!("owner {owner} holds no commitment on host {}", self.id));
+    /// Releases `owner`'s commitment, returning the freed bundle, or
+    /// `None` — changing nothing — when `owner` holds no commitment here.
+    pub(crate) fn release(&mut self, owner: OwnerId) -> Option<ResourceBundle> {
+        let bundle = self.commitments.remove(&owner)?;
         for slot in &mut self.gpu_owner {
             if *slot == Some(owner) {
                 *slot = None;
             }
         }
         self.committed -= bundle;
-        bundle
+        Some(bundle)
     }
 
     /// Whether `owner` currently holds a commitment here.
@@ -337,7 +331,7 @@ mod tests {
         let mut h = Host::p3_16xlarge(1);
         h.commit(10, &gpu_req(8)).unwrap();
         assert!(h.has_commitment(10));
-        let freed = h.release(10);
+        let freed = h.release(10).expect("owner 10 holds a commitment");
         assert_eq!(freed.gpus, 8);
         assert_eq!(h.idle_gpus(), 8);
         assert!(!h.has_commitment(10));
@@ -347,10 +341,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "holds no commitment")]
-    fn release_without_commit_panics() {
+    fn release_without_commit_returns_none() {
         let mut h = Host::p3_16xlarge(1);
-        h.release(99);
+        h.commit(10, &gpu_req(3)).unwrap();
+        assert_eq!(h.release(99), None);
+        assert_eq!(h.idle_gpus(), 5, "the other owner's devices stay bound");
+        assert!(h.has_commitment(10));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 pub mod cluster;
 pub mod container;
 pub mod host;
+mod idset;
 pub mod pool;
 pub mod provisioning;
 pub mod resources;

@@ -582,7 +582,7 @@ impl Platform {
         let r = self.config.replication_factor;
         // Top-R ranking into the reusable buffer: the scheduler only ever
         // consumes `R` hosts (plus the viable total for the shortfall
-        // math), so the indexed policies answer in O(log hosts + R)
+        // math), so the indexed policies walk a few index buckets
         // without rescanning the fleet, and the ranking, the consumed
         // prefix, and the replica-host record below all reuse the buffer
         // — a kernel creation performs no transient allocation.

@@ -60,7 +60,8 @@ impl PlacementContext<'_> {
 
     /// The `(within_cap, over_cap)` segment lengths of the screen without
     /// materializing the host lists ([`Cluster::viable_counts`]):
-    /// homogeneous shape classes resolve from BTree boundary keys, so
+    /// homogeneous shape classes resolve from their extreme subscribed
+    /// levels, so
     /// screen users that only need the split — SR-pressure gauges,
     /// shortfall diagnostics — skip the O(hosts) scan entirely.
     pub fn viable_counts(&self) -> (usize, usize) {

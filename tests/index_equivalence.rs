@@ -13,6 +13,10 @@
 //! * `best_commit_host` / `best_commit_host_excluding` /
 //!   `best_warm_commit_host` vs the reservation/batch, migration, and
 //!   LCP baseline scans they replaced.
+//!
+//! The index buckets host ids in 64-bit words, so one stream starts from a
+//! fleet whose ids cross two word boundaries, with holes at the word edges
+//! and one host subscribed past 128 GPUs (`wide_fleet`).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -36,11 +40,35 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>()), 5..50)
 }
 
-/// Applies `ops` through the typed mutators (plus occasional typed calls
-/// that must be refused or change nothing), tracking live
-/// subscriptions/commitments so every inverse operation is legal.
+/// Five hosts of two shapes.
+fn small_fleet() -> Cluster {
+    Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 3), (small_shape(), 2)])
+}
+
+/// 140 hosts of two shapes, so ids cross the bitset words at 64 and 128;
+/// the hosts at both sides of each edge are gone, and host 129 holds 132
+/// subscribed GPUs, past the index's 128th subscription level.
+fn wide_fleet() -> Cluster {
+    let mut c = Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 70), (small_shape(), 70)]);
+    for id in [0, 63, 64, 127, 128] {
+        assert!(c.remove_host(id).is_some());
+    }
+    for _ in 0..33 {
+        assert!(c.subscribe(129, &req(4)));
+    }
+    assert_eq!(c.host(129).map(|h| h.subscribed_gpus()), Some(132));
+    c
+}
+
+/// [`churned`] from the five-host fleet.
 fn churned_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
-    let mut c = Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 3), (small_shape(), 2)]);
+    churned(small_fleet(), ops)
+}
+
+/// Applies `ops` to `c` through the typed mutators (plus occasional typed
+/// calls that must be refused or change nothing), tracking live
+/// subscriptions/commitments so every inverse operation is legal.
+fn churned(mut c: Cluster, ops: &[(u8, u8, u8)]) -> Cluster {
     let mut subs: Vec<(HostId, u32)> = Vec::new();
     let mut commits: Vec<(HostId, u64)> = Vec::new();
     let mut next_owner = 1u64;
@@ -249,6 +277,49 @@ proptest! {
             let c = churned_cluster(&ops[..prefix]);
             assert_index_matches_scan(&c)?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same at every step of a stream over the fleet whose ids and
+    /// subscription levels span several bitset words.
+    #[test]
+    fn index_equals_scan_across_bitset_words(ops in proptest::collection::vec((0u8..16, any::<u8>(), any::<u8>()), 1..16)) {
+        for prefix in 0..=ops.len() {
+            let c = churned(wide_fleet(), &ops[..prefix]);
+            assert_index_matches_scan(&c)?;
+        }
+    }
+}
+
+/// A burst of hosts carries the ids past the third word edge (192) while
+/// the holes at 64 and 128 stay; commits and releases then move hosts on
+/// both sides of every edge.
+#[test]
+fn burst_added_hosts_past_word_edges_match_the_scan() {
+    let mut c = wide_fleet();
+    for i in 0..70 {
+        let shape = if i % 3 == 0 {
+            small_shape()
+        } else {
+            ResourceBundle::p3_16xlarge()
+        };
+        c.add_host(shape);
+    }
+    assert_eq!(c.hosts().last().map(|h| h.id()), Some(209));
+    assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("after the burst: {e:?}"));
+    let mut devices = Vec::new();
+    let edges = [1, 62, 65, 126, 129, 130, 191, 192, 193, 209];
+    for (owner, &host) in edges.iter().enumerate() {
+        assert!(c.try_commit(host, owner as u64, &req(2), &mut devices));
+        assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("commit on {host}: {e:?}"));
+    }
+    for (owner, &host) in edges.iter().enumerate().step_by(2) {
+        assert!(c.release(host, owner as u64));
+        assert!(c.remove_host(host + 1).is_some());
+        assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("release on {host}: {e:?}"));
     }
 }
 
