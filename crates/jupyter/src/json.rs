@@ -23,10 +23,33 @@
 //!   ASCII byte never occurs inside a multi-byte character, so the text up
 //!   to the next stop is a valid `&str` slice and is copied as one —
 //!   already-validated UTF-8 is never validated again.
+//! * **An absorber underneath.** The encoder and the parser are generic
+//!   over a crate-private `Absorb`er that is fed every byte of the text, in
+//!   order, as it is written or read. The wire signature is one
+//!   (`crate::wire`'s module docs); `()` is the other, a no-op, and the
+//!   public [`Json::encode`], [`Json::parse`] and [`encode_string`] use it,
+//!   so they compile to the plain loops. There is one encoder and one
+//!   string scanner, not a signing copy of each. The parser absorbs a
+//!   string's bytes in its scan and catches up on the few bytes between
+//!   strings (punctuation, numbers, escapes) before the next run and at
+//!   the end of the text.
 //!
-//! Neither needs `unsafe` (the crate forbids it). The per-character encoder
-//! these replaced survives as the oracle of this module's differential
-//! tests.
+//! The absorber is called *per byte*, inside the loop that classifies the
+//! byte, not once per run after the run's end is found. The signature is a
+//! serial chain of about four cycles a byte; classifying a byte needs
+//! nothing from that chain, so in the same iteration the core runs both
+//! and the codec costs almost nothing on top of the chain. Absorbing a run
+//! once it is found is a second loop over bytes the first has just read,
+//! and the chain cannot start on them until the scan reaches the run's
+//! end. Measured on the `serve-large` ledger's kind of cell (8 KiB of
+//! printable ASCII, one byte in sixteen escaped; 8.9 KB once escaped) on a
+//! 2-core Xeon VM, best of 10 × 5 × 2 000 calls: the signature alone
+//! 9.2–9.6 µs, escape alone 5.1–5.2, escape then sign as two passes
+//! 14.4–15.1, absorbing per run 12.6–12.9, absorbing per byte 10.0–10.2.
+//!
+//! None of this needs `unsafe` (the crate forbids it). The per-character
+//! encoder these replaced survives as the oracle of this module's
+//! differential tests.
 //!
 //! # Input from outside
 //!
@@ -105,10 +128,13 @@ impl Json {
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integral number.
+    /// The value as `u64`, if it is a non-negative integral number below
+    /// 2^64 (a larger one does not fit, and does not saturate either).
     pub fn as_u64(&self) -> Option<u64> {
+        // 2^64 is exact as an `f64`; `u64::MAX` is not, and rounds up to it.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if (0.0..TWO_POW_64).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -131,8 +157,14 @@ impl Json {
 
     /// Encodes to compact JSON text.
     pub fn encode(&self) -> String {
+        self.encode_with(&mut ())
+    }
+
+    /// [`Json::encode`], with every byte of the text also fed to
+    /// `absorber`, in order, as it is written.
+    pub(crate) fn encode_with<A: Absorb>(&self, absorber: &mut A) -> String {
         let mut s = String::new();
-        encode_into(self, &mut s);
+        encode_into(self, &mut s, absorber);
         s
     }
 
@@ -142,10 +174,19 @@ impl Json {
     ///
     /// Returns a [`JsonError`] describing the first syntax problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
+        Json::parse_with(text, &mut ())
+    }
+
+    /// [`Json::parse`], with every byte of `text` also fed to `absorber`,
+    /// in order, as it is read. On an error the absorber has seen some
+    /// prefix of `text` and should be dropped.
+    pub(crate) fn parse_with<A: Absorb>(text: &str, absorber: &mut A) -> Result<Json, JsonError> {
         let mut p = Parser {
             text,
             pos: 0,
             depth: 0,
+            absorber,
+            absorbed: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -153,8 +194,41 @@ impl Json {
         if p.pos != text.len() {
             return Err(p.err("trailing characters"));
         }
+        p.absorb_to(text.len());
         Ok(v)
     }
+}
+
+/// Sees every byte the codec writes or reads, in text order: the wire
+/// signature (`wire::Signer`), or `()`, which sees nothing and leaves the
+/// public [`Json::encode`] and [`Json::parse`] their plain loops.
+pub(crate) trait Absorb {
+    /// Takes in the next byte of the text.
+    fn absorb(&mut self, byte: u8);
+
+    /// Takes in the next bytes of the text.
+    fn absorb_all(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.absorb(byte);
+        }
+    }
+}
+
+impl Absorb for () {
+    #[inline(always)]
+    fn absorb(&mut self, _byte: u8) {}
+}
+
+/// Writes `text` to `out` and feeds it to `absorber`.
+pub(crate) fn put<A: Absorb>(text: &str, out: &mut String, absorber: &mut A) {
+    out.push_str(text);
+    absorber.absorb_all(text.as_bytes());
+}
+
+/// Writes the ASCII byte `byte` to `out` and feeds it to `absorber`.
+fn put_ascii<A: Absorb>(byte: u8, out: &mut String, absorber: &mut A) {
+    out.push(char::from(byte));
+    absorber.absorb(byte);
 }
 
 impl From<&str> for Json {
@@ -228,41 +302,42 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn encode_into(value: &Json, out: &mut String) {
+fn encode_into<A: Absorb>(value: &Json, out: &mut String, absorber: &mut A) {
     match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => encode_number(*n, out),
-        Json::Str(s) => encode_string(s, out),
+        Json::Null => put("null", out, absorber),
+        Json::Bool(true) => put("true", out, absorber),
+        Json::Bool(false) => put("false", out, absorber),
+        Json::Num(n) => encode_number(*n, out, absorber),
+        Json::Str(s) => encode_string_with(s, out, absorber),
         Json::Arr(items) => {
-            out.push('[');
+            put_ascii(b'[', out, absorber);
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    put_ascii(b',', out, absorber);
                 }
-                encode_into(item, out);
+                encode_into(item, out, absorber);
             }
-            out.push(']');
+            put_ascii(b']', out, absorber);
         }
         Json::Obj(map) => {
-            out.push('{');
+            put_ascii(b'{', out, absorber);
             for (i, (k, v)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    put_ascii(b',', out, absorber);
                 }
-                encode_string(k, out);
-                out.push(':');
-                encode_into(v, out);
+                encode_string_with(k, out, absorber);
+                put_ascii(b':', out, absorber);
+                encode_into(v, out, absorber);
             }
-            out.push('}');
+            put_ascii(b'}', out, absorber);
         }
     }
 }
 
 /// Writes a number: integral values without a fraction, non-finite ones
 /// (which JSON cannot express and [`Json::parse`] refuses) as `null`.
-pub(crate) fn encode_number(n: f64, out: &mut String) {
+pub(crate) fn encode_number<A: Absorb>(n: f64, out: &mut String, absorber: &mut A) {
+    let start = out.len();
     // Writing to a `String` cannot fail.
     let _ = if !n.is_finite() {
         out.write_str("null")
@@ -271,6 +346,7 @@ pub(crate) fn encode_number(n: f64, out: &mut String) {
     } else {
         write!(out, "{n}")
     };
+    absorber.absorb_all(&out.as_bytes()[start..]);
 }
 
 /// Per byte: 0 = copy as is, `u` = write as `\u00XX`, anything else = the
@@ -298,40 +374,63 @@ pub(crate) const HEX: &[u8; 16] = b"0123456789abcdef";
 /// writer that lays out its own document (`core::sweep`'s reports) escapes
 /// its labels with this function instead of a second one.
 pub fn encode_string(s: &str, out: &mut String) {
+    encode_string_with(s, out, &mut ());
+}
+
+/// [`encode_string`], feeding `absorber` each byte it writes.
+pub(crate) fn encode_string_with<A: Absorb>(s: &str, out: &mut String, absorber: &mut A) {
     out.reserve(s.len() + 2);
-    out.push('"');
+    put_ascii(b'"', out, absorber);
     // One pass that remembers where the run began, not a `position` search
     // per run: equal in isolation, but end to end this form measured ≈3 µs
-    // a round trip faster on `serve-large` (README, "Wire path").
+    // a round trip faster on `serve-large` (README, "Wire path"). A clean
+    // byte is absorbed as it is classified, not with its run once the run
+    // ends (module docs, "What the fast paths rely on").
     let mut run_start = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let escape = ESCAPE[b as usize];
         if escape == 0 {
+            absorber.absorb(b);
             continue;
         }
         out.push_str(&s[run_start..i]);
         run_start = i + 1;
         if escape == b'u' {
-            out.push_str("\\u00");
-            out.push(HEX[(b >> 4) as usize] as char);
-            out.push(HEX[(b & 0xf) as usize] as char);
+            put("\\u00", out, absorber);
+            put_ascii(HEX[(b >> 4) as usize], out, absorber);
+            put_ascii(HEX[(b & 0xf) as usize], out, absorber);
         } else {
-            out.push('\\');
-            out.push(escape as char);
+            put_ascii(b'\\', out, absorber);
+            put_ascii(escape, out, absorber);
         }
     }
     out.push_str(&s[run_start..]);
-    out.push('"');
+    put_ascii(b'"', out, absorber);
 }
 
-struct Parser<'a> {
+struct Parser<'a, A> {
     text: &'a str,
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
+    absorber: &'a mut A,
+    /// `text[..absorbed]` has been fed to `absorber`. Strings absorb their
+    /// runs as they scan them; the few bytes between strings (punctuation,
+    /// numbers, escapes) are caught up before the next run and at the end.
+    /// Never past `pos`, so the surrogate backtrack need not undo it.
+    absorbed: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, A: Absorb> Parser<'a, A> {
+    /// Feeds `absorber` the text up to `end`.
+    fn absorb_to(&mut self, end: usize) {
+        // `get`, not an index: the no-op absorber leaves no bounds check.
+        if let Some(unabsorbed) = self.bytes().get(self.absorbed..end) {
+            self.absorber.absorb_all(unabsorbed);
+        }
+        self.absorbed = end;
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -409,15 +508,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            self.absorb_to(self.pos);
             // A run ends at the next `"` or `\`; both are ASCII, so the run
-            // is whole characters and `text` can be sliced there.
+            // is whole characters and `text` can be sliced there. Each byte
+            // is absorbed in the loop that classifies it, the stop included.
             let run = &self.bytes()[self.pos..];
-            let Some(stop) = run.iter().position(|&b| b == b'"' || b == b'\\') else {
+            let absorber = &mut *self.absorber;
+            let Some(stop) = run.iter().position(|&b| {
+                absorber.absorb(b);
+                b == b'"' || b == b'\\'
+            }) else {
                 self.pos = self.text.len();
                 return Err(self.err("unterminated string"));
             };
             s.push_str(&self.text[self.pos..self.pos + stop]);
             self.pos += stop + 1;
+            self.absorbed = self.pos;
             if run[stop] == b'"' {
                 return Ok(s);
             }
@@ -544,7 +650,7 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(text: &str) -> String {
@@ -613,6 +719,19 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_refuses_what_does_not_fit_instead_of_saturating() {
+        let two_pow_64 = 2f64.powi(64);
+        // The largest `f64` below 2^64, 2^64 − 2^11, is the last that fits.
+        let below = two_pow_64 - 2048.0;
+        assert_eq!(Json::Num(below).as_u64(), Some(u64::MAX - 2047));
+        for n in [two_pow_64, 1e20, f64::MAX, f64::INFINITY, f64::NAN, -1.0] {
+            assert_eq!(Json::Num(n).as_u64(), None, "{n}");
+        }
+        assert_eq!(Json::Num(-0.0).as_u64(), Some(0));
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
     }
 
     #[test]
@@ -779,13 +898,14 @@ mod tests {
         }
     }
 
-    mod differential {
+    pub(crate) mod differential {
         use super::*;
         use proptest::prelude::*;
 
         /// Everything the encoder treats specially, next to characters of
-        /// every UTF-8 width that it must copy untouched.
-        const ALPHABET: [char; 24] = [
+        /// every UTF-8 width that it must copy untouched. The wire's
+        /// differential tests draw their cells from it too.
+        pub(crate) const ALPHABET: [char; 24] = [
             '"',
             '\\',
             '\n',

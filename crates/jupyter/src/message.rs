@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{encode_number, encode_string, Json};
+use crate::json::{encode_number, encode_string_with, put, Absorb, Json};
 
 /// Protocol version stamped into every header.
 pub const PROTOCOL_VERSION: &str = "5.4";
@@ -113,8 +113,10 @@ impl Header {
         }
     }
 
-    /// Serializes to the protocol's JSON dict.
-    pub fn to_json(&self) -> Json {
+    /// The protocol's JSON dict: the reference whose encoding
+    /// [`Header::encode`] is held to.
+    #[cfg(test)]
+    pub(crate) fn to_json(&self) -> Json {
         Json::object()
             .with("msg_id", self.msg_id.as_str())
             .with("session", self.session.as_str())
@@ -124,15 +126,21 @@ impl Header {
             .with("date", self.date_us)
     }
 
-    /// The header's canonical JSON text — what `self.to_json().encode()`
-    /// returns, written field by field in sorted-key order without building
-    /// the dict. This is the header frame [`crate::wire::encode`] signs.
+    /// The header's canonical JSON text: the protocol's dict with its keys
+    /// in sorted order, as [`Json::encode`] would write it, but written
+    /// field by field without building the dict. This is the header frame
+    /// [`crate::wire::encode`] signs.
     pub fn encode(&self) -> String {
+        self.encode_with(&mut ())
+    }
+
+    /// [`Header::encode`], feeding `absorber` each byte it writes.
+    pub(crate) fn encode_with<A: Absorb>(&self, absorber: &mut A) -> String {
         let mut out = String::with_capacity(
             96 + self.msg_id.len() + self.session.len() + self.username.len() + self.version.len(),
         );
-        out.push_str("{\"date\":");
-        encode_number(self.date_us as f64, &mut out);
+        put("{\"date\":", &mut out, absorber);
+        encode_number(self.date_us as f64, &mut out, absorber);
         for (key, value) in [
             (",\"msg_id\":", self.msg_id.as_str()),
             (",\"msg_type\":", self.msg_type.as_str()),
@@ -140,10 +148,10 @@ impl Header {
             (",\"username\":", self.username.as_str()),
             (",\"version\":", self.version.as_str()),
         ] {
-            out.push_str(key);
-            encode_string(value, &mut out);
+            put(key, &mut out, absorber);
+            encode_string_with(value, &mut out, absorber);
         }
-        out.push('}');
+        put("}", &mut out, absorber);
         out
     }
 
@@ -297,14 +305,15 @@ impl JupyterMessage {
         self
     }
 
-    /// The GPU device ids embedded in the metadata, if any.
+    /// The GPU device ids embedded in the metadata, if any. An entry that
+    /// is not an integer, or does not fit a `u32`, is skipped.
     pub fn gpu_device_ids(&self) -> Vec<u32> {
         self.metadata
             .get("gpu_device_ids")
             .and_then(Json::as_arr)
             .map(|a| {
                 a.iter()
-                    .filter_map(|v| v.as_u64().map(|n| n as u32))
+                    .filter_map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
                     .collect()
             })
             .unwrap_or_default()
@@ -474,6 +483,24 @@ mod tests {
         let m = request().with_gpu_device_ids(&[0, 3, 5]);
         assert_eq!(m.gpu_device_ids(), vec![0, 3, 5]);
         assert_eq!(request().gpu_device_ids(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn gpu_device_ids_that_do_not_fit_a_u32_are_dropped_not_truncated() {
+        let mut m = request();
+        m.metadata = m.metadata.with(
+            "gpu_device_ids",
+            Json::Arr(vec![
+                Json::from(0u64),
+                Json::from(1u64 << 32),
+                Json::from(u64::from(u32::MAX)),
+                Json::from((1u64 << 32) + 7),
+                Json::Num(1.5),
+                Json::Num(-1.0),
+                Json::from("2"),
+            ]),
+        );
+        assert_eq!(m.gpu_device_ids(), vec![0, u32::MAX]);
     }
 
     #[test]

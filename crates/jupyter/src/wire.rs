@@ -13,16 +13,34 @@
 //! # What a message costs on this path
 //!
 //! A round trip signs twice (the sender signs, the receiver re-signs to
-//! verify) and the signature reads every body byte, so `sign` sets the
-//! floor of the whole wire path. FNV-1a is a serial chain — each byte's
+//! verify) and the signature reads every body byte, so the signature sets
+//! the floor of the whole wire path. FNV-1a is a serial chain — each byte's
 //! xor-then-multiply needs the previous byte's product, about four cycles a
 //! byte however wide the machine is — but the two 64-bit lanes are
-//! independent of each other. `sign` therefore feeds key, lane byte and
-//! the four parts to both lanes in one pass: the two chains overlap in the
-//! pipeline and 128 bits cost what 64 would. That is the floor for *this*
-//! function; going below it means a different signature, which would change
-//! the bytes on the wire. The two-pass form it replaced is kept under
-//! `#[cfg(test)]` as the reference either must verify against.
+//! independent of each other, so the `Signer` advances both in one pass:
+//! the two chains overlap in the pipeline and 128 bits cost what 64 would.
+//! That is the floor for *this* function; going below it means a different
+//! signature, which would change the bytes on the wire. The two-pass form
+//! that came before is kept under `#[cfg(test)]` as the reference every
+//! frame must verify against.
+//!
+//! A chain that waits four cycles a byte leaves most of the core's issue
+//! width idle, and the JSON codec's work — classify a byte, copy a run,
+//! write an escape — needs none of the chain's results. So the codec runs
+//! *underneath* the chain instead of after it: [`encode`] hands the
+//! `Signer` to the encoder, which absorbs each body byte in the loop that
+//! escapes and writes it, and [`decode`] hands it to the parser, which
+//! absorbs each byte in the loop that scans it for the end of a string
+//! (`json`'s module docs say why per byte and not per run). A message then
+//! costs about its signature: what the codec does is hidden in the cycles
+//! the chain leaves free. Only UTF-8 validation of each frame stays a pass
+//! of its own.
+//!
+//! `decode`'s verdicts keep their order: a bad signature outranks bad JSON,
+//! which outranks a bad header. A frame that is not UTF-8 or not JSON
+//! stops the parser partway, so that cold path signs the whole body again
+//! before it chooses its error, and nothing parsed from frames that fail
+//! the signature leaves `decode`.
 //!
 //! Around the signature, [`encode`] writes each header straight to its
 //! canonical text ([`Header::encode`]) instead of building a dict per
@@ -31,7 +49,7 @@
 
 use bytes::Bytes;
 
-use crate::json::{Json, HEX};
+use crate::json::{Absorb, Json, HEX};
 use crate::message::{Header, JupyterMessage};
 
 /// The frame delimiter between routing identities and the message body.
@@ -82,52 +100,77 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Computes the keyed signature over the four JSON body parts: keyed
-/// FNV-1a, 128 bits as two lanes, in lowercase hex. Documented as
-/// non-cryptographic in the module docs, which also say why both lanes
-/// advance together.
-fn sign(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let [mut a, mut b] = LANE_OFFSETS;
-    let mut absorb = |byte_a: u8, byte_b: u8| {
-        a = (a ^ u64::from(byte_a)).wrapping_mul(FNV_PRIME);
-        b = (b ^ u64::from(byte_b)).wrapping_mul(FNV_PRIME);
-    };
-    for &byte in key {
-        absorb(byte, byte);
-    }
-    absorb(0, 1);
-    for part in parts {
-        for &byte in *part {
-            absorb(byte, byte);
-        }
-    }
-    let mut hex = [0u8; 32];
-    for (lane, digits) in [a, b].into_iter().zip(hex.chunks_exact_mut(16)) {
-        for (i, digit) in digits.iter_mut().enumerate() {
-            *digit = HEX[(lane >> (60 - 4 * i)) as usize & 0xf];
-        }
-    }
-    hex
+/// The keyed signature as a running state: keyed FNV-1a, 128 bits as two
+/// lanes. Documented as non-cryptographic in the module docs, which also
+/// say why both lanes advance together and why the codec drives it.
+pub(crate) struct Signer {
+    lanes: [u64; 2],
 }
+
+impl Signer {
+    /// A signer that has absorbed `key` into both lanes, then the lane
+    /// byte: `i` into lane `i`.
+    pub(crate) fn new(key: &[u8]) -> Signer {
+        let mut signer = Signer {
+            lanes: LANE_OFFSETS,
+        };
+        signer.absorb_all(key);
+        for (lane_byte, lane) in (0u64..).zip(&mut signer.lanes) {
+            *lane = (*lane ^ lane_byte).wrapping_mul(FNV_PRIME);
+        }
+        signer
+    }
+
+    /// The signature of everything absorbed, in lowercase hex.
+    pub(crate) fn finish(self) -> [u8; 32] {
+        let mut hex = [0u8; 32];
+        for (lane, digits) in self.lanes.into_iter().zip(hex.chunks_exact_mut(16)) {
+            for (i, digit) in digits.iter_mut().enumerate() {
+                *digit = HEX[(lane >> (60 - 4 * i)) as usize & 0xf];
+            }
+        }
+        hex
+    }
+}
+
+impl Absorb for Signer {
+    #[inline(always)]
+    fn absorb(&mut self, byte: u8) {
+        for lane in &mut self.lanes {
+            *lane = (*lane ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+/// The signature over the four JSON body parts, each absorbed whole: what
+/// [`encode`] and [`decode`] compute while they write and read the parts,
+/// computed apart from the codec only on `decode`'s cold path.
+fn sign(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
+    let mut signer = Signer::new(key);
+    for part in parts {
+        signer.absorb_all(part);
+    }
+    signer.finish()
+}
+
+/// The parent-header frame of a message that has no parent.
+const NO_PARENT: &[u8] = b"{}";
 
 /// Encodes a message (plus routing identities) into wire frames.
 pub fn encode(identities: &[Bytes], message: &JupyterMessage, key: &[u8]) -> Vec<Bytes> {
-    let header = message.header.encode();
+    // Each body byte is signed as the codec writes it (module docs).
+    let mut signer = Signer::new(key);
+    let header = message.header.encode_with(&mut signer);
     let parent = match &message.parent {
-        Some(parent) => Bytes::from(parent.encode()),
-        None => Bytes::from_static(b"{}"),
+        Some(parent) => Bytes::from(parent.encode_with(&mut signer)),
+        None => {
+            signer.absorb_all(NO_PARENT);
+            Bytes::from_static(NO_PARENT)
+        }
     };
-    let metadata = message.metadata.encode();
-    let content = message.content.encode();
-    let signature = sign(
-        key,
-        &[
-            header.as_bytes(),
-            &parent,
-            metadata.as_bytes(),
-            content.as_bytes(),
-        ],
-    );
+    let metadata = message.metadata.encode_with(&mut signer);
+    let content = message.content.encode_with(&mut signer);
+    let signature = signer.finish();
 
     let mut frames = Vec::with_capacity(identities.len() + 6);
     frames.extend(identities.iter().cloned());
@@ -138,6 +181,22 @@ pub fn encode(identities: &[Bytes], message: &JupyterMessage, key: &[u8]) -> Vec
     frames.push(Bytes::from(metadata));
     frames.push(Bytes::from(content));
     frames
+}
+
+/// Parses the four body frames in order, feeding `signer` every byte. On an
+/// error, `signer` has seen only part of the body.
+fn parse_signed(body: [&[u8]; 4], signer: &mut Signer) -> Result<[Json; 4], WireError> {
+    let mut parse = |frame: &[u8]| {
+        let text = std::str::from_utf8(frame).map_err(|e| WireError::BadJson(e.to_string()))?;
+        Json::parse_with(text, signer).map_err(|e| WireError::BadJson(e.to_string()))
+    };
+    let [header, parent, metadata, content] = body;
+    Ok([
+        parse(header)?,
+        parse(parent)?,
+        parse(metadata)?,
+        parse(content)?,
+    ])
 }
 
 /// Decodes wire frames back into identities and a message, verifying the
@@ -158,17 +217,21 @@ pub fn decode(frames: &[Bytes], key: &[u8]) -> Result<(Vec<Bytes>, JupyterMessag
     let [signature, header, parent, metadata, content] = &frames[delim + 1..delim + 6] else {
         unreachable!("a slice of five frames");
     };
-    if signature.as_ref() != sign(key, &[header, parent, metadata, content]) {
+    let body: [&[u8]; 4] = [header, parent, metadata, content];
+    // Each body byte is verified as the parser reads it (module docs). A
+    // frame that does not parse stops the parser partway, so that cold
+    // path signs the whole body again: a bad signature outranks bad JSON.
+    let mut signer = Signer::new(key);
+    let parsed = parse_signed(body, &mut signer);
+    let expected = if parsed.is_ok() {
+        signer.finish()
+    } else {
+        sign(key, &body)
+    };
+    if signature.as_ref() != expected {
         return Err(WireError::BadSignature);
     }
-    let parse = |bytes: &[u8]| -> Result<Json, WireError> {
-        let text = std::str::from_utf8(bytes).map_err(|e| WireError::BadJson(e.to_string()))?;
-        Json::parse(text).map_err(|e| WireError::BadJson(e.to_string()))
-    };
-    let header_json = parse(header)?;
-    let parent_json = parse(parent)?;
-    let metadata = parse(metadata)?;
-    let content = parse(content)?;
+    let [header_json, parent_json, metadata, content] = parsed?;
     let header = Header::from_json(header_json).map_err(WireError::BadHeader)?;
     let parent = match parent_json {
         Json::Obj(map) if map.is_empty() => None,
@@ -458,5 +521,208 @@ mod tests {
         let mut upper = frames.clone();
         upper[n - 5] = Bytes::from(signature.to_ascii_uppercase());
         assert_eq!(decode(&upper, KEY).unwrap_err(), WireError::BadSignature);
+    }
+
+    // ---- Frames this crate did not write, signed by the reference.
+
+    /// `body` behind a delimiter and `sign_two_pass(key, body)`.
+    fn signed_by_reference(key: &[u8], body: [&[u8]; 4]) -> Vec<Bytes> {
+        let mut frames = vec![
+            Bytes::from_static(DELIMITER),
+            Bytes::from(sign_two_pass(key, &body)),
+        ];
+        frames.extend(body.iter().map(|part| Bytes::copy_from_slice(part)));
+        frames
+    }
+
+    #[test]
+    fn foreign_text_verifies_and_parses() {
+        // Python's `json.dumps` separators, whitespace around every frame,
+        // an escaped surrogate pair, and a high surrogate before an escape
+        // that is not its low half (the parser reads `\ud83d`, looks ahead
+        // at `A`, and rewinds to read it again on its own).
+        let header = concat!(
+            " {\"date\": 99, \"msg_id\": \"m1\", \"msg_type\": \"execute_request\", ",
+            "\"session\": \"s1\", \"username\": \"notebookos\", \"version\": \"5.4\"}\n"
+        );
+        let parent = "\t{ }\r\n";
+        let metadata = "{\"kernel_id\": \"kern-1\",\n \"gpu_device_ids\": [0, 1]} ";
+        let content = concat!(
+            "{\"code\": \"a = '\\ud83d\\ude00'; b = '\\ud83d\\u0041'\", \"silent\": false, ",
+            "\"stop_on_error\": true, \"store_history\": true}"
+        );
+        let body = [header, parent, metadata, content].map(str::as_bytes);
+        let want = JupyterMessage::execute_request("m1", "s1", "a = '😀'; b = '\u{fffd}A'", 99)
+            .with_destination("kern-1")
+            .with_gpu_device_ids(&[0, 1]);
+        for key in [&b""[..], b"k", KEY, &[0xa5; 40]] {
+            let frames = signed_by_reference(key, body);
+            assert_eq!(decode(&frames, key), Ok((Vec::new(), want.clone())));
+            assert_eq!(
+                decode(&frames, b"other-key").unwrap_err(),
+                WireError::BadSignature
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_signature_outranks_bad_json_and_bad_json_outranks_a_bad_header() {
+        let good = encode(&[], &sample(), KEY);
+        let good_body = body(&good);
+        let invalid_utf8 = b"{\"code\":\"\xff\xfe\"}";
+        let truncated = b"{\"code\":\"print(1)\",\"silent\":fal";
+        let trailing = b"{\"code\":\"print(1)\"} x";
+        // Each bad part in each of the four body frames: the frames after it
+        // still count toward the signature.
+        for frame in 0..4 {
+            for bad in [&invalid_utf8[..], truncated, trailing] {
+                let mut parts = [good_body[0], good_body[1], good_body[2], good_body[3]];
+                parts[frame] = bad;
+                let signed = signed_by_reference(KEY, parts);
+                assert!(
+                    matches!(decode(&signed, KEY), Err(WireError::BadJson(_))),
+                    "frame {frame}, {bad:?}"
+                );
+                if bad != trailing {
+                    let forged = signed_by_reference(b"other-key", parts);
+                    assert_eq!(
+                        decode(&forged, KEY).unwrap_err(),
+                        WireError::BadSignature,
+                        "frame {frame}, {bad:?}"
+                    );
+                }
+            }
+        }
+        // A header that parses but lacks `msg_type`: only a good signature
+        // gets as far as reading it.
+        let no_type = br#"{"date":1,"msg_id":"m1","session":"s1","username":"u","version":"5.4"}"#;
+        let parts = [&no_type[..], good_body[1], good_body[2], good_body[3]];
+        assert_eq!(
+            decode(&signed_by_reference(KEY, parts), KEY).unwrap_err(),
+            WireError::BadHeader("header missing `msg_type`".to_string())
+        );
+        assert_eq!(
+            decode(&signed_by_reference(b"other-key", parts), KEY).unwrap_err(),
+            WireError::BadSignature
+        );
+    }
+
+    mod differential {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::json::tests::differential::ALPHABET;
+
+        /// Up to `max_chars` characters of the JSON escape alphabet: every
+        /// escape and characters of every UTF-8 width.
+        fn arb_text(max_chars: usize) -> impl Strategy<Value = String> {
+            proptest::collection::vec(0..ALPHABET.len(), 0..max_chars + 1)
+                .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+        }
+
+        fn arb_header() -> impl Strategy<Value = Header> {
+            const TYPES: [MsgType; 4] = [
+                MsgType::ExecuteRequest,
+                MsgType::ExecuteReply,
+                MsgType::YieldRequest,
+                MsgType::Status,
+            ];
+            (
+                arb_text(12),
+                arb_text(12),
+                arb_text(8),
+                0..TYPES.len(),
+                arb_text(4),
+                // `date` travels as an f64, exact below 2^53.
+                0u64..1 << 53,
+            )
+                .prop_map(|(msg_id, session, username, t, version, date_us)| Header {
+                    msg_id,
+                    session,
+                    username,
+                    msg_type: TYPES[t],
+                    version,
+                    date_us,
+                })
+        }
+
+        /// A dict of numbers, bools, strings, arrays and nested dicts.
+        fn arb_metadata() -> impl Strategy<Value = Json> {
+            let leaf = prop_oneof![
+                Just(Json::Null),
+                any::<bool>().prop_map(Json::Bool),
+                (-1.0e9f64..1.0e9).prop_map(Json::Num),
+                (0u64..1 << 53).prop_map(Json::from),
+                arb_text(16).prop_map(Json::Str),
+            ];
+            let value = leaf.prop_recursive(3, 32, 5, |inner| {
+                prop_oneof![
+                    proptest::collection::vec(inner.clone(), 0..5).prop_map(Json::Arr),
+                    proptest::collection::btree_map(arb_text(6), inner, 0..5)
+                        .prop_map(|m| Json::Obj(m.into_iter().collect::<BTreeMap<_, _>>())),
+                ]
+            });
+            proptest::collection::btree_map(arb_text(6), value, 0..5)
+                .prop_map(|m| Json::Obj(m.into_iter().collect::<BTreeMap<_, _>>()))
+        }
+
+        fn arb_message() -> impl Strategy<Value = JupyterMessage> {
+            (
+                arb_header(),
+                (any::<bool>(), arb_header()),
+                arb_metadata(),
+                arb_text(600),
+                any::<bool>(),
+            )
+                .prop_map(|(header, (has_parent, parent), metadata, cell, silent)| {
+                    JupyterMessage {
+                        header,
+                        parent: has_parent.then_some(parent),
+                        metadata,
+                        content: Json::object().with("code", cell).with("silent", silent),
+                    }
+                })
+        }
+
+        /// Signing keys of 0, 1 and 40 bytes.
+        fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+            (0..3usize, proptest::collection::vec(any::<u8>(), 40))
+                .prop_map(|(len, bytes)| bytes[..[0, 1, 40][len]].to_vec())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn the_fused_codec_signs_what_the_reference_signs_and_round_trips(
+                message in arb_message(),
+                key in arb_key(),
+                identities in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..8), 0..3),
+                (flip_at, flip_with) in (any::<usize>(), 1u8..=255),
+            ) {
+                let identities: Vec<Bytes> = identities.into_iter().map(Bytes::from).collect();
+                let frames = encode(&identities, &message, &key);
+                let n = frames.len();
+                let reference = sign_two_pass(&key, &body(&frames));
+                prop_assert_eq!(frames[n - 5].as_ref(), reference.as_bytes());
+                prop_assert_eq!(decode(&frames, &key), Ok((identities, message)));
+                // One body byte changed, wherever it lands: possibly no
+                // longer UTF-8 or JSON, always a bad signature.
+                let mut at = flip_at % body(&frames).iter().map(|p| p.len()).sum::<usize>();
+                let mut tampered = frames.clone();
+                for frame in &mut tampered[n - 4..] {
+                    if at < frame.len() {
+                        let mut bytes = frame.to_vec();
+                        bytes[at] ^= flip_with;
+                        *frame = Bytes::from(bytes);
+                        break;
+                    }
+                    at -= frame.len();
+                }
+                prop_assert_eq!(decode(&tampered, &key), Err(WireError::BadSignature));
+            }
+        }
     }
 }
