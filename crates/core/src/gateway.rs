@@ -124,14 +124,14 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
             spec.vram_gb,
         )
     }
-}
 
-impl<P: PlacementPolicy> KernelProvisioner for GatewayProvisioner<P> {
-    fn launch(
+    /// [`KernelProvisioner::launch`], also returning the replica hosts
+    /// (index = replica index): the route-table entry a gateway registers.
+    pub(crate) fn launch_placed(
         &mut self,
         kernel_id: &str,
         spec: KernelResourceSpec,
-    ) -> Result<ConnectionInfo, ProvisionError> {
+    ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
         if self.kernels.contains_key(kernel_id) {
             return Err(ProvisionError::InsufficientResources(format!(
                 "kernel `{kernel_id}` already exists"
@@ -193,15 +193,27 @@ impl<P: PlacementPolicy> KernelProvisioner for GatewayProvisioner<P> {
                 request,
             },
         );
+        let hosts = rank_buf.clone();
         self.rank_buf = rank_buf;
         self.rpc_log.push(ControlRpc::KernelReady {
             kernel_id: kernel_id.to_string(),
         });
-        Ok(ConnectionInfo {
+        let info = ConnectionInfo {
             kernel_id: kernel_id.to_string(),
             endpoints,
             key: self.signing_key.clone(),
-        })
+        };
+        Ok((info, hosts))
+    }
+}
+
+impl<P: PlacementPolicy> KernelProvisioner for GatewayProvisioner<P> {
+    fn launch(
+        &mut self,
+        kernel_id: &str,
+        spec: KernelResourceSpec,
+    ) -> Result<ConnectionInfo, ProvisionError> {
+        self.launch_placed(kernel_id, spec).map(|(info, _)| info)
     }
 
     fn shutdown(&mut self, kernel_id: &str) -> Result<(), ProvisionError> {

@@ -16,6 +16,7 @@
 //! can decompose coordination cost.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
@@ -188,19 +189,14 @@ impl PlacementService {
                 reply,
             } => {
                 stats.launches += 1;
-                let result = provisioner.launch(&kernel_id, spec).map(|info| {
-                    let hosts = provisioner
-                        .placement(&kernel_id)
-                        .expect("just launched")
-                        .replica_hosts
-                        .clone();
-                    (info, hosts)
-                });
+                let result = provisioner.launch_placed(&kernel_id, spec);
                 // A dropped client is not an owner error.
                 let _ = reply.send(result);
             }
             PlacementCmd::Shutdown { kernel_id } => {
                 stats.shutdowns += 1;
+                // A client forwards only kernels it launched and has not
+                // shut down (`PlacementClient::shutdown`).
                 provisioner
                     .shutdown(&kernel_id)
                     .expect("shards shut down only kernels they launched");
@@ -224,7 +220,7 @@ impl PlacementService {
     pub fn client(&self) -> PlacementClient {
         PlacementClient {
             tx: self.tx.as_ref().expect("service not yet joined").clone(),
-            kernels: 0,
+            kernels: HashSet::new(),
             wait: Cell::new(Duration::ZERO),
             calls: Cell::new(0),
         }
@@ -245,8 +241,9 @@ impl PlacementService {
 #[derive(Debug)]
 pub struct PlacementClient {
     tx: Sender<PlacementCmd>,
-    /// Kernels this shard launched and has not shut down.
-    kernels: usize,
+    /// Kernels this shard launched and has not shut down: the only ones
+    /// it asks the owner to shut down.
+    kernels: HashSet<String>,
     /// Cumulative wall time blocked on the owner (request → reply).
     wait: Cell<Duration>,
     /// Round trips awaited (launches + gauge queries).
@@ -282,18 +279,19 @@ impl ProvisioningBackend for PlacementClient {
             rx,
         );
         if result.is_ok() {
-            self.kernels += 1;
+            self.kernels.insert(kernel_id.to_string());
         }
         result
     }
 
-    fn shutdown(&mut self, kernel_id: &str) {
+    fn shutdown(&mut self, kernel_id: &str) -> bool {
+        let Some(kernel_id) = self.kernels.take(kernel_id) else {
+            return false;
+        };
         self.tx
-            .send(PlacementCmd::Shutdown {
-                kernel_id: kernel_id.to_string(),
-            })
+            .send(PlacementCmd::Shutdown { kernel_id })
             .expect("placement owner alive");
-        self.kernels = self.kernels.saturating_sub(1);
+        true
     }
 
     fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize) {
@@ -302,7 +300,7 @@ impl ProvisioningBackend for PlacementClient {
     }
 
     fn kernel_count(&self) -> usize {
-        self.kernels
+        self.kernels.len()
     }
 
     fn coordination_wait(&self) -> (Duration, u64) {
@@ -368,6 +366,25 @@ mod tests {
             stats.wakeups,
             "histogram sums to wakeups"
         );
+    }
+
+    #[test]
+    fn a_client_shuts_down_only_kernels_it_launched() {
+        let service = PlacementService::spawn(6, ResourceBundle::p3_16xlarge(), 3);
+        let mut a = service.client();
+        let mut b = service.client();
+        a.launch("kernel-a", spec()).expect("places");
+        // Another shard's kernel, one never launched, and one twice: each
+        // refused here, and the owner never asked (it would panic).
+        assert!(!b.shutdown("kernel-a"));
+        assert!(!a.shutdown("kernel-ghost"));
+        assert!(a.shutdown("kernel-a"));
+        assert!(!a.shutdown("kernel-a"));
+        assert_eq!((a.kernel_count(), b.kernel_count()), (0, 0));
+        drop(a);
+        drop(b);
+        let stats = service.join();
+        assert_eq!((stats.launches, stats.shutdowns), (1, 1));
     }
 
     #[test]

@@ -98,7 +98,9 @@ pub trait ProvisioningBackend: std::fmt::Debug + Send {
     ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError>;
 
     /// Shuts `kernel_id` down, releasing its replica subscriptions.
-    fn shutdown(&mut self, kernel_id: &str);
+    /// Returns `false`, and changes nothing, for a kernel this backend did
+    /// not launch or has already shut down.
+    fn shutdown(&mut self, kernel_id: &str) -> bool;
 
     /// The `(within_cap, over_cap)` viable-host split for `spec` — the
     /// capacity gauge, served from the fleet index without a scan.
@@ -162,20 +164,11 @@ impl ProvisioningBackend for LocalBackend {
         kernel_id: &str,
         spec: KernelResourceSpec,
     ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
-        let info = self.provisioner.launch(kernel_id, spec)?;
-        let hosts = self
-            .provisioner
-            .placement(kernel_id)
-            .expect("just launched")
-            .replica_hosts
-            .clone();
-        Ok((info, hosts))
+        self.provisioner.launch_placed(kernel_id, spec)
     }
 
-    fn shutdown(&mut self, kernel_id: &str) {
-        self.provisioner
-            .shutdown(kernel_id)
-            .expect("session kernels are registered");
+    fn shutdown(&mut self, kernel_id: &str) -> bool {
+        self.provisioner.shutdown(kernel_id).is_ok()
     }
 
     fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize) {
@@ -304,7 +297,10 @@ impl LiveGateway {
             return false;
         };
         self.router.deregister(&session.kernel_id);
-        self.backend.shutdown(&session.kernel_id);
+        // Always `true`: a session exists only once its kernel launched on
+        // this backend (`start_session`), and only here is it shut down.
+        let launched_here = self.backend.shutdown(&session.kernel_id);
+        debug_assert!(launched_here, "session kernels are live on the backend");
         true
     }
 
@@ -346,7 +342,7 @@ impl LiveGateway {
         }
         let duration =
             SimTime::from_micros(message.metadata.get(DURATION_KEY).and_then(Json::as_u64)?);
-        let session = self.sessions.get(&message.header.session)?;
+        let session = self.sessions.get_mut(&message.header.session)?;
         let kernel_id = message.destination()?;
         if kernel_id != session.kernel_id {
             return None;
@@ -362,11 +358,8 @@ impl LiveGateway {
             .ok()?
             .len();
         let kernel_id = kernel_id.to_string();
+        let execution_count = session.record_execution(now.as_micros());
         let header = message.header;
-        let execution_count = self
-            .sessions
-            .record_execution(&header.session, now.as_micros())
-            .expect("session looked up above");
         let accepted = AcceptedExecution {
             msg_id: header.msg_id.clone(),
             session_id: header.session.clone(),
@@ -606,6 +599,59 @@ mod tests {
         assert_eq!(gw.session_count(), 0);
         assert_eq!(gw.kernel_count(), 0);
         assert!(gw.viable_count(spec()) >= before);
+    }
+
+    #[test]
+    fn a_local_backend_reports_its_placement_and_refuses_what_it_does_not_hold() {
+        let mut backend = LocalBackend::new(4, ResourceBundle::p3_16xlarge(), 3);
+        let (info, hosts) = backend.launch("kernel-a", spec()).expect("places");
+        assert_eq!(info.kernel_id, "kernel-a");
+        let cluster = backend.cluster().expect("local backend");
+        let mut subscribed: Vec<HostId> = cluster
+            .hosts()
+            .iter()
+            .filter(|h| h.replica_count() > 0)
+            .map(|h| h.id())
+            .collect();
+        let mut placed = hosts.clone();
+        placed.sort_unstable();
+        subscribed.sort_unstable();
+        assert_eq!(
+            placed, subscribed,
+            "three distinct hosts, the ones subscribed"
+        );
+        // A second launch of the id is refused and leaves the first alone.
+        assert!(matches!(
+            backend.launch("kernel-a", spec()),
+            Err(ProvisionError::InsufficientResources(_))
+        ));
+        assert_eq!(backend.kernel_count(), 1);
+        // Shutting down what it does not hold is refused, not a panic.
+        assert!(!backend.shutdown("kernel-ghost"));
+        assert!(backend.shutdown("kernel-a"));
+        assert!(!backend.shutdown("kernel-a"));
+        assert_eq!(backend.kernel_count(), 0);
+        assert!(
+            backend.launch("kernel-a", spec()).is_ok(),
+            "the id is free again"
+        );
+    }
+
+    #[test]
+    fn a_session_ended_under_a_queued_request_is_refused_and_can_start_again() {
+        let (mut gw, mut client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        let at = SimTime::from_secs;
+        client.send(&[], &request_to("m1", "s1", "kernel-s1", at(1)));
+        assert!(gw.end_session("s1"));
+        assert!(!gw.end_session("s1"));
+        assert!(gw.pump(at(1)).is_empty(), "its session is gone");
+        assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
+        // The same id starts again on a fresh kernel and counts from 1.
+        gw.start_session("s1", spec(), at(2)).unwrap();
+        assert_eq!(gw.kernel_count(), 1);
+        let again = request_to("m1", "s1", "kernel-s1", at(3));
+        assert_eq!(complete(&mut gw, &mut client, &again, at(3)), (1, 0));
     }
 
     #[test]

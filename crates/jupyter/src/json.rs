@@ -22,7 +22,10 @@
 //!   the only bytes that end a run are `"` and `\`, both ASCII, and an
 //!   ASCII byte never occurs inside a multi-byte character, so the text up
 //!   to the next stop is a valid `&str` slice and is copied as one —
-//!   already-validated UTF-8 is never validated again.
+//!   already-validated UTF-8 is never validated again. A string with no
+//!   escape is that one slice, so it is not copied at all until a value
+//!   needs to own it: object keys handed to a member visitor (the wire's
+//!   header reader) stay borrowed.
 //! * **An absorber underneath.** The encoder and the parser are generic
 //!   over a crate-private `Absorb`er that is fed every byte of the text, in
 //!   order, as it is written or read. The wire signature is one
@@ -60,6 +63,7 @@
 //! overflow the stack of the thread that reads it. Non-finite numbers, which
 //! JSON cannot express, encode as `null`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -181,22 +185,28 @@ impl Json {
     /// in order, as it is read. On an error the absorber has seen some
     /// prefix of `text` and should be dropped.
     pub(crate) fn parse_with<A: Absorb>(text: &str, absorber: &mut A) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            pos: 0,
-            depth: 0,
-            absorber,
-            absorbed: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(p.err("trailing characters"));
-        }
-        p.absorb_to(text.len());
-        Ok(v)
+        Parser::whole(text, absorber, Parser::value)
     }
+}
+
+/// [`Json::parse_with`] for a text whose top-level object is not built: each
+/// member goes to `member`, key and value, in text order, duplicates
+/// included. A key is borrowed from `text` unless it holds an escape. Any
+/// other top-level value is parsed and dropped. Returns the number of
+/// members, or `None` when the text is not an object. Errors, their texts
+/// and offsets, and [`MAX_DEPTH`] are those of [`Json::parse`].
+pub(crate) fn parse_members_with<A: Absorb>(
+    text: &str,
+    absorber: &mut A,
+    member: impl FnMut(Cow<'_, str>, Json),
+) -> Result<Option<usize>, JsonError> {
+    Parser::whole(text, absorber, |p| {
+        if p.peek() == Some(b'{') {
+            p.nested(|p| p.members(member)).map(Some)
+        } else {
+            p.value().map(|_| None)
+        }
+    })
 }
 
 /// Sees every byte the codec writes or reads, in text order: the wire
@@ -422,6 +432,30 @@ struct Parser<'a, A> {
 }
 
 impl<'a, A: Absorb> Parser<'a, A> {
+    /// Reads all of `text` with `top`, whitespace around it allowed,
+    /// feeding `absorber` every byte.
+    fn whole<T>(
+        text: &'a str,
+        absorber: &'a mut A,
+        top: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+            absorber,
+            absorbed: 0,
+        };
+        p.skip_ws();
+        let v = top(&mut p)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing characters"));
+        }
+        p.absorb_to(text.len());
+        Ok(v)
+    }
+
     /// Feeds `absorber` the text up to `end`.
     fn absorb_to(&mut self, end: usize) {
         // `get`, not an index: the no-op absorber leaves no bounds check.
@@ -481,7 +515,7 @@ impl<'a, A: Absorb> Parser<'a, A> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
@@ -491,10 +525,10 @@ impl<'a, A: Absorb> Parser<'a, A> {
     }
 
     /// Parses one container, refusing to recurse past [`MAX_DEPTH`].
-    fn nested(
+    fn nested<T>(
         &mut self,
-        container: fn(&mut Self) -> Result<Json, JsonError>,
-    ) -> Result<Json, JsonError> {
+        container: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
@@ -504,8 +538,10 @@ impl<'a, A: Absorb> Parser<'a, A> {
         parsed
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from `text` when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
+        let start = self.pos;
         let mut s = String::new();
         loop {
             self.absorb_to(self.pos);
@@ -521,12 +557,18 @@ impl<'a, A: Absorb> Parser<'a, A> {
                 self.pos = self.text.len();
                 return Err(self.err("unterminated string"));
             };
-            s.push_str(&self.text[self.pos..self.pos + stop]);
+            let chars = &self.text[self.pos..self.pos + stop];
+            let unescaped = self.pos == start;
             self.pos += stop + 1;
             self.absorbed = self.pos;
             if run[stop] == b'"' {
-                return Ok(s);
+                if unescaped {
+                    return Ok(Cow::Borrowed(chars));
+                }
+                s.push_str(chars);
+                return Ok(Cow::Owned(s));
             }
+            s.push_str(chars);
             match self.bump() {
                 Some(b'"') => s.push('"'),
                 Some(b'\\') => s.push('\\'),
@@ -624,25 +666,35 @@ impl<'a, A: Absorb> Parser<'a, A> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
         let mut map = BTreeMap::new();
+        self.members(|key, value| {
+            map.insert(key.into_owned(), value);
+        })?;
+        Ok(Json::Obj(map))
+    }
+
+    /// The one object loop: hands each member to `member` in text order
+    /// and returns how many there were.
+    fn members(&mut self, mut member: impl FnMut(Cow<'a, str>, Json)) -> Result<usize, JsonError> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(0);
         }
+        let mut count = 0;
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            member(key, self.value()?);
+            count += 1;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(map)),
+                Some(b'}') => return Ok(count),
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }

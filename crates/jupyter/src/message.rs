@@ -6,7 +6,6 @@
 //! NotebookOS-specific `yield_request` conversion (§3.2.2), kernel-info and
 //! shutdown messages, and status updates.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{encode_number, encode_string_with, put, Absorb, Json};
@@ -126,15 +125,17 @@ impl Header {
             .with("date", self.date_us)
     }
 
-    /// The header's canonical JSON text: the protocol's dict with its keys
-    /// in sorted order, as [`Json::encode`] would write it, but written
-    /// field by field without building the dict. This is the header frame
-    /// [`crate::wire::encode`] signs.
-    pub fn encode(&self) -> String {
+    /// [`Header::encode_with`] alone.
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> String {
         self.encode_with(&mut ())
     }
 
-    /// [`Header::encode`], feeding `absorber` each byte it writes.
+    /// The header's canonical JSON text, feeding `absorber` each byte it
+    /// writes: the protocol's dict with its keys in sorted order, as
+    /// [`Json::encode`] would write it, but written field by field without
+    /// building the dict. This is the header frame [`crate::wire::encode`]
+    /// signs.
     pub(crate) fn encode_with<A: Absorb>(&self, absorber: &mut A) -> String {
         let mut out = String::with_capacity(
             96 + self.msg_id.len() + self.session.len() + self.username.len() + self.version.len(),
@@ -155,16 +156,15 @@ impl Header {
         out
     }
 
-    /// Parses from the protocol's JSON dict, taking the strings out of it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the missing/invalid field.
-    pub fn from_json(v: Json) -> Result<Header, String> {
+    /// Parses from the protocol's JSON dict, taking the strings out of it:
+    /// the reference [`HeaderDraft`], which reads a frame without building
+    /// the dict, is held to.
+    #[cfg(test)]
+    pub(crate) fn from_json(v: Json) -> Result<Header, String> {
         // Anything but a dict has no fields, and reports the first it lacks.
         let mut fields = match v {
             Json::Obj(fields) => fields,
-            _ => BTreeMap::new(),
+            _ => std::collections::BTreeMap::new(),
         };
         let missing = |k: &str| format!("header missing `{k}`");
         // A missing `msg_type` is reported first, an unknown one only after
@@ -208,6 +208,65 @@ impl Header {
                 .with("status", status.as_str())
                 .with("execution_count", execution_count),
         }
+    }
+}
+
+/// A header frame's fields as [`crate::wire::decode`] reads them, member by
+/// member, before the checks that make them a [`Header`]. What it accepts
+/// and each error it reports are the test-only `Header::from_json`'s on the
+/// parsed dict.
+#[derive(Debug, Default)]
+pub(crate) struct HeaderDraft {
+    msg_id: Option<String>,
+    session: Option<String>,
+    username: Option<String>,
+    msg_type: Option<String>,
+    version: Option<String>,
+    date_us: Option<u64>,
+}
+
+impl HeaderDraft {
+    /// Takes in one member of the frame. As in the dict, a later duplicate
+    /// replaces an earlier one, and a string field whose value is not a
+    /// string counts as missing.
+    pub(crate) fn set(&mut self, key: &str, value: Json) {
+        let field = match key {
+            "date" => {
+                self.date_us = value.as_u64();
+                return;
+            }
+            "msg_id" => &mut self.msg_id,
+            "session" => &mut self.session,
+            "username" => &mut self.username,
+            "msg_type" => &mut self.msg_type,
+            "version" => &mut self.version,
+            _ => return,
+        };
+        *field = match value {
+            Json::Str(s) => Some(s),
+            _ => None,
+        };
+    }
+
+    /// The header, or the first missing or invalid field: a missing
+    /// `msg_type`, then `msg_id`, `session` and `username`, then an unknown
+    /// `msg_type`, then `version`. A `date` that is not a `u64` reads as 0.
+    pub(crate) fn finish(self) -> Result<Header, String> {
+        let missing = |k: &str| format!("header missing `{k}`");
+        let raw_type = self.msg_type.ok_or_else(|| missing("msg_type"))?;
+        let msg_id = self.msg_id.ok_or_else(|| missing("msg_id"))?;
+        let session = self.session.ok_or_else(|| missing("session"))?;
+        let username = self.username.ok_or_else(|| missing("username"))?;
+        let msg_type = MsgType::parse_wire(&raw_type)
+            .ok_or_else(|| format!("unknown msg_type `{raw_type}`"))?;
+        Ok(Header {
+            msg_id,
+            session,
+            username,
+            msg_type,
+            version: self.version.ok_or_else(|| missing("version"))?,
+            date_us: self.date_us.unwrap_or(0),
+        })
     }
 }
 
@@ -357,15 +416,37 @@ impl ReplyStatus {
 ///
 /// Returns `None` when `replies` is empty. Takes the replies by value and
 /// hands the winner back by move: the others are dropped, nothing is cloned.
-pub fn merge_replies(mut replies: Vec<JupyterMessage>) -> Option<JupyterMessage> {
-    let executed =
-        |r: &JupyterMessage| r.metadata.get("executed").and_then(Json::as_bool) == Some(true);
-    let winner = replies
-        .iter()
-        .position(executed)
-        .or_else(|| replies.iter().position(JupyterMessage::is_ok_reply))
-        .unwrap_or(0);
-    (!replies.is_empty()).then(|| replies.swap_remove(winner))
+pub fn merge_replies(replies: Vec<JupyterMessage>) -> Option<JupyterMessage> {
+    let mut best = None;
+    for reply in replies {
+        keep_preferred(&mut best, reply);
+    }
+    best
+}
+
+/// Keeps in `best` whichever of it and `reply`, which arrived after it,
+/// [`merge_replies`] prefers: the lower [`reply_rank`], and on a tie the one
+/// that arrived first. The loser is dropped.
+pub(crate) fn keep_preferred(best: &mut Option<JupyterMessage>, reply: JupyterMessage) {
+    if best
+        .as_ref()
+        .map_or(true, |b| reply_rank(&reply) < reply_rank(b))
+    {
+        *best = Some(reply);
+    }
+}
+
+/// The preference of [`merge_replies`], lower first: 0 for the executor's
+/// reply (metadata `executed: true`), 1 for any other successful reply, 2
+/// for the rest.
+fn reply_rank(reply: &JupyterMessage) -> u8 {
+    if reply.metadata.get("executed").and_then(Json::as_bool) == Some(true) {
+        0
+    } else if reply.is_ok_reply() {
+        1
+    } else {
+        2
+    }
 }
 
 #[cfg(test)]

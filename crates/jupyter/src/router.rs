@@ -17,13 +17,23 @@
 //! destination: a Local Scheduler transport would take the request,
 //! [`JupyterMessage::to_yield_request`] for the descriptors that say so, and
 //! [`crate::wire::encode`]. The in-process live gateway has no such hop and
-//! counts the descriptors. Fan-in is by move as well: [`Router::accept_reply`]
-//! owns each reply it is given and returns the winning one, not a clone.
+//! counts the descriptors.
+//!
+//! # Fan-in by running winner
+//!
+//! [`Router::accept_reply`] owns each reply it is given, and a request's
+//! pending entry holds the replies still to come and the best one so far,
+//! not every reply: an arriving reply either replaces the best or is
+//! dropped on arrival, and the R-th hands the winner back by move: no `Vec`
+//! of R replies, no merge scan over it. The preference is
+//! [`merge_replies`](crate::merge_replies)'s, written once in `message.rs`,
+//! so the merged reply is what `merge_replies` picks from the same replies
+//! in the same order.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::message::{merge_replies, JupyterMessage, MsgType};
+use crate::message::{keep_preferred, JupyterMessage, MsgType};
 
 /// Identifies a Local Scheduler endpoint (one per GPU server).
 pub type LocalSchedulerId = u64;
@@ -83,8 +93,9 @@ impl std::error::Error for RouteError {}
 #[derive(Debug, Default)]
 pub struct Router {
     routes: HashMap<String, KernelRoute>,
-    /// Pending fan-ins: request msg_id → (expected replies, received).
-    pending: HashMap<String, (usize, Vec<JupyterMessage>)>,
+    /// Pending fan-ins: request msg_id → (replies still to come, the
+    /// preferred reply so far).
+    pending: HashMap<String, (usize, Option<JupyterMessage>)>,
 }
 
 impl Router {
@@ -193,7 +204,7 @@ impl Router {
                 }
             })
             .collect();
-        fan_in.insert((copies.len(), Vec::new()));
+        fan_in.insert((copies.len(), None));
         Ok(copies)
     }
 
@@ -216,16 +227,17 @@ impl Router {
         else {
             return Err(RouteError::UnknownRequest(reply.header.msg_id));
         };
-        let Some((expected, received)) = self.pending.get_mut(&parent.msg_id) else {
+        let Some((remaining, best)) = self.pending.get_mut(&parent.msg_id) else {
             return Err(RouteError::UnknownRequest(parent.msg_id.clone()));
         };
-        if received.len() + 1 < *expected {
-            received.push(reply);
+        if *remaining > 1 {
+            *remaining -= 1;
+            keep_preferred(best, reply);
             return Ok(None);
         }
-        let (_, mut replies) = self.pending.remove(&parent.msg_id).expect("just present");
-        replies.push(reply);
-        Ok(merge_replies(replies))
+        let (_, mut best) = self.pending.remove(&parent.msg_id).expect("just present");
+        keep_preferred(&mut best, reply);
+        Ok(best)
     }
 
     /// Requests currently awaiting replies.
@@ -237,7 +249,8 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::ReplyStatus;
+    use crate::json::Json;
+    use crate::message::{merge_replies, ReplyStatus};
 
     fn router() -> Router {
         let mut r = Router::new();
@@ -308,6 +321,57 @@ mod tests {
         let merged = r.accept_reply(s2).unwrap().expect("all replies in");
         assert_eq!(merged.header.msg_id, "r0", "executor's reply wins");
         assert_eq!(r.pending_requests(), 0);
+    }
+
+    #[test]
+    fn the_running_winner_is_what_merge_replies_picks_in_every_arrival_order() {
+        // Executor `ok`, follower `ok`, `error`, `aborted`.
+        let kinds = [
+            (ReplyStatus::Ok, true),
+            (ReplyStatus::Ok, false),
+            (ReplyStatus::Error, false),
+            (ReplyStatus::Aborted, false),
+        ];
+        let req = request();
+        for replicas in 1..=4u32 {
+            let mut r = Router::new();
+            r.register(
+                "kernel-1",
+                KernelRoute {
+                    replicas: (0..u64::from(replicas)).collect(),
+                },
+            );
+            // Every sequence of `replicas` kinds: each mix in each order.
+            for sequence in 0..kinds.len().pow(replicas) {
+                r.route_execute(&req, Some(0)).unwrap();
+                let replies: Vec<JupyterMessage> = (0..replicas)
+                    .map(|i| {
+                        let (status, executed) = kinds[sequence / kinds.len().pow(i) % kinds.len()];
+                        req.execute_reply(format!("r{i}"), status, 1, executed, u64::from(i))
+                    })
+                    .collect();
+                let mut merged = Vec::new();
+                for reply in replies.clone() {
+                    merged.push(r.accept_reply(reply).unwrap());
+                }
+                let last = merged.pop().expect("one result per reply");
+                assert!(merged.iter().all(Option::is_none), "{sequence}");
+                // The scan `merge_replies` made over all R before the
+                // running winner: first executor, else first `ok`, else
+                // first reply.
+                let executed = |r: &JupyterMessage| {
+                    r.metadata.get("executed").and_then(Json::as_bool) == Some(true)
+                };
+                let first = replies
+                    .iter()
+                    .position(executed)
+                    .or_else(|| replies.iter().position(JupyterMessage::is_ok_reply))
+                    .unwrap_or(0);
+                assert_eq!(last.as_ref(), Some(&replies[first]), "{sequence}");
+                assert_eq!(last, merge_replies(replies), "{sequence}");
+                assert_eq!(r.pending_requests(), 0);
+            }
+        }
     }
 
     #[test]

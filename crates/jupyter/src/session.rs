@@ -19,6 +19,14 @@ pub struct Session {
 }
 
 impl Session {
+    /// Records client activity (a cell submission) and bumps the execution
+    /// count. Returns the new count.
+    pub fn record_execution(&mut self, now_us: u64) -> u64 {
+        self.last_activity_us = now_us;
+        self.execution_count += 1;
+        self.execution_count
+    }
+
     /// Time since last activity at `now_us` (zero if activity is in the
     /// future).
     pub fn idle_for_us(&self, now_us: u64) -> u64 {
@@ -70,13 +78,15 @@ impl SessionManager {
         self.sessions.get(id)
     }
 
-    /// Records client activity (a cell submission) and bumps the execution
-    /// count. Returns the new count, or `None` for unknown sessions.
+    /// Looks up a session to change it.
+    pub fn get_mut(&mut self, id: &str) -> Option<&mut Session> {
+        self.sessions.get_mut(id)
+    }
+
+    /// [`Session::record_execution`] on session `id`. Returns the new
+    /// count, or `None` for unknown sessions.
     pub fn record_execution(&mut self, id: &str, now_us: u64) -> Option<u64> {
-        let s = self.sessions.get_mut(id)?;
-        s.last_activity_us = now_us;
-        s.execution_count += 1;
-        Some(s.execution_count)
+        Some(self.sessions.get_mut(id)?.record_execution(now_us))
     }
 
     /// Removes a session, returning it if it existed.
