@@ -8,8 +8,8 @@
 //! state maintained *incrementally* instead of being re-derived per query:
 //!
 //! * the host slab is ascending by id (ids are consecutive and never
-//!   reused), so host lookup is `id − first id` while no host has been
-//!   removed and a binary search below that offset afterwards;
+//!   reused), and an id → slab-position table with one entry per id ever
+//!   issued makes host lookup one load, before and after scale-in;
 //! * `ΣG`/`ΣS`/`ΣC` fleet totals are plain integers moved by the
 //!   cluster-level mutators ([`Cluster::subscribe`], [`Cluster::try_commit`],
 //!   [`Cluster::release`], …) together with the per-host change;
@@ -616,13 +616,18 @@ fn least_loaded_first(keyed: &mut [(u32, f64, HostId)]) {
     });
 }
 
+/// `Cluster::position`'s entry for an id whose host was removed.
+const REMOVED: u32 = u32::MAX;
+
 /// The fleet of GPU servers.
 #[derive(Debug, Clone, Default)]
 pub struct Cluster {
     /// Hosts ascending by id (ids grow by one per host and are never
-    /// reused): see `Cluster::host_position`.
+    /// reused).
     hosts: Vec<Host>,
-    next_host_id: HostId,
+    /// `position[id]`: where host `id` sits in `hosts`, or `REMOVED`; one
+    /// entry per id ever issued, so its length is the next id.
+    position: Vec<u32>,
     /// Persistent shape census, ascending by
     /// `(gpus, millicpus, memory_mb)`; maintained on add/remove.
     census: Vec<(ResourceBundle, u32)>,
@@ -714,8 +719,9 @@ impl Cluster {
 
     /// Adds a host, returning its id.
     pub fn add_host(&mut self, capacity: ResourceBundle) -> HostId {
-        let id = self.next_host_id;
-        self.next_host_id += 1;
+        let id = self.position.len() as HostId;
+        assert!(self.hosts.len() < REMOVED as usize, "too many hosts");
+        self.position.push(self.hosts.len() as u32);
         self.hosts.push(Host::new(id, capacity));
         self.total_gpus += u64::from(capacity.gpus);
         match self
@@ -737,6 +743,10 @@ impl Cluster {
         self.index
             .unlink(&self.hosts[idx], HostKey::of(&self.hosts[idx]));
         let host = self.hosts.remove(idx);
+        self.position[id as usize] = REMOVED;
+        for later in &self.hosts[idx..] {
+            self.position[later.id() as usize] -= 1;
+        }
         let shape = host.capacity();
         self.total_gpus -= u64::from(shape.gpus);
         self.total_subscribed -= host.subscribed_gpus();
@@ -752,17 +762,11 @@ impl Cluster {
         Some(host)
     }
 
-    /// Slab position of host `id`. Ids are handed out consecutively and
-    /// the slab is ascending by id, so `id − first id` *is* the position
-    /// until a host is removed, and removals only ever shift hosts down:
-    /// after them it is still an upper bound for the binary search.
+    /// Slab position of host `id`: one table load, whether or not hosts
+    /// have been removed (`remove_host` renumbers the hosts it shifts).
     fn host_position(&self, id: HostId) -> Option<usize> {
-        let offset = id.checked_sub(self.hosts.first()?.id())?;
-        let guess = offset.min(self.hosts.len() as u64) as usize;
-        match self.hosts.get(guess) {
-            Some(h) if h.id() == id => Some(guess),
-            _ => self.hosts[..guess].binary_search_by_key(&id, Host::id).ok(),
-        }
+        let slot = *self.position.get(usize::try_from(id).ok()?)?;
+        (slot != REMOVED).then_some(slot as usize)
     }
 
     /// All hosts, ascending by id.
@@ -1828,7 +1832,7 @@ mod tests {
         for step in 0..4000u64 {
             // Mostly live ids, sometimes one that was removed or never was.
             let host = if c.is_empty() || rng.chance(0.05) {
-                rng.below(c.next_host_id + 2)
+                rng.below(c.position.len() as u64 + 2)
             } else {
                 c.hosts[rng.index(c.len())].id()
             };
@@ -1927,7 +1931,7 @@ mod tests {
     fn host_position_agrees_with_the_binary_search() {
         let mut c = Cluster::with_hosts(12, ResourceBundle::p3_16xlarge());
         let check = |c: &Cluster| {
-            for id in 0..c.next_host_id + 2 {
+            for id in 0..c.position.len() as HostId + 2 {
                 assert_eq!(
                     c.host_position(id),
                     c.hosts.binary_search_by_key(&id, Host::id).ok(),

@@ -14,8 +14,12 @@
 //! crate-private, so outside this crate a host changes only through a typed
 //! [`Cluster`](crate::Cluster) mutator, which moves the fleet totals and the
 //! placement index in the same call.
-
-use std::collections::HashMap;
+//!
+//! A host's live commitments are a plain `(owner, bundle)` vector: one
+//! per replica executing on it right now, so a few dozen at most. A
+//! commit scans it for the owner and pushes, a release scans and
+//! `swap_remove`s; nothing iterates it in order, so the order a release
+//! leaves behind does not matter.
 
 use crate::resources::{ResourceBundle, ResourceRequest};
 
@@ -68,8 +72,8 @@ pub struct Host {
     gpu_owner: Vec<Option<OwnerId>>,
     /// Exclusively bound resources (never exceeds capacity).
     committed: ResourceBundle,
-    /// Live commitments by owner.
-    commitments: HashMap<OwnerId, ResourceBundle>,
+    /// Live commitments, one per owner, in no particular order.
+    commitments: Vec<(OwnerId, ResourceBundle)>,
     /// Sum of GPU requests of all replicas scheduled here (the `S` in the
     /// SR formula), including idle replicas.
     subscribed_gpus: u64,
@@ -87,7 +91,7 @@ impl Host {
             capacity,
             gpu_owner: vec![None; capacity.gpus as usize],
             committed: ResourceBundle::default(),
-            commitments: HashMap::new(),
+            commitments: Vec::new(),
             subscribed_gpus: 0,
             replica_count: 0,
             draining: false,
@@ -234,7 +238,7 @@ impl Host {
         devices: &mut Vec<u32>,
     ) -> Result<(), CommitError> {
         devices.clear();
-        if self.commitments.contains_key(&owner) {
+        if self.has_commitment(owner) {
             return Err(CommitError::AlreadyCommitted(owner));
         }
         let bundle = ResourceBundle::from_request(request);
@@ -259,14 +263,15 @@ impl Host {
             "device accounting drift"
         );
         self.committed += bundle;
-        self.commitments.insert(owner, bundle);
+        self.commitments.push((owner, bundle));
         Ok(())
     }
 
     /// Releases `owner`'s commitment, returning the freed bundle, or
     /// `None` — changing nothing — when `owner` holds no commitment here.
     pub(crate) fn release(&mut self, owner: OwnerId) -> Option<ResourceBundle> {
-        let bundle = self.commitments.remove(&owner)?;
+        let at = self.commitments.iter().position(|&(o, _)| o == owner)?;
+        let (_, bundle) = self.commitments.swap_remove(at);
         for slot in &mut self.gpu_owner {
             if *slot == Some(owner) {
                 *slot = None;
@@ -278,7 +283,7 @@ impl Host {
 
     /// Whether `owner` currently holds a commitment here.
     pub fn has_commitment(&self, owner: OwnerId) -> bool {
-        self.commitments.contains_key(&owner)
+        self.commitments.iter().any(|&(o, _)| o == owner)
     }
 
     /// Number of live commitments (actively executing replicas).
@@ -379,6 +384,63 @@ mod tests {
             .unwrap();
         assert!(devices.is_empty());
         assert_eq!(h.idle_gpus(), 8);
+    }
+
+    /// The commitment list with more owners than GPUs (CPU-only owners hold
+    /// no device), a refused repeat owner, and a release of an absent
+    /// owner, checking `is_idle` and `active_commitments` after each.
+    #[test]
+    fn commitments_outnumber_gpus_and_refusals_change_nothing() {
+        let cpu = ResourceRequest::new(500, 1024, 0, 0);
+        let mut h = Host::p3_16xlarge(1);
+        assert!(h.is_idle());
+        for owner in 0..8 {
+            assert_eq!(h.commit(owner, &gpu_req(1)).unwrap(), vec![owner as u32]);
+        }
+        for owner in 8..20 {
+            assert!(h.commit(owner, &cpu).unwrap().is_empty());
+        }
+        assert_eq!(h.active_commitments(), 20);
+        assert_eq!(h.idle_gpus(), 0);
+        assert!(!h.is_idle());
+
+        // A second commit by an owner already holding one is refused,
+        // GPU or CPU-only, even where capacity would allow it.
+        assert_eq!(
+            h.commit(3, &cpu).unwrap_err(),
+            CommitError::AlreadyCommitted(3)
+        );
+        assert_eq!(
+            h.commit(12, &cpu).unwrap_err(),
+            CommitError::AlreadyCommitted(12)
+        );
+        assert_eq!(h.active_commitments(), 20);
+        let before = h.committed();
+
+        // Releasing an owner that holds nothing changes nothing.
+        assert_eq!(h.release(99), None);
+        assert_eq!(h.active_commitments(), 20);
+        assert_eq!(h.committed(), before);
+        assert!(!h.is_idle());
+
+        // Releases in an order unlike the commits' (`swap_remove` moves
+        // the last entry into the hole) free exactly the owner's devices.
+        for owner in [0, 19, 7, 10, 3] {
+            assert!(h.release(owner).is_some());
+            assert!(!h.has_commitment(owner));
+            assert_eq!(h.release(owner), None, "a second release of {owner}");
+        }
+        assert_eq!(h.active_commitments(), 15);
+        assert_eq!(h.idle_gpus(), 3);
+        assert_eq!(h.commit(30, &gpu_req(3)).unwrap(), vec![0, 3, 7]);
+        for owner in (1..19).chain([30]) {
+            if h.has_commitment(owner) {
+                assert!(h.release(owner).is_some());
+            }
+        }
+        assert_eq!(h.active_commitments(), 0);
+        assert_eq!(h.committed(), ResourceBundle::default());
+        assert!(h.is_idle());
     }
 
     #[test]

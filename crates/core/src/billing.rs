@@ -43,6 +43,13 @@ impl BillingMeter {
 
     fn accrue(&mut self, now_s: f64) {
         debug_assert!(now_s >= self.last_time_s, "billing went backwards");
+        // Most rate changes land at the instant of the previous one (a
+        // cell's commit, standby and gauge updates share a timestamp). A
+        // zero-hour interval would add `+0.0` to totals that are never
+        // negative, which changes no bit.
+        if now_s == self.last_time_s {
+            return;
+        }
         let hours = (now_s - self.last_time_s) / 3600.0;
         self.last_time_s = now_s;
         let base = self.config.host_hourly_usd;
@@ -177,6 +184,78 @@ mod tests {
         // Zero revenue → zero margin, not NaN.
         let mut empty = meter();
         assert_eq!(empty.profit_margin_pct(100.0), 0.0);
+    }
+
+    /// `BillingMeter` as it was before it skipped zero-length intervals:
+    /// every rate change accrues, however short the interval.
+    struct EveryCallMeter(BillingMeter);
+
+    impl EveryCallMeter {
+        fn accrue(&mut self, now_s: f64) {
+            let m = &mut self.0;
+            let hours = (now_s - m.last_time_s) / 3600.0;
+            m.last_time_s = now_s;
+            let base = m.config.host_hourly_usd;
+            let user = base * m.config.user_multiplier;
+            m.cost_usd += m.hosts * base * hours;
+            m.revenue_usd +=
+                f64::from(m.standby_replicas) * user * m.config.standby_fraction * hours;
+            m.revenue_usd += m.active_gpus as f64 / f64::from(m.host_gpus) * user * hours;
+            m.revenue_usd += m.reserved_gpus as f64 / f64::from(m.host_gpus) * user * hours;
+        }
+    }
+
+    #[test]
+    fn skipping_same_instant_accruals_changes_no_bit() {
+        let mut rng = notebookos_des::SimRng::seed(29);
+        for repeats in [false, true] {
+            let mut fast = meter();
+            let mut reference = EveryCallMeter(meter());
+            let mut now = 0.0f64;
+            for step in 0..20_000u32 {
+                // Half the calls land at the previous call's instant when
+                // `repeats`; the rest move time by an arbitrary amount.
+                if !repeats || rng.chance(0.5) {
+                    now += rng.next_f64() * 100.0;
+                }
+                let value = rng.below(40);
+                reference.accrue(now);
+                let r = &mut reference.0;
+                match step % 4 {
+                    0 => {
+                        fast.set_host_equivalents(now, value as f64 / 3.0);
+                        r.hosts = value as f64 / 3.0;
+                    }
+                    1 => {
+                        fast.set_standby_replicas(now, value as u32);
+                        r.standby_replicas = value as u32;
+                    }
+                    2 => {
+                        fast.set_active_gpus(now, value);
+                        r.active_gpus = value;
+                    }
+                    _ => {
+                        fast.set_reserved_gpus(now, value);
+                        r.reserved_gpus = value;
+                    }
+                }
+                if step % 97 == 0 {
+                    reference.accrue(now);
+                    let (cost, revenue) = fast.totals(now);
+                    assert_eq!(cost.to_bits(), reference.0.cost_usd.to_bits());
+                    assert_eq!(revenue.to_bits(), reference.0.revenue_usd.to_bits());
+                }
+            }
+            reference.accrue(now + 1.0);
+            let (cost, revenue) = fast.totals(now + 1.0);
+            assert_eq!(cost.to_bits(), reference.0.cost_usd.to_bits(), "{repeats}");
+            assert_eq!(
+                revenue.to_bits(),
+                reference.0.revenue_usd.to_bits(),
+                "{repeats}"
+            );
+            assert!(cost > 0.0 && revenue > 0.0);
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub enum Step {
 }
 
 impl Step {
-    /// All measured steps in figure order.
+    /// All measured steps in figure order, which is declaration order:
+    /// `Step::ALL[step as usize] == step`, so a recorder indexes its
+    /// per-step CDFs by the step itself.
     pub const ALL: [Step; 7] = [
         Step::GlobalSchedulerRequest,
         Step::KernelPreprocess,
@@ -79,12 +81,7 @@ impl BreakdownRecorder {
 
     /// Records one step's latency (milliseconds) for one request.
     pub fn record_step(&mut self, step: Step, millis: f64) {
-        let (_, cdf) = self
-            .steps
-            .iter_mut()
-            .find(|(s, _)| *s == step)
-            .expect("all steps pre-registered");
-        cdf.record(millis);
+        self.steps[step as usize].1.record(millis);
     }
 
     /// Records a request's end-to-end latency (milliseconds).
@@ -99,12 +96,7 @@ impl BreakdownRecorder {
 
     /// Read access to a step's CDF.
     pub fn step_cdf(&self, step: Step) -> &Cdf {
-        &self
-            .steps
-            .iter()
-            .find(|(s, _)| *s == step)
-            .expect("all steps pre-registered")
-            .1
+        &self.steps[step as usize].1
     }
 
     /// Read access to the end-to-end CDF.
@@ -317,6 +309,21 @@ mod tests {
     fn labels_match_figures() {
         assert_eq!(Step::Execute.label(), "K Exec (8)");
         assert_eq!(Step::ALL.len(), 7);
+    }
+
+    #[test]
+    fn steps_index_their_own_cdf() {
+        let mut r = BreakdownRecorder::new("NotebookOS");
+        for (i, &step) in Step::ALL.iter().enumerate() {
+            assert_eq!(step as usize, i);
+            for _ in 0..=i {
+                r.record_step(step, 1.0);
+            }
+        }
+        for (i, &step) in Step::ALL.iter().enumerate() {
+            assert_eq!(r.step_cdf(step).len(), i + 1, "{}", step.label());
+            assert!(r.step_cdf(step).name().ends_with(step.label()));
+        }
     }
 
     #[test]

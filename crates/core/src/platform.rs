@@ -160,9 +160,6 @@ pub struct Platform {
     rank_buf: Vec<HostId>,
     /// GPU device ids bound by the latest commit.
     devices_buf: Vec<u32>,
-    /// Executor preference order: `(reuse bonus, idle GPUs, replica
-    /// index, host)` per replica, refilled per cell submission.
-    exec_rank: Vec<(u32, u32, usize, HostId)>,
     /// Copy of a kernel's replica hosts for the migration target scan.
     replica_scratch: Vec<HostId>,
 }
@@ -249,7 +246,6 @@ impl Platform {
             events_processed: 0,
             rank_buf: Vec::new(),
             devices_buf: Vec::new(),
-            exec_rank: Vec::new(),
             replica_scratch: Vec::new(),
             cluster,
             config,
@@ -816,29 +812,14 @@ impl Platform {
             .record_step(Step::KernelPreprocess, pre.as_millis_f64());
 
         let req = self.sessions[s].req;
-        // Preference order: last executor first (§5.3.2 reports 89.45 %
-        // executor reuse), then replicas on the most-idle hosts. The
-        // decorated order lives in a reusable scratch buffer, so a cell
-        // submission allocates nothing.
-        self.exec_rank.clear();
-        for (i, &host) in self.sessions[s].replica_hosts.iter().enumerate() {
-            let idle = self.cluster.host(host).map(|h| h.idle_gpus()).unwrap_or(0);
-            let reuse_bonus = u32::from(Some(i) == self.sessions[s].last_executor);
-            self.exec_rank.push((reuse_bonus, idle, i, host));
-        }
-        self.exec_rank
-            .sort_by_key(|&(reuse_bonus, idle, _, _)| std::cmp::Reverse((reuse_bonus, idle)));
         let now_s = now.as_secs_f64();
-        let chosen = self
-            .exec_rank
-            .iter()
-            .find(|&&(_, _, _, host)| {
-                self.cluster
-                    .host(host)
-                    .map(|h| h.can_commit(&req))
-                    .unwrap_or(false)
-            })
-            .map(|&(_, _, i, host)| (i, host));
+        let session = &self.sessions[s];
+        let chosen = choose_executor(
+            &self.cluster,
+            &session.replica_hosts,
+            session.last_executor,
+            &req,
+        );
 
         match chosen {
             Some((replica_idx, host)) => {
@@ -1460,6 +1441,30 @@ impl Platform {
     }
 }
 
+/// NotebookOS's executor for a cell, as `(replica index, host)`: among the
+/// replicas whose host exists and can commit `req` right now, the one with
+/// the highest `(reuse bonus, idle GPUs)` — the last executor first
+/// (§5.3.2 reports 89.45 % executor reuse), then the most-idle host — and
+/// the first replica on a tie. `None` when no replica host can commit.
+fn choose_executor(
+    cluster: &Cluster,
+    replica_hosts: &[HostId],
+    last_executor: Option<usize>,
+    req: &ResourceRequest,
+) -> Option<(usize, HostId)> {
+    let mut best: Option<((bool, u32), usize, HostId)> = None;
+    for (i, &host) in replica_hosts.iter().enumerate() {
+        let Some(h) = cluster.host(host).filter(|h| h.can_commit(req)) else {
+            continue;
+        };
+        let key = (Some(i) == last_executor, h.idle_gpus());
+        if best.map_or(true, |(top, _, _)| key > top) {
+            best = Some((key, i, host));
+        }
+    }
+    best.map(|(_, i, host)| (i, host))
+}
+
 /// Owner token for a session-lifetime reservation.
 fn reservation_owner(s: usize) -> u64 {
     0x4000_0000_0000_0000 + s as u64
@@ -1708,5 +1713,84 @@ mod tests {
         let (cost, revenue) = m.final_billing().expect("billing samples");
         assert!(cost > 0.0);
         assert!(revenue > 0.0);
+    }
+
+    /// The executor choice as a decorated stable sort by descending
+    /// `(reuse bonus, idle GPUs)` — a missing host ranks with 0 idle GPUs —
+    /// then the first replica whose host can commit.
+    fn choose_executor_by_sort(
+        cluster: &Cluster,
+        replica_hosts: &[HostId],
+        last_executor: Option<usize>,
+        req: &ResourceRequest,
+    ) -> Option<(usize, HostId)> {
+        let mut rank: Vec<(u32, u32, usize, HostId)> = Vec::new();
+        for (i, &host) in replica_hosts.iter().enumerate() {
+            let idle = cluster.host(host).map(|h| h.idle_gpus()).unwrap_or(0);
+            rank.push((u32::from(Some(i) == last_executor), idle, i, host));
+        }
+        rank.sort_by_key(|&(reuse_bonus, idle, _, _)| std::cmp::Reverse((reuse_bonus, idle)));
+        rank.iter()
+            .find(|&&(_, _, _, host)| {
+                cluster
+                    .host(host)
+                    .map(|h| h.can_commit(req))
+                    .unwrap_or(false)
+            })
+            .map(|&(_, _, i, host)| (i, host))
+    }
+
+    #[test]
+    fn one_pass_executor_choice_equals_the_sorted_choice() {
+        let small = ResourceBundle::new(32_000, 249_856, 4);
+        let mut rng = SimRng::seed(29);
+        // Which situations the cases reached: a missing replica host, a
+        // tie in idle GPUs among committable replicas, a last executor
+        // that can commit, one that cannot, and no executor at all.
+        let mut seen = [0u32; 5];
+        for case in 0..4_000u64 {
+            let mut cluster =
+                Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 4), (small, 3)]);
+            let mut devices = Vec::new();
+            for owner in 0..rng.below(12) {
+                let host = rng.below(7);
+                let gpus = 1 + rng.below(4) as u32;
+                let commit = ResourceRequest::new(1000, 1024, gpus, 0);
+                cluster.try_commit(host, owner, &commit, &mut devices);
+            }
+            for _ in 0..rng.below(3) {
+                cluster.remove_host(rng.below(7));
+            }
+            let replicas: Vec<HostId> = (0..1 + rng.below(4)).map(|_| rng.below(8)).collect();
+            let last = rng.chance(0.8).then(|| rng.index(replicas.len()));
+            let req = ResourceRequest::new(1000, 1024, rng.below(9) as u32, 0);
+
+            let chosen = choose_executor(&cluster, &replicas, last, &req);
+            assert_eq!(
+                chosen,
+                choose_executor_by_sort(&cluster, &replicas, last, &req),
+                "case {case}: replicas {replicas:?}, last {last:?}, {req:?}"
+            );
+
+            let committable: Vec<u32> = replicas
+                .iter()
+                .filter_map(|&h| cluster.host(h).filter(|h| h.can_commit(&req)))
+                .map(|h| h.idle_gpus())
+                .collect();
+            let mut idle = committable.clone();
+            idle.sort_unstable();
+            idle.dedup();
+            let last_can = last.map(|i| {
+                cluster
+                    .host(replicas[i])
+                    .is_some_and(|h| h.can_commit(&req))
+            });
+            seen[0] += u32::from(replicas.iter().any(|&h| cluster.host(h).is_none()));
+            seen[1] += u32::from(idle.len() < committable.len());
+            seen[2] += u32::from(last_can == Some(true));
+            seen[3] += u32::from(last_can == Some(false));
+            seen[4] += u32::from(chosen.is_none());
+        }
+        assert!(seen.iter().all(|&n| n > 100), "{seen:?}");
     }
 }

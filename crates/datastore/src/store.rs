@@ -5,8 +5,15 @@
 //! parameters, datasets); actual bytes never exist in the simulation. Raft
 //! log entries carry [`ObjectPointer`]s that encode retrieval (§3.2.4:
 //! "Pointers in the Raft log encode data retrieval").
+//!
+//! The object map is read and written once or twice per simulated cell,
+//! always under a short prebuilt key (`kernel-<i>/state`), so it hashes
+//! keys a word at a time with `KeyHasher` rather than with SipHash. No
+//! result depends on the map's order: the only walk over it is
+//! [`DataStore::total_bytes`], a sum of integers.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use notebookos_des::{SimRng, SimTime};
 
@@ -54,11 +61,52 @@ pub struct StoreStats {
     pub bytes_read: u64,
 }
 
+/// A multiplicative hash over 8-byte words: each word is folded in with
+/// one 64 × 64 → 128-bit multiply whose halves are XORed, so every input
+/// bit reaches the low bits the table indexes by (a plain wrapping
+/// multiply only carries bits upwards). A few multiplies per key where
+/// SipHash runs a dozen rounds; keys are the platform's own, not an
+/// adversary's, so flooding resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::K);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The distributed data store.
 #[derive(Debug, Clone)]
 pub struct DataStore {
     model: BackendModel,
-    objects: HashMap<String, u64>,
+    objects: HashMap<String, u64, BuildHasherDefault<KeyHasher>>,
     stats: StoreStats,
 }
 
@@ -67,7 +115,7 @@ impl DataStore {
     pub fn new(kind: BackendKind) -> Self {
         DataStore {
             model: BackendModel::new(kind),
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             stats: StoreStats::default(),
         }
     }
@@ -220,6 +268,30 @@ mod tests {
         store.write("k", 200, &mut rng);
         assert_eq!(store.len(), 1);
         assert_eq!(store.total_bytes(), 200);
+    }
+
+    /// The platform's key shapes hash apart, and their table-index bits
+    /// spread about as a random hash's would (70 % distinct here).
+    #[test]
+    fn platform_keys_hash_apart() {
+        use std::hash::BuildHasher;
+        let hash = |key: &str| BuildHasherDefault::<KeyHasher>::default().hash_one(key);
+        let mut hashes: Vec<u64> = (0..50_000)
+            .flat_map(|i| [format!("kernel-{i}/state"), format!("kernel-{i}/inputs")])
+            .map(|key| hash(&key))
+            .collect();
+        let n = hashes.len();
+        let mut low: Vec<u64> = hashes.iter().map(|h| h & 0x1_ffff).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), n, "no two keys share a hash");
+        low.sort_unstable();
+        low.dedup();
+        assert!(
+            low.len() > n * 6 / 10,
+            "{} of {n} distinct low-17-bit indices",
+            low.len()
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`Empirical`] — a piecewise quantile function anchored at the exact
 //!   percentiles the paper publishes (e.g. AdobeTrace p50 = 120 s,
 //!   p75 = 300 s, p90 = 1020 s, ...), interpolated in log-space so the tail
-//!   behaves like the published one.
+//!   behaves like the published one. It takes the anchors' logarithms
+//!   once, when built, since the simulator draws from it per cell (one
+//!   Raft sync latency per execution).
 
 use crate::rng::SimRng;
 
@@ -241,13 +243,24 @@ pub fn standard_normal_quantile(p: f64) -> f64 {
 /// let sample = durations.sample(&mut rng);
 /// assert!(sample > 0.0);
 /// ```
+///
+/// Every logarithm a draw needs from the anchors is taken once, when the
+/// distribution is built (and the floor's again in
+/// [`Empirical::with_floor`]): the values' `ln`, and the tail's anchor
+/// `ln`, `logit` and slope. A [`Empirical::quantile`] call takes only the
+/// `ln` of its own `p` (in the tail) and one `exp`, on the same operands as
+/// computing every logarithm per call, so it returns the same bits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Empirical {
-    /// Sorted `(quantile, value)` anchors; always bracketed by an implicit
-    /// minimum and a tail extrapolation.
-    anchors: Vec<(f64, f64)>,
-    /// Lower bound (value of the 0th quantile).
-    floor: f64,
+    /// Sorted `(quantile, value, ln value)` anchors; always bracketed by an
+    /// implicit minimum and a tail extrapolation.
+    anchors: Vec<(f64, f64, f64)>,
+    /// `ln` of the lower bound (the value of the 0th quantile).
+    ln_floor: f64,
+    /// The extrapolated tail past the last anchor `(qb, vb)`:
+    /// `(ln vb, logit qb, slope)`, the slope that of the last segment in
+    /// (logit, log-value) space.
+    tail: (f64, f64, f64),
     /// Optional upper bound truncating the extrapolated tail.
     ceiling: Option<f64>,
 }
@@ -301,10 +314,14 @@ impl Empirical {
                 return Err(EmpiricalError::Malformed);
             }
         }
-        let floor = anchors[0].1 * 0.05;
+        let floor = (anchors[0].1 * 0.05).max(f64::MIN_POSITIVE);
+        let (qa, va) = anchors[anchors.len() - 2];
+        let (qb, vb) = anchors[anchors.len() - 1];
+        let slope = (vb.ln() - va.ln()) / (logit(qb) - logit(qa));
         Ok(Empirical {
-            anchors: anchors.to_vec(),
-            floor: floor.max(f64::MIN_POSITIVE),
+            anchors: anchors.iter().map(|&(q, v)| (q, v, v.ln())).collect(),
+            ln_floor: floor.ln(),
+            tail: (vb.ln(), logit(qb), slope),
             ceiling: None,
         })
     }
@@ -316,7 +333,7 @@ impl Empirical {
     /// Panics if `floor` is non-positive or exceeds the first anchor value.
     pub fn with_floor(mut self, floor: f64) -> Self {
         assert!(floor > 0.0 && floor <= self.anchors[0].1);
-        self.floor = floor;
+        self.ln_floor = floor.ln();
         self
     }
 
@@ -349,24 +366,22 @@ impl Empirical {
     /// Panics if `p` is outside `(0, 1)`.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!(p > 0.0 && p < 1.0, "p must be in (0, 1)");
-        let first = self.anchors[0];
-        if p <= first.0 {
-            return geo_lerp(0.0, self.floor, first.0, first.1, p);
+        let (q0, _, ln0) = self.anchors[0];
+        if p <= q0 {
+            return geo_lerp(0.0, self.ln_floor, q0, ln0, p);
         }
         for window in self.anchors.windows(2) {
-            let (qa, va) = window[0];
-            let (qb, vb) = window[1];
+            let (qa, _, ln_a) = window[0];
+            let (qb, _, ln_b) = window[1];
             if p <= qb {
-                return geo_lerp(qa, va, qb, vb, p);
+                return geo_lerp(qa, ln_a, qb, ln_b, p);
             }
         }
         // Tail beyond the last anchor: extrapolate with the slope of the
         // last segment in (logit, log-value) space, which produces a
         // Pareto-like tail.
-        let (qa, va) = self.anchors[self.anchors.len() - 2];
-        let (qb, vb) = self.anchors[self.anchors.len() - 1];
-        let slope = (vb.ln() - va.ln()) / (logit(qb) - logit(qa));
-        let tail = (vb.ln() + slope * (logit(p) - logit(qb))).exp();
+        let (ln_b, logit_b, slope) = self.tail;
+        let tail = (ln_b + slope * (logit(p) - logit_b)).exp();
         match self.ceiling {
             Some(ceiling) => tail.min(ceiling),
             None => tail,
@@ -391,14 +406,12 @@ fn logit(p: f64) -> f64 {
     (p / (1.0 - p)).ln()
 }
 
-/// Geometric interpolation between `(qa, va)` and `(qb, vb)` evaluated at `p`.
-fn geo_lerp(qa: f64, va: f64, qb: f64, vb: f64, p: f64) -> f64 {
+/// Geometric interpolation between `(qa, va)` and `(qb, vb)` evaluated at
+/// `p`, from the values' logarithms `ln_a` and `ln_b` (every value an
+/// [`Empirical`] holds, floor included, is positive).
+fn geo_lerp(qa: f64, ln_a: f64, qb: f64, ln_b: f64, p: f64) -> f64 {
     let t = (p - qa) / (qb - qa);
-    if va <= 0.0 {
-        // Degenerate floor: fall back to linear.
-        return va + t * (vb - va);
-    }
-    (va.ln() + t * (vb.ln() - va.ln())).exp()
+    (ln_a + t * (ln_b - ln_a)).exp()
 }
 
 #[cfg(test)]
@@ -529,6 +542,115 @@ mod tests {
             Empirical::from_quantiles(&[(0.5, -1.0), (0.9, 120.0)]),
             Err(EmpiricalError::Malformed)
         );
+    }
+
+    /// `Empirical::quantile` as it was when it took every logarithm per
+    /// call, over explicit anchors, floor and ceiling.
+    fn quantile_per_call_ln(
+        anchors: &[(f64, f64)],
+        floor: f64,
+        ceiling: Option<f64>,
+        p: f64,
+    ) -> f64 {
+        fn geo_lerp(qa: f64, va: f64, qb: f64, vb: f64, p: f64) -> f64 {
+            let t = (p - qa) / (qb - qa);
+            if va <= 0.0 {
+                return va + t * (vb - va);
+            }
+            (va.ln() + t * (vb.ln() - va.ln())).exp()
+        }
+        let first = anchors[0];
+        if p <= first.0 {
+            return geo_lerp(0.0, floor, first.0, first.1, p);
+        }
+        for window in anchors.windows(2) {
+            let (qa, va) = window[0];
+            let (qb, vb) = window[1];
+            if p <= qb {
+                return geo_lerp(qa, va, qb, vb, p);
+            }
+        }
+        let (qa, va) = anchors[anchors.len() - 2];
+        let (qb, vb) = anchors[anchors.len() - 1];
+        let slope = (vb.ln() - va.ln()) / (logit(qb) - logit(qa));
+        let tail = (vb.ln() + slope * (logit(p) - logit(qb))).exp();
+        match ceiling {
+            Some(ceiling) => tail.min(ceiling),
+            None => tail,
+        }
+    }
+
+    #[test]
+    fn quantile_matches_the_per_call_ln_form_bit_for_bit() {
+        let shapes: [&[(f64, f64)]; 3] = [
+            &[(0.5, 120.0), (0.9, 1020.0)],
+            &[
+                (0.50, 120.0),
+                (0.75, 300.0),
+                (0.90, 1020.0),
+                (0.95, 2160.0),
+                (0.99, 10920.0),
+            ],
+            // Shaped like the election model's Raft sync round, with two
+            // equal neighbouring values.
+            &[
+                (0.1, 0.004),
+                (0.5, 0.018),
+                (0.9, 0.054_79),
+                (0.95, 0.054_79),
+                (0.99, 0.268_25),
+            ],
+        ];
+        let mut rng = SimRng::seed(29);
+        let mut checked = [0usize; 3]; // floor segment, interior, tail
+        for anchors in shapes {
+            let built = Empirical::from_quantiles(anchors).unwrap();
+            let default_floor = (anchors[0].1 * 0.05).max(f64::MIN_POSITIVE);
+            let last = anchors[anchors.len() - 1];
+            let variants = [
+                (built.clone(), default_floor, None),
+                (
+                    built.clone().with_floor(anchors[0].1 / 8.0),
+                    anchors[0].1 / 8.0,
+                    None,
+                ),
+                (built.clone().with_floor(anchors[0].1), anchors[0].1, None),
+                (
+                    built.clone().with_ceiling(last.1 * 3.0),
+                    default_floor,
+                    Some(last.1 * 3.0),
+                ),
+                (
+                    built.clone().with_floor(0.001).with_ceiling(last.1),
+                    0.001,
+                    Some(last.1),
+                ),
+            ];
+            for (dist, floor, ceiling) in variants {
+                let mut ps: Vec<f64> = anchors.iter().map(|&(q, _)| q).collect();
+                ps.extend([1e-9, 1e-300, 0.5, 1.0 - 1e-9, 1.0 - f64::EPSILON]);
+                for _ in 0..20_000 {
+                    ps.push(rng.next_f64_open());
+                    // Crowd the ends: the floor segment and the far tail.
+                    ps.push(rng.next_f64_open() * anchors[0].0);
+                    ps.push(1.0 - rng.next_f64_open() * (1.0 - last.0));
+                }
+                for p in ps {
+                    let got = dist.quantile(p);
+                    let want = quantile_per_call_ln(anchors, floor, ceiling, p);
+                    assert_eq!(got.to_bits(), want.to_bits(), "p {p:e}: {got} vs {want}");
+                    let segment = if p <= anchors[0].0 {
+                        0
+                    } else if p <= last.0 {
+                        1
+                    } else {
+                        2
+                    };
+                    checked[segment] += 1;
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 10_000), "{checked:?}");
     }
 
     #[test]

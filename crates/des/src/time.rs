@@ -5,6 +5,12 @@
 //! reproducible across platforms; microsecond resolution is comfortably finer
 //! than any latency the NotebookOS evaluation reports (the finest is
 //! sub-millisecond Raft message latency).
+//!
+//! Every sampled latency enters through [`SimTime::from_secs_f64`], several
+//! times per simulated cell execution. It rounds to the microsecond without
+//! `f64::round`, which baseline x86-64 lowers to a software routine: it
+//! truncates natively and adds one when the (exact) fraction is at least a
+//! half, which is the same answer bit for bit.
 
 use std::fmt;
 use std::iter::Sum;
@@ -27,6 +33,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
+
+/// 2^64, the first microsecond count past [`SimTime::MAX`].
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 impl SimTime {
     /// The instant at which every simulation starts.
@@ -64,13 +73,21 @@ impl SimTime {
         SimTime(days * 24 * 3_600 * 1_000_000)
     }
 
-    /// Creates a time from fractional seconds, saturating at zero for
-    /// negative or non-finite input.
+    /// Creates a time from fractional seconds, rounded to the nearest
+    /// microsecond (halves away from zero), saturating at zero for
+    /// negative or non-finite input and at [`SimTime::MAX`] from 2^64 µs.
     pub fn from_secs_f64(secs: f64) -> Self {
         if !secs.is_finite() || secs <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((secs * 1e6).round().min(u64::MAX as f64) as u64)
+        let micros = secs * 1e6;
+        if micros >= TWO_POW_64 {
+            return SimTime::MAX;
+        }
+        // `micros` is positive and below 2^64: the cast truncates, and
+        // `micros − whole` is exact.
+        let whole = micros as u64;
+        SimTime(whole + u64::from(micros - whole as f64 >= 0.5))
     }
 
     /// Creates a time from fractional milliseconds, saturating at zero for
@@ -232,6 +249,76 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(0.5).as_micros(), 500_000);
         assert_eq!(SimTime::from_millis_f64(1.5).as_micros(), 1_500);
+    }
+
+    /// What `from_secs_f64` computed before it stopped calling `f64::round`.
+    fn from_secs_f64_by_round(secs: f64) -> SimTime {
+        if !secs.is_finite() || secs <= 0.0 {
+            return SimTime::ZERO;
+        }
+        SimTime((secs * 1e6).round().min(u64::MAX as f64) as u64)
+    }
+
+    /// `x` and the floats one ulp either side of it.
+    fn with_neighbours(x: f64) -> [f64; 3] {
+        let bits = x.to_bits();
+        [
+            f64::from_bits(bits.wrapping_sub(1)),
+            x,
+            f64::from_bits(bits.wrapping_add(1)),
+        ]
+    }
+
+    #[test]
+    fn matches_f64_round_bit_for_bit() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            f64::MAX,
+            TWO_POW_64 / 1e6,
+            1e14,
+            1e20,
+        ];
+        let mut rng = crate::SimRng::seed(29);
+        // `k + ½` µs ties (and the floats either side) at every magnitude
+        // a fraction survives, up to 2^52 µs, where the spacing reaches 1.
+        for shift in 0..53 {
+            let k = (1u64 << shift) + rng.below(1 << shift);
+            inputs.extend(with_neighbours((k as f64 + 0.5) / 1e6));
+        }
+        for _ in 0..200_000 {
+            // Microsecond counts in 2^51–2^53, where the spacing goes from
+            // ½ to 1 and 2, and in 2^63–2^64, the saturation edge.
+            let low = (1u64 << 51) + rng.below(3 << 51);
+            let high = (1u64 << 63) | rng.next_u64();
+            inputs.extend(with_neighbours(low as f64 / 1e6));
+            inputs.extend(with_neighbours(high as f64 / 1e6));
+            // A seeded sweep over twenty decades of seconds, and random
+            // bit patterns (NaNs, negatives, subnormals and all).
+            let decade = rng.below(20) as i32 - 9;
+            inputs.push(rng.next_f64() * 10f64.powi(decade));
+            inputs.push(f64::from_bits(rng.next_u64()));
+        }
+        for secs in inputs {
+            assert_eq!(
+                SimTime::from_secs_f64(secs),
+                from_secs_f64_by_round(secs),
+                "{secs:e} ({:#018x})",
+                secs.to_bits()
+            );
+        }
+        assert_eq!(SimTime::from_secs_f64(1e14), SimTime::MAX);
+        assert_eq!(SimTime::from_secs_f64(f64::MAX), SimTime::MAX);
     }
 
     #[test]

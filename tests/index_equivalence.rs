@@ -294,6 +294,73 @@ proptest! {
     }
 }
 
+/// Scale-in at the slab's front, middle and end until the fleet is empty,
+/// then growth: after every mutation `host(id)` is what a linear search of
+/// `hosts()` finds for every id ever issued (`None` once removed), and
+/// commits and releases reach a host that a removal shifted.
+#[test]
+fn lookup_after_removing_first_middle_and_last_then_adding() {
+    fn check(c: &Cluster, issued: HostId) {
+        assert!(c.hosts().windows(2).all(|w| w[0].id() < w[1].id()));
+        for id in 0..issued + 2 {
+            let found = c.hosts().iter().find(|h| h.id() == id);
+            assert_eq!(
+                c.host(id).map(|h| h as *const _),
+                found.map(|h| h as *const _),
+                "host {id}"
+            );
+        }
+    }
+    let mut c = small_fleet();
+    let mut issued = c.len() as HostId;
+    check(&c, issued);
+    // `None` adds a host; the fleet is 1 2 3 4, 1 2 4, 1 2, 1 2 5 6, 2 5 6,
+    // 2 6, 2, (empty), 7 8 9, 7 9, 7 9 10.
+    for victim in [
+        Some(0),
+        Some(3),
+        Some(4),
+        None,
+        None,
+        Some(1),
+        Some(5),
+        Some(6),
+        Some(2),
+        None,
+        None,
+        None,
+        Some(8),
+        None,
+    ] {
+        match victim {
+            Some(id) => assert_eq!(c.remove_host(id).map(|h| h.id()), Some(id)),
+            None => {
+                assert_eq!(c.add_host(ResourceBundle::p3_16xlarge()), issued);
+                issued += 1;
+            }
+        }
+        check(&c, issued);
+    }
+    let mut devices = Vec::new();
+    for id in [7, 9, 10] {
+        assert!(c.try_commit(id, id, &req(2), &mut devices));
+    }
+    // Host 10 shifts down a slot; commits and releases still find it.
+    assert!(c.release(9, 9));
+    assert!(c.remove_host(9).is_some());
+    check(&c, issued);
+    assert!(!c.release(9, 9));
+    assert!(c.try_commit(10, 99, &req(1), &mut devices));
+    assert_eq!(
+        c.host(10).map(|h| (h.committed_gpus(), h.idle_gpus())),
+        Some((3, 5))
+    );
+    assert!(c.release(10, 10));
+    assert_eq!(c.host(7).map(|h| h.committed_gpus()), Some(2));
+    assert_eq!(c.total_committed_gpus(), 3);
+    assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("{e:?}"));
+}
+
 /// A burst of hosts carries the ids past the third word edge (192) while
 /// the holes at 64 and 128 stay; commits and releases then move hosts on
 /// both sides of every edge.
