@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use notebookos_core::sweep::{self, SweepJob};
-use notebookos_core::{Platform, PlatformConfig, PolicyKind, RunMetrics};
+use notebookos_core::{PlatformConfig, PolicyKind, RunMetrics};
 use notebookos_trace::{generate, SyntheticConfig, WorkloadTrace};
 
 pub mod chaos;
@@ -48,18 +48,11 @@ pub fn summer_trace() -> WorkloadTrace {
     generate(&SyntheticConfig::summer_90d(), EVAL_SEED)
 }
 
-/// Runs one policy over a trace with the evaluation configuration,
-/// sequentially — the reference [`run_all_policies`] is held to.
-pub fn run_policy(policy: PolicyKind, trace: &WorkloadTrace) -> RunMetrics {
-    let mut config = PlatformConfig::evaluation(policy);
-    config.seed = EVAL_SEED;
-    Platform::run(config, trace.clone())
-}
-
 /// Runs all four policies over a trace (Reservation, Batch, NotebookOS,
 /// LCP — the paper's comparison set) in parallel on the sweep engine's
 /// worker pool. Per-policy results are identical to sequential
-/// [`run_policy`] calls; only wall-clock changes.
+/// [`notebookos_core::Platform::run`] calls with the evaluation
+/// configuration; only wall-clock changes.
 pub fn run_all_policies(trace: &WorkloadTrace) -> Vec<(PolicyKind, RunMetrics)> {
     let shared = std::sync::Arc::new(trace.clone());
     let jobs: Vec<SweepJob> = PolicyKind::ALL
@@ -77,11 +70,6 @@ pub fn run_all_policies(trace: &WorkloadTrace) -> Vec<(PolicyKind, RunMetrics)> 
     PolicyKind::ALL.into_iter().zip(metrics).collect()
 }
 
-/// Formats a float for table cells.
-pub fn fmt(v: f64) -> String {
-    notebookos_metrics::fmt_num(v)
-}
-
 /// Formats a gauge value with zero decimals, normalizing `-0`.
 pub fn fmt0(v: f64) -> String {
     let v = if v.abs() < 1e-9 { 0.0 } else { v };
@@ -91,6 +79,15 @@ pub fn fmt0(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use notebookos_core::Platform;
+
+    /// One policy over a trace with the evaluation configuration,
+    /// sequentially — the reference [`run_all_policies`] is held to.
+    fn run_policy(policy: PolicyKind, trace: &WorkloadTrace) -> RunMetrics {
+        let mut config = PlatformConfig::evaluation(policy);
+        config.seed = EVAL_SEED;
+        Platform::run(config, trace.clone())
+    }
 
     #[test]
     fn excerpt_trace_is_reproducible() {

@@ -93,13 +93,20 @@ impl SweepCli {
                 other => return Err(format!("unknown argument {other:?}; usage: {usage}")),
             }
         }
-        // Merge mode runs nothing, so a shard restriction alongside it
-        // would be silently ignored — reject the combination instead of
-        // letting the user believe it happened.
-        if !cli.merge.is_empty() && cli.shard.is_some() {
-            return Err(format!(
-                "--merge cannot be combined with --shard; usage: {usage}"
-            ));
+        // Merge mode runs nothing, so a shard restriction or a pool size
+        // alongside it would be silently ignored — reject the combination
+        // instead of letting the user believe it happened. (`--workers`
+        // only parses as a positive count, so 0 means "not given".)
+        let run_flags = [
+            (cli.shard.is_some(), "--shard"),
+            (cli.workers != 0, "--workers"),
+        ];
+        for (given, flag) in run_flags {
+            if given && !cli.merge.is_empty() {
+                return Err(format!(
+                    "--merge cannot be combined with {flag}; usage: {usage}"
+                ));
+            }
         }
         // A sharded run must name a persistence target: partial results
         // exist only to be merged, so running a shard and discarding its
@@ -222,6 +229,9 @@ mod tests {
     #[test]
     fn rejects_merge_combined_with_run_flags() {
         assert!(parse(&["--merge", "a.json", "--shard", "0/2", "--out", "s.json"]).is_err());
+        let err = parse(&["--merge", "a.json", "--workers", "2"]).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+        assert!(parse(&["--workers", "2", "--merge", "a.json", "--out", "m.json"]).is_err());
         // --out with --merge is meaningful (persist the merged report).
         assert!(parse(&["--merge", "a.json", "--out", "m.json"]).is_ok());
     }

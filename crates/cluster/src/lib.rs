@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod container;
 pub mod host;
 mod idset;
 pub mod pool;
@@ -40,8 +39,7 @@ pub mod provisioning;
 pub mod resources;
 
 pub use cluster::{Cluster, HostMutation, RankScratch, Viability};
-pub use container::{Container, ContainerState, TransitionError};
 pub use host::{CommitError, Host, HostId, OwnerId};
-pub use pool::{ForgottenContainers, MinPerHost, PrewarmPolicy, PrewarmPool};
+pub use pool::{ForgottenContainers, PrewarmPool};
 pub use provisioning::ProvisioningModel;
 pub use resources::{ResourceBundle, ResourceRequest};

@@ -2,32 +2,15 @@
 //!
 //! The Container Prewarmer maintains warm containers per host so that
 //! replica migrations (and, under the LCP baseline, ordinary cell requests)
-//! skip cold container provisioning. Policies are pluggable; the default
-//! keeps a minimum number of warm containers on every host.
+//! skip cold container provisioning. The pool keeps a minimum number of
+//! warm containers on every host (§3.2.3: "the Container Prewarmer ensures
+//! that each server has a specified, minimum number of pre-warmed
+//! containers available").
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 use crate::host::HostId;
-
-/// Pluggable policy deciding how many warm containers each host should hold.
-pub trait PrewarmPolicy {
-    /// Target number of warm containers for `host` given the current pool
-    /// size on that host.
-    fn target_for(&self, host: HostId, current: u32) -> u32;
-}
-
-/// The default policy: a fixed minimum per host (§3.2.3: "the Container
-/// Prewarmer ensures that each server has a specified, minimum number of
-/// pre-warmed containers available").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinPerHost(pub u32);
-
-impl PrewarmPolicy for MinPerHost {
-    fn target_for(&self, _host: HostId, _current: u32) -> u32 {
-        self.0
-    }
-}
 
 /// Warm and in-flight containers dropped when a host left the cluster —
 /// the reconciliation record callers fold into their own accounting.
@@ -74,11 +57,6 @@ impl PrewarmPool {
         self.warm.get(&host).copied().unwrap_or(0)
     }
 
-    /// Total warm containers across the cluster.
-    pub fn total_warm(&self) -> u32 {
-        self.warm.values().sum()
-    }
-
     /// Takes a warm container from `host` if one is available. Returns
     /// whether the acquisition hit the pool (miss = cold start needed).
     pub fn acquire(&mut self, host: HostId) -> bool {
@@ -106,11 +84,6 @@ impl PrewarmPool {
     /// Number of provisions currently in flight for `host`.
     pub fn in_flight_on(&self, host: HostId) -> u32 {
         self.in_flight.get(&host).copied().unwrap_or(0)
-    }
-
-    /// Total provisions in flight across the cluster.
-    pub fn total_in_flight(&self) -> u32 {
-        self.in_flight.values().sum()
     }
 
     /// Registers `count` container provisions as started for `host`. Each
@@ -152,25 +125,24 @@ impl PrewarmPool {
         ForgottenContainers { warm, in_flight }
     }
 
-    /// Computes the warm-container deficit per host under `policy` for the
-    /// given host set: `(host, missing_count)` pairs, sorted by host id.
-    /// The caller provisions that many containers (asynchronously), calling
+    /// Computes the warm-container deficit per host against `min_per_host`
+    /// warm containers for the given host set: `(host, missing_count)`
+    /// pairs, sorted by host id. The caller provisions that many containers (asynchronously), calling
     /// [`PrewarmPool::begin_provision`] up front and
     /// [`PrewarmPool::provision_complete`] as each becomes warm. In-flight
     /// provisions count toward a host's current stock so repeated deficit
     /// evaluations never double-provision.
-    pub fn deficits<P: PrewarmPolicy>(
+    pub fn deficits(
         &self,
         hosts: impl IntoIterator<Item = impl Borrow<HostId>>,
-        policy: &P,
+        min_per_host: u32,
     ) -> Vec<(HostId, u32)> {
         let mut out: Vec<(HostId, u32)> = hosts
             .into_iter()
             .filter_map(|h| {
                 let h = *h.borrow();
                 let current = self.warm_on(h) + self.in_flight_on(h);
-                let target = policy.target_for(h, current);
-                (target > current).then(|| (h, target - current))
+                (min_per_host > current).then(|| (h, min_per_host - current))
             })
             .collect();
         out.sort_unstable();
@@ -204,7 +176,7 @@ mod tests {
         pool.put(1);
         pool.put(2);
         assert_eq!(pool.warm_on(1), 2);
-        assert_eq!(pool.total_warm(), 3);
+        assert_eq!(pool.warm_on(2), 1);
         let dropped = pool.forget_host(1);
         assert_eq!(
             dropped,
@@ -214,7 +186,7 @@ mod tests {
             }
         );
         assert_eq!(dropped.total(), 2);
-        assert_eq!(pool.total_warm(), 1);
+        assert_eq!((pool.warm_on(1), pool.warm_on(2)), (0, 1));
     }
 
     #[test]
@@ -222,8 +194,7 @@ mod tests {
         let mut pool = PrewarmPool::new();
         pool.begin_provision(1, 2);
         pool.begin_provision(2, 1);
-        assert_eq!(pool.in_flight_on(1), 2);
-        assert_eq!(pool.total_in_flight(), 3);
+        assert_eq!((pool.in_flight_on(1), pool.in_flight_on(2)), (2, 1));
         // One completes normally and lands in the pool.
         assert!(pool.provision_complete(1));
         assert_eq!(pool.warm_on(1), 1);
@@ -272,8 +243,8 @@ mod tests {
         pool.begin_provision(1, 1);
         pool.begin_provision(2, 2);
         // Host 1 has 1 warm + 1 in flight, host 2 has 2 in flight: neither
-        // needs more under MinPerHost(2); host 3 still needs both.
-        assert_eq!(pool.deficits([1, 2, 3], &MinPerHost(2)), vec![(3, 2)]);
+        // needs more under a minimum of 2; host 3 still needs both.
+        assert_eq!(pool.deficits([1, 2, 3], 2), vec![(3, 2)]);
     }
 
     #[test]
@@ -281,11 +252,11 @@ mod tests {
         let mut pool = PrewarmPool::new();
         pool.put(2);
         pool.put(2);
-        let d = pool.deficits([1, 2, 3], &MinPerHost(2));
+        let d = pool.deficits([1, 2, 3], 2);
         assert_eq!(d, vec![(1, 2), (3, 2)]);
         // Satisfied hosts are omitted.
-        assert!(pool.deficits([2], &MinPerHost(2)).is_empty());
-        // Zero-minimum policy never asks for containers.
-        assert!(pool.deficits([1, 2, 3], &MinPerHost(0)).is_empty());
+        assert!(pool.deficits([2], 2).is_empty());
+        // A zero minimum never asks for containers.
+        assert!(pool.deficits([1, 2, 3], 0).is_empty());
     }
 }

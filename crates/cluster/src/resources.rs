@@ -32,11 +32,6 @@ impl ResourceRequest {
     pub fn one_gpu() -> Self {
         ResourceRequest::new(4000, 16_384, 1, 16)
     }
-
-    /// Whether this request needs any GPU at all.
-    pub fn needs_gpu(&self) -> bool {
-        self.gpus > 0
-    }
 }
 
 impl fmt::Display for ResourceRequest {
@@ -97,11 +92,6 @@ impl ResourceBundle {
             self.gpus.saturating_sub(other.gpus),
         )
     }
-
-    /// Whether all components are zero.
-    pub fn is_zero(&self) -> bool {
-        *self == ResourceBundle::default()
-    }
 }
 
 impl Add for ResourceBundle {
@@ -160,8 +150,7 @@ mod tests {
     #[test]
     fn request_basics() {
         let r = ResourceRequest::one_gpu();
-        assert!(r.needs_gpu());
-        assert!(!ResourceRequest::new(100, 100, 0, 0).needs_gpu());
+        assert_eq!(r.gpus, 1);
         assert!(format!("{r}").contains("1gpu"));
     }
 
@@ -197,11 +186,5 @@ mod tests {
         let r = ResourceRequest::new(4000, 8192, 2, 16);
         let b = ResourceBundle::from_request(&r);
         assert_eq!(b, ResourceBundle::new(4000, 8192, 2));
-    }
-
-    #[test]
-    fn zero_check() {
-        assert!(ResourceBundle::default().is_zero());
-        assert!(!ResourceBundle::new(0, 0, 1).is_zero());
     }
 }

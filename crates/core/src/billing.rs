@@ -67,11 +67,6 @@ impl BillingMeter {
         self.revenue_usd += self.reserved_gpus as f64 / f64::from(self.host_gpus) * user * hours;
     }
 
-    /// Updates the number of provisioned hosts at `now_s`.
-    pub fn set_hosts(&mut self, now_s: f64, hosts: u32) {
-        self.set_host_equivalents(now_s, f64::from(hosts));
-    }
-
     /// Updates the provisioned fleet in *host-equivalents* — total fleet
     /// GPUs divided by the reference host's GPUs — so heterogeneous
     /// fleets bill in proportion to their capacity (a 4-GPU box costs
@@ -106,17 +101,6 @@ impl BillingMeter {
         self.accrue(now_s);
         (self.cost_usd, self.revenue_usd)
     }
-
-    /// Profit margin `(revenue - cost) / revenue` at `now_s`, in percent.
-    /// Returns 0 with zero revenue.
-    pub fn profit_margin_pct(&mut self, now_s: f64) -> f64 {
-        let (cost, revenue) = self.totals(now_s);
-        if revenue <= 0.0 {
-            0.0
-        } else {
-            (revenue - cost) / revenue * 100.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +132,8 @@ mod tests {
     #[test]
     fn provider_cost_tracks_hosts() {
         let mut m = meter();
-        m.set_hosts(0.0, 3);
-        m.set_hosts(1800.0, 1); // 3 hosts for 30 min, then 1 host
+        m.set_host_equivalents(0.0, 3.0);
+        m.set_host_equivalents(1800.0, 1.0); // 3 hosts for 30 min, then 1 host
         let (cost, _) = m.totals(3600.0);
         // 3×10×0.5 + 1×10×0.5 = 20.
         assert!((cost - 20.0).abs() < 1e-9, "cost {cost}");
@@ -176,14 +160,15 @@ mod tests {
     #[test]
     fn profit_margin() {
         let mut m = meter();
-        m.set_hosts(0.0, 1);
+        m.set_host_equivalents(0.0, 1.0);
         m.set_reserved_gpus(0.0, 8);
         // Revenue 11.5/h, cost 10/h → margin (1.5/11.5) ≈ 13.04 %.
-        let margin = m.profit_margin_pct(3600.0);
+        let (cost, revenue) = m.totals(3600.0);
+        let margin = (revenue - cost) / revenue * 100.0;
         assert!((margin - 13.043).abs() < 0.01, "margin {margin}");
-        // Zero revenue → zero margin, not NaN.
+        // An empty platform neither costs nor earns anything.
         let mut empty = meter();
-        assert_eq!(empty.profit_margin_pct(100.0), 0.0);
+        assert_eq!(empty.totals(100.0), (0.0, 0.0));
     }
 
     /// `BillingMeter` as it was before it skipped zero-length intervals:
@@ -261,7 +246,7 @@ mod tests {
     #[test]
     fn mixed_accrual_is_piecewise() {
         let mut m = meter();
-        m.set_hosts(0.0, 2);
+        m.set_host_equivalents(0.0, 2.0);
         m.set_active_gpus(3600.0, 8);
         let (cost, revenue) = m.totals(7200.0);
         assert!((cost - 40.0).abs() < 1e-9);

@@ -79,16 +79,6 @@ impl FailureDetector {
         newly_failed
     }
 
-    /// Whether `replica` is currently considered failed.
-    pub fn is_failed(&self, replica: ReplicaId) -> bool {
-        self.failed.contains_key(&replica)
-    }
-
-    /// Number of monitored replicas.
-    pub fn monitored(&self) -> usize {
-        self.last_seen.len()
-    }
-
     /// Failed replicas of `kernel`.
     pub fn failed_replicas_of(&self, kernel: u64) -> Vec<ReplicaId> {
         let mut v: Vec<ReplicaId> = self
@@ -149,8 +139,7 @@ mod tests {
         d.heartbeat(r(1, 1), 900_000);
         let failed = d.tick(1_200_000);
         assert_eq!(failed, vec![r(1, 0)]);
-        assert!(d.is_failed(r(1, 0)));
-        assert!(!d.is_failed(r(1, 1)));
+        assert_eq!(d.failed_replicas_of(1), vec![r(1, 0)]);
     }
 
     #[test]
@@ -166,9 +155,9 @@ mod tests {
         let mut d = FailureDetector::new(100);
         d.register(r(1, 0), 0);
         d.tick(200);
-        assert!(d.is_failed(r(1, 0)));
+        assert_eq!(d.failed_replicas_of(1), vec![r(1, 0)]);
         d.register(r(1, 0), 300);
-        assert!(!d.is_failed(r(1, 0)));
+        assert!(d.failed_replicas_of(1).is_empty());
         assert!(d.tick(350).is_empty());
     }
 
@@ -178,7 +167,7 @@ mod tests {
         d.register(r(1, 0), 0);
         d.deregister(r(1, 0));
         assert!(d.tick(10_000).is_empty());
-        assert_eq!(d.monitored(), 0);
+        assert!(d.failed_replicas_of(1).is_empty());
     }
 
     #[test]

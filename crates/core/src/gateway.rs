@@ -7,13 +7,12 @@
 //! `StartKernelReplica` RPCs to their Local Schedulers; each replica
 //! registers back and the connection info flows to the Jupyter Server.
 //! This module implements that sequence as typed RPCs over the in-memory
-//! control plane, and exposes it behind the standard
-//! [`KernelProvisioner`] trait so any Jupyter-compatible front end works.
+//! control plane.
 
 use std::collections::HashMap;
 
 use notebookos_cluster::{Cluster, HostId, ResourceRequest};
-use notebookos_jupyter::{ConnectionInfo, KernelProvisioner, KernelResourceSpec, ProvisionError};
+use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
 use crate::policy::{PlacementContext, PlacementPolicy};
 use crate::types::ReplicaId;
@@ -125,9 +124,15 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         )
     }
 
-    /// [`KernelProvisioner::launch`], also returning the replica hosts
-    /// (index = replica index): the route-table entry a gateway registers.
-    pub(crate) fn launch_placed(
+    /// Launches a kernel with the given resources, returning its
+    /// connection info and its replica hosts (index = replica index): the
+    /// route-table entry a gateway registers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProvisionError::InsufficientResources`] for a duplicate
+    /// kernel id or fewer than R viable hosts.
+    pub fn launch(
         &mut self,
         kernel_id: &str,
         spec: KernelResourceSpec,
@@ -205,18 +210,13 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         };
         Ok((info, hosts))
     }
-}
 
-impl<P: PlacementPolicy> KernelProvisioner for GatewayProvisioner<P> {
-    fn launch(
-        &mut self,
-        kernel_id: &str,
-        spec: KernelResourceSpec,
-    ) -> Result<ConnectionInfo, ProvisionError> {
-        self.launch_placed(kernel_id, spec).map(|(info, _)| info)
-    }
-
-    fn shutdown(&mut self, kernel_id: &str) -> Result<(), ProvisionError> {
+    /// Shuts a kernel down, releasing its replicas' subscriptions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProvisionError::UnknownKernel`] for an unknown id.
+    pub fn shutdown(&mut self, kernel_id: &str) -> Result<(), ProvisionError> {
         let placement = self
             .kernels
             .remove(kernel_id)
@@ -226,10 +226,6 @@ impl<P: PlacementPolicy> KernelProvisioner for GatewayProvisioner<P> {
             self.cluster.unsubscribe(host, &placement.request);
         }
         Ok(())
-    }
-
-    fn is_alive(&self, kernel_id: &str) -> bool {
-        self.kernels.contains_key(kernel_id)
     }
 }
 
@@ -256,9 +252,8 @@ mod tests {
     #[test]
     fn launch_follows_fig4_sequence() {
         let mut g = gateway();
-        let info = g.launch("kernel-1", spec()).expect("launches");
+        let (info, _) = g.launch("kernel-1", spec()).expect("launches");
         assert_eq!(info.endpoints.len(), 3);
-        assert!(g.is_alive("kernel-1"));
         // RPC order: StartKernel, then (StartKernelReplica,
         // ReplicaRegistered) × 3, then KernelReady.
         assert_eq!(g.rpc_log().len(), 1 + 3 * 2 + 1);
@@ -282,7 +277,7 @@ mod tests {
         let mut g = gateway();
         g.launch("kernel-1", spec()).expect("launches");
         g.shutdown("kernel-1").expect("shuts down");
-        assert!(!g.is_alive("kernel-1"));
+        assert!(g.placement("kernel-1").is_none());
         assert_eq!(g.cluster().total_subscribed_gpus(), 0);
         assert!(matches!(
             g.shutdown("kernel-1"),

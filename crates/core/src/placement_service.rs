@@ -21,7 +21,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use notebookos_cluster::{Cluster, HostId, ResourceBundle};
-use notebookos_jupyter::{ConnectionInfo, KernelProvisioner, KernelResourceSpec, ProvisionError};
+use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
 use crate::gateway::GatewayProvisioner;
 use crate::policy::{LeastLoaded, PlacementContext};
@@ -189,7 +189,7 @@ impl PlacementService {
                 reply,
             } => {
                 stats.launches += 1;
-                let result = provisioner.launch_placed(&kernel_id, spec);
+                let result = provisioner.launch(&kernel_id, spec);
                 // A dropped client is not an owner error.
                 let _ = reply.send(result);
             }

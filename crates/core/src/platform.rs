@@ -12,8 +12,7 @@
 use std::collections::VecDeque;
 
 use notebookos_cluster::{
-    Cluster, Host, HostId, MinPerHost, PrewarmPool, ProvisioningModel, ResourceBundle,
-    ResourceRequest,
+    Cluster, Host, HostId, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
 };
 use notebookos_datastore::DataStore;
 use notebookos_des::{DesScheduler, Scheduler, SimRng, SimTime};
@@ -1383,9 +1382,9 @@ impl Platform {
     /// [`ElasticityAction::ReconcilePrewarm`]), so pools recover after a
     /// flash crowd instead of waiting for the next host arrival.
     fn reconcile_prewarm(&mut self, sched: &mut dyn Scheduler<Ev>) {
-        let minimum = MinPerHost(self.config.prewarm_min_per_host);
+        let minimum = self.config.prewarm_min_per_host;
         let hosts = self.cluster.hosts().iter().map(Host::id);
-        for (host, missing) in self.pool.deficits(hosts, &minimum) {
+        for (host, missing) in self.pool.deficits(hosts, minimum) {
             self.pool.begin_provision(host, missing);
             self.metrics.counters.prewarms_reconciled += u64::from(missing);
             for _ in 0..missing {
@@ -1426,11 +1425,6 @@ impl Platform {
     /// Read access to the pre-warm container pool.
     pub fn pool(&self) -> &PrewarmPool {
         &self.pool
-    }
-
-    /// Hosts currently being provisioned by scale-out.
-    pub fn hosts_in_flight(&self) -> u32 {
-        self.hosts_in_flight
     }
 
     /// Simulation events dispatched by the completed run — populated by

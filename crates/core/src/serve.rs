@@ -25,9 +25,9 @@ use std::collections::HashMap;
 use notebookos_cluster::{Cluster, HostId, ResourceBundle, ResourceRequest};
 use notebookos_des::SimTime;
 use notebookos_jupyter::{
-    wire_pair, Bytes, ConnectionInfo, Header, Json, JupyterMessage, KernelProvisioner,
-    KernelResourceSpec, KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router,
-    Session, SessionManager, WireEndpoint,
+    wire_pair, Bytes, ConnectionInfo, Header, Json, JupyterMessage, KernelResourceSpec,
+    KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, Session, SessionManager,
+    WireEndpoint,
 };
 
 use crate::gateway::GatewayProvisioner;
@@ -164,7 +164,7 @@ impl ProvisioningBackend for LocalBackend {
         kernel_id: &str,
         spec: KernelResourceSpec,
     ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
-        self.provisioner.launch_placed(kernel_id, spec)
+        self.provisioner.launch(kernel_id, spec)
     }
 
     fn shutdown(&mut self, kernel_id: &str) -> bool {

@@ -91,8 +91,6 @@ pub struct ElectionTracker {
 struct ElectionRecord {
     winner: Option<u32>,
     yields: Vec<u32>,
-    votes: Vec<(u32, u32)>,
-    done: bool,
 }
 
 impl ElectionTracker {
@@ -105,7 +103,8 @@ impl ElectionTracker {
     }
 
     /// Applies one committed command; returns the election's outcome after
-    /// this command (for non-election commands, `Pending`).
+    /// this command. Only `LEAD` and `YIELD` decide an election: the
+    /// confirming `VOTE`s, `DONE` and the state delta leave it as it is.
     pub fn apply(&mut self, command: &KernelCommand) -> ElectionOutcome {
         match command {
             KernelCommand::Lead { election, replica } => {
@@ -122,22 +121,9 @@ impl ElectionTracker {
                 }
                 self.outcome_of(*election)
             }
-            KernelCommand::Vote {
-                election,
-                winner,
-                voter,
-            } => {
-                let record = self.state.entry(*election).or_default();
-                if !record.votes.iter().any(|(v, _)| v == voter) {
-                    record.votes.push((*voter, *winner));
-                }
-                self.outcome_of(*election)
-            }
-            KernelCommand::Done { election } => {
-                self.state.entry(*election).or_default().done = true;
-                self.outcome_of(*election)
-            }
-            KernelCommand::StateDelta { election, .. } => self.outcome_of(*election),
+            KernelCommand::Vote { election, .. }
+            | KernelCommand::Done { election }
+            | KernelCommand::StateDelta { election, .. } => self.outcome_of(*election),
         }
     }
 
@@ -155,26 +141,6 @@ impl ElectionTracker {
                 }
             }
         }
-    }
-
-    /// Whether the vote round for `election` is complete (all replicas
-    /// voted for the committed winner).
-    pub fn votes_complete(&self, election: u64) -> bool {
-        match self.state.get(&election) {
-            Some(record) => match record.winner {
-                Some(w) => {
-                    record.votes.len() as u32 >= self.replicas
-                        && record.votes.iter().all(|&(_, vote)| vote == w)
-                }
-                None => false,
-            },
-            None => false,
-        }
-    }
-
-    /// Whether execution finished (the `DONE` notification committed).
-    pub fn is_done(&self, election: u64) -> bool {
-        self.state.get(&election).map(|r| r.done).unwrap_or(false)
     }
 }
 
@@ -252,7 +218,6 @@ impl KernelProtocolHarness {
         self.next_election += 1;
 
         let started = self.net.now().as_micros();
-        let mut tracker = ElectionTracker::new(self.replicas);
 
         // Phase 1: every replica's proposal enters the log (Fig. 5 step 2).
         let leader = self.raft_leader();
@@ -293,11 +258,6 @@ impl KernelProtocolHarness {
             ElectionOutcome::Won(w) => Some(w),
             _ => None,
         };
-        for c in self.net.applied_by(leader).to_vec() {
-            if election_id_of(&c) == Some(election) {
-                tracker.apply(&c);
-            }
-        }
 
         // Phase 3: votes (Fig. 5 steps 4–5).
         if let Some(w) = winner {
@@ -432,40 +392,25 @@ mod tests {
 
     #[test]
     fn tracker_votes_complete() {
+        // A full vote round, duplicate votes and DONE confirm the winner;
+        // none of them moves it.
         let mut t = ElectionTracker::new(3);
         t.apply(&KernelCommand::Lead {
             election: 1,
             replica: 0,
         });
-        for voter in 0..3 {
-            assert!(!t.votes_complete(1));
-            t.apply(&KernelCommand::Vote {
+        for voter in [0, 0, 1, 2] {
+            let outcome = t.apply(&KernelCommand::Vote {
                 election: 1,
                 winner: 0,
                 voter,
             });
+            assert_eq!(outcome, ElectionOutcome::Won(0));
         }
-        assert!(t.votes_complete(1));
-        assert!(!t.is_done(1));
-        t.apply(&KernelCommand::Done { election: 1 });
-        assert!(t.is_done(1));
-    }
-
-    #[test]
-    fn tracker_duplicate_votes_ignored() {
-        let mut t = ElectionTracker::new(3);
-        t.apply(&KernelCommand::Lead {
-            election: 0,
-            replica: 1,
-        });
-        for _ in 0..5 {
-            t.apply(&KernelCommand::Vote {
-                election: 0,
-                winner: 1,
-                voter: 0,
-            });
-        }
-        assert!(!t.votes_complete(0));
+        assert_eq!(
+            t.apply(&KernelCommand::Done { election: 1 }),
+            ElectionOutcome::Won(0)
+        );
     }
 
     #[test]

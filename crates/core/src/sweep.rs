@@ -72,9 +72,8 @@
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
-use crossbeam::channel;
 use notebookos_cluster::ResourceBundle;
 use notebookos_jupyter::json::encode_string;
 use notebookos_jupyter::wire::fnv1a;
@@ -192,7 +191,7 @@ pub fn default_workers() -> usize {
 /// item completes (in completion order) — progress reporting hooks in
 /// there.
 ///
-/// Jobs flow through the vendored crossbeam-shim channels: an indexed job
+/// Jobs flow through two `std::sync::mpsc` channels: an indexed job
 /// channel drained by the pool, and a result channel collected by index.
 pub fn parallel_map_indexed<T, R, F, C>(
     items: Vec<T>,
@@ -230,13 +229,13 @@ where
             .collect();
     }
 
-    let (job_tx, job_rx) = channel::unbounded::<(usize, T)>();
+    let (job_tx, job_rx) = mpsc::channel::<(usize, T)>();
     for pair in items.into_iter().enumerate() {
         assert!(job_tx.send(pair).is_ok(), "job receiver alive");
     }
     drop(job_tx); // queue is fully loaded; workers stop when it drains
     let job_rx = Mutex::new(job_rx);
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
+    let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
 
     let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -364,12 +363,6 @@ impl Scenario {
         }
     }
 
-    /// Replaces the trace profile.
-    pub fn with_profile(mut self, profile: TraceProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Overrides the initial fleet with a heterogeneous `(shape, count)`
     /// mix.
     pub fn with_host_mix(mut self, mix: Vec<(ResourceBundle, u32)>) -> Self {
@@ -394,20 +387,6 @@ impl Scenario {
     /// hysteresis elasticity from plain threshold scaling.
     pub fn diurnal() -> Self {
         Scenario::new("diurnal", SyntheticConfig::diurnal_17_5h())
-    }
-
-    /// The excerpt workload under Zipfian per-user popularity: the
-    /// session at arrival rank `r` submits at a rate ∝ `(r + 1)^-theta`,
-    /// so a handful of hot tenants dominate execution volume.
-    pub fn skewed(theta: f64) -> Self {
-        Scenario::new(
-            format!("skewed-zipf{theta}"),
-            SyntheticConfig {
-                popularity: notebookos_trace::Popularity::Zipf { theta },
-                gpu_active_fraction: 1.0,
-                ..SyntheticConfig::excerpt_17_5h()
-            },
-        )
     }
 
     /// The excerpt workload on a mixed-generation fleet: 8-GPU trainers
@@ -488,11 +467,6 @@ impl SweepSpec {
     pub fn policies(mut self, policies: Vec<PolicyKind>) -> Self {
         self.policies = policies;
         self
-    }
-
-    /// Ranges over all four evaluated policies.
-    pub fn all_policies(self) -> Self {
-        self.policies(PolicyKind::ALL.to_vec())
     }
 
     /// Sets the placement axis.
@@ -1804,7 +1778,12 @@ mod tests {
             "workers excluded"
         );
         assert_ne!(fp, base.clone().seeds(vec![9]).fingerprint());
-        assert_ne!(fp, base.clone().all_policies().fingerprint());
+        assert_ne!(
+            fp,
+            base.clone()
+                .policies(PolicyKind::ALL.to_vec())
+                .fingerprint()
+        );
         assert_ne!(fp, base.clone().all_elasticities().fingerprint());
         assert_ne!(fp, base.clone().all_placements().fingerprint());
         assert_ne!(

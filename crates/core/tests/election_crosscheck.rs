@@ -10,7 +10,7 @@
 //! envelope.
 
 use notebookos_core::{Designation, ElectionModel, KernelProtocolHarness, Proposal};
-use notebookos_des::SimRng;
+use notebookos_des::{SimRng, SimTime};
 
 fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
@@ -102,9 +102,10 @@ fn bypass_designation_skips_raft_in_both_layers() {
     let model = ElectionModel::new();
     let mut rng = SimRng::seed(5);
     for _ in 0..100 {
-        assert!(model
-            .designation_latency(Designation::Bypassed, &mut rng)
-            .is_zero());
+        assert_eq!(
+            model.designation_latency(Designation::Bypassed, &mut rng),
+            SimTime::ZERO
+        );
     }
 
     let mut h = KernelProtocolHarness::new(88);

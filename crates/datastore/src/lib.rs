@@ -3,8 +3,7 @@
 //! NotebookOS offloads large objects (model parameters, training datasets)
 //! to a pluggable distributed store — Redis, AWS S3, or HDFS — and appends
 //! only *pointers* to the Raft log (§3.2.4). This crate models those
-//! backends' latency behaviour, the object-pointer scheme, and the
-//! node-level cache the paper uses to limit storage/memory costs.
+//! backends' latency behaviour and the object-pointer scheme.
 //!
 //! # Example
 //!
@@ -24,9 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cache;
 pub mod store;
 
 pub use backend::{BackendKind, BackendModel};
-pub use cache::NodeCache;
 pub use store::{DataStore, ObjectPointer, StoreError, StoreStats};

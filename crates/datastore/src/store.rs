@@ -9,8 +9,7 @@
 //! The object map is read and written once or twice per simulated cell,
 //! always under a short prebuilt key (`kernel-<i>/state`), so it hashes
 //! keys a word at a time with `KeyHasher` rather than with SipHash. No
-//! result depends on the map's order: the only walk over it is
-//! [`DataStore::total_bytes`], a sum of integers.
+//! result depends on the map's order: nothing walks it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -120,11 +119,6 @@ impl DataStore {
         }
     }
 
-    /// The backend kind.
-    pub fn backend(&self) -> BackendKind {
-        self.model.kind()
-    }
-
     /// Writes (or overwrites) an object, returning the pointer and the
     /// sampled operation latency.
     pub fn write(
@@ -216,11 +210,6 @@ impl DataStore {
         self.objects.is_empty()
     }
 
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.objects.values().sum()
-    }
-
     /// Operation counters.
     pub fn stats(&self) -> StoreStats {
         self.stats
@@ -267,7 +256,8 @@ mod tests {
         store.write("k", 100, &mut rng);
         store.write("k", 200, &mut rng);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.total_bytes(), 200);
+        store.read_keyed("k", &mut rng).unwrap();
+        assert_eq!(store.stats().bytes_read, 200);
     }
 
     /// The platform's key shapes hash apart, and their table-index bits

@@ -1,41 +1,15 @@
-//! Property tests for the data store and node cache.
+//! Property tests for the data store.
 
 use proptest::prelude::*;
 
-use notebookos_datastore::{BackendKind, DataStore, NodeCache};
+use notebookos_datastore::{BackendKind, DataStore};
 use notebookos_des::SimRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The cache never exceeds its byte capacity, and `used_bytes` always
-    /// equals the sum of resident entries.
-    #[test]
-    fn cache_capacity_invariant(capacity in 64u64..4096, ops in proptest::collection::vec((0u8..16, 1u64..2048), 1..80)) {
-        let mut cache = NodeCache::new(capacity);
-        for (key, size) in ops {
-            cache.put(format!("obj-{key}"), size);
-            prop_assert!(cache.used_bytes() <= cache.capacity_bytes());
-        }
-    }
-
-    /// Recently used entries survive while the cache holds enough spare
-    /// capacity for the subsequent inserts.
-    #[test]
-    fn cache_get_after_put_within_capacity(sizes in proptest::collection::vec(1u64..100, 1..10)) {
-        let total: u64 = sizes.iter().sum();
-        let mut cache = NodeCache::new(total);
-        for (i, &size) in sizes.iter().enumerate() {
-            cache.put(format!("obj-{i}"), size);
-        }
-        // Everything fits, so everything hits.
-        for i in 0..sizes.len() {
-            prop_assert!(cache.get(&format!("obj-{i}")), "obj-{i} evicted early");
-        }
-    }
-
-    /// Store accounting: total bytes equal the sum of live objects,
-    /// overwrites replace rather than accumulate.
+    /// Store accounting: the live objects are exactly the last write of
+    /// each undeleted key, so overwrites replace rather than accumulate.
     #[test]
     fn store_accounting(ops in proptest::collection::vec((0u8..8, 1u64..1_000_000, any::<bool>()), 1..60)) {
         let mut store = DataStore::new(BackendKind::Redis);
@@ -51,7 +25,11 @@ proptest! {
                 live.insert(key, size);
             }
             prop_assert_eq!(store.len(), live.len());
-            prop_assert_eq!(store.total_bytes(), live.values().sum::<u64>());
+        }
+        for (key, size) in &live {
+            let before = store.stats().bytes_read;
+            store.read_keyed(key, &mut rng).unwrap();
+            prop_assert_eq!(store.stats().bytes_read - before, *size);
         }
     }
 

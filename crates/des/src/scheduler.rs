@@ -188,19 +188,12 @@ impl Clock for MonotonicClock {
 #[derive(Debug, Default)]
 pub struct ManualClock {
     now: SimTime,
-    sleeps: u64,
 }
 
 impl ManualClock {
     /// Creates a clock at time zero.
     pub fn new() -> Self {
         ManualClock::default()
-    }
-
-    /// Number of `sleep` calls observed (each bounded by the scheduler's
-    /// tick, so this counts wait-loop iterations).
-    pub fn sleeps(&self) -> u64 {
-        self.sleeps
     }
 }
 
@@ -210,7 +203,6 @@ impl Clock for ManualClock {
     }
 
     fn sleep(&mut self, duration: SimTime) {
-        self.sleeps += 1;
         self.now = self.now.saturating_add(duration);
     }
 }
@@ -220,7 +212,7 @@ impl Clock for ManualClock {
 /// event's deadline has passed on a monotonic clock before dispatching.
 ///
 /// The wait is a bounded-drift tick loop: each sleep is capped at
-/// [`RealTimeScheduler::with_max_tick`]'s tick and the clock is re-read
+/// `MAX_TICK` (20 ms) and the clock is re-read
 /// after every sleep, so an oversleeping OS timer can push a dispatch
 /// late by at most one tick's oversleep rather than accumulating across
 /// the wait. Logical time ([`Scheduler::now`]) is pinned to event
@@ -233,13 +225,12 @@ pub struct RealTimeScheduler<E> {
     queue: EventQueue<E>,
     now: SimTime,
     clock: Box<dyn Clock>,
-    max_tick: SimTime,
     max_lateness: SimTime,
 }
 
-/// Default per-sleep bound of the wait loop: 20 ms keeps the loop
-/// responsive to deadline re-checks without busy-waiting.
-const DEFAULT_MAX_TICK: SimTime = SimTime::from_millis(20);
+/// Per-sleep bound of the wait loop: 20 ms keeps the loop responsive to
+/// deadline re-checks without busy-waiting.
+const MAX_TICK: SimTime = SimTime::from_millis(20);
 
 impl<E: Eq> RealTimeScheduler<E> {
     /// Creates a scheduler on a fresh [`MonotonicClock`]; wall time zero
@@ -255,26 +246,8 @@ impl<E: Eq> RealTimeScheduler<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             clock,
-            max_tick: DEFAULT_MAX_TICK,
             max_lateness: SimTime::ZERO,
         }
-    }
-
-    /// Sets the wait loop's per-sleep bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero tick (the wait loop could not make progress).
-    pub fn with_max_tick(mut self, tick: SimTime) -> Self {
-        assert!(!tick.is_zero(), "max tick must be positive");
-        self.max_tick = tick;
-        self
-    }
-
-    /// The current wall-clock reading (time since the scheduler's clock
-    /// started).
-    pub fn wall_now(&self) -> SimTime {
-        self.clock.now()
     }
 
     /// The worst lateness observed so far: how far past its deadline the
@@ -312,7 +285,7 @@ impl<E: Eq> Scheduler<E> for RealTimeScheduler<E> {
                 break;
             }
             let remaining = deadline.saturating_sub(wall);
-            self.clock.sleep(remaining.min(self.max_tick));
+            self.clock.sleep(remaining.min(MAX_TICK));
         }
         debug_assert!(deadline >= self.now, "event queue went backwards in time");
         self.now = deadline;
@@ -400,9 +373,7 @@ mod tests {
             vec![(SimTime::from_millis(5), 1), (SimTime::from_millis(10), 2)]
         );
         assert_eq!(sched.now(), SimTime::from_millis(10));
-        // The manual clock advanced exactly to the last deadline: the
-        // scheduler slept precisely the remaining gaps, never past them.
-        assert_eq!(sched.wall_now(), SimTime::from_millis(10));
+        // The scheduler slept precisely the remaining gaps, never past them.
         assert_eq!(sched.max_lateness(), SimTime::ZERO);
     }
 
@@ -432,13 +403,12 @@ mod tests {
             inner: ManualClock::new(),
             sleeps: sleeps.clone(),
         };
-        let mut sched =
-            RealTimeScheduler::with_clock(Box::new(clock)).with_max_tick(SimTime::from_millis(1));
-        sched.schedule(SimTime::from_millis(10), 0u32);
+        let mut sched = RealTimeScheduler::with_clock(Box::new(clock));
+        sched.schedule(SimTime::from_millis(210), 0u32);
         sched.pop_next();
-        // 10 ms of waiting at a 1 ms tick bound: ten bounded sleeps, each
-        // followed by a fresh clock read.
-        assert_eq!(sleeps.load(std::sync::atomic::Ordering::Relaxed), 10);
+        // 210 ms of waiting at the 20 ms tick bound: ten full ticks and a
+        // 10 ms remainder, each followed by a fresh clock read.
+        assert_eq!(sleeps.load(std::sync::atomic::Ordering::Relaxed), 11);
     }
 
     #[test]

@@ -58,21 +58,6 @@ impl SimTime {
         SimTime(secs * 1_000_000)
     }
 
-    /// Creates a time from whole minutes.
-    pub const fn from_mins(mins: u64) -> Self {
-        SimTime(mins * 60 * 1_000_000)
-    }
-
-    /// Creates a time from whole hours.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimTime(hours * 3_600 * 1_000_000)
-    }
-
-    /// Creates a time from whole days.
-    pub const fn from_days(days: u64) -> Self {
-        SimTime(days * 24 * 3_600 * 1_000_000)
-    }
-
     /// Creates a time from fractional seconds, rounded to the nearest
     /// microsecond (halves away from zero), saturating at zero for
     /// negative or non-finite input and at [`SimTime::MAX`] from 2^64 µs.
@@ -90,25 +75,9 @@ impl SimTime {
         SimTime(whole + u64::from(micros - whole as f64 >= 0.5))
     }
 
-    /// Creates a time from fractional milliseconds, saturating at zero for
-    /// negative or non-finite input.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// Returns the raw microsecond count.
     pub const fn as_micros(self) -> u64 {
         self.0
-    }
-
-    /// Returns the time in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the time in whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Returns the time in fractional seconds.
@@ -124,11 +93,6 @@ impl SimTime {
     /// Returns the time in fractional hours.
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3.6e9
-    }
-
-    /// Returns the time in fractional days.
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / 8.64e10
     }
 
     /// Saturating subtraction: `self - other`, clamped at zero.
@@ -157,11 +121,6 @@ impl SimTime {
         } else {
             other
         }
-    }
-
-    /// Returns true for the zero instant/duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -238,9 +197,8 @@ mod tests {
     fn constructors_round_trip() {
         assert_eq!(SimTime::from_secs(1).as_micros(), 1_000_000);
         assert_eq!(SimTime::from_millis(1).as_micros(), 1_000);
-        assert_eq!(SimTime::from_mins(2).as_secs(), 120);
-        assert_eq!(SimTime::from_hours(1).as_secs(), 3_600);
-        assert_eq!(SimTime::from_days(1).as_hours_f64(), 24.0);
+        assert_eq!(SimTime::from_secs(86_400).as_hours_f64(), 24.0);
+        assert_eq!(SimTime::from_millis(1_500).as_millis_f64(), 1_500.0);
     }
 
     #[test]
@@ -248,7 +206,7 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(0.5).as_micros(), 500_000);
-        assert_eq!(SimTime::from_millis_f64(1.5).as_micros(), 1_500);
+        assert_eq!(SimTime::from_secs_f64(0.0015).as_micros(), 1_500);
     }
 
     /// What `from_secs_f64` computed before it stopped calling `f64::round`.
@@ -348,6 +306,6 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_micros(10)), "10us");
         assert_eq!(format!("{}", SimTime::from_millis(5)), "5.000ms");
         assert_eq!(format!("{}", SimTime::from_secs(5)), "5.000s");
-        assert_eq!(format!("{}", SimTime::from_hours(2)), "2.000h");
+        assert_eq!(format!("{}", SimTime::from_secs(7_200)), "2.000h");
     }
 }

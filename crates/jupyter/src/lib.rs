@@ -9,11 +9,10 @@
 //! * [`wire`] — ZMQ-style multipart framing with a keyed signature,
 //! * [`json`] — a from-scratch JSON codec (no offline serializer crates),
 //! * [`router`] — the Global Scheduler's fan-out/fan-in routing table,
-//! * [`channels`] — the five-socket channel taxonomy and status broadcasts,
 //! * [`session`] — persistent notebook sessions and idle detection,
 //! * [`transport`] — an in-process duplex transport carrying signed frames,
-//! * [`provisioner`] — the kernel-provisioner extension point the Global
-//!   Scheduler plugs into.
+//! * [`provisioner`] — what a kernel launch through the Global Scheduler
+//!   takes and returns.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@
 // measurable part of the wire path (README, "Wire path").
 #![warn(clippy::format_push_string)]
 
-pub mod channels;
 pub mod json;
 pub mod message;
 pub mod provisioner;
@@ -47,10 +45,9 @@ pub mod transport;
 pub mod wire;
 
 pub use bytes::Bytes;
-pub use channels::{status_message, status_of, Channel, KernelStatus};
 pub use json::Json;
 pub use message::{merge_replies, Header, JupyterMessage, MsgType, ReplyStatus};
-pub use provisioner::{ConnectionInfo, KernelProvisioner, KernelResourceSpec, ProvisionError};
+pub use provisioner::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 pub use router::{KernelRoute, LocalSchedulerId, RouteError, RoutedCopy, Router};
 pub use session::{MsgIdGen, Session, SessionManager};
 pub use transport::{wire_pair, WireEndpoint};

@@ -1,12 +1,10 @@
-//! Kernel provisioning, mirroring Jupyter's kernel-provisioner extension
-//! point.
+//! The vocabulary of Jupyter's kernel-provisioner extension point.
 //!
 //! Jupyter Server delegates kernel lifecycle management to a *provisioner*
 //! (§4: NotebookOS implements a custom `GatewayProvisioner` that forwards a
-//! `StartKernel` RPC to the Global Scheduler). This module defines the
-//! provisioner contract plus a recording mock used throughout the tests.
-
-use crate::json::Json;
+//! `StartKernel` RPC to the Global Scheduler). This module defines what a
+//! launch takes and returns; `notebookos_core::GatewayProvisioner` is the
+//! provisioner.
 
 /// Connection details for a launched kernel, as returned to the Jupyter
 /// Server.
@@ -34,47 +32,6 @@ pub struct KernelResourceSpec {
     pub vram_gb: u32,
 }
 
-impl KernelResourceSpec {
-    /// A small CPU-only notebook.
-    pub fn cpu_only() -> Self {
-        KernelResourceSpec {
-            millicpus: 1000,
-            memory_mb: 2048,
-            gpus: 0,
-            vram_gb: 0,
-        }
-    }
-
-    /// Serializes to the JSON body of a `StartKernel` RPC.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .with("millicpus", u64::from(self.millicpus))
-            .with("memory_mb", u64::from(self.memory_mb))
-            .with("gpus", u64::from(self.gpus))
-            .with("vram_gb", u64::from(self.vram_gb))
-    }
-
-    /// Parses from the JSON body of a `StartKernel` RPC.
-    ///
-    /// # Errors
-    ///
-    /// Returns the name of the missing field.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("resource spec missing `{k}`"))
-        };
-        Ok(KernelResourceSpec {
-            millicpus: field("millicpus")?,
-            memory_mb: field("memory_mb")?,
-            gpus: field("gpus")?,
-            vram_gb: field("vram_gb")?,
-        })
-    }
-}
-
 /// Errors a provisioner can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProvisionError {
@@ -97,141 +54,3 @@ impl std::fmt::Display for ProvisionError {
 }
 
 impl std::error::Error for ProvisionError {}
-
-/// The kernel-provisioner contract.
-///
-/// Implementations manage the life cycle of a kernel's runtime environment.
-/// NotebookOS's production implementation forwards to the Global Scheduler;
-/// tests use [`MockProvisioner`].
-pub trait KernelProvisioner {
-    /// Launches a kernel with the given resources, returning connection
-    /// info.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProvisionError::InsufficientResources`] when no capacity
-    /// exists.
-    fn launch(
-        &mut self,
-        kernel_id: &str,
-        spec: KernelResourceSpec,
-    ) -> Result<ConnectionInfo, ProvisionError>;
-
-    /// Shuts a kernel down.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProvisionError::UnknownKernel`] for an unknown id.
-    fn shutdown(&mut self, kernel_id: &str) -> Result<(), ProvisionError>;
-
-    /// Whether the kernel is currently alive.
-    fn is_alive(&self, kernel_id: &str) -> bool;
-}
-
-/// A recording in-memory provisioner for tests.
-#[derive(Debug, Default)]
-pub struct MockProvisioner {
-    launched: Vec<(String, KernelResourceSpec)>,
-    alive: Vec<String>,
-    /// If set, the next `launch` calls fail with this many refusals.
-    refusals: u32,
-}
-
-impl MockProvisioner {
-    /// Creates an empty mock.
-    pub fn new() -> Self {
-        MockProvisioner::default()
-    }
-
-    /// Makes the next `n` launches fail with `InsufficientResources`.
-    pub fn refuse_next(&mut self, n: u32) {
-        self.refusals = n;
-    }
-
-    /// All launches observed, in order.
-    pub fn launches(&self) -> &[(String, KernelResourceSpec)] {
-        &self.launched
-    }
-}
-
-impl KernelProvisioner for MockProvisioner {
-    fn launch(
-        &mut self,
-        kernel_id: &str,
-        spec: KernelResourceSpec,
-    ) -> Result<ConnectionInfo, ProvisionError> {
-        if self.refusals > 0 {
-            self.refusals -= 1;
-            return Err(ProvisionError::InsufficientResources(
-                "mock refusal".to_string(),
-            ));
-        }
-        self.launched.push((kernel_id.to_string(), spec));
-        self.alive.push(kernel_id.to_string());
-        Ok(ConnectionInfo {
-            kernel_id: kernel_id.to_string(),
-            endpoints: (0..3).map(|i| format!("host-{i}:59{i}1")).collect(),
-            key: b"mock-key".to_vec(),
-        })
-    }
-
-    fn shutdown(&mut self, kernel_id: &str) -> Result<(), ProvisionError> {
-        let before = self.alive.len();
-        self.alive.retain(|k| k != kernel_id);
-        if self.alive.len() == before {
-            return Err(ProvisionError::UnknownKernel(kernel_id.to_string()));
-        }
-        Ok(())
-    }
-
-    fn is_alive(&self, kernel_id: &str) -> bool {
-        self.alive.iter().any(|k| k == kernel_id)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resource_spec_round_trips() {
-        let spec = KernelResourceSpec {
-            millicpus: 4000,
-            memory_mb: 16384,
-            gpus: 4,
-            vram_gb: 16,
-        };
-        let parsed = KernelResourceSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(parsed, spec);
-    }
-
-    #[test]
-    fn resource_spec_rejects_missing_fields() {
-        let bad = Json::object().with("gpus", 1u64);
-        assert!(KernelResourceSpec::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn mock_launch_and_shutdown() {
-        let mut p = MockProvisioner::new();
-        let info = p.launch("k1", KernelResourceSpec::cpu_only()).unwrap();
-        assert_eq!(info.kernel_id, "k1");
-        assert_eq!(info.endpoints.len(), 3);
-        assert!(p.is_alive("k1"));
-        p.shutdown("k1").unwrap();
-        assert!(!p.is_alive("k1"));
-        assert!(matches!(
-            p.shutdown("k1"),
-            Err(ProvisionError::UnknownKernel(_))
-        ));
-    }
-
-    #[test]
-    fn mock_refusals() {
-        let mut p = MockProvisioner::new();
-        p.refuse_next(1);
-        assert!(p.launch("k1", KernelResourceSpec::cpu_only()).is_err());
-        assert!(p.launch("k1", KernelResourceSpec::cpu_only()).is_ok());
-        assert_eq!(p.launches().len(), 1);
-    }
-}

@@ -115,34 +115,6 @@ impl Router {
         self.routes.remove(kernel_id).is_some()
     }
 
-    /// Updates one replica's Local Scheduler after a migration (§3.2.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError`] if the kernel or replica is unknown.
-    pub fn rehome_replica(
-        &mut self,
-        kernel_id: &str,
-        replica: u32,
-        new_home: LocalSchedulerId,
-    ) -> Result<(), RouteError> {
-        let route = self
-            .routes
-            .get_mut(kernel_id)
-            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
-        let slot = route
-            .replicas
-            .get_mut(replica as usize)
-            .ok_or(RouteError::BadDesignation(replica))?;
-        *slot = new_home;
-        Ok(())
-    }
-
-    /// The route for `kernel_id`, if registered.
-    pub fn route_of(&self, kernel_id: &str) -> Option<&KernelRoute> {
-        self.routes.get(kernel_id)
-    }
-
     /// Number of registered kernels.
     pub fn len(&self) -> usize {
         self.routes.len()
@@ -239,11 +211,6 @@ impl Router {
         keep_preferred(&mut best, reply);
         Ok(best)
     }
-
-    /// Requests currently awaiting replies.
-    pub fn pending_requests(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +246,7 @@ mod tests {
             copies.iter().map(|c| c.to).collect::<Vec<_>>(),
             vec![10, 20, 30]
         );
-        assert_eq!(r.pending_requests(), 1);
+        assert_eq!(r.pending.len(), 1);
     }
 
     #[test]
@@ -320,7 +287,7 @@ mod tests {
         assert_eq!(r.accept_reply(executor).unwrap(), None);
         let merged = r.accept_reply(s2).unwrap().expect("all replies in");
         assert_eq!(merged.header.msg_id, "r0", "executor's reply wins");
-        assert_eq!(r.pending_requests(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 
     #[test]
@@ -369,7 +336,7 @@ mod tests {
                     .unwrap_or(0);
                 assert_eq!(last.as_ref(), Some(&replies[first]), "{sequence}");
                 assert_eq!(last, merge_replies(replies), "{sequence}");
-                assert_eq!(r.pending_requests(), 0);
+                assert_eq!(r.pending.len(), 0);
             }
         }
     }
@@ -386,21 +353,6 @@ mod tests {
         r.route_execute(&request(), None).unwrap();
         let not_reply = request();
         assert!(r.accept_reply(not_reply).is_err());
-    }
-
-    #[test]
-    fn rehome_after_migration() {
-        let mut r = router();
-        r.rehome_replica("kernel-1", 2, 99).unwrap();
-        assert_eq!(r.route_of("kernel-1").unwrap().replicas, vec![10, 20, 99]);
-        assert!(matches!(
-            r.rehome_replica("ghost", 0, 1).unwrap_err(),
-            RouteError::UnknownKernel(_)
-        ));
-        assert_eq!(
-            r.rehome_replica("kernel-1", 7, 1).unwrap_err(),
-            RouteError::BadDesignation(7)
-        );
     }
 
     #[test]
@@ -456,6 +408,6 @@ mod tests {
         assert!(r
             .route_execute(&request().with_destination("ghost"), None)
             .is_err());
-        assert_eq!(r.pending_requests(), 0);
+        assert_eq!(r.pending.len(), 0);
     }
 }

@@ -26,12 +26,6 @@ impl Session {
         self.execution_count += 1;
         self.execution_count
     }
-
-    /// Time since last activity at `now_us` (zero if activity is in the
-    /// future).
-    pub fn idle_for_us(&self, now_us: u64) -> u64 {
-        now_us.saturating_sub(self.last_activity_us)
-    }
 }
 
 /// Tracks the set of live sessions for a Jupyter Server.
@@ -92,18 +86,6 @@ impl SessionManager {
     /// Removes a session, returning it if it existed.
     pub fn remove(&mut self, id: &str) -> Option<Session> {
         self.sessions.remove(id)
-    }
-
-    /// Sessions idle for at least `threshold_us` at `now_us` (candidates
-    /// for idle reclamation — the behaviour Fig. 13 quantifies).
-    pub fn idle_sessions(&self, now_us: u64, threshold_us: u64) -> Vec<&Session> {
-        let mut idle: Vec<&Session> = self
-            .sessions
-            .values()
-            .filter(|s| s.idle_for_us(now_us) >= threshold_us)
-            .collect();
-        idle.sort_by(|a, b| a.id.cmp(&b.id));
-        idle
     }
 
     /// Number of live sessions.
@@ -175,17 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_detection() {
-        let mut m = SessionManager::new();
-        m.create("a", "k1", 0);
-        m.create("b", "k2", 0);
-        m.record_execution("b", 1_000_000);
-        let idle = m.idle_sessions(2_000_000, 1_500_000);
-        assert_eq!(idle.len(), 1);
-        assert_eq!(idle[0].id, "a");
-    }
-
-    #[test]
     fn remove_returns_session() {
         let mut m = SessionManager::new();
         m.create("s1", "k1", 0);
@@ -201,18 +172,5 @@ mod tests {
         assert_eq!(g.next_id(), "cli-2");
         let mut h = MsgIdGen::new("cli");
         assert_eq!(h.next_id(), "cli-1");
-    }
-
-    #[test]
-    fn idle_for_saturates() {
-        let s = Session {
-            id: "s".into(),
-            kernel_id: "k".into(),
-            execution_count: 0,
-            created_us: 100,
-            last_activity_us: 100,
-        };
-        assert_eq!(s.idle_for_us(50), 0);
-        assert_eq!(s.idle_for_us(150), 50);
     }
 }

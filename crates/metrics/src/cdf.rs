@@ -97,12 +97,6 @@ impl Cdf {
         &self.samples
     }
 
-    /// Whether the samples are currently in ascending order (so queries
-    /// and [`Cdf::merge`] take their linear paths).
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
     /// The samples in canonical ascending (`total_cmp`) order, without
     /// mutating the collector — the order reports persist, chosen so the
     /// same multiset always serializes to the same bytes no matter how
@@ -419,11 +413,11 @@ mod tests {
         // Ascending inserts (what loading canonical samples does) keep the
         // collector sorted; the first out-of-order insert clears the flag.
         let mut c = Cdf::from_samples("t", [1.0, 2.0, 2.0, 9.0]);
-        assert!(c.is_sorted());
+        assert!(c.sorted);
         c.record(3.0);
-        assert!(!c.is_sorted());
-        assert!(!Cdf::from_samples("t", [5.0, 1.0]).is_sorted());
-        assert!(Cdf::new("e").is_sorted());
+        assert!(!c.sorted);
+        assert!(!Cdf::from_samples("t", [5.0, 1.0]).sorted);
+        assert!(Cdf::new("e").sorted);
     }
 
     #[test]
@@ -437,7 +431,7 @@ mod tests {
         // Round trip: canonical samples load back as a sorted collector
         // equal (as a multiset) to the original.
         let reloaded = Cdf::from_samples("t", a.canonical_samples());
-        assert!(reloaded.is_sorted());
+        assert!(reloaded.sorted);
         assert_eq!(reloaded, a);
     }
 
@@ -468,14 +462,11 @@ mod tests {
                 .iter()
                 .map(|c| Cdf::from_samples("part", c.canonical_samples()))
                 .collect();
-            assert!(
-                loaded.iter().all(Cdf::is_sorted),
-                "case {case}: loads sorted"
-            );
+            assert!(loaded.iter().all(|c| c.sorted), "case {case}: loads sorted");
             let mut pooled_loaded = Cdf::merged("pooled", &loaded);
             let mut pooled_raw = Cdf::merged("pooled", &raw);
             assert!(
-                pooled_loaded.is_sorted(),
+                pooled_loaded.sorted,
                 "case {case}: sorted merge never degrades to append"
             );
             assert_eq!(pooled_loaded, pooled_raw, "case {case}: same multiset");

@@ -23,5 +23,5 @@ pub mod timeline;
 
 pub use aggregate::MeanCi;
 pub use cdf::Cdf;
-pub use table::{fmt_num, Table};
+pub use table::Table;
 pub use timeline::{GaugeIntegrator, Timeline};

@@ -72,11 +72,6 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
 }
 
 impl fmt::Display for Table {
@@ -105,21 +100,6 @@ impl fmt::Display for Table {
             write_row(f, row)?;
         }
         Ok(())
-    }
-}
-
-/// Formats a float with engineering-friendly precision: integers print bare,
-/// small values keep three significant decimals.
-pub fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        return format!("{v}");
-    }
-    if v == v.trunc() && v.abs() < 1e12 {
-        format!("{}", v as i64)
-    } else if v.abs() >= 100.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.3}")
     }
 }
 
@@ -152,13 +132,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn fmt_num_cases() {
-        assert_eq!(fmt_num(3.0), "3");
-        assert_eq!(fmt_num(3.25), "3.250");
-        assert_eq!(fmt_num(1234.5), "1234.5");
-        assert_eq!(fmt_num(f64::NAN), "NaN");
     }
 }

@@ -106,11 +106,6 @@ impl Timeline {
         }
     }
 
-    /// Latest recorded value (0 if empty).
-    pub fn last_value(&self) -> f64 {
-        self.points.last().map_or(0.0, |&(_, v)| v)
-    }
-
     /// Maximum value ever recorded (0 if empty).
     pub fn max_value(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
@@ -119,33 +114,6 @@ impl Timeline {
     /// Raw change points.
     pub fn points(&self) -> &[(Seconds, f64)] {
         &self.points
-    }
-
-    /// Number of change points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the timeline has no change points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Samples the step function at `n` evenly spaced instants across
-    /// `[start, end]`, returning `(time, value)` pairs — the series a plot
-    /// of the figure would use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `end < start`.
-    pub fn resample(&self, start: Seconds, end: Seconds, n: usize) -> Vec<(Seconds, f64)> {
-        assert!(n >= 2 && end >= start);
-        (0..n)
-            .map(|i| {
-                let t = start + (end - start) * i as f64 / (n - 1) as f64;
-                (t, self.value_at(t))
-            })
-            .collect()
     }
 
     /// Integrates the gauge over `[start, end]` (units: value-seconds).
@@ -238,11 +206,6 @@ impl GaugeIntegrator {
         self.value
     }
 
-    /// Area accumulated so far (not including time since the last update).
-    pub fn area_so_far(&self) -> f64 {
-        self.area
-    }
-
     /// Closes the meter at time `end` and returns the total area
     /// (value-seconds).
     ///
@@ -254,11 +217,6 @@ impl GaugeIntegrator {
         self.set(end, v);
         self.area
     }
-}
-
-/// Converts value-seconds into value-hours (e.g. GPU-seconds → GPU-hours).
-pub fn seconds_to_hours(value_seconds: f64) -> f64 {
-    value_seconds / 3600.0
 }
 
 #[cfg(test)]
@@ -284,7 +242,7 @@ mod tests {
         t.add(0.0, 2.0);
         t.add(10.0, 3.0);
         t.add(20.0, -1.0);
-        assert_eq!(t.last_value(), 4.0);
+        assert_eq!(t.value_at(20.0), 4.0);
         assert_eq!(t.max_value(), 5.0);
     }
 
@@ -293,7 +251,7 @@ mod tests {
         let mut t = Timeline::new("g");
         t.set(10.0, 1.0);
         t.set(10.0, 2.0);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.points().len(), 1);
         assert_eq!(t.value_at(10.0), 2.0);
     }
 
@@ -302,7 +260,7 @@ mod tests {
         let mut t = Timeline::new("g");
         t.set(0.0, 1.0);
         t.set(5.0, 1.0);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.points().len(), 1);
     }
 
     #[test]
@@ -319,17 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_spans_window() {
-        let mut t = Timeline::new("g");
-        t.set(0.0, 1.0);
-        t.set(50.0, 2.0);
-        let samples = t.resample(0.0, 100.0, 5);
-        assert_eq!(samples.len(), 5);
-        assert_eq!(samples[0], (0.0, 1.0));
-        assert_eq!(samples[4], (100.0, 2.0));
-    }
-
-    #[test]
     fn integrator_matches_timeline() {
         let mut m = GaugeIntegrator::new();
         m.set(0.0, 2.0);
@@ -337,11 +284,6 @@ mod tests {
         m.add(30.0, -4.0);
         assert_eq!(m.value(), 0.0);
         assert_eq!(m.finish(40.0), 100.0);
-    }
-
-    #[test]
-    fn hours_conversion() {
-        assert_eq!(seconds_to_hours(7200.0), 2.0);
     }
 
     #[test]

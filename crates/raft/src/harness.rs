@@ -508,7 +508,7 @@ mod tests {
     fn elects_a_leader() {
         let mut net: Network<String> = Network::new(3, 1);
         let leader = net.run_until_leader();
-        assert!(net.node(leader).is_leader());
+        assert_eq!(net.node(leader).role(), Role::Leader);
     }
 
     #[test]
@@ -579,7 +579,9 @@ mod tests {
     }
 
     fn followers(net: &Network<String>) -> Vec<NodeId> {
-        (1..=3).filter(|&id| !net.node(id).is_leader()).collect()
+        (1..=3)
+            .filter(|&id| net.node(id).role() != Role::Leader)
+            .collect()
     }
 
     #[test]
@@ -685,7 +687,7 @@ mod tests {
         net.run_micros(300_000);
 
         net.spawn_node(4, RaftConfig::fast());
-        let grown = net.node(leader).membership().with_added(4);
+        let grown = Membership::new(vec![1, 2, 3, 4]);
         net.propose_membership(leader, grown).unwrap();
         net.run_micros(1_000_000);
         // The new node learns the log, including the pre-change command.

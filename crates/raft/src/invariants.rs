@@ -287,7 +287,7 @@ mod tests {
             },
             &mut out,
         );
-        assert!(n.is_leader());
+        assert_eq!(n.role(), Role::Leader);
     }
 
     #[test]

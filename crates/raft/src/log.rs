@@ -166,13 +166,6 @@ impl<C: Clone> RaftLog<C> {
         }
     }
 
-    /// The latest membership recorded in the log up to and including
-    /// `index`, if any `Config` entry exists in that prefix.
-    pub fn membership_at(&self, index: LogIndex) -> Option<&Membership> {
-        let configs = self.config_indices.partition_point(|&c| c <= index);
-        self.config_at(*self.config_indices[..configs].last()?)
-    }
-
     /// The latest membership recorded anywhere in the log, in constant
     /// time.
     pub fn latest_membership(&self) -> Option<&Membership> {
@@ -190,16 +183,6 @@ impl<C: Clone> RaftLog<C> {
     /// least as up-to-date as this log (the Raft §5.4.1 voting check).
     pub fn candidate_is_up_to_date(&self, last_term: Term, last_index: LogIndex) -> bool {
         (last_term, last_index) >= (self.last_term(), self.last_index())
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates over all entries in order.
@@ -276,7 +259,7 @@ mod tests {
         let outcome = log.merge(&incoming);
         assert_eq!(outcome.last, 4);
         assert_eq!(outcome.first_written, Some(4), "only entry 4 was written");
-        assert_eq!(log.len(), 4);
+        assert_eq!(log.last_index(), 4);
         assert_eq!(log.get(3).unwrap().command(), Some(&2));
         assert_eq!(log.get(4).unwrap().command(), Some(&100));
     }
@@ -304,7 +287,7 @@ mod tests {
         let outcome = log.merge(&[]);
         assert_eq!(outcome.last, 2);
         assert_eq!(outcome.first_written, None);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.last_index(), 2);
     }
 
     #[test]
@@ -314,7 +297,7 @@ mod tests {
         let outcome = log.merge(&dup);
         assert_eq!(outcome.last, 2);
         assert_eq!(outcome.first_written, None, "retransmits must not rewrite");
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.last_index(), 2);
     }
 
     #[test]
@@ -322,12 +305,11 @@ mod tests {
         let mut log: RaftLog<u32> = RaftLog::new();
         assert_eq!(log.latest_membership(), None);
         log.append(1, EntryPayload::Noop);
+        assert_eq!(log.latest_membership(), None);
         log.append(1, EntryPayload::Config(Membership::new(vec![1, 2, 3])));
+        assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 3]);
         log.append(2, EntryPayload::Config(Membership::new(vec![1, 2, 4])));
-        assert_eq!(log.membership_at(1), None);
-        assert_eq!(log.membership_at(2).unwrap().voters(), &[1, 2, 3]);
-        assert_eq!(log.membership_at(3).unwrap().voters(), &[1, 2, 4]);
-        assert_eq!(log.membership_at(99).unwrap().voters(), &[1, 2, 4]);
+        log.append(2, EntryPayload::Noop);
         assert_eq!(log.latest_membership().unwrap().voters(), &[1, 2, 4]);
     }
 

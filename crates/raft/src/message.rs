@@ -68,11 +68,6 @@ impl<C> Message<C> {
             | Message::AppendEntriesResponse { term, .. } => *term,
         }
     }
-
-    /// Whether the message is a heartbeat (an empty `AppendEntries`).
-    pub fn is_heartbeat(&self) -> bool {
-        matches!(self, Message::AppendEntries { entries, .. } if entries.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -110,23 +105,5 @@ mod tests {
         for m in &msgs {
             assert_eq!(m.term(), 3);
         }
-    }
-
-    #[test]
-    fn heartbeat_detection() {
-        let hb: Message<u8> = Message::AppendEntries {
-            term: 1,
-            leader: 1,
-            prev_log_index: 0,
-            prev_log_term: 0,
-            entries: vec![],
-            leader_commit: 0,
-        };
-        assert!(hb.is_heartbeat());
-        let vote: Message<u8> = Message::RequestVoteResponse {
-            term: 1,
-            granted: false,
-        };
-        assert!(!vote.is_heartbeat());
     }
 }

@@ -268,11 +268,6 @@ impl<C: Clone> RaftNode<C> {
         self.role
     }
 
-    /// Whether this node currently believes it is the leader.
-    pub fn is_leader(&self) -> bool {
-        self.role == Role::Leader
-    }
-
     /// Most recent leader this node has heard from (or itself when leading).
     pub fn leader_hint(&self) -> Option<NodeId> {
         self.leader_hint
@@ -305,11 +300,6 @@ impl<C: Clone> RaftNode<C> {
     /// [`MemStorage`], which durably holds nothing).
     pub fn durable_index(&self) -> LogIndex {
         self.storage.durable_index()
-    }
-
-    /// The node's persistence backend (read-only).
-    pub fn storage(&self) -> &dyn RaftStorage<C> {
-        self.storage.as_ref()
     }
 
     /// The next instant at which the driver must call [`RaftNode::tick`].
@@ -890,7 +880,7 @@ mod tests {
 
         let mut out3 = Vec::new();
         n1.receive(200, 2, resp, &mut out3);
-        assert!(n1.is_leader());
+        assert_eq!(n1.role(), Role::Leader);
         assert_eq!(n1.leader_hint(), Some(1));
         // First leader action is the no-op append broadcast.
         assert!(sends(&out3)
@@ -1025,7 +1015,7 @@ mod tests {
         let mut n: Node = RaftNode::new(1, m, RaftConfig::fast(), 1, 0);
         let mut out = Vec::new();
         n.tick(n.next_deadline_us(), &mut out);
-        assert!(n.is_leader());
+        assert_eq!(n.role(), Role::Leader);
         out.clear();
         let idx = n.propose("solo".to_string(), &mut out).unwrap();
         assert!(out
@@ -1237,7 +1227,7 @@ mod tests {
             },
             &mut out,
         );
-        assert!(n1.is_leader());
+        assert_eq!(n1.role(), Role::Leader);
         n1
     }
 

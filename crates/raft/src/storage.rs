@@ -57,7 +57,7 @@
 //! are written. The time a commit spends outside its fsyncs becomes a
 //! constant of the code, which is what lets the perf ledger's `raft-wal`
 //! rows be compared from one run to the next; README, "Raft replication
-//! pipeline", says what it costs and when it can go. Nothing waits when
+//! pipeline", says what it costs and what replaces it. Nothing waits when
 //! syncs are batched and no fsync has just happened, and hard-state and
 //! truncate records (rare: elections, conflicts) never wait.
 
@@ -445,11 +445,6 @@ impl<C: WalCodec> WalStorage<C> {
             scratch: Vec::new(),
             _marker: PhantomData,
         })
-    }
-
-    /// The file this WAL persists to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Replay/IO counters since open.

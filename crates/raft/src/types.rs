@@ -59,23 +59,6 @@ impl Membership {
     pub fn quorum(&self) -> usize {
         self.voters.len() / 2 + 1
     }
-
-    /// Returns a membership with `node` added.
-    pub fn with_added(&self, node: NodeId) -> Membership {
-        let mut v = self.voters.clone();
-        v.push(node);
-        Membership::new(v)
-    }
-
-    /// Returns a membership with `node` removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if removing `node` would leave the membership empty.
-    pub fn with_removed(&self, node: NodeId) -> Membership {
-        let v: Vec<NodeId> = self.voters.iter().copied().filter(|&n| n != node).collect();
-        Membership::new(v)
-    }
 }
 
 impl fmt::Display for Membership {
@@ -144,17 +127,6 @@ mod tests {
         assert_eq!(Membership::new(vec![1, 2, 3]).quorum(), 2);
         assert_eq!(Membership::new(vec![1, 2, 3, 4]).quorum(), 3);
         assert_eq!(Membership::new(vec![1, 2, 3, 4, 5]).quorum(), 3);
-    }
-
-    #[test]
-    fn add_remove() {
-        let m = Membership::new(vec![1, 2, 3]);
-        let grown = m.with_added(9);
-        assert!(grown.contains(9));
-        assert_eq!(grown.len(), 4);
-        let shrunk = m.with_removed(2);
-        assert!(!shrunk.contains(2));
-        assert_eq!(shrunk.len(), 2);
     }
 
     #[test]

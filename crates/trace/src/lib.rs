@@ -15,20 +15,18 @@
 //!
 //! let trace = generate(&SyntheticConfig::excerpt_17_5h(), 42);
 //! assert!(trace.validate().is_ok());
-//! let mut durations = trace.duration_cdf("adobe-durations");
-//! // §2.3.1: half of all IDLT tasks finish within ~2 minutes.
-//! assert!(durations.percentile(50.0) < 200.0);
+//! let mut iats = trace.iat_cdf("adobe-iats");
+//! // §5.4: the shortest event IAT within the AdobeTrace is 240 seconds.
+//! assert!(iats.min() >= 240.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 pub mod models;
 pub mod synthetic;
 pub mod workload;
 
-pub use csv::{from_csv, to_csv, CsvError};
 pub use models::{
     assign_profile, datasets_for, models_for, table1_rows, AppDomain, DatasetSpec, ModelSpec,
     WorkloadProfile,

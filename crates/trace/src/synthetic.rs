@@ -456,7 +456,10 @@ mod tests {
     fn excerpt_matches_published_quantiles() {
         let trace = generate(&SyntheticConfig::excerpt_17_5h(), 1);
         trace.validate().expect("valid trace");
-        let mut durations = trace.duration_cdf("dur");
+        let mut durations = notebookos_metrics::Cdf::new("dur");
+        for s in &trace.sessions {
+            durations.record_all(s.events.iter().map(|e| e.duration_s));
+        }
         assert!(durations.len() > 300, "enough events: {}", durations.len());
         let p50 = durations.percentile(50.0);
         let p75 = durations.percentile(75.0);

@@ -88,15 +88,6 @@ impl WorkloadTrace {
         self.sessions.iter().map(|s| s.end_s).fold(0.0, f64::max)
     }
 
-    /// CDF of all task durations (Fig. 2(a)).
-    pub fn duration_cdf(&self, name: &str) -> Cdf {
-        let mut cdf = Cdf::new(name);
-        for s in &self.sessions {
-            cdf.record_all(s.events.iter().map(|e| e.duration_s));
-        }
-        cdf
-    }
-
     /// CDF of per-session IATs (Fig. 2(b)).
     pub fn iat_cdf(&self, name: &str) -> Cdf {
         let mut cdf = Cdf::new(name);

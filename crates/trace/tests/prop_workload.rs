@@ -1,8 +1,8 @@
-//! Property tests for the workload generators and CSV codec.
+//! Property tests for the workload generators.
 
 use proptest::prelude::*;
 
-use notebookos_trace::{from_csv, generate, to_csv, ArrivalPattern, Popularity, SyntheticConfig};
+use notebookos_trace::{generate, ArrivalPattern, Popularity, SyntheticConfig};
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (
@@ -44,26 +44,6 @@ proptest! {
     #[test]
     fn generation_deterministic(config in arb_config(), seed in any::<u64>()) {
         prop_assert_eq!(generate(&config, seed), generate(&config, seed));
-    }
-
-    /// CSV round-trips preserve structure and timing to the written
-    /// precision (milliseconds).
-    #[test]
-    fn csv_round_trip(config in arb_config(), seed in any::<u64>()) {
-        let trace = generate(&config, seed);
-        let parsed = from_csv(&to_csv(&trace)).expect("own output parses");
-        prop_assert_eq!(parsed.sessions.len(), trace.sessions.len());
-        prop_assert_eq!(parsed.total_events(), trace.total_events());
-        for (a, b) in trace.sessions.iter().zip(&parsed.sessions) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.gpus, b.gpus);
-            prop_assert_eq!(&a.profile, &b.profile);
-            prop_assert!((a.start_s - b.start_s).abs() <= 0.001);
-            for (ea, eb) in a.events.iter().zip(&b.events) {
-                prop_assert!((ea.submit_s - eb.submit_s).abs() <= 0.001);
-                prop_assert!((ea.duration_s - eb.duration_s).abs() <= 0.001);
-            }
-        }
     }
 
     /// Busy fractions are valid fractions, and the timelines never go

@@ -5,7 +5,7 @@
 //!
 //! ```
 //! use notebookos::des::SimTime;
-//! assert_eq!(SimTime::from_secs(1).as_millis(), 1000);
+//! assert_eq!(SimTime::from_secs(1).as_micros(), 1_000_000);
 //! ```
 
 pub use notebookos_cluster as cluster;

@@ -3,7 +3,7 @@
 //! floor, pre-warm deficit convergence, shape-aware provisioning on
 //! heterogeneous fleets, and hysteresis churn damping.
 
-use notebookos::cluster::{MinPerHost, ResourceBundle};
+use notebookos::cluster::ResourceBundle;
 use notebookos::core::sweep::{Scenario, SweepSpec};
 use notebookos::core::{ElasticityKind, Platform, PlatformConfig, PolicyKind, RunMetrics};
 use notebookos::trace::{generate, ArrivalPattern, SyntheticConfig};
@@ -241,7 +241,7 @@ fn prewarm_deficits_converge_to_zero_after_flash_crowd() {
         "the bursts drained pools, so the reconcile loop must have provisioned"
     );
     let hosts: Vec<u64> = world.cluster().hosts().iter().map(|h| h.id()).collect();
-    let deficits = world.pool().deficits(&hosts, &MinPerHost(1));
+    let deficits = world.pool().deficits(&hosts, 1);
     assert!(
         deficits.is_empty(),
         "deficits must converge to zero by the end of the run: {deficits:?}"
@@ -249,9 +249,8 @@ fn prewarm_deficits_converge_to_zero_after_flash_crowd() {
     // `deficits` counts in-flight provisions as stock, so also check that
     // nothing is still in flight: the pools are genuinely warm, not
     // perpetually "about to be".
-    assert_eq!(
-        world.pool().total_in_flight(),
-        0,
+    assert!(
+        hosts.iter().all(|&h| world.pool().in_flight_on(h) == 0),
         "all reconcile provisions completed before the horizon"
     );
 
@@ -263,7 +262,7 @@ fn prewarm_deficits_converge_to_zero_after_flash_crowd() {
     assert_eq!(world.metrics().counters.prewarms_reconciled, 0);
     let hosts: Vec<u64> = world.cluster().hosts().iter().map(|h| h.id()).collect();
     assert!(
-        !world.pool().deficits(&hosts, &MinPerHost(1)).is_empty(),
+        !world.pool().deficits(&hosts, 1).is_empty(),
         "pre-elasticity behavior leaves deficits after the crowd"
     );
 }

@@ -1,20 +1,8 @@
-//! Workload pipeline integration: generate → serialize → reload → simulate,
+//! Workload pipeline integration: generated traces through the simulator,
 //! plus the Fig. 13 reclamation analysis at scale.
 
 use notebookos::core::{analyze_reclamation, fig13_sweep, Platform, PlatformConfig, PolicyKind};
-use notebookos::trace::{from_csv, generate, to_csv, ArrivalPattern, SyntheticConfig};
-
-#[test]
-fn csv_round_trip_preserves_simulation_results() {
-    let trace = generate(&SyntheticConfig::smoke(), 77);
-    let reloaded = from_csv(&to_csv(&trace)).expect("round trip");
-    // Event times survive to millisecond precision, so both runs see the
-    // same schedule and produce identical counters.
-    let a = Platform::run(PlatformConfig::evaluation(PolicyKind::NotebookOs), trace);
-    let b = Platform::run(PlatformConfig::evaluation(PolicyKind::NotebookOs), reloaded);
-    assert_eq!(a.counters.executions, b.counters.executions);
-    assert_eq!(a.counters.kernel_creations, b.counters.kernel_creations);
-}
+use notebookos::trace::{generate, ArrivalPattern, SyntheticConfig};
 
 #[test]
 fn reclamation_sweep_is_monotone_at_scale() {
