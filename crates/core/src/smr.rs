@@ -392,14 +392,13 @@ mod tests {
 
     #[test]
     fn tracker_votes_complete() {
-        // A full vote round, duplicate votes and DONE confirm the winner;
-        // none of them moves it.
+        // A full vote round and DONE confirm the winner; neither moves it.
         let mut t = ElectionTracker::new(3);
         t.apply(&KernelCommand::Lead {
             election: 1,
             replica: 0,
         });
-        for voter in [0, 0, 1, 2] {
+        for voter in 0..3 {
             let outcome = t.apply(&KernelCommand::Vote {
                 election: 1,
                 winner: 0,
@@ -411,6 +410,34 @@ mod tests {
             t.apply(&KernelCommand::Done { election: 1 }),
             ElectionOutcome::Won(0)
         );
+    }
+
+    #[test]
+    fn tracker_duplicate_votes_ignored() {
+        // A voter repeating its VOTE, or voting for a replica that did not
+        // win, leaves the committed winner as it is.
+        let mut t = ElectionTracker::new(3);
+        t.apply(&KernelCommand::Lead {
+            election: 1,
+            replica: 0,
+        });
+        for (voter, winner) in [(0, 0), (0, 0), (1, 2), (1, 0)] {
+            let outcome = t.apply(&KernelCommand::Vote {
+                election: 1,
+                winner,
+                voter,
+            });
+            assert_eq!(outcome, ElectionOutcome::Won(0));
+        }
+        // Repeated YIELDs from one replica count once, so they never make
+        // an election look all-yielded.
+        for _ in 0..3 {
+            t.apply(&KernelCommand::Yield {
+                election: 2,
+                replica: 1,
+            });
+        }
+        assert_eq!(t.outcome_of(2), ElectionOutcome::Pending);
     }
 
     #[test]
