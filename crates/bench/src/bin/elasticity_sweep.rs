@@ -3,21 +3,17 @@
 //! three stress scenarios they were built for — flash-crowd arrivals,
 //! diurnal arrivals, and a heterogeneous host fleet — and reports
 //! per-policy cost/latency aggregates with 95 % CIs: 45 runs at excerpt
-//! scale, 0.22 s on two cores. Per-run records are persisted as JSON +
-//! CSV, and the sweep shards and merges like any other:
+//! scale, ≈0.24 s on two cores in one process, JSON and CSV included.
+//! Per-run records are persisted as JSON + CSV:
 //!
 //! ```text
 //! cargo run --release -p notebookos-bench --bin elasticity_sweep -- \
-//!     [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]
+//!     [--workers N] [--out FILE]
 //! ```
 //!
 //! `--out FILE` names the JSON report (default
-//! `results/elasticity/elasticity_sweep.json` for unsharded runs; a
-//! `--shard` run must name its own `--out` file so a partial report can
-//! never clobber the default complete one); the headline CSV is written
-//! next to it. Summary tables and the control-plane sanity assertions only
-//! run when the report covers the full matrix (partial shards just persist
-//! their cells).
+//! `results/elasticity/elasticity_sweep.json`); the headline CSV is written
+//! next to it.
 
 use notebookos_bench::elastic_config;
 use notebookos_bench::sweep_cli::SweepCli;
@@ -25,25 +21,18 @@ use notebookos_core::sweep::{Scenario, SweepSpec};
 use notebookos_core::{ElasticityKind, PolicyKind};
 use notebookos_metrics::Table;
 
-const USAGE: &str = "elasticity_sweep [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]";
+const USAGE: &str = "elasticity_sweep [--workers N] [--out FILE]";
 
 fn main() {
     let mut cli = SweepCli::parse(std::env::args().skip(1), USAGE).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    // The default report path only applies to a plain full run — the
-    // one mode guaranteed to produce the *complete* report. A shard must
-    // name its own file (SweepCli::parse enforces --out), and a
-    // merge (which may cover only a subset of shards) only writes where
-    // explicitly told, so a partial report can never clobber a
-    // previously completed default one. Parent directories are created
-    // by the engine's atomic writer.
-    let out = cli.out.take().or_else(|| {
-        (cli.shard.is_none() && cli.merge.is_empty())
-            .then(|| std::path::PathBuf::from("results/elasticity/elasticity_sweep.json"))
-    });
-    cli.out = out.clone();
+    // Parent directories are created by the engine's atomic writer.
+    let out = cli
+        .out
+        .get_or_insert_with(|| "results/elasticity/elasticity_sweep.json".into())
+        .clone();
 
     // The three stress patterns at excerpt scale (§5.2's 17.5-hour
     // window).
@@ -60,7 +49,7 @@ fn main() {
         .configure(elastic_config);
     eprintln!(
         "elasticity_sweep: {} runs ({} scenarios x {} elasticities x {} seeds)",
-        spec.total_jobs(),
+        scenarios.len() * ElasticityKind::ALL.len() * spec.seeds.len(),
         scenarios.len(),
         ElasticityKind::ALL.len(),
         spec.seeds.len()
@@ -72,26 +61,14 @@ fn main() {
             std::process::exit(1);
         });
 
-    if let Some(out) = &out {
-        let csv = out.with_extension("csv");
-        report.write_csv(&csv).expect("write CSV");
-        println!(
-            "per-run records: {} and {} ({} runs)",
-            out.display(),
-            csv.display(),
-            report.len()
-        );
-    }
-
-    if !SweepCli::is_complete(&spec, &report) {
-        println!(
-            "elasticity_sweep: partial report ({} of {} cells) — merge the shards to \
-             complete it",
-            report.len(),
-            spec.total_jobs()
-        );
-        return;
-    }
+    let csv = out.with_extension("csv");
+    report.write_csv(&csv).expect("write CSV");
+    println!(
+        "per-run records: {} and {} ({} runs)",
+        out.display(),
+        csv.display(),
+        report.len()
+    );
 
     for scenario in &scenarios {
         let mut table = Table::new(

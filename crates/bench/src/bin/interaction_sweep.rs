@@ -1,29 +1,19 @@
-//! `placement × elasticity` interaction sweep — the study the shard →
-//! merge path is exercised on (ROADMAP: "Elasticity × placement interaction
-//! study").
+//! `placement × elasticity` interaction sweep (ROADMAP: "Elasticity ×
+//! placement interaction study").
 //!
 //! Crossing all four placement policies with all three elasticity policies
 //! over the heterogeneous and diurnal stress scenarios shows which pairings
-//! compound: 72 runs of 17.5-hour simulations, 0.2 s on two cores. It
-//! needs no splitting at that size; it is split anyway, in CI, because the
-//! split is the contract a larger campaign would lean on — merged shards
-//! are byte-identical to one process:
+//! compound: 72 runs of 17.5-hour simulations, 0.13–0.2 s on two cores
+//! (≈0.35 s with the 9 MB `--out` report), in one process:
 //!
 //! ```text
-//! # One process:
-//! cargo run --release -p notebookos-bench --bin sweep_shard
-//! # Two shards, then a merge with a bit-identity gate (CI does this):
-//! cargo run ... --bin sweep_shard -- --shard 0/2 --out shard-0.json
-//! cargo run ... --bin sweep_shard -- --shard 1/2 --out shard-1.json
-//! cargo run ... --bin sweep_shard -- --merge shard-0.json shard-1.json --out merged.json
-//! cargo run ... --bin sweep_shard -- --shard 0/1 --out single.json
-//! cmp merged.json single.json
+//! cargo run --release -p notebookos-bench --bin interaction_sweep -- \
+//!     [--workers N] [--out FILE]
 //! ```
 //!
-//! Flags: `[--workers N] [--shard I/M] [--out FILE] [--merge FILES...]`.
-//! A complete report (one process, or merged) renders the interaction
-//! tables; a partial (sharded) run just persists its cells. A shard that
-//! dies is run again.
+//! `--out FILE` persists every run's full record as JSON; the report is
+//! the same bytes whatever `--workers` is (CI `cmp`s a 1-worker and a
+//! 2-worker report).
 
 use notebookos_bench::elastic_config;
 use notebookos_bench::sweep_cli::SweepCli;
@@ -31,7 +21,7 @@ use notebookos_core::sweep::{Scenario, SweepSpec};
 use notebookos_core::{ElasticityKind, PlacementKind, PolicyKind};
 use notebookos_metrics::Table;
 
-const USAGE: &str = "sweep_shard [--workers N] [--shard I/M] [--out FILE] [--merge FILES...]";
+const USAGE: &str = "interaction_sweep [--workers N] [--out FILE]";
 
 /// The interaction matrix: NotebookOS under every placement × elasticity
 /// pairing, on the scenarios where the pairings differ most.
@@ -52,28 +42,19 @@ fn main() {
     });
     let spec = interaction_spec();
     eprintln!(
-        "sweep_shard: {} interaction cells ({} scenarios x {} placements x {} elasticities x {} seeds)",
-        spec.total_jobs(),
+        "interaction_sweep: {} interaction cells ({} scenarios x {} placements x {} elasticities x {} seeds)",
+        spec.scenarios.len() * PlacementKind::ALL.len() * ElasticityKind::ALL.len() * spec.seeds.len(),
         spec.scenarios.len(),
         PlacementKind::ALL.len(),
         ElasticityKind::ALL.len(),
         spec.seeds.len()
     );
-    let report = cli.execute(&spec, "sweep_shard").unwrap_or_else(|err| {
-        eprintln!("sweep_shard: {err}");
-        std::process::exit(1);
-    });
-
-    // Partial shards persist their cells and stop; tables and invariant
-    // checks only make sense over the full matrix.
-    if !SweepCli::is_complete(&spec, &report) {
-        println!(
-            "sweep_shard: partial report ({} of {} cells) — merge the shards to complete it",
-            report.len(),
-            spec.total_jobs()
-        );
-        return;
-    }
+    let report = cli
+        .execute(&spec, "interaction_sweep")
+        .unwrap_or_else(|err| {
+            eprintln!("interaction_sweep: {err}");
+            std::process::exit(1);
+        });
 
     for scenario in &spec.scenarios {
         let mut header: Vec<String> = vec!["placement".into()];
@@ -96,7 +77,7 @@ fn main() {
                         placement,
                         elasticity,
                     )
-                    .expect("complete report has every interaction cell");
+                    .expect("the report has every interaction cell");
                 row.push(format!(
                     "{:.1} / {:.2}",
                     agg.interactivity_p50_ms.mean, agg.provider_cost_usd.mean
@@ -135,8 +116,7 @@ fn main() {
         "placement x elasticity surface is completely flat — axis plumbing broke"
     );
     println!(
-        "sweep_shard: {} interaction cells complete (fingerprint {:#018x})",
-        report.len(),
-        report.fingerprint
+        "interaction_sweep: {} interaction cells complete",
+        report.len()
     );
 }

@@ -10,9 +10,8 @@
 //! `################ name ################` banner — byte for byte
 //! `tests/golden/repro.txt`, which CI `cmp`s against. It runs in one
 //! process, generates each trace once and simulates each (policy, trace)
-//! pair once (2 traces + 8 simulations), so there is nothing to shard or
-//! resume: a killed reproduction is run again. An unknown name exits 2
-//! with the list.
+//! pair once (2 traces + 8 simulations); a killed reproduction is run
+//! again. An unknown name exits 2 with the list.
 
 use std::process::ExitCode;
 

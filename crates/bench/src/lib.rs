@@ -1,6 +1,7 @@
 //! The evaluation harness: the figure table behind the `repro` binary
 //! ([`figures`]), the live-service load generator ([`serve`]), the Raft
-//! chaos drill ([`chaos`]) and the sharded-sweep CLI ([`sweep_cli`]).
+//! chaos drill ([`chaos`]) and the sweep binaries' shared flags
+//! ([`sweep_cli`]).
 //!
 //! `repro` regenerates every table and figure of the paper's evaluation
 //! section in one process, or the ones it is given by name:
@@ -29,7 +30,7 @@ pub mod sweep_cli;
 pub const EVAL_SEED: u64 = 2026;
 
 /// Base configuration for the elasticity studies (`elasticity_sweep`'s
-/// per-policy comparison, `sweep_shard`'s placement × elasticity
+/// per-policy comparison, `interaction_sweep`'s placement × elasticity
 /// interaction): the NotebookOS evaluation setup with the pre-warm
 /// reconcile loop enabled (the control plane under test).
 pub fn elastic_config(policy: PolicyKind) -> PlatformConfig {

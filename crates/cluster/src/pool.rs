@@ -41,9 +41,6 @@ pub struct PrewarmPool {
     /// Hosts that left the cluster; late provision completions for them
     /// are discarded (host ids are never reused).
     gone: HashSet<HostId>,
-    /// Totals for instrumentation.
-    acquired: u64,
-    missed: u64,
 }
 
 impl PrewarmPool {
@@ -63,13 +60,9 @@ impl PrewarmPool {
         match self.warm.get_mut(&host) {
             Some(n) if *n > 0 => {
                 *n -= 1;
-                self.acquired += 1;
                 true
             }
-            _ => {
-                self.missed += 1;
-                false
-            }
+            _ => false,
         }
     }
 
@@ -148,11 +141,6 @@ impl PrewarmPool {
         out.sort_unstable();
         out
     }
-
-    /// `(pool hits, pool misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.acquired, self.missed)
-    }
 }
 
 #[cfg(test)]
@@ -163,10 +151,10 @@ mod tests {
     fn acquire_hits_and_misses() {
         let mut pool = PrewarmPool::new();
         pool.put(1);
-        assert!(pool.acquire(1));
-        assert!(!pool.acquire(1));
-        assert!(!pool.acquire(2));
-        assert_eq!(pool.stats(), (1, 2));
+        assert!(pool.acquire(1), "the one warm container is a hit");
+        assert!(!pool.acquire(1), "an emptied host misses");
+        assert!(!pool.acquire(2), "a host never stocked misses");
+        assert_eq!(pool.warm_on(1), 0);
     }
 
     #[test]

@@ -42,22 +42,6 @@ impl PolicyKind {
     ];
 }
 
-/// Inverse of the [`std::fmt::Display`] labels, so persisted sweep
-/// reports (CSV/JSON) can be loaded back.
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "Reservation" => Ok(PolicyKind::Reservation),
-            "Batch" => Ok(PolicyKind::Batch),
-            "NotebookOS" => Ok(PolicyKind::NotebookOs),
-            "NotebookOS (LCP)" => Ok(PolicyKind::NotebookOsLcp),
-            other => Err(format!("unknown policy label `{other}`")),
-        }
-    }
-}
-
 /// Which replica-placement policy the Global Scheduler uses (§3.4.1 — the
 /// policy is pluggable; this selects among the bundled implementations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -93,22 +77,6 @@ impl PlacementKind {
         PlacementKind::BinPacking,
         PlacementKind::Random,
     ];
-}
-
-/// Inverse of the [`std::fmt::Display`] labels, so persisted sweep
-/// reports (CSV/JSON) can be loaded back.
-impl std::str::FromStr for PlacementKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "least-loaded" => Ok(PlacementKind::LeastLoaded),
-            "round-robin" => Ok(PlacementKind::RoundRobin),
-            "bin-packing" => Ok(PlacementKind::BinPacking),
-            "random" => Ok(PlacementKind::Random),
-            other => Err(format!("unknown placement label `{other}`")),
-        }
-    }
 }
 
 /// Which elasticity (auto-scaling) policy drives scale-out, scale-in, and
@@ -171,38 +139,6 @@ impl std::fmt::Display for ElasticityKind {
                 f,
                 "hysteresis(cooldown={cooldown_s}s,surplus={surplus_ticks})"
             ),
-        }
-    }
-}
-
-/// Inverse of the [`std::fmt::Display`] labels (including parameterized
-/// hysteresis cells), so persisted sweep reports can be loaded back.
-impl std::str::FromStr for ElasticityKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threshold" => Ok(ElasticityKind::Threshold),
-            "shape-aware" => Ok(ElasticityKind::ShapeAware),
-            s if s.starts_with("hysteresis(") && s.ends_with(')') => {
-                let bad = || format!("malformed hysteresis label `{s}`");
-                let inner = &s["hysteresis(".len()..s.len() - 1];
-                let (cooldown, surplus) = inner.split_once(',').ok_or_else(bad)?;
-                let cooldown_s = cooldown
-                    .strip_prefix("cooldown=")
-                    .and_then(|v| v.strip_suffix('s'))
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .ok_or_else(bad)?;
-                let surplus_ticks = surplus
-                    .strip_prefix("surplus=")
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or_else(bad)?;
-                Ok(ElasticityKind::Hysteresis {
-                    cooldown_s,
-                    surplus_ticks,
-                })
-            }
-            other => Err(format!("unknown elasticity label `{other}`")),
         }
     }
 }
@@ -451,39 +387,6 @@ mod tests {
             PlatformConfig::evaluation(PolicyKind::Reservation).initial_hosts,
             30
         );
-    }
-
-    #[test]
-    fn kind_labels_round_trip_through_from_str() {
-        for policy in PolicyKind::ALL {
-            assert_eq!(policy.to_string().parse::<PolicyKind>(), Ok(policy));
-        }
-        for placement in PlacementKind::ALL {
-            assert_eq!(
-                placement.to_string().parse::<PlacementKind>(),
-                Ok(placement)
-            );
-        }
-        let tuned = ElasticityKind::Hysteresis {
-            cooldown_s: 62.5,
-            surplus_ticks: 9,
-        };
-        for elasticity in [
-            ElasticityKind::Threshold,
-            ElasticityKind::ShapeAware,
-            ElasticityKind::hysteresis(),
-            tuned,
-        ] {
-            assert_eq!(
-                elasticity.to_string().parse::<ElasticityKind>(),
-                Ok(elasticity)
-            );
-        }
-        assert!("NotebookOs".parse::<PolicyKind>().is_err());
-        assert!("hysteresis(cooldown=5)".parse::<ElasticityKind>().is_err());
-        assert!("hysteresis(cooldown=5s,surplus=x)"
-            .parse::<ElasticityKind>()
-            .is_err());
     }
 
     #[test]

@@ -82,5 +82,5 @@ pub use serve::{
     ProvisioningBackend, DURATION_KEY, GATEWAY_KEY,
 };
 pub use smr::{ElectionOutcome, ElectionTracker, KernelCommand, KernelProtocolHarness, Proposal};
-pub use sweep::{Scenario, SweepAggregate, SweepError, SweepJob, SweepReport, SweepRun, SweepSpec};
+pub use sweep::{Scenario, SweepAggregate, SweepJob, SweepReport, SweepRun, SweepSpec};
 pub use types::{KernelId, ReplicaId};

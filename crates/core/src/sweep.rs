@@ -16,30 +16,12 @@
 //!   [`SweepAggregate`]) and persistence ([`SweepReport::write_json`],
 //!   the full records; [`SweepReport::write_csv`], the headline scalars).
 //!
-//! # Sharding and merging
-//!
-//! There is one way to split a sweep across processes. The job list is
-//! deterministic and indexable, which makes the partition safe and the
-//! merge order irrelevant:
-//!
-//! * [`SweepSpec::shard`] restricts a spec to the jobs whose global index
-//!   is congruent to `index` modulo `total` — run shard `i/M` on `M`
-//!   machines and every job runs exactly once.
-//! * [`SweepReport::write_json`] persists a shard's runs and
-//!   [`SweepReport::read_json`] loads them back into full [`SweepRun`]s
-//!   (`write_json → read_json` is `PartialEq`-identity).
-//! * [`SweepReport::merge`] combines shard reports after validating that
-//!   their [`SweepSpec::fingerprint`]s match and their job indices are
-//!   disjoint; runs are re-ordered by job index, so the merged report is
-//!   bit-identical to a single-process run of the unsharded spec.
-//!
-//! Resuming is sharding in time: the shard is the unit of loss, so a sweep
-//! long enough to fear a kill is run as `M` shards and only the shard that
-//! died is run again. There is no per-cell checkpoint — the largest sweep
-//! this repository commits (72 runs of the 17.5-hour excerpt) takes 0.2 s
-//! on two cores. Writes go through a `.tmp` sibling plus rename, so a
-//! process killed mid-write cannot leave a truncated report for a later
-//! merge to trip over.
+//! A sweep runs in one process, on the pool: the largest study this
+//! repository commits (72 runs of the 17.5-hour excerpt) simulates in
+//! 0.13–0.2 s on two cores, so there is no split across processes, no
+//! checkpoint and no resume — a killed sweep is run again. Writes go through a `.tmp`
+//! sibling plus rename, so a process killed mid-write cannot leave a
+//! truncated report behind.
 //!
 //! # Determinism
 //!
@@ -48,8 +30,9 @@
 //! identical to the record a sequential `Platform::run` with the same
 //! inputs produces, whatever the worker count — the
 //! `sweep_runs_equal_sequential_runs` property test in `tests/properties.rs`
-//! locks this in, and `tests/sweep_sharding.rs` extends the guarantee
-//! across shard/merge boundaries.
+//! locks this in, and `tests/golden_determinism.rs` holds the bytes
+//! [`SweepReport::write_json`] writes for two small sweeps to committed
+//! files.
 //!
 //! # Example
 //!
@@ -69,113 +52,19 @@
 //! assert_eq!(agg.interactivity_p50_ms.n, 2);
 //! ```
 
-use std::fmt;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 
 use notebookos_cluster::ResourceBundle;
 use notebookos_jupyter::json::encode_string;
-use notebookos_jupyter::wire::fnv1a;
-use notebookos_jupyter::Json;
-use notebookos_metrics::{Cdf, MeanCi, Timeline};
+use notebookos_metrics::{Cdf, MeanCi};
 use notebookos_trace::{generate_with_profile, SyntheticConfig, TraceProfile, WorkloadTrace};
 
 use crate::config::{ElasticityKind, PlacementKind, PlatformConfig, PolicyKind};
 use crate::latency_breakdown::Step;
 use crate::platform::Platform;
-use crate::results::{RunCounters, RunMetrics};
-
-/// Failure loading or merging persisted sweep reports. Every variant
-/// carries enough context to say *which* file or cell is bad — a truncated
-/// or hand-edited report must surface as a clear error, never a panic,
-/// because `--merge` feeds these files back into a study's tables.
-#[derive(Debug)]
-pub enum SweepError {
-    /// Reading or writing `path` failed at the I/O layer.
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// `path` is not syntactically valid JSON (e.g. a write was killed
-    /// mid-stream before atomic persistence existed, or the file was
-    /// corrupted out-of-band).
-    Json {
-        /// The file involved.
-        path: PathBuf,
-        /// Parser diagnostic with byte offset.
-        message: String,
-    },
-    /// `path` parsed but does not have the shape of a sweep report.
-    Format {
-        /// The file involved.
-        path: PathBuf,
-        /// What was missing or malformed.
-        message: String,
-    },
-    /// Two reports (or the merged reports and the spec they are rendered
-    /// against) come from different sweep specifications.
-    FingerprintMismatch {
-        /// Fingerprint of the spec or first report.
-        expected: u64,
-        /// Conflicting fingerprint.
-        found: u64,
-    },
-    /// Two merged reports both contain the run at this job index — the
-    /// shards were not disjoint.
-    OverlappingRuns {
-        /// The duplicated global job index.
-        job_index: usize,
-    },
-    /// [`SweepReport::merge`] was called with no reports.
-    NothingToMerge,
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::Io { path, source } => {
-                write!(f, "sweep report {}: {source}", path.display())
-            }
-            SweepError::Json { path, message } => {
-                write!(
-                    f,
-                    "sweep report {} is not valid JSON ({message}); \
-                     the file is corrupt or truncated — delete it to start over",
-                    path.display()
-                )
-            }
-            SweepError::Format { path, message } => {
-                write!(f, "sweep report {} is malformed: {message}", path.display())
-            }
-            SweepError::FingerprintMismatch { expected, found } => {
-                write!(
-                    f,
-                    "sweep fingerprint mismatch: expected {expected:#018x}, found {found:#018x} \
-                     (the reports come from different sweep specifications)"
-                )
-            }
-            SweepError::OverlappingRuns { job_index } => {
-                write!(
-                    f,
-                    "overlapping shard reports: job index {job_index} appears more than once"
-                )
-            }
-            SweepError::NothingToMerge => write!(f, "no sweep reports to merge"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SweepError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+use crate::results::RunMetrics;
 
 /// Worker count used when a spec asks for `0`: the machine's available
 /// parallelism.
@@ -274,11 +163,6 @@ where
 /// plus the axis labels it came from.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
-    /// Global index of this job in the *unsharded* job order of its
-    /// [`SweepSpec`] — stable across shards, the key persisted reports
-    /// and [`SweepReport::merge`] identify cells by. Ad-hoc jobs built
-    /// with [`SweepJob::new`] carry index 0.
-    pub index: usize,
     /// Scenario label (for aggregation grouping).
     pub scenario: String,
     /// The scheduling policy under evaluation.
@@ -311,7 +195,6 @@ impl SweepJob {
         config.policy = policy;
         config.seed = seed;
         SweepJob {
-            index: 0,
             scenario: "default".into(),
             policy,
             placement: config.placement,
@@ -412,8 +295,7 @@ impl Scenario {
 }
 
 /// A matrix of policies × placements × elasticities × seeds × scenarios,
-/// executed by the worker pool — optionally restricted to one shard of
-/// the job list for cross-process partitioning.
+/// executed by the worker pool.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Scheduling policies to evaluate.
@@ -437,9 +319,6 @@ pub struct SweepSpec {
     pub configure: fn(PolicyKind) -> PlatformConfig,
     /// Worker threads; 0 picks [`default_workers`].
     pub workers: usize,
-    /// `(index, total)` shard restriction set by [`SweepSpec::shard`];
-    /// `None` runs every job.
-    shard: Option<(usize, usize)>,
 }
 
 impl Default for SweepSpec {
@@ -459,7 +338,6 @@ impl SweepSpec {
             scenarios: vec![Scenario::excerpt()],
             configure: PlatformConfig::evaluation,
             workers: 0,
-            shard: None,
         }
     }
 
@@ -516,110 +394,9 @@ impl SweepSpec {
         self
     }
 
-    /// Restricts the spec to shard `index` of `total`: only jobs whose
-    /// global index is congruent to `index` modulo `total` are expanded
-    /// and run. Round-robin assignment keeps the per-shard load balanced
-    /// whatever the axis ordering. `shard(0, 1)` is the full spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total` is zero or `index >= total`.
-    pub fn shard(mut self, index: usize, total: usize) -> Self {
-        assert!(total >= 1, "shard total must be at least 1");
-        assert!(index < total, "shard index {index} out of range 0..{total}");
-        self.shard = Some((index, total));
-        self
-    }
-
-    /// Whether global job `index` belongs to this spec's shard.
-    fn shard_selects(&self, index: usize) -> bool {
-        match self.shard {
-            None => true,
-            Some((shard_index, total)) => index % total == shard_index,
-        }
-    }
-
-    /// Number of jobs in the *unsharded* matrix.
-    pub fn total_jobs(&self) -> usize {
-        let placements = self.placements.len().max(1);
-        self.scenarios.len()
-            * self.seeds.len()
-            * self.policies.len()
-            * placements
-            * self.elasticities.len()
-    }
-
-    /// Global indices of the jobs this spec (respecting any shard
-    /// restriction) would run, in job order — the partition arithmetic
-    /// without trace generation, so invariants over large matrices stay
-    /// cheap to test.
-    pub fn job_indices(&self) -> Vec<usize> {
-        (0..self.total_jobs())
-            .filter(|&i| self.shard_selects(i))
-            .collect()
-    }
-
-    /// A stable 64-bit fingerprint of the sweep matrix — policies,
-    /// placements, elasticities, seeds, scenarios (name, workload shape,
-    /// trace profile, host mix), and the `configure` hook's *output*:
-    /// the hook is a function pointer with no stable identity, so the
-    /// sample [`PlatformConfig`] it produces for each policy on the axis
-    /// is hashed instead. Two specs differing only in base configuration
-    /// (e.g. replication factor or autoscale tuning) therefore do not
-    /// alias each other's shard reports.
-    ///
-    /// Two specs share a fingerprint iff they expand to the same job
-    /// list. Deliberately *excluded*: `workers` and the shard restriction
-    /// (shards of one spec must agree).
-    pub fn fingerprint(&self) -> u64 {
-        let mut desc = String::from("sweep-v2;policies=[");
-        for p in &self.policies {
-            desc.push_str(&p.to_string());
-            desc.push(',');
-        }
-        desc.push_str("];placements=[");
-        for p in &self.placements {
-            desc.push_str(&p.to_string());
-            desc.push(',');
-        }
-        desc.push_str("];elasticities=[");
-        for e in &self.elasticities {
-            desc.push_str(&e.to_string());
-            desc.push(',');
-        }
-        desc.push_str("];seeds=[");
-        for s in &self.seeds {
-            desc.push_str(&s.to_string());
-            desc.push(',');
-        }
-        desc.push_str("];scenarios=[");
-        for scenario in &self.scenarios {
-            // Debug formatting covers the full workload shape: arrival
-            // pattern, populations, profile quantiles, host mix.
-            desc.push_str(&format!(
-                "{{name={};workload={:?};profile={:?};host_mix={:?}}}",
-                scenario.name, scenario.workload, scenario.profile, scenario.host_mix
-            ));
-            desc.push(',');
-        }
-        desc.push_str("];configs=[");
-        for &policy in &self.policies {
-            // Debug formatting covers every config field (autoscale,
-            // billing, fleet shape, placement, seed defaults, …), and the
-            // seed/scenario overrides applied at job expansion are hashed
-            // through their own axes above.
-            desc.push_str(&format!("{policy}=>{:?}", (self.configure)(policy)));
-            desc.push(',');
-        }
-        desc.push(']');
-        fnv1a(desc.as_bytes())
-    }
-
     /// Expands the matrix into jobs: scenario-major, then seed, then
     /// policy, then placement, then elasticity. All runs of a
-    /// `(scenario, seed)` share one generated trace; under a shard
-    /// restriction, traces are only generated for `(scenario, seed)`
-    /// blocks that contribute at least one selected job.
+    /// `(scenario, seed)` share one generated trace.
     pub fn jobs(&self) -> Vec<SweepJob> {
         let placements: Vec<Option<PlacementKind>> = if self.placements.is_empty() {
             vec![None]
@@ -627,36 +404,29 @@ impl SweepSpec {
             self.placements.iter().copied().map(Some).collect()
         };
         let mut jobs = Vec::new();
-        let mut index = 0usize;
         for scenario in &self.scenarios {
             for &seed in &self.seeds {
-                let mut trace: Option<Arc<WorkloadTrace>> = None;
+                let trace = Arc::new(scenario.trace(seed));
                 for &policy in &self.policies {
                     for &placement in &placements {
                         for &elasticity in &self.elasticities {
-                            if self.shard_selects(index) {
-                                let trace =
-                                    trace.get_or_insert_with(|| Arc::new(scenario.trace(seed)));
-                                let mut config = (self.configure)(policy);
-                                config.policy = policy;
-                                config.seed = seed;
-                                config.autoscale.elasticity = elasticity;
-                                if let Some(placement) = placement {
-                                    config.placement = placement;
-                                }
-                                scenario.apply(&mut config);
-                                jobs.push(SweepJob {
-                                    index,
-                                    scenario: scenario.name.clone(),
-                                    policy,
-                                    placement: config.placement,
-                                    elasticity,
-                                    seed,
-                                    config,
-                                    trace: Arc::clone(trace),
-                                });
+                            let mut config = (self.configure)(policy);
+                            config.policy = policy;
+                            config.seed = seed;
+                            config.autoscale.elasticity = elasticity;
+                            if let Some(placement) = placement {
+                                config.placement = placement;
                             }
-                            index += 1;
+                            scenario.apply(&mut config);
+                            jobs.push(SweepJob {
+                                scenario: scenario.name.clone(),
+                                policy,
+                                placement: config.placement,
+                                elasticity,
+                                seed,
+                                config,
+                                trace: Arc::clone(&trace),
+                            });
                         }
                     }
                 }
@@ -665,8 +435,7 @@ impl SweepSpec {
         jobs
     }
 
-    /// Executes the matrix (or the selected shard) on the pool and
-    /// collects a report stamped with this spec's fingerprint.
+    /// Executes the matrix on the pool and collects the runs in job order.
     pub fn run(&self) -> SweepReport {
         self.run_with_progress(|_, _| {})
     }
@@ -683,7 +452,6 @@ impl SweepSpec {
             // The labels are read off the job before `run` consumes it
             // (and with it the job's share of the trace).
             |_, job: SweepJob| SweepRun {
-                job_index: job.index,
                 scenario: job.scenario.clone(),
                 policy: job.policy,
                 placement: job.placement,
@@ -696,19 +464,13 @@ impl SweepSpec {
                 progress(done, total);
             },
         );
-        SweepReport {
-            fingerprint: self.fingerprint(),
-            runs,
-        }
+        SweepReport { runs }
     }
 }
 
 /// One completed run inside a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
-    /// Global index of the run's job in the unsharded job order — the
-    /// identity [`SweepReport::merge`] checks disjointness by.
-    pub job_index: usize,
     /// Scenario label.
     pub scenario: String,
     /// Policy evaluated.
@@ -726,9 +488,6 @@ pub struct SweepRun {
 /// The collected output of a sweep, in job order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    /// [`SweepSpec::fingerprint`] of the spec that produced the runs —
-    /// the compatibility check for merging shards.
-    pub fingerprint: u64,
     /// Per-run records, in the deterministic job order of
     /// [`SweepSpec::jobs`].
     pub runs: Vec<SweepRun>,
@@ -743,44 +502,6 @@ impl SweepReport {
     /// Whether the sweep produced no runs.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
-    }
-
-    /// Combines shard reports into one, validating that every report
-    /// carries the same spec fingerprint and that no job index appears
-    /// twice, then re-ordering runs by job index. Merging the complete
-    /// shard set of a spec therefore yields a report `PartialEq`-equal
-    /// (bit-identical metrics included) to running the unsharded spec in
-    /// one process — merge order never matters.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::NothingToMerge`] on an empty input,
-    /// [`SweepError::FingerprintMismatch`] when reports come from
-    /// different specs, [`SweepError::OverlappingRuns`] when shards
-    /// overlap.
-    pub fn merge(
-        reports: impl IntoIterator<Item = SweepReport>,
-    ) -> Result<SweepReport, SweepError> {
-        let mut reports = reports.into_iter();
-        let mut merged = reports.next().ok_or(SweepError::NothingToMerge)?;
-        for report in reports {
-            if report.fingerprint != merged.fingerprint {
-                return Err(SweepError::FingerprintMismatch {
-                    expected: merged.fingerprint,
-                    found: report.fingerprint,
-                });
-            }
-            merged.runs.extend(report.runs);
-        }
-        merged.runs.sort_by_key(|r| r.job_index);
-        for pair in merged.runs.windows(2) {
-            if pair[0].job_index == pair[1].job_index {
-                return Err(SweepError::OverlappingRuns {
-                    job_index: pair[0].job_index,
-                });
-            }
-        }
-        Ok(merged)
     }
 
     /// Runs matching a `(scenario, policy)` cell (any elasticity), in job
@@ -887,8 +608,8 @@ impl SweepReport {
     }
 
     // ------------------------------------------------------------------
-    // Persistence: per-run records are serialized so shards can merge and
-    // a study's numbers can be read outside this process. Both writers
+    // Persistence: per-run records are serialized so a study's numbers
+    // can be read outside this process. Both writers
     // stage into a `.tmp` sibling and rename, so a killed sweep never
     // leaves a truncated file behind.
     // ------------------------------------------------------------------
@@ -907,7 +628,7 @@ impl SweepReport {
     fn emit_csv<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
         writeln!(
             out,
-            "scenario,policy,elasticity,placement,seed,job_index,executions,aborted,\
+            "scenario,policy,elasticity,placement,seed,executions,aborted,\
              kernel_creations,migrations,\
              scale_outs,scale_ins,cold_starts,warm_hits,prewarms_discarded,prewarms_reconciled,\
              distinct_shapes_provisioned,interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,\
@@ -918,13 +639,12 @@ impl SweepReport {
             let (cost, revenue) = m.final_billing().unwrap_or((0.0, 0.0));
             writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?},{:?},{:?}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?},{:?},{:?}",
                 csv_field(&run.scenario),
                 csv_field(&run.policy.to_string()),
                 csv_field(&run.elasticity.to_string()),
                 csv_field(&run.placement.to_string()),
                 run.seed,
-                run.job_index,
                 m.counters.executions,
                 m.counters.aborted,
                 m.counters.kernel_creations,
@@ -949,10 +669,12 @@ impl SweepReport {
     }
 
     /// Writes the full per-run records — every CDF sample, timeline point,
-    /// breakdown step, and counter — as JSON. [`SweepReport::read_json`]
-    /// inverts this exactly; the serialization is deterministic, so equal
-    /// reports produce byte-identical files (the property the CI shard
-    /// determinism gate compares with `cmp`).
+    /// breakdown step, and counter — as JSON, runs in job order. The
+    /// serialization is deterministic — CDF samples in `total_cmp` order,
+    /// floats in shortest round-trip `{:?}` form — so equal reports
+    /// produce byte-identical files and equal files mean equal records
+    /// (`tests/golden_determinism.rs` compares these bytes with committed
+    /// reports; CI `cmp`s the reports of two pool sizes).
     ///
     /// # Errors
     ///
@@ -963,7 +685,6 @@ impl SweepReport {
 
     fn emit_json<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
         writeln!(out, "{{")?;
-        writeln!(out, "  \"fingerprint\": \"{:#018x}\",", self.fingerprint)?;
         writeln!(out, "  \"runs\": [")?;
         for (i, run) in self.runs.iter().enumerate() {
             let comma = if i + 1 < self.runs.len() { "," } else { "" };
@@ -973,60 +694,12 @@ impl SweepReport {
         writeln!(out, "  ]")?;
         writeln!(out, "}}")
     }
-
-    /// Loads a report persisted by [`SweepReport::write_json`] back into
-    /// full [`SweepRun`]s — every CDF sample, timeline point, breakdown
-    /// step, and counter — so shard reports merge without re-running.
-    /// `write_json → read_json` is `PartialEq`-identity.
-    ///
-    /// Integers above 2⁵³ (never produced by the platform's counters or
-    /// the bundled seeds) would lose precision through the JSON number
-    /// representation.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Io`] when the file cannot be read,
-    /// [`SweepError::Json`] when it is not valid JSON (e.g. truncated),
-    /// and [`SweepError::Format`] when it parses but is not a sweep
-    /// report.
-    pub fn read_json(path: impl AsRef<Path>) -> Result<SweepReport, SweepError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|source| SweepError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let root = Json::parse(&text).map_err(|e| SweepError::Json {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        let format_err = |message: String| SweepError::Format {
-            path: path.to_path_buf(),
-            message,
-        };
-        let fingerprint = root
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format_err("missing `fingerprint` string".into()))?;
-        let fingerprint = fingerprint
-            .strip_prefix("0x")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| format_err(format!("bad fingerprint `{fingerprint}`")))?;
-        let runs_json = root
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format_err("missing `runs` array".into()))?;
-        let mut runs = Vec::with_capacity(runs_json.len());
-        for (i, run) in runs_json.iter().enumerate() {
-            runs.push(decode_run(run).map_err(|m| format_err(format!("run {i}: {m}")))?);
-        }
-        Ok(SweepReport { fingerprint, runs })
-    }
 }
 
 /// Writes a file atomically: `emit` streams into a buffered `.tmp`
 /// sibling in the same directory, which is then renamed over the target
 /// (and removed when staging fails). Missing parent directories are
-/// created — an `--out results/study/s0.json` into a directory that
+/// created — an `--out results/study/report.json` into a directory that
 /// does not exist yet must not fail *after* the sweep has run. A process
 /// killed mid-write leaves at worst a stale `.tmp`, never a truncated
 /// file, and full-scale reports never buffer whole in memory.
@@ -1102,7 +775,7 @@ fn json_pairs_array<'a>(points: impl IntoIterator<Item = &'a (f64, f64)>) -> Str
 }
 
 /// Writes one run object. The layout is this function's own (one line per
-/// collector, pinned byte for byte by the shard-merge `cmp` gate); the
+/// collector, pinned byte for byte by the golden reports); the
 /// labels go through `jupyter::json`'s string escaper. The escaper this
 /// module used to carry differed from it only in spelling `\n`, `\r` and
 /// `\t` as `\u000a`-style escapes — both parse back equal — and no
@@ -1116,7 +789,6 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
     };
     let m = &run.metrics;
     writeln!(out, "    {{")?;
-    writeln!(out, "      \"job_index\": {},", run.job_index)?;
     writeln!(out, "      \"scenario\": {},", json_string(&run.scenario))?;
     writeln!(
         out,
@@ -1187,9 +859,8 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
         ("write_ms", &m.write_ms),
     ];
     // CDF samples persist in canonical ascending order: the same multiset
-    // always serializes to the same bytes (merged shard reports stay
-    // byte-identical to single-process runs), and loading reconstructs an
-    // already-sorted collector so pooled aggregation never re-sorts.
+    // always serializes to the same bytes, whatever order the run recorded
+    // it in.
     for (i, (name, cdf)) in cdfs.iter().enumerate() {
         let comma = if i + 1 < cdfs.len() { "," } else { "" };
         writeln!(
@@ -1257,179 +928,6 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
     writeln!(out, "      }}")?;
     write!(out, "    }}")?;
     Ok(())
-}
-
-// ----------------------------------------------------------------------
-// JSON decode helpers — the inverse of `write_run_json`. All return
-// `Result<_, String>`; `read_json` wraps the message with the run index
-// and file path.
-// ----------------------------------------------------------------------
-
-fn req<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing `{key}`"))
-}
-
-fn req_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    req(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("`{key}` is not a string"))
-}
-
-fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    req(obj, key)?
-        .as_f64()
-        .ok_or_else(|| format!("`{key}` is not a number"))
-}
-
-fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    req(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("`{key}` is not a non-negative integer"))
-}
-
-fn req_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    req(obj, key)?
-        .as_arr()
-        .ok_or_else(|| format!("`{key}` is not an array"))
-}
-
-fn req_f64_array(obj: &Json, key: &str) -> Result<Vec<f64>, String> {
-    req_arr(obj, key)?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("`{key}` holds a non-number"))
-        })
-        .collect()
-}
-
-/// Decodes an array of fixed-width number tuples (timeline points,
-/// billing samples).
-fn req_tuple_array<const N: usize>(obj: &Json, key: &str) -> Result<Vec<[f64; N]>, String> {
-    req_arr(obj, key)?
-        .iter()
-        .map(|entry| {
-            let items = entry
-                .as_arr()
-                .ok_or_else(|| format!("`{key}` holds a non-array entry"))?;
-            if items.len() != N {
-                return Err(format!("`{key}` entry is not a {N}-tuple"));
-            }
-            let mut tuple = [0.0; N];
-            for (slot, item) in tuple.iter_mut().zip(items) {
-                *slot = item
-                    .as_f64()
-                    .ok_or_else(|| format!("`{key}` tuple holds a non-number"))?;
-            }
-            Ok(tuple)
-        })
-        .collect()
-}
-
-fn decode_shapes(obj: &Json, key: &str) -> Result<Vec<(ResourceBundle, u64)>, String> {
-    req_arr(obj, key)?
-        .iter()
-        .map(|entry| {
-            let gpus = req_u64(entry, "gpus")?;
-            let gpus = u32::try_from(gpus).map_err(|_| format!("`{key}` gpus out of range"))?;
-            let shape = ResourceBundle::new(
-                req_u64(entry, "millicpus")?,
-                req_u64(entry, "memory_mb")?,
-                gpus,
-            );
-            Ok((shape, req_u64(entry, "hosts")?))
-        })
-        .collect()
-}
-
-/// Replaces a freshly-constructed timeline's points with persisted ones,
-/// preserving the label [`RunMetrics::new`] assigned.
-fn restore_timeline(timeline: &mut Timeline, obj: &Json, key: &str) -> Result<(), String> {
-    let points = req_tuple_array::<2>(obj, key)?
-        .into_iter()
-        .map(|[t, v]| (t, v))
-        .collect();
-    *timeline = Timeline::from_points(timeline.name().to_string(), points)?;
-    Ok(())
-}
-
-/// Replaces a freshly-constructed collector's samples with persisted
-/// ones, preserving the label [`RunMetrics::new`] assigned.
-fn restore_cdf(cdf: &mut Cdf, obj: &Json, key: &str) -> Result<(), String> {
-    *cdf = Cdf::from_samples(cdf.name().to_string(), req_f64_array(obj, key)?);
-    Ok(())
-}
-
-/// Rebuilds one [`SweepRun`] from its persisted JSON object. Labels are
-/// reconstructed through [`RunMetrics::new`] with the parsed policy —
-/// exactly how [`Platform::run`] builds them — so the decoded record is
-/// `PartialEq`-equal to the original, collector names included.
-fn decode_run(run: &Json) -> Result<SweepRun, String> {
-    let policy: PolicyKind = req_str(run, "policy")?.parse()?;
-    let placement: PlacementKind = req_str(run, "placement")?.parse()?;
-    let elasticity: ElasticityKind = req_str(run, "elasticity")?.parse()?;
-    let mut m = RunMetrics::new(&policy.to_string());
-    m.end_s = req_f64(run, "end_s")?;
-
-    let counters = req(run, "counters")?;
-    m.counters = RunCounters {
-        executions: req_u64(counters, "executions")?,
-        aborted: req_u64(counters, "aborted")?,
-        immediate_commits: req_u64(counters, "immediate_commits")?,
-        executor_reuse: req_u64(counters, "executor_reuse")?,
-        kernel_creations: req_u64(counters, "kernel_creations")?,
-        migrations: req_u64(counters, "migrations")?,
-        scale_outs: req_u64(counters, "scale_outs")?,
-        scale_ins: req_u64(counters, "scale_ins")?,
-        cold_starts: req_u64(counters, "cold_starts")?,
-        warm_hits: req_u64(counters, "warm_hits")?,
-        replica_failures: req_u64(counters, "replica_failures")?,
-        prewarms_discarded: req_u64(counters, "prewarms_discarded")?,
-        prewarms_reconciled: req_u64(counters, "prewarms_reconciled")?,
-    };
-    m.hosts_provisioned_by_shape = decode_shapes(run, "hosts_provisioned_by_shape")?;
-    m.hosts_retired_by_shape = decode_shapes(run, "hosts_retired_by_shape")?;
-
-    let cdfs = req(run, "cdfs")?;
-    restore_cdf(&mut m.interactivity_ms, cdfs, "interactivity_ms")?;
-    restore_cdf(&mut m.tct_ms, cdfs, "tct_ms")?;
-    restore_cdf(&mut m.sync_ms, cdfs, "sync_ms")?;
-    restore_cdf(&mut m.read_ms, cdfs, "read_ms")?;
-    restore_cdf(&mut m.write_ms, cdfs, "write_ms")?;
-
-    let timelines = req(run, "timelines")?;
-    restore_timeline(&mut m.provisioned_gpus, timelines, "provisioned_gpus")?;
-    restore_timeline(&mut m.committed_gpus, timelines, "committed_gpus")?;
-    restore_timeline(&mut m.reserved_gpus, timelines, "reserved_gpus")?;
-    restore_timeline(&mut m.subscription_ratio, timelines, "subscription_ratio")?;
-
-    m.kernel_creation_times_s = req_f64_array(run, "kernel_creation_times_s")?;
-    m.migration_times_s = req_f64_array(run, "migration_times_s")?;
-    m.scale_out_times_s = req_f64_array(run, "scale_out_times_s")?;
-    m.billing_samples = req_tuple_array::<3>(run, "billing_samples")?
-        .into_iter()
-        .map(|[t, cost, revenue]| (t, cost, revenue))
-        .collect();
-
-    let breakdown = req(run, "breakdown")?;
-    for step in Step::ALL {
-        for sample in req_f64_array(breakdown, step.label())? {
-            m.breakdown.record_step(step, sample);
-        }
-    }
-    for sample in req_f64_array(breakdown, "end_to_end_ms")? {
-        m.breakdown.record_end_to_end(sample);
-    }
-
-    Ok(SweepRun {
-        job_index: req_u64(run, "job_index")? as usize,
-        scenario: req_str(run, "scenario")?.to_string(),
-        policy,
-        placement,
-        elasticity,
-        seed: req_u64(run, "seed")?,
-        metrics: m,
-    })
 }
 
 /// Cross-seed aggregate of one `(scenario, policy)` cell: pooled latency
@@ -1657,8 +1155,15 @@ mod tests {
 
     #[test]
     fn report_persists_csv_and_json() {
+        // The tuned hysteresis cell's label holds a comma, so the CSV
+        // writer must quote it.
+        let hysteresis = ElasticityKind::Hysteresis {
+            cooldown_s: 90.0,
+            surplus_ticks: 3,
+        };
         let report = SweepSpec::new()
             .policies(vec![PolicyKind::NotebookOs])
+            .elasticities(vec![ElasticityKind::Threshold, hysteresis])
             .seeds(vec![1, 2])
             .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
             .workers(2)
@@ -1671,42 +1176,59 @@ mod tests {
         report.write_json(&json_path).expect("json written");
 
         let csv = std::fs::read_to_string(&csv_path).expect("csv readable");
-        assert_eq!(csv.lines().count(), 3, "header + one row per run");
+        assert_eq!(csv.lines().count(), 5, "header + one row per run");
         let header = csv.lines().next().unwrap();
         assert_eq!(
             header,
-            "scenario,policy,elasticity,placement,seed,job_index,executions,aborted,\
+            "scenario,policy,elasticity,placement,seed,executions,aborted,\
              kernel_creations,migrations,scale_outs,scale_ins,cold_starts,warm_hits,\
              prewarms_discarded,prewarms_reconciled,distinct_shapes_provisioned,\
              interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,gpu_hours_saved,\
              provider_cost_usd,revenue_usd,end_s"
         );
         let columns = header.split(',').count();
-        for row in csv.lines().skip(1) {
-            assert_eq!(row.split(',').count(), columns, "row width: {row}");
-            assert!(row.starts_with("smoke,NotebookOS,threshold,least-loaded,"));
+        // A comma inside a quoted field does not end the field.
+        let fields = |row: &str| {
+            let mut out = vec![String::new()];
+            let mut quoted = false;
+            for ch in row.chars() {
+                match ch {
+                    '"' => quoted = !quoted,
+                    ',' if !quoted => out.push(String::new()),
+                    _ => out.last_mut().expect("one field open").push(ch),
+                }
+            }
+            out
+        };
+        let rows: Vec<Vec<String>> = csv.lines().skip(1).map(fields).collect();
+        assert_eq!(rows.len(), report.len());
+        for (row, run) in rows.iter().zip(&report.runs) {
+            assert_eq!(row.len(), columns, "row width: {row:?}");
+            assert_eq!(
+                row[..4],
+                [
+                    "smoke",
+                    "NotebookOS",
+                    &run.elasticity.to_string(),
+                    "least-loaded"
+                ]
+            );
+            assert_eq!(row[4], run.seed.to_string(), "seed");
+            assert_eq!(row[5], run.metrics.counters.executions.to_string());
         }
-        // No label here holds a comma, so a plain split reads the row.
-        let rows: Vec<Vec<&str>> = csv
-            .lines()
-            .skip(1)
-            .map(|r| r.split(',').collect())
-            .collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][4], "1", "seed");
-        assert_eq!(rows[1][4], "2", "seed");
-        assert_eq!(rows[0][5], "0", "job_index");
-        assert_eq!(
-            rows[0][6],
-            report.runs[0].metrics.counters.executions.to_string()
+        assert_eq!(rows[1][2], "hysteresis(cooldown=90s,surplus=3)");
+        assert!(
+            csv.contains(",\"hysteresis(cooldown=90s,surplus=3)\","),
+            "the comma-holding label is quoted"
         );
+        assert_eq!(rows[0][4], "1", "seed");
+        assert_eq!(rows[2][4], "2", "seed");
         // No staging file may survive an atomic write.
         assert!(!dir.join("report.csv.tmp").exists());
         assert!(!dir.join("report.json.tmp").exists());
 
         let json = std::fs::read_to_string(&json_path).expect("json readable");
-        assert_eq!(json.matches("\"seed\":").count(), 2, "one object per run");
-        assert!(json.contains("\"fingerprint\""));
+        assert_eq!(json.matches("\"seed\":").count(), 4, "one object per run");
         for key in [
             "\"interactivity_ms\"",
             "\"provisioned_gpus\"",
@@ -1741,71 +1263,44 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_by_global_index() {
-        let spec = SweepSpec::new()
+    fn csv_rows_quote_labels_and_carry_headline_scalars() {
+        let report = SweepSpec::new()
             .policies(vec![PolicyKind::Reservation, PolicyKind::NotebookOs])
-            .all_elasticities()
-            .seeds(vec![7, 8])
-            .scenarios(vec![Scenario::new("a", SyntheticConfig::smoke())]);
-        assert_eq!(spec.total_jobs(), 12);
-        assert_eq!(spec.job_indices().len(), 12);
-        let shard0 = spec.clone().shard(0, 3);
-        let shard1 = spec.clone().shard(1, 3);
-        let shard2 = spec.clone().shard(2, 3);
-        let mut union: Vec<usize> = Vec::new();
-        for shard in [&shard0, &shard1, &shard2] {
-            let indices = shard.job_indices();
-            // The arithmetic (trace-free) index list matches the
-            // expanded job list exactly.
-            assert_eq!(
-                indices,
-                shard.jobs().iter().map(|j| j.index).collect::<Vec<_>>()
+            .elasticities(vec![
+                ElasticityKind::Threshold,
+                ElasticityKind::Hysteresis {
+                    cooldown_s: 90.0,
+                    surplus_ticks: 3,
+                },
+            ])
+            .seeds(vec![1])
+            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
+            .workers(2)
+            .run();
+        let dir = std::env::temp_dir().join(format!("notebookos-csv-{}", std::process::id()));
+        let path = dir.join("report.csv");
+        report.write_csv(&path).expect("csv written");
+        let text = std::fs::read_to_string(&path).expect("csv readable");
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), report.len(), "one row per run");
+        // Hysteresis labels contain commas; quoting must survive.
+        assert!(text.contains(",\"hysteresis(cooldown=90s,surplus=3)\","));
+        for (row, run) in rows.iter().zip(&report.runs) {
+            let mut elasticity = run.elasticity.to_string();
+            if elasticity.contains(',') {
+                elasticity = format!("\"{elasticity}\"");
+            }
+            let labels = format!(
+                "{},{},{elasticity},{},{},{},",
+                run.scenario, run.policy, run.placement, run.seed, run.metrics.counters.executions
             );
-            union.extend(indices);
+            assert!(row.starts_with(&labels), "{row} !~ {labels}");
+            assert!(
+                row.ends_with(&format!(",{:?}", run.metrics.end_s)),
+                "{row} does not end in end_s"
+            );
         }
-        union.sort_unstable();
-        assert_eq!(union, (0..12).collect::<Vec<_>>(), "no loss, no dupes");
-        assert_eq!(shard0.fingerprint(), spec.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_tracks_every_axis() {
-        let base = SweepSpec::new();
-        let fp = base.fingerprint();
-        assert_eq!(
-            fp,
-            base.clone().workers(7).fingerprint(),
-            "workers excluded"
-        );
-        assert_ne!(fp, base.clone().seeds(vec![9]).fingerprint());
-        assert_ne!(
-            fp,
-            base.clone()
-                .policies(PolicyKind::ALL.to_vec())
-                .fingerprint()
-        );
-        assert_ne!(fp, base.clone().all_elasticities().fingerprint());
-        assert_ne!(fp, base.clone().all_placements().fingerprint());
-        assert_ne!(
-            fp,
-            base.clone()
-                .scenarios(vec![Scenario::new("other", SyntheticConfig::smoke())])
-                .fingerprint()
-        );
-        // The configure hook's *output* is hashed (the PR 4 gap): two
-        // specs differing only in base config no longer alias under
-        // --merge.
-        fn tuned(policy: PolicyKind) -> PlatformConfig {
-            let mut config = PlatformConfig::evaluation(policy);
-            config.replication_factor = 5;
-            config
-        }
-        assert_ne!(fp, base.clone().configure(tuned).fingerprint());
-        // Same hook, same fingerprint — shards still agree.
-        assert_eq!(
-            base.clone().configure(tuned).fingerprint(),
-            base.clone().configure(tuned).shard(0, 2).fingerprint()
-        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1829,34 +1324,6 @@ mod tests {
             .jobs();
         assert_eq!(default_jobs.len(), 1);
         assert_eq!(default_jobs[0].placement, PlacementKind::LeastLoaded);
-    }
-
-    #[test]
-    fn merge_validates_fingerprints_and_disjointness() {
-        let spec = SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation])
-            .seeds(vec![1, 2])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(1);
-        let full = spec.run();
-        let half0 = spec.clone().shard(0, 2).run();
-        let half1 = spec.clone().shard(1, 2).run();
-        let merged = SweepReport::merge([half1, half0.clone()]).expect("disjoint shards merge");
-        assert_eq!(merged, full, "merge order must not matter");
-        assert!(matches!(
-            SweepReport::merge([half0.clone(), half0.clone()]),
-            Err(SweepError::OverlappingRuns { job_index: 0 })
-        ));
-        let mut foreign = half0.clone();
-        foreign.fingerprint ^= 1;
-        assert!(matches!(
-            SweepReport::merge([half0, foreign]),
-            Err(SweepError::FingerprintMismatch { .. })
-        ));
-        assert!(matches!(
-            SweepReport::merge(Vec::new()),
-            Err(SweepError::NothingToMerge)
-        ));
     }
 
     #[test]

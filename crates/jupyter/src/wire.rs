@@ -109,9 +109,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const LANE_OFFSETS: [u64; 2] = [FNV_OFFSET, 0x6c62_272e_07bb_0142];
 
 /// Plain 64-bit FNV-1a over `bytes`: the workspace's one stable,
-/// dependency-free hash (sweep fingerprints, the serve engine's shard
-/// keys). The frame signature is the keyed two-lane form of the same chain
-/// and keeps its own interleaved loop; it shares only the constants.
+/// dependency-free hash (the serve engine's shard keys). The frame
+/// signature is the keyed two-lane form of the same chain and keeps its
+/// own interleaved loop; it shares only the constants.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(FNV_OFFSET, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)

@@ -57,25 +57,8 @@ impl Cdf {
         &self.name
     }
 
-    /// Reconstructs a collector from persisted samples — the inverse of
-    /// [`Cdf::samples`], used when a sweep report is loaded back from
-    /// disk. Non-finite samples are dropped exactly as [`Cdf::record`]
-    /// drops them.
-    ///
-    /// Reports persist samples in canonical ascending order
-    /// ([`Cdf::canonical_samples`]), and [`Cdf::record`] notices in-order
-    /// inserts, so a loaded collector arrives already sorted: pooling k
-    /// loaded runs ([`Cdf::merged`]) stays O(total) end to end and the
-    /// first percentile query pays no O(n log n) sort.
-    pub fn from_samples(name: impl Into<String>, samples: impl IntoIterator<Item = f64>) -> Cdf {
-        let mut cdf = Cdf::new(name);
-        cdf.record_all(samples);
-        cdf
-    }
-
     /// Records one sample. Non-finite samples are ignored (they would poison
-    /// every percentile). An insert that keeps the samples ascending —
-    /// the only case in a load from a canonically-ordered report — keeps
+    /// every percentile). An insert that keeps the samples ascending keeps
     /// the collector sorted, so later queries and merges skip the sort.
     pub fn record(&mut self, value: f64) {
         if value.is_finite() {
@@ -100,9 +83,8 @@ impl Cdf {
     /// The samples in canonical ascending (`total_cmp`) order, without
     /// mutating the collector — the order reports persist, chosen so the
     /// same multiset always serializes to the same bytes no matter how
-    /// the run recorded or merged it (the sharded-sweep byte-identity
-    /// gate depends on this), and so [`Cdf::from_samples`] reconstructs
-    /// an already-sorted collector.
+    /// the run recorded or merged it (the golden reports' byte compare
+    /// depends on this).
     pub fn canonical_samples(&self) -> Vec<f64> {
         let mut out = self.samples.clone();
         out.sort_by(f64::total_cmp);
@@ -246,22 +228,6 @@ impl Cdf {
         count as f64 / self.samples.len() as f64
     }
 
-    /// Evenly spaced `(value, cumulative_fraction)` points suitable for
-    /// plotting; `points` must be at least 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collector is empty or `points < 2`.
-    pub fn curve(&mut self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two curve points");
-        (0..points)
-            .map(|i| {
-                let p = i as f64 / (points - 1) as f64 * 100.0;
-                (self.percentile(p), p / 100.0)
-            })
-            .collect()
-    }
-
     /// The conventional summary row used throughout EXPERIMENTS.md:
     /// `(p50, p75, p90, p95, p99)`.
     ///
@@ -307,8 +273,12 @@ mod tests {
     use super::*;
 
     fn filled() -> Cdf {
-        let mut c = Cdf::new("t");
-        c.record_all((1..=100).map(|i| i as f64));
+        cdf("t", (1..=100).map(|i| i as f64))
+    }
+
+    fn cdf(name: &str, samples: impl IntoIterator<Item = f64>) -> Cdf {
+        let mut c = Cdf::new(name);
+        c.record_all(samples);
         c
     }
 
@@ -347,19 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn curve_is_monotone() {
-        let mut c = filled();
-        let curve = c.curve(11);
-        assert_eq!(curve.len(), 11);
-        for w in curve.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(curve[0].1, 0.0);
-        assert_eq!(curve[10].1, 1.0);
-    }
-
-    #[test]
     fn single_sample_percentile() {
         let mut c = Cdf::new("one");
         c.record(7.0);
@@ -377,8 +334,8 @@ mod tests {
 
     #[test]
     fn sorted_merge_stays_sorted_and_matches_naive() {
-        let mut a = Cdf::from_samples("m", [5.0, 1.0, 3.0]);
-        let mut b = Cdf::from_samples("other", [4.0, 2.0, 2.0]);
+        let mut a = cdf("m", [5.0, 1.0, 3.0]);
+        let mut b = cdf("other", [4.0, 2.0, 2.0]);
         a.percentile(50.0); // sorts a
         b.percentile(50.0); // sorts b
         a.merge(&b);
@@ -395,42 +352,35 @@ mod tests {
         assert_eq!(pooled.len(), 9);
         assert!(pooled.samples().windows(2).all(|w| w[0] <= w[1]));
         // The naive (unsorted) path records the same multiset.
-        let mut naive = Cdf::from_samples("m", [5.0, 1.0, 3.0]);
-        naive.merge(&Cdf::from_samples("x", [4.0, 2.0, 2.0]));
+        let mut naive = cdf("m", [5.0, 1.0, 3.0]);
+        naive.merge(&cdf("x", [4.0, 2.0, 2.0]));
         assert_eq!(naive.len(), 6);
         assert_eq!(naive.percentile(100.0), 5.0);
     }
 
     #[test]
-    fn from_samples_round_trips() {
-        let c = filled();
-        assert_eq!(Cdf::from_samples("t", c.samples().iter().copied()), c);
-        assert_eq!(Cdf::from_samples("t", [f64::NAN, 1.0]).len(), 1);
-    }
-
-    #[test]
     fn in_order_loads_arrive_sorted() {
-        // Ascending inserts (what loading canonical samples does) keep the
-        // collector sorted; the first out-of-order insert clears the flag.
-        let mut c = Cdf::from_samples("t", [1.0, 2.0, 2.0, 9.0]);
+        // Ascending inserts keep the collector sorted; the first
+        // out-of-order insert clears the flag.
+        let mut c = cdf("t", [1.0, 2.0, 2.0, 9.0]);
         assert!(c.sorted);
         c.record(3.0);
         assert!(!c.sorted);
-        assert!(!Cdf::from_samples("t", [5.0, 1.0]).sorted);
+        assert!(!cdf("t", [5.0, 1.0]).sorted);
         assert!(Cdf::new("e").sorted);
     }
 
     #[test]
     fn canonical_samples_are_order_independent() {
-        let a = Cdf::from_samples("t", [3.0, 1.0, 2.0]);
-        let b = Cdf::from_samples("t", [2.0, 3.0, 1.0]);
+        let a = cdf("t", [3.0, 1.0, 2.0]);
+        let b = cdf("t", [2.0, 3.0, 1.0]);
         assert_eq!(a.canonical_samples(), b.canonical_samples());
         assert_eq!(a.canonical_samples(), vec![1.0, 2.0, 3.0]);
         // Non-mutating: the collector's own sample order is untouched.
         assert_eq!(a.samples(), &[3.0, 1.0, 2.0]);
         // Round trip: canonical samples load back as a sorted collector
         // equal (as a multiset) to the original.
-        let reloaded = Cdf::from_samples("t", a.canonical_samples());
+        let reloaded = cdf("t", a.canonical_samples());
         assert!(reloaded.sorted);
         assert_eq!(reloaded, a);
     }
@@ -456,11 +406,11 @@ mod tests {
                 .collect();
             let raw: Vec<Cdf> = runs
                 .iter()
-                .map(|r| Cdf::from_samples("part", r.iter().copied()))
+                .map(|r| cdf("part", r.iter().copied()))
                 .collect();
             let loaded: Vec<Cdf> = raw
                 .iter()
-                .map(|c| Cdf::from_samples("part", c.canonical_samples()))
+                .map(|c| cdf("part", c.canonical_samples()))
                 .collect();
             assert!(loaded.iter().all(|c| c.sorted), "case {case}: loads sorted");
             let mut pooled_loaded = Cdf::merged("pooled", &loaded);

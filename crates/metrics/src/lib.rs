@@ -5,8 +5,8 @@
 //!
 //! * CDFs of latencies/durations (Figs. 2, 9, 11, 16–19) — [`Cdf`]
 //! * Gauge timelines integrated over virtual time (Figs. 7, 8, 10, 12, 14,
-//!   20) — [`Timeline`] and the area-under-gauge integrator
-//!   [`GaugeIntegrator`] used for GPU-hour accounting
+//!   20) — [`Timeline`], whose [`Timeline::integral`] is the area under
+//!   the gauge GPU-hour accounting reads
 //! * Row-oriented summary tables rendered to the terminal — [`Table`]
 //!
 //! Multi-run sweeps additionally aggregate across seeds: [`MeanCi`]
@@ -24,4 +24,4 @@ pub mod timeline;
 pub use aggregate::MeanCi;
 pub use cdf::Cdf;
 pub use table::Table;
-pub use timeline::{GaugeIntegrator, Timeline};
+pub use timeline::Timeline;

@@ -2,8 +2,8 @@
 //!
 //! The evaluation's timeline figures (provisioned GPUs over 17.5 hours,
 //! active sessions over 90 days, ...) are step functions of virtual time.
-//! [`Timeline`] records the step changes; [`GaugeIntegrator`] integrates the
-//! area under a gauge (the basis of GPU-hour and dollar-cost accounting).
+//! [`Timeline`] records the step changes and integrates the area under
+//! them (the basis of GPU-hour accounting).
 
 /// Seconds-denominated virtual timestamp used by the collectors.
 ///
@@ -46,33 +46,6 @@ impl Timeline {
         &self.name
     }
 
-    /// Reconstructs a timeline from persisted change points — the inverse
-    /// of [`Timeline::points`], used when a sweep report is loaded back
-    /// from disk. Points must be non-decreasing in time; a violation is
-    /// reported as an error (persisted data may be corrupt) rather than
-    /// the panic [`Timeline::set`] reserves for programming mistakes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first out-of-order point.
-    pub fn from_points(
-        name: impl Into<String>,
-        points: Vec<(Seconds, f64)>,
-    ) -> Result<Timeline, String> {
-        let name = name.into();
-        for (i, w) in points.windows(2).enumerate() {
-            if w[1].0 < w[0].0 {
-                return Err(format!(
-                    "timeline `{name}`: point {} at t={} precedes t={}",
-                    i + 1,
-                    w[1].0,
-                    w[0].0
-                ));
-            }
-        }
-        Ok(Timeline { name, points })
-    }
-
     /// Records that the gauge changed to `value` at time `at`.
     ///
     /// # Panics
@@ -90,12 +63,6 @@ impl Timeline {
             }
         }
         self.points.push((at, value));
-    }
-
-    /// Adds `delta` to the gauge's current value at time `at`.
-    pub fn add(&mut self, at: Seconds, delta: f64) {
-        let cur = self.points.last().map_or(0.0, |&(_, v)| v);
-        self.set(at, cur + delta);
     }
 
     /// The gauge value in effect at time `at` (0 before the first point).
@@ -151,74 +118,6 @@ impl Timeline {
     }
 }
 
-/// Streaming integrator for a gauge: accumulates area as the gauge changes,
-/// without storing the series. This is the GPU-hour and billing meter.
-///
-/// # Example
-///
-/// ```
-/// use notebookos_metrics::GaugeIntegrator;
-///
-/// let mut meter = GaugeIntegrator::new();
-/// meter.set(0.0, 4.0);        // 4 GPUs from t=0
-/// meter.set(1800.0, 8.0);     // 8 GPUs from t=1800s
-/// let gpu_seconds = meter.finish(3600.0);
-/// assert_eq!(gpu_seconds, 4.0 * 1800.0 + 8.0 * 1800.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GaugeIntegrator {
-    area: f64,
-    last_time: Seconds,
-    value: f64,
-    started: bool,
-}
-
-impl GaugeIntegrator {
-    /// Creates a meter at value 0, time 0.
-    pub fn new() -> Self {
-        GaugeIntegrator::default()
-    }
-
-    /// Sets the gauge to `value` at time `at`, accumulating the area under
-    /// the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the previous update.
-    pub fn set(&mut self, at: Seconds, value: f64) {
-        if self.started {
-            assert!(at >= self.last_time, "integrator went backwards");
-            self.area += self.value * (at - self.last_time);
-        }
-        self.started = true;
-        self.last_time = at;
-        self.value = value;
-    }
-
-    /// Adds `delta` to the gauge at time `at`.
-    pub fn add(&mut self, at: Seconds, delta: f64) {
-        let v = self.value;
-        self.set(at, v + delta);
-    }
-
-    /// Current gauge value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Closes the meter at time `end` and returns the total area
-    /// (value-seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end` precedes the last update.
-    pub fn finish(mut self, end: Seconds) -> f64 {
-        let v = self.value;
-        self.set(end, v);
-        self.area
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn add_accumulates() {
+    fn max_value_is_the_peak_level() {
         let mut t = Timeline::new("g");
-        t.add(0.0, 2.0);
-        t.add(10.0, 3.0);
-        t.add(20.0, -1.0);
+        t.set(0.0, 2.0);
+        t.set(10.0, 5.0);
+        t.set(20.0, 4.0);
         assert_eq!(t.value_at(20.0), 4.0);
         assert_eq!(t.max_value(), 5.0);
+        assert_eq!(Timeline::new("e").max_value(), 0.0);
     }
 
     #[test]
@@ -274,31 +174,6 @@ mod tests {
         // Partial window [5, 15): 2*5 + 4*5 = 30.
         assert_eq!(t.integral(5.0, 15.0), 30.0);
         assert_eq!(t.time_mean(0.0, 40.0), 2.5);
-    }
-
-    #[test]
-    fn integrator_matches_timeline() {
-        let mut m = GaugeIntegrator::new();
-        m.set(0.0, 2.0);
-        m.set(10.0, 4.0);
-        m.add(30.0, -4.0);
-        assert_eq!(m.value(), 0.0);
-        assert_eq!(m.finish(40.0), 100.0);
-    }
-
-    #[test]
-    fn from_points_round_trips() {
-        let mut t = Timeline::new("g");
-        t.set(0.0, 2.0);
-        t.set(10.0, 4.0);
-        let back = Timeline::from_points("g", t.points().to_vec()).expect("valid points");
-        assert_eq!(back, t);
-        assert_eq!(
-            Timeline::from_points("g", Vec::new()).expect("empty ok"),
-            Timeline::new("g")
-        );
-        let err = Timeline::from_points("g", vec![(10.0, 1.0), (5.0, 2.0)]).unwrap_err();
-        assert!(err.contains("precedes"), "{err}");
     }
 
     #[test]

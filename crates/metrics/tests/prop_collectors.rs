@@ -2,7 +2,13 @@
 
 use proptest::prelude::*;
 
-use notebookos_metrics::{Cdf, GaugeIntegrator, Timeline};
+use notebookos_metrics::{Cdf, Timeline};
+
+fn cdf(name: &str, samples: &[f64]) -> Cdf {
+    let mut c = Cdf::new(name);
+    c.record_all(samples.iter().copied());
+    c
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -35,16 +41,16 @@ proptest! {
         b in proptest::collection::vec(-1.0e6f64..1.0e6, 0..200),
     ) {
         // Sorted path: query both sides first so their caches are sorted.
-        let mut left = Cdf::from_samples("prop", a.iter().copied());
-        let mut right = Cdf::from_samples("prop-b", b.iter().copied());
+        let mut left = cdf("prop", &a);
+        let mut right = cdf("prop-b", &b);
         if !left.is_empty() { left.percentile(50.0); }
         if !right.is_empty() { right.percentile(50.0); }
         let mut fast = left.clone();
         fast.merge(&right);
 
         // Naive path: unsorted append (at least one side unsorted).
-        let mut naive = Cdf::from_samples("prop", a.iter().copied());
-        naive.merge(&Cdf::from_samples("prop-b", b.iter().copied()));
+        let mut naive = cdf("prop", &a);
+        naive.merge(&cdf("prop-b", &b));
 
         prop_assert_eq!(&fast, &naive, "same label and multiset");
         // The fast path's samples are already in ascending order.
@@ -71,24 +77,6 @@ proptest! {
         let whole = timeline.integral(0.0, end);
         let parts = timeline.integral(0.0, mid) + timeline.integral(mid, end);
         prop_assert!((whole - parts).abs() < 1e-6 * whole.abs().max(1.0));
-    }
-
-    /// The streaming integrator agrees with the stored timeline.
-    #[test]
-    fn integrator_matches_timeline(points in proptest::collection::vec((0u32..10_000, 0.0f64..100.0), 1..60)) {
-        let mut sorted = points.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-        let mut timeline = Timeline::new("prop");
-        let mut meter = GaugeIntegrator::new();
-        meter.set(0.0, 0.0);
-        for (t, v) in sorted {
-            timeline.set(f64::from(t), v);
-            meter.set(f64::from(t), v);
-        }
-        let end = 20_000.0;
-        let a = timeline.integral(0.0, end);
-        let b = meter.finish(end);
-        prop_assert!((a - b).abs() < 1e-6 * a.abs().max(1.0), "{a} vs {b}");
     }
 
     /// `value_at` returns the most recent change point's value.

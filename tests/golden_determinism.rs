@@ -5,10 +5,12 @@
 //! [`RunMetrics`] record (every CDF sample, timeline point, counter) of a
 //! small placement × elasticity matrix plus one run per scheduling
 //! policy, captured at the pre-optimization commit. The tests re-run the
-//! same specs through today's code and assert the records are
-//! bit-identical (`PartialEq` on `RunMetrics` compares every sample), so
-//! no cluster-index, scratch-buffer, or checkpointing refactor can
-//! silently change simulation results.
+//! same specs through today's code and compare the bytes
+//! `SweepReport::write_json` writes with the committed files. The writer
+//! serialises every `RunMetrics` field, CDF samples in `total_cmp` order
+//! and floats in shortest round-trip `{:?}` form, so equal bytes mean
+//! equal sample multisets and equal bits: no cluster-index or
+//! scratch-buffer refactor can silently change simulation results.
 //!
 //! Since the platform dispatches through `&mut dyn Scheduler<Ev>`, every
 //! golden comparison also pins the trait path: `Platform::run` *is* the
@@ -26,7 +28,7 @@
 
 use std::path::PathBuf;
 
-use notebookos::core::sweep::{Scenario, SweepReport, SweepSpec};
+use notebookos::core::sweep::{Scenario, SweepSpec};
 use notebookos::core::{Platform, PlatformConfig, PolicyKind};
 use notebookos::des::{DesScheduler, ManualClock, RealTimeScheduler, Scheduler};
 use notebookos::trace::{generate, SyntheticConfig};
@@ -77,40 +79,68 @@ fn policy_spec() -> SweepSpec {
         .workers(2)
 }
 
-/// Runs `spec` and compares every run against the committed golden
-/// report, regenerating the file when `NOTEBOOKOS_UPDATE_GOLDEN` is set.
+/// Runs `spec` and compares the report `write_json` writes with the
+/// committed golden file byte for byte, regenerating the file when
+/// `NOTEBOOKOS_UPDATE_GOLDEN` is set. A mismatch names the first differing
+/// line and the run it belongs to.
 fn assert_matches_golden(spec: &SweepSpec, file: &str) {
     let path = golden_dir().join(file);
     let report = spec.run();
     if std::env::var("NOTEBOOKOS_UPDATE_GOLDEN").is_ok() {
         report.write_json(&path).expect("golden report written");
     }
-    let golden = SweepReport::read_json(&path).unwrap_or_else(|e| {
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "golden report {} unreadable ({e}); regenerate with \
              NOTEBOOKOS_UPDATE_GOLDEN=1",
             path.display()
         )
     });
-    assert_eq!(
-        report.runs.len(),
-        golden.runs.len(),
-        "{file}: run count drifted from the golden matrix"
-    );
-    // The spec fingerprint may legitimately evolve (new axes get hashed
-    // in); the bit-identity contract is on the measurement records.
-    for (run, golden_run) in report.runs.iter().zip(&golden.runs) {
-        assert_eq!(
-            run.metrics.counters, golden_run.metrics.counters,
-            "{file}: counters drifted for {}/{}/{}/seed {}",
-            run.policy, run.placement, run.elasticity, run.seed
-        );
-        assert_eq!(
-            run, golden_run,
-            "{file}: full record drifted for {}/{}/{}/seed {}",
-            run.policy, run.placement, run.elasticity, run.seed
-        );
+    let fresh_path =
+        std::env::temp_dir().join(format!("notebookos-golden-{}-{file}", std::process::id()));
+    report
+        .write_json(&fresh_path)
+        .expect("fresh report written");
+    let fresh = std::fs::read_to_string(&fresh_path).expect("fresh report readable");
+    std::fs::remove_file(&fresh_path).ok();
+    if fresh == golden {
+        return;
     }
+    // One side may be a prefix of the other: the first line past the
+    // shorter one then differs from nothing.
+    let (fresh_lines, golden_lines): (Vec<&str>, Vec<&str>) =
+        (fresh.lines().collect(), golden.lines().collect());
+    let line = (0..fresh_lines.len().max(golden_lines.len()))
+        .find(|&i| fresh_lines.get(i) != golden_lines.get(i))
+        .expect("unequal texts differ in some line");
+    // Every run object opens with a line of its own.
+    let opened = fresh_lines
+        .iter()
+        .take(line + 1)
+        .filter(|l| **l == "    {")
+        .count();
+    let run = match opened.checked_sub(1).and_then(|i| report.runs.get(i)) {
+        Some(r) => format!(
+            "run {} ({}/{}/{}/seed {})",
+            opened - 1,
+            r.policy,
+            r.placement,
+            r.elasticity,
+            r.seed
+        ),
+        None => "outside any run".to_string(),
+    };
+    let clip = |l: Option<&&str>| -> String {
+        let l = l.copied().unwrap_or("<no line>");
+        l.chars().take(160).collect()
+    };
+    panic!(
+        "{file}: line {} drifted from the golden, in {run}\n  now:    {}\n  golden: {}\n\
+         (regenerate with NOTEBOOKOS_UPDATE_GOLDEN=1 only for an intended behaviour change)",
+        line + 1,
+        clip(fresh_lines.get(line)),
+        clip(golden_lines.get(line)),
+    );
 }
 
 #[test]
