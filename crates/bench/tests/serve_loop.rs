@@ -8,6 +8,10 @@
 //! must produce the same traffic, which is the whole point of putting
 //! the clock behind the trait.
 
+use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+
 use notebookos_bench::serve::{run_serve, ServeOpts};
 use notebookos_des::{DesScheduler, ManualClock, RealTimeScheduler, Scheduler, SimTime};
 
@@ -44,23 +48,43 @@ fn serve_loop_sustains_traffic_and_shuts_down_cleanly_under_des() {
     assert!(report.logical_secs <= 20.0 + 1.0);
 }
 
-#[test]
-fn serve_loop_is_identical_under_des_and_manual_clock_realtime() {
-    let mut des = DesScheduler::new();
-    let des_report = run_serve(&opts(), &mut des);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    let mut live = RealTimeScheduler::with_clock(Box::new(ManualClock::new()));
-    let live_report = run_serve(&opts(), &mut live);
+    /// Same schedule, same logical timestamps, same wire traffic: the
+    /// report — counters, latency multiset, gauge samples — is
+    /// bit-identical across the two scheduler implementations, over
+    /// random workload sizes, fleets (shortfalls included) and seeds.
+    #[test]
+    fn serve_loop_is_identical_under_des_and_manual_clock_realtime(
+        users in 1usize..10,
+        hosts in 3usize..10,
+        seed in 0u64..1_000,
+    ) {
+        let mut opts = ServeOpts::new(users, SimTime::from_secs(20));
+        opts.hosts = hosts;
+        opts.seed = seed;
+        let des_report = run_serve(&opts, &mut DesScheduler::new());
 
-    // Same schedule, same logical timestamps, same wire traffic: the
-    // report — counters, latency percentiles, gauge samples — is
-    // bit-identical across the two scheduler implementations.
-    assert_eq!(des_report, live_report);
-    assert_eq!(
-        live.max_lateness(),
-        SimTime::ZERO,
-        "a manual clock sleeps exactly to each deadline"
-    );
+        let mut live = RealTimeScheduler::with_clock(Box::new(ManualClock::new()));
+        let started = Instant::now();
+        let live_report = run_serve(&opts, &mut live);
+        let wall = started.elapsed();
+
+        prop_assert_eq!(
+            des_report, live_report,
+            "users {}, hosts {}, seed {}", users, hosts, seed
+        );
+        prop_assert_eq!(
+            live.max_lateness(),
+            SimTime::ZERO,
+            "a manual clock sleeps exactly to each deadline"
+        );
+        prop_assert!(
+            wall < Duration::from_secs_f64(opts.duration.as_secs_f64()),
+            "a manual clock must not wall-sleep the serving window (took {:?})", wall
+        );
+    }
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! Global Scheduler, which picks R candidate hosts and issues
 //! `StartKernelReplica` RPCs to their Local Schedulers; each replica
 //! registers back and the connection info flows to the Jupyter Server.
-//! This module implements that sequence as typed RPCs over the in-memory
-//! control plane.
+//! This module runs that sequence as direct calls on the in-memory
+//! cluster: rank R hosts, subscribe each, and hand back the connection
+//! info with the replica hosts.
 
 use std::collections::HashMap;
 
@@ -15,49 +16,25 @@ use notebookos_cluster::{Cluster, HostId, ResourceRequest};
 use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
 use crate::policy::{PlacementContext, PlacementPolicy};
-use crate::types::ReplicaId;
 
-/// The control-plane RPCs of Fig. 4, recorded for observability.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlRpc {
-    /// Step 1: Jupyter Server asks the Global Scheduler for a new kernel.
-    StartKernel {
-        /// The new kernel's id.
-        kernel_id: String,
-        /// The user's resource request.
-        spec: KernelResourceSpec,
-    },
-    /// Step 2: Global Scheduler asks a Local Scheduler for one replica.
-    StartKernelReplica {
-        /// The replica being created.
-        replica: ReplicaId,
-        /// The target host.
-        host: HostId,
-    },
-    /// Step 4: the replica registered with its Local Scheduler.
-    ReplicaRegistered {
-        /// The registered replica.
-        replica: ReplicaId,
-        /// Its endpoint, as reported back to the Global Scheduler.
-        endpoint: String,
-    },
-    /// Step 5 (completion): the kernel's connection info returned to the
-    /// Jupyter Server.
-    KernelReady {
-        /// The kernel's id.
-        kernel_id: String,
-    },
+/// A created distributed kernel's placement record: what `shutdown`
+/// releases.
+#[derive(Debug)]
+struct KernelPlacement {
+    /// Host of each replica (index = replica index).
+    replica_hosts: Vec<HostId>,
+    /// The original resource request.
+    request: ResourceRequest,
 }
 
-/// A created distributed kernel's placement record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelPlacement {
-    /// Numeric kernel id used for resource-owner tokens.
-    pub kernel_seq: u64,
-    /// Host of each replica (index = replica index).
-    pub replica_hosts: Vec<HostId>,
-    /// The original resource request.
-    pub request: ResourceRequest,
+/// Converts a Jupyter-facing resource spec to the cluster's request type.
+pub(crate) fn request_of(spec: KernelResourceSpec) -> ResourceRequest {
+    ResourceRequest::new(
+        u64::from(spec.millicpus),
+        u64::from(spec.memory_mb),
+        spec.gpus,
+        spec.vram_gb,
+    )
 }
 
 /// The Global Scheduler's kernel-creation front end.
@@ -71,9 +48,6 @@ pub struct GatewayProvisioner<P: PlacementPolicy> {
     policy: P,
     replication_factor: u32,
     kernels: HashMap<String, KernelPlacement>,
-    next_seq: u64,
-    /// Every control RPC issued, in order (Fig. 4's arrows).
-    rpc_log: Vec<ControlRpc>,
     signing_key: Vec<u8>,
     /// Reusable placement-ranking buffer (the ranking is truncated to the
     /// consumed prefix and copied into the kernel's placement record).
@@ -88,21 +62,9 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
             policy,
             replication_factor,
             kernels: HashMap::new(),
-            next_seq: 0,
-            rpc_log: Vec::new(),
             signing_key: b"notebookos-gateway".to_vec(),
             rank_buf: Vec::new(),
         }
-    }
-
-    /// The recorded control-plane traffic.
-    pub fn rpc_log(&self) -> &[ControlRpc] {
-        &self.rpc_log
-    }
-
-    /// Placement of `kernel_id`, if it exists.
-    pub fn placement(&self, kernel_id: &str) -> Option<&KernelPlacement> {
-        self.kernels.get(kernel_id)
     }
 
     /// The cluster view (for assertions and scheduling decisions).
@@ -111,17 +73,9 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
     }
 
     /// Live kernel count.
-    pub fn kernel_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn kernel_count(&self) -> usize {
         self.kernels.len()
-    }
-
-    fn request_of(spec: &KernelResourceSpec) -> ResourceRequest {
-        ResourceRequest::new(
-            u64::from(spec.millicpus),
-            u64::from(spec.memory_mb),
-            spec.gpus,
-            spec.vram_gb,
-        )
     }
 
     /// Launches a kernel with the given resources, returning its
@@ -142,12 +96,7 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
                 "kernel `{kernel_id}` already exists"
             )));
         }
-        self.rpc_log.push(ControlRpc::StartKernel {
-            kernel_id: kernel_id.to_string(),
-            spec,
-        });
-
-        let request = Self::request_of(&spec);
+        let request = request_of(spec);
         let mut rank_buf = std::mem::take(&mut self.rank_buf);
         // Top-R only: indexed policies answer without rescanning the
         // fleet, and the returned viable total covers the shortfall path.
@@ -171,38 +120,24 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
             )));
         }
 
-        let kernel_seq = self.next_seq;
-        self.next_seq += 1;
         // Report the consumed hosts so stateful policies (RoundRobin)
         // rotate past the whole placement — ranking itself is pure.
         self.policy.placed(&rank_buf);
         let mut endpoints = Vec::with_capacity(rank_buf.len());
         for (index, &host) in rank_buf.iter().enumerate() {
-            let replica = ReplicaId::new(kernel_seq, index as u32);
-            self.rpc_log
-                .push(ControlRpc::StartKernelReplica { replica, host });
             let subscribed = self.cluster.subscribe(host, &request);
             assert!(subscribed, "ranked host exists");
-            let endpoint = format!("host-{host}:59{index}1");
-            self.rpc_log.push(ControlRpc::ReplicaRegistered {
-                replica,
-                endpoint: endpoint.clone(),
-            });
-            endpoints.push(endpoint);
+            endpoints.push(format!("host-{host}:59{index}1"));
         }
         self.kernels.insert(
             kernel_id.to_string(),
             KernelPlacement {
-                kernel_seq,
                 replica_hosts: rank_buf.clone(),
                 request,
             },
         );
         let hosts = rank_buf.clone();
         self.rank_buf = rank_buf;
-        self.rpc_log.push(ControlRpc::KernelReady {
-            kernel_id: kernel_id.to_string(),
-        });
         let info = ConnectionInfo {
             kernel_id: kernel_id.to_string(),
             endpoints,
@@ -250,25 +185,24 @@ mod tests {
     }
 
     #[test]
-    fn launch_follows_fig4_sequence() {
+    fn launch_places_replicas_on_distinct_subscribed_hosts() {
         let mut g = gateway();
-        let (info, _) = g.launch("kernel-1", spec()).expect("launches");
+        let (info, mut hosts) = g.launch("kernel-1", spec()).expect("launches");
+        assert_eq!(info.kernel_id, "kernel-1");
         assert_eq!(info.endpoints.len(), 3);
-        // RPC order: StartKernel, then (StartKernelReplica,
-        // ReplicaRegistered) × 3, then KernelReady.
-        assert_eq!(g.rpc_log().len(), 1 + 3 * 2 + 1);
-        assert!(matches!(g.rpc_log()[0], ControlRpc::StartKernel { .. }));
-        assert!(matches!(
-            g.rpc_log().last(),
-            Some(ControlRpc::KernelReady { .. })
-        ));
-        // Replicas land on distinct hosts.
-        let placement = g.placement("kernel-1").expect("placed");
-        let mut hosts = placement.replica_hosts.clone();
         hosts.sort_unstable();
         hosts.dedup();
         assert_eq!(hosts.len(), 3, "replicas on distinct hosts");
-        // Subscriptions recorded.
+        // The returned hosts are exactly the ones subscribed.
+        let mut subscribed: Vec<HostId> = g
+            .cluster()
+            .hosts()
+            .iter()
+            .filter(|h| h.replica_count() > 0)
+            .map(|h| h.id())
+            .collect();
+        subscribed.sort_unstable();
+        assert_eq!(hosts, subscribed);
         assert_eq!(g.cluster().total_subscribed_gpus(), 6);
     }
 
@@ -277,12 +211,13 @@ mod tests {
         let mut g = gateway();
         g.launch("kernel-1", spec()).expect("launches");
         g.shutdown("kernel-1").expect("shuts down");
-        assert!(g.placement("kernel-1").is_none());
+        assert_eq!(g.kernel_count(), 0);
         assert_eq!(g.cluster().total_subscribed_gpus(), 0);
         assert!(matches!(
             g.shutdown("kernel-1"),
             Err(ProvisionError::UnknownKernel(_))
         ));
+        assert!(g.launch("kernel-1", spec()).is_ok(), "the id is free again");
     }
 
     #[test]
@@ -330,15 +265,15 @@ mod tests {
         // hosts {0, 1, 2} forever.
         let cluster = Cluster::with_hosts(5, ResourceBundle::p3_16xlarge());
         let mut g = GatewayProvisioner::new(cluster, crate::policy::RoundRobin::default(), 3);
-        g.launch("k1", spec()).expect("launches");
-        g.launch("k2", spec()).expect("launches");
+        let (_, first) = g.launch("k1", spec()).expect("launches");
+        let (_, second) = g.launch("k2", spec()).expect("launches");
         assert_eq!(
-            g.placement("k1").unwrap().replica_hosts,
+            first,
             vec![0, 1, 2],
             "first placement takes the rotation head"
         );
         assert_eq!(
-            g.placement("k2").unwrap().replica_hosts,
+            second,
             vec![3, 4, 0],
             "second placement resumes after the last consumed host"
         );
@@ -348,8 +283,9 @@ mod tests {
     fn works_with_alternative_policies() {
         let cluster = Cluster::with_hosts(4, ResourceBundle::p3_16xlarge());
         let mut g = GatewayProvisioner::new(cluster, BinPacking::default(), 3);
-        g.launch("kernel-1", spec())
+        let (_, hosts) = g
+            .launch("kernel-1", spec())
             .expect("launches under bin-packing");
-        assert_eq!(g.placement("kernel-1").unwrap().replica_hosts.len(), 3);
+        assert_eq!(hosts.len(), 3);
     }
 }

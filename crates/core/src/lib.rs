@@ -68,9 +68,9 @@ pub use elasticity::{
 };
 pub use election::{Designation, ElectionModel};
 pub use failure::{recovery_action, FailureDetector, RecoveryAction};
-pub use gateway::{ControlRpc, GatewayProvisioner, KernelPlacement};
+pub use gateway::GatewayProvisioner;
 pub use latency_breakdown::{BreakdownRecorder, RecoveryBreakdown, RecoveryPhase, Step};
-pub use placement_service::{PlacementClient, PlacementService, PlacementServiceStats};
+pub use placement_service::{PlacementClient, PlacementService, ProvisioningBackend};
 pub use platform::Platform;
 pub use policy::{
     BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, RandomPlacement, RoundRobin,
@@ -78,8 +78,7 @@ pub use policy::{
 pub use reclamation::{analyze as analyze_reclamation, fig13_sweep, ReclamationSavings};
 pub use results::{RunCounters, RunMetrics};
 pub use serve::{
-    client_request, AcceptedExecution, GatewayStats, LiveGateway, LocalBackend,
-    ProvisioningBackend, DURATION_KEY, GATEWAY_KEY,
+    client_request, AcceptedExecution, GatewayStats, LiveGateway, DURATION_KEY, GATEWAY_KEY,
 };
 pub use smr::{ElectionOutcome, ElectionTracker, KernelCommand, KernelProtocolHarness, Proposal};
 pub use sweep::{Scenario, SweepAggregate, SweepJob, SweepReport, SweepRun, SweepSpec};

@@ -1,36 +1,51 @@
-//! The shared placement plane of the sharded gateway: one owner thread
-//! exclusively owns the fleet, and N gateway shards reach it over an mpsc
-//! command channel.
+//! A placement owner thread and the channel clients that reach it.
 //!
-//! Sharding the serve loop partitions *sessions* (routing, session state,
-//! reply merging are all per-kernel), but placement ranks one shared
-//! fleet. Rather than wrap the capacity-bucketed `HostIndex` in locks —
-//! it is interior-mutable (`Cell`/`RefCell`) and deliberately
-//! single-writer — the [`PlacementService`] spawns an owner thread that
-//! holds the [`GatewayProvisioner`] outright; every shard holds a
-//! [`PlacementClient`] that sends typed `PlacementCmd`s and blocks on a
-//! per-call reply channel. Placement stays a sub-microsecond indexed
-//! decision on the owner, the channel round trip is paid only on session
-//! start/end and gauge ticks — never on the per-execution hot path — and
-//! each client tracks the wall time it spent blocked so the serve bench
-//! can decompose coordination cost.
+//! [`PlacementService::spawn`] starts a thread that owns a
+//! [`GatewayProvisioner`] over a fleet of its own; each [`PlacementClient`]
+//! sends it launch and shutdown commands over an mpsc channel and blocks
+//! on a per-launch reply channel.
+//!
+//! The serve path does not use it: one
+//! [`LiveGateway`](crate::serve::LiveGateway) owns its provisioner
+//! directly, and `Cluster` is `Send + Sync`, so nothing needs a
+//! single-writer thread. It exists for the perf ledger's
+//! `core.placement_service.launch_roundtrip_ns` probe, which times one
+//! launch round trip through the thread — mostly the OS's thread wake.
 
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::{Duration, Instant};
 
 use notebookos_cluster::{Cluster, HostId, ResourceBundle};
 use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
 use crate::gateway::GatewayProvisioner;
-use crate::policy::{LeastLoaded, PlacementContext};
-use crate::serve::{request_of, ProvisioningBackend};
+use crate::policy::LeastLoaded;
 
-/// One placement-plane request. Launch and gauge queries carry a reply
-/// channel; shutdown is fire-and-forget (its effect — released
-/// subscriptions — is observed through later decisions, and kernel ids
-/// are unique per shard so no shard ever races its own shutdown).
+/// Kernel launch and shutdown through a provisioning plane.
+/// [`PlacementClient`] is its one implementor.
+pub trait ProvisioningBackend {
+    /// Launches `kernel_id`'s R-replica kernel, returning its connection
+    /// info plus the replica hosts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the placement shortfall when fewer than R viable hosts
+    /// exist, and refuses a kernel id that is already live.
+    fn launch(
+        &mut self,
+        kernel_id: &str,
+        spec: KernelResourceSpec,
+    ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError>;
+
+    /// Shuts `kernel_id` down, releasing its replica subscriptions.
+    /// Returns `false`, and changes nothing, for a kernel this backend did
+    /// not launch or has already shut down.
+    fn shutdown(&mut self, kernel_id: &str) -> bool;
+}
+
+/// One command to the owner. A launch carries its reply channel; a
+/// shutdown is fire-and-forget (a client forwards only kernels it
+/// launched, so the owner always holds them).
 enum PlacementCmd {
     /// Place and launch an R-replica kernel.
     Launch {
@@ -41,96 +56,21 @@ enum PlacementCmd {
     },
     /// Release a kernel's subscriptions.
     Shutdown { kernel_id: String },
-    /// The `(within_cap, over_cap)` viable-host split for a spec.
-    ViableCounts {
-        spec: KernelResourceSpec,
-        reply: Sender<(usize, usize)>,
-    },
 }
 
-/// Buckets of the drained-per-wakeup histogram: batch sizes 1, 2, 3, 4,
-/// 5–8, 9–16, 17–32, and 33+.
-pub const DRAIN_BUCKETS: usize = 8;
-
-/// Upper bound (inclusive) of each drained-per-wakeup bucket; the last
-/// bucket is open-ended.
-const DRAIN_BUCKET_CAPS: [u64; DRAIN_BUCKETS - 1] = [1, 2, 3, 4, 8, 16, 32];
-
-/// Histogram bucket for a wakeup that drained `n` commands.
-fn drain_bucket(n: u64) -> usize {
-    DRAIN_BUCKET_CAPS
-        .iter()
-        .position(|&cap| n <= cap)
-        .unwrap_or(DRAIN_BUCKETS - 1)
-}
-
-/// Human label for drained-per-wakeup bucket `i` (`"5-8"`, `"33+"`, …).
-pub fn drain_bucket_label(i: usize) -> String {
-    let floor = if i == 0 {
-        1
-    } else {
-        DRAIN_BUCKET_CAPS[i - 1] + 1
-    };
-    match DRAIN_BUCKET_CAPS.get(i) {
-        Some(&cap) if cap == floor => format!("{cap}"),
-        Some(&cap) => format!("{floor}-{cap}"),
-        None => format!("{floor}+"),
-    }
-}
-
-/// What the owner thread did over its lifetime, returned by
-/// [`PlacementService::join`] — the owner side of the serve bench's
-/// coordination breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlacementServiceStats {
-    /// Kernel launches served (successful or shortfall).
-    pub launches: u64,
-    /// Kernel shutdowns applied.
-    pub shutdowns: u64,
-    /// Gauge (viable-count) queries served.
-    pub gauge_queries: u64,
-    /// Wall time spent actually executing commands (excludes waiting on
-    /// the channel): the placement plane's busy time.
-    pub busy: Duration,
-    /// Times the owner's blocking `recv` returned a command. Each wakeup
-    /// then drains everything already queued before blocking again, so
-    /// `wakeups < commands()` means shards were arriving faster than the
-    /// owner served — the batch-drain path was doing work.
-    pub wakeups: u64,
-    /// Histogram of commands drained per wakeup; bucket `i` spans
-    /// [`drain_bucket_label`]`(i)`. Sums to [`Self::wakeups`].
-    pub drained_per_wakeup: [u64; DRAIN_BUCKETS],
-}
-
-impl PlacementServiceStats {
-    /// Total commands served across all wakeups.
-    pub fn commands(&self) -> u64 {
-        self.launches + self.shutdowns + self.gauge_queries
-    }
-
-    /// Mean commands drained per wakeup (0 when the owner never woke).
-    pub fn mean_drained_per_wakeup(&self) -> f64 {
-        if self.wakeups == 0 {
-            0.0
-        } else {
-            self.commands() as f64 / self.wakeups as f64
-        }
-    }
-}
-
-/// The placement owner: spawns a thread that exclusively owns the fleet's
+/// The placement owner: spawns a thread that exclusively owns a
 /// [`GatewayProvisioner`] and serves [`PlacementClient`]s until every
 /// client (and the service's own handle) has been dropped.
 #[derive(Debug)]
 pub struct PlacementService {
     tx: Option<Sender<PlacementCmd>>,
-    handle: std::thread::JoinHandle<PlacementServiceStats>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 impl PlacementService {
     /// Spawns the owner thread over a fresh cluster of `hosts` servers of
     /// the given shape, placing with the least-loaded policy (the same
-    /// wiring as [`crate::serve::LocalBackend`]).
+    /// wiring as [`LiveGateway::new`](crate::serve::LiveGateway::new)).
     pub fn spawn(hosts: usize, shape: ResourceBundle, replication_factor: u32) -> Self {
         let (tx, rx) = channel();
         let handle = std::thread::Builder::new()
@@ -143,124 +83,61 @@ impl PlacementService {
         }
     }
 
-    /// The owner loop: single-threaded, so the `HostIndex` under the
-    /// provisioner stays single-writer with zero synchronization.
+    /// The owner loop: serves commands in arrival order until the last
+    /// sender is dropped.
     fn serve(
         rx: Receiver<PlacementCmd>,
         hosts: usize,
         shape: ResourceBundle,
         replication_factor: u32,
-    ) -> PlacementServiceStats {
+    ) {
         let cluster = Cluster::with_hosts(hosts, shape);
         let mut provisioner =
             GatewayProvisioner::new(cluster, LeastLoaded::default(), replication_factor);
-        let mut stats = PlacementServiceStats::default();
-        // Batch drain: one blocking recv per wakeup, then serve everything
-        // already queued before sleeping again. Under contention (many
-        // shards, one owner) this amortizes the park/unpark cost across
-        // the whole backlog instead of paying it per command.
-        while let Ok(first) = rx.recv() {
-            let start = Instant::now();
-            stats.wakeups += 1;
-            let mut drained = 0u64;
-            let mut next = Some(first);
-            while let Some(cmd) = next {
-                drained += 1;
-                Self::apply(&mut provisioner, replication_factor, &mut stats, cmd);
-                next = rx.try_recv().ok();
-            }
-            stats.drained_per_wakeup[drain_bucket(drained)] += 1;
-            stats.busy += start.elapsed();
-        }
-        stats
-    }
-
-    /// Serves one command against the owned provisioner.
-    fn apply(
-        provisioner: &mut GatewayProvisioner<LeastLoaded>,
-        replication_factor: u32,
-        stats: &mut PlacementServiceStats,
-        cmd: PlacementCmd,
-    ) {
-        match cmd {
-            PlacementCmd::Launch {
-                kernel_id,
-                spec,
-                reply,
-            } => {
-                stats.launches += 1;
-                let result = provisioner.launch(&kernel_id, spec);
-                // A dropped client is not an owner error.
-                let _ = reply.send(result);
-            }
-            PlacementCmd::Shutdown { kernel_id } => {
-                stats.shutdowns += 1;
-                // A client forwards only kernels it launched and has not
-                // shut down (`PlacementClient::shutdown`).
-                provisioner
-                    .shutdown(&kernel_id)
-                    .expect("shards shut down only kernels they launched");
-            }
-            PlacementCmd::ViableCounts { spec, reply } => {
-                stats.gauge_queries += 1;
-                let request = request_of(spec);
-                let counts = PlacementContext {
-                    cluster: provisioner.cluster(),
-                    request: &request,
-                    replication_factor,
+        while let Ok(cmd) = rx.recv() {
+            match cmd {
+                PlacementCmd::Launch {
+                    kernel_id,
+                    spec,
+                    reply,
+                } => {
+                    // A dropped client is not an owner error.
+                    let _ = reply.send(provisioner.launch(&kernel_id, spec));
                 }
-                .viable_counts();
-                let _ = reply.send(counts);
+                PlacementCmd::Shutdown { kernel_id } => {
+                    provisioner
+                        .shutdown(&kernel_id)
+                        .expect("clients shut down only kernels they launched");
+                }
             }
         }
     }
 
-    /// A new client of this service — one per gateway shard. Clients are
-    /// `Send`; move each onto its shard thread.
+    /// A new client of this service. Clients are `Send`.
     pub fn client(&self) -> PlacementClient {
         PlacementClient {
             tx: self.tx.as_ref().expect("service not yet joined").clone(),
             kernels: HashSet::new(),
-            wait: Cell::new(Duration::ZERO),
-            calls: Cell::new(0),
         }
     }
 
-    /// Drops the service's own sender and joins the owner thread,
-    /// returning its stats. Blocks until every [`PlacementClient`] has
-    /// been dropped (the owner loop exits when the last sender goes).
-    pub fn join(mut self) -> PlacementServiceStats {
+    /// Drops the service's own sender and joins the owner thread. Blocks
+    /// until every [`PlacementClient`] has been dropped (the owner loop
+    /// exits when the last sender goes).
+    pub fn join(mut self) {
         drop(self.tx.take());
-        self.handle.join().expect("placement owner panicked")
+        self.handle.join().expect("placement owner panicked");
     }
 }
 
-/// A shard's handle on the shared placement plane: a
-/// [`ProvisioningBackend`] that forwards every call over the service's
-/// command channel and blocks on the reply.
+/// A handle on the placement owner: a [`ProvisioningBackend`] that
+/// forwards every call over the service's command channel.
 #[derive(Debug)]
 pub struct PlacementClient {
     tx: Sender<PlacementCmd>,
-    /// Kernels this shard launched and has not shut down: the only ones
+    /// Kernels this client launched and has not shut down: the only ones
     /// it asks the owner to shut down.
     kernels: HashSet<String>,
-    /// Cumulative wall time blocked on the owner (request → reply).
-    wait: Cell<Duration>,
-    /// Round trips awaited (launches + gauge queries).
-    calls: Cell<u64>,
-}
-
-impl PlacementClient {
-    /// Sends `cmd` and blocks on `rx` for the reply, accounting the
-    /// blocked wall time.
-    fn round_trip<T>(&self, cmd: PlacementCmd, rx: Receiver<T>) -> T {
-        let start = Instant::now();
-        self.tx.send(cmd).expect("placement owner alive");
-        let reply = rx.recv().expect("placement owner replies");
-        self.wait.set(self.wait.get() + start.elapsed());
-        self.calls.set(self.calls.get() + 1);
-        reply
-    }
 }
 
 impl ProvisioningBackend for PlacementClient {
@@ -270,14 +147,14 @@ impl ProvisioningBackend for PlacementClient {
         spec: KernelResourceSpec,
     ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
         let (reply, rx) = channel();
-        let result = self.round_trip(
-            PlacementCmd::Launch {
+        self.tx
+            .send(PlacementCmd::Launch {
                 kernel_id: kernel_id.to_string(),
                 spec,
                 reply,
-            },
-            rx,
-        );
+            })
+            .expect("placement owner alive");
+        let result = rx.recv().expect("placement owner replies");
         if result.is_ok() {
             self.kernels.insert(kernel_id.to_string());
         }
@@ -293,27 +170,11 @@ impl ProvisioningBackend for PlacementClient {
             .expect("placement owner alive");
         true
     }
-
-    fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize) {
-        let (reply, rx) = channel();
-        self.round_trip(PlacementCmd::ViableCounts { spec, reply }, rx)
-    }
-
-    fn kernel_count(&self) -> usize {
-        self.kernels.len()
-    }
-
-    fn coordination_wait(&self) -> (Duration, u64) {
-        (self.wait.get(), self.calls.get())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use notebookos_cluster::ResourceRequest;
-    use notebookos_des::SimTime;
-    use notebookos_jupyter::ProvisionError;
 
     fn spec() -> KernelResourceSpec {
         KernelResourceSpec {
@@ -329,43 +190,23 @@ mod tests {
         let service = PlacementService::spawn(6, ResourceBundle::p3_16xlarge(), 3);
         let mut a = service.client();
         let mut b = service.client();
-        let before = a.viable_counts(spec());
-        assert_eq!(before.0 + before.1, 6);
-        let (info, hosts) = a.launch("kernel-a", spec()).expect("places");
-        assert_eq!(hosts.len(), 3);
+        let (info, a_hosts) = a.launch("kernel-a", spec()).expect("places");
+        assert_eq!(a_hosts.len(), 3);
         assert_eq!(info.kernel_id, "kernel-a");
-        // b sees a's subscriptions: the fleet is shared, and with every
-        // host still under the cap the split can only move, not shrink.
-        let after = b.viable_counts(spec());
-        assert_eq!(after.0 + after.1, 6);
-        // Duplicate ids are rejected across shards too (single owner).
+        // Duplicate ids are rejected across clients too (single owner).
         assert!(matches!(
             b.launch("kernel-a", spec()),
             Err(ProvisionError::InsufficientResources(_))
         ));
-        b.launch("kernel-b", spec()).expect("places");
-        assert_eq!(a.kernel_count(), 1);
-        assert_eq!(b.kernel_count(), 1);
-        a.shutdown("kernel-a");
-        b.shutdown("kernel-b");
-        assert_eq!(a.kernel_count(), 0);
-        let (wait, calls) = a.coordination_wait();
-        assert_eq!(calls, 2, "one gauge query + one launch awaited a reply");
-        assert!(wait > Duration::ZERO);
+        // b places on the fleet a loaded: least-loaded picks the three
+        // hosts a left idle.
+        let (_, b_hosts) = b.launch("kernel-b", spec()).expect("places");
+        assert!(b_hosts.iter().all(|host| !a_hosts.contains(host)));
+        assert!(a.shutdown("kernel-a"));
+        assert!(b.shutdown("kernel-b"));
         drop(a);
         drop(b);
-        let stats = service.join();
-        assert_eq!(stats.launches, 3, "two placements + one rejected dup");
-        assert_eq!(stats.shutdowns, 2);
-        assert!(stats.gauge_queries >= 2);
-        // Drain accounting invariants hold regardless of batching luck.
-        assert_eq!(stats.commands(), stats.launches + 2 + stats.gauge_queries);
-        assert!(stats.wakeups >= 1 && stats.wakeups <= stats.commands());
-        assert_eq!(
-            stats.drained_per_wakeup.iter().sum::<u64>(),
-            stats.wakeups,
-            "histogram sums to wakeups"
-        );
+        service.join();
     }
 
     #[test]
@@ -374,105 +215,15 @@ mod tests {
         let mut a = service.client();
         let mut b = service.client();
         a.launch("kernel-a", spec()).expect("places");
-        // Another shard's kernel, one never launched, and one twice: each
-        // refused here, and the owner never asked (it would panic).
+        // Another client's kernel, one never launched, and one twice: each
+        // refused here, and the owner never asked (it would panic, and
+        // `join` would re-raise it).
         assert!(!b.shutdown("kernel-a"));
         assert!(!a.shutdown("kernel-ghost"));
         assert!(a.shutdown("kernel-a"));
         assert!(!a.shutdown("kernel-a"));
-        assert_eq!((a.kernel_count(), b.kernel_count()), (0, 0));
         drop(a);
         drop(b);
-        let stats = service.join();
-        assert_eq!((stats.launches, stats.shutdowns), (1, 1));
-    }
-
-    #[test]
-    fn drain_buckets_partition_batch_sizes() {
-        assert_eq!(drain_bucket(1), 0);
-        assert_eq!(drain_bucket(2), 1);
-        assert_eq!(drain_bucket(4), 3);
-        assert_eq!(drain_bucket(5), 4);
-        assert_eq!(drain_bucket(8), 4);
-        assert_eq!(drain_bucket(9), 5);
-        assert_eq!(drain_bucket(32), 6);
-        assert_eq!(drain_bucket(33), 7);
-        assert_eq!(drain_bucket(1_000), 7);
-        assert_eq!(drain_bucket_label(0), "1");
-        assert_eq!(drain_bucket_label(4), "5-8");
-        assert_eq!(drain_bucket_label(DRAIN_BUCKETS - 1), "33+");
-    }
-
-    #[test]
-    fn owner_drains_a_preloaded_backlog_in_one_wakeup() {
-        // Queue a backlog before the owner loop ever runs, then drive the
-        // loop directly on this thread: the first blocking recv must
-        // drain everything in a single wakeup.
-        let (tx, rx) = channel();
-        let (launch_reply, launch_rx) = channel();
-        tx.send(PlacementCmd::Launch {
-            kernel_id: "kernel-a".into(),
-            spec: spec(),
-            reply: launch_reply,
-        })
-        .unwrap();
-        let mut gauge_rxs = Vec::new();
-        for _ in 0..8 {
-            let (reply, rx) = channel();
-            tx.send(PlacementCmd::ViableCounts {
-                spec: spec(),
-                reply,
-            })
-            .unwrap();
-            gauge_rxs.push(rx);
-        }
-        tx.send(PlacementCmd::Shutdown {
-            kernel_id: "kernel-a".into(),
-        })
-        .unwrap();
-        drop(tx);
-
-        let stats = PlacementService::serve(rx, 6, ResourceBundle::p3_16xlarge(), 3);
-        assert!(launch_rx.recv().unwrap().is_ok());
-        for rx in gauge_rxs {
-            let (within, over) = rx.recv().unwrap();
-            assert_eq!(within + over, 6);
-        }
-        assert_eq!(stats.commands(), 10);
-        assert_eq!(stats.wakeups, 1, "whole backlog drained in one wakeup");
-        let mut expected = [0u64; DRAIN_BUCKETS];
-        expected[drain_bucket(10)] += 1;
-        assert_eq!(stats.drained_per_wakeup, expected);
-        assert!((stats.mean_drained_per_wakeup() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn client_drives_a_live_gateway() {
-        use crate::serve::{client_request, LiveGateway};
-        let service = PlacementService::spawn(6, ResourceBundle::p3_16xlarge(), 3);
-        let (mut gw, mut client) = LiveGateway::with_backend(Box::new(service.client()), 3);
-        gw.start_session("s1", spec(), SimTime::ZERO)
-            .expect("starts");
-        assert_eq!(gw.kernel_count(), 1);
-        assert!(gw.backend().cluster().is_none(), "no in-process fleet view");
-        let req = client_request(
-            "m1",
-            "s1",
-            "kernel-s1",
-            "model.fit()",
-            SimTime::from_secs(1),
-            SimTime::ZERO,
-        );
-        assert!(client.send(&[], &req));
-        let accepted = gw.pump(SimTime::ZERO);
-        assert_eq!(accepted.len(), 1, "hot path never touches the channel");
-        assert!(gw.finish_execution("m1", SimTime::from_secs(1)));
-        assert!(gw.end_session("s1"));
-        let request = ResourceRequest::new(4000, 16_384, 1, 16);
-        let _ = request; // shape documented by `spec()` above
-        drop(gw);
-        drop(client);
-        let stats = service.join();
-        assert_eq!((stats.launches, stats.shutdowns), (1, 1));
+        service.join();
     }
 }

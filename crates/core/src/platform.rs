@@ -1583,7 +1583,6 @@ mod tests {
             long_lived_fraction: 0.95,
             gpu_demand: vec![(2, 1.0)],
             arrival: notebookos_trace::ArrivalPattern::FrontLoaded,
-            popularity: Default::default(),
         };
         let m = Platform::run(config, generate(&workload, 5));
         assert!(

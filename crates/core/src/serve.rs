@@ -14,6 +14,9 @@
 //! runs under virtual time in tests and under the real-time scheduler in
 //! the bin.
 //!
+//! One [`LiveGateway`] owns its provisioner and the whole fleet, as the
+//! paper's one Global Scheduler behind the Jupyter Server does (§3.1).
+//!
 //! Execution itself is simulated: the client embeds its cell's running
 //! time in request metadata under [`DURATION_KEY`], standing in for the
 //! actual user code a production kernel would run. The wire protocol, the
@@ -22,16 +25,16 @@
 
 use std::collections::HashMap;
 
-use notebookos_cluster::{Cluster, HostId, ResourceBundle, ResourceRequest};
+use notebookos_cluster::{Cluster, ResourceBundle};
 use notebookos_des::SimTime;
 use notebookos_jupyter::{
     wire_pair, Bytes, ConnectionInfo, Header, Json, JupyterMessage, KernelResourceSpec,
-    KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, Session, SessionManager,
+    KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, SessionManager,
     WireEndpoint,
 };
 
-use crate::gateway::GatewayProvisioner;
-use crate::policy::{LeastLoaded, PlacementContext};
+use crate::gateway::{request_of, GatewayProvisioner};
+use crate::policy::LeastLoaded;
 
 /// Metadata key carrying the simulated cell running time (µs) in an
 /// `execute_request` — the load generator's stand-in for user code.
@@ -74,122 +77,6 @@ pub struct GatewayStats {
     pub fan_out_copies: u64,
 }
 
-/// The provisioning seam between a gateway (shard) and the fleet: kernel
-/// launch/shutdown plus the capacity gauge.
-///
-/// [`LocalBackend`] owns a private cluster — the single-gateway wiring
-/// [`LiveGateway::new`] builds. The sharded serve path instead hands every
-/// shard a [`PlacementClient`](crate::placement_service::PlacementClient),
-/// which forwards these calls over the placement service's command channel
-/// so N shards share one single-writer fleet index. `Send` because shards
-/// move their backend onto their own thread.
-pub trait ProvisioningBackend: std::fmt::Debug + Send {
-    /// Launches `kernel_id`'s R-replica kernel, returning its connection
-    /// info plus the replica hosts (the shard's route-table entry).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the placement shortfall when fewer than R viable hosts
-    /// exist.
-    fn launch(
-        &mut self,
-        kernel_id: &str,
-        spec: KernelResourceSpec,
-    ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError>;
-
-    /// Shuts `kernel_id` down, releasing its replica subscriptions.
-    /// Returns `false`, and changes nothing, for a kernel this backend did
-    /// not launch or has already shut down.
-    fn shutdown(&mut self, kernel_id: &str) -> bool;
-
-    /// The `(within_cap, over_cap)` viable-host split for `spec` — the
-    /// capacity gauge, served from the fleet index without a scan.
-    fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize);
-
-    /// Kernels this backend has provisioned and not yet shut down.
-    fn kernel_count(&self) -> usize;
-
-    /// The backend's in-process cluster view, when it has one
-    /// ([`LocalBackend`]); channel-backed clients return `None`.
-    fn cluster(&self) -> Option<&Cluster> {
-        None
-    }
-
-    /// Cumulative wall time this backend spent blocked on a shared
-    /// placement plane, with the call count — zero for in-process
-    /// backends. Feeds the sharded serve bench's coordination breakdown.
-    fn coordination_wait(&self) -> (std::time::Duration, u64) {
-        (std::time::Duration::ZERO, 0)
-    }
-}
-
-/// Converts a Jupyter-facing resource spec to the cluster's request type.
-pub(crate) fn request_of(spec: KernelResourceSpec) -> ResourceRequest {
-    ResourceRequest::new(
-        u64::from(spec.millicpus),
-        u64::from(spec.memory_mb),
-        spec.gpus,
-        spec.vram_gb,
-    )
-}
-
-/// In-process [`ProvisioningBackend`]: a [`GatewayProvisioner`] over its
-/// own private cluster, used by the single-gateway wiring
-/// ([`LiveGateway::new`]).
-#[derive(Debug)]
-pub struct LocalBackend {
-    provisioner: GatewayProvisioner<LeastLoaded>,
-    replication_factor: u32,
-}
-
-impl LocalBackend {
-    /// Creates a backend over a fresh cluster of `hosts` servers of the
-    /// given shape.
-    pub fn new(hosts: usize, shape: ResourceBundle, replication_factor: u32) -> Self {
-        let cluster = notebookos_cluster::Cluster::with_hosts(hosts, shape);
-        LocalBackend {
-            provisioner: GatewayProvisioner::new(
-                cluster,
-                LeastLoaded::default(),
-                replication_factor,
-            ),
-            replication_factor,
-        }
-    }
-}
-
-impl ProvisioningBackend for LocalBackend {
-    fn launch(
-        &mut self,
-        kernel_id: &str,
-        spec: KernelResourceSpec,
-    ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
-        self.provisioner.launch(kernel_id, spec)
-    }
-
-    fn shutdown(&mut self, kernel_id: &str) -> bool {
-        self.provisioner.shutdown(kernel_id).is_ok()
-    }
-
-    fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize) {
-        let request = request_of(spec);
-        PlacementContext {
-            cluster: self.provisioner.cluster(),
-            request: &request,
-            replication_factor: self.replication_factor,
-        }
-        .viable_counts()
-    }
-
-    fn kernel_count(&self) -> usize {
-        self.provisioner.kernel_count()
-    }
-
-    fn cluster(&self) -> Option<&Cluster> {
-        Some(self.provisioner.cluster())
-    }
-}
-
 /// A fanned-out execution awaiting its completion deadline: what the
 /// replies are built from (the request's header — they name it as parent)
 /// and routed by, not the request itself.
@@ -203,14 +90,15 @@ struct PendingExecution {
 }
 
 /// The live gateway: Fig. 4's control plane plus Fig. 3/5's data plane,
-/// behind one wire endpoint.
+/// behind one wire endpoint. It owns its [`GatewayProvisioner`] and the
+/// fleet under it outright — one Global Scheduler, as in §3.1.
 ///
 /// Time never advances inside the gateway — every method takes `now` from
 /// the driver, so the same instance serves virtual-time tests and
 /// wall-clock traffic unchanged.
 #[derive(Debug)]
 pub struct LiveGateway {
-    backend: Box<dyn ProvisioningBackend>,
+    provisioner: GatewayProvisioner<LeastLoaded>,
     router: Router,
     sessions: SessionManager,
     reply_ids: MsgIdGen,
@@ -228,23 +116,15 @@ impl LiveGateway {
         shape: ResourceBundle,
         replication_factor: u32,
     ) -> (LiveGateway, WireEndpoint) {
-        Self::with_backend(
-            Box::new(LocalBackend::new(hosts, shape, replication_factor)),
-            replication_factor,
-        )
-    }
-
-    /// Creates a gateway over an existing provisioning backend — how the
-    /// sharded serve path points N gateways at one shared placement
-    /// service. Returns the client's end of the wire.
-    pub fn with_backend(
-        backend: Box<dyn ProvisioningBackend>,
-        replication_factor: u32,
-    ) -> (LiveGateway, WireEndpoint) {
+        let cluster = Cluster::with_hosts(hosts, shape);
         let (server, client) = wire_pair(GATEWAY_KEY);
         (
             LiveGateway {
-                backend,
+                provisioner: GatewayProvisioner::new(
+                    cluster,
+                    LeastLoaded::default(),
+                    replication_factor,
+                ),
                 router: Router::new(),
                 sessions: SessionManager::new(),
                 reply_ids: MsgIdGen::new("gw-reply"),
@@ -255,11 +135,6 @@ impl LiveGateway {
             },
             client,
         )
-    }
-
-    /// The gateway's provisioning backend (gauge and test access).
-    pub fn backend(&self) -> &dyn ProvisioningBackend {
-        &*self.backend
     }
 
     /// Starts a session: launches its distributed kernel through the
@@ -276,7 +151,7 @@ impl LiveGateway {
         now: SimTime,
     ) -> Result<ConnectionInfo, ProvisionError> {
         let kernel_id = format!("kernel-{session_id}");
-        let (info, replica_hosts) = self.backend.launch(&kernel_id, spec)?;
+        let (info, replica_hosts) = self.provisioner.launch(&kernel_id, spec)?;
         self.router.register(
             &kernel_id,
             KernelRoute {
@@ -297,10 +172,10 @@ impl LiveGateway {
             return false;
         };
         self.router.deregister(&session.kernel_id);
-        // Always `true`: a session exists only once its kernel launched on
-        // this backend (`start_session`), and only here is it shut down.
-        let launched_here = self.backend.shutdown(&session.kernel_id);
-        debug_assert!(launched_here, "session kernels are live on the backend");
+        // Always `Ok`: a session exists only once its kernel launched
+        // (`start_session`), and only here is it shut down.
+        let shut_down = self.provisioner.shutdown(&session.kernel_id);
+        debug_assert!(shut_down.is_ok(), "session kernels are live");
         true
     }
 
@@ -412,38 +287,15 @@ impl LiveGateway {
 
     /// How many hosts could currently take a kernel of `spec` — the
     /// capacity gauge the `serve` bin samples. Served from the placement
-    /// index's per-class counts (never a fleet scan), via the backend so
-    /// sharded gateways gauge the *shared* fleet.
+    /// index's per-class counts ([`Cluster::viable_count`]), never a fleet
+    /// scan.
     pub fn viable_count(&self, spec: KernelResourceSpec) -> usize {
-        let (within, over) = self.backend.viable_counts(spec);
-        within + over
-    }
-
-    /// The `(within_cap, over_cap)` viable-host split for `spec` — the
-    /// SR-pressure gauge ([`ProvisioningBackend::viable_counts`]).
-    pub fn viable_counts(&self, spec: KernelResourceSpec) -> (usize, usize) {
-        self.backend.viable_counts(spec)
-    }
-
-    /// Cumulative wall time (and call count) spent blocked on a shared
-    /// placement plane ([`ProvisioningBackend::coordination_wait`]).
-    pub fn coordination_wait(&self) -> (std::time::Duration, u64) {
-        self.backend.coordination_wait()
-    }
-
-    /// The record of a live session (execution count, last activity).
-    pub fn session(&self, session_id: &str) -> Option<&Session> {
-        self.sessions.get(session_id)
+        self.provisioner.cluster().viable_count(&request_of(spec))
     }
 
     /// Live session count.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Live kernel count.
-    pub fn kernel_count(&self) -> usize {
-        self.backend.kernel_count()
     }
 
     /// Executions fanned out but not yet completed.
@@ -476,6 +328,8 @@ pub fn client_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PlacementContext;
+    use notebookos_cluster::ResourceRequest;
 
     fn spec() -> KernelResourceSpec {
         KernelResourceSpec {
@@ -496,7 +350,7 @@ mod tests {
         gw.start_session("s1", spec(), SimTime::ZERO)
             .expect("starts");
         assert_eq!(gw.session_count(), 1);
-        assert_eq!(gw.kernel_count(), 1);
+        assert_eq!(gw.provisioner.kernel_count(), 1);
 
         let req = client_request(
             "m1",
@@ -597,44 +451,8 @@ mod tests {
         assert!(gw.end_session("s1"));
         assert!(!gw.end_session("s1"), "second end is a no-op");
         assert_eq!(gw.session_count(), 0);
-        assert_eq!(gw.kernel_count(), 0);
+        assert_eq!(gw.provisioner.kernel_count(), 0);
         assert!(gw.viable_count(spec()) >= before);
-    }
-
-    #[test]
-    fn a_local_backend_reports_its_placement_and_refuses_what_it_does_not_hold() {
-        let mut backend = LocalBackend::new(4, ResourceBundle::p3_16xlarge(), 3);
-        let (info, hosts) = backend.launch("kernel-a", spec()).expect("places");
-        assert_eq!(info.kernel_id, "kernel-a");
-        let cluster = backend.cluster().expect("local backend");
-        let mut subscribed: Vec<HostId> = cluster
-            .hosts()
-            .iter()
-            .filter(|h| h.replica_count() > 0)
-            .map(|h| h.id())
-            .collect();
-        let mut placed = hosts.clone();
-        placed.sort_unstable();
-        subscribed.sort_unstable();
-        assert_eq!(
-            placed, subscribed,
-            "three distinct hosts, the ones subscribed"
-        );
-        // A second launch of the id is refused and leaves the first alone.
-        assert!(matches!(
-            backend.launch("kernel-a", spec()),
-            Err(ProvisionError::InsufficientResources(_))
-        ));
-        assert_eq!(backend.kernel_count(), 1);
-        // Shutting down what it does not hold is refused, not a panic.
-        assert!(!backend.shutdown("kernel-ghost"));
-        assert!(backend.shutdown("kernel-a"));
-        assert!(!backend.shutdown("kernel-a"));
-        assert_eq!(backend.kernel_count(), 0);
-        assert!(
-            backend.launch("kernel-a", spec()).is_ok(),
-            "the id is free again"
-        );
     }
 
     #[test]
@@ -649,7 +467,7 @@ mod tests {
         assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
         // The same id starts again on a fresh kernel and counts from 1.
         gw.start_session("s1", spec(), at(2)).unwrap();
-        assert_eq!(gw.kernel_count(), 1);
+        assert_eq!(gw.provisioner.kernel_count(), 1);
         let again = request_to("m1", "s1", "kernel-s1", at(3));
         assert_eq!(complete(&mut gw, &mut client, &again, at(3)), (1, 0));
     }
@@ -663,18 +481,13 @@ mod tests {
         }
         let request = ResourceRequest::new(4000, 16_384, 1, 16);
         let ctx = PlacementContext {
-            cluster: gw.backend().cluster().expect("local backend"),
+            cluster: gw.provisioner.cluster(),
             request: &request,
             replication_factor: 3,
         };
         let mut v = notebookos_cluster::Viability::default();
         ctx.viable_into(&mut v);
         assert_eq!(gw.viable_count(spec()), v.len());
-        assert_eq!(
-            gw.viable_counts(spec()),
-            (v.within_cap.len(), v.over_cap.len()),
-            "gauge split matches the materialized screen"
-        );
     }
 
     #[test]
@@ -721,7 +534,7 @@ mod tests {
         );
         assert!(gw.pump(SimTime::from_secs(9)).is_empty());
         assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
-        let session = gw.session("s1").unwrap();
+        let session = gw.sessions.get("s1").unwrap();
         assert_eq!((session.execution_count, session.last_activity_us), (0, 0));
     }
 
@@ -739,7 +552,7 @@ mod tests {
         );
         assert_eq!(gw.in_flight(), 0, "nothing parked against s2's kernel");
         for id in ["s1", "s2"] {
-            assert_eq!(gw.session(id).unwrap().execution_count, 0);
+            assert_eq!(gw.sessions.get(id).unwrap().execution_count, 0);
         }
     }
 
@@ -799,7 +612,7 @@ mod tests {
         // s1's second execution is its second, on the second replica.
         let second = request_to("m2", "s1", "kernel-s1", at(4));
         assert_eq!(complete(&mut gw, &mut client, &second, at(4)), (2, 1));
-        let session = gw.session("s1").unwrap();
+        let session = gw.sessions.get("s1").unwrap();
         assert_eq!(
             (session.execution_count, session.last_activity_us),
             (2, at(4).as_micros())

@@ -108,16 +108,6 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// key, so equal offsets would still give distinct lanes.
 const LANE_OFFSETS: [u64; 2] = [FNV_OFFSET, 0x6c62_272e_07bb_0142];
 
-/// Plain 64-bit FNV-1a over `bytes`: the workspace's one stable,
-/// dependency-free hash (the serve engine's shard keys). The frame
-/// signature is the keyed two-lane form of the same chain and keeps its
-/// own interleaved loop; it shares only the constants.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-    })
-}
-
 /// The keyed signature as a running state: keyed FNV-1a, 128 bits as two
 /// lanes. Documented as non-cryptographic in the module docs, which also
 /// say why both lanes advance together and why the codec drives it.
@@ -460,13 +450,6 @@ mod tests {
         assert_eq!((frames[5].len(), differs), (content.len(), None));
         let (_, decoded) = decode(&frames, KEY).unwrap();
         assert_eq!(decoded, mixed_sample());
-    }
-
-    #[test]
-    fn fnv1a_matches_the_published_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     /// The signer before both lanes advanced together: one pass over key,

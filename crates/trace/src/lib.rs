@@ -32,7 +32,7 @@ pub use models::{
     WorkloadProfile,
 };
 pub use synthetic::{
-    generate, generate_with_profile, sample_distributions, ArrivalPattern, Popularity,
-    SyntheticConfig, TraceProfile,
+    generate, generate_with_profile, sample_distributions, ArrivalPattern, SyntheticConfig,
+    TraceProfile,
 };
 pub use workload::{SessionTrace, TrainingEvent, WorkloadTrace};

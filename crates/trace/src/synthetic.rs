@@ -134,31 +134,6 @@ pub enum ArrivalPattern {
     },
 }
 
-/// How execution volume spreads across users.
-///
-/// The serving benchmarks need a knob for *per-user* load skew — real
-/// notebook traffic is Zipfian (a few hot tenants submit most executions)
-/// while the calibrated generators treat every session alike. `Uniform`
-/// leaves the calibrated draws untouched (bit-identical to traces generated
-/// before this knob existed); `Zipf` rescales each session's think time by
-/// a rank-dependent popularity multiplier.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Popularity {
-    /// Every session submits at the profile's calibrated rate.
-    #[default]
-    Uniform,
-    /// Zipfian per-user popularity: the session at arrival rank `r`
-    /// submits with think time divided by a multiplier ∝ `(r + 1)^-theta`
-    /// (normalized to mean 1 across the population), so low ranks are hot
-    /// and the tail is cold. Task *durations* are untouched — a hot user
-    /// iterates faster, not longer — which caps any one session's event
-    /// count near `lifetime / mean_duration` (rate saturation).
-    Zipf {
-        /// Skew exponent; `1.0`–`1.2` matches web-style popularity curves.
-        theta: f64,
-    },
-}
-
 /// Configuration for synthesizing a platform workload.
 #[derive(Debug, Clone)]
 pub struct SyntheticConfig {
@@ -177,8 +152,6 @@ pub struct SyntheticConfig {
     pub gpu_demand: Vec<(u32, f64)>,
     /// How session arrivals spread over the window.
     pub arrival: ArrivalPattern,
-    /// How execution volume spreads across users (per-user load skew).
-    pub popularity: Popularity,
 }
 
 impl SyntheticConfig {
@@ -193,7 +166,6 @@ impl SyntheticConfig {
             long_lived_fraction: 0.96,
             gpu_demand: default_gpu_demand(),
             arrival: ArrivalPattern::FrontLoaded,
-            popularity: Popularity::Uniform,
         }
     }
 
@@ -207,7 +179,6 @@ impl SyntheticConfig {
             long_lived_fraction: 0.92,
             gpu_demand: default_gpu_demand(),
             arrival: ArrivalPattern::FrontLoaded,
-            popularity: Popularity::Uniform,
         }
     }
 
@@ -220,7 +191,6 @@ impl SyntheticConfig {
             long_lived_fraction: 0.9,
             gpu_demand: default_gpu_demand(),
             arrival: ArrivalPattern::FrontLoaded,
-            popularity: Popularity::Uniform,
         }
     }
 
@@ -382,61 +352,7 @@ pub fn generate_with_profile(
     for (i, s) in sessions.iter_mut().enumerate() {
         s.id = i as u64;
     }
-    if let Popularity::Zipf { theta } = config.popularity {
-        apply_zipf_popularity(&mut sessions, config, profile, &mut root, theta);
-    }
     WorkloadTrace { sessions }
-}
-
-/// Fork-id offset for the popularity pass, far above any session index so
-/// the regeneration streams never collide with the per-session forks.
-const POPULARITY_FORK_BASE: u64 = 0x5A1F_0000_0000;
-
-/// Rewrites each session's event stream with a rank-dependent submission
-/// rate: the session at (post-sort) rank `r` has its think time — initial
-/// development period, per-iteration IAT, and long breaks — divided by a
-/// multiplier ∝ `(r + 1)^-theta`, normalized to mean 1. Durations are
-/// untouched, so hot sessions iterate faster but saturate near
-/// back-to-back submission. Runs strictly after the main generation loop:
-/// the `Uniform` path never reaches it and stays bit-identical.
-fn apply_zipf_popularity(
-    sessions: &mut [SessionTrace],
-    config: &SyntheticConfig,
-    profile: &TraceProfile,
-    root: &mut SimRng,
-    theta: f64,
-) {
-    if sessions.is_empty() {
-        return;
-    }
-    let raw: Vec<f64> = (0..sessions.len())
-        .map(|r| 1.0 / ((r + 1) as f64).powf(theta))
-        .collect();
-    let mean = raw.iter().sum::<f64>() / raw.len() as f64;
-    for (rank, s) in sessions.iter_mut().enumerate() {
-        let m = (raw[rank] / mean).max(1e-6);
-        let mut rng = root.fork(POPULARITY_FORK_BASE + rank as u64);
-        let gpu_active = rng.chance(config.gpu_active_fraction);
-        s.events.clear();
-        if !gpu_active {
-            continue;
-        }
-        let mut t = s.start_s + profile.iats.sample(&mut rng) / m;
-        while t < s.end_s {
-            let duration = profile.durations.sample(&mut rng);
-            if t + duration > s.end_s {
-                break;
-            }
-            s.events.push(TrainingEvent {
-                submit_s: t,
-                duration_s: duration,
-            });
-            t = t + duration + profile.iats.sample(&mut rng) / m;
-            if rng.chance(LONG_BREAK_PROBABILITY) {
-                t += rng.range_f64(LONG_BREAK_MIN_S, LONG_BREAK_MAX_S) / m;
-            }
-        }
-    }
 }
 
 /// Samples standalone `(duration, iat)` streams from a profile — used for
@@ -569,58 +485,6 @@ mod tests {
         let cfg = SyntheticConfig::smoke();
         assert_eq!(generate(&cfg, 7), generate(&cfg, 7));
         assert_ne!(generate(&cfg, 7), generate(&cfg, 8));
-    }
-
-    #[test]
-    fn uniform_popularity_is_the_unchanged_default() {
-        // The popularity field must not disturb the calibrated default:
-        // an explicit Uniform equals the named constructors, and the
-        // generated trace is byte-identical to one with the field set.
-        let base = SyntheticConfig::excerpt_17_5h();
-        assert_eq!(base.popularity, Popularity::default());
-        let explicit = SyntheticConfig {
-            popularity: Popularity::Uniform,
-            ..base.clone()
-        };
-        assert_eq!(generate(&base, 1), generate(&explicit, 1));
-    }
-
-    #[test]
-    fn zipf_concentrates_executions_on_low_ranks() {
-        let cfg = SyntheticConfig {
-            sessions: 64,
-            gpu_active_fraction: 1.0,
-            long_lived_fraction: 1.0,
-            popularity: Popularity::Zipf { theta: 1.1 },
-            ..SyntheticConfig::excerpt_17_5h()
-        };
-        let skewed = generate(&cfg, 3);
-        skewed.validate().expect("valid trace");
-        let uniform = generate(
-            &SyntheticConfig {
-                popularity: Popularity::Uniform,
-                ..cfg.clone()
-            },
-            3,
-        );
-        let head = |t: &WorkloadTrace| {
-            t.sessions
-                .iter()
-                .take(8)
-                .map(|s| s.events.len())
-                .sum::<usize>() as f64
-        };
-        let total =
-            |t: &WorkloadTrace| t.sessions.iter().map(|s| s.events.len()).sum::<usize>() as f64;
-        let skewed_share = head(&skewed) / total(&skewed).max(1.0);
-        let uniform_share = head(&uniform) / total(&uniform).max(1.0);
-        // The top 12.5 % of ranks collect a disproportionate share of
-        // executions under Zipf — well above their uniform share.
-        assert!(
-            skewed_share > 1.5 * uniform_share,
-            "head share {skewed_share} vs uniform {uniform_share}"
-        );
-        assert_eq!(generate(&cfg, 3), generate(&cfg, 3), "deterministic");
     }
 
     #[test]

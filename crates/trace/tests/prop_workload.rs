@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use notebookos_trace::{generate, ArrivalPattern, Popularity, SyntheticConfig};
+use notebookos_trace::{generate, ArrivalPattern, SyntheticConfig};
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (
@@ -19,7 +19,6 @@ fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
                 long_lived_fraction: long_lived,
                 gpu_demand: vec![(1, 0.5), (2, 0.3), (4, 0.15), (8, 0.05)],
                 arrival: ArrivalPattern::FrontLoaded,
-                popularity: Default::default(),
             },
         )
 }
@@ -85,7 +84,6 @@ proptest! {
             long_lived_fraction: 0.5,
             gpu_demand: vec![(1, 1.0)],
             arrival: ArrivalPattern::Diurnal { period_s, peak_to_trough },
-            popularity: Default::default(),
         };
         let trace = generate(&config, seed);
         prop_assert!(trace.validate().is_ok());
@@ -103,45 +101,5 @@ proptest! {
             "peak {} trough {} (period {:.0}s)", peak, trough, period_s
         );
         prop_assert_eq!(generate(&config, seed), generate(&config, seed));
-    }
-
-    /// Zipfian popularity makes the execution histogram monotone in rank:
-    /// binning sessions by arrival rank, every earlier (hotter) bin
-    /// collects at least as many executions as the next, and the head
-    /// strictly dominates the tail. Sessions are forced long-lived and
-    /// gpu-active so rank is the only axis that varies the rate.
-    #[test]
-    fn zipf_execution_histogram_is_monotone_in_rank(
-        theta in 0.8f64..1.5,
-        seed in 0u64..1000,
-    ) {
-        let config = SyntheticConfig {
-            sessions: 64,
-            span_s: 24.0 * 3600.0,
-            gpu_active_fraction: 1.0,
-            long_lived_fraction: 1.0,
-            gpu_demand: vec![(1, 1.0)],
-            arrival: ArrivalPattern::FrontLoaded,
-            popularity: Popularity::Zipf { theta },
-        };
-        let trace = generate(&config, seed);
-        prop_assert!(trace.validate().is_ok());
-        // Quartile bins smooth the per-session sampling noise; the Zipf
-        // rate multipliers differ by >2× between adjacent quartiles at
-        // theta ≥ 0.8, which dominates the duration-draw variance.
-        let bins = 4;
-        let per_bin = config.sessions / bins;
-        let totals: Vec<usize> = (0..bins)
-            .map(|b| {
-                trace.sessions[b * per_bin..(b + 1) * per_bin]
-                    .iter()
-                    .map(|s| s.events.len())
-                    .sum()
-            })
-            .collect();
-        for w in totals.windows(2) {
-            prop_assert!(w[0] >= w[1], "rank bins not monotone: {:?}", totals);
-        }
-        prop_assert!(totals[0] > totals[bins - 1], "head ties tail: {:?}", totals);
     }
 }

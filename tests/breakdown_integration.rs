@@ -13,7 +13,6 @@ fn run(policy: PolicyKind) -> notebookos::core::RunMetrics {
         long_lived_fraction: 0.95,
         gpu_demand: vec![(1, 0.6), (2, 0.4)],
         arrival: ArrivalPattern::FrontLoaded,
-        popularity: Default::default(),
     };
     Platform::run(PlatformConfig::evaluation(policy), generate(&config, 909))
 }

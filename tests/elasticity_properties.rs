@@ -153,7 +153,6 @@ fn threshold_reproduces_pre_refactor_scale_out_path_bit_identically() {
         long_lived_fraction: 0.95,
         gpu_demand: vec![(2, 1.0)],
         arrival: ArrivalPattern::FrontLoaded,
-        popularity: Default::default(),
     };
     let m = Platform::run(config, generate(&workload, 5));
     assert_eq!(
@@ -295,7 +294,6 @@ fn heterogeneous_stress(seed: u64, kind: ElasticityKind) -> RunMetrics {
             waves: 2,
             wave_width_s: 600.0,
         },
-        popularity: Default::default(),
     };
     Platform::run(config, generate(&workload, seed))
 }
@@ -349,7 +347,6 @@ fn hysteresis_damps_scaling_churn_on_diurnal_arrivals() {
                 period_s: 2.0 * 3600.0,
                 peak_to_trough: 5.0,
             },
-            popularity: Default::default(),
         };
         Platform::run(config, generate(&workload, 4))
     };

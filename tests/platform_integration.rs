@@ -14,7 +14,6 @@ fn eval_trace() -> WorkloadTrace {
         long_lived_fraction: 0.96,
         gpu_demand: vec![(1, 0.60), (2, 0.20), (4, 0.12), (8, 0.08)],
         arrival: ArrivalPattern::FrontLoaded,
-        popularity: Default::default(),
     };
     generate(&config, 1234)
 }
@@ -188,7 +187,6 @@ fn cpu_only_sessions_execute_without_gpus() {
         long_lived_fraction: 1.0,
         gpu_demand: vec![(0, 1.0)],
         arrival: ArrivalPattern::FrontLoaded,
-        popularity: Default::default(),
     };
     let trace = generate(&config, 21);
     let expected = trace.total_events() as u64;

@@ -58,7 +58,6 @@ fn oracle_curve_lower_bounds_every_policy() {
         long_lived_fraction: 0.95,
         gpu_demand: vec![(1, 0.7), (2, 0.3)],
         arrival: ArrivalPattern::FrontLoaded,
-        popularity: Default::default(),
     };
     let trace = generate(&config, 11);
     let span = trace.span_s();
