@@ -3,21 +3,20 @@
 //! three stress scenarios they were built for — flash-crowd arrivals,
 //! diurnal arrivals, and a heterogeneous host fleet — and reports
 //! per-policy cost/latency aggregates with 95 % CIs: 45 runs at excerpt
-//! scale, ≈0.24 s on two cores in one process, JSON and CSV included.
-//! Per-run records are persisted as JSON + CSV:
+//! scale, ≈0.27 s on two cores in one process, JSON report included:
 //!
 //! ```text
 //! cargo run --release -p notebookos-bench --bin elasticity_sweep -- \
 //!     [--workers N] [--out FILE]
 //! ```
 //!
-//! `--out FILE` names the JSON report (default
-//! `results/elasticity/elasticity_sweep.json`); the headline CSV is written
-//! next to it.
+//! `--out FILE` names the JSON report of every run's full record
+//! (default `results/elasticity/elasticity_sweep.json`); the report is the
+//! same bytes whatever `--workers` is.
 
 use notebookos_bench::elastic_config;
 use notebookos_bench::sweep_cli::SweepCli;
-use notebookos_core::sweep::{Scenario, SweepSpec};
+use notebookos_core::sweep::{Scenario, SweepRun, SweepSpec};
 use notebookos_core::{ElasticityKind, PolicyKind};
 use notebookos_metrics::Table;
 
@@ -61,14 +60,7 @@ fn main() {
             std::process::exit(1);
         });
 
-    let csv = out.with_extension("csv");
-    report.write_csv(&csv).expect("write CSV");
-    println!(
-        "per-run records: {} and {} ({} runs)",
-        out.display(),
-        csv.display(),
-        report.len()
-    );
+    println!("per-run records: {} ({} runs)", out.display(), report.len());
 
     for scenario in &scenarios {
         let mut table = Table::new(
@@ -84,13 +76,14 @@ fn main() {
             ],
         );
         for kind in ElasticityKind::ALL {
-            let Some(agg) = report.aggregate_cell(&scenario.name, PolicyKind::NotebookOs, kind)
-            else {
+            let in_cell = |r: &SweepRun| r.scenario == scenario.name && r.elasticity == kind;
+            let Some(agg) = report.aggregate(in_cell) else {
                 continue;
             };
             let shapes = report
-                .runs_for_cell(&scenario.name, PolicyKind::NotebookOs, kind)
+                .runs
                 .iter()
+                .filter(|r| in_cell(r))
                 .map(|r| r.metrics.distinct_shapes_provisioned())
                 .max()
                 .unwrap_or(0);
@@ -113,14 +106,11 @@ fn main() {
 
     // Control-plane sanity the CI run enforces: the shape-aware
     // policy must actually diversify on the heterogeneous fleet.
-    let diversified = report
-        .runs_for_cell(
-            "heterogeneous-hosts",
-            PolicyKind::NotebookOs,
-            ElasticityKind::ShapeAware,
-        )
-        .iter()
-        .any(|r| r.metrics.distinct_shapes_provisioned() >= 2);
+    let diversified = report.runs.iter().any(|r| {
+        r.scenario == "heterogeneous-hosts"
+            && r.elasticity == ElasticityKind::ShapeAware
+            && r.metrics.distinct_shapes_provisioned() >= 2
+    });
     let reconciled = report
         .runs
         .iter()

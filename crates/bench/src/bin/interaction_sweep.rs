@@ -71,12 +71,11 @@ fn main() {
             let mut row = vec![placement.to_string()];
             for elasticity in ElasticityKind::ALL {
                 let agg = report
-                    .aggregate_interaction(
-                        &scenario.name,
-                        PolicyKind::NotebookOs,
-                        placement,
-                        elasticity,
-                    )
+                    .aggregate(|r| {
+                        r.scenario == scenario.name
+                            && r.placement == placement
+                            && r.elasticity == elasticity
+                    })
                     .expect("the report has every interaction cell");
                 row.push(format!(
                     "{:.1} / {:.2}",

@@ -20,15 +20,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
 
-    let scenario = Scenario::excerpt();
     let report = SweepSpec::new()
         .policies(vec![PolicyKind::NotebookOs])
         .seeds((0..n).map(|seed| 3000 + seed).collect())
-        .scenarios(vec![scenario.clone()])
+        .scenarios(vec![Scenario::excerpt()])
         .run();
-    let agg = report
-        .aggregate(&scenario.name, PolicyKind::NotebookOs)
-        .expect("sweep produced runs");
+    let agg = report.aggregate(|_| true).expect("sweep produced runs");
 
     let mut table = Table::new(
         format!("NotebookOS across {n} seeds (17.5 h excerpt)"),

@@ -59,19 +59,15 @@ impl SweepCli {
         Ok(cli)
     }
 
-    /// Runs `spec` on a pool of `--workers` threads, reporting per-run
-    /// progress to stderr under `label`, and persists the report to
-    /// `--out` when given.
+    /// Runs `spec` on a pool of `--workers` threads and persists the
+    /// report to `--out` when given, saying so on stderr under `label`.
     ///
     /// # Errors
     ///
     /// Propagates the I/O error of writing the report — the binaries
     /// print it and exit non-zero.
     pub fn execute(&self, spec: &SweepSpec, label: &str) -> std::io::Result<SweepReport> {
-        let report = spec
-            .clone()
-            .workers(self.workers)
-            .run_with_progress(|done, total| eprintln!("  [{done}/{total}] runs complete"));
+        let report = spec.clone().workers(self.workers).run();
         if let Some(out) = &self.out {
             report.write_json(out).map_err(|e| {
                 std::io::Error::new(e.kind(), format!("sweep report {}: {e}", out.display()))

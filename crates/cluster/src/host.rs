@@ -99,7 +99,8 @@ impl Host {
     }
 
     /// An 8-GPU server matching the evaluation's EC2 instances.
-    pub fn p3_16xlarge(id: HostId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn p3_16xlarge(id: HostId) -> Self {
         Host::new(id, ResourceBundle::p3_16xlarge())
     }
 
@@ -116,8 +117,8 @@ impl Host {
     }
 
     /// Currently committed (exclusively bound) resources.
-    #[inline]
-    pub fn committed(&self) -> ResourceBundle {
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> ResourceBundle {
         self.committed
     }
 

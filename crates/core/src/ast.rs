@@ -46,7 +46,8 @@ pub struct StateUpdate {
 
 impl StateUpdate {
     /// Total number of touched bindings.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.small.len() + self.large.len()
     }
 

@@ -79,10 +79,10 @@ impl PlacementKind {
     ];
 }
 
-/// Which elasticity (auto-scaling) policy drives scale-out, scale-in, and
-/// pre-warm reconciliation decisions. The decision logic itself lives in
-/// [`crate::elasticity`]; this enum is the sweepable configuration axis,
-/// exactly like [`PlacementKind`] is for replica placement.
+/// Which variant of the §3.4.2 auto-scaler drives scale-out and scale-in
+/// decisions. It is the sweepable configuration axis, as [`PlacementKind`]
+/// is for replica placement; the platform's controller matches on it
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ElasticityKind {
     /// The paper's §3.4.2 threshold controller: targets
@@ -131,7 +131,7 @@ impl std::fmt::Display for ElasticityKind {
             ElasticityKind::ShapeAware => write!(f, "shape-aware"),
             // Parameters are part of the label: a sweep ranging over
             // differently-tuned hysteresis cells must keep them apart in
-            // tables and persisted CSV/JSON records.
+            // tables and persisted JSON records.
             ElasticityKind::Hysteresis {
                 cooldown_s,
                 surplus_ticks,
@@ -187,8 +187,8 @@ pub struct AutoscaleConfig {
     /// committed-GPU signal alone cannot see (§3.4.1/§3.4.2). `None`
     /// disables the term (LCP has no standing subscriptions).
     pub sr_target: Option<f64>,
-    /// Which elasticity policy turns these parameters into scaling
-    /// decisions (see [`crate::elasticity`]).
+    /// Which variant of the auto-scaler turns these parameters into
+    /// scaling decisions.
     pub elasticity: ElasticityKind,
     /// When set, a periodic tick re-evaluates [`PrewarmPool::deficits`]
     /// and provisions the missing warm containers, so pools self-heal

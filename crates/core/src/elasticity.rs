@@ -1,42 +1,39 @@
-//! The elasticity control plane: pluggable auto-scaling policies (§3.4.2).
+//! The elasticity control plane: the auto-scaler of §3.4.2.
 //!
-//! The platform used to inline every scaling concern — scale-out triggers,
-//! autoscale ticks, pre-warm seeding, scale-in eviction — inside
-//! [`crate::Platform`]. This module extracts them behind the same kind of
-//! interface §3.4.1 gives replica placement: an [`ElasticityPolicy`]
-//! observes the fleet through an [`ElasticityContext`] and answers with
-//! [`ElasticityAction`]s; the platform is reduced to an event router that
-//! applies those actions (charging provisioning latencies, updating gauges,
-//! reconciling the pre-warm pool).
+//! [`Elasticity`] holds the configured [`ElasticityKind`] and decides
+//! over an [`ElasticityContext`] — a read-only snapshot of the fleet —
+//! answering with [`ElasticityAction`]s that [`crate::Platform`] applies
+//! (charging provisioning latencies, retiring idle hosts, updating
+//! gauges). Only replica placement is a plug-in interface in the paper
+//! (§3.4.1); elasticity is one controller with three variants, matched
+//! on the kind:
 //!
-//! Three policies are bundled:
-//!
-//! * [`Threshold`] — the paper's §3.4.2 controller, verbatim: target
+//! * `Threshold` — the paper's §3.4.2 controller, verbatim: target
 //!   `ΣG' = f · ΣC` (plus the SR backing term) in host-equivalents,
 //!   always provisioning `host_shape` hosts. On homogeneous fleets it is
 //!   bit-identical to the pre-elasticity platform — the golden regression
 //!   test in `tests/elasticity_properties.rs` locks that in.
-//! * [`ShapeAware`] — heterogeneous-fleet scaling: provisions the cheapest
+//! * `ShapeAware` — heterogeneous-fleet scaling: provisions the cheapest
 //!   shape from the fleet's catalog that satisfies the queued GPU/VRAM
 //!   demand, billing targets in host-equivalents so a 4-GPU box counts as
 //!   half an 8-GPU reference host.
-//! * [`Hysteresis`] — Threshold targets wrapped in a scale-out cooldown
+//! * `Hysteresis` — Threshold targets wrapped in a scale-out cooldown
 //!   and scale-in damping (a sustained surplus is required before hosts
 //!   are released), taming churn under diurnal arrival patterns.
 //!
-//! Policies are **decision-only**: they never draw randomness and never
-//! mutate the fleet. All stochastic costs (VM provision latency, warm
-//! container starts) are charged by the platform when it applies the
-//! actions, which is what makes [`Threshold`] reproduce the pre-refactor
-//! RNG stream exactly.
+//! Decisions are pure: they never draw randomness and never mutate the
+//! fleet. All stochastic costs (VM provision latency, warm container
+//! starts) are charged by the platform when it applies the actions, which
+//! is what makes `Threshold` reproduce the pre-refactor RNG stream
+//! exactly.
 
 use notebookos_cluster::{Cluster, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
 
 use crate::config::{AutoscaleConfig, ElasticityKind};
 
-/// One scaling decision returned by a policy.
+/// One scaling decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElasticityAction {
+pub(crate) enum ElasticityAction {
     /// Provision `count` new hosts of `shape`; each arrives after a
     /// provisioning delay and then joins the fleet.
     ProvisionHosts {
@@ -51,65 +48,60 @@ pub enum ElasticityAction {
         /// otherwise).
         host: HostId,
     },
-    /// Re-evaluate the pre-warm pool's deficits and provision the missing
-    /// warm containers.
-    ReconcilePrewarm,
 }
 
 /// A pending kernel-creation's resource demand, as the control plane sees
 /// it: how many replica subscriptions could not be placed and what each
 /// one asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemandShortfall {
+pub(crate) struct DemandShortfall {
     /// Replica subscriptions that found no viable host.
-    pub replicas: u32,
+    pub(crate) replicas: u32,
     /// The per-replica resource request (GPUs + VRAM drive shape choice).
-    pub request: ResourceRequest,
+    pub(crate) request: ResourceRequest,
 }
 
-/// Read-only view of the fleet a policy decides over.
+/// Read-only view of the fleet a decision is made over.
 #[derive(Debug)]
-pub struct ElasticityContext<'a> {
+pub(crate) struct ElasticityContext<'a> {
     /// The cluster as the Global Scheduler sees it.
-    pub cluster: &'a Cluster,
-    /// The pre-warm container pool.
-    pub pool: &'a PrewarmPool,
+    pub(crate) cluster: &'a Cluster,
     /// Auto-scaler parameters.
-    pub autoscale: &'a AutoscaleConfig,
+    pub(crate) autoscale: &'a AutoscaleConfig,
     /// The reference host shape scale-out targets are billed against.
-    pub host_shape: ResourceBundle,
+    pub(crate) host_shape: ResourceBundle,
     /// Shapes this fleet may provision (the `host_mix` shapes, or just
     /// `host_shape` for homogeneous fleets), ascending by GPU count.
-    pub shape_catalog: &'a [ResourceBundle],
+    pub(crate) shape_catalog: &'a [ResourceBundle],
     /// Replicas per kernel (`R`).
-    pub replication_factor: u32,
+    pub(crate) replication_factor: u32,
     /// Hosts currently being provisioned (any shape).
-    pub hosts_in_flight: u32,
+    pub(crate) hosts_in_flight: u32,
     /// GPUs aboard the in-flight hosts.
-    pub gpus_in_flight: u64,
+    pub(crate) gpus_in_flight: u64,
     /// Resource requests of kernel creations parked on scale-out.
-    pub queued_demand: &'a [ResourceRequest],
+    pub(crate) queued_demand: &'a [ResourceRequest],
     /// Virtual time of the decision, seconds.
-    pub now_s: f64,
+    pub(crate) now_s: f64,
 }
 
 impl ElasticityContext<'_> {
     /// GPUs per reference host (never zero).
-    pub fn reference_gpus(&self) -> u32 {
+    fn reference_gpus(&self) -> u32 {
         self.host_shape.gpus.max(1)
     }
 
     /// The fleet in host-equivalents: total GPUs divided by the reference
     /// host's GPUs. Equals the host count on homogeneous fleets and bills
     /// mixed fleets in proportion to their capacity.
-    pub fn host_equivalents(&self) -> f64 {
+    fn host_equivalents(&self) -> f64 {
         self.cluster.total_gpus() as f64 / f64::from(self.reference_gpus())
     }
 
     /// The §3.4.2 scale-out target in units of reference hosts:
     /// `ceil(f · ΣC / per_host) + buffer`, floored at `min_hosts`, raised
     /// to back the standing subscriptions when `sr_target` is set.
-    pub fn target_hosts(&self) -> u32 {
+    fn target_hosts(&self) -> u32 {
         let cfg = self.autoscale;
         let committed = self.cluster.total_committed_gpus() as f64;
         let per_host = f64::from(self.reference_gpus());
@@ -129,7 +121,7 @@ impl ElasticityContext<'_> {
     /// (catalog order is ascending by GPU count, so the first covering
     /// shape is the cheapest in host-equivalents). Falls back to the
     /// reference shape for requests nothing in the catalog covers.
-    pub fn cheapest_covering_shape(&self, request: &ResourceRequest) -> ResourceBundle {
+    fn cheapest_covering_shape(&self, request: &ResourceRequest) -> ResourceBundle {
         let footprint = ResourceBundle::from_request(request);
         self.shape_catalog
             .iter()
@@ -139,7 +131,7 @@ impl ElasticityContext<'_> {
     }
 
     /// The smallest catalog shape (the cheapest unit of capacity).
-    pub fn smallest_shape(&self) -> ResourceBundle {
+    fn smallest_shape(&self) -> ResourceBundle {
         self.shape_catalog
             .first()
             .copied()
@@ -147,61 +139,102 @@ impl ElasticityContext<'_> {
     }
 }
 
-/// An elasticity policy: observes the fleet, answers with scaling actions.
-///
-/// Implementations must be pure decision logic — no randomness, no fleet
-/// mutation — so that runs stay deterministic and policies stay sweepable.
-pub trait ElasticityPolicy: std::fmt::Debug {
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
+/// The configured auto-scaler plus the state `Hysteresis` keeps between
+/// decisions (the other two kinds are stateless).
+#[derive(Debug)]
+pub(crate) struct Elasticity {
+    kind: ElasticityKind,
+    /// Virtual time of the last scale-out (Hysteresis's cooldown clock).
+    last_scale_out_s: f64,
+    /// Consecutive surplus observations (Hysteresis's scale-in damping).
+    consecutive_surplus: u32,
+}
+
+impl Elasticity {
+    /// The controller a configuration selects, with no history.
+    pub(crate) fn new(kind: ElasticityKind) -> Self {
+        Elasticity {
+            kind,
+            last_scale_out_s: f64::NEG_INFINITY,
+            consecutive_surplus: 0,
+        }
+    }
 
     /// Periodic evaluation (§3.4.2's auto-scaler interval).
-    fn on_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction>;
+    pub(crate) fn on_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
+        match self.kind {
+            ElasticityKind::Threshold => threshold_tick(ctx),
+            ElasticityKind::ShapeAware => shape_aware_tick(ctx),
+            ElasticityKind::Hysteresis {
+                cooldown_s,
+                surplus_ticks,
+            } => self.hysteresis_tick(ctx, cooldown_s.max(0.0), surplus_ticks.max(1)),
+        }
+    }
 
     /// A kernel creation (or migration / LCP placement) found no viable
-    /// host; `shortfall` describes the unplaced demand.
-    fn on_demand_shortfall(
+    /// host; `shortfall` describes the unplaced demand. Every kind
+    /// provisions at once — a parked kernel must not wait out a
+    /// hysteresis cooldown — and differs only in the shape it picks.
+    pub(crate) fn on_shortfall(
         &mut self,
         ctx: &ElasticityContext<'_>,
         shortfall: DemandShortfall,
-    ) -> Vec<ElasticityAction>;
-
-    /// A provisioned host joined the fleet.
-    fn on_host_ready(
-        &mut self,
-        ctx: &ElasticityContext<'_>,
-        host: HostId,
     ) -> Vec<ElasticityAction> {
-        let _ = (ctx, host);
-        Vec::new()
+        let shape = match self.kind {
+            ElasticityKind::Threshold => ctx.host_shape,
+            ElasticityKind::ShapeAware => ctx.cheapest_covering_shape(&shortfall.request),
+            ElasticityKind::Hysteresis { .. } => {
+                self.last_scale_out_s = ctx.now_s;
+                ctx.host_shape
+            }
+        };
+        vec![ElasticityAction::ProvisionHosts {
+            shape,
+            count: shortfall.replicas,
+        }]
     }
 
-    /// A host was retired from the fleet.
-    fn on_host_removed(
+    /// Threshold targets wrapped in hysteresis. Scale-out from ticks is
+    /// rate-limited by `cooldown_s`; scale-in requires `surplus_ticks`
+    /// consecutive surplus observations, so a diurnal trough must persist
+    /// before the fleet shrinks and brief lulls stop thrashing the
+    /// provision/release cycle.
+    fn hysteresis_tick(
         &mut self,
         ctx: &ElasticityContext<'_>,
-        host: HostId,
+        cooldown_s: f64,
+        surplus_ticks: u32,
     ) -> Vec<ElasticityAction> {
-        let _ = (ctx, host);
-        Vec::new()
-    }
-}
-
-/// Builds the policy a configuration selects.
-pub fn build(kind: ElasticityKind) -> Box<dyn ElasticityPolicy + Send> {
-    match kind {
-        ElasticityKind::Threshold => Box::new(Threshold),
-        ElasticityKind::ShapeAware => Box::new(ShapeAware),
-        ElasticityKind::Hysteresis {
-            cooldown_s,
-            surplus_ticks,
-        } => Box::new(Hysteresis::new(cooldown_s, surplus_ticks)),
+        let current = ctx.host_equivalents() + f64::from(ctx.hosts_in_flight);
+        let target = f64::from(ctx.target_hosts());
+        if current + 1e-9 < target {
+            self.consecutive_surplus = 0;
+            if ctx.now_s - self.last_scale_out_s >= cooldown_s {
+                self.last_scale_out_s = ctx.now_s;
+                return vec![ElasticityAction::ProvisionHosts {
+                    shape: ctx.host_shape,
+                    count: (target - current).ceil() as u32,
+                }];
+            }
+            Vec::new()
+        } else if current > target + 1e-9 {
+            self.consecutive_surplus += 1;
+            if self.consecutive_surplus >= surplus_ticks {
+                let surplus = (current - target).floor() as u32;
+                return retire_candidates(ctx, surplus);
+            }
+            Vec::new()
+        } else {
+            self.consecutive_surplus = 0;
+            Vec::new()
+        }
     }
 }
 
 /// Seeds the pre-warm pool at time zero: `min_per_host` warm containers on
 /// every host (§3.2.3's Container Prewarmer invariant).
-pub fn seed_prewarm_pool(pool: &mut PrewarmPool, cluster: &Cluster, min_per_host: u32) {
+pub(crate) fn seed_prewarm_pool(pool: &mut PrewarmPool, cluster: &Cluster, min_per_host: u32) {
     for host in cluster.hosts() {
         for _ in 0..min_per_host {
             pool.put(host.id());
@@ -218,7 +251,7 @@ fn release_budget(ctx: &ElasticityContext<'_>) -> u32 {
         .min((ctx.cluster.len() as u32).saturating_sub(cfg.min_hosts))
 }
 
-/// Scale-in candidates shared by the threshold-family policies: idle
+/// Scale-in candidates shared by `Threshold` and `Hysteresis`: idle
 /// hosts in ascending-id order, bounded by the per-step release cap and
 /// the `min_hosts` floor — exactly the pre-elasticity platform's rule.
 /// The slab walk stops at the cap.
@@ -233,250 +266,125 @@ fn retire_candidates(ctx: &ElasticityContext<'_>, surplus_hosts: u32) -> Vec<Ela
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Threshold — the paper's §3.4.2 controller, verbatim.
-// ---------------------------------------------------------------------
-
 /// The §3.4.2 threshold controller. Targets are computed in
 /// host-equivalents of the reference `host_shape` and scale-out always
 /// provisions that shape — exactly the pre-elasticity platform behavior,
 /// bit-identical on homogeneous fleets.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Threshold;
-
-impl ElasticityPolicy for Threshold {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-
-    fn on_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
-        let current = ctx.host_equivalents() + f64::from(ctx.hosts_in_flight);
-        let target = f64::from(ctx.target_hosts());
-        if current + 1e-9 < target {
-            vec![ElasticityAction::ProvisionHosts {
-                shape: ctx.host_shape,
-                count: (target - current).ceil() as u32,
-            }]
-        } else if current > target + 1e-9 {
-            let surplus = (current - target).floor() as u32;
-            // Pre-elasticity order: ascending host id (idle_hosts order).
-            retire_candidates(ctx, surplus)
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn on_demand_shortfall(
-        &mut self,
-        ctx: &ElasticityContext<'_>,
-        shortfall: DemandShortfall,
-    ) -> Vec<ElasticityAction> {
+fn threshold_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
+    let current = ctx.host_equivalents() + f64::from(ctx.hosts_in_flight);
+    let target = f64::from(ctx.target_hosts());
+    if current + 1e-9 < target {
         vec![ElasticityAction::ProvisionHosts {
             shape: ctx.host_shape,
-            count: shortfall.replicas,
+            count: (target - current).ceil() as u32,
         }]
+    } else if current > target + 1e-9 {
+        let surplus = (current - target).floor() as u32;
+        // Pre-elasticity order: ascending host id (idle_hosts order).
+        retire_candidates(ctx, surplus)
+    } else {
+        Vec::new()
     }
 }
-
-// ---------------------------------------------------------------------
-// ShapeAware — heterogeneous-fleet scaling in host-equivalents.
-// ---------------------------------------------------------------------
 
 /// Shape-aware scaling: the target is the same §3.4.2 host-equivalent
 /// formula, but the GPUs that fill it come from the cheapest catalog
 /// shapes that satisfy the queued demand — small kernels pull in 4-GPU
 /// boxes, 8-GPU kernels pull in full trainers — so a mixed fleet grows
 /// along its mix instead of monoculture `host_shape` additions.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ShapeAware;
-
-impl ShapeAware {
-    /// Coalesces per-shape host counts into actions, catalog order.
-    fn provision(plan: Vec<(ResourceBundle, u32)>) -> Vec<ElasticityAction> {
-        plan.into_iter()
+fn shape_aware_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
+    let ref_gpus = u64::from(ctx.reference_gpus());
+    let target_gpus = u64::from(ctx.target_hosts()) * ref_gpus;
+    let current_gpus = ctx.cluster.total_gpus() + ctx.gpus_in_flight;
+    if current_gpus < target_gpus {
+        plan_gpus(ctx, target_gpus - current_gpus)
+            .into_iter()
             .filter(|&(_, count)| count > 0)
             .map(|(shape, count)| ElasticityAction::ProvisionHosts { shape, count })
             .collect()
-    }
-
-    /// Plans enough hosts to add `deficit_gpus` GPUs: first one covering
-    /// host per queued request (largest requests first, so big kernels
-    /// get big hosts), then the smallest shape fills the remainder.
-    fn plan_gpus(ctx: &ElasticityContext<'_>, deficit_gpus: u64) -> Vec<(ResourceBundle, u32)> {
-        let mut remaining = deficit_gpus as i64;
-        let mut plan: Vec<(ResourceBundle, u32)> = Vec::new();
-        let mut add = |shape: ResourceBundle, count: u32| {
-            if let Some(slot) = plan.iter_mut().find(|(s, _)| *s == shape) {
-                slot.1 += count;
-            } else {
-                plan.push((shape, count));
-            }
-        };
-        let mut queued: Vec<&ResourceRequest> = ctx.queued_demand.iter().collect();
-        queued.sort_by_key(|r| std::cmp::Reverse(r.gpus));
-        for request in queued {
-            if remaining <= 0 {
+    } else if current_gpus > target_gpus {
+        // Retire the largest idle shapes first (the fastest way to
+        // shed host-equivalents, ties broken by ascending id), but
+        // budget in GPUs, never past the target: releasing a host
+        // bigger than the remaining surplus would undershoot the
+        // fleet and make the next tick re-provision — exactly the
+        // churn this policy exists to avoid.
+        let mut host_budget = release_budget(ctx);
+        if host_budget == 0 {
+            return Vec::new();
+        }
+        let mut surplus_gpus = current_gpus - target_gpus;
+        let mut idle: Vec<_> = ctx
+            .cluster
+            .hosts()
+            .iter()
+            .filter(|h| h.is_idle())
+            .map(|h| (std::cmp::Reverse(h.capacity().gpus), h.id()))
+            .collect();
+        idle.sort_unstable();
+        let mut actions = Vec::new();
+        for (std::cmp::Reverse(gpus), host) in idle {
+            if host_budget == 0 {
                 break;
             }
-            let shape = ctx.cheapest_covering_shape(request);
-            add(shape, 1);
-            remaining -= i64::from(shape.gpus.max(1));
+            let gpus = u64::from(gpus);
+            if gpus == 0 || gpus > surplus_gpus {
+                continue; // this shape would overshoot; try a smaller one
+            }
+            surplus_gpus -= gpus;
+            host_budget -= 1;
+            actions.push(ElasticityAction::RetireHost { host });
         }
-        if remaining > 0 {
-            let filler = ctx.smallest_shape();
-            let per = i64::from(filler.gpus.max(1));
-            let count = remaining.div_euclid(per) + i64::from(remaining % per != 0);
-            add(filler, count as u32);
-        }
-        plan
+        actions
+    } else {
+        Vec::new()
     }
 }
 
-impl ElasticityPolicy for ShapeAware {
-    fn name(&self) -> &'static str {
-        "shape-aware"
-    }
-
-    fn on_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
-        let ref_gpus = u64::from(ctx.reference_gpus());
-        let target_gpus = u64::from(ctx.target_hosts()) * ref_gpus;
-        let current_gpus = ctx.cluster.total_gpus() + ctx.gpus_in_flight;
-        if current_gpus < target_gpus {
-            Self::provision(Self::plan_gpus(ctx, target_gpus - current_gpus))
-        } else if current_gpus > target_gpus {
-            // Retire the largest idle shapes first (the fastest way to
-            // shed host-equivalents, ties broken by ascending id), but
-            // budget in GPUs, never past the target: releasing a host
-            // bigger than the remaining surplus would undershoot the
-            // fleet and make the next tick re-provision — exactly the
-            // churn this policy exists to avoid.
-            let mut host_budget = release_budget(ctx);
-            if host_budget == 0 {
-                return Vec::new();
-            }
-            let mut surplus_gpus = current_gpus - target_gpus;
-            let mut idle: Vec<_> = ctx
-                .cluster
-                .hosts()
-                .iter()
-                .filter(|h| h.is_idle())
-                .map(|h| (std::cmp::Reverse(h.capacity().gpus), h.id()))
-                .collect();
-            idle.sort_unstable();
-            let mut actions = Vec::new();
-            for (std::cmp::Reverse(gpus), host) in idle {
-                if host_budget == 0 {
-                    break;
-                }
-                let gpus = u64::from(gpus);
-                if gpus == 0 || gpus > surplus_gpus {
-                    continue; // this shape would overshoot; try a smaller one
-                }
-                surplus_gpus -= gpus;
-                host_budget -= 1;
-                actions.push(ElasticityAction::RetireHost { host });
-            }
-            actions
+/// Plans enough hosts to add `deficit_gpus` GPUs, as per-shape host
+/// counts in first-use order: first one covering host per queued request
+/// (largest requests first, so big kernels get big hosts), then the
+/// smallest shape fills the remainder.
+fn plan_gpus(ctx: &ElasticityContext<'_>, deficit_gpus: u64) -> Vec<(ResourceBundle, u32)> {
+    let mut remaining = deficit_gpus as i64;
+    let mut plan: Vec<(ResourceBundle, u32)> = Vec::new();
+    let mut add = |shape: ResourceBundle, count: u32| {
+        if let Some(slot) = plan.iter_mut().find(|(s, _)| *s == shape) {
+            slot.1 += count;
         } else {
-            Vec::new()
+            plan.push((shape, count));
         }
-    }
-
-    fn on_demand_shortfall(
-        &mut self,
-        ctx: &ElasticityContext<'_>,
-        shortfall: DemandShortfall,
-    ) -> Vec<ElasticityAction> {
-        vec![ElasticityAction::ProvisionHosts {
-            shape: ctx.cheapest_covering_shape(&shortfall.request),
-            count: shortfall.replicas,
-        }]
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hysteresis — Threshold targets with cooldown and scale-in damping.
-// ---------------------------------------------------------------------
-
-/// Threshold targets wrapped in hysteresis. Scale-out from ticks is
-/// rate-limited by `cooldown_s` (demand shortfalls still provision
-/// immediately — a parked kernel must not wait out a cooldown); scale-in
-/// requires `surplus_ticks` consecutive surplus observations, so a
-/// diurnal trough must persist before the fleet shrinks and brief lulls
-/// stop thrashing the provision/release cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct Hysteresis {
-    cooldown_s: f64,
-    surplus_ticks: u32,
-    last_scale_out_s: f64,
-    consecutive_surplus: u32,
-}
-
-impl Hysteresis {
-    /// Creates the policy with the given damping parameters.
-    pub fn new(cooldown_s: f64, surplus_ticks: u32) -> Self {
-        Hysteresis {
-            cooldown_s: cooldown_s.max(0.0),
-            surplus_ticks: surplus_ticks.max(1),
-            last_scale_out_s: f64::NEG_INFINITY,
-            consecutive_surplus: 0,
+    };
+    let mut queued: Vec<&ResourceRequest> = ctx.queued_demand.iter().collect();
+    queued.sort_by_key(|r| std::cmp::Reverse(r.gpus));
+    for request in queued {
+        if remaining <= 0 {
+            break;
         }
+        let shape = ctx.cheapest_covering_shape(request);
+        add(shape, 1);
+        remaining -= i64::from(shape.gpus.max(1));
     }
-
-    /// Surplus observations so far (tests peek at the damping state).
-    pub fn consecutive_surplus(&self) -> u32 {
-        self.consecutive_surplus
+    if remaining > 0 {
+        let filler = ctx.smallest_shape();
+        let per = i64::from(filler.gpus.max(1));
+        let count = remaining.div_euclid(per) + i64::from(remaining % per != 0);
+        add(filler, count as u32);
     }
-}
-
-impl ElasticityPolicy for Hysteresis {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
-    fn on_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
-        let current = ctx.host_equivalents() + f64::from(ctx.hosts_in_flight);
-        let target = f64::from(ctx.target_hosts());
-        if current + 1e-9 < target {
-            self.consecutive_surplus = 0;
-            if ctx.now_s - self.last_scale_out_s >= self.cooldown_s {
-                self.last_scale_out_s = ctx.now_s;
-                return vec![ElasticityAction::ProvisionHosts {
-                    shape: ctx.host_shape,
-                    count: (target - current).ceil() as u32,
-                }];
-            }
-            Vec::new()
-        } else if current > target + 1e-9 {
-            self.consecutive_surplus += 1;
-            if self.consecutive_surplus >= self.surplus_ticks {
-                let surplus = (current - target).floor() as u32;
-                return retire_candidates(ctx, surplus);
-            }
-            Vec::new()
-        } else {
-            self.consecutive_surplus = 0;
-            Vec::new()
-        }
-    }
-
-    fn on_demand_shortfall(
-        &mut self,
-        ctx: &ElasticityContext<'_>,
-        shortfall: DemandShortfall,
-    ) -> Vec<ElasticityAction> {
-        self.last_scale_out_s = ctx.now_s;
-        vec![ElasticityAction::ProvisionHosts {
-            shape: ctx.host_shape,
-            count: shortfall.replicas,
-        }]
-    }
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AutoscaleConfig;
+
+    fn threshold() -> Elasticity {
+        Elasticity::new(ElasticityKind::Threshold)
+    }
+
+    fn shape_aware() -> Elasticity {
+        Elasticity::new(ElasticityKind::ShapeAware)
+    }
 
     fn small_shape() -> ResourceBundle {
         ResourceBundle::new(32_000, 249_856, 4)
@@ -484,7 +392,6 @@ mod tests {
 
     struct Fixture {
         cluster: Cluster,
-        pool: PrewarmPool,
         autoscale: AutoscaleConfig,
         catalog: Vec<ResourceBundle>,
         queued: Vec<ResourceRequest>,
@@ -494,7 +401,6 @@ mod tests {
         fn homogeneous(hosts: usize) -> Self {
             Fixture {
                 cluster: Cluster::with_hosts(hosts, ResourceBundle::p3_16xlarge()),
-                pool: PrewarmPool::new(),
                 autoscale: AutoscaleConfig {
                     min_hosts: 2,
                     scaling_buffer_hosts: 0,
@@ -521,7 +427,6 @@ mod tests {
         ) -> ElasticityContext<'_> {
             ElasticityContext {
                 cluster: &self.cluster,
-                pool: &self.pool,
                 autoscale: &self.autoscale,
                 host_shape: ResourceBundle::p3_16xlarge(),
                 shape_catalog: &self.catalog,
@@ -545,7 +450,7 @@ mod tests {
         // 16 committed GPUs on 2 hosts → target ceil(1.05·16/8) = 3 hosts.
         commit_gpus(&mut f.cluster, 0, 1, 8);
         commit_gpus(&mut f.cluster, 1, 2, 8);
-        let actions = Threshold.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = threshold().on_tick(&f.ctx(0, 0, 0.0));
         assert_eq!(
             actions,
             vec![ElasticityAction::ProvisionHosts {
@@ -554,7 +459,7 @@ mod tests {
             }]
         );
         // In-flight hosts count toward the fleet: no double provision.
-        assert!(Threshold.on_tick(&f.ctx(1, 8, 0.0)).is_empty());
+        assert!(threshold().on_tick(&f.ctx(1, 8, 0.0)).is_empty());
     }
 
     #[test]
@@ -564,7 +469,7 @@ mod tests {
         // Nothing committed → target = min_hosts = 2, surplus 3, capped at 2
         // releases; host 0 is busy so only idle hosts are offered.
         commit_gpus(&mut f.cluster, 0, 1, 4);
-        let actions = Threshold.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = threshold().on_tick(&f.ctx(0, 0, 0.0));
         assert_eq!(
             actions,
             vec![
@@ -581,7 +486,7 @@ mod tests {
             replicas: 2,
             request: ResourceRequest::one_gpu(),
         };
-        let actions = Threshold.on_demand_shortfall(&f.ctx(0, 0, 0.0), shortfall);
+        let actions = threshold().on_shortfall(&f.ctx(0, 0, 0.0), shortfall);
         assert_eq!(
             actions,
             vec![ElasticityAction::ProvisionHosts {
@@ -604,8 +509,7 @@ mod tests {
             ctx.cheapest_covering_shape(&big),
             ResourceBundle::p3_16xlarge()
         );
-        let mut policy = ShapeAware;
-        let actions = policy.on_demand_shortfall(
+        let actions = shape_aware().on_shortfall(
             &ctx,
             DemandShortfall {
                 replicas: 3,
@@ -634,7 +538,7 @@ mod tests {
             ResourceRequest::new(4000, 16_384, 8, 16),
             ResourceRequest::one_gpu(),
         ];
-        let actions = ShapeAware.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = shape_aware().on_tick(&f.ctx(0, 0, 0.0));
         // Deficit 8 GPUs: the queued 8-GPU kernel pulls one full trainer
         // first, covering the deficit before the 1-GPU request is reached.
         assert_eq!(
@@ -654,7 +558,7 @@ mod tests {
         commit_gpus(&mut f.cluster, 2, 3, 4);
         commit_gpus(&mut f.cluster, 3, 4, 4);
         // No queued demand: the 8-GPU deficit is filled with 4-GPU boxes.
-        let actions = ShapeAware.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = shape_aware().on_tick(&f.ctx(0, 0, 0.0));
         assert_eq!(
             actions,
             vec![ElasticityAction::ProvisionHosts {
@@ -671,7 +575,7 @@ mod tests {
         // Fleet: hosts 0,1 are 8-GPU, hosts 2,3 are 4-GPU; all idle.
         // Target = min_hosts(2) × 8 = 16 GPUs, current 24 → surplus 1
         // equivalent → retire one host, the largest idle one.
-        let actions = ShapeAware.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = shape_aware().on_tick(&f.ctx(0, 0, 0.0));
         assert_eq!(actions, vec![ElasticityAction::RetireHost { host: 0 }]);
     }
 
@@ -684,7 +588,7 @@ mod tests {
         let mut f = Fixture::heterogeneous();
         f.cluster =
             Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 2), (small_shape(), 1)]);
-        let actions = ShapeAware.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = shape_aware().on_tick(&f.ctx(0, 0, 0.0));
         assert_eq!(actions, vec![ElasticityAction::RetireHost { host: 2 }]);
         // When the 4-GPU box is busy, only the 8-GPU trainers are idle —
         // and both exceed the 4-GPU surplus, so nothing is released
@@ -692,7 +596,7 @@ mod tests {
         // One committed GPU keeps the target at min_hosts (ceil(1.05/8)
         // rounds to 1 < 2 reference hosts), so the surplus is still 4.
         commit_gpus(&mut f.cluster, 2, 1, 1);
-        let actions = ShapeAware.on_tick(&f.ctx(0, 0, 0.0));
+        let actions = shape_aware().on_tick(&f.ctx(0, 0, 0.0));
         assert!(
             actions.is_empty(),
             "no idle shape fits the surplus: {actions:?}"
@@ -702,7 +606,10 @@ mod tests {
     #[test]
     fn hysteresis_damps_scale_in_and_rate_limits_scale_out() {
         let mut f = Fixture::homogeneous(5);
-        let mut policy = Hysteresis::new(120.0, 3);
+        let mut policy = Elasticity::new(ElasticityKind::Hysteresis {
+            cooldown_s: 120.0,
+            surplus_ticks: 3,
+        });
         // Surplus must persist for 3 ticks before anything is released.
         assert!(policy.on_tick(&f.ctx(0, 0, 0.0)).is_empty());
         assert!(policy.on_tick(&f.ctx(0, 0, 30.0)).is_empty());
@@ -711,7 +618,7 @@ mod tests {
             !released.is_empty(),
             "third consecutive surplus tick releases"
         );
-        assert_eq!(policy.consecutive_surplus(), 3);
+        assert_eq!(policy.consecutive_surplus, 3);
 
         // A deficit resets the damping counter and scales out at once…
         commit_gpus(&mut f.cluster, 0, 1, 8);
@@ -724,7 +631,7 @@ mod tests {
             out.as_slice(),
             [ElasticityAction::ProvisionHosts { .. }]
         ));
-        assert_eq!(policy.consecutive_surplus(), 0);
+        assert_eq!(policy.consecutive_surplus, 0);
         // …but a second deficit tick inside the cooldown stays quiet.
         assert!(policy.on_tick(&f.ctx(0, 0, 120.0)).is_empty());
         // After the cooldown expires the policy provisions again.
@@ -734,24 +641,16 @@ mod tests {
     #[test]
     fn hysteresis_shortfall_ignores_cooldown() {
         let f = Fixture::homogeneous(2);
-        let mut policy = Hysteresis::new(1_000_000.0, 4);
+        let mut policy = Elasticity::new(ElasticityKind::Hysteresis {
+            cooldown_s: 1_000_000.0,
+            surplus_ticks: 4,
+        });
         let shortfall = DemandShortfall {
             replicas: 1,
             request: ResourceRequest::one_gpu(),
         };
-        assert!(!policy
-            .on_demand_shortfall(&f.ctx(0, 0, 0.0), shortfall)
-            .is_empty());
-        assert!(!policy
-            .on_demand_shortfall(&f.ctx(0, 0, 1.0), shortfall)
-            .is_empty());
-    }
-
-    #[test]
-    fn build_maps_kinds_to_policies() {
-        assert_eq!(build(ElasticityKind::Threshold).name(), "threshold");
-        assert_eq!(build(ElasticityKind::ShapeAware).name(), "shape-aware");
-        assert_eq!(build(ElasticityKind::hysteresis()).name(), "hysteresis");
+        assert!(!policy.on_shortfall(&f.ctx(0, 0, 0.0), shortfall).is_empty());
+        assert!(!policy.on_shortfall(&f.ctx(0, 0, 1.0), shortfall).is_empty());
     }
 
     #[test]

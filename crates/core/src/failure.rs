@@ -49,7 +49,8 @@ impl FailureDetector {
     }
 
     /// Removes a replica (clean termination — not a failure).
-    pub fn deregister(&mut self, replica: ReplicaId) {
+    #[cfg(test)]
+    pub(crate) fn deregister(&mut self, replica: ReplicaId) {
         self.last_seen.remove(&replica);
         self.failed.remove(&replica);
     }

@@ -19,9 +19,9 @@
 //!   dynamic GPU binding, migration §3.2.3, auto-scaling §3.4.2) plus the
 //!   three baselines (Reservation, Batch, NotebookOS-LCP) in one
 //!   discrete-event world,
-//! * [`elasticity`] — the pluggable elasticity control plane: scale-out,
-//!   scale-in, and pre-warm reconciliation decisions behind one trait
-//!   (threshold / shape-aware / hysteresis policies),
+//! * `elasticity` (crate-private) — the §3.4.2 auto-scaler: scale-out
+//!   and scale-in decisions, one controller matched on
+//!   [`ElasticityKind`] (threshold / shape-aware / hysteresis),
 //! * [`billing`] — the §5.5.1 cost/revenue model,
 //! * [`reclamation`] — the Fig. 13 idle-reclamation savings analysis,
 //! * [`latency_breakdown`] — Fig. 15–19 critical-path accounting.
@@ -43,7 +43,7 @@
 pub mod ast;
 pub mod billing;
 pub mod config;
-pub mod elasticity;
+mod elasticity;
 pub mod election;
 pub mod failure;
 pub mod gateway;
@@ -61,10 +61,6 @@ pub mod types;
 pub use billing::BillingMeter;
 pub use config::{
     AutoscaleConfig, BillingConfig, ElasticityKind, PlacementKind, PlatformConfig, PolicyKind,
-};
-pub use elasticity::{
-    DemandShortfall, ElasticityAction, ElasticityContext, ElasticityPolicy, Hysteresis, ShapeAware,
-    Threshold,
 };
 pub use election::{Designation, ElectionModel};
 pub use failure::{recovery_action, FailureDetector, RecoveryAction};

@@ -20,9 +20,7 @@ use notebookos_trace::WorkloadTrace;
 
 use crate::billing::BillingMeter;
 use crate::config::{PlacementKind, PlatformConfig, PolicyKind};
-use crate::elasticity::{
-    self, DemandShortfall, ElasticityAction, ElasticityContext, ElasticityPolicy,
-};
+use crate::elasticity::{self, DemandShortfall, Elasticity, ElasticityAction, ElasticityContext};
 use crate::election::{Designation, ElectionModel};
 use crate::latency_breakdown::Step;
 use crate::policy::{
@@ -131,9 +129,8 @@ pub struct Platform {
     /// GPUs aboard the in-flight hosts (shape-aware fleets provision
     /// mixed shapes, so a host count alone no longer measures capacity).
     gpus_in_flight: u64,
-    /// The elasticity policy deciding scale-out/scale-in/reconciliation
-    /// (`None` only transiently while the policy is consulted).
-    elasticity: Option<Box<dyn ElasticityPolicy + Send>>,
+    /// The auto-scaler deciding scale-out and scale-in.
+    elasticity: Elasticity,
     /// Shapes scale-out may provision, ascending by GPU count.
     shape_catalog: Vec<ResourceBundle>,
     placement: Box<dyn PlacementPolicy + Send>,
@@ -220,7 +217,7 @@ impl Platform {
                 .map(|(shape, _)| shape)
                 .collect()
         };
-        let elasticity = Some(elasticity::build(config.autoscale.elasticity));
+        let elasticity = Elasticity::new(config.autoscale.elasticity);
         let mut platform = Platform {
             placement,
             pool: PrewarmPool::new(),
@@ -352,7 +349,8 @@ impl Platform {
         }
     }
 
-    /// Exponential inter-failure time from the configured MTBF.
+    /// An exponentially distributed inter-failure time with the configured
+    /// MTBF as its mean.
     fn next_failure_delay(&mut self) -> SimTime {
         let mtbf_h = self.config.replica_mtbf_hours.expect("injection enabled");
         let hours = -self.rng.next_f64_open().ln() * mtbf_h;
@@ -1191,36 +1189,25 @@ impl Platform {
     }
 
     // ------------------------------------------------------------------
-    // Elasticity: the platform routes fleet events to the configured
-    // policy (crate::elasticity) and applies the actions it returns.
+    // Elasticity: the platform consults the auto-scaler
+    // (crate::elasticity) and applies the actions it returns.
     // ------------------------------------------------------------------
 
-    /// Consults the elasticity policy with a read-only fleet snapshot.
-    /// `with_queued` controls whether the snapshot carries the parked
-    /// kernels' resource requests: scaling decisions (ticks, shortfalls)
-    /// need them, while host-ready/removed notifications fire once per
-    /// fleet event and skip the per-consult collection.
-    fn consult_elasticity<F>(
+    /// Consults the auto-scaler with a read-only fleet snapshot that
+    /// carries the parked kernels' resource requests: a periodic tick, or
+    /// the demand `shortfall` a placement hit.
+    fn consult_elasticity(
         &mut self,
         now: SimTime,
-        with_queued: bool,
-        consult: F,
-    ) -> Vec<ElasticityAction>
-    where
-        F: FnOnce(&mut dyn ElasticityPolicy, &ElasticityContext<'_>) -> Vec<ElasticityAction>,
-    {
-        let mut policy = self.elasticity.take().expect("elasticity policy present");
-        let queued_demand: Vec<ResourceRequest> = if with_queued {
-            self.pending_kernels
-                .iter()
-                .map(|&s| self.sessions[s].req)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        shortfall: Option<DemandShortfall>,
+    ) -> Vec<ElasticityAction> {
+        let queued_demand: Vec<ResourceRequest> = self
+            .pending_kernels
+            .iter()
+            .map(|&s| self.sessions[s].req)
+            .collect();
         let ctx = ElasticityContext {
             cluster: &self.cluster,
-            pool: &self.pool,
             autoscale: &self.config.autoscale,
             host_shape: self.config.host_shape,
             shape_catalog: &self.shape_catalog,
@@ -1230,16 +1217,15 @@ impl Platform {
             queued_demand: &queued_demand,
             now_s: now.as_secs_f64(),
         };
-        let actions = consult(policy.as_mut(), &ctx);
-        self.elasticity = Some(policy);
-        actions
+        match shortfall {
+            None => self.elasticity.on_tick(&ctx),
+            Some(shortfall) => self.elasticity.on_shortfall(&ctx, shortfall),
+        }
     }
 
     /// Applies elasticity actions: charges provisioning latencies,
-    /// retires idle hosts, reconciles the pre-warm pool, and refreshes the
-    /// fleet gauges — all the mechanics the policies are forbidden to
-    /// touch. Follow-up actions a policy emits from its host-ready/removed
-    /// notifications join the same worklist.
+    /// retires idle hosts, and refreshes the fleet gauges — all the
+    /// mechanics the decisions are forbidden to touch.
     fn apply_elasticity(
         &mut self,
         now: SimTime,
@@ -1247,10 +1233,9 @@ impl Platform {
         sched: &mut dyn Scheduler<Ev>,
     ) {
         let now_s = now.as_secs_f64();
-        let mut worklist: VecDeque<ElasticityAction> = actions.into();
         let mut retired_any = false;
         let mut provisioned_any = false;
-        while let Some(action) = worklist.pop_front() {
+        for action in actions {
             match action {
                 ElasticityAction::ProvisionHosts { shape, count } => {
                     if count == 0 {
@@ -1281,7 +1266,7 @@ impl Platform {
                     // §3.4.2 releases *idle* servers only (no kernel
                     // replicas at all): draining hosts that still hold
                     // replica subscriptions would block placements and
-                    // ratchet the fleet upward. The policy decided on a
+                    // ratchet the fleet upward. The decision was made on a
                     // snapshot, so re-check before removing.
                     let Some(h) = self.cluster.host(host) else {
                         continue;
@@ -1299,11 +1284,7 @@ impl Platform {
                     self.metrics.counters.scale_ins += 1;
                     self.metrics.record_host_retired(shape);
                     retired_any = true;
-                    let follow =
-                        self.consult_elasticity(now, false, |p, ctx| p.on_host_removed(ctx, host));
-                    worklist.extend(follow);
                 }
-                ElasticityAction::ReconcilePrewarm => self.reconcile_prewarm(sched),
             }
         }
         if retired_any {
@@ -1313,7 +1294,7 @@ impl Platform {
         }
     }
 
-    /// Demand found no viable host: route the shortfall to the policy
+    /// Demand found no viable host: route the shortfall to the auto-scaler
     /// (§3.4.2's scale-out trigger).
     fn trigger_scale_out(
         &mut self,
@@ -1326,8 +1307,7 @@ impl Platform {
             return;
         }
         let shortfall = DemandShortfall { replicas, request };
-        let actions =
-            self.consult_elasticity(now, true, |p, ctx| p.on_demand_shortfall(ctx, shortfall));
+        let actions = self.consult_elasticity(now, Some(shortfall));
         self.apply_elasticity(now, actions, sched);
     }
 
@@ -1353,8 +1333,6 @@ impl Platform {
         self.refresh_fleet_billing(now_s);
         self.refresh_provisioned_gauge(now_s);
         self.refresh_sr_gauge(now_s);
-        let follow = self.consult_elasticity(now, false, |p, ctx| p.on_host_ready(ctx, id));
-        self.apply_elasticity(now, follow, sched);
         // Resume parked kernel creations (§3.4.2: "resources are
         // immediately reserved for the paused kernel replicas").
         let parked: Vec<usize> = self.pending_kernels.drain(..).collect();
@@ -1366,7 +1344,7 @@ impl Platform {
     }
 
     fn on_autoscale_tick(&mut self, now: SimTime, sched: &mut dyn Scheduler<Ev>) {
-        let actions = self.consult_elasticity(now, true, |p, ctx| p.on_tick(ctx));
+        let actions = self.consult_elasticity(now, None);
         self.apply_elasticity(now, actions, sched);
         if now.as_micros() < self.horizon_us {
             sched.schedule_in(
@@ -1378,8 +1356,7 @@ impl Platform {
 
     /// Provisions whatever the pre-warm pool is missing under the
     /// configured per-host minimum. Driven by the periodic
-    /// [`Ev::PrewarmReconcileTick`] (and by policies emitting
-    /// [`ElasticityAction::ReconcilePrewarm`]), so pools recover after a
+    /// [`Ev::PrewarmReconcileTick`], so pools recover after a
     /// flash crowd instead of waiting for the next host arrival.
     fn reconcile_prewarm(&mut self, sched: &mut dyn Scheduler<Ev>) {
         let minimum = self.config.prewarm_min_per_host;

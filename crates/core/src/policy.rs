@@ -54,7 +54,8 @@ impl PlacementContext<'_> {
     /// cap-independent; gauges and screen paths that only need "how many
     /// hosts could take this kernel" should call this instead of paying
     /// the O(hosts) scan.
-    pub fn viable_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn viable_count(&self) -> usize {
         self.cluster.viable_count(self.request)
     }
 
@@ -64,7 +65,8 @@ impl PlacementContext<'_> {
     /// levels, so
     /// screen users that only need the split — SR-pressure gauges,
     /// shortfall diagnostics — skip the O(hosts) scan entirely.
-    pub fn viable_counts(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn viable_counts(&self) -> (usize, usize) {
         self.cluster
             .viable_counts(self.request, self.replication_factor, self.sr_cap())
     }

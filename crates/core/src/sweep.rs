@@ -5,16 +5,16 @@
 //! core. This module centralizes that loop behind a worker pool:
 //!
 //! * [`parallel_map_indexed`] — the deterministic, order-preserving
-//!   executor: a pool of worker threads drains a job channel and results
-//!   are collected by index, so the output order never depends on thread
-//!   scheduling.
+//!   executor: scoped worker threads claim items through a shared atomic
+//!   cursor and results are put back in item order, so the output order
+//!   never depends on thread scheduling.
 //! * [`SweepSpec`] — a matrix of policies × placements × elasticities ×
 //!   seeds × scenario variants, expanded into [`SweepJob`]s and executed
 //!   by the pool.
-//! * [`SweepReport`] — per-run [`RunMetrics`] plus cross-seed aggregation
-//!   (pooled CDFs, means, and 95 % confidence intervals —
-//!   [`SweepAggregate`]) and persistence ([`SweepReport::write_json`],
-//!   the full records; [`SweepReport::write_csv`], the headline scalars).
+//! * [`SweepReport`] — per-run [`RunMetrics`], one query that aggregates
+//!   the runs a predicate selects ([`SweepReport::aggregate`]: pooled
+//!   CDFs, means, and 95 % confidence intervals — [`SweepAggregate`]),
+//!   and persistence of the full records ([`SweepReport::write_json`]).
 //!
 //! A sweep runs in one process, on the pool: the largest study this
 //! repository commits (72 runs of the 17.5-hour excerpt) simulates in
@@ -26,7 +26,7 @@
 //! # Determinism
 //!
 //! [`Platform::run`] is a pure function of `(config, trace)`; workers share
-//! nothing but the job queue. A sweep-produced [`RunMetrics`] is therefore
+//! nothing but the job cursor. A sweep-produced [`RunMetrics`] is therefore
 //! identical to the record a sequential `Platform::run` with the same
 //! inputs produces, whatever the worker count — the
 //! `sweep_runs_equal_sequential_runs` property test in `tests/properties.rs`
@@ -48,13 +48,14 @@
 //!     .workers(2)
 //!     .run();
 //! assert_eq!(report.runs.len(), 2);
-//! let agg = report.aggregate("smoke", PolicyKind::NotebookOs).unwrap();
+//! let agg = report.aggregate(|run| run.scenario == "smoke").unwrap();
 //! assert_eq!(agg.interactivity_p50_ms.n, 2);
 //! ```
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use notebookos_cluster::ResourceBundle;
 use notebookos_jupyter::json::encode_string;
@@ -76,87 +77,61 @@ pub fn default_workers() -> usize {
 
 /// Runs `f` over `items` on a pool of `workers` threads (0 = automatic,
 /// see [`default_workers`]), returning results in item order regardless of
-/// completion order. `on_done` fires on the coordinating thread as each
-/// item completes (in completion order) — progress reporting hooks in
-/// there.
+/// completion order.
 ///
-/// Jobs flow through two `std::sync::mpsc` channels: an indexed job
-/// channel drained by the pool, and a result channel collected by index.
-pub fn parallel_map_indexed<T, R, F, C>(
-    items: Vec<T>,
-    workers: usize,
-    f: F,
-    mut on_done: C,
-) -> Vec<R>
+/// The pool is `std::thread::scope`: each worker claims the next item
+/// index from a shared atomic cursor and keeps its `(index, result)`
+/// pairs in a vector of its own; the pairs are sorted back into item
+/// order once every worker has joined.
+pub fn parallel_map_indexed<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    C: FnMut(usize, &R),
+    F: Fn(usize, &T) -> R + Sync,
 {
-    let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
     let workers = if workers == 0 {
         default_workers()
     } else {
         workers
     }
-    .min(total)
-    .max(1);
-    if workers == 1 {
+    .min(items.len());
+    if workers <= 1 {
         // Degenerate pool: run inline, sparing thread setup.
         return items
-            .into_iter()
+            .iter()
             .enumerate()
-            .map(|(idx, item)| {
-                let r = f(idx, item);
-                on_done(idx, &r);
-                r
-            })
+            .map(|(i, item)| f(i, item))
             .collect();
     }
-
-    let (job_tx, job_rx) = mpsc::channel::<(usize, T)>();
-    for pair in items.into_iter().enumerate() {
-        assert!(job_tx.send(pair).is_ok(), "job receiver alive");
-    }
-    drop(job_tx); // queue is fully loaded; workers stop when it drains
-    let job_rx = Mutex::new(job_rx);
-    let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-
-    let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let result_tx = result_tx.clone();
-            let job_rx = &job_rx;
-            let f = &f;
-            scope.spawn(move || loop {
-                // All jobs were enqueued before the pool started and the
-                // sender is gone, so an empty queue means "done" — no
-                // blocking receive needed.
-                let job = job_rx.lock().expect("job queue lock").try_recv();
-                match job {
-                    Ok((idx, item)) => {
-                        let r = f(idx, item);
-                        if result_tx.send((idx, r)).is_err() {
-                            return;
-                        }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // `Relaxed` suffices: the cursor publishes no data.
+                        // The items were written before the spawn, and the
+                        // results come back through `join`.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return mine;
+                        };
+                        mine.push((i, f(i, item)));
                     }
-                    Err(_) => return,
-                }
-            });
-        }
-        drop(result_tx);
-        for (idx, r) in result_rx.iter() {
-            on_done(idx, &r);
-            out[idx] = Some(r);
-        }
+                })
+            })
+            .collect();
+        pool.into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    out.into_iter()
-        .map(|r| r.expect("every job produces a result"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One cell of a sweep matrix: a fully resolved `(config, trace)` pair
@@ -178,7 +153,7 @@ pub struct SweepJob {
     /// The workload to replay, shared so a large job matrix holds one
     /// copy per `(scenario, seed)` rather than one per job; the private
     /// copy [`Platform::run`] needs is made inside the worker, capping
-    /// live copies at the pool size.
+    /// extra copies at the pool size.
     pub trace: Arc<WorkloadTrace>,
 }
 
@@ -205,11 +180,10 @@ impl SweepJob {
         }
     }
 
-    /// Executes the job — exactly [`Platform::run`] on its inputs. The
-    /// trace is moved out when this job holds the last reference.
-    pub fn run(self) -> RunMetrics {
-        let trace = Arc::try_unwrap(self.trace).unwrap_or_else(|shared| (*shared).clone());
-        Platform::run(self.config, trace)
+    /// Executes the job — exactly [`Platform::run`] on copies of its
+    /// inputs.
+    pub fn run(&self) -> RunMetrics {
+        Platform::run(self.config.clone(), (*self.trace).clone())
     }
 }
 
@@ -217,7 +191,7 @@ impl SweepJob {
 /// metrics in job order. The building block the figure binaries use when
 /// they already hold a trace.
 pub fn run_jobs(jobs: Vec<SweepJob>, workers: usize) -> Vec<RunMetrics> {
-    parallel_map_indexed(jobs, workers, |_, job: SweepJob| job.run(), |_, _| {})
+    parallel_map_indexed(&jobs, workers, |_, job| job.run())
 }
 
 /// One workload scenario a sweep ranges over: a synthetic-workload shape,
@@ -300,10 +274,9 @@ impl Scenario {
 pub struct SweepSpec {
     /// Scheduling policies to evaluate.
     pub policies: Vec<PolicyKind>,
-    /// Replica-placement policies to range over. The default empty list
-    /// keeps whatever placement [`SweepSpec::configure`] chose (a single
-    /// implicit cell), reproducing pre-placement-axis sweeps exactly;
-    /// a non-empty list stamps each placement into the config.
+    /// Replica-placement policies to range over. The default
+    /// single-element `[LeastLoaded]` is the paper's placement, the one
+    /// [`PlatformConfig::evaluation`] picks.
     pub placements: Vec<PlacementKind>,
     /// Elasticity policies to range over (the control-plane axis). The
     /// default single-element `[Threshold]` reproduces pre-elasticity
@@ -332,7 +305,7 @@ impl SweepSpec {
     pub fn new() -> Self {
         SweepSpec {
             policies: vec![PolicyKind::NotebookOs],
-            placements: Vec::new(),
+            placements: vec![PlacementKind::LeastLoaded],
             elasticities: vec![ElasticityKind::Threshold],
             seeds: vec![PlatformConfig::evaluation(PolicyKind::NotebookOs).seed],
             scenarios: vec![Scenario::excerpt()],
@@ -398,30 +371,23 @@ impl SweepSpec {
     /// policy, then placement, then elasticity. All runs of a
     /// `(scenario, seed)` share one generated trace.
     pub fn jobs(&self) -> Vec<SweepJob> {
-        let placements: Vec<Option<PlacementKind>> = if self.placements.is_empty() {
-            vec![None]
-        } else {
-            self.placements.iter().copied().map(Some).collect()
-        };
         let mut jobs = Vec::new();
         for scenario in &self.scenarios {
             for &seed in &self.seeds {
                 let trace = Arc::new(scenario.trace(seed));
                 for &policy in &self.policies {
-                    for &placement in &placements {
+                    for &placement in &self.placements {
                         for &elasticity in &self.elasticities {
                             let mut config = (self.configure)(policy);
                             config.policy = policy;
                             config.seed = seed;
                             config.autoscale.elasticity = elasticity;
-                            if let Some(placement) = placement {
-                                config.placement = placement;
-                            }
+                            config.placement = placement;
                             scenario.apply(&mut config);
                             jobs.push(SweepJob {
                                 scenario: scenario.name.clone(),
                                 policy,
-                                placement: config.placement,
+                                placement,
                                 elasticity,
                                 seed,
                                 config,
@@ -437,33 +403,14 @@ impl SweepSpec {
 
     /// Executes the matrix on the pool and collects the runs in job order.
     pub fn run(&self) -> SweepReport {
-        self.run_with_progress(|_, _| {})
-    }
-
-    /// Executes the matrix, invoking `progress(done_so_far, total)` on the
-    /// coordinating thread as each run completes.
-    pub fn run_with_progress<P: FnMut(usize, usize)>(&self, mut progress: P) -> SweepReport {
-        let jobs = self.jobs();
-        let total = jobs.len();
-        let mut done = 0usize;
-        let runs = parallel_map_indexed(
-            jobs,
-            self.workers,
-            // The labels are read off the job before `run` consumes it
-            // (and with it the job's share of the trace).
-            |_, job: SweepJob| SweepRun {
-                scenario: job.scenario.clone(),
-                policy: job.policy,
-                placement: job.placement,
-                elasticity: job.elasticity,
-                seed: job.seed,
-                metrics: job.run(),
-            },
-            |_, _| {
-                done += 1;
-                progress(done, total);
-            },
-        );
+        let runs = parallel_map_indexed(&self.jobs(), self.workers, |_, job| SweepRun {
+            scenario: job.scenario.clone(),
+            policy: job.policy,
+            placement: job.placement,
+            elasticity: job.elasticity,
+            seed: job.seed,
+            metrics: job.run(),
+        });
         SweepReport { runs }
     }
 }
@@ -504,169 +451,20 @@ impl SweepReport {
         self.runs.is_empty()
     }
 
-    /// Runs matching a `(scenario, policy)` cell (any elasticity), in job
-    /// order.
-    pub fn runs_for(&self, scenario: &str, policy: PolicyKind) -> Vec<&SweepRun> {
-        self.runs
-            .iter()
-            .filter(|r| r.scenario == scenario && r.policy == policy)
-            .collect()
-    }
-
-    /// Runs matching a full `(scenario, policy, elasticity)` cell, in
-    /// seed order.
-    pub fn runs_for_cell(
-        &self,
-        scenario: &str,
-        policy: PolicyKind,
-        elasticity: ElasticityKind,
-    ) -> Vec<&SweepRun> {
-        self.runs
-            .iter()
-            .filter(|r| r.scenario == scenario && r.policy == policy && r.elasticity == elasticity)
-            .collect()
-    }
-
-    /// Aggregates one `(scenario, policy)` cell across its seeds (pooling
-    /// all elasticities — on single-elasticity sweeps this is the cell
-    /// itself), or `None` when the sweep holds no such runs.
-    pub fn aggregate(&self, scenario: &str, policy: PolicyKind) -> Option<SweepAggregate> {
-        let runs = self.runs_for(scenario, policy);
-        if runs.is_empty() {
-            return None;
-        }
-        Some(SweepAggregate::from_runs(scenario, policy, &runs))
-    }
-
-    /// Aggregates one `(scenario, policy, elasticity)` cell across its
-    /// seeds, or `None` when the sweep holds no such runs.
-    pub fn aggregate_cell(
-        &self,
-        scenario: &str,
-        policy: PolicyKind,
-        elasticity: ElasticityKind,
-    ) -> Option<SweepAggregate> {
-        let runs = self.runs_for_cell(scenario, policy, elasticity);
-        if runs.is_empty() {
-            return None;
-        }
-        Some(SweepAggregate::from_runs(scenario, policy, &runs))
-    }
-
-    /// Runs matching a full `(scenario, policy, placement, elasticity)`
-    /// interaction cell, in seed order.
-    pub fn runs_for_interaction(
-        &self,
-        scenario: &str,
-        policy: PolicyKind,
-        placement: PlacementKind,
-        elasticity: ElasticityKind,
-    ) -> Vec<&SweepRun> {
-        self.runs
-            .iter()
-            .filter(|r| {
-                r.scenario == scenario
-                    && r.policy == policy
-                    && r.placement == placement
-                    && r.elasticity == elasticity
-            })
-            .collect()
-    }
-
-    /// Aggregates one `(scenario, policy, placement, elasticity)`
-    /// interaction cell across its seeds — the `placement × elasticity`
-    /// study's unit — or `None` when the sweep holds no such runs.
-    pub fn aggregate_interaction(
-        &self,
-        scenario: &str,
-        policy: PolicyKind,
-        placement: PlacementKind,
-        elasticity: ElasticityKind,
-    ) -> Option<SweepAggregate> {
-        let runs = self.runs_for_interaction(scenario, policy, placement, elasticity);
-        if runs.is_empty() {
-            return None;
-        }
-        Some(SweepAggregate::from_runs(scenario, policy, &runs))
-    }
-
-    /// Aggregates every `(scenario, policy, elasticity)` cell, in
-    /// first-appearance order.
-    pub fn aggregates(&self) -> Vec<SweepAggregate> {
-        let mut seen: Vec<(String, PolicyKind, ElasticityKind)> = Vec::new();
-        for run in &self.runs {
-            let key = (run.scenario.clone(), run.policy, run.elasticity);
-            if !seen.contains(&key) {
-                seen.push(key);
-            }
-        }
-        seen.into_iter()
-            .filter_map(|(scenario, policy, elasticity)| {
-                self.aggregate_cell(&scenario, policy, elasticity)
-            })
-            .collect()
+    /// Aggregates the runs `select` picks across their seeds — one
+    /// `(scenario, policy, placement, elasticity)` cell, or any coarser
+    /// pooling the predicate asks for — or `None` when it picks no run.
+    pub fn aggregate(&self, select: impl Fn(&SweepRun) -> bool) -> Option<SweepAggregate> {
+        let runs: Vec<&SweepRun> = self.runs.iter().filter(|run| select(run)).collect();
+        (!runs.is_empty()).then(|| SweepAggregate::from_runs(&runs))
     }
 
     // ------------------------------------------------------------------
     // Persistence: per-run records are serialized so a study's numbers
-    // can be read outside this process. Both writers
-    // stage into a `.tmp` sibling and rename, so a killed sweep never
-    // leaves a truncated file behind.
+    // can be read outside this process. The writer stages into a `.tmp`
+    // sibling and renames, so a killed sweep never leaves a truncated
+    // file behind.
     // ------------------------------------------------------------------
-
-    /// Writes one CSV row of headline scalars per run — the spreadsheet
-    /// view of a study. Nothing in this workspace reads it back; the full
-    /// records live in the JSON report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing `path`.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), |out| self.emit_csv(out))
-    }
-
-    fn emit_csv<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
-        writeln!(
-            out,
-            "scenario,policy,elasticity,placement,seed,executions,aborted,\
-             kernel_creations,migrations,\
-             scale_outs,scale_ins,cold_starts,warm_hits,prewarms_discarded,prewarms_reconciled,\
-             distinct_shapes_provisioned,interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,\
-             gpu_hours_saved,provider_cost_usd,revenue_usd,end_s"
-        )?;
-        for run in &self.runs {
-            let m = &run.metrics;
-            let (cost, revenue) = m.final_billing().unwrap_or((0.0, 0.0));
-            writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:?},{:?},{:?},{:?},{:?},{:?},{:?}",
-                csv_field(&run.scenario),
-                csv_field(&run.policy.to_string()),
-                csv_field(&run.elasticity.to_string()),
-                csv_field(&run.placement.to_string()),
-                run.seed,
-                m.counters.executions,
-                m.counters.aborted,
-                m.counters.kernel_creations,
-                m.counters.migrations,
-                m.counters.scale_outs,
-                m.counters.scale_ins,
-                m.counters.cold_starts,
-                m.counters.warm_hits,
-                m.counters.prewarms_discarded,
-                m.counters.prewarms_reconciled,
-                m.distinct_shapes_provisioned(),
-                p50(&m.interactivity_ms),
-                p50(&m.tct_ms),
-                m.provisioned_gpu_hours(),
-                m.gpu_hours_saved_vs_reservation(),
-                cost,
-                revenue,
-                m.end_s,
-            )?;
-        }
-        Ok(())
-    }
 
     /// Writes the full per-run records — every CDF sample, timeline point,
     /// breakdown step, and counter — as JSON, runs in job order. The
@@ -730,22 +528,12 @@ fn write_atomic(
 }
 
 /// Median of a CDF without mutating it (`percentile` sorts in place, so
-/// a clone is queried); empty CDFs report `0.0`. Shared by the CSV writer
-/// and [`SweepAggregate`] so the two can never drift.
+/// a clone is queried); empty CDFs report `0.0`.
 fn p50(cdf: &Cdf) -> f64 {
     if cdf.is_empty() {
         0.0
     } else {
         cdf.clone().percentile(50.0)
-    }
-}
-
-/// Escapes a CSV field (labels are plain, but stay robust to commas).
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 
@@ -930,17 +718,11 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
     Ok(())
 }
 
-/// Cross-seed aggregate of one `(scenario, policy)` cell: pooled latency
-/// distributions plus mean ± 95 % CI of the headline scalars.
+/// Cross-seed aggregate of the runs a [`SweepReport::aggregate`] query
+/// selects: pooled latency distributions plus mean ± 95 % CI of the
+/// headline scalars.
 #[derive(Debug, Clone)]
 pub struct SweepAggregate {
-    /// Scenario label.
-    pub scenario: String,
-    /// Policy evaluated.
-    pub policy: PolicyKind,
-    /// The elasticity policy all contributing runs share, or `None` when
-    /// the aggregate pools runs across elasticities.
-    pub elasticity: Option<ElasticityKind>,
     /// Seeds that contributed, in run order.
     pub seeds: Vec<u64>,
     /// All seeds' interactivity samples pooled into one distribution.
@@ -971,7 +753,7 @@ pub struct SweepAggregate {
 }
 
 impl SweepAggregate {
-    fn from_runs(scenario: &str, policy: PolicyKind, runs: &[&SweepRun]) -> Self {
+    fn from_runs(runs: &[&SweepRun]) -> Self {
         let mut interactivity_p50 = Vec::with_capacity(runs.len());
         let mut tct_p50 = Vec::with_capacity(runs.len());
         let mut saved = Vec::with_capacity(runs.len());
@@ -991,25 +773,13 @@ impl SweepAggregate {
             scale_outs.push(m.counters.scale_outs as f64);
             scale_ins.push(m.counters.scale_ins as f64);
         }
-        let elasticity = match runs.split_first() {
-            Some((first, rest)) if rest.iter().all(|r| r.elasticity == first.elasticity) => {
-                Some(first.elasticity)
-            }
-            _ => None,
-        };
         SweepAggregate {
-            scenario: scenario.to_string(),
-            policy,
-            elasticity,
             seeds: runs.iter().map(|r| r.seed).collect(),
             interactivity_ms: Cdf::merged(
-                format!("{policy}/{scenario}/interactivity-ms"),
+                "interactivity-ms",
                 runs.iter().map(|r| &r.metrics.interactivity_ms),
             ),
-            tct_ms: Cdf::merged(
-                format!("{policy}/{scenario}/tct-ms"),
-                runs.iter().map(|r| &r.metrics.tct_ms),
-            ),
+            tct_ms: Cdf::merged("tct-ms", runs.iter().map(|r| &r.metrics.tct_ms)),
             interactivity_p50_ms: MeanCi::from_samples(&interactivity_p50),
             tct_p50_ms: MeanCi::from_samples(&tct_p50),
             gpu_hours_saved: MeanCi::from_samples(&saved),
@@ -1031,25 +801,42 @@ mod tests {
     #[test]
     fn parallel_map_preserves_item_order() {
         let items: Vec<u64> = (0..40).collect();
-        let mut completions = 0usize;
-        let out = parallel_map_indexed(
-            items.clone(),
-            4,
-            |idx, v| {
-                assert_eq!(idx as u64, v);
-                v * v
-            },
-            |_, _| completions += 1,
-        );
+        let out = parallel_map_indexed(&items, 4, |idx, &v| {
+            assert_eq!(idx as u64, v);
+            v * v
+        });
         assert_eq!(out, items.iter().map(|v| v * v).collect::<Vec<_>>());
-        assert_eq!(completions, 40);
+
+        // Item 0 finishes only after the last item has, so a pool that
+        // kept results in completion order would put it last. Item 0
+        // holds one worker; the others run everything else.
+        for workers in [2, 4] {
+            let last_done = std::sync::atomic::AtomicBool::new(false);
+            let last = items.len() - 1;
+            let out = parallel_map_indexed(&items, workers, |idx, &v| {
+                if idx == 0 {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                    while !last_done.load(Ordering::Acquire) {
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "the last item never ran while item 0 waited"
+                        );
+                        std::thread::yield_now();
+                    }
+                } else if idx == last {
+                    last_done.store(true, Ordering::Release);
+                }
+                v * v
+            });
+            assert_eq!(out, items.iter().map(|v| v * v).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single_worker() {
         let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map_indexed(empty, 4, |_, v: u8| v, |_, _| {}).is_empty());
-        let out = parallel_map_indexed(vec![1, 2, 3], 1, |_, v| v + 1, |_, _| {});
+        assert!(parallel_map_indexed(&empty, 4, |_, &v| v).is_empty());
+        let out = parallel_map_indexed(&[1, 2, 3], 1, |_, v| v + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -1096,7 +883,7 @@ mod tests {
         assert_eq!(report.len(), 3);
         assert!(!report.is_empty());
         let agg = report
-            .aggregate("smoke", PolicyKind::NotebookOs)
+            .aggregate(|run| run.scenario == "smoke" && run.policy == PolicyKind::NotebookOs)
             .expect("cell exists");
         assert_eq!(agg.seeds, vec![1, 2, 3]);
         assert_eq!(agg.interactivity_p50_ms.n, 3);
@@ -1114,8 +901,9 @@ mod tests {
                 .map(|r| r.metrics.counters.executions)
                 .sum::<u64>()
         );
-        assert!(report.aggregate("smoke", PolicyKind::Batch).is_none());
-        assert_eq!(report.aggregates().len(), 1);
+        assert!(report
+            .aggregate(|run| run.policy == PolicyKind::Batch)
+            .is_none());
     }
 
     #[test]
@@ -1139,96 +927,44 @@ mod tests {
             ElasticityKind::ShapeAware
         );
         let report = spec.run();
-        assert_eq!(report.aggregates().len(), 3, "one aggregate per cell");
-        let cell = report
-            .aggregate_cell("smoke", PolicyKind::NotebookOs, ElasticityKind::ShapeAware)
-            .expect("cell exists");
-        assert_eq!(cell.elasticity, Some(ElasticityKind::ShapeAware));
-        assert_eq!(cell.seeds, vec![1]);
-        // The legacy (scenario, policy) aggregate pools across the axis.
-        let pooled = report
-            .aggregate("smoke", PolicyKind::NotebookOs)
-            .expect("pooled cell");
-        assert_eq!(pooled.elasticity, None);
-        assert_eq!(pooled.seeds.len(), 3);
+        for kind in ElasticityKind::ALL {
+            let cell = report
+                .aggregate(|run| run.elasticity == kind)
+                .expect("one aggregate per cell");
+            assert_eq!(cell.seeds, vec![1]);
+            let run = report
+                .runs
+                .iter()
+                .find(|run| run.elasticity == kind)
+                .expect("the cell's run");
+            assert_eq!(cell.executions, run.metrics.counters.executions);
+        }
     }
 
     #[test]
-    fn report_persists_csv_and_json() {
-        // The tuned hysteresis cell's label holds a comma, so the CSV
-        // writer must quote it.
-        let hysteresis = ElasticityKind::Hysteresis {
-            cooldown_s: 90.0,
-            surplus_ticks: 3,
-        };
+    fn report_persists_json() {
         let report = SweepSpec::new()
             .policies(vec![PolicyKind::NotebookOs])
-            .elasticities(vec![ElasticityKind::Threshold, hysteresis])
+            .elasticities(vec![
+                ElasticityKind::Threshold,
+                ElasticityKind::Hysteresis {
+                    cooldown_s: 90.0,
+                    surplus_ticks: 3,
+                },
+            ])
             .seeds(vec![1, 2])
             .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
             .workers(2)
             .run();
         let dir = std::env::temp_dir().join(format!("notebookos-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let csv_path = dir.join("report.csv");
         let json_path = dir.join("report.json");
-        report.write_csv(&csv_path).expect("csv written");
         report.write_json(&json_path).expect("json written");
-
-        let csv = std::fs::read_to_string(&csv_path).expect("csv readable");
-        assert_eq!(csv.lines().count(), 5, "header + one row per run");
-        let header = csv.lines().next().unwrap();
-        assert_eq!(
-            header,
-            "scenario,policy,elasticity,placement,seed,executions,aborted,\
-             kernel_creations,migrations,scale_outs,scale_ins,cold_starts,warm_hits,\
-             prewarms_discarded,prewarms_reconciled,distinct_shapes_provisioned,\
-             interactivity_p50_ms,tct_p50_ms,provisioned_gpu_hours,gpu_hours_saved,\
-             provider_cost_usd,revenue_usd,end_s"
-        );
-        let columns = header.split(',').count();
-        // A comma inside a quoted field does not end the field.
-        let fields = |row: &str| {
-            let mut out = vec![String::new()];
-            let mut quoted = false;
-            for ch in row.chars() {
-                match ch {
-                    '"' => quoted = !quoted,
-                    ',' if !quoted => out.push(String::new()),
-                    _ => out.last_mut().expect("one field open").push(ch),
-                }
-            }
-            out
-        };
-        let rows: Vec<Vec<String>> = csv.lines().skip(1).map(fields).collect();
-        assert_eq!(rows.len(), report.len());
-        for (row, run) in rows.iter().zip(&report.runs) {
-            assert_eq!(row.len(), columns, "row width: {row:?}");
-            assert_eq!(
-                row[..4],
-                [
-                    "smoke",
-                    "NotebookOS",
-                    &run.elasticity.to_string(),
-                    "least-loaded"
-                ]
-            );
-            assert_eq!(row[4], run.seed.to_string(), "seed");
-            assert_eq!(row[5], run.metrics.counters.executions.to_string());
-        }
-        assert_eq!(rows[1][2], "hysteresis(cooldown=90s,surplus=3)");
-        assert!(
-            csv.contains(",\"hysteresis(cooldown=90s,surplus=3)\","),
-            "the comma-holding label is quoted"
-        );
-        assert_eq!(rows[0][4], "1", "seed");
-        assert_eq!(rows[2][4], "2", "seed");
         // No staging file may survive an atomic write.
-        assert!(!dir.join("report.csv.tmp").exists());
         assert!(!dir.join("report.json.tmp").exists());
 
         let json = std::fs::read_to_string(&json_path).expect("json readable");
         assert_eq!(json.matches("\"seed\":").count(), 4, "one object per run");
+        assert!(json.contains("\"hysteresis(cooldown=90s,surplus=3)\""));
         for key in [
             "\"interactivity_ms\"",
             "\"provisioned_gpus\"",
@@ -1263,47 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_quote_labels_and_carry_headline_scalars() {
-        let report = SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation, PolicyKind::NotebookOs])
-            .elasticities(vec![
-                ElasticityKind::Threshold,
-                ElasticityKind::Hysteresis {
-                    cooldown_s: 90.0,
-                    surplus_ticks: 3,
-                },
-            ])
-            .seeds(vec![1])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(2)
-            .run();
-        let dir = std::env::temp_dir().join(format!("notebookos-csv-{}", std::process::id()));
-        let path = dir.join("report.csv");
-        report.write_csv(&path).expect("csv written");
-        let text = std::fs::read_to_string(&path).expect("csv readable");
-        let rows: Vec<&str> = text.lines().skip(1).collect();
-        assert_eq!(rows.len(), report.len(), "one row per run");
-        // Hysteresis labels contain commas; quoting must survive.
-        assert!(text.contains(",\"hysteresis(cooldown=90s,surplus=3)\","));
-        for (row, run) in rows.iter().zip(&report.runs) {
-            let mut elasticity = run.elasticity.to_string();
-            if elasticity.contains(',') {
-                elasticity = format!("\"{elasticity}\"");
-            }
-            let labels = format!(
-                "{},{},{elasticity},{},{},{},",
-                run.scenario, run.policy, run.placement, run.seed, run.metrics.counters.executions
-            );
-            assert!(row.starts_with(&labels), "{row} !~ {labels}");
-            assert!(
-                row.ends_with(&format!(",{:?}", run.metrics.end_s)),
-                "{row} does not end in end_s"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn placement_axis_expands_and_stamps_configs() {
         let spec = SweepSpec::new()
             .policies(vec![PolicyKind::NotebookOs])
@@ -1316,7 +1011,7 @@ mod tests {
             assert_eq!(job.placement, kind);
             assert_eq!(job.config.placement, kind);
         }
-        // The default (empty) axis keeps the configure hook's placement.
+        // The default axis is the paper's placement.
         let default_jobs = SweepSpec::new()
             .policies(vec![PolicyKind::NotebookOs])
             .seeds(vec![1])
@@ -1324,17 +1019,6 @@ mod tests {
             .jobs();
         assert_eq!(default_jobs.len(), 1);
         assert_eq!(default_jobs[0].placement, PlacementKind::LeastLoaded);
-    }
-
-    #[test]
-    fn progress_callback_counts_to_total() {
-        let mut last = (0, 0);
-        SweepSpec::new()
-            .policies(vec![PolicyKind::Reservation])
-            .seeds(vec![1, 2])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(2)
-            .run_with_progress(|done, total| last = (done, total));
-        assert_eq!(last, (2, 2));
+        assert_eq!(default_jobs[0].config.placement, PlacementKind::LeastLoaded);
     }
 }

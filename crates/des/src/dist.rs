@@ -50,72 +50,6 @@ impl Distribution for Uniform {
     }
 }
 
-/// Exponential distribution with the given rate λ (mean `1/λ`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not strictly positive and finite.
-    pub fn with_mean(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        Exponential { rate: 1.0 / mean }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.next_f64_open().ln() / self.rate
-    }
-}
-
-/// Normal distribution, sampled via the Box–Muller transform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or either parameter is non-finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
-        Normal { mean, std_dev }
-    }
-
-    /// Draws a standard-normal variate.
-    pub fn standard_sample(rng: &mut SimRng) -> f64 {
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-}
-
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.mean + self.std_dev * Normal::standard_sample(rng)
-    }
-}
-
 /// Log-normal distribution: `exp(N(mu, sigma))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
@@ -164,8 +98,15 @@ impl LogNormal {
 
 impl Distribution for LogNormal {
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * Normal::standard_sample(rng)).exp()
+        (self.mu + self.sigma * standard_normal(rng)).exp()
     }
+}
+
+/// Draws a standard-normal variate via the Box–Muller transform.
+fn standard_normal(rng: &mut SimRng) -> f64 {
+    let u1 = rng.next_f64_open();
+    let u2 = rng.next_f64();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Inverse CDF of the standard normal (Acklam's rational approximation,
@@ -431,17 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_matches() {
-        let d = Exponential::with_mean(5.0);
-        let m = mean_of(&d, 2, 100_000);
-        assert!((m - 5.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
     fn normal_moments_match() {
-        let d = Normal::new(10.0, 2.0);
         let mut rng = SimRng::seed(3);
-        let samples = d.sample_n(&mut rng, 100_000);
+        let samples: Vec<f64> = (0..100_000)
+            .map(|_| 10.0 + 2.0 * standard_normal(&mut rng))
+            .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean {mean}");

@@ -35,7 +35,7 @@ pub mod rng;
 pub mod scheduler;
 pub mod time;
 
-pub use dist::{Distribution, Empirical, Exponential, LogNormal, Normal, Uniform};
+pub use dist::{Distribution, Empirical, LogNormal, Uniform};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{

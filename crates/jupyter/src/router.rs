@@ -116,7 +116,8 @@ impl Router {
     }
 
     /// Number of registered kernels.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.routes.len()
     }
 

@@ -13,8 +13,8 @@ use std::fmt;
 /// use notebookos_metrics::Table;
 ///
 /// let mut t = Table::new("policies", &["policy", "p50", "p99"]);
-/// t.row(&["Reservation", "0.9", "2.1"]);
-/// t.row(&["NotebookOS", "1.0", "8.4"]);
+/// t.row_owned(vec!["Reservation".into(), "0.9".into(), "2.1".into()]);
+/// t.row_owned(vec!["NotebookOS".into(), "1.0".into(), "8.4".into()]);
 /// let text = t.to_string();
 /// assert!(text.contains("Reservation"));
 /// ```
@@ -40,7 +40,8 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the header.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn row(&mut self, cells: &[&str]) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.header.len(),

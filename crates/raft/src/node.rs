@@ -269,7 +269,8 @@ impl<C: Clone> RaftNode<C> {
     }
 
     /// Most recent leader this node has heard from (or itself when leading).
-    pub fn leader_hint(&self) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn leader_hint(&self) -> Option<NodeId> {
         self.leader_hint
     }
 

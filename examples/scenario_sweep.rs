@@ -34,17 +34,16 @@ fn main() {
             .with_host_mix(Scenario::heterogeneous_hosts().host_mix),
     ];
 
+    let policies = [PolicyKind::NotebookOs, PolicyKind::NotebookOsLcp];
     let spec = SweepSpec::new()
-        .policies(vec![PolicyKind::NotebookOs, PolicyKind::NotebookOsLcp])
+        .policies(policies.to_vec())
         .seeds(vec![1, 2, 3])
-        .scenarios(scenarios);
+        .scenarios(scenarios.clone());
     println!(
         "sweep: {} runs (2 policies × 3 seeds × 3 scenarios)",
         spec.jobs().len()
     );
-    let report = spec.run_with_progress(|done, total| {
-        eprintln!("  {done}/{total} runs complete");
-    });
+    let report = spec.run();
 
     let mut table = Table::new(
         "scenario × policy aggregates (mean ± 95% CI over 3 seeds)",
@@ -56,14 +55,19 @@ fn main() {
             "executions",
         ],
     );
-    for agg in report.aggregates() {
-        table.row_owned(vec![
-            agg.scenario.clone(),
-            agg.policy.to_string(),
-            agg.interactivity_p50_ms.to_string(),
-            agg.migrations.to_string(),
-            agg.executions.to_string(),
-        ]);
+    for scenario in &scenarios {
+        for policy in policies {
+            let agg = report
+                .aggregate(|run| run.scenario == scenario.name && run.policy == policy)
+                .expect("the sweep ran every cell");
+            table.row_owned(vec![
+                scenario.name.clone(),
+                policy.to_string(),
+                agg.interactivity_p50_ms.to_string(),
+                agg.migrations.to_string(),
+                agg.executions.to_string(),
+            ]);
+        }
     }
     println!("{table}");
     println!(

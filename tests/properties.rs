@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest, Viability};
-use notebookos::core::sweep::{Scenario, SweepSpec};
+use notebookos::core::sweep::{Scenario, SweepRun, SweepSpec};
 use notebookos::core::{
     BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, Platform, PlatformConfig,
     PolicyKind, RandomPlacement, RoundRobin,
@@ -316,10 +316,9 @@ fn sweep_runs_equal_sequential_runs() {
     }
     // Aggregation is pure over the per-run records: pooled sample counts
     // and totals match hand-computed sums.
-    let agg = report
-        .aggregate("smoke", PolicyKind::NotebookOs)
-        .expect("cell exists");
-    let runs = report.runs_for("smoke", PolicyKind::NotebookOs);
+    let in_cell = |r: &SweepRun| r.scenario == "smoke" && r.policy == PolicyKind::NotebookOs;
+    let agg = report.aggregate(in_cell).expect("cell exists");
+    let runs: Vec<&SweepRun> = report.runs.iter().filter(|r| in_cell(r)).collect();
     assert_eq!(agg.seeds, vec![41, 42]);
     assert_eq!(
         agg.interactivity_ms.len(),
