@@ -38,17 +38,18 @@
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use notebookos_core::{recovery_action, FailureDetector, RecoveryAction, RecoveryBreakdown};
 use notebookos_core::{RecoveryPhase, ReplicaId};
 use notebookos_des::{SimRng, SimTime};
 use notebookos_jupyter::Json;
 use notebookos_raft::harness::Network;
-use notebookos_raft::{encode_commands, measure_wal_fsync_cost, NodeId, RaftConfig, Term};
-use notebookos_raft::{RaftStorage, WalFsyncCost, WalOptions, WalStorage};
+use notebookos_raft::{encode_commands, Entry, EntryPayload, LogIndex, NodeId, RaftConfig, Term};
+use notebookos_raft::{RaftStorage, WalOptions, WalStorage};
 
 /// Heartbeat-timeout window of the failure detector, in virtual µs.
 const DETECT_TIMEOUT_US: u64 = 150_000;
@@ -535,6 +536,82 @@ pub fn run_chaos_drill(opts: &ChaosOpts) -> ChaosReport {
     }
 }
 
+// ---------------------------------------------------------------------
+// fsync-cost measurement
+// ---------------------------------------------------------------------
+
+/// Measured per-append cost of the WAL in both durability modes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WalFsyncCost {
+    /// Mean µs per appended entry with batched (deferred) fsync.
+    pub buffered_us_per_append: f64,
+    /// Mean µs per appended entry with an fsync per append.
+    pub fsync_us_per_append: f64,
+    /// Entries appended in each mode.
+    pub appends: usize,
+}
+
+impl WalFsyncCost {
+    /// Multiplicative slowdown of fsync-per-append over batched appends.
+    pub fn slowdown(&self) -> f64 {
+        if self.buffered_us_per_append <= 0.0 {
+            1.0
+        } else {
+            self.fsync_us_per_append / self.buffered_us_per_append
+        }
+    }
+
+    /// One-line human rendering for the chaos-drill bin.
+    fn render(&self) -> String {
+        format!(
+            "wal fsync cost: {:.1} µs/append batched vs {:.1} µs/append fsynced \
+             ({:.1}x, {} appends measured)",
+            self.buffered_us_per_append,
+            self.fsync_us_per_append,
+            self.slowdown(),
+            self.appends,
+        )
+    }
+}
+
+/// Measures what WAL durability actually costs on the disk under `dir`:
+/// appends `appends` single-entry records (plus a sync per append — the
+/// per-input group-commit pattern
+/// [`RaftNode`](notebookos_raft::RaftNode) drives) to a throwaway WAL in
+/// each mode and reports the mean per-append wall time. Probe files are
+/// removed before returning.
+///
+/// # Errors
+///
+/// Fails on I/O errors creating or removing the probe WALs.
+fn measure_wal_fsync_cost(dir: &Path, appends: usize) -> std::io::Result<WalFsyncCost> {
+    let measure = |batch: usize, name: &str| -> std::io::Result<f64> {
+        let path = dir.join(name);
+        let mut wal: WalStorage<String> =
+            WalStorage::open_with(&path, WalOptions { fsync_batch: batch })?;
+        let payload = "x = train_step(batch)".to_string();
+        let started = Instant::now();
+        for i in 0..appends {
+            wal.append_entries(&[Entry {
+                term: 1,
+                index: (i + 1) as LogIndex,
+                payload: EntryPayload::Command(payload.clone()),
+            }]);
+            RaftStorage::<String>::sync(&mut wal);
+        }
+        let elapsed = started.elapsed();
+        drop(wal);
+        std::fs::remove_file(&path)?;
+        Ok(elapsed.as_secs_f64() * 1e6 / appends.max(1) as f64)
+    };
+    Ok(WalFsyncCost {
+        // A batch far larger than the probe defers every fsync.
+        buffered_us_per_append: measure(appends.max(2), "wal-probe-batched.wal")?,
+        fsync_us_per_append: measure(1, "wal-probe-synced.wal")?,
+        appends,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,6 +620,20 @@ mod tests {
     fn dedup_keeps_first_application_order() {
         let applied = ["a", "b", "a", "c", "b"].map(String::from);
         assert_eq!(dedup_applied(&applied), ["a", "b", "c"].map(String::from));
+    }
+
+    #[test]
+    fn fsync_cost_probe_measures_both_modes() {
+        let dir =
+            std::env::temp_dir().join(format!("notebookos-fsync-cost-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cost = measure_wal_fsync_cost(&dir, 16).expect("measures");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(cost.appends, 16);
+        assert!(cost.buffered_us_per_append > 0.0);
+        assert!(cost.fsync_us_per_append > 0.0);
+        assert!(cost.slowdown() > 0.0);
+        assert!(cost.render().contains("µs/append"));
     }
 
     #[test]

@@ -7,12 +7,19 @@
 //! bills $1.44/hour (10 × 1.15 × 0.125) and a replica training on 4 GPUs
 //! bills $5.75/hour (10 × 1.15 × 4/8).
 
-use crate::config::BillingConfig;
+/// Provider's hourly cost for one 8-GPU server (the paper's running
+/// example uses $10/hour).
+const HOST_HOURLY_USD: f64 = 10.0;
+
+/// Users pay this multiple of the provider's rate (1.15×).
+const USER_MULTIPLIER: f64 = 1.15;
+
+/// Standby replicas are charged this fraction of the base rate (12.5 %).
+const STANDBY_FRACTION: f64 = 0.125;
 
 /// Streaming revenue/cost meter for one platform run.
 #[derive(Debug, Clone)]
 pub struct BillingMeter {
-    config: BillingConfig,
     host_gpus: u32,
     last_time_s: f64,
     cost_usd: f64,
@@ -27,9 +34,8 @@ pub struct BillingMeter {
 
 impl BillingMeter {
     /// Creates a meter for hosts with `host_gpus` GPUs each.
-    pub fn new(config: BillingConfig, host_gpus: u32) -> Self {
+    pub fn new(host_gpus: u32) -> Self {
         BillingMeter {
-            config,
             host_gpus: host_gpus.max(1),
             last_time_s: 0.0,
             cost_usd: 0.0,
@@ -52,8 +58,8 @@ impl BillingMeter {
         }
         let hours = (now_s - self.last_time_s) / 3600.0;
         self.last_time_s = now_s;
-        let base = self.config.host_hourly_usd;
-        let user = base * self.config.user_multiplier;
+        let base = HOST_HOURLY_USD;
+        let user = base * USER_MULTIPLIER;
 
         // Provider cost: every provisioned host, all the time.
         self.cost_usd += self.hosts * base * hours;
@@ -61,8 +67,7 @@ impl BillingMeter {
         // Revenue: standby replicas at the standby fraction, actively
         // training replicas in proportion to GPUs used, and (Reservation)
         // reserved GPUs in proportion to the reservation.
-        self.revenue_usd +=
-            f64::from(self.standby_replicas) * user * self.config.standby_fraction * hours;
+        self.revenue_usd += f64::from(self.standby_replicas) * user * STANDBY_FRACTION * hours;
         self.revenue_usd += self.active_gpus as f64 / f64::from(self.host_gpus) * user * hours;
         self.revenue_usd += self.reserved_gpus as f64 / f64::from(self.host_gpus) * user * hours;
     }
@@ -108,7 +113,7 @@ mod tests {
     use super::*;
 
     fn meter() -> BillingMeter {
-        BillingMeter::new(BillingConfig::default(), 8)
+        BillingMeter::new(8)
     }
 
     #[test]
@@ -180,11 +185,10 @@ mod tests {
             let m = &mut self.0;
             let hours = (now_s - m.last_time_s) / 3600.0;
             m.last_time_s = now_s;
-            let base = m.config.host_hourly_usd;
-            let user = base * m.config.user_multiplier;
+            let base = HOST_HOURLY_USD;
+            let user = base * USER_MULTIPLIER;
             m.cost_usd += m.hosts * base * hours;
-            m.revenue_usd +=
-                f64::from(m.standby_replicas) * user * m.config.standby_fraction * hours;
+            m.revenue_usd += f64::from(m.standby_replicas) * user * STANDBY_FRACTION * hours;
             m.revenue_usd += m.active_gpus as f64 / f64::from(m.host_gpus) * user * hours;
             m.revenue_usd += m.reserved_gpus as f64 / f64::from(m.host_gpus) * user * hours;
         }

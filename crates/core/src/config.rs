@@ -1,7 +1,12 @@
-//! Platform configuration.
+//! Platform configuration: what a caller varies between runs. The
+//! evaluation setup the paper fixes (R = 3, p3.16xlarge hosts, the S3
+//! data store, the billing rates, the auto-scaler's `f` and tick, the
+//! migration retry cap) lives as named constants beside the code that
+//! reads it.
 
 use notebookos_cluster::ResourceBundle;
-use notebookos_datastore::BackendKind;
+
+use crate::elasticity::{HYSTERESIS_COOLDOWN_S, HYSTERESIS_SURPLUS_TICKS};
 
 /// Which scheduling policy runs the platform (§5.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,6 +45,31 @@ impl PolicyKind {
         PolicyKind::NotebookOs,
         PolicyKind::NotebookOsLcp,
     ];
+
+    /// Whether the §3.4.2 auto-scaler runs: only the NotebookOS variants
+    /// scale; the baselines keep a fixed cluster.
+    pub(crate) fn autoscales(self) -> bool {
+        matches!(self, PolicyKind::NotebookOs | PolicyKind::NotebookOsLcp)
+    }
+
+    /// Minimum pre-warmed containers per host (§3.2.3). NotebookOS keeps
+    /// one (migration headroom); LCP keeps a large pool that serves cells
+    /// directly; the baselines keep none.
+    pub(crate) fn prewarm_min_per_host(self) -> u32 {
+        match self {
+            PolicyKind::NotebookOsLcp => 6,
+            PolicyKind::NotebookOs => 1,
+            PolicyKind::Reservation | PolicyKind::Batch => 0,
+        }
+    }
+
+    /// The cluster-wide subscription ratio the auto-scaler keeps the fleet
+    /// at or below. NotebookOS's replicated kernels subscribe capacity
+    /// that the committed-GPU signal alone cannot see (§3.4.1/§3.4.2);
+    /// `None` disables the term (LCP has no standing subscriptions).
+    pub(crate) fn sr_target(self) -> Option<f64> {
+        matches!(self, PolicyKind::NotebookOs).then_some(1.6)
+    }
 }
 
 /// Which replica-placement policy the Global Scheduler uses (§3.4.1 — the
@@ -83,11 +113,11 @@ impl PlacementKind {
 /// decisions. It is the sweepable configuration axis, as [`PlacementKind`]
 /// is for replica placement; the platform's controller matches on it
 /// directly.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ElasticityKind {
     /// The paper's §3.4.2 threshold controller: targets
     /// `ΣG' = f · ΣC` in host-equivalents and always provisions
-    /// `host_shape` hosts. Bit-identical to the pre-elasticity platform on
+    /// p3.16xlarge hosts. Bit-identical to the pre-elasticity platform on
     /// homogeneous fleets.
     #[default]
     Threshold,
@@ -96,32 +126,19 @@ pub enum ElasticityKind {
     /// GPU/VRAM demand, with targets billed in host-equivalents.
     ShapeAware,
     /// Threshold targets wrapped in hysteresis: scale-out is rate-limited
-    /// by a cooldown and scale-in only fires after a sustained surplus,
-    /// damping the provision/release churn diurnal workloads induce.
-    Hysteresis {
-        /// Minimum seconds between two tick-driven scale-outs.
-        cooldown_s: f64,
-        /// Consecutive surplus ticks required before any host is released.
-        surplus_ticks: u32,
-    },
+    /// by a 2-minute cooldown and scale-in only fires after 4 consecutive
+    /// surplus ticks (2 minutes at the 30 s tick), damping the
+    /// provision/release churn diurnal workloads induce.
+    Hysteresis,
 }
 
 impl ElasticityKind {
-    /// The three bundled policies with default parameters, in sweep order.
+    /// The three bundled policies, in sweep order.
     pub const ALL: [ElasticityKind; 3] = [
         ElasticityKind::Threshold,
         ElasticityKind::ShapeAware,
-        ElasticityKind::hysteresis(),
+        ElasticityKind::Hysteresis,
     ];
-
-    /// Hysteresis with the default damping parameters (2-minute cooldown,
-    /// 4 surplus ticks ≈ 2 minutes at the default 30 s interval).
-    pub const fn hysteresis() -> Self {
-        ElasticityKind::Hysteresis {
-            cooldown_s: 120.0,
-            surplus_ticks: 4,
-        }
-    }
 }
 
 impl std::fmt::Display for ElasticityKind {
@@ -129,38 +146,12 @@ impl std::fmt::Display for ElasticityKind {
         match self {
             ElasticityKind::Threshold => write!(f, "threshold"),
             ElasticityKind::ShapeAware => write!(f, "shape-aware"),
-            // Parameters are part of the label: a sweep ranging over
-            // differently-tuned hysteresis cells must keep them apart in
-            // tables and persisted JSON records.
-            ElasticityKind::Hysteresis {
-                cooldown_s,
-                surplus_ticks,
-            } => write!(
+            // The parameters stay in the label: persisted reports and the
+            // placement-matrix golden carry it.
+            ElasticityKind::Hysteresis => write!(
                 f,
-                "hysteresis(cooldown={cooldown_s}s,surplus={surplus_ticks})"
+                "hysteresis(cooldown={HYSTERESIS_COOLDOWN_S}s,surplus={HYSTERESIS_SURPLUS_TICKS})"
             ),
-        }
-    }
-}
-
-/// Billing parameters (§5.5.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BillingConfig {
-    /// Provider's hourly cost for one 8-GPU server (the paper's running
-    /// example uses $10/hour).
-    pub host_hourly_usd: f64,
-    /// Users pay this multiple of the provider's rate (1.15×).
-    pub user_multiplier: f64,
-    /// Standby replicas are charged this fraction of the base rate (12.5 %).
-    pub standby_fraction: f64,
-}
-
-impl Default for BillingConfig {
-    fn default() -> Self {
-        BillingConfig {
-            host_hourly_usd: 10.0,
-            user_multiplier: 1.15,
-            standby_fraction: 0.125,
         }
     }
 }
@@ -168,25 +159,12 @@ impl Default for BillingConfig {
 /// Auto-scaler parameters (§3.4.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
-    /// Whether auto-scaling runs at all (disabled for the fixed-cluster
-    /// baselines).
-    pub enabled: bool,
-    /// Evaluation interval in seconds.
-    pub interval_s: f64,
-    /// The aggressiveness multiplier `f` in `ΣG' = f · ΣC` (paper: 1.05).
-    pub multiplier: f64,
     /// "Extra" servers kept as a burst buffer.
     pub scaling_buffer_hosts: u32,
     /// Hosts released per scale-in step (paper: 1–2 at a time).
     pub max_release_per_step: u32,
     /// Lower bound on cluster size.
     pub min_hosts: u32,
-    /// When set, the auto-scaler also keeps enough hosts that the
-    /// cluster-wide subscription ratio stays at or below this value —
-    /// NotebookOS's replicated kernels subscribe capacity that the
-    /// committed-GPU signal alone cannot see (§3.4.1/§3.4.2). `None`
-    /// disables the term (LCP has no standing subscriptions).
-    pub sr_target: Option<f64>,
     /// Which variant of the auto-scaler turns these parameters into
     /// scaling decisions.
     pub elasticity: ElasticityKind,
@@ -203,13 +181,9 @@ pub struct AutoscaleConfig {
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
-            enabled: true,
-            interval_s: 30.0,
-            multiplier: 1.05,
             scaling_buffer_hosts: 2,
             max_release_per_step: 2,
             min_hosts: 4,
-            sr_target: None,
             elasticity: ElasticityKind::Threshold,
             prewarm_reconcile_interval_s: None,
         }
@@ -221,35 +195,16 @@ impl Default for AutoscaleConfig {
 pub struct PlatformConfig {
     /// The scheduling policy under evaluation.
     pub policy: PolicyKind,
-    /// Replicas per distributed kernel (paper: 3 — 2 is unsupported by
-    /// Raft, 5 costs too much).
-    pub replication_factor: u32,
-    /// Hosts provisioned at time zero.
+    /// p3.16xlarge hosts provisioned at time zero.
     pub initial_hosts: u32,
-    /// Shape of every host (default: 8-GPU p3.16xlarge). Scale-out always
-    /// adds hosts of this shape.
-    pub host_shape: ResourceBundle,
     /// Optional heterogeneous initial fleet as `(shape, count)` pairs.
     /// When non-empty it replaces the homogeneous
-    /// `initial_hosts × host_shape` fleet, modelling mixed-generation GPU
+    /// `initial_hosts` × p3.16xlarge fleet, modelling mixed-generation GPU
     /// clusters (e.g. 8-GPU trainers alongside 4-GPU boxes).
     pub host_mix: Vec<(ResourceBundle, u32)>,
-    /// Backend of the Distributed Data Store.
-    pub datastore: BackendKind,
-    /// Minimum pre-warmed containers per host. NotebookOS keeps this small
-    /// (migration headroom); LCP keeps a large pool that serves cells
-    /// directly.
-    pub prewarm_min_per_host: u32,
-    /// Auto-scaling parameters.
+    /// Auto-scaling parameters (the auto-scaler runs only for the
+    /// NotebookOS variants).
     pub autoscale: AutoscaleConfig,
-    /// Billing parameters.
-    pub billing: BillingConfig,
-    /// Migration retry spacing (seconds) and cap (§3.2.3: "periodically
-    /// retried, several times if necessary, before ultimately being
-    /// aborted").
-    pub migration_retry_interval_s: f64,
-    /// Maximum migration retries before aborting with an error reply.
-    pub migration_max_retries: u32,
     /// Mean time between injected replica fail-stop failures, in hours of
     /// virtual time (§3.2.5 fault model). `None` disables injection.
     pub replica_mtbf_hours: Option<f64>,
@@ -261,41 +216,21 @@ pub struct PlatformConfig {
 
 impl PlatformConfig {
     /// The evaluation setup for `policy`: a 30-host × 8-GPU cluster
-    /// (§5.1.2), with auto-scaling enabled only for the NotebookOS variants.
+    /// (§5.1.2), or 8 hosts growing on demand for the auto-scaled
+    /// NotebookOS variants.
     pub fn evaluation(policy: PolicyKind) -> Self {
-        let autoscale = AutoscaleConfig {
-            enabled: matches!(policy, PolicyKind::NotebookOs | PolicyKind::NotebookOsLcp),
-            sr_target: matches!(policy, PolicyKind::NotebookOs).then_some(1.6),
-            // LCP trades interactivity for cost: it keeps a leaner fleet
-            // (no replica subscriptions to back, smaller burst buffer).
-            scaling_buffer_hosts: if policy == PolicyKind::NotebookOsLcp {
-                1
-            } else {
-                2
-            },
-            min_hosts: if policy == PolicyKind::NotebookOsLcp {
-                3
-            } else {
-                4
-            },
-            ..AutoscaleConfig::default()
-        };
+        let lcp = policy == PolicyKind::NotebookOsLcp;
         PlatformConfig {
             policy,
-            replication_factor: 3,
-            initial_hosts: if autoscale.enabled { 8 } else { 30 },
-            host_shape: ResourceBundle::p3_16xlarge(),
+            initial_hosts: if policy.autoscales() { 8 } else { 30 },
             host_mix: Vec::new(),
-            datastore: BackendKind::S3,
-            prewarm_min_per_host: match policy {
-                PolicyKind::NotebookOsLcp => 6,
-                PolicyKind::NotebookOs => 1,
-                _ => 0,
+            // LCP trades interactivity for cost: it keeps a leaner fleet
+            // (no replica subscriptions to back, smaller burst buffer).
+            autoscale: AutoscaleConfig {
+                scaling_buffer_hosts: if lcp { 1 } else { 2 },
+                min_hosts: if lcp { 3 } else { 4 },
+                ..AutoscaleConfig::default()
             },
-            autoscale,
-            billing: BillingConfig::default(),
-            migration_retry_interval_s: 15.0,
-            migration_max_retries: 8,
             replica_mtbf_hours: None,
             placement: PlacementKind::LeastLoaded,
             seed: 0xC0FFEE,
@@ -308,18 +243,6 @@ impl PlatformConfig {
     ///
     /// Returns a description of the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.replication_factor < 1 {
-            return Err("replication factor must be at least 1".into());
-        }
-        if self.replication_factor == 2 {
-            return Err("replication factor 2 is unsupported by Raft (§3.1)".into());
-        }
-        if self.autoscale.multiplier < 1.0 {
-            return Err("autoscale multiplier must be >= 1".into());
-        }
-        if self.host_shape.gpus == 0 && self.initial_hosts > 0 {
-            return Err("hosts must have GPUs".into());
-        }
         if self
             .host_mix
             .iter()
@@ -330,24 +253,9 @@ impl PlatformConfig {
         if !self.host_mix.is_empty() && self.host_mix.iter().all(|&(_, count)| count == 0) {
             return Err("host mix must contain at least one host".into());
         }
-        if !(1.0..10.0).contains(&self.billing.user_multiplier) {
-            return Err("user multiplier out of range".into());
-        }
         if let Some(interval) = self.autoscale.prewarm_reconcile_interval_s {
             if !interval.is_finite() || interval <= 0.0 {
                 return Err("prewarm reconcile interval must be positive".into());
-            }
-        }
-        if let ElasticityKind::Hysteresis {
-            cooldown_s,
-            surplus_ticks,
-        } = self.autoscale.elasticity
-        {
-            if !cooldown_s.is_finite() || cooldown_s < 0.0 {
-                return Err("hysteresis cooldown must be non-negative".into());
-            }
-            if surplus_ticks == 0 {
-                return Err("hysteresis needs at least one surplus tick".into());
             }
         }
         Ok(())
@@ -367,22 +275,34 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_setup_per_policy() {
+        // (policy, autoscales, initial_hosts, prewarm_min_per_host,
+        //  sr_target, scaling_buffer_hosts, min_hosts)
+        let table = [
+            (PolicyKind::Reservation, false, 30, 0, None, 2, 4),
+            (PolicyKind::Batch, false, 30, 0, None, 2, 4),
+            (PolicyKind::NotebookOs, true, 8, 1, Some(1.6), 2, 4),
+            (PolicyKind::NotebookOsLcp, true, 8, 6, None, 1, 3),
+        ];
+        for (policy, autoscales, hosts, prewarm, sr_target, buffer, min_hosts) in table {
+            let cfg = PlatformConfig::evaluation(policy);
+            assert_eq!(policy.autoscales(), autoscales, "{policy} autoscales");
+            assert_eq!(cfg.initial_hosts, hosts, "{policy} initial hosts");
+            assert_eq!(policy.prewarm_min_per_host(), prewarm, "{policy} pre-warm");
+            assert_eq!(policy.sr_target(), sr_target, "{policy} SR target");
+            assert_eq!(
+                cfg.autoscale.scaling_buffer_hosts, buffer,
+                "{policy} burst buffer"
+            );
+            assert_eq!(cfg.autoscale.min_hosts, min_hosts, "{policy} min hosts");
+        }
+    }
+
+    #[test]
     fn baselines_have_fixed_clusters() {
-        assert!(
-            !PlatformConfig::evaluation(PolicyKind::Reservation)
-                .autoscale
-                .enabled
-        );
-        assert!(
-            !PlatformConfig::evaluation(PolicyKind::Batch)
-                .autoscale
-                .enabled
-        );
-        assert!(
-            PlatformConfig::evaluation(PolicyKind::NotebookOs)
-                .autoscale
-                .enabled
-        );
+        assert!(!PolicyKind::Reservation.autoscales());
+        assert!(!PolicyKind::Batch.autoscales());
+        assert!(PolicyKind::NotebookOs.autoscales());
         assert_eq!(
             PlatformConfig::evaluation(PolicyKind::Reservation).initial_hosts,
             30
@@ -391,16 +311,10 @@ mod tests {
 
     #[test]
     fn lcp_has_larger_pool() {
-        let lcp = PlatformConfig::evaluation(PolicyKind::NotebookOsLcp);
-        let nbos = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-        assert!(lcp.prewarm_min_per_host > nbos.prewarm_min_per_host);
-    }
-
-    #[test]
-    fn replication_factor_two_rejected() {
-        let mut cfg = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-        cfg.replication_factor = 2;
-        assert!(cfg.validate().is_err());
+        assert!(
+            PolicyKind::NotebookOsLcp.prewarm_min_per_host()
+                > PolicyKind::NotebookOs.prewarm_min_per_host()
+        );
     }
 
     #[test]
@@ -436,17 +350,9 @@ mod tests {
         assert_eq!(ElasticityKind::Threshold.to_string(), "threshold");
         assert_eq!(ElasticityKind::ShapeAware.to_string(), "shape-aware");
         assert_eq!(
-            ElasticityKind::hysteresis().to_string(),
+            ElasticityKind::Hysteresis.to_string(),
             "hysteresis(cooldown=120s,surplus=4)",
-            "differently-tuned cells must label distinctly"
-        );
-        assert_ne!(
-            ElasticityKind::Hysteresis {
-                cooldown_s: 60.0,
-                surplus_ticks: 2
-            }
-            .to_string(),
-            ElasticityKind::hysteresis().to_string()
+            "the placement-matrix golden pins this label"
         );
         assert_eq!(ElasticityKind::ALL.len(), 3);
     }
@@ -458,17 +364,5 @@ mod tests {
         assert!(cfg.validate().is_err(), "zero reconcile interval rejected");
         cfg.autoscale.prewarm_reconcile_interval_s = Some(60.0);
         cfg.validate().expect("positive interval is valid");
-        cfg.autoscale.elasticity = ElasticityKind::Hysteresis {
-            cooldown_s: -1.0,
-            surplus_ticks: 4,
-        };
-        assert!(cfg.validate().is_err(), "negative cooldown rejected");
-        cfg.autoscale.elasticity = ElasticityKind::Hysteresis {
-            cooldown_s: 60.0,
-            surplus_ticks: 0,
-        };
-        assert!(cfg.validate().is_err(), "zero surplus ticks rejected");
-        cfg.autoscale.elasticity = ElasticityKind::hysteresis();
-        cfg.validate().expect("default hysteresis is valid");
     }
 }

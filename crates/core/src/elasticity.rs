@@ -10,7 +10,7 @@
 //!
 //! * `Threshold` — the paper's §3.4.2 controller, verbatim: target
 //!   `ΣG' = f · ΣC` (plus the SR backing term) in host-equivalents,
-//!   always provisioning `host_shape` hosts. On homogeneous fleets it is
+//!   always provisioning p3.16xlarge hosts. On homogeneous fleets it is
 //!   bit-identical to the pre-elasticity platform — the golden regression
 //!   test in `tests/elasticity_properties.rs` locks that in.
 //! * `ShapeAware` — heterogeneous-fleet scaling: provisions the cheapest
@@ -30,6 +30,18 @@
 use notebookos_cluster::{Cluster, HostId, PrewarmPool, ResourceBundle, ResourceRequest};
 
 use crate::config::{AutoscaleConfig, ElasticityKind};
+use crate::platform::REPLICATION_FACTOR;
+
+/// The aggressiveness multiplier `f` in the scale-out target
+/// `ΣG' = f · ΣC` (§3.4.2: 1.05).
+const SCALE_OUT_MULTIPLIER: f64 = 1.05;
+
+/// `Hysteresis`: minimum seconds between two tick-driven scale-outs.
+pub(crate) const HYSTERESIS_COOLDOWN_S: f64 = 120.0;
+
+/// `Hysteresis`: consecutive surplus ticks required before any host is
+/// released (2 minutes at the 30 s auto-scaler tick).
+pub(crate) const HYSTERESIS_SURPLUS_TICKS: u32 = 4;
 
 /// One scaling decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,13 +80,12 @@ pub(crate) struct ElasticityContext<'a> {
     pub(crate) cluster: &'a Cluster,
     /// Auto-scaler parameters.
     pub(crate) autoscale: &'a AutoscaleConfig,
-    /// The reference host shape scale-out targets are billed against.
-    pub(crate) host_shape: ResourceBundle,
+    /// The subscription ratio the fleet is kept at or below
+    /// ([`crate::PolicyKind::sr_target`]); `None` disables the term.
+    pub(crate) sr_target: Option<f64>,
     /// Shapes this fleet may provision (the `host_mix` shapes, or just
-    /// `host_shape` for homogeneous fleets), ascending by GPU count.
+    /// p3.16xlarge for homogeneous fleets), ascending by GPU count.
     pub(crate) shape_catalog: &'a [ResourceBundle],
-    /// Replicas per kernel (`R`).
-    pub(crate) replication_factor: u32,
     /// Hosts currently being provisioned (any shape).
     pub(crate) hosts_in_flight: u32,
     /// GPUs aboard the in-flight hosts.
@@ -86,9 +97,9 @@ pub(crate) struct ElasticityContext<'a> {
 }
 
 impl ElasticityContext<'_> {
-    /// GPUs per reference host (never zero).
+    /// GPUs per reference host (a p3.16xlarge, §5.1.2).
     fn reference_gpus(&self) -> u32 {
-        self.host_shape.gpus.max(1)
+        ResourceBundle::p3_16xlarge().gpus
     }
 
     /// The fleet in host-equivalents: total GPUs divided by the reference
@@ -105,12 +116,12 @@ impl ElasticityContext<'_> {
         let cfg = self.autoscale;
         let committed = self.cluster.total_committed_gpus() as f64;
         let per_host = f64::from(self.reference_gpus());
-        let mut target_hosts = ((cfg.multiplier * committed / per_host).ceil() as u32
+        let mut target_hosts = ((SCALE_OUT_MULTIPLIER * committed / per_host).ceil() as u32
             + cfg.scaling_buffer_hosts)
             .max(cfg.min_hosts);
-        if let Some(sr_target) = cfg.sr_target {
+        if let Some(sr_target) = self.sr_target {
             let subscribed = self.cluster.total_subscribed_gpus() as f64;
-            let r = f64::from(self.replication_factor.max(1));
+            let r = f64::from(REPLICATION_FACTOR);
             let sr_hosts = (subscribed / (per_host * r * sr_target)).ceil() as u32;
             target_hosts = target_hosts.max(sr_hosts);
         }
@@ -127,7 +138,7 @@ impl ElasticityContext<'_> {
             .iter()
             .copied()
             .find(|shape| shape.covers(&footprint))
-            .unwrap_or(self.host_shape)
+            .unwrap_or(ResourceBundle::p3_16xlarge())
     }
 
     /// The smallest catalog shape (the cheapest unit of capacity).
@@ -135,7 +146,7 @@ impl ElasticityContext<'_> {
         self.shape_catalog
             .first()
             .copied()
-            .unwrap_or(self.host_shape)
+            .unwrap_or(ResourceBundle::p3_16xlarge())
     }
 }
 
@@ -165,10 +176,7 @@ impl Elasticity {
         match self.kind {
             ElasticityKind::Threshold => threshold_tick(ctx),
             ElasticityKind::ShapeAware => shape_aware_tick(ctx),
-            ElasticityKind::Hysteresis {
-                cooldown_s,
-                surplus_ticks,
-            } => self.hysteresis_tick(ctx, cooldown_s.max(0.0), surplus_ticks.max(1)),
+            ElasticityKind::Hysteresis => self.hysteresis_tick(ctx),
         }
     }
 
@@ -182,11 +190,11 @@ impl Elasticity {
         shortfall: DemandShortfall,
     ) -> Vec<ElasticityAction> {
         let shape = match self.kind {
-            ElasticityKind::Threshold => ctx.host_shape,
+            ElasticityKind::Threshold => ResourceBundle::p3_16xlarge(),
             ElasticityKind::ShapeAware => ctx.cheapest_covering_shape(&shortfall.request),
-            ElasticityKind::Hysteresis { .. } => {
+            ElasticityKind::Hysteresis => {
                 self.last_scale_out_s = ctx.now_s;
-                ctx.host_shape
+                ResourceBundle::p3_16xlarge()
             }
         };
         vec![ElasticityAction::ProvisionHosts {
@@ -196,31 +204,26 @@ impl Elasticity {
     }
 
     /// Threshold targets wrapped in hysteresis. Scale-out from ticks is
-    /// rate-limited by `cooldown_s`; scale-in requires `surplus_ticks`
-    /// consecutive surplus observations, so a diurnal trough must persist
-    /// before the fleet shrinks and brief lulls stop thrashing the
-    /// provision/release cycle.
-    fn hysteresis_tick(
-        &mut self,
-        ctx: &ElasticityContext<'_>,
-        cooldown_s: f64,
-        surplus_ticks: u32,
-    ) -> Vec<ElasticityAction> {
+    /// rate-limited by [`HYSTERESIS_COOLDOWN_S`]; scale-in requires
+    /// [`HYSTERESIS_SURPLUS_TICKS`] consecutive surplus observations, so a
+    /// diurnal trough must persist before the fleet shrinks and brief
+    /// lulls stop thrashing the provision/release cycle.
+    fn hysteresis_tick(&mut self, ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
         let current = ctx.host_equivalents() + f64::from(ctx.hosts_in_flight);
         let target = f64::from(ctx.target_hosts());
         if current + 1e-9 < target {
             self.consecutive_surplus = 0;
-            if ctx.now_s - self.last_scale_out_s >= cooldown_s {
+            if ctx.now_s - self.last_scale_out_s >= HYSTERESIS_COOLDOWN_S {
                 self.last_scale_out_s = ctx.now_s;
                 return vec![ElasticityAction::ProvisionHosts {
-                    shape: ctx.host_shape,
+                    shape: ResourceBundle::p3_16xlarge(),
                     count: (target - current).ceil() as u32,
                 }];
             }
             Vec::new()
         } else if current > target + 1e-9 {
             self.consecutive_surplus += 1;
-            if self.consecutive_surplus >= surplus_ticks {
+            if self.consecutive_surplus >= HYSTERESIS_SURPLUS_TICKS {
                 let surplus = (current - target).floor() as u32;
                 return retire_candidates(ctx, surplus);
             }
@@ -267,7 +270,7 @@ fn retire_candidates(ctx: &ElasticityContext<'_>, surplus_hosts: u32) -> Vec<Ela
 }
 
 /// The §3.4.2 threshold controller. Targets are computed in
-/// host-equivalents of the reference `host_shape` and scale-out always
+/// host-equivalents of the reference p3.16xlarge and scale-out always
 /// provisions that shape — exactly the pre-elasticity platform behavior,
 /// bit-identical on homogeneous fleets.
 fn threshold_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
@@ -275,7 +278,7 @@ fn threshold_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
     let target = f64::from(ctx.target_hosts());
     if current + 1e-9 < target {
         vec![ElasticityAction::ProvisionHosts {
-            shape: ctx.host_shape,
+            shape: ResourceBundle::p3_16xlarge(),
             count: (target - current).ceil() as u32,
         }]
     } else if current > target + 1e-9 {
@@ -291,7 +294,7 @@ fn threshold_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
 /// formula, but the GPUs that fill it come from the cheapest catalog
 /// shapes that satisfy the queued demand — small kernels pull in 4-GPU
 /// boxes, 8-GPU kernels pull in full trainers — so a mixed fleet grows
-/// along its mix instead of monoculture `host_shape` additions.
+/// along its mix instead of monoculture p3.16xlarge additions.
 fn shape_aware_tick(ctx: &ElasticityContext<'_>) -> Vec<ElasticityAction> {
     let ref_gpus = u64::from(ctx.reference_gpus());
     let target_gpus = u64::from(ctx.target_hosts()) * ref_gpus;
@@ -428,9 +431,8 @@ mod tests {
             ElasticityContext {
                 cluster: &self.cluster,
                 autoscale: &self.autoscale,
-                host_shape: ResourceBundle::p3_16xlarge(),
+                sr_target: None,
                 shape_catalog: &self.catalog,
-                replication_factor: 3,
                 hosts_in_flight,
                 gpus_in_flight,
                 queued_demand: &self.queued,
@@ -606,19 +608,17 @@ mod tests {
     #[test]
     fn hysteresis_damps_scale_in_and_rate_limits_scale_out() {
         let mut f = Fixture::homogeneous(5);
-        let mut policy = Elasticity::new(ElasticityKind::Hysteresis {
-            cooldown_s: 120.0,
-            surplus_ticks: 3,
-        });
-        // Surplus must persist for 3 ticks before anything is released.
+        let mut policy = Elasticity::new(ElasticityKind::Hysteresis);
+        // Surplus must persist for 4 ticks before anything is released.
         assert!(policy.on_tick(&f.ctx(0, 0, 0.0)).is_empty());
         assert!(policy.on_tick(&f.ctx(0, 0, 30.0)).is_empty());
-        let released = policy.on_tick(&f.ctx(0, 0, 60.0));
+        assert!(policy.on_tick(&f.ctx(0, 0, 60.0)).is_empty());
+        let released = policy.on_tick(&f.ctx(0, 0, 90.0));
         assert!(
             !released.is_empty(),
-            "third consecutive surplus tick releases"
+            "fourth consecutive surplus tick releases"
         );
-        assert_eq!(policy.consecutive_surplus, 3);
+        assert_eq!(policy.consecutive_surplus, HYSTERESIS_SURPLUS_TICKS);
 
         // A deficit resets the damping counter and scales out at once…
         commit_gpus(&mut f.cluster, 0, 1, 8);
@@ -626,25 +626,23 @@ mod tests {
         commit_gpus(&mut f.cluster, 2, 3, 8);
         commit_gpus(&mut f.cluster, 3, 4, 8);
         commit_gpus(&mut f.cluster, 4, 5, 8);
-        let out = policy.on_tick(&f.ctx(0, 0, 90.0));
+        let out = policy.on_tick(&f.ctx(0, 0, 120.0));
         assert!(matches!(
             out.as_slice(),
             [ElasticityAction::ProvisionHosts { .. }]
         ));
         assert_eq!(policy.consecutive_surplus, 0);
         // …but a second deficit tick inside the cooldown stays quiet.
-        assert!(policy.on_tick(&f.ctx(0, 0, 120.0)).is_empty());
+        assert!(policy.on_tick(&f.ctx(0, 0, 150.0)).is_empty());
         // After the cooldown expires the policy provisions again.
-        assert!(!policy.on_tick(&f.ctx(0, 0, 90.0 + 121.0)).is_empty());
+        let later = 120.0 + HYSTERESIS_COOLDOWN_S + 1.0;
+        assert!(!policy.on_tick(&f.ctx(0, 0, later)).is_empty());
     }
 
     #[test]
     fn hysteresis_shortfall_ignores_cooldown() {
         let f = Fixture::homogeneous(2);
-        let mut policy = Elasticity::new(ElasticityKind::Hysteresis {
-            cooldown_s: 1_000_000.0,
-            surplus_ticks: 4,
-        });
+        let mut policy = Elasticity::new(ElasticityKind::Hysteresis);
         let shortfall = DemandShortfall {
             replicas: 1,
             request: ResourceRequest::one_gpu(),

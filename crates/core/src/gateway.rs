@@ -15,7 +15,8 @@ use std::collections::HashMap;
 use notebookos_cluster::{Cluster, HostId, ResourceRequest};
 use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
-use crate::policy::{PlacementContext, PlacementPolicy};
+use crate::policy::{place_replicas, PlacementPolicy};
+use crate::serve::GATEWAY_KEY;
 
 /// A created distributed kernel's placement record: what `shutdown`
 /// releases.
@@ -39,16 +40,15 @@ pub(crate) fn request_of(spec: KernelResourceSpec) -> ResourceRequest {
 
 /// The Global Scheduler's kernel-creation front end.
 ///
-/// Owns kernel bookkeeping over a borrowed cluster view; the DES platform
-/// embeds the same logic inline for performance, and this type exposes it
-/// to external (Jupyter-facing) callers plus the tests.
+/// Owns kernel bookkeeping over its cluster view and places replicas
+/// through the same step as the DES platform; this type exposes it to
+/// external (Jupyter-facing) callers plus the tests.
 #[derive(Debug)]
 pub struct GatewayProvisioner<P: PlacementPolicy> {
     cluster: Cluster,
     policy: P,
     replication_factor: u32,
     kernels: HashMap<String, KernelPlacement>,
-    signing_key: Vec<u8>,
     /// Reusable placement-ranking buffer (the ranking is truncated to the
     /// consumed prefix and copied into the kernel's placement record).
     rank_buf: Vec<HostId>,
@@ -62,7 +62,6 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
             policy,
             replication_factor,
             kernels: HashMap::new(),
-            signing_key: b"notebookos-gateway".to_vec(),
             rank_buf: Vec::new(),
         }
     }
@@ -98,18 +97,13 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         }
         let request = request_of(spec);
         let mut rank_buf = std::mem::take(&mut self.rank_buf);
-        // Top-R only: indexed policies answer without rescanning the
-        // fleet, and the returned viable total covers the shortfall path.
-        let found = self.policy.rank_top_into(
-            &PlacementContext {
-                cluster: &self.cluster,
-                request: &request,
-                replication_factor: self.replication_factor,
-            },
-            self.replication_factor as usize,
+        if let Err(found) = place_replicas(
+            &mut self.policy,
+            &mut self.cluster,
+            &request,
+            self.replication_factor,
             &mut rank_buf,
-        );
-        if (found as u32) < self.replication_factor {
+        ) {
             // §3.2.1: without R viable candidates the Global Scheduler
             // invokes the scale-out handler; at this API layer the caller
             // owns scale-out, so report the shortfall.
@@ -119,16 +113,11 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
                 self.replication_factor,
             )));
         }
-
-        // Report the consumed hosts so stateful policies (RoundRobin)
-        // rotate past the whole placement — ranking itself is pure.
-        self.policy.placed(&rank_buf);
-        let mut endpoints = Vec::with_capacity(rank_buf.len());
-        for (index, &host) in rank_buf.iter().enumerate() {
-            let subscribed = self.cluster.subscribe(host, &request);
-            assert!(subscribed, "ranked host exists");
-            endpoints.push(format!("host-{host}:59{index}1"));
-        }
+        let endpoints = rank_buf
+            .iter()
+            .enumerate()
+            .map(|(index, host)| format!("host-{host}:59{index}1"))
+            .collect();
         self.kernels.insert(
             kernel_id.to_string(),
             KernelPlacement {
@@ -141,7 +130,7 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         let info = ConnectionInfo {
             kernel_id: kernel_id.to_string(),
             endpoints,
-            key: self.signing_key.clone(),
+            key: GATEWAY_KEY.to_vec(),
         };
         Ok((info, hosts))
     }

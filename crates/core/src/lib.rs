@@ -59,9 +59,7 @@ pub mod sweep;
 pub mod types;
 
 pub use billing::BillingMeter;
-pub use config::{
-    AutoscaleConfig, BillingConfig, ElasticityKind, PlacementKind, PlatformConfig, PolicyKind,
-};
+pub use config::{AutoscaleConfig, ElasticityKind, PlacementKind, PlatformConfig, PolicyKind};
 pub use election::{Designation, ElectionModel};
 pub use failure::{recovery_action, FailureDetector, RecoveryAction};
 pub use gateway::GatewayProvisioner;

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use notebookos_cluster::{
     Cluster, Host, HostId, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
 };
-use notebookos_datastore::DataStore;
+use notebookos_datastore::{BackendKind, DataStore};
 use notebookos_des::{DesScheduler, Scheduler, SimRng, SimTime};
 use notebookos_trace::WorkloadTrace;
 
@@ -24,10 +24,24 @@ use crate::elasticity::{self, DemandShortfall, Elasticity, ElasticityAction, Ela
 use crate::election::{Designation, ElectionModel};
 use crate::latency_breakdown::Step;
 use crate::policy::{
-    BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, RandomPlacement, RoundRobin,
+    place_replicas, BinPacking, LeastLoaded, PlacementPolicy, RandomPlacement, RoundRobin,
 };
 use crate::results::RunMetrics;
 use crate::types::ReplicaId;
+
+/// Replicas per distributed kernel (§3.1: R = 3 — Raft cannot run R = 2,
+/// and R = 5 costs too much).
+pub(crate) const REPLICATION_FACTOR: u32 = 3;
+
+/// Seconds between two auto-scaler evaluations (§3.4.2).
+const AUTOSCALE_INTERVAL_S: f64 = 30.0;
+
+/// Migration retry spacing in seconds (§3.2.3: "periodically retried,
+/// several times if necessary, before ultimately being aborted").
+const MIGRATION_RETRY_INTERVAL_S: f64 = 15.0;
+
+/// Migration retries before the execution aborts with an error reply.
+const MIGRATION_MAX_RETRIES: u32 = 8;
 
 /// Events driving the platform.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +183,7 @@ impl Platform {
     pub fn new(config: PlatformConfig, trace: WorkloadTrace) -> Self {
         config.validate().expect("invalid platform config");
         let cluster = if config.host_mix.is_empty() {
-            Cluster::with_hosts(config.initial_hosts as usize, config.host_shape)
+            Cluster::with_hosts(config.initial_hosts as usize, ResourceBundle::p3_16xlarge())
         } else {
             Cluster::with_host_mix(&config.host_mix)
         };
@@ -198,7 +212,7 @@ impl Platform {
             })
             .collect();
         let horizon_us = (trace.span_s() * 1e6) as u64;
-        let billing = BillingMeter::new(config.billing, config.host_shape.gpus);
+        let billing = BillingMeter::new(ResourceBundle::p3_16xlarge().gpus);
         let placement: Box<dyn PlacementPolicy + Send> = match config.placement {
             PlacementKind::LeastLoaded => Box::new(LeastLoaded::default()),
             PlacementKind::RoundRobin => Box::new(RoundRobin::default()),
@@ -207,9 +221,9 @@ impl Platform {
         };
         // Distinct shapes scale-out may provision: the initial fleet's
         // census for heterogeneous fleets (ascending by GPU count, so
-        // "first covering" is "cheapest covering"), or just `host_shape`.
+        // "first covering" is "cheapest covering"), or just p3.16xlarge.
         let shape_catalog: Vec<ResourceBundle> = if config.host_mix.is_empty() {
-            vec![config.host_shape]
+            vec![ResourceBundle::p3_16xlarge()]
         } else {
             cluster
                 .shape_census()
@@ -221,7 +235,8 @@ impl Platform {
         let mut platform = Platform {
             placement,
             pool: PrewarmPool::new(),
-            store: DataStore::new(config.datastore),
+            // §5.1.2: the evaluation's Distributed Data Store is S3-backed.
+            store: DataStore::new(BackendKind::S3),
             provisioning: ProvisioningModel::new(),
             election: ElectionModel::new(),
             rng: rng.fork(0),
@@ -252,7 +267,7 @@ impl Platform {
         elasticity::seed_prewarm_pool(
             &mut platform.pool,
             &platform.cluster,
-            platform.config.prewarm_min_per_host,
+            platform.config.policy.prewarm_min_per_host(),
         );
         platform
     }
@@ -331,14 +346,14 @@ impl Platform {
                 );
             }
         }
-        if self.config.autoscale.enabled {
+        if self.config.policy.autoscales() {
             sched.schedule(
-                SimTime::from_secs_f64(self.config.autoscale.interval_s),
+                SimTime::from_secs_f64(AUTOSCALE_INTERVAL_S),
                 Ev::AutoscaleTick,
             );
         }
         if let Some(interval_s) = self.config.autoscale.prewarm_reconcile_interval_s {
-            if self.config.prewarm_min_per_host > 0 {
+            if self.config.policy.prewarm_min_per_host() > 0 {
                 sched.schedule(SimTime::from_secs_f64(interval_s), Ev::PrewarmReconcileTick);
             }
         }
@@ -376,7 +391,7 @@ impl Platform {
             let replica = self.rng.index(self.sessions[s].replica_hosts.len());
             let host = self.sessions[s].replica_hosts[replica];
             let failed = crate::types::ReplicaId::new(s as u64, replica as u32);
-            match crate::failure::recovery_action(&[failed], self.config.replication_factor) {
+            match crate::failure::recovery_action(&[failed], REPLICATION_FACTOR) {
                 crate::failure::RecoveryAction::RecreateReplica(_) => {
                     // Container restart (pre-warmed if available) + log
                     // replay; the subscription stays on the host.
@@ -419,9 +434,9 @@ impl Platform {
     /// The fleet in host-equivalents (total GPUs / reference host's GPUs):
     /// equals the host count for homogeneous fleets and bills mixed fleets
     /// in proportion to their capacity. Autoscaler scale-out targets are
-    /// computed in the same unit (it always adds `host_shape` hosts).
+    /// computed in the same unit (it always adds p3.16xlarge hosts).
     fn host_equivalents(&self) -> f64 {
-        self.cluster.total_gpus() as f64 / f64::from(self.config.host_shape.gpus.max(1))
+        self.cluster.total_gpus() as f64 / f64::from(ResourceBundle::p3_16xlarge().gpus)
     }
 
     fn refresh_fleet_billing(&mut self, now_s: f64) {
@@ -454,7 +469,7 @@ impl Platform {
     }
 
     fn refresh_sr_gauge(&mut self, now_s: f64) {
-        let sr = self.cluster.sr_limit(self.config.replication_factor);
+        let sr = self.cluster.sr_limit(REPLICATION_FACTOR);
         if sr.is_finite() {
             self.metrics.subscription_ratio.set(now_s, sr);
         }
@@ -541,7 +556,7 @@ impl Platform {
                 self.cluster.unsubscribe(host, &req);
             }
             let executing = self.sessions[s].busy;
-            let r = i64::from(self.config.replication_factor);
+            let r = i64::from(REPLICATION_FACTOR);
             self.set_standby(now_s, -(r - i64::from(executing)));
             self.refresh_sr_gauge(now_s);
         }
@@ -557,7 +572,7 @@ impl Platform {
         let req = self.sessions[s].req;
         let owner = reservation_owner(s);
         let host = self.cluster.best_commit_host(&req).unwrap_or_else(|| {
-            let id = self.cluster.add_host(self.config.host_shape);
+            let id = self.cluster.add_host(ResourceBundle::p3_16xlarge());
             self.refresh_fleet_billing(now_s);
             id
         });
@@ -572,24 +587,18 @@ impl Platform {
     fn create_distributed_kernel(&mut self, now: SimTime, s: usize, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
         let req = self.sessions[s].req;
-        let r = self.config.replication_factor;
-        // Top-R ranking into the reusable buffer: the scheduler only ever
-        // consumes `R` hosts (plus the viable total for the shortfall
-        // math), so the indexed policies walk a few index buckets
-        // without rescanning the fleet, and the ranking, the consumed
-        // prefix, and the replica-host record below all reuse the buffer
-        // — a kernel creation performs no transient allocation.
+        let r = REPLICATION_FACTOR;
+        // The ranking, the consumed prefix, and the replica-host record
+        // below all reuse one buffer: a kernel creation performs no
+        // transient allocation.
         let mut rank_buf = std::mem::take(&mut self.rank_buf);
-        let total = self.placement.rank_top_into(
-            &PlacementContext {
-                cluster: &self.cluster,
-                request: &req,
-                replication_factor: r,
-            },
-            r as usize,
+        if let Err(total) = place_replicas(
+            &mut *self.placement,
+            &mut self.cluster,
+            &req,
+            r,
             &mut rank_buf,
-        );
-        if (total as u32) < r {
+        ) {
             let shortfall = r - total as u32;
             self.rank_buf = rank_buf;
             self.sessions[s].kernel_pending = true;
@@ -600,14 +609,6 @@ impl Platform {
             return;
         }
         let chosen = rank_buf;
-        debug_assert_eq!(chosen.len(), r as usize, "top-R ranking is exact");
-        // Report the consumed hosts back so stateful policies (RoundRobin)
-        // advance past the whole placement, not one ranked host.
-        self.placement.placed(&chosen);
-        for &host in &chosen {
-            let subscribed = self.cluster.subscribe(host, &req);
-            assert!(subscribed, "candidate exists");
-        }
         // Kernel bootstrap: container provisioning (prefer pre-warmed) +
         // registration + Raft cluster establishment — off the critical path
         // of any cell, but the first cell waits if it arrives earlier.
@@ -909,7 +910,7 @@ impl Platform {
 
         let Some(target) = target else {
             self.sessions[s].migration_retries += 1;
-            if self.sessions[s].migration_retries > self.config.migration_max_retries {
+            if self.sessions[s].migration_retries > MIGRATION_MAX_RETRIES {
                 // Aborted: an execute_reply with an error goes back (§3.2.3).
                 self.metrics.counters.aborted += 1;
                 self.finish_cell(s, sched);
@@ -918,7 +919,7 @@ impl Platform {
             // Placement failure triggers scale-out (§3.4.2).
             self.trigger_scale_out(now, 1, req, sched);
             sched.schedule_in(
-                SimTime::from_secs_f64(self.config.migration_retry_interval_s),
+                SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
                 Ev::MigrationRetry { s, e, submit_us },
             );
             return;
@@ -979,7 +980,7 @@ impl Platform {
         if !ok {
             // The window closed while we migrated; retry.
             sched.schedule_in(
-                SimTime::from_secs_f64(self.config.migration_retry_interval_s),
+                SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
                 Ev::MigrationRetry { s, e, submit_us },
             );
             return;
@@ -1209,9 +1210,8 @@ impl Platform {
         let ctx = ElasticityContext {
             cluster: &self.cluster,
             autoscale: &self.config.autoscale,
-            host_shape: self.config.host_shape,
+            sr_target: self.config.policy.sr_target(),
             shape_catalog: &self.shape_catalog,
-            replication_factor: self.config.replication_factor,
             hosts_in_flight: self.hosts_in_flight,
             gpus_in_flight: self.gpus_in_flight,
             queued_demand: &queued_demand,
@@ -1257,7 +1257,7 @@ impl Platform {
                         let latency = self.provisioning.vm_scale_out_for(
                             &mut self.rng,
                             shape.gpus,
-                            self.config.host_shape.gpus,
+                            ResourceBundle::p3_16xlarge().gpus,
                         );
                         sched.schedule_in(latency, Ev::HostReady(shape));
                     }
@@ -1303,7 +1303,7 @@ impl Platform {
         request: ResourceRequest,
         sched: &mut dyn Scheduler<Ev>,
     ) {
-        if !self.config.autoscale.enabled {
+        if !self.config.policy.autoscales() {
             return;
         }
         let shortfall = DemandShortfall { replicas, request };
@@ -1324,7 +1324,7 @@ impl Platform {
         // Pre-warm containers provision asynchronously (§3.2.3): the pool
         // tracks them as in flight until each start completes, so a host
         // scaled back in before then reconciles instead of leaking counts.
-        let deficit = self.config.prewarm_min_per_host;
+        let deficit = self.config.policy.prewarm_min_per_host();
         self.pool.begin_provision(id, deficit);
         for _ in 0..deficit {
             let warm = self.provisioning.warm_container_start(&mut self.rng);
@@ -1348,7 +1348,7 @@ impl Platform {
         self.apply_elasticity(now, actions, sched);
         if now.as_micros() < self.horizon_us {
             sched.schedule_in(
-                SimTime::from_secs_f64(self.config.autoscale.interval_s),
+                SimTime::from_secs_f64(AUTOSCALE_INTERVAL_S),
                 Ev::AutoscaleTick,
             );
         }
@@ -1359,7 +1359,7 @@ impl Platform {
     /// [`Ev::PrewarmReconcileTick`], so pools recover after a
     /// flash crowd instead of waiting for the next host arrival.
     fn reconcile_prewarm(&mut self, sched: &mut dyn Scheduler<Ev>) {
-        let minimum = self.config.prewarm_min_per_host;
+        let minimum = self.config.policy.prewarm_min_per_host();
         let hosts = self.cluster.hosts().iter().map(Host::id);
         for (host, missing) in self.pool.deficits(hosts, minimum) {
             self.pool.begin_provision(host, missing);

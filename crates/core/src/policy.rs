@@ -107,6 +107,44 @@ pub trait PlacementPolicy: std::fmt::Debug {
     }
 }
 
+/// Places one kernel's `r` replica subscriptions (§3.2.1): ranks the top
+/// `r` hosts for `request` into `out` and, when `r` exist, reports them to
+/// `policy` and subscribes each. Fewer viable hosts subscribe nothing and
+/// return the viable total, for the caller's shortfall path. The one
+/// placement step the DES platform and [`crate::GatewayProvisioner`]
+/// share.
+pub(crate) fn place_replicas<P: PlacementPolicy + ?Sized>(
+    policy: &mut P,
+    cluster: &mut Cluster,
+    request: &ResourceRequest,
+    r: u32,
+    out: &mut Vec<HostId>,
+) -> Result<(), usize> {
+    // Top-R only: the indexed policies walk a few index buckets without
+    // rescanning the fleet, and the viable total covers the shortfall.
+    let found = policy.rank_top_into(
+        &PlacementContext {
+            cluster,
+            request,
+            replication_factor: r,
+        },
+        r as usize,
+        out,
+    );
+    if (found as u32) < r {
+        return Err(found);
+    }
+    debug_assert_eq!(out.len(), r as usize, "top-R ranking is exact");
+    // Report the consumed hosts so stateful policies (RoundRobin) rotate
+    // past the whole placement — ranking itself is pure.
+    policy.placed(out);
+    for &host in out.iter() {
+        let subscribed = cluster.subscribe(host, request);
+        assert!(subscribed, "ranked host exists");
+    }
+    Ok(())
+}
+
 /// The full-scan reference for the indexed policies: the complete ranking
 /// `policy` (a [`PlacementPolicy::name`]) gives `ctx`, derived from a walk
 /// of the whole slab instead of the placement index. `last` is the

@@ -103,7 +103,7 @@ pub struct RunMetrics {
     pub counters: RunCounters,
     /// Hosts provisioned by scale-out, per shape — the signal the
     /// shape-aware elasticity policy is judged on (a heterogeneous fleet
-    /// should grow along its mix, not as `host_shape` monoculture).
+    /// should grow along its mix, not as p3.16xlarge monoculture).
     /// Sorted by `(gpus, millicpus, memory_mb)`.
     pub hosts_provisioned_by_shape: Vec<(ResourceBundle, u64)>,
     /// Hosts retired by scale-in, per shape; same order as

@@ -40,7 +40,7 @@ use crate::policy::LeastLoaded;
 /// `execute_request` — the load generator's stand-in for user code.
 pub const DURATION_KEY: &str = "duration_us";
 
-/// The signing key shared by the gateway and its clients (matches the key
+/// The signing key shared by the gateway and its clients (the key
 /// [`GatewayProvisioner`] hands out in [`ConnectionInfo`]).
 pub const GATEWAY_KEY: &[u8] = b"notebookos-gateway";
 

@@ -205,7 +205,7 @@ pub struct Scenario {
     /// Duration/IAT profile events are drawn from.
     pub profile: TraceProfile,
     /// Heterogeneous initial fleet override; empty keeps the config's
-    /// homogeneous `initial_hosts × host_shape` fleet.
+    /// homogeneous `initial_hosts` × p3.16xlarge fleet.
     pub host_mix: Vec<(ResourceBundle, u32)>,
 }
 
@@ -945,13 +945,7 @@ mod tests {
     fn report_persists_json() {
         let report = SweepSpec::new()
             .policies(vec![PolicyKind::NotebookOs])
-            .elasticities(vec![
-                ElasticityKind::Threshold,
-                ElasticityKind::Hysteresis {
-                    cooldown_s: 90.0,
-                    surplus_ticks: 3,
-                },
-            ])
+            .elasticities(vec![ElasticityKind::Threshold, ElasticityKind::Hysteresis])
             .seeds(vec![1, 2])
             .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
             .workers(2)
@@ -964,7 +958,7 @@ mod tests {
 
         let json = std::fs::read_to_string(&json_path).expect("json readable");
         assert_eq!(json.matches("\"seed\":").count(), 4, "one object per run");
-        assert!(json.contains("\"hysteresis(cooldown=90s,surplus=3)\""));
+        assert!(json.contains("\"hysteresis(cooldown=120s,surplus=4)\""));
         for key in [
             "\"interactivity_ms\"",
             "\"provisioned_gpus\"",

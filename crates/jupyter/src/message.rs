@@ -364,20 +364,6 @@ impl JupyterMessage {
         self
     }
 
-    /// The GPU device ids embedded in the metadata, if any. An entry that
-    /// is not an integer, or does not fit a `u32`, is skipped.
-    pub fn gpu_device_ids(&self) -> Vec<u32> {
-        self.metadata
-            .get("gpu_device_ids")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Whether this message reports success (for replies).
     pub fn is_ok_reply(&self) -> bool {
         self.header.msg_type == MsgType::ExecuteReply
@@ -557,31 +543,6 @@ mod tests {
         assert!(r.is_ok_reply());
         let e = m.execute_reply("m3", ReplyStatus::Error, 3, false, 300);
         assert!(!e.is_ok_reply());
-    }
-
-    #[test]
-    fn gpu_device_ids_round_trip() {
-        let m = request().with_gpu_device_ids(&[0, 3, 5]);
-        assert_eq!(m.gpu_device_ids(), vec![0, 3, 5]);
-        assert_eq!(request().gpu_device_ids(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn gpu_device_ids_that_do_not_fit_a_u32_are_dropped_not_truncated() {
-        let mut m = request();
-        m.metadata = m.metadata.with(
-            "gpu_device_ids",
-            Json::Arr(vec![
-                Json::from(0u64),
-                Json::from(1u64 << 32),
-                Json::from(u64::from(u32::MAX)),
-                Json::from((1u64 << 32) + 7),
-                Json::Num(1.5),
-                Json::Num(-1.0),
-                Json::from("2"),
-            ]),
-        );
-        assert_eq!(m.gpu_device_ids(), vec![0, u32::MAX]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use log::{MergeOutcome, RaftLog};
 pub use message::Message;
 pub use node::{Output, ProposeError, RaftNode, Role};
 pub use storage::{
-    encode_commands, measure_wal_fsync_cost, MemStorage, RaftStorage, RecoveredState, WalCodec,
-    WalFsyncCost, WalOptions, WalStats, WalStorage,
+    encode_commands, MemStorage, RaftStorage, RecoveredState, WalCodec, WalOptions, WalStats,
+    WalStorage,
 };
 pub use types::{Entry, EntryPayload, LogIndex, Membership, NodeId, Term};

@@ -657,81 +657,6 @@ impl<C: WalCodec + Send> RaftStorage<C> for WalStorage<C> {
     }
 }
 
-// ----------------------------------------------------------------------
-// fsync-cost measurement
-// ----------------------------------------------------------------------
-
-/// Measured per-append cost of the WAL in both durability modes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WalFsyncCost {
-    /// Mean µs per appended entry with batched (deferred) fsync.
-    pub buffered_us_per_append: f64,
-    /// Mean µs per appended entry with an fsync per append.
-    pub fsync_us_per_append: f64,
-    /// Entries appended in each mode.
-    pub appends: usize,
-}
-
-impl WalFsyncCost {
-    /// Multiplicative slowdown of fsync-per-append over batched appends.
-    pub fn slowdown(&self) -> f64 {
-        if self.buffered_us_per_append <= 0.0 {
-            1.0
-        } else {
-            self.fsync_us_per_append / self.buffered_us_per_append
-        }
-    }
-
-    /// One-line human rendering for the chaos-drill bin.
-    pub fn render(&self) -> String {
-        format!(
-            "wal fsync cost: {:.1} µs/append batched vs {:.1} µs/append fsynced \
-             ({:.1}x, {} appends measured)",
-            self.buffered_us_per_append,
-            self.fsync_us_per_append,
-            self.slowdown(),
-            self.appends,
-        )
-    }
-}
-
-/// Measures what WAL durability actually costs on the disk under `dir`:
-/// appends `appends` single-entry records (plus a sync per append — the
-/// per-input group-commit pattern [`crate::RaftNode`] drives) to a
-/// throwaway WAL in each mode and reports the mean per-append wall time.
-/// Probe files are removed before returning.
-///
-/// # Errors
-///
-/// Fails on I/O errors creating or removing the probe WALs.
-pub fn measure_wal_fsync_cost(dir: &Path, appends: usize) -> std::io::Result<WalFsyncCost> {
-    let measure = |batch: usize, name: &str| -> std::io::Result<f64> {
-        let path = dir.join(name);
-        let mut wal: WalStorage<String> =
-            WalStorage::open_with(&path, WalOptions { fsync_batch: batch })?;
-        let payload = "x = train_step(batch)".to_string();
-        let started = std::time::Instant::now();
-        for i in 0..appends {
-            wal.append_entries(&[Entry {
-                term: 1,
-                index: (i + 1) as LogIndex,
-                payload: EntryPayload::Command(payload.clone()),
-            }]);
-            RaftStorage::<String>::sync(&mut wal);
-        }
-        let elapsed = started.elapsed();
-        drop(wal);
-        std::fs::remove_file(&path)?;
-        Ok(elapsed.as_secs_f64() * 1e6 / appends.max(1) as f64)
-    };
-    Ok(WalFsyncCost {
-        // A batch far larger than the probe defers every fsync.
-        buffered_us_per_append: measure(appends.max(2), "wal-probe-batched.wal")?,
-        fsync_us_per_append: measure(1, "wal-probe-synced.wal")?,
-        appends,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,17 +850,6 @@ mod tests {
         assert_eq!(RaftStorage::<String>::durable_index(&mem), 1);
         let state: RecoveredState<String> = mem.replay();
         assert_eq!(state, RecoveredState::default());
-    }
-
-    #[test]
-    fn fsync_cost_probe_measures_both_modes() {
-        let dir = tempdir("cost");
-        let cost = measure_wal_fsync_cost(&dir, 16).expect("measures");
-        assert_eq!(cost.appends, 16);
-        assert!(cost.buffered_us_per_append > 0.0);
-        assert!(cost.fsync_us_per_append > 0.0);
-        assert!(cost.slowdown() > 0.0);
-        assert!(cost.render().contains("µs/append"));
     }
 
     #[test]

@@ -196,7 +196,8 @@ fn fleet_never_drops_below_min_hosts_under_any_elasticity() {
             config.autoscale.min_hosts = 3;
             config.autoscale.scaling_buffer_hosts = 0;
             config.autoscale.elasticity = kind;
-            let min_gpus = f64::from(config.autoscale.min_hosts * config.host_shape.gpus);
+            let min_gpus =
+                f64::from(config.autoscale.min_hosts * ResourceBundle::p3_16xlarge().gpus);
             let trace = generate(&SyntheticConfig::smoke(), seed);
             let world = Platform::run_for_inspection(config, trace);
             assert!(
@@ -320,7 +321,7 @@ fn shape_aware_provisions_multiple_shapes_on_heterogeneous_fleets() {
         m.hosts_provisioned_by_shape
             .iter()
             .all(|&(shape, _)| shape == ResourceBundle::p3_16xlarge()),
-        "threshold always adds host_shape: {:?}",
+        "threshold always adds p3.16xlarge hosts: {:?}",
         m.hosts_provisioned_by_shape
     );
 }
@@ -351,7 +352,7 @@ fn hysteresis_damps_scaling_churn_on_diurnal_arrivals() {
         Platform::run(config, generate(&workload, 4))
     };
     let threshold = run(ElasticityKind::Threshold);
-    let hysteresis = run(ElasticityKind::hysteresis());
+    let hysteresis = run(ElasticityKind::Hysteresis);
     let churn = |m: &RunMetrics| m.counters.scale_outs + m.counters.scale_ins;
     assert!(
         churn(&hysteresis) <= churn(&threshold),
