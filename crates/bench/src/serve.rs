@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
 use notebookos_des::{Scheduler, SimTime};
-use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, WireEndpoint};
+use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint};
 use notebookos_metrics::Cdf;
 use notebookos_trace::{generate, SyntheticConfig, WorkloadTrace};
 
@@ -345,7 +345,10 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
                         report.sessions_started += 1;
                         report.peak_sessions = report.peak_sessions.max(gateway.session_count());
                     }
-                    Err(_) => report.shortfalls += 1,
+                    Err(ProvisionError::InsufficientResources(_)) => report.shortfalls += 1,
+                    // The trace starts each user's session once, under a
+                    // session id no other user has.
+                    Err(e) => panic!("user {user}'s one session start failed: {e}"),
                 }
             }
             ServeEv::SessionEnd(user) => {

@@ -83,17 +83,16 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`ProvisionError::InsufficientResources`] for a duplicate
-    /// kernel id or fewer than R viable hosts.
+    /// Returns [`ProvisionError::DuplicateKernel`] for a kernel id that is
+    /// already live and [`ProvisionError::InsufficientResources`] for fewer
+    /// than R viable hosts; nothing changes in either case.
     pub fn launch(
         &mut self,
         kernel_id: &str,
         spec: KernelResourceSpec,
     ) -> Result<(ConnectionInfo, Vec<HostId>), ProvisionError> {
         if self.kernels.contains_key(kernel_id) {
-            return Err(ProvisionError::InsufficientResources(format!(
-                "kernel `{kernel_id}` already exists"
-            )));
+            return Err(ProvisionError::DuplicateKernel(kernel_id.to_string()));
         }
         let request = request_of(spec);
         let mut rank_buf = std::mem::take(&mut self.rank_buf);
@@ -213,8 +212,12 @@ mod tests {
     fn duplicate_kernel_ids_rejected() {
         let mut g = gateway();
         g.launch("kernel-1", spec()).expect("launches");
-        assert!(g.launch("kernel-1", spec()).is_err());
+        assert_eq!(
+            g.launch("kernel-1", spec()).unwrap_err(),
+            ProvisionError::DuplicateKernel("kernel-1".into())
+        );
         assert_eq!(g.kernel_count(), 1);
+        assert_eq!(g.cluster().total_subscribed_gpus(), 3 * 2);
     }
 
     #[test]

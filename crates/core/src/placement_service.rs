@@ -194,10 +194,10 @@ mod tests {
         assert_eq!(a_hosts.len(), 3);
         assert_eq!(info.kernel_id, "kernel-a");
         // Duplicate ids are rejected across clients too (single owner).
-        assert!(matches!(
+        assert_eq!(
             b.launch("kernel-a", spec()),
-            Err(ProvisionError::InsufficientResources(_))
-        ));
+            Err(ProvisionError::DuplicateKernel("kernel-a".into()))
+        );
         // b places on the fleet a loaded: least-loaded picks the three
         // hosts a left idle.
         let (_, b_hosts) = b.launch("kernel-b", spec()).expect("places");

@@ -255,30 +255,33 @@ impl LiveGateway {
         Some(accepted)
     }
 
-    /// Completes an accepted execution: every replica answers (Fig. 5
-    /// step 8, executor `ok` + followers' yields), the router merges, and
-    /// the merged reply goes back over the wire. Returns `false` for an
-    /// unknown or already-completed `msg_id`.
+    /// Completes an accepted execution (Fig. 5 step 8): every replica
+    /// answers, the router merges, and the merged reply goes back over the
+    /// wire. Only the designated executor's `execute_reply` is built; the
+    /// R−1 followers' `ok` replies are counted, not built, since the
+    /// executor's outranks them and they would be dropped on arrival
+    /// ([`Router::accept_followers`]). Each replica still uses up its reply
+    /// id, so the merged reply is named as if all R had been built. Returns
+    /// `false` for an unknown or already-completed `msg_id`.
     pub fn finish_execution(&mut self, msg_id: &str, now: SimTime) -> bool {
         let Some(pending) = self.pending.remove(msg_id) else {
             return false;
         };
-        let mut merged = None;
-        for replica in 0..pending.replicas as u32 {
-            let reply = pending.header.execute_reply(
-                self.reply_ids.next_id(),
-                ReplyStatus::Ok,
-                pending.execution_count,
-                replica == pending.designated,
-                now.as_micros(),
-            );
-            match self.router.accept_reply(reply) {
-                Ok(Some(m)) => merged = Some(m),
-                Ok(None) => {}
-                Err(_) => return false,
-            }
+        let followers = pending.replicas - 1;
+        let designated = u64::from(pending.designated);
+        self.reply_ids.skip(designated);
+        let reply = pending.header.execute_reply(
+            self.reply_ids.next_id(),
+            ReplyStatus::Ok,
+            pending.execution_count,
+            true,
+            now.as_micros(),
+        );
+        self.reply_ids.skip(followers as u64 - designated);
+        if self.router.accept_followers(msg_id, followers).is_err() {
+            return false;
         }
-        let Some(merged) = merged else {
+        let Ok(Some(merged)) = self.router.accept_reply(reply) else {
             return false;
         };
         self.stats.replies += 1;
@@ -501,6 +504,19 @@ mod tests {
         assert_eq!(gw.session_count(), 0);
     }
 
+    #[test]
+    fn a_duplicate_start_is_its_own_error_and_changes_nothing() {
+        let (mut gw, _client) = gateway();
+        gw.start_session("s1", spec(), SimTime::ZERO).unwrap();
+        // Sessions, kernels, routes, subscriptions and counters alike.
+        let before = format!("{gw:?}");
+        assert_eq!(
+            gw.start_session("s1", spec(), SimTime::from_secs(1)),
+            Err(ProvisionError::DuplicateKernel("kernel-s1".into()))
+        );
+        assert_eq!(format!("{gw:?}"), before);
+    }
+
     fn request_to(msg_id: &str, session: &str, kernel: &str, at: SimTime) -> JupyterMessage {
         client_request(msg_id, session, kernel, "x", SimTime::from_millis(1), at)
     }
@@ -522,6 +538,85 @@ mod tests {
         let count = reply.content.get("execution_count").unwrap().as_u64();
         let ordinal: u64 = reply.header.msg_id["gw-reply-".len()..].parse().unwrap();
         (count.unwrap(), (ordinal - 1) % 3)
+    }
+
+    /// `finish_execution` as it was before the followers were counted:
+    /// every replica's `execute_reply` built and handed to
+    /// `Router::accept_reply`. The reference the one-reply path is held to.
+    fn finish_execution_building_every_reply(
+        gw: &mut LiveGateway,
+        msg_id: &str,
+        now: SimTime,
+    ) -> bool {
+        let Some(pending) = gw.pending.remove(msg_id) else {
+            return false;
+        };
+        let mut merged = None;
+        for replica in 0..pending.replicas as u32 {
+            let reply = pending.header.execute_reply(
+                gw.reply_ids.next_id(),
+                ReplyStatus::Ok,
+                pending.execution_count,
+                replica == pending.designated,
+                now.as_micros(),
+            );
+            match gw.router.accept_reply(reply) {
+                Ok(Some(m)) => merged = Some(m),
+                Ok(None) => {}
+                Err(_) => return false,
+            }
+        }
+        let Some(merged) = merged else {
+            return false;
+        };
+        gw.stats.replies += 1;
+        gw.endpoint.send(&pending.identities, &merged)
+    }
+
+    #[test]
+    fn one_built_reply_merges_to_the_bytes_that_r_built_replies_did() {
+        let identity = [Bytes::from_static(b"client-7")];
+        for replicas in [1u32, 3, 5] {
+            let (mut built, mut built_client) =
+                LiveGateway::new(5, ResourceBundle::p3_16xlarge(), replicas);
+            let (mut counted, mut counted_client) =
+                LiveGateway::new(5, ResourceBundle::p3_16xlarge(), replicas);
+            for gw in [&mut built, &mut counted] {
+                for session in ["s0", "s1"] {
+                    gw.start_session(session, spec(), SimTime::ZERO).unwrap();
+                }
+            }
+            // Two sessions in turn, each executing R + 1 times: every
+            // replica is designated, and execution counts run 1..=R + 1.
+            for i in 0..2 * (u64::from(replicas) + 1) {
+                let session = format!("s{}", i % 2);
+                let request = request_to(
+                    &format!("m{i}"),
+                    &session,
+                    &format!("kernel-{session}"),
+                    SimTime::from_secs(i),
+                );
+                let done = SimTime::from_secs(i + 1);
+                built_client.send(&identity, &request);
+                counted_client.send(&identity, &request);
+                assert_eq!((built.pump(done).len(), counted.pump(done).len()), (1, 1));
+                let id = &request.header.msg_id;
+                assert!(finish_execution_building_every_reply(&mut built, id, done));
+                assert!(counted.finish_execution(id, done));
+                let (ids, reply) = built_client.try_recv().unwrap().unwrap();
+                let want = notebookos_jupyter::wire::encode(&ids, &reply, GATEWAY_KEY);
+                let (ids, reply) = counted_client.try_recv().unwrap().unwrap();
+                let got = notebookos_jupyter::wire::encode(&ids, &reply, GATEWAY_KEY);
+                assert_eq!(got, want, "R = {replicas}, execution {i}");
+                assert_eq!(
+                    counted.reply_ids.clone().next_id(),
+                    built.reply_ids.clone().next_id(),
+                    "the reply-id counter, R = {replicas}, execution {i}"
+                );
+                assert_eq!(counted.stats(), built.stats());
+            }
+            assert_eq!(counted.in_flight(), 0);
+        }
     }
 
     #[test]

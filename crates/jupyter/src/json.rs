@@ -161,15 +161,43 @@ impl Json {
 
     /// Encodes to compact JSON text.
     pub fn encode(&self) -> String {
-        self.encode_with(&mut ())
+        let mut out = String::new();
+        self.encode_with(&mut out, &mut ());
+        out
     }
 
-    /// [`Json::encode`], with every byte of the text also fed to
-    /// `absorber`, in order, as it is written.
-    pub(crate) fn encode_with<A: Absorb>(&self, absorber: &mut A) -> String {
-        let mut s = String::new();
-        encode_into(self, &mut s, absorber);
-        s
+    /// Appends [`Json::encode`]'s text to `out`, feeding every byte of it
+    /// to `absorber`, in order, as it is written.
+    pub(crate) fn encode_with<A: Absorb>(&self, out: &mut String, absorber: &mut A) {
+        match self {
+            Json::Null => put("null", out, absorber),
+            Json::Bool(true) => put("true", out, absorber),
+            Json::Bool(false) => put("false", out, absorber),
+            Json::Num(n) => encode_number(*n, out, absorber),
+            Json::Str(s) => encode_string_with(s, out, absorber),
+            Json::Arr(items) => {
+                put_ascii(b'[', out, absorber);
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        put_ascii(b',', out, absorber);
+                    }
+                    item.encode_with(out, absorber);
+                }
+                put_ascii(b']', out, absorber);
+            }
+            Json::Obj(map) => {
+                put_ascii(b'{', out, absorber);
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        put_ascii(b',', out, absorber);
+                    }
+                    encode_string_with(k, out, absorber);
+                    put_ascii(b':', out, absorber);
+                    v.encode_with(out, absorber);
+                }
+                put_ascii(b'}', out, absorber);
+            }
+        }
     }
 
     /// Parses JSON text.
@@ -311,38 +339,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-fn encode_into<A: Absorb>(value: &Json, out: &mut String, absorber: &mut A) {
-    match value {
-        Json::Null => put("null", out, absorber),
-        Json::Bool(true) => put("true", out, absorber),
-        Json::Bool(false) => put("false", out, absorber),
-        Json::Num(n) => encode_number(*n, out, absorber),
-        Json::Str(s) => encode_string_with(s, out, absorber),
-        Json::Arr(items) => {
-            put_ascii(b'[', out, absorber);
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    put_ascii(b',', out, absorber);
-                }
-                encode_into(item, out, absorber);
-            }
-            put_ascii(b']', out, absorber);
-        }
-        Json::Obj(map) => {
-            put_ascii(b'{', out, absorber);
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    put_ascii(b',', out, absorber);
-                }
-                encode_string_with(k, out, absorber);
-                put_ascii(b':', out, absorber);
-                encode_into(v, out, absorber);
-            }
-            put_ascii(b'}', out, absorber);
-        }
-    }
-}
 
 /// Writes a number: integral values without a fraction, non-finite ones
 /// (which JSON cannot express and [`Json::parse`] refuses) as `null`.

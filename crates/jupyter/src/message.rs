@@ -128,20 +128,19 @@ impl Header {
     /// [`Header::encode_with`] alone.
     #[cfg(test)]
     pub(crate) fn encode(&self) -> String {
-        self.encode_with(&mut ())
+        let mut out = String::new();
+        self.encode_with(&mut out, &mut ());
+        out
     }
 
-    /// The header's canonical JSON text, feeding `absorber` each byte it
-    /// writes: the protocol's dict with its keys in sorted order, as
-    /// [`Json::encode`] would write it, but written field by field without
-    /// building the dict. This is the header frame [`crate::wire::encode`]
-    /// signs.
-    pub(crate) fn encode_with<A: Absorb>(&self, absorber: &mut A) -> String {
-        let mut out = String::with_capacity(
-            96 + self.msg_id.len() + self.session.len() + self.username.len() + self.version.len(),
-        );
-        put("{\"date\":", &mut out, absorber);
-        encode_number(self.date_us as f64, &mut out, absorber);
+    /// Appends the header's canonical JSON text to `out`, feeding
+    /// `absorber` each byte it writes: the protocol's dict with its keys in
+    /// sorted order, as [`Json::encode`] would write it, but written field
+    /// by field without building the dict. This is the header frame
+    /// [`crate::wire::encode`] signs.
+    pub(crate) fn encode_with<A: Absorb>(&self, out: &mut String, absorber: &mut A) {
+        put("{\"date\":", out, absorber);
+        encode_number(self.date_us as f64, out, absorber);
         for (key, value) in [
             (",\"msg_id\":", self.msg_id.as_str()),
             (",\"msg_type\":", self.msg_type.as_str()),
@@ -149,11 +148,10 @@ impl Header {
             (",\"username\":", self.username.as_str()),
             (",\"version\":", self.version.as_str()),
         ] {
-            put(key, &mut out, absorber);
-            encode_string_with(value, &mut out, absorber);
+            put(key, out, absorber);
+            encode_string_with(value, out, absorber);
         }
-        put("}", &mut out, absorber);
-        out
+        put("}", out, absorber);
     }
 
     /// Parses from the protocol's JSON dict, taking the strings out of it:

@@ -40,6 +40,8 @@ pub enum ProvisionError {
     InsufficientResources(String),
     /// The kernel id is unknown.
     UnknownKernel(String),
+    /// A kernel with this id is already live.
+    DuplicateKernel(String),
 }
 
 impl std::fmt::Display for ProvisionError {
@@ -49,6 +51,7 @@ impl std::fmt::Display for ProvisionError {
                 write!(f, "insufficient resources: {detail}")
             }
             ProvisionError::UnknownKernel(id) => write!(f, "unknown kernel `{id}`"),
+            ProvisionError::DuplicateKernel(id) => write!(f, "kernel `{id}` already exists"),
         }
     }
 }

@@ -29,6 +29,16 @@
 //! [`merge_replies`](crate::merge_replies)'s, written once in `message.rs`,
 //! so the merged reply is what `merge_replies` picks from the same replies
 //! in the same order.
+//!
+//! # Followers counted, not built
+//!
+//! A reply that is sure to lose need not exist. [`Router::accept_followers`]
+//! counts replies toward a fan-in without taking any: the in-process
+//! gateway builds only the executor's `execute_reply`, which ranks first,
+//! and counts the R−1 followers' `ok` replies, which could only have been
+//! dropped on arrival. It refuses a count that would complete the fan-in,
+//! so the reply that completes it is always a real one and the merged reply
+//! always exists.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -73,6 +83,9 @@ pub enum RouteError {
     /// A request reuses the id of one still awaiting its replies; routing it
     /// would overwrite that request's fan-in.
     DuplicateRequest(String),
+    /// Counted replies would complete or overrun a request's fan-in, which
+    /// only a real reply may complete.
+    FanInOverrun(String),
 }
 
 impl std::fmt::Display for RouteError {
@@ -83,6 +96,9 @@ impl std::fmt::Display for RouteError {
             RouteError::BadDesignation(i) => write!(f, "designated replica {i} out of range"),
             RouteError::UnknownRequest(m) => write!(f, "no pending request `{m}`"),
             RouteError::DuplicateRequest(m) => write!(f, "request `{m}` is already in flight"),
+            RouteError::FanInOverrun(m) => {
+                write!(f, "counted replies would complete the fan-in of `{m}`")
+            }
         }
     }
 }
@@ -212,6 +228,28 @@ impl Router {
         keep_preferred(&mut best, reply);
         Ok(best)
     }
+
+    /// Counts `count` replies toward the fan-in of request `request_id`
+    /// without taking them (module docs, "Followers counted, not built"):
+    /// replies that would lose to the one that completes the fan-in, such
+    /// as followers' `ok` replies against the executor's. Only the count of
+    /// replies still to come changes; a count of 0 changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::UnknownRequest`] for a request the router is
+    /// not tracking, and [`RouteError::FanInOverrun`] for a count that
+    /// would leave no reply to come; the fan-in is unchanged in both cases.
+    pub fn accept_followers(&mut self, request_id: &str, count: usize) -> Result<(), RouteError> {
+        let Some((remaining, _)) = self.pending.get_mut(request_id) else {
+            return Err(RouteError::UnknownRequest(request_id.to_string()));
+        };
+        if count >= *remaining {
+            return Err(RouteError::FanInOverrun(request_id.to_string()));
+        }
+        *remaining -= count;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +376,93 @@ mod tests {
                 assert_eq!(last.as_ref(), Some(&replies[first]), "{sequence}");
                 assert_eq!(last, merge_replies(replies), "{sequence}");
                 assert_eq!(r.pending.len(), 0);
+            }
+        }
+    }
+
+    /// The fan-in of `m1` on a router with `replicas` replicas per route.
+    fn fan_in(replicas: u64) -> Router {
+        let mut r = Router::new();
+        r.register(
+            "kernel-1",
+            KernelRoute {
+                replicas: (0..replicas).collect(),
+            },
+        );
+        r.route_execute(&request(), Some(0)).unwrap();
+        r
+    }
+
+    #[test]
+    fn counting_followers_of_an_unknown_request_is_refused() {
+        let mut r = router();
+        assert_eq!(
+            r.accept_followers("m1", 2),
+            Err(RouteError::UnknownRequest("m1".into()))
+        );
+        assert_eq!(
+            r.accept_followers("m1", 0),
+            Err(RouteError::UnknownRequest("m1".into()))
+        );
+        assert!(r.pending.is_empty());
+    }
+
+    #[test]
+    fn a_count_that_would_complete_or_overrun_the_fan_in_is_refused_and_changes_nothing() {
+        let req = request();
+        for (counted_before, count) in [(0, 3), (0, 4), (0, usize::MAX), (1, 2), (2, 1)] {
+            let mut r = fan_in(3);
+            r.accept_followers("m1", counted_before).unwrap();
+            let before = format!("{:?}", r.pending);
+            assert_eq!(
+                r.accept_followers("m1", count),
+                Err(RouteError::FanInOverrun("m1".into())),
+                "{counted_before} counted, then {count}"
+            );
+            assert_eq!(format!("{:?}", r.pending), before);
+            // The replies still to come complete it as before the refusal.
+            for i in counted_before..2 {
+                let follower = req.execute_reply(format!("r{i}"), ReplyStatus::Ok, 1, false, 0);
+                assert_eq!(r.accept_reply(follower).unwrap(), None);
+            }
+            let executor = req.execute_reply("rx", ReplyStatus::Ok, 1, true, 0);
+            let merged = r.accept_reply(executor).unwrap().expect("complete");
+            assert_eq!(merged.header.msg_id, "rx");
+            assert!(r.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_count_of_zero_changes_nothing() {
+        let mut r = fan_in(3);
+        let before = format!("{:?}", r.pending);
+        assert_eq!(r.accept_followers("m1", 0), Ok(()));
+        assert_eq!(format!("{:?}", r.pending), before);
+        let mut one = fan_in(1);
+        assert_eq!(one.accept_followers("m1", 0), Ok(()));
+        let executor = request().execute_reply("rx", ReplyStatus::Ok, 1, true, 0);
+        assert!(one.accept_reply(executor).unwrap().is_some());
+    }
+
+    #[test]
+    fn counted_followers_and_the_executor_merge_as_the_full_set_does() {
+        let req = request();
+        for replicas in 1..=5u64 {
+            for executor_at in 0..replicas {
+                let replies: Vec<JupyterMessage> = (0..replicas)
+                    .map(|i| {
+                        req.execute_reply(format!("r{i}"), ReplyStatus::Ok, 7, i == executor_at, i)
+                    })
+                    .collect();
+                let mut r = fan_in(replicas);
+                r.accept_followers("m1", replicas as usize - 1).unwrap();
+                let merged = r.accept_reply(replies[executor_at as usize].clone());
+                assert_eq!(
+                    merged,
+                    Ok(merge_replies(replies)),
+                    "{replicas}, {executor_at}"
+                );
+                assert!(r.pending.is_empty());
             }
         }
     }

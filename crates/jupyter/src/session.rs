@@ -123,6 +123,13 @@ impl MsgIdGen {
         self.counter += 1;
         format!("{}-{}", self.prefix, self.counter)
     }
+
+    /// Uses up the next `n` ids without formatting them: the id
+    /// [`MsgIdGen::next_id`] returns afterwards is the one it would have
+    /// returned after `n` more calls.
+    pub fn skip(&mut self, n: u64) {
+        self.counter += n;
+    }
 }
 
 #[cfg(test)]
@@ -172,5 +179,10 @@ mod tests {
         assert_eq!(g.next_id(), "cli-2");
         let mut h = MsgIdGen::new("cli");
         assert_eq!(h.next_id(), "cli-1");
+        // Skipped ids are used up as if generated.
+        h.skip(0);
+        assert_eq!(h.next_id(), "cli-2");
+        h.skip(3);
+        assert_eq!(h.next_id(), "cli-6");
     }
 }

@@ -42,6 +42,25 @@
 //! before it chooses its error, and nothing parsed from frames that fail
 //! the signature leaves `decode`.
 //!
+//! Above the signature's floor, a small message costs its heap
+//! allocations. A round trip served through `notebookos_core::LiveGateway`
+//! with an 11-byte cell made 128 and makes 76
+//! (`crates/core/tests/serve_allocations.rs` holds the count): the gateway
+//! builds one reply instead of R, and [`encode`] makes three (next
+//! section). Most of what is left is the client's request build and
+//! `decode`'s strings and JSON tree.
+//!
+//! # One buffer per message
+//!
+//! [`encode`] writes the header, parent, metadata and content frames one
+//! after another into one buffer as the `Signer` absorbs them, appends the
+//! 32-byte signature, turns the buffer into [`Bytes`] once, and hands out
+//! the five frames as sub-ranges of it ([`Bytes::slice`]). A message then
+//! costs three allocations — the buffer, its shared copy and the frame
+//! list — where a `String` per frame, each copied into an `Arc` of its own,
+//! and the signature copied into a fifth cost fourteen. The frames' bytes
+//! are the same; only where they live changed.
+//!
 //! # Headers without the dict
 //!
 //! Around the signature, [`encode`] writes each header straight to its
@@ -67,7 +86,7 @@
 
 use bytes::Bytes;
 
-use crate::json::{parse_members_with, Absorb, Json, HEX};
+use crate::json::{parse_members_with, put, Absorb, Json, HEX};
 use crate::message::{HeaderDraft, JupyterMessage};
 
 /// The frame delimiter between routing identities and the message body.
@@ -162,32 +181,47 @@ fn sign(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
 }
 
 /// The parent-header frame of a message that has no parent.
-const NO_PARENT: &[u8] = b"{}";
+const NO_PARENT: &str = "{}";
+
+/// Bytes [`encode`]'s buffer starts with: room for the body and signature
+/// of a message whose metadata and content are small, so that one needs no
+/// regrowth. A long string grows it once as it is written
+/// (`json::encode_string_with` reserves its length up front).
+const ENCODE_CAPACITY: usize = 512;
 
 /// Encodes a message (plus routing identities) into wire frames.
+///
+/// The four body frames and the signature are sub-ranges of one buffer
+/// (module docs, "One buffer per message").
 pub fn encode(identities: &[Bytes], message: &JupyterMessage, key: &[u8]) -> Vec<Bytes> {
     // Each body byte is signed as the codec writes it (module docs).
     let mut signer = Signer::new(key);
-    let header = message.header.encode_with(&mut signer);
-    let parent = match &message.parent {
-        Some(parent) => Bytes::from(parent.encode_with(&mut signer)),
-        None => {
-            signer.absorb_all(NO_PARENT);
-            Bytes::from_static(NO_PARENT)
-        }
-    };
-    let metadata = message.metadata.encode_with(&mut signer);
-    let content = message.content.encode_with(&mut signer);
-    let signature = signer.finish();
+    let mut body = String::with_capacity(ENCODE_CAPACITY);
+    let mut ends = [0; 4];
+    message.header.encode_with(&mut body, &mut signer);
+    ends[0] = body.len();
+    match &message.parent {
+        Some(parent) => parent.encode_with(&mut body, &mut signer),
+        None => put(NO_PARENT, &mut body, &mut signer),
+    }
+    ends[1] = body.len();
+    message.metadata.encode_with(&mut body, &mut signer);
+    ends[2] = body.len();
+    message.content.encode_with(&mut body, &mut signer);
+    ends[3] = body.len();
+    let mut buf = body.into_bytes();
+    buf.extend_from_slice(&signer.finish());
+    let buf = Bytes::from(buf);
 
     let mut frames = Vec::with_capacity(identities.len() + 6);
     frames.extend(identities.iter().cloned());
     frames.push(Bytes::from_static(DELIMITER));
-    frames.push(Bytes::copy_from_slice(&signature));
-    frames.push(Bytes::from(header));
-    frames.push(parent);
-    frames.push(Bytes::from(metadata));
-    frames.push(Bytes::from(content));
+    frames.push(buf.slice(ends[3]..));
+    let mut start = 0;
+    for end in ends {
+        frames.push(buf.slice(start..end));
+        start = end;
+    }
     frames
 }
 

@@ -2,14 +2,15 @@
 //!
 //! Provides a cheaply clonable, immutable byte buffer with the subset of
 //! the upstream [`Bytes`] API this workspace uses. Static slices are kept
-//! as references (no allocation); owned data is shared behind an `Arc`.
+//! as references (no allocation); owned data is shared behind an `Arc`, and
+//! [`Bytes::slice`] hands out a sub-range of it that shares the same `Arc`.
 
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// An immutable, cheaply clonable contiguous byte buffer.
@@ -21,7 +22,12 @@ pub struct Bytes {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    /// `buf[start..end]`.
+    Shared {
+        buf: Arc<[u8]>,
+        start: usize,
+        end: usize,
+    },
 }
 
 impl Bytes {
@@ -41,9 +47,49 @@ impl Bytes {
 
     /// Copies a slice into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes::shared(Arc::from(data))
+    }
+
+    fn shared(buf: Arc<[u8]>) -> Self {
+        let end = buf.len();
         Bytes {
-            repr: Repr::Shared(Arc::from(data)),
+            repr: Repr::Shared { buf, start: 0, end },
         }
+    }
+
+    /// The bytes of `range` (relative to this buffer), sharing its storage:
+    /// no copy and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range starts after it ends or ends past the buffer, as
+    /// slicing `&[u8]` would.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let len = self.len();
+        let start = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1).expect("range start overflows"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1).expect("range end overflows"),
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(start <= end, "range start {start} is after its end {end}");
+        assert!(
+            end <= len,
+            "range end {end} is past the buffer's {len} bytes"
+        );
+        let repr = match &self.repr {
+            Repr::Static(s) => Repr::Static(&s[start..end]),
+            Repr::Shared { buf, start: at, .. } => Repr::Shared {
+                buf: Arc::clone(buf),
+                start: at + start,
+                end: at + end,
+            },
+        };
+        Bytes { repr }
     }
 
     /// Length in bytes.
@@ -64,7 +110,7 @@ impl Bytes {
     fn as_slice(&self) -> &[u8] {
         match &self.repr {
             Repr::Static(s) => s,
-            Repr::Shared(s) => s,
+            Repr::Shared { buf, start, end } => &buf[*start..*end],
         }
     }
 }
@@ -97,9 +143,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes {
-            repr: Repr::Shared(Arc::from(v)),
-        }
+        Bytes::shared(Arc::from(v))
     }
 }
 
@@ -208,6 +252,83 @@ mod tests {
     fn empty_default() {
         assert!(Bytes::default().is_empty());
         assert_eq!(Bytes::new().len(), 0);
+    }
+
+    fn hash_of(b: &Bytes) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    /// A slice and a fresh copy of the same bytes are interchangeable:
+    /// equal, hashed alike, and found under either in a map.
+    fn assert_interchangeable(slice: &Bytes, want: &[u8]) {
+        use std::borrow::Borrow;
+        let copy = Bytes::copy_from_slice(want);
+        assert_eq!(*slice, copy);
+        assert_eq!(slice.as_ref(), want);
+        assert_eq!(slice.len(), want.len());
+        assert_eq!(hash_of(slice), hash_of(&copy));
+        assert_eq!(Borrow::<[u8]>::borrow(slice), Borrow::<[u8]>::borrow(&copy));
+        let set: std::collections::HashSet<Bytes> = [copy].into();
+        assert!(set.contains(want));
+        assert!(set.contains(slice));
+    }
+
+    #[test]
+    fn slices_agree_with_copies_of_the_same_bytes() {
+        let whole = Bytes::from(b"header|parent|content".to_vec());
+        assert_interchangeable(&whole.slice(0..6), b"header");
+        assert_interchangeable(&whole.slice(7..13), b"parent");
+        assert_interchangeable(&whole.slice(14..), b"content");
+        assert_interchangeable(&whole.slice(..), b"header|parent|content");
+        assert_interchangeable(&whole.slice(6..=6), b"|");
+        assert_interchangeable(&whole.slice(3..3), b"");
+        assert_interchangeable(&whole.slice(21..), b"");
+        assert!(whole.slice(3..3).is_empty());
+        // Slices of static buffers stay static and compare the same way.
+        let fixed = Bytes::from_static(b"<IDS|MSG>");
+        assert_interchangeable(&fixed.slice(1..4), b"IDS");
+        assert_interchangeable(&fixed.slice(..=0), b"<");
+    }
+
+    #[test]
+    fn nested_slices_are_relative_to_their_parent() {
+        let whole = Bytes::from(b"0123456789".to_vec());
+        let mid = whole.slice(2..8);
+        assert_interchangeable(&mid.slice(1..4), b"345");
+        assert_interchangeable(&mid.slice(1..4).slice(2..), b"5");
+        assert_interchangeable(&mid.slice(..0), b"");
+        let fixed = Bytes::from_static(b"0123456789").slice(5..);
+        assert_interchangeable(&fixed.slice(1..3), b"67");
+        // A slice outlives the buffer it was cut from.
+        let tail = {
+            let owner = Bytes::copy_from_slice(b"short-lived");
+            owner.slice(6..)
+        };
+        assert_interchangeable(&tail, b"lived");
+        assert_interchangeable(&tail.clone(), b"lived");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the buffer")]
+    fn a_slice_past_the_end_panics() {
+        let _ = Bytes::from(b"abc".to_vec()).slice(1..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the buffer")]
+    fn a_slice_past_the_end_of_a_slice_panics() {
+        // In range of the shared buffer, out of range of the slice.
+        let _ = Bytes::from(b"abcdef".to_vec()).slice(1..3).slice(0..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "after its end")]
+    fn a_reversed_slice_panics() {
+        #[allow(clippy::reversed_empty_ranges)]
+        let _ = Bytes::from_static(b"abc").slice(2..1);
     }
 
     #[test]
