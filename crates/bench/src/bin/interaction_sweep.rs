@@ -4,7 +4,7 @@
 //! Crossing all four placement policies with all three elasticity policies
 //! over the heterogeneous and diurnal stress scenarios shows which pairings
 //! compound: 72 runs of 17.5-hour simulations, 0.13–0.2 s on two cores
-//! (≈0.35 s with the 9 MB `--out` report), in one process:
+//! (≈0.33 s with the 6.6 MB `--out` report), in one process:
 //!
 //! ```text
 //! cargo run --release -p notebookos-bench --bin interaction_sweep -- \

@@ -162,14 +162,7 @@ impl ServeReport {
             .with("client_received", self.client_received)
             .with("min_viable_hosts", self.min_viable_hosts as u64)
             .with("gauge_samples", self.gauge_samples)
-            .with(
-                "latency_ms",
-                self.latency
-                    .canonical_samples()
-                    .into_iter()
-                    .map(Json::from)
-                    .collect::<Vec<Json>>(),
-            )
+            .with("latency_ms", cdf_json(&self.latency))
     }
 
     /// A zeroed report for `users` users — the accumulator [`run_serve`]
@@ -242,6 +235,26 @@ impl ServeReport {
             self.dropped,
         )
     }
+}
+
+/// A histogram CDF as its exact parts, the form the sweep reports persist:
+/// `{n, sum, min, max, zeros, pos, neg}`, each of `pos` and `neg` its
+/// occupied buckets as `[index, count]` pairs.
+fn cdf_json(cdf: &Cdf) -> Json {
+    let (min, max) = cdf.range().unwrap_or((f64::NAN, f64::NAN));
+    let buckets = |pairs: &mut dyn Iterator<Item = (u32, u64)>| {
+        pairs
+            .map(|(i, c)| Json::from(vec![Json::from(i), Json::from(c)]))
+            .collect::<Vec<Json>>()
+    };
+    Json::object()
+        .with("n", cdf.len() as u64)
+        .with("sum", cdf.sum())
+        .with("min", min)
+        .with("max", max)
+        .with("zeros", cdf.zeros())
+        .with("pos", buckets(&mut cdf.positive_buckets()))
+        .with("neg", buckets(&mut cdf.negative_buckets()))
 }
 
 /// Per-user client state.

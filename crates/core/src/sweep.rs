@@ -466,13 +466,14 @@ impl SweepReport {
     // file behind.
     // ------------------------------------------------------------------
 
-    /// Writes the full per-run records — every CDF sample, timeline point,
-    /// breakdown step, and counter — as JSON, runs in job order. The
-    /// serialization is deterministic — CDF samples in `total_cmp` order,
-    /// floats in shortest round-trip `{:?}` form — so equal reports
-    /// produce byte-identical files and equal files mean equal records
-    /// (`tests/golden_determinism.rs` compares these bytes with committed
-    /// reports; CI `cmp`s the reports of two pool sizes).
+    /// Writes the full per-run records — every CDF histogram, timeline
+    /// point, breakdown step, and counter — as JSON, runs in job order.
+    /// The serialization is deterministic — each CDF as its exact parts
+    /// `{n, sum, min, max, zeros, pos, neg}` with buckets as ascending
+    /// `[index, count]` pairs, floats in shortest round-trip `{:?}` form —
+    /// so equal reports produce byte-identical files and equal files mean
+    /// equal records (`tests/golden_determinism.rs` compares these bytes
+    /// with committed reports; CI `cmp`s the reports of two pool sizes).
     ///
     /// # Errors
     ///
@@ -527,8 +528,8 @@ fn write_atomic(
     std::fs::rename(&tmp, path)
 }
 
-/// Median of a CDF without mutating it (`percentile` sorts in place, so
-/// a clone is queried); empty CDFs report `0.0`.
+/// Median of a CDF behind a shared reference (`percentile` takes
+/// `&mut self`, so a clone is queried); empty CDFs report `0.0`.
 fn p50(cdf: &Cdf) -> f64 {
     if cdf.is_empty() {
         0.0
@@ -560,6 +561,27 @@ fn json_pairs_array<'a>(points: impl IntoIterator<Item = &'a (f64, f64)>) -> Str
         .map(|&(a, b)| format!("[{},{}]", json_num(a), json_num(b)))
         .collect();
     format!("[{}]", items.join(","))
+}
+
+/// A histogram CDF as its exact parts: `{n, sum, min, max, zeros, pos,
+/// neg}`, each of `pos` and `neg` its occupied buckets as `[index, count]`
+/// pairs (`min` and `max` are null while it is empty).
+fn json_cdf(cdf: &Cdf) -> String {
+    let (min, max) = cdf.range().unwrap_or((f64::NAN, f64::NAN));
+    let buckets = |pairs: &mut dyn Iterator<Item = (u32, u64)>| {
+        let items: Vec<String> = pairs.map(|(i, c)| format!("[{i},{c}]")).collect();
+        format!("[{}]", items.join(","))
+    };
+    format!(
+        "{{\"n\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"zeros\": {}, \"pos\": {}, \"neg\": {}}}",
+        cdf.len(),
+        json_num(cdf.sum()),
+        json_num(min),
+        json_num(max),
+        cdf.zeros(),
+        buckets(&mut cdf.positive_buckets()),
+        buckets(&mut cdf.negative_buckets()),
+    )
 }
 
 /// Writes one run object. The layout is this function's own (one line per
@@ -646,16 +668,13 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
         ("read_ms", &m.read_ms),
         ("write_ms", &m.write_ms),
     ];
-    // CDF samples persist in canonical ascending order: the same multiset
-    // always serializes to the same bytes, whatever order the run recorded
-    // it in.
     for (i, (name, cdf)) in cdfs.iter().enumerate() {
         let comma = if i + 1 < cdfs.len() { "," } else { "" };
         writeln!(
             out,
             "        {}: {}{comma}",
             json_string(name),
-            json_f64_array(cdf.canonical_samples())
+            json_cdf(cdf)
         )?;
     }
     writeln!(out, "      }},")?;
@@ -705,13 +724,13 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
             out,
             "        {}: {},",
             json_string(step.label()),
-            json_f64_array(m.breakdown.step_cdf(step).canonical_samples())
+            json_cdf(m.breakdown.step_cdf(step))
         )?;
     }
     writeln!(
         out,
         "        \"end_to_end_ms\": {}",
-        json_f64_array(m.breakdown.end_to_end_cdf().canonical_samples())
+        json_cdf(m.breakdown.end_to_end_cdf())
     )?;
     writeln!(out, "      }}")?;
     write!(out, "    }}")?;
@@ -974,21 +993,20 @@ mod tests {
         };
         assert_eq!(balance('{', '}'), 0);
         assert_eq!(balance('[', ']'), 0);
-        // Every recorded interactivity sample survives serialization.
-        let total_samples: usize = report
-            .runs
-            .iter()
-            .map(|r| r.metrics.interactivity_ms.len())
-            .sum();
-        let serialized: usize = json
+        // Every run's whole interactivity histogram survives serialization,
+        // led by its sample count.
+        let lines: Vec<&str> = json
             .lines()
             .filter(|l| l.contains("\"interactivity_ms\""))
-            .map(|l| l.matches(',').count() + 1)
-            .sum();
-        assert!(
-            serialized >= total_samples,
-            "{serialized} < {total_samples}"
-        );
+            .collect();
+        assert_eq!(lines.len(), report.runs.len());
+        for (line, run) in lines.iter().zip(&report.runs) {
+            let cdf = &run.metrics.interactivity_ms;
+            let persisted = json_cdf(cdf);
+            assert!(persisted.starts_with(&format!("{{\"n\": {},", cdf.len())));
+            assert!(cdf.positive_buckets().count() > 1, "{persisted}");
+            assert!(line.contains(&persisted), "{line}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,6 +18,8 @@
 
 pub mod aggregate;
 pub mod cdf;
+#[cfg(test)]
+mod exact;
 pub mod table;
 pub mod timeline;
 

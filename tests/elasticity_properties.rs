@@ -6,6 +6,7 @@
 use notebookos::cluster::ResourceBundle;
 use notebookos::core::sweep::{Scenario, SweepSpec};
 use notebookos::core::{ElasticityKind, Platform, PlatformConfig, PolicyKind, RunMetrics};
+use notebookos::metrics::Cdf;
 use notebookos::trace::{generate, ArrivalPattern, SyntheticConfig};
 
 fn small_host() -> ResourceBundle {
@@ -17,7 +18,10 @@ fn small_host() -> ResourceBundle {
 // pre-refactor platform exactly on homogeneous fleets. The constants
 // below were captured by running the platform at commit 1d05edf (before
 // the elasticity extraction); every value — counters, virtual end time,
-// medians, final billing — must match bit for bit.
+// final billing — must match bit for bit. The medians there were read
+// from every sample; the histogram CDF now estimates them, so each is
+// pinned bit for bit as the histogram reads it *and* held within
+// `Cdf::RELATIVE_ERROR` of the exact 1d05edf median.
 // ---------------------------------------------------------------------
 
 struct Golden {
@@ -30,8 +34,10 @@ struct Golden {
     warm_hits: u64,
     prewarms_discarded: u64,
     end_s: f64,
-    interactivity_p50_ms: f64,
-    tct_p50_ms: f64,
+    /// `(histogram estimate, exact median at 1d05edf)`.
+    interactivity_p50_ms: (f64, f64),
+    /// `(histogram estimate, exact median at 1d05edf)`.
+    tct_p50_ms: (f64, f64),
     cost_usd: f64,
     revenue_usd: f64,
 }
@@ -68,19 +74,26 @@ fn assert_golden(label: &str, mut m: RunMetrics, golden: &Golden) {
         "{label}: reconcile loop must stay off by default"
     );
     assert_eq!(m.end_s, golden.end_s, "{label} end_s");
-    assert_eq!(
+    assert_median(
+        label,
+        "interactivity",
         m.interactivity_ms.percentile(50.0),
         golden.interactivity_p50_ms,
-        "{label} interactivity p50"
     );
-    assert_eq!(
-        m.tct_ms.percentile(50.0),
-        golden.tct_p50_ms,
-        "{label} tct p50"
-    );
+    assert_median(label, "tct", m.tct_ms.percentile(50.0), golden.tct_p50_ms);
     let (cost, revenue) = m.final_billing().expect("billing samples");
     assert_eq!(cost, golden.cost_usd, "{label} provider cost");
     assert_eq!(revenue, golden.revenue_usd, "{label} revenue");
+}
+
+/// Latencies are positive, so the percentile bound
+/// ε·((1−f)·|x_lo| + f·|x_hi|) is ε times the exact median.
+fn assert_median(label: &str, what: &str, got: f64, (estimate, exact): (f64, f64)) {
+    assert_eq!(got, estimate, "{label} {what} p50");
+    assert!(
+        (estimate - exact).abs() <= Cdf::RELATIVE_ERROR * exact,
+        "{label} {what} p50 {estimate} is not within ε of the exact {exact}"
+    );
 }
 
 #[test]
@@ -103,8 +116,8 @@ fn threshold_reproduces_pre_refactor_metrics_bit_identically() {
             warm_hits: 4,
             prewarms_discarded: 4,
             end_s: 7200.0,
-            interactivity_p50_ms: 105.373,
-            tct_p50_ms: 45661.856,
+            interactivity_p50_ms: (105.25, 105.373),
+            tct_p50_ms: (45696.0, 45661.856),
             cost_usd: 80.50000000000003,
             revenue_usd: 34.52926097095486,
         },
@@ -127,8 +140,8 @@ fn threshold_reproduces_pre_refactor_metrics_bit_identically() {
             warm_hits: 25,
             prewarms_discarded: 30,
             end_s: 7200.0,
-            interactivity_p50_ms: 1573.713,
-            tct_p50_ms: 59706.161,
+            interactivity_p50_ms: (1572.0, 1573.713),
+            tct_p50_ms: (59776.0, 59706.161),
             cost_usd: 60.749999999999986,
             revenue_usd: 2.3971940065451367,
         },
@@ -173,8 +186,8 @@ fn threshold_reproduces_pre_refactor_scale_out_path_bit_identically() {
             warm_hits: 6,
             prewarms_discarded: 2,
             end_s: 14400.0,
-            interactivity_p50_ms: 120.72149999999999,
-            tct_p50_ms: 123310.42749999999,
+            interactivity_p50_ms: (120.75, 120.72149999999999),
+            tct_p50_ms: (123392.0, 123310.42749999999),
             cost_usd: 198.3161210722222,
             revenue_usd: 457.29334655098967,
         },

@@ -2,15 +2,17 @@
 //! and the scheduler-trait refactor (live service mode).
 //!
 //! The committed reports under `tests/golden/` hold the full
-//! [`RunMetrics`] record (every CDF sample, timeline point, counter) of a
+//! [`RunMetrics`] record (every CDF histogram, timeline point, counter) of a
 //! small placement × elasticity matrix plus one run per scheduling
-//! policy, captured at the pre-optimization commit. The tests re-run the
-//! same specs through today's code and compare the bytes
-//! `SweepReport::write_json` writes with the committed files. The writer
-//! serialises every `RunMetrics` field, CDF samples in `total_cmp` order
-//! and floats in shortest round-trip `{:?}` form, so equal bytes mean
-//! equal sample multisets and equal bits: no cluster-index or
-//! scratch-buffer refactor can silently change simulation results.
+//! policy, captured at the pre-optimization commit (their `cdfs` and
+//! `breakdown` re-captured, and nothing else, when `Cdf` became a
+//! histogram). The tests re-run the same specs through today's code and
+//! compare the bytes `SweepReport::write_json` writes with the committed
+//! files. The writer serialises every `RunMetrics` field, each CDF as its
+//! exact count, sum, min, max, zeros and bucket counts, and floats in
+//! shortest round-trip `{:?}` form, so equal bytes mean equal histograms
+//! and equal bits: no cluster-index or scratch-buffer refactor can
+//! silently change simulation results.
 //!
 //! Since the platform dispatches through `&mut dyn Scheduler<Ev>`, every
 //! golden comparison also pins the trait path: `Platform::run` *is* the
@@ -172,7 +174,7 @@ fn externally_supplied_des_scheduler_matches_the_direct_run() {
 fn realtime_scheduler_on_a_manual_clock_matches_the_des_run() {
     // The live-service scheduler, with its sleeps short-circuited by a
     // hand-advanced clock: identical event order, identical handler
-    // timestamps, so the full RunMetrics record — every CDF sample —
+    // timestamps, so the full RunMetrics record — every CDF bucket —
     // must equal the DES run's. This is the guarantee that lets the
     // serve loop be tested in virtual time and deployed on the wall
     // clock without a behavioral seam between the two.
