@@ -20,7 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
-use notebookos_des::{Scheduler, SimTime};
+use notebookos_des::{Ranked, Scheduler, SimTime};
 use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint};
 use notebookos_metrics::Cdf;
 use notebookos_trace::{generate, SyntheticConfig, WorkloadTrace};
@@ -51,6 +51,11 @@ pub enum ServeEv {
     /// Periodic gauge sample (sessions, in-flight, viable hosts).
     ProgressTick,
 }
+
+/// The serve replay loads its whole trace before the first pop, so
+/// schedule order alone already puts the trace first at an equal instant:
+/// every event keeps the default rank.
+impl Ranked for ServeEv {}
 
 /// Configuration for one serving run.
 #[derive(Debug, Clone)]

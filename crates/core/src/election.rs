@@ -41,13 +41,12 @@ impl ElectionModel {
         ElectionModel {
             // p50 is not published; 18 ms sits on the log-linear
             // interpolation of the published upper percentiles.
-            sync_round: Empirical::from_quantiles(&[
+            sync_round: Empirical::from_table(&[
                 (0.50, 0.018),
                 (0.90, 0.054_79),
                 (0.95, 0.066_69),
                 (0.99, 0.268_25),
             ])
-            .expect("static anchors")
             .with_floor(0.004)
             // One commit round is physically bounded (the prototype's worst
             // observed sync is ~0.27 s); without this cap the Pareto-like
@@ -91,6 +90,28 @@ mod tests {
     fn percentile(mut v: Vec<f64>, p: f64) -> f64 {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v[((v.len() - 1) as f64 * p) as usize]
+    }
+
+    /// Every constant quantile table the workspace calibrates against —
+    /// the three trace profiles' durations and IATs and the sync model —
+    /// builds (`Empirical::from_table` panics on a malformed one), and
+    /// reproduces its published median.
+    #[test]
+    fn every_calibrated_quantile_table_builds() {
+        use notebookos_trace::TraceProfile;
+        let medians = [
+            (TraceProfile::adobe().durations, 120.0),
+            (TraceProfile::adobe().iats, 300.0),
+            (TraceProfile::philly().durations, 621.0),
+            (TraceProfile::philly().iats, 44.0),
+            (TraceProfile::alibaba().durations, 957.0),
+            (TraceProfile::alibaba().iats, 38.0),
+            (ElectionModel::new().sync_round, 0.018),
+        ];
+        for (dist, median) in medians {
+            let got = dist.quantile(0.5);
+            assert!((got - median).abs() <= 1e-12 * median, "{got} vs {median}");
+        }
     }
 
     #[test]

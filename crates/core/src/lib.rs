@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arrivals;
 pub mod ast;
 pub mod billing;
 pub mod config;

@@ -166,7 +166,7 @@ mod tests {
     fn cumulative_timeline_is_monotone() {
         let trace = generate(&SyntheticConfig::excerpt_17_5h(), 43);
         let result = analyze(&trace, 15);
-        let points = result.saved_timeline.points();
+        let points: Vec<(f64, f64)> = result.saved_timeline.points().collect();
         for w in points.windows(2) {
             assert!(w[1].1 >= w[0].1);
         }

@@ -555,10 +555,10 @@ fn json_f64_array(values: impl IntoIterator<Item = f64>) -> String {
     format!("[{}]", items.join(","))
 }
 
-fn json_pairs_array<'a>(points: impl IntoIterator<Item = &'a (f64, f64)>) -> String {
+fn json_pairs_array(points: impl IntoIterator<Item = (f64, f64)>) -> String {
     let items: Vec<String> = points
         .into_iter()
-        .map(|&(a, b)| format!("[{},{}]", json_num(a), json_num(b)))
+        .map(|(a, b)| format!("[{},{}]", json_num(a), json_num(b)))
         .collect();
     format!("[{}]", items.join(","))
 }

@@ -267,6 +267,25 @@ impl Empirical {
         })
     }
 
+    /// Builds a distribution from a constant calibration table: anchors
+    /// written in the program, not read from its input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is malformed (the conditions under which
+    /// [`Empirical::from_quantiles`] errs). A malformed constant is a bug
+    /// in the program rather than bad input, so it is not returned to a
+    /// caller who could do nothing with it: every calibrated table in the
+    /// workspace is built by a tier-1 test
+    /// (`election::tests::every_calibrated_quantile_table_builds` in
+    /// `notebookos-core`).
+    pub fn from_table(anchors: &'static [(f64, f64)]) -> Self {
+        match Self::from_quantiles(anchors) {
+            Ok(dist) => dist,
+            Err(err) => panic!("malformed quantile table {anchors:?}: {err}"),
+        }
+    }
+
     /// Sets the minimum sample value (the 0th-percentile anchor).
     ///
     /// # Panics

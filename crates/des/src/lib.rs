@@ -4,8 +4,9 @@
 //! Every experiment in this repository — the 17.5-hour prototype-scale runs
 //! and the 90-day simulation study — executes inside this engine. The engine
 //! is deliberately tiny and fully deterministic: virtual time is an integer
-//! microsecond counter, events are totally ordered by `(time, sequence)`, and
-//! all randomness flows through a seeded [`SimRng`].
+//! microsecond counter, events are totally ordered by `(time, rank,
+//! sequence)` (see [`Ranked`]), and all randomness flows through a seeded
+//! [`SimRng`].
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@ pub mod scheduler;
 pub mod time;
 
 pub use dist::{Distribution, Empirical, LogNormal, Uniform};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Ranked, DYNAMIC_RANK};
 pub use rng::SimRng;
 pub use scheduler::{
     Clock, DesScheduler, ManualClock, MonotonicClock, RealTimeScheduler, Scheduler,

@@ -3,56 +3,150 @@
 //! [`EventQueue`] is the ordering backbone for both execution modes: the
 //! [`DesScheduler`](crate::scheduler::DesScheduler) /
 //! [`RealTimeScheduler`](crate::scheduler::RealTimeScheduler) pair both pop
-//! from it, so `(time, seq)` tie-breaking — and therefore determinism — is
-//! identical no matter which front end drives the events.
+//! from it, so tie-breaking — and therefore determinism — is identical no
+//! matter which front end drives the events.
 //!
-//! # Shape: one sorted run under a heap
+//! # Order: `(time, rank, seq)`
 //!
-//! A simulation loads its whole trace before the first pop, so for most of
-//! a run the queue is a large set of events nobody will reorder plus a few
-//! live ones. A binary heap pays for that set on every pop: a sift-down
-//! over `log n` levels, each a cache miss once the heap outgrows the cache.
-//! So a `pop` that finds the run empty and more than `FREEZE_MIN` events in
-//! the heap *freezes* them: the heap's vector is sorted in place (no second
-//! copy) into a run popped from its end, one move per event. Later
-//! `schedule`s go to the heap, which now holds only what was scheduled
-//! since, and `pop` / `peek_time` take the smaller of the two heads. When
-//! the run drains, the next `pop` may freeze again.
+//! Events pop by firing time. Events due at the same instant pop by their
+//! [`Ranked::rank`], lowest first, and events of equal rank in the order
+//! they were scheduled (`seq`). Most events keep the default rank,
+//! [`DYNAMIC_RANK`], so for them the order is `(time, seq)`: first
+//! scheduled, first popped. A simulation that feeds its input trace into
+//! the queue one arrival at a time gives the arrivals lower ranks, in the
+//! order it wants them among themselves. An arrival then pops before
+//! anything scheduled for the same instant, whenever it was scheduled —
+//! the order it would have had if the whole trace had been loaded before
+//! the first pop. The order is a stated rule, not an accident of when
+//! each event happened to be scheduled.
 //!
-//! Order is unchanged by construction: every pending event is in exactly
-//! one of the two structures, each yields its own minimum, and the smaller
-//! of two minima is the minimum of the union — under the same total order
-//! `(time, seq)`, with `seq` unique, that a lone heap would use. Each event
-//! is sorted at most once, so the amortised cost stays `O(log n)` a pop.
+//! # Shape: a sorted run and two heaps
+//!
+//! Events that state a rank below [`DYNAMIC_RANK`] wait in a heap of
+//! their own, apart from the dynamic events. A simulation that feeds its
+//! trace one arrival at a time keeps that heap one entry deep, so an
+//! arrival costs a push and a pop of a one-entry heap rather than a sift
+//! up and a sift down through every live event. On the 90-day study
+//! (`sim-summer`, 480 k arrivals among 1.2 M events a pass) that made a
+//! pass 7 % faster than one heap holding both (alternating ledger runs,
+//! 2 vCPUs: faster in 9 of 10).
+//!
+//! A driver may load many events before its first pop: the serve replay
+//! (`notebookos-bench`'s `run_serve`) schedules its whole request trace up
+//! front. For most of such a run the queue is a large set of events nobody
+//! will reorder plus a few live ones, and a binary heap pays for that set
+//! on every pop: a sift-down over `log n` levels, each a cache miss once
+//! the heap outgrows the cache. So a `pop` that finds the run empty and
+//! more than `FREEZE_MIN` events in the dynamic heap *freezes* them: the
+//! heap's vector is sorted in place (no second copy) into a run popped
+//! from its end, one move per event. Later `schedule`s go to the heaps,
+//! which now hold only what was scheduled since. When the run drains, the
+//! next `pop` may freeze again. The platform simulation feeds its trace
+//! one arrival at a time, so its queue holds only live events and stays
+//! below the constant.
+//!
+//! `pop` and `peek_time` take the least of the three heads. Order is
+//! unchanged by construction: every pending event is in exactly one of
+//! the three structures, each yields its own minimum, and the least of the
+//! minima is the minimum of the union — under the same total order
+//! `(time, rank, seq)`, with `seq` unique, that a lone heap would use. Each
+//! event is sorted at most once, so the amortised cost stays `O(log n)` a
+//! pop.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A scheduled event: the queue orders by `(time, seq)` so that events
-/// scheduled at the same instant fire in the order they were scheduled.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The rank of an event that states none: it pops after every lower-ranked
+/// event due at the same instant, and among its equals in schedule order.
+pub const DYNAMIC_RANK: u64 = u64::MAX;
+
+/// Where an event stands among events due at the same instant: the queue
+/// orders by `(time, rank, seq)`, lowest first.
+///
+/// The default method gives every event [`DYNAMIC_RANK`], which leaves the
+/// order `(time, seq)`; an event type overrides it only to put some of its
+/// events ahead of others at equal times.
+///
+/// ```
+/// use notebookos_des::{EventQueue, Ranked, SimTime, DYNAMIC_RANK};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Ev {
+///     Arrival(u64),
+///     Tick,
+/// }
+///
+/// impl Ranked for Ev {
+///     fn rank(&self) -> u64 {
+///         match *self {
+///             Ev::Arrival(i) => i,
+///             Ev::Tick => DYNAMIC_RANK,
+///         }
+///     }
+/// }
+///
+/// let mut queue = EventQueue::new();
+/// let t = SimTime::from_secs(1);
+/// queue.schedule(t, Ev::Tick);
+/// queue.schedule(t, Ev::Arrival(7));
+/// assert_eq!(queue.pop(), Some((t, Ev::Arrival(7))));
+/// assert_eq!(queue.pop(), Some((t, Ev::Tick)));
+/// ```
+pub trait Ranked {
+    /// The event's rank among events due at the same instant.
+    fn rank(&self) -> u64 {
+        DYNAMIC_RANK
+    }
+}
+
+/// Plain values carry no rank: they pop in `(time, seq)` order.
+macro_rules! unranked {
+    ($($t:ty),*) => { $(impl Ranked for $t {})* };
+}
+
+unranked!((), u32, usize, &str);
+
+/// A scheduled event: the queue orders by `(time, rank, seq)` so that
+/// events of one rank due at the same instant fire in the order they were
+/// scheduled. `seq` is unique, so the event itself never decides.
+#[derive(Debug, Clone)]
 struct Scheduled<E> {
     time: SimTime,
+    rank: u64,
     seq: u64,
     event: E,
 }
 
-impl<E: Eq> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+impl<E> Scheduled<E> {
+    fn key(&self) -> (SimTime, u64, u64) {
+        (self.time, self.rank, self.seq)
     }
 }
 
-impl<E: Eq> PartialOrd for Scheduled<E> {
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Priority queue of future events, ordered by firing time with FIFO
-/// tie-breaking.
+/// Priority queue of future events, ordered by firing time, then by
+/// [`Ranked::rank`], then first-scheduled first.
 ///
 /// # Example
 ///
@@ -70,24 +164,30 @@ pub struct EventQueue<E> {
     /// The frozen run, latest first: its earliest event is its last
     /// element. (`Reverse` is kept so the heap's vector is sorted as is.)
     run: Vec<Reverse<Scheduled<E>>>,
-    /// Everything scheduled since the last freeze.
+    /// Every [`DYNAMIC_RANK`] event scheduled since the last freeze.
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Every event that states a lower rank; never frozen.
+    ranked: BinaryHeap<Reverse<Scheduled<E>>>,
     seq: u64,
 }
 
-/// A `pop` freezes the heap only above this many events: where a heap of
-/// 64-byte events outgrows L1 — a drain micro-benchmark has sort-then-pop
-/// within a quarter of the heap below it and 1.5× (1 Ki) to 3× (256 Ki)
-/// ahead above, and the steady-state queues in this repo (serve loop, Raft
-/// harness) stay far below it, so only bulk loads are ever sorted.
-const FREEZE_MIN: usize = 1024;
+/// A `pop` freezes the heap only above this many events: above every
+/// live queue in this repo, so only bulk loads are sorted. The largest
+/// live queue is the 90-day fleet simulation's (`sim-fleet`, 1 170
+/// pending at its peak); freezing it at 1 Ki gained nothing (alternating
+/// runs, 2 vCPUs: within ±3 %, the unfrozen queue ahead in 5 of 6), while
+/// the serve replay's bulk load of 32 Ki users (≈ 120 k events) runs 8 %
+/// faster frozen, and a drain micro-benchmark has sort-then-pop 1.5× (1 Ki)
+/// to 3× (256 Ki) ahead of the heap.
+const FREEZE_MIN: usize = 4096;
 
-impl<E: Eq> EventQueue<E> {
+impl<E: Ranked> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             run: Vec::new(),
             heap: BinaryHeap::new(),
+            ranked: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -96,11 +196,18 @@ impl<E: Eq> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
+        let rank = event.rank();
+        let scheduled = Reverse(Scheduled {
             time: at,
+            rank,
             seq,
             event,
-        }));
+        });
+        if rank == DYNAMIC_RANK {
+            self.heap.push(scheduled);
+        } else {
+            self.ranked.push(scheduled);
+        }
     }
 
     /// Schedules `event` to fire `delay` after `now`.
@@ -112,11 +219,14 @@ impl<E: Eq> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.run.is_empty() && self.heap.len() > FREEZE_MIN {
             self.run = std::mem::take(&mut self.heap).into_vec();
-            // Ascending `Reverse` is descending `(time, seq)`; the keys are
-            // unique, so the unstable (allocation-free) sort is exact.
+            // Ascending `Reverse` is descending `(time, rank, seq)`; the
+            // keys are unique, so the unstable (allocation-free) sort is
+            // exact.
             self.run.sort_unstable();
         }
-        let next = if self.run_is_next() {
+        let next = if self.ranked_is_next() {
+            self.ranked.pop()
+        } else if self.run_is_next() {
             self.run.pop()
         } else {
             self.heap.pop()
@@ -124,8 +234,26 @@ impl<E: Eq> EventQueue<E> {
         next.map(|Reverse(s)| (s.time, s.event))
     }
 
-    /// Whether the earliest pending event is the run's (false when the
-    /// queue is empty).
+    /// Whether the earliest pending event is the ranked heap's (false
+    /// when that heap is empty).
+    fn ranked_is_next(&self) -> bool {
+        match (self.ranked.peek(), self.dynamic_head()) {
+            (Some(Reverse(ranked)), Some(Reverse(dynamic))) => ranked < dynamic,
+            (ranked, _) => ranked.is_some(),
+        }
+    }
+
+    /// The earliest dynamic event: the run's head or the heap's.
+    fn dynamic_head(&self) -> Option<&Reverse<Scheduled<E>>> {
+        if self.run_is_next() {
+            self.run.last()
+        } else {
+            self.heap.peek()
+        }
+    }
+
+    /// Whether the earliest dynamic event is the run's (false when there
+    /// is none).
     fn run_is_next(&self) -> bool {
         match (self.run.last(), self.heap.peek()) {
             (Some(Reverse(run)), Some(Reverse(heap))) => run < heap,
@@ -136,22 +264,22 @@ impl<E: Eq> EventQueue<E> {
     /// Returns the firing time of the earliest pending event without
     /// removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let next = if self.run_is_next() {
-            self.run.last()
+        let next = if self.ranked_is_next() {
+            self.ranked.peek()
         } else {
-            self.heap.peek()
+            self.dynamic_head()
         };
         next.map(|Reverse(s)| s.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.heap.len() + self.ranked.len()
     }
 
     /// Whether the queue holds no pending events.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Number of events scheduled over the queue's lifetime (a cheap proxy
@@ -161,7 +289,7 @@ impl<E: Eq> EventQueue<E> {
     }
 }
 
-impl<E: Eq> Default for EventQueue<E> {
+impl<E: Ranked> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -192,6 +320,39 @@ mod tests {
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
+    /// A test event whose rank is whatever it was given.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Tagged {
+        rank: u64,
+        seq: u64,
+    }
+
+    impl Ranked for Tagged {
+        fn rank(&self) -> u64 {
+            self.rank
+        }
+    }
+
+    #[test]
+    fn ties_pop_by_rank_then_fifo() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        let ranks = [DYNAMIC_RANK, 5, DYNAMIC_RANK, 2, 5, 9];
+        for (seq, &rank) in ranks.iter().enumerate() {
+            q.schedule(
+                t,
+                Tagged {
+                    rank,
+                    seq: seq as u64,
+                },
+            );
+        }
+        // A later instant never pops first, whatever its rank.
+        q.schedule(t + SimTime::from_micros(1), Tagged { rank: 0, seq: 6 });
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e.seq)).collect();
+        assert_eq!(order, [3, 1, 4, 5, 0, 2, 6]);
+    }
+
     #[test]
     fn schedule_in_is_relative() {
         let mut q = EventQueue::new();
@@ -199,20 +360,31 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
     }
 
-    /// The reference: a lone heap of `(time, seq)`, which is what the
+    /// The reference: a lone heap of `(time, rank, seq)`, which is what the
     /// queue was before it grew a run.
     #[derive(Default)]
     struct Model {
-        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
         seq: u64,
     }
 
+    /// The rank a ranking pair gives its `seq`th event: mostly dynamic,
+    /// with a few low ranks that tie among themselves, so every tie kind
+    /// and both heaps occur.
+    fn rank_of(seq: u64) -> u64 {
+        [DYNAMIC_RANK, 3, DYNAMIC_RANK, 1, DYNAMIC_RANK, 3][(seq % 6) as usize]
+    }
+
     /// A queue and its model fed the same calls; every call ends by
-    /// demanding they agree on everything observable. The event payload is
-    /// its own sequence number, so equal pops are equal `(time, seq)`.
+    /// demanding they agree on everything observable. The event payload
+    /// carries its own rank and sequence number, so equal pops are equal
+    /// `(time, rank, seq)`.
     #[derive(Default)]
     struct Pair {
-        queue: EventQueue<u64>,
+        /// Whether events get [`rank_of`] their seq, or all stay dynamic
+        /// (and so can be frozen).
+        ranked: bool,
+        queue: EventQueue<Tagged>,
         model: Model,
         /// The time of the last pop: what `schedule_in` is relative to.
         now: SimTime,
@@ -220,33 +392,43 @@ mod tests {
 
     impl Pair {
         fn agree(&self) {
-            let head = self.model.heap.peek().map(|Reverse((t, _))| *t);
+            let head = self.model.heap.peek().map(|Reverse((t, _, _))| *t);
             assert_eq!(self.queue.peek_time(), head);
             assert_eq!(self.queue.len(), self.model.heap.len());
             assert_eq!(self.queue.is_empty(), self.model.heap.is_empty());
             assert_eq!(self.queue.scheduled_total(), self.model.seq);
         }
 
-        fn schedule(&mut self, at: SimTime) {
-            self.queue.schedule(at, self.model.seq);
-            self.model.heap.push(Reverse((at, self.model.seq)));
+        fn next_event(&mut self, at: SimTime) -> Tagged {
+            let seq = self.model.seq;
+            let rank = if self.ranked {
+                rank_of(seq)
+            } else {
+                DYNAMIC_RANK
+            };
+            self.model.heap.push(Reverse((at, rank, seq)));
             self.model.seq += 1;
+            Tagged { rank, seq }
+        }
+
+        fn schedule(&mut self, at: SimTime) {
+            let event = self.next_event(at);
+            self.queue.schedule(at, event);
             self.agree();
         }
 
         fn schedule_in(&mut self, delay: SimTime) {
-            self.queue.schedule_in(self.now, delay, self.model.seq);
-            let at = self.now.saturating_add(delay);
-            self.model.heap.push(Reverse((at, self.model.seq)));
-            self.model.seq += 1;
+            let event = self.next_event(self.now.saturating_add(delay));
+            self.queue.schedule_in(self.now, delay, event);
             self.agree();
         }
 
         fn pop(&mut self) -> bool {
             let expected = self.model.heap.pop().map(|Reverse(key)| key);
-            assert_eq!(self.queue.pop(), expected);
+            let popped = self.queue.pop().map(|(t, e)| (t, e.rank, e.seq));
+            assert_eq!(popped, expected);
             self.agree();
-            if let Some((t, _)) = expected {
+            if let Some((t, _, _)) = expected {
                 self.now = t;
             }
             expected.is_some()
@@ -294,18 +476,21 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Any interleaving of the queue's calls pops exactly what a lone
-        /// heap pops, and agrees with it on `peek_time`, `len`, `is_empty`
+        /// `(time, rank, seq)` heap pops, and agrees with it on `peek_time`, `len`, `is_empty`
         /// and `scheduled_total` after every single call.
         #[test]
         fn any_interleaving_matches_a_lone_heap(
             ops in proptest::collection::vec((0u8..8, 0u64..1_000_000), 1..24),
         ) {
-            let mut pair = Pair::default();
+            let mut pair = Pair {
+                ranked: true,
+                ..Pair::default()
+            };
             for (kind, arg) in ops {
                 let n = arg as usize;
                 match kind {
                     // Bulk loads below and above the constant, on few
-                    // timestamps (FIFO ties) or many.
+                    // timestamps (rank and FIFO ties) or many.
                     0 => pair.bulk(n % FREEZE_MIN, 0, 1 + arg % 7, arg),
                     1 => pair.bulk(FREEZE_MIN + n % (2 * FREEZE_MIN), arg % 3, 1 + arg % 5000, arg),
                     // Absolute times, often before the current head.

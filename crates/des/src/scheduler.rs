@@ -24,7 +24,7 @@
 //! assert_eq!(sched.now(), SimTime::from_secs(1));
 //! ```
 
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, Ranked};
 use crate::time::SimTime;
 
 /// A deadline-ordered event dispatcher: the minimal interface event
@@ -32,7 +32,8 @@ use crate::time::SimTime;
 ///
 /// The trait is object-safe (`&mut dyn Scheduler<E>`), so one handler
 /// body serves both the DES studies and the live service. Implementations
-/// must dispatch events in `(deadline, schedule order)` order and advance
+/// must dispatch events in `(deadline, rank, schedule order)` order — the
+/// [`EventQueue`]'s, with the rank from [`Ranked`] — and advance
 /// [`Scheduler::now`] to each dispatched event's deadline.
 pub trait Scheduler<E> {
     /// The current logical time: the deadline of the most recently popped
@@ -78,7 +79,7 @@ pub trait Scheduler<E> {
 /// clock to each deadline instantly.
 ///
 /// Behaviour is bit-identical to the pre-trait engine: the same
-/// `(time, seq)` FIFO ordering, the same saturating relative scheduling,
+/// `(time, rank, seq)` ordering, the same saturating relative scheduling,
 /// and a `now` that only advances on dispatch — the golden determinism
 /// tests pin this equivalence end to end.
 #[derive(Debug)]
@@ -87,7 +88,7 @@ pub struct DesScheduler<E> {
     now: SimTime,
 }
 
-impl<E: Eq> DesScheduler<E> {
+impl<E: Ranked> DesScheduler<E> {
     /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
         DesScheduler {
@@ -97,13 +98,13 @@ impl<E: Eq> DesScheduler<E> {
     }
 }
 
-impl<E: Eq> Default for DesScheduler<E> {
+impl<E: Ranked> Default for DesScheduler<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Eq> Scheduler<E> for DesScheduler<E> {
+impl<E: Ranked> Scheduler<E> for DesScheduler<E> {
     fn now(&self) -> SimTime {
         self.now
     }
@@ -232,7 +233,7 @@ pub struct RealTimeScheduler<E> {
 /// deadline re-checks without busy-waiting.
 const MAX_TICK: SimTime = SimTime::from_millis(20);
 
-impl<E: Eq> RealTimeScheduler<E> {
+impl<E: Ranked> RealTimeScheduler<E> {
     /// Creates a scheduler on a fresh [`MonotonicClock`]; wall time zero
     /// is the moment of this call.
     pub fn new() -> Self {
@@ -257,13 +258,13 @@ impl<E: Eq> RealTimeScheduler<E> {
     }
 }
 
-impl<E: Eq> Default for RealTimeScheduler<E> {
+impl<E: Ranked> Default for RealTimeScheduler<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Eq> Scheduler<E> for RealTimeScheduler<E> {
+impl<E: Ranked> Scheduler<E> for RealTimeScheduler<E> {
     fn now(&self) -> SimTime {
         self.now
     }

@@ -2,6 +2,10 @@
 //! the exact sample CDF it replaced (`src/exact.rs`, test-only) on random
 //! multisets: log-normal and heavy-tailed draws, ties, zeros of both
 //! signs, negatives, non-finite values and magnitudes across many octaves.
+//! The compact timeline is held bit for bit to the plain vector of change
+//! points it replaced ([`PlainTimeline`]) on random gauges: µs and off-grid
+//! times, long gaps, same-instant supersedes, integral and fractional
+//! values, `-0.0`, NaN and infinities.
 
 #[path = "../src/exact.rs"]
 mod exact;
@@ -44,6 +48,119 @@ fn sample() -> impl Strategy<Value = f64> {
         1 => Just(-0.0),
         1 => prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
     ]
+}
+
+/// The timeline as a plain vector of `(time, value)` change points: what
+/// [`Timeline`] was before it encoded them, and the reference it is held
+/// to. Every method is the old one, float operation for float operation.
+#[derive(Debug, Default, Clone)]
+struct PlainTimeline {
+    points: Vec<(f64, f64)>,
+}
+
+impl PlainTimeline {
+    fn set(&mut self, at: f64, value: f64) {
+        if let Some(&(last, prev)) = self.points.last() {
+            assert!(at >= last, "went backwards");
+            if value == prev {
+                return;
+            }
+            if at == last {
+                self.points.pop();
+            }
+        }
+        self.points.push((at, value));
+    }
+
+    fn value_at(&self, at: f64) -> f64 {
+        match self.points.partition_point(|&(t, _)| t <= at) {
+            0 => 0.0,
+            idx => self.points[idx - 1].1,
+        }
+    }
+
+    fn max_value(&self) -> f64 {
+        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
+    }
+
+    fn integral(&self, start: f64, end: f64) -> f64 {
+        assert!(end >= start);
+        let mut area = 0.0;
+        let mut t = start;
+        let mut v = self.value_at(start);
+        for &(pt, pv) in &self.points {
+            if pt <= start {
+                continue;
+            }
+            if pt >= end {
+                break;
+            }
+            area += v * (pt - t);
+            t = pt;
+            v = pv;
+        }
+        area + v * (end - t)
+    }
+
+    fn time_mean(&self, start: f64, end: f64) -> f64 {
+        assert!(end > start);
+        self.integral(start, end) / (end - start)
+    }
+}
+
+/// One `set` of a generated gauge: how far time moves (`0` keeps the
+/// instant, superseding) and what the value becomes, as raw draws that
+/// [`gauge`] turns into times and values.
+type Step = (u8, u64, u8, i64);
+
+/// Replays `steps` into a compact timeline and its plain reference.
+fn gauge(start: u8, steps: &[Step]) -> (Timeline, PlainTimeline) {
+    let mut t = [0.0, -0.0, 1.5, 1e-7][usize::from(start % 4)];
+    let mut v = 0.0;
+    let mut timeline = Timeline::new("prop");
+    let mut plain = PlainTimeline::default();
+    for &(time_kind, dt, value_kind, x) in steps {
+        let grid = |us: u64| (us as f64 / 1e6).max(t);
+        let micros = (t.max(0.0) * 1e6).ceil() as u64;
+        t = match time_kind % 8 {
+            0 => t,
+            1..=3 => grid(micros + dt % 10_000_000),
+            4 => grid(micros + dt % (1 << 36)), // gaps of hours to days
+            5 => t + (dt % 1000) as f64 / 3.0,  // off the µs grid
+            6 => f64::from_bits(t.abs().to_bits() + 1), // one ulp later
+            _ => grid(micros + 1),
+        };
+        let whole = if v == f64::from(v as i32) { v } else { 0.0 };
+        v = match value_kind % 14 {
+            0 => v, // a no-op
+            1..=5 => whole + [1.0, -1.0, 2.0, -8.0, 16.0][(x.unsigned_abs() % 5) as usize],
+            6 => (x % 1000) as f64, // any step
+            7 => (x.signum() as f64) * (2f64.powi(53) + (x % 3) as f64 * 2.0),
+            8 => x as f64 / 7.0, // fractional
+            9 => -0.0,
+            10 => f64::NAN,
+            11 => [f64::INFINITY, f64::NEG_INFINITY][(x & 1) as usize],
+            12 => 0.0,
+            _ => whole + 3.0,
+        };
+        timeline.set(t, v);
+        plain.set(t, v);
+    }
+    (timeline, plain)
+}
+
+/// Whether two computed results are the same bits — or both NaN, whose
+/// sign and payload Rust leaves to the compiler (an optimised build may
+/// swap the operands of a `+` and so propagate the other NaN).
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()
+}
+
+fn bits(points: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
+    points
+        .into_iter()
+        .map(|(t, v)| (t.to_bits(), v.to_bits()))
+        .collect()
 }
 
 fn record(samples: &[f64]) -> (Cdf, Exact) {
@@ -159,6 +276,56 @@ proptest! {
             }
             check_percentiles(&mut pooled, &exact)?;
         }
+    }
+
+    /// The compact timeline answers every query with the bits the plain
+    /// vector of change points did (a computed NaN's sign and payload
+    /// aside; see [`same`]): `points`, `value_at` at, just before
+    /// and just after change points (and far off), `max_value`,
+    /// `integral` and `time_mean` over windows inside and across it, and
+    /// equality with its own clone (false exactly when a value is NaN).
+    /// Runs reach 3 000 points, past the checkpoint index's 1 024.
+    #[test]
+    fn timeline_matches_the_plain_vector_bit_for_bit(
+        start in 0u8..4,
+        steps in proptest::collection::vec((0u8..8, 0u64..u64::MAX, 0u8..14, -1_000_000i64..1_000_000), 1..3_000),
+        picks in proptest::collection::vec(0usize..3_000, 24),
+    ) {
+        let (timeline, plain) = gauge(start, &steps);
+        prop_assert_eq!(bits(timeline.points()), bits(plain.points.iter().copied()));
+        prop_assert_eq!(timeline.points().len(), plain.points.len());
+        prop_assert!(same(timeline.max_value(), plain.max_value()));
+        prop_assert_eq!(timeline == timeline.clone(), plain.points == plain.points.clone());
+
+        let n = plain.points.len();
+        let (first, last) = (plain.points[0].0, plain.points[n - 1].0);
+        let mut queries = vec![first - 1.0, last + 1.0, f64::NAN, 0.0, -0.0];
+        for &i in &picks {
+            let at = plain.points[i % n].0;
+            queries.extend([at, at - 1e-6, at + 1e-6, at - 0.5, at + 0.5]);
+        }
+        for &q in &queries {
+            prop_assert_eq!(timeline.value_at(q).to_bits(), plain.value_at(q).to_bits(), "value_at({})", q);
+        }
+        let mut windows: Vec<f64> = queries.into_iter().filter(|q| !q.is_nan()).collect();
+        windows.sort_by(f64::total_cmp);
+        // Neighbouring instants, and wide windows between picked ones.
+        let mut spans: Vec<(f64, f64)> = windows.chunks(2).map(|w| (w[0], w[w.len() - 1])).collect();
+        for pair in picks.chunks(2) {
+            let (i, j) = (pair[0] % windows.len(), pair[1] % windows.len());
+            spans.push((windows[i.min(j)], windows[i.max(j)]));
+        }
+        for (a, b) in spans {
+            let (got, want) = (timeline.integral(a, b), plain.integral(a, b));
+            prop_assert!(same(got, want), "integral({}, {}): {} vs {}", a, b, got, want);
+            if b > a {
+                prop_assert!(same(timeline.time_mean(a, b), plain.time_mean(a, b)));
+            }
+        }
+        prop_assert!(same(
+            timeline.integral(first - 1.0, last + 1.0),
+            plain.integral(first - 1.0, last + 1.0)
+        ));
     }
 
     /// A timeline's integral is additive over adjacent windows.

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use notebookos_des::{EventQueue, SimRng, SimTime};
+use notebookos_des::{EventQueue, Ranked, SimRng, SimTime};
 
 use crate::config::RaftConfig;
 use crate::invariants::SafetyChecker;
@@ -42,6 +42,9 @@ enum NetEvent<C> {
     },
     Tick(NodeId),
 }
+
+/// Deliveries and ticks due at one instant fire in schedule order.
+impl<C> Ranked for NetEvent<C> {}
 
 /// A deterministic in-memory network of Raft nodes.
 ///

@@ -32,27 +32,25 @@ impl TraceProfile {
     pub fn adobe() -> Self {
         TraceProfile {
             name: "AdobeTrace",
-            durations: Empirical::from_quantiles(&[
+            durations: Empirical::from_table(&[
                 (0.50, 120.0),
                 (0.75, 300.0),
                 (0.90, 1_020.0),
                 (0.95, 2_160.0),
                 (0.99, 10_920.0),
             ])
-            .expect("static anchors")
             .with_floor(15.0)
             // Interactive tasks top out at a few hours; an unbounded
             // Pareto tail (index ≈ 1 here) would let single draws dominate
             // per-session busy-time sums.
             .with_ceiling(14_400.0),
-            iats: Empirical::from_quantiles(&[
+            iats: Empirical::from_table(&[
                 (0.50, 300.0),
                 (0.75, 480.0),
                 (0.90, 1_500.0),
                 (0.95, 2_700.0),
                 (0.99, 7_200.0),
             ])
-            .expect("static anchors")
             .with_floor(240.0),
         }
     }
@@ -62,22 +60,20 @@ impl TraceProfile {
     pub fn philly() -> Self {
         TraceProfile {
             name: "PhillyTrace",
-            durations: Empirical::from_quantiles(&[
+            durations: Empirical::from_table(&[
                 (0.50, 621.0),
                 (0.75, 3_600.0),
                 (0.90, 18_000.0),
                 (0.99, 172_800.0),
             ])
-            .expect("static anchors")
             .with_floor(10.0)
             .with_ceiling(518_400.0),
-            iats: Empirical::from_quantiles(&[
+            iats: Empirical::from_table(&[
                 (0.50, 44.0),
                 (0.75, 150.0),
                 (0.90, 600.0),
                 (0.99, 7_200.0),
             ])
-            .expect("static anchors")
             .with_floor(1.0),
         }
     }
@@ -86,22 +82,20 @@ impl TraceProfile {
     pub fn alibaba() -> Self {
         TraceProfile {
             name: "AlibabaTrace",
-            durations: Empirical::from_quantiles(&[
+            durations: Empirical::from_table(&[
                 (0.50, 957.0),
                 (0.75, 5_400.0),
                 (0.90, 28_800.0),
                 (0.99, 259_200.0),
             ])
-            .expect("static anchors")
             .with_floor(10.0)
             .with_ceiling(777_600.0),
-            iats: Empirical::from_quantiles(&[
+            iats: Empirical::from_table(&[
                 (0.50, 38.0),
                 (0.75, 120.0),
                 (0.90, 480.0),
                 (0.99, 3_600.0),
             ])
-            .expect("static anchors")
             .with_floor(1.0),
         }
     }

@@ -54,13 +54,13 @@ proptest! {
             let f = s.busy_fraction();
             prop_assert!((0.0..=1.0).contains(&f));
         }
-        for &(_, v) in trace.active_sessions_timeline().points() {
+        for (_, v) in trace.active_sessions_timeline().points() {
             prop_assert!(v >= 0.0);
         }
-        for &(_, v) in trace.active_trainings_timeline().points() {
+        for (_, v) in trace.active_trainings_timeline().points() {
             prop_assert!(v >= 0.0);
         }
-        for &(_, v) in trace.oracle_gpu_timeline().points() {
+        for (_, v) in trace.oracle_gpu_timeline().points() {
             prop_assert!(v >= 0.0);
         }
     }

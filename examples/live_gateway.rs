@@ -15,7 +15,7 @@
 
 use notebookos::cluster::ResourceBundle;
 use notebookos::core::{client_request, LiveGateway};
-use notebookos::des::{RealTimeScheduler, Scheduler, SimTime};
+use notebookos::des::{Ranked, RealTimeScheduler, Scheduler, SimTime};
 use notebookos::jupyter::KernelResourceSpec;
 
 /// Driver events: a user submits cell `i`, or execution `msg_id` hits
@@ -25,6 +25,9 @@ enum Ev {
     Submit(u32),
     Done(String),
 }
+
+/// Events due at one instant fire in schedule order.
+impl Ranked for Ev {}
 
 fn main() {
     let (mut gateway, mut client) = LiveGateway::new(4, ResourceBundle::p3_16xlarge(), 3);

@@ -220,7 +220,7 @@ fn fleet_never_drops_below_min_hosts_under_any_elasticity() {
             );
             // The provisioned-GPU gauge (total fleet GPUs for NotebookOS)
             // never dips below the floor at any recorded instant.
-            for &(t, v) in world.metrics().provisioned_gpus.points() {
+            for (t, v) in world.metrics().provisioned_gpus.points() {
                 assert!(
                     v + 1e-9 >= min_gpus,
                     "{kind} seed {seed}: fleet {v} GPUs at t={t}s below floor"

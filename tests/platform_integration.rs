@@ -124,7 +124,7 @@ fn committed_never_exceeds_provisioned_capacity() {
     let trace = eval_trace();
     for policy in [PolicyKind::NotebookOs, PolicyKind::NotebookOsLcp] {
         let m = run(policy, &trace);
-        for &(t, committed) in m.committed_gpus.points() {
+        for (t, committed) in m.committed_gpus.points() {
             let capacity = m.provisioned_gpus.value_at(t);
             assert!(
                 committed <= capacity + 1e-9,
