@@ -15,19 +15,22 @@
 //! AdobeTrace-shaped workload for `--users` sessions is generated over
 //! its natural hour-scale window, then compressed onto the requested
 //! serving window, with per-cell running times capped so executions
-//! complete within the run.
+//! complete within the run. The trace reaches the scheduler one arrival at
+//! a time through the merge the platform simulation uses
+//! ([`notebookos_trace::Arrivals`]), so the queue holds the in-flight
+//! executions, one arrival and one gauge tick, whatever the trace's size.
 
 use std::collections::{HashMap, VecDeque};
 
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
-use notebookos_des::{Ranked, Scheduler, SimTime};
+use notebookos_des::{Ranked, Scheduler, SimTime, DYNAMIC_RANK};
 use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint};
 use notebookos_metrics::Cdf;
-use notebookos_trace::{generate, SyntheticConfig, WorkloadTrace};
+use notebookos_trace::{generate, Arrival, Arrivals, SyntheticConfig, WorkloadTrace};
 
-/// Events of the serving loop. The trace pre-schedules session lifecycles
-/// and submissions; completions and gauge ticks are scheduled as the run
-/// unfolds.
+/// Events of the serving loop. Session lifecycles and submissions are the
+/// trace's arrivals, fed one at a time; completions and gauge ticks are
+/// scheduled as the run unfolds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeEv {
     /// A user's session begins (kernel launch through the control plane).
@@ -38,6 +41,8 @@ pub enum ServeEv {
     Submit {
         /// The submitting user.
         user: usize,
+        /// The cell's index within the user's session.
+        cell: usize,
         /// Compressed cell running time.
         duration: SimTime,
     },
@@ -52,10 +57,19 @@ pub enum ServeEv {
     ProgressTick,
 }
 
-/// The serve replay loads its whole trace before the first pop, so
-/// schedule order alone already puts the trace first at an equal instant:
-/// every event keeps the default rank.
-impl Ranked for ServeEv {}
+/// Arrivals rank by [`Arrival::rank`], ahead of every completion and tick
+/// due at the same instant, and among themselves by `(user, k)`: the
+/// order loading the whole trace before the first pop gave.
+impl Ranked for ServeEv {
+    fn rank(&self) -> u64 {
+        match *self {
+            ServeEv::SessionStart(user) => Arrival::Start(user).rank(),
+            ServeEv::SessionEnd(user) => Arrival::End(user).rank(),
+            ServeEv::Submit { user, cell, .. } => Arrival::Cell(user, cell).rank(),
+            ServeEv::ExecDone { .. } | ServeEv::ProgressTick => DYNAMIC_RANK,
+        }
+    }
+}
 
 /// Configuration for one serving run.
 #[derive(Debug, Clone)]
@@ -272,55 +286,43 @@ struct UserState {
     end_requested: bool,
 }
 
-/// The compressed workload plus the resource spec of each session,
-/// derived from one generated trace.
+/// The generated workload and the factor that compresses it onto the
+/// serving window.
 #[derive(Debug)]
-struct CompressedTrace {
-    specs: Vec<KernelResourceSpec>,
-    /// The `(deadline, event)` pairs to pre-schedule, user by user.
-    events: Vec<(SimTime, ServeEv)>,
+struct ServeTrace {
+    trace: WorkloadTrace,
+    /// Serving seconds per trace second.
+    factor: f64,
 }
 
-fn compress(trace: &WorkloadTrace, opts: &ServeOpts) -> CompressedTrace {
-    let span_s = trace.span_s().max(1.0);
-    let factor = opts.duration.as_secs_f64() / span_s;
-    let mut specs = Vec::with_capacity(trace.sessions.len());
-    let mut events = Vec::new();
-    for (user, session) in trace.sessions.iter().enumerate() {
-        specs.push(KernelResourceSpec {
+impl ServeTrace {
+    /// Generates the workload once: one AdobeTrace-shaped hour, compressed
+    /// onto the serving window. Every user submits (gpu_active_fraction
+    /// 1.0): a load generator that mostly idles would make smoke runs
+    /// flaky.
+    fn new(opts: &ServeOpts) -> Self {
+        let config = SyntheticConfig {
+            sessions: opts.users,
+            span_s: 3_600.0,
+            gpu_active_fraction: 1.0,
+            long_lived_fraction: 0.9,
+            ..SyntheticConfig::smoke()
+        };
+        let trace = generate(&config, opts.seed);
+        let factor = opts.duration.as_secs_f64() / trace.span_s().max(1.0);
+        ServeTrace { trace, factor }
+    }
+
+    /// The resource spec of `user`'s session.
+    fn spec(&self, user: usize) -> KernelResourceSpec {
+        let session = &self.trace.sessions[user];
+        KernelResourceSpec {
             millicpus: session.millicpus as u32,
             memory_mb: session.memory_mb as u32,
             gpus: session.gpus,
             vram_gb: session.vram_gb,
-        });
-        let start = SimTime::from_secs_f64(session.start_s * factor);
-        let end = SimTime::from_secs_f64(session.end_s * factor).max(start);
-        events.push((start, ServeEv::SessionStart(user)));
-        events.push((end, ServeEv::SessionEnd(user)));
-        for event in &session.events {
-            let submit = SimTime::from_secs_f64(event.submit_s * factor);
-            let duration = SimTime::from_secs_f64(event.duration_s * factor)
-                .min(opts.max_cell)
-                .max(SimTime::from_millis(1));
-            events.push((submit, ServeEv::Submit { user, duration }));
         }
     }
-    CompressedTrace { specs, events }
-}
-
-/// Generates the workload once: one AdobeTrace-shaped hour, compressed
-/// onto the serving window. Every user submits (gpu_active_fraction 1.0):
-/// a load generator that mostly idles would make smoke runs flaky.
-fn compressed_trace(opts: &ServeOpts) -> CompressedTrace {
-    let config = SyntheticConfig {
-        sessions: opts.users,
-        span_s: 3_600.0,
-        gpu_active_fraction: 1.0,
-        long_lived_fraction: 0.9,
-        ..SyntheticConfig::smoke()
-    };
-    let trace = generate(&config, opts.seed);
-    compress(&trace, opts)
 }
 
 /// Runs the serving loop to completion under the supplied scheduler.
@@ -332,7 +334,41 @@ fn compressed_trace(opts: &ServeOpts) -> CompressedTrace {
 /// flows through `sched`. One thread and no locks: the loop owns its
 /// gateway, wire, scheduler and latency accumulator outright.
 pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeReport {
-    let CompressedTrace { specs, events } = compressed_trace(opts);
+    let trace = ServeTrace::new(opts);
+    let mut arrivals = Arrivals::new(&trace.trace, trace.factor);
+    let mut feed = |sched: &mut dyn Scheduler<ServeEv>| {
+        let Some((at, arrival)) = arrivals.next(&trace.trace) else {
+            return;
+        };
+        let event = match arrival {
+            Arrival::Start(user) => ServeEv::SessionStart(user),
+            Arrival::End(user) => ServeEv::SessionEnd(user),
+            Arrival::Cell(user, cell) => {
+                let run = trace.trace.sessions[user].events[cell].duration_s;
+                let duration = SimTime::from_secs_f64(run * trace.factor)
+                    .min(opts.max_cell)
+                    .max(SimTime::from_millis(1));
+                ServeEv::Submit {
+                    user,
+                    cell,
+                    duration,
+                }
+            }
+        };
+        sched.schedule(at, event);
+    };
+    feed(sched);
+    serve_loop(opts, &trace, sched, feed)
+}
+
+/// The serving loop over `trace`, whose arrivals `sched` holds or `feed`
+/// schedules: `feed` runs each time an arrival pops.
+fn serve_loop(
+    opts: &ServeOpts,
+    trace: &ServeTrace,
+    sched: &mut dyn Scheduler<ServeEv>,
+    mut feed: impl FnMut(&mut dyn Scheduler<ServeEv>),
+) -> ServeReport {
     let (mut gateway, mut client) = LiveGateway::new(
         opts.hosts,
         notebookos_cluster::ResourceBundle::p3_16xlarge(),
@@ -345,18 +381,18 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
     let mut report = ServeReport::empty(opts.users);
     let gauge_spec = gauge_probe_spec();
 
-    for (deadline, event) in events {
-        sched.schedule(deadline, event);
-    }
     sched.schedule(SimTime::ZERO, ServeEv::ProgressTick);
-
     while let Some((now, event)) = sched.pop_next() {
         // Stamped before dispatch, so no arm can leave the span short.
         report.logical_secs = now.as_secs_f64();
+        // An arrival pops: the trace's next one is due no earlier.
+        if event.rank() != DYNAMIC_RANK {
+            feed(sched);
+        }
         match event {
             ServeEv::SessionStart(user) => {
                 let session_id = format!("user-{user}");
-                match gateway.start_session(&session_id, specs[user], now) {
+                match gateway.start_session(&session_id, trace.spec(user), now) {
                     Ok(info) => {
                         users[user].kernel_id = info.kernel_id;
                         users[user].active = true;
@@ -382,7 +418,7 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
                     }
                 }
             }
-            ServeEv::Submit { user, duration } => {
+            ServeEv::Submit { user, duration, .. } => {
                 if !users[user].active {
                     report.dropped += 1;
                 } else if users[user].busy {
@@ -586,11 +622,11 @@ mod tests {
         // 800 ms window keeps the final gauge tick (500 ms) from hiding it.
         let mut opts = ServeOpts::new(3, SimTime::from_millis(800));
         opts.hosts = 2;
-        let last_deadline = compressed_trace(&opts)
-            .events
-            .iter()
-            .map(|&(deadline, _)| deadline)
-            .max()
+        let trace = ServeTrace::new(&opts);
+        let mut arrivals = Arrivals::new(&trace.trace, trace.factor);
+        let last_deadline = std::iter::from_fn(|| arrivals.next(&trace.trace))
+            .map(|(at, _)| at)
+            .last()
             .expect("trace has events");
         let report = run_serve(&opts, &mut DesScheduler::new());
         assert_eq!(report.shortfalls, 3);
@@ -599,5 +635,108 @@ mod tests {
             "past the last tick"
         );
         assert_eq!(report.logical_secs, last_deadline.as_secs_f64());
+    }
+
+    /// The trace loaded whole before the first pop, user by user — start,
+    /// end, then each cell — and then the first gauge tick, as the replay
+    /// loaded it before it fed arrivals one at a time: the reference the
+    /// lazy feed is held to.
+    fn run_serve_bulk(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeReport {
+        let trace = ServeTrace::new(opts);
+        let factor = trace.factor;
+        for (user, session) in trace.trace.sessions.iter().enumerate() {
+            let start = SimTime::from_secs_f64(session.start_s * factor);
+            let end = SimTime::from_secs_f64(session.end_s * factor).max(start);
+            sched.schedule(start, ServeEv::SessionStart(user));
+            sched.schedule(end, ServeEv::SessionEnd(user));
+            for (cell, event) in session.events.iter().enumerate() {
+                let submit = SimTime::from_secs_f64(event.submit_s * factor);
+                let duration = SimTime::from_secs_f64(event.duration_s * factor)
+                    .min(opts.max_cell)
+                    .max(SimTime::from_millis(1));
+                sched.schedule(
+                    submit,
+                    ServeEv::Submit {
+                        user,
+                        cell,
+                        duration,
+                    },
+                );
+            }
+        }
+        serve_loop(opts, &trace, sched, |_| {})
+    }
+
+    /// A [`DesScheduler`] that, after every pop, demands the queue hold no
+    /// more than the executions in flight, one arrival and one tick.
+    struct Bounded {
+        inner: DesScheduler<ServeEv>,
+        /// `ExecDone` events scheduled and not yet popped.
+        in_flight: usize,
+    }
+
+    impl Scheduler<ServeEv> for Bounded {
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+
+        fn schedule(&mut self, at: SimTime, event: ServeEv) {
+            self.in_flight += usize::from(matches!(event, ServeEv::ExecDone { .. }));
+            self.inner.schedule(at, event);
+        }
+
+        fn schedule_in(&mut self, delay: SimTime, event: ServeEv) {
+            self.in_flight += usize::from(matches!(event, ServeEv::ExecDone { .. }));
+            self.inner.schedule_in(delay, event);
+        }
+
+        fn pop_next(&mut self) -> Option<(SimTime, ServeEv)> {
+            let popped = self.inner.pop_next();
+            if let Some((_, ServeEv::ExecDone { .. })) = popped {
+                self.in_flight -= 1;
+            }
+            let pending = self.inner.pending();
+            assert!(
+                pending <= self.in_flight + 2,
+                "{pending} pending with {} executions in flight",
+                self.in_flight
+            );
+            popped
+        }
+
+        fn peek_deadline(&self) -> Option<SimTime> {
+            self.inner.peek_deadline()
+        }
+
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+
+        fn scheduled_total(&self) -> u64 {
+            self.inner.scheduled_total()
+        }
+    }
+
+    /// Over 8 to 512 users, two a host, and three seeds, the lazy feed
+    /// reports what the bulk load reported, and its queue never holds
+    /// more than the executions in flight, one arrival and one tick.
+    #[test]
+    fn the_lazy_feed_reports_what_the_bulk_load_reported() {
+        for users in [8, 64, 512] {
+            for seed in 1..=3 {
+                let mut opts = ServeOpts::new(users, SimTime::from_secs(10));
+                opts.hosts = (users / 2).max(8);
+                opts.seed = seed;
+                let mut bounded = Bounded {
+                    inner: DesScheduler::new(),
+                    in_flight: 0,
+                };
+                let lazy = run_serve(&opts, &mut bounded);
+                let bulk = run_serve_bulk(&opts, &mut DesScheduler::new());
+                assert!(lazy.executions > 0, "{users} users, seed {seed}");
+                assert_eq!(lazy, bulk, "{users} users, seed {seed}");
+                assert_eq!(bounded.in_flight, 0);
+            }
+        }
     }
 }

@@ -36,8 +36,8 @@
 //! `S`. So the index keeps hosts in dense buckets keyed by those two
 //! integers, each bucket an id bitset (`IdSet`):
 //!
-//! * fleet-wide, `by_idle[I]`: every host, draining included;
-//! * per shape class, over its non-draining hosts: the grid `cell(I, S)`;
+//! * fleet-wide, `by_idle[I]`: every host;
+//! * per shape class, over its hosts: the grid `cell(I, S)`;
 //!   `occupied[I]`, the `S` levels whose cell in row `I` is non-empty;
 //!   `per_sub[S]`, the count of hosts at level `S`; `subs`, the levels
 //!   with a non-zero count; and `by_id` (id → `S`) for the rotation.
@@ -51,7 +51,7 @@
 //! | `viable_counts` | by `S` | `per_sub` summed over the `subs` above the threshold |
 //! | round-robin | id, rotated | `by_id` ranges |
 //!
-//! A typed mutator snapshots `(I, S, draining)` around the per-host change
+//! A typed mutator snapshots `(I, S)` around the per-host change
 //! and moves the host only where its key moved:
 //!
 //! * `try_commit` / `release` clear one bit and set another in `by_idle`
@@ -59,8 +59,6 @@
 //! * `subscribe` / `unsubscribe` move the grid bit and the `per_sub`
 //!   count, and rewrite the host's `by_id` value in place;
 //! * a failed commit or a 0-GPU request moves nothing;
-//! * a `set_draining` flip leaves or joins the class (a draining host lives
-//!   in `by_idle` alone);
 //! * `add_host` / `remove_host` join or leave everything.
 //!
 //! Each move is a few word operations, independent of fleet size; an
@@ -80,7 +78,7 @@ use crate::idset::IdSet;
 use crate::resources::{ResourceBundle, ResourceRequest};
 
 /// Placement candidates screened by one shared viability rule (capacity
-/// covers the request, host not draining), split by the dynamic SR cap
+/// covers the request), split by the dynamic SR cap
 /// (§3.4.1). The cap is a *preference*: `over_cap` hosts are still usable
 /// as a last resort — "the server is rejected in favor of another" — so
 /// every placement policy ranks `within_cap` hosts ahead of `over_cap`
@@ -133,8 +131,8 @@ fn census_key(shape: &ResourceBundle) -> (u32, u64, u64) {
     (shape.gpus, shape.millicpus, shape.memory_mb)
 }
 
-/// Per-shape slice of the placement index, over the class's non-draining
-/// hosts. All hosts in a class share one capacity [`ResourceBundle`],
+/// Per-shape slice of the placement index, over the class's hosts. All
+/// hosts in a class share one capacity [`ResourceBundle`],
 /// hence one viability verdict per request, one SR denominator and
 /// `committed = G − idle` — which is what lets the `(idle, subscribed)`
 /// grid carry every order the queries read (module docs).
@@ -155,8 +153,6 @@ struct ShapeClass {
     /// round-robin rotation order within the class, with the subscription
     /// level at hand for the SR-cap check.
     by_id: BTreeMap<HostId, u64>,
-    /// Live (non-draining) hosts in this class.
-    len: usize,
 }
 
 /// Set equality: grid rows and counts past the highest level held are
@@ -165,7 +161,6 @@ struct ShapeClass {
 impl PartialEq for ShapeClass {
     fn eq(&self, other: &Self) -> bool {
         self.shape == other.shape
-            && self.len == other.len
             && self.by_id == other.by_id
             && self.subs == other.subs
             && self.occupied == other.occupied
@@ -190,8 +185,12 @@ impl ShapeClass {
             per_sub: Vec::new(),
             subs: IdSet::default(),
             by_id: BTreeMap::new(),
-            len: 0,
         }
+    }
+
+    /// Hosts in this class.
+    fn len(&self) -> usize {
+        self.by_id.len()
     }
 
     /// Where the `(idle, subscribed)` cell sits in `cells`.
@@ -261,7 +260,6 @@ impl ShapeClass {
 struct HostKey {
     idle: u32,
     subscribed: u64,
-    draining: bool,
 }
 
 impl HostKey {
@@ -269,7 +267,6 @@ impl HostKey {
         HostKey {
             idle: h.idle_gpus(),
             subscribed: h.subscribed_gpus(),
-            draining: h.is_draining(),
         }
     }
 }
@@ -279,12 +276,10 @@ impl HostKey {
 /// the typed cluster mutators (apply → `relink`).
 #[derive(Debug, Clone, Default)]
 struct HostIndex {
-    /// Per-shape structures over *non-draining* hosts (the placement
-    /// viability screen excludes draining), ascending by `census_key`.
+    /// Per-shape structures, ascending by `census_key`.
     classes: Vec<ShapeClass>,
-    /// `by_idle[I]`: every host — draining included — with `I` idle GPUs;
-    /// the commit-side baseline scans (reservation/batch/LCP) do not
-    /// filter on draining, and migration filters it inline.
+    /// `by_idle[I]`: every host with `I` idle GPUs, which the commit-side
+    /// picks (reservation, batch, LCP and migration) walk.
     by_idle: Vec<IdSet>,
 }
 
@@ -345,9 +340,6 @@ impl HostIndex {
             self.by_idle.resize_with(rows, IdSet::default);
         }
         self.by_idle[key.idle as usize].insert(id);
-        if key.draining {
-            return;
-        }
         let shape = h.capacity();
         let slot = match self.class_position(&shape) {
             Ok(i) => i,
@@ -360,7 +352,6 @@ impl HostIndex {
         class.cell_insert(key, id);
         class.count_insert(key.subscribed);
         class.by_id.insert(id, key.subscribed);
-        class.len += 1;
     }
 
     /// Removes `h`, indexed under `key`, from every structure; the exact
@@ -368,9 +359,6 @@ impl HostIndex {
     fn unlink(&mut self, h: &Host, key: HostKey) {
         let id = h.id();
         self.by_idle[key.idle as usize].remove(id);
-        if key.draining {
-            return;
-        }
         let slot = self
             .class_position(&h.capacity())
             .expect("indexed host's shape class exists");
@@ -378,32 +366,22 @@ impl HostIndex {
         class.cell_remove(key, id);
         class.count_remove(key.subscribed);
         class.by_id.remove(&id);
-        class.len -= 1;
-        if class.len == 0 {
+        if class.by_id.is_empty() {
             self.classes.remove(slot);
         }
     }
 
     /// Moves `h`, indexed under `old`, to its current state, touching only
     /// the buckets whose key changed (see the module docs for which
-    /// mutator moves which). A draining flip changes which structures hold
-    /// the host at all and takes the full unlink → link.
+    /// mutator moves which).
     fn relink(&mut self, h: &Host, old: HostKey) {
         let (id, new) = (h.id(), HostKey::of(h));
         if new == old {
             return;
         }
-        if new.draining != old.draining {
-            self.unlink(h, old);
-            self.link(h);
-            return;
-        }
         if new.idle != old.idle {
             self.by_idle[old.idle as usize].remove(id);
             self.by_idle[new.idle as usize].insert(id);
-        }
-        if new.draining {
-            return;
         }
         let slot = self
             .class_position(&h.capacity())
@@ -680,13 +658,6 @@ pub enum HostMutation {
         /// Releasing replica.
         owner: OwnerId,
     },
-    /// Mark or unmark a host as draining ([`Cluster::set_draining`]).
-    SetDraining {
-        /// Target host.
-        host: HostId,
-        /// New draining flag.
-        draining: bool,
-    },
 }
 
 impl Cluster {
@@ -736,8 +707,8 @@ impl Cluster {
         id
     }
 
-    /// Removes a host (only sensible when it is idle; the autoscaler drains
-    /// first). Returns the host if it existed.
+    /// Removes a host (only sensible when it is idle; the autoscaler
+    /// retires idle hosts only). Returns the host if it existed.
     pub fn remove_host(&mut self, id: HostId) -> Option<Host> {
         let idx = self.host_position(id)?;
         self.index
@@ -871,19 +842,6 @@ impl Cluster {
         true
     }
 
-    /// Marks/unmarks `host` as draining. Returns `false` when the host
-    /// does not exist.
-    pub fn set_draining(&mut self, host: HostId, draining: bool) -> bool {
-        let Some(idx) = self.host_position(host) else {
-            return false;
-        };
-        // A flip unlinks under the old flag and links under the new one,
-        // so the host moves in/out of the per-shape class structures
-        // exactly when the viability screen starts/stops seeing it.
-        self.apply_indexed(idx, |h| h.set_draining(draining));
-        true
-    }
-
     /// Applies a batch of typed mutations in order, returning how many
     /// applied (a mutation naming a missing host, a failing commit, or a
     /// release with no matching commitment is skipped, exactly like its
@@ -906,7 +864,6 @@ impl Cluster {
                     request,
                 } => self.try_commit(host, owner, &request, &mut devices),
                 HostMutation::Release { host, owner } => self.release(host, owner),
-                HostMutation::SetDraining { host, draining } => self.set_draining(host, draining),
             };
             applied += usize::from(ok);
         }
@@ -975,7 +932,7 @@ impl Cluster {
         out.clear();
         let capacity_needed = ResourceBundle::from_request(request);
         for h in &self.hosts {
-            if h.is_draining() || !h.capacity().covers(&capacity_needed) {
+            if !h.capacity().covers(&capacity_needed) {
                 continue;
             }
             let keyed = (
@@ -996,8 +953,7 @@ impl Cluster {
     }
 
     /// The single viability rule every placement policy shares: hosts whose
-    /// *capacity* covers the request and that are not draining, split into
-    /// those the SR cap allows and those it forbids (§3.4.1). CPU-only
+    /// *capacity* covers the request, split into those the SR cap allows and those it forbids (§3.4.1). CPU-only
     /// requests never count against the cap. Segments are ascending by
     /// host id; policies order within them. Clears and refills `out`, so a
     /// caller that owns the buffer screens every placement without
@@ -1012,7 +968,7 @@ impl Cluster {
         out.clear();
         let capacity_needed = ResourceBundle::from_request(request);
         for h in &self.hosts {
-            if h.is_draining() || !h.capacity().covers(&capacity_needed) {
+            if !h.capacity().covers(&capacity_needed) {
                 continue;
             }
             if request.gpus > 0 && post_sr(h, request, replication_factor) > sr_cap {
@@ -1041,12 +997,12 @@ impl Cluster {
     // pin this), it just stops touching every host per decision.
     // ------------------------------------------------------------------
 
-    /// Number of viable hosts for `request` (capacity covers, not
-    /// draining) — [`Cluster::viable_hosts_into`]'s `len()` without the scan:
+    /// Number of viable hosts for `request` (capacity covers) —
+    /// [`Cluster::viable_hosts_into`]'s `len()` without the scan:
     /// O(shape classes) via the per-class live counts.
     pub fn viable_count(&self, request: &ResourceRequest) -> usize {
         let needed = ResourceBundle::from_request(request);
-        self.index.covering(&needed).map(|c| c.len).sum()
+        self.index.covering(&needed).map(|c| c.len()).sum()
     }
 
     /// The viability *split* — [`Cluster::viable_hosts_into`]'s segment lengths
@@ -1066,8 +1022,8 @@ impl Cluster {
         for class in self.index.covering(&needed) {
             let cap = class_cap(request, class.shape, replication_factor, sr_cap);
             match cap_split(class, cap) {
-                CapSplit::AllWithin => within += class.len,
-                CapSplit::AllOver => over += class.len,
+                CapSplit::AllWithin => within += class.len(),
+                CapSplit::AllOver => over += class.len(),
                 CapSplit::Mixed(t) => {
                     let o: usize = class
                         .subs
@@ -1075,7 +1031,7 @@ impl Cluster {
                         .map(|s| class.per_sub[s as usize])
                         .sum();
                     over += o;
-                    within += class.len - o;
+                    within += class.len() - o;
                 }
             }
         }
@@ -1102,7 +1058,7 @@ impl Cluster {
         out.clear();
         let needed = ResourceBundle::from_request(request);
         let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len).sum();
+        let total: usize = covering().map(|c| c.len()).sum();
         if limit == 0 || total == 0 {
             return total;
         }
@@ -1158,7 +1114,7 @@ impl Cluster {
         out.clear();
         let needed = ResourceBundle::from_request(request);
         let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len).sum();
+        let total: usize = covering().map(|c| c.len()).sum();
         if limit == 0 || total == 0 {
             return total;
         }
@@ -1191,12 +1147,10 @@ impl Cluster {
     /// the wrap back to `last`) range-scans every covering class in
     /// ascending-id order — which *is* the global rotation order within a
     /// phase — takes at most `limit` qualifying ids per class, and keeps
-    /// the smallest across classes. Draining hosts are not in the class
-    /// structures at all, and a class whose members are uniformly over
-    /// (or under) the SR cap is classified from its extreme subscribed levels,
-    /// so the all-over-cap and mostly-draining fleets that degraded the
-    /// slab walk to O(hosts) now answer in O(classes · (log hosts +
-    /// limit)). Only a class the cap genuinely splits walks members past
+    /// the smallest across classes. A class whose members are uniformly
+    /// over (or under) the SR cap is classified from its extreme subscribed
+    /// levels, so the all-over-cap fleet that degraded the slab walk to
+    /// O(hosts) now answers in O(classes · (log hosts + limit)). Only a class the cap genuinely splits walks members past
     /// the threshold check.
     // Mirrors the scan-path signature (request/RF/cap/cursor) plus the
     // two caller-owned scratch buffers the allocation-free API requires.
@@ -1215,7 +1169,7 @@ impl Cluster {
         over_scratch.clear();
         let needed = ResourceBundle::from_request(request);
         let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len).sum();
+        let total: usize = covering().map(|c| c.len()).sum();
         if limit == 0 || total == 0 {
             return total;
         }
@@ -1277,8 +1231,8 @@ impl Cluster {
     }
 
     /// [`Cluster::best_commit_host`] with the migration target scan's
-    /// extra filters: skips draining hosts and everything in `exclude`
-    /// (the kernel's current replica hosts).
+    /// extra filter: skips everything in `exclude` (the kernel's current
+    /// replica hosts).
     pub fn best_commit_host_excluding(
         &self,
         request: &ResourceRequest,
@@ -1288,8 +1242,9 @@ impl Cluster {
             if exclude.contains(&id) {
                 return false;
             }
-            let h = self.host(id).expect("indexed host exists");
-            !h.is_draining() && h.can_commit(request)
+            self.host(id)
+                .expect("indexed host exists")
+                .can_commit(request)
         })
     }
 
@@ -1411,10 +1366,6 @@ mod tests {
         assert!(c.unsubscribe(0, &gpu_req(4)));
         assert!(!c.unsubscribe(99, &gpu_req(1)));
         assert_eq!(c.total_subscribed_gpus(), 2);
-
-        assert!(c.set_draining(1, true));
-        assert!(c.host(1).unwrap().is_draining());
-        assert!(!c.set_draining(99, true));
     }
 
     /// The batch covering every variant (plus skipped mutations).
@@ -1447,10 +1398,6 @@ mod tests {
                 request: gpu_req(1),
             },
             HostMutation::Release { host: 1, owner: 8 },
-            HostMutation::SetDraining {
-                host: 3,
-                draining: true,
-            },
             // Skipped: missing host, double commit, release w/o commitment.
             HostMutation::Subscribe {
                 host: 99,
@@ -1473,7 +1420,7 @@ mod tests {
         let shape = ResourceBundle::p3_16xlarge();
         let mut batched = Cluster::with_hosts(4, shape);
         let applied = batched.apply_batch(equivalence_batch());
-        assert_eq!(applied, 8, "three mutations are skipped");
+        assert_eq!(applied, 7, "three mutations are skipped");
 
         let mut single = Cluster::with_hosts(4, shape);
         let mut devices = Vec::new();
@@ -1484,7 +1431,6 @@ mod tests {
         assert!(single.try_commit(1, 8, &gpu_req(2), &mut devices));
         assert!(single.unsubscribe(2, &gpu_req(1)));
         assert!(single.release(1, 8));
-        assert!(single.set_draining(3, true));
         assert!(!single.subscribe(99, &gpu_req(1)));
         assert!(!single.try_commit(0, 7, &gpu_req(1), &mut devices));
         assert!(!single.release(2, 42));
@@ -1497,7 +1443,6 @@ mod tests {
         slab[1].commit(8, &gpu_req(2)).unwrap();
         slab[2].unsubscribe(&gpu_req(1));
         assert!(slab[1].release(8).is_some());
-        slab[3].set_draining(true);
         assert_eq!(
             slab[0].commit(7, &gpu_req(1)),
             Err(CommitError::AlreadyCommitted(7))
@@ -1510,7 +1455,6 @@ mod tests {
                 assert_eq!(h.id(), r.id());
                 assert_eq!(h.subscribed_gpus(), r.subscribed_gpus(), "host {}", h.id());
                 assert_eq!(h.committed_gpus(), r.committed_gpus(), "host {}", h.id());
-                assert_eq!(h.is_draining(), r.is_draining(), "host {}", h.id());
             }
             assert_eq!(
                 c.total_subscribed_gpus(),
@@ -1578,14 +1522,6 @@ mod tests {
     }
 
     #[test]
-    fn draining_hosts_excluded() {
-        let mut c = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
-        assert!(c.set_draining(0, true));
-        let ranked = candidates(&c, &gpu_req(1), 3, 1.0);
-        assert_eq!(ranked, vec![1]);
-    }
-
-    #[test]
     fn oversized_requests_have_no_candidates() {
         let c = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
         let giant = ResourceRequest::new(1000, 1024, 9, 16);
@@ -1599,7 +1535,7 @@ mod tests {
         for _ in 0..6 {
             assert!(c.subscribe(0, &gpu_req(4)));
         }
-        assert!(c.set_draining(2, true));
+        assert!(c.remove_host(2).is_some());
         let v = viable(&c, &gpu_req(4), 3, 1.0);
         assert_eq!(v.within_cap, vec![1]);
         assert_eq!(v.over_cap, vec![0]);
@@ -1686,7 +1622,7 @@ mod tests {
         let mut devices = Vec::new();
         assert!(c.try_commit(1, 50, &gpu_req(5), &mut devices));
         assert!(c.try_commit(4, 51, &gpu_req(2), &mut devices));
-        assert!(c.set_draining(2, true));
+        assert!(c.remove_host(2).is_some());
         let mut scratch = RankScratch::default();
         let mut top = Vec::new();
         for req_gpus in [0, 1, 4] {
@@ -1748,7 +1684,7 @@ mod tests {
     #[test]
     fn indexed_round_robin_rotates_like_the_scan() {
         let mut c = Cluster::with_hosts(5, ResourceBundle::p3_16xlarge());
-        assert!(c.set_draining(1, true));
+        assert!(c.remove_host(1).is_some());
         for _ in 0..7 {
             assert!(c.subscribe(3, &gpu_req(4)));
         }
@@ -1797,12 +1733,11 @@ mod tests {
         assert_eq!(c.best_commit_host(&gpu_req(1)), Some(2));
         assert!(c.release(3, 71));
         assert_eq!(c.best_commit_host(&gpu_req(1)), Some(3));
-        // Exclusion + draining filters (the migration target scan).
-        assert!(c.set_draining(3, true));
+        // The exclusion filter (the migration target scan).
         assert_eq!(
-            c.best_commit_host_excluding(&gpu_req(1), &[2, 1]),
+            c.best_commit_host_excluding(&gpu_req(1), &[3, 2, 1]),
             Some(0),
-            "draining host 3 and excluded hosts 2/1 skipped"
+            "excluded hosts 3/2/1 skipped"
         );
         // Warm preference (the LCP submit scan): host 1 wins despite host
         // 2 being equally idle with a higher id.
@@ -1817,7 +1752,7 @@ mod tests {
     }
 
     /// The incremental index after every one of a few thousand seeded
-    /// typed mutations — each kind, on live, draining and missing hosts —
+    /// typed mutations — each kind, on live and missing hosts —
     /// is the index a rebuild from the slab gives.
     #[test]
     fn index_equals_rebuild_after_every_typed_mutation() {
@@ -1828,7 +1763,7 @@ mod tests {
         let mut subscriptions: Vec<(HostId, u32)> = Vec::new();
         let mut commitments: Vec<(HostId, OwnerId)> = Vec::new();
         let mut devices = Vec::new();
-        let mut applied = [0u32; 9];
+        let mut applied = [0u32; 7];
         for step in 0..4000u64 {
             // Mostly live ids, sometimes one that was removed or never was.
             let host = if c.is_empty() || rng.chance(0.05) {
@@ -1869,13 +1804,11 @@ mod tests {
                     let (host, owner) = commitments.swap_remove(rng.index(commitments.len()));
                     c.release(host, owner)
                 }
-                5 => c.set_draining(host, true),
-                6 => c.set_draining(host, false),
-                7 => {
+                5 => {
                     c.add_host(if rng.chance(0.5) { big } else { small });
                     true
                 }
-                8 if rng.chance(0.3) => {
+                6 if rng.chance(0.3) => {
                     subscriptions.retain(|&(h, _)| h != host);
                     commitments.retain(|&(h, _)| h != host);
                     c.remove_host(host).is_some()
@@ -1958,7 +1891,7 @@ mod tests {
 
     #[test]
     fn viable_counts_split_matches_materialized_screen() {
-        // Every way the split can fall: mixed shapes, a draining host, a
+        // Every way the split can fall: mixed shapes, a removed host, a
         // CPU-only (cap-exempt) request, classes entirely over the cap,
         // and classes the cap genuinely splits.
         let small = ResourceBundle::new(32_000, 249_856, 4);
@@ -1971,7 +1904,7 @@ mod tests {
                 assert!(c.subscribe(i, &gpu_req(4))); // whole small class over
             }
         }
-        assert!(c.set_draining(2, true));
+        assert!(c.remove_host(2).is_some());
         for req in [
             ResourceRequest::new(4000, 16_384, 1, 16),
             ResourceRequest::new(4000, 16_384, 4, 16),
@@ -1990,16 +1923,13 @@ mod tests {
 
     #[test]
     fn round_robin_worst_cases_match_the_scan_reference() {
-        // The degradation cases the rotation-ordered BTrees exist for:
-        // (a) every host over the SR cap, (b) most of the fleet draining.
+        // The degradation case the rotation-ordered BTrees exist for:
+        // every host over the SR cap.
         let mut c = Cluster::with_hosts(12, ResourceBundle::p3_16xlarge());
         for i in 0..12u64 {
             for _ in 0..7 {
                 assert!(c.subscribe(i, &gpu_req(4)));
             }
-        }
-        for i in 0..9u64 {
-            assert!(c.set_draining(i, true));
         }
         let req = gpu_req(4);
         let rotate = |ids: &[HostId], last: Option<HostId>| {
@@ -2015,7 +1945,7 @@ mod tests {
         let mut top = Vec::new();
         for last in [None, Some(9), Some(10), Some(11), Some(99)] {
             let v = viable(&c, &req, 3, 1.0);
-            assert!(v.within_cap.is_empty(), "every live host is over the cap");
+            assert!(v.within_cap.is_empty(), "every host is over the cap");
             let full = rotate(&v.over_cap, last);
             for limit in [1, 2, 3, 5] {
                 let total = c.rank_round_robin_top(&req, 3, 1.0, last, limit, &mut over, &mut top);
@@ -2027,9 +1957,8 @@ mod tests {
                 );
             }
         }
-        // Un-drain one mid-fleet host and relieve its load: a genuinely
-        // mixed class (one within-cap member among over-cap ones).
-        assert!(c.set_draining(5, false));
+        // Relieve one mid-fleet host's load: a genuinely mixed class (one
+        // within-cap member among over-cap ones).
         for _ in 0..7 {
             assert!(c.unsubscribe(5, &gpu_req(4)));
         }

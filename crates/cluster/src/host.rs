@@ -79,8 +79,6 @@ pub struct Host {
     subscribed_gpus: u64,
     /// Number of kernel-replica containers scheduled here.
     replica_count: u32,
-    /// Set when the autoscaler is draining this host for scale-in.
-    draining: bool,
 }
 
 impl Host {
@@ -94,7 +92,6 @@ impl Host {
             commitments: Vec::new(),
             subscribed_gpus: 0,
             replica_count: 0,
-            draining: false,
         }
     }
 
@@ -152,21 +149,10 @@ impl Host {
         self.replica_count
     }
 
-    /// Whether the host is being drained for scale-in.
-    #[inline]
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
     /// §3.4.2's idle server: no kernel replicas and no commitments.
     #[inline]
     pub fn is_idle(&self) -> bool {
         self.replica_count == 0 && self.commitments.is_empty()
-    }
-
-    /// Marks/unmarks the host as draining.
-    pub(crate) fn set_draining(&mut self, draining: bool) {
-        self.draining = draining;
     }
 
     /// The subscription ratio `S / (G · R)` (§3.4.1), where `R` is the
@@ -442,14 +428,6 @@ mod tests {
         assert_eq!(h.active_commitments(), 0);
         assert_eq!(h.committed(), ResourceBundle::default());
         assert!(h.is_idle());
-    }
-
-    #[test]
-    fn draining_flag() {
-        let mut h = Host::p3_16xlarge(1);
-        assert!(!h.is_draining());
-        h.set_draining(true);
-        assert!(h.is_draining());
     }
 
     #[test]

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arrivals;
 pub mod ast;
 pub mod billing;
 pub mod config;

@@ -16,9 +16,8 @@ use notebookos_cluster::{
 };
 use notebookos_datastore::{BackendKind, DataStore};
 use notebookos_des::{DesScheduler, Ranked, Scheduler, SimRng, SimTime, DYNAMIC_RANK};
-use notebookos_trace::WorkloadTrace;
+use notebookos_trace::{Arrival, Arrivals, WorkloadTrace};
 
-use crate::arrivals::{arrival_rank, Arrivals};
 use crate::billing::BillingMeter;
 use crate::config::{PlacementKind, PlatformConfig, PolicyKind};
 use crate::elasticity::{self, DemandShortfall, Elasticity, ElasticityAction, ElasticityContext};
@@ -98,11 +97,11 @@ pub enum Ev {
 impl Ranked for Ev {
     fn rank(&self) -> u64 {
         match *self {
-            Ev::SessionStart(s) => arrival_rank(s, 0),
-            Ev::SessionEnd(s) => arrival_rank(s, 1),
+            Ev::SessionStart(s) => Arrival::Start(s).rank(),
+            Ev::SessionEnd(s) => Arrival::End(s).rank(),
             Ev::CellSubmit {
                 s, e, retry: false, ..
-            } => arrival_rank(s, 2 + e),
+            } => Arrival::Cell(s, e).rank(),
             _ => DYNAMIC_RANK,
         }
     }
@@ -159,8 +158,8 @@ struct SessionRt {
 ///
 /// [`Platform::run_with_scheduler`] feeds the trace to the scheduler one
 /// arrival at a time: a run keeps exactly one trace arrival pending, and
-/// when one pops, the run loop schedules the next before handling it.
-/// ([`Platform::handle_event`] itself keeps no trace cursor.) The queue's
+/// when one pops, the run loop schedules the next before handling it
+/// ([`notebookos_trace::Arrivals`], which the serve replay shares). The queue's
 /// rank rule keeps the result what loading the whole trace up front gave:
 ///
 /// * at an equal [`SimTime`], a trace arrival pops before anything the
@@ -244,7 +243,7 @@ impl Platform {
     /// documents).
     pub fn new(config: PlatformConfig, trace: WorkloadTrace) -> Self {
         config.validate().expect("invalid platform config");
-        let arrivals = Arrivals::new(&trace);
+        let arrivals = Arrivals::new(&trace, 1.0);
         let cluster = if config.host_mix.is_empty() {
             Cluster::with_hosts(config.initial_hosts as usize, ResourceBundle::p3_16xlarge())
         } else {
@@ -414,9 +413,20 @@ impl Platform {
 
     /// Schedules the trace's next arrival, if any is left.
     fn feed_arrival(&mut self, sched: &mut dyn Scheduler<Ev>) {
-        if let Some((at, event)) = self.arrivals.next(&self.trace) {
-            sched.schedule(at, event);
-        }
+        let Some((at, arrival)) = self.arrivals.next(&self.trace) else {
+            return;
+        };
+        let event = match arrival {
+            Arrival::Start(s) => Ev::SessionStart(s),
+            Arrival::End(s) => Ev::SessionEnd(s),
+            Arrival::Cell(s, e) => Ev::CellSubmit {
+                s,
+                e,
+                submit_us: (self.trace.sessions[s].events[e].submit_s * 1e6) as u64,
+                retry: false,
+            },
+        };
+        sched.schedule(at, event);
     }
 
     fn schedule_ticks(&mut self, sched: &mut dyn Scheduler<Ev>) {
@@ -1332,7 +1342,7 @@ impl Platform {
                 }
                 ElasticityAction::RetireHost { host } => {
                     // §3.4.2 releases *idle* servers only (no kernel
-                    // replicas at all): draining hosts that still hold
+                    // replicas at all): withdrawing hosts that still hold
                     // replica subscriptions would block placements and
                     // ratchet the fleet upward. The decision was made on a
                     // snapshot, so re-check before removing.
@@ -1516,12 +1526,8 @@ fn batch_owner(s: usize) -> u64 {
 
 impl Platform {
     /// Reacts to one event at `now`, scheduling any follow-ups through
-    /// `sched`. Public so external drivers (the live service, custom
-    /// harnesses) can dispatch events themselves: such a driver schedules
-    /// the trace's arrivals itself, since this method keeps no trace
-    /// cursor. [`Platform::run_with_scheduler`] is the standard loop, which
-    /// feeds the trace one arrival at a time.
-    pub fn handle_event(&mut self, now: SimTime, event: Ev, sched: &mut dyn Scheduler<Ev>) {
+    /// `sched`; [`Platform::dispatch`] feeds the trace around it.
+    fn handle_event(&mut self, now: SimTime, event: Ev, sched: &mut dyn Scheduler<Ev>) {
         match event {
             Ev::SessionStart(s) => self.on_session_start(now, s, sched),
             Ev::SessionEnd(s) => self.on_session_end(now, s),
@@ -1726,7 +1732,7 @@ mod tests {
             }
         }
         platform.schedule_ticks(sched);
-        // An external driver's loop: `handle_event` feeds no arrivals.
+        // `handle_event` alone: the trace is already loaded.
         let horizon = SimTime::from_micros(platform.horizon_us + 60_000_000);
         while let Some((now, event)) = sched.pop_next_until(horizon) {
             platform.events_processed += 1;
@@ -1951,9 +1957,9 @@ mod tests {
         );
     }
 
-    /// The goldens run 8 sessions and never freeze the queue; this is the
-    /// ledger's `sim-fleet --smoke` shape, 3 000 trace events, which the
-    /// bulk reference loads into a bare heap up front.
+    /// The goldens run 8 sessions; this is the ledger's `sim-fleet
+    /// --smoke` shape, 3 000 trace events, which the bulk reference loads
+    /// into a bare heap up front.
     #[test]
     fn fleet_run_is_identical_under_a_bare_heap_scheduler() {
         let workload = SyntheticConfig {

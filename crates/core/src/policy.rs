@@ -85,8 +85,7 @@ pub trait PlacementPolicy: std::fmt::Debug {
     /// (`R` hosts plus the shortfall count when fewer exist).
     /// Implementations must rank the shared viability screen
     /// ([`PlacementContext::viable_into`]): capacity covers the request,
-    /// host not draining, and SR-cap-forbidden hosts never ahead of
-    /// allowed ones. Ranking must not consume rotation state — fairness
+    /// and SR-cap-forbidden hosts never ahead of allowed ones. Ranking must not consume rotation state — fairness
     /// feedback arrives through [`PlacementPolicy::placed`].
     /// Implementations keep their own scratch, so a caller that reuses
     /// `out` ranks without allocating.
@@ -235,7 +234,7 @@ impl PlacementPolicy for LeastLoaded {
 /// raw call counter and not merely the first ranked host: an `R`-replica
 /// placement consumes `R` hosts, so the next kernel starts after all of
 /// them. Anchoring on a host id (rather than an index) survives hosts
-/// joining, draining, or filling up without jumping arbitrarily.
+/// joining, leaving, or filling up without jumping arbitrarily.
 #[derive(Debug, Default)]
 pub struct RoundRobin {
     /// The last host id a placement consumed; the next ranking resumes at
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn viable_count_matches_materialized_screen() {
         // The indexed total must agree with the screen's `len()` everywhere the
-        // screen's filters bite: mixed shapes, draining hosts, and hosts
+        // screen's filters bite: mixed shapes, a removed host, and hosts
         // pushed over the SR cap (which moves them between segments but
         // never out of the set).
         let mut c = cluster();
@@ -416,7 +415,7 @@ mod tests {
         for _ in 0..30 {
             assert!(c.subscribe(1, &ResourceRequest::one_gpu())); // far over the cap
         }
-        assert!(c.set_draining(3, true));
+        assert!(c.remove_host(3).is_some());
         for req in [
             ResourceRequest::one_gpu(),
             ResourceRequest::new(4000, 16_384, 4, 16),
@@ -513,14 +512,13 @@ mod tests {
         // A host joins mid-rotation: id order continues unperturbed.
         c.add_host(ResourceBundle::p3_16xlarge()); // id 4
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 2);
-        // A draining host is skipped but remembered ground is kept.
-        assert!(c.set_draining(3, true));
+        // A host leaving just ahead of the cursor is skipped.
+        assert!(c.remove_host(3).is_some());
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 4);
-        assert!(c.set_draining(3, false));
         // Wraps to the lowest id after the highest.
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 1);
         assert_eq!(place(&mut rr, &c, &req, 1)[0], 2);
-        assert_eq!(place(&mut rr, &c, &req, 1)[0], 3);
+        assert_eq!(place(&mut rr, &c, &req, 1)[0], 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! the first pop. The order is a stated rule, not an accident of when
 //! each event happened to be scheduled.
 //!
-//! # Shape: a sorted run and two heaps
+//! # Shape: two heaps
 //!
 //! Events that state a rank below [`DYNAMIC_RANK`] wait in a heap of
 //! their own, apart from the dynamic events. A simulation that feeds its
@@ -31,27 +31,11 @@
 //! pass 7 % faster than one heap holding both (alternating ledger runs,
 //! 2 vCPUs: faster in 9 of 10).
 //!
-//! A driver may load many events before its first pop: the serve replay
-//! (`notebookos-bench`'s `run_serve`) schedules its whole request trace up
-//! front. For most of such a run the queue is a large set of events nobody
-//! will reorder plus a few live ones, and a binary heap pays for that set
-//! on every pop: a sift-down over `log n` levels, each a cache miss once
-//! the heap outgrows the cache. So a `pop` that finds the run empty and
-//! more than `FREEZE_MIN` events in the dynamic heap *freezes* them: the
-//! heap's vector is sorted in place (no second copy) into a run popped
-//! from its end, one move per event. Later `schedule`s go to the heaps,
-//! which now hold only what was scheduled since. When the run drains, the
-//! next `pop` may freeze again. The platform simulation feeds its trace
-//! one arrival at a time, so its queue holds only live events and stays
-//! below the constant.
-//!
-//! `pop` and `peek_time` take the least of the three heads. Order is
-//! unchanged by construction: every pending event is in exactly one of
-//! the three structures, each yields its own minimum, and the least of the
-//! minima is the minimum of the union — under the same total order
-//! `(time, rank, seq)`, with `seq` unique, that a lone heap would use. Each
-//! event is sorted at most once, so the amortised cost stays `O(log n)` a
-//! pop.
+//! `pop` and `peek_time` take the lesser of the two heads. Order is
+//! unchanged by construction: every pending event is in exactly one heap,
+//! each yields its own minimum, and the lesser of the minima is the
+//! minimum of the union — under the same total order `(time, rank, seq)`,
+//! with `seq` unique, that a lone heap would use.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -161,31 +145,17 @@ impl<E> PartialOrd for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The frozen run, latest first: its earliest event is its last
-    /// element. (`Reverse` is kept so the heap's vector is sorted as is.)
-    run: Vec<Reverse<Scheduled<E>>>,
-    /// Every [`DYNAMIC_RANK`] event scheduled since the last freeze.
+    /// Every [`DYNAMIC_RANK`] event.
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// Every event that states a lower rank; never frozen.
+    /// Every event that states a lower rank.
     ranked: BinaryHeap<Reverse<Scheduled<E>>>,
     seq: u64,
 }
-
-/// A `pop` freezes the heap only above this many events: above every
-/// live queue in this repo, so only bulk loads are sorted. The largest
-/// live queue is the 90-day fleet simulation's (`sim-fleet`, 1 170
-/// pending at its peak); freezing it at 1 Ki gained nothing (alternating
-/// runs, 2 vCPUs: within ±3 %, the unfrozen queue ahead in 5 of 6), while
-/// the serve replay's bulk load of 32 Ki users (≈ 120 k events) runs 8 %
-/// faster frozen, and a drain micro-benchmark has sort-then-pop 1.5× (1 Ki)
-/// to 3× (256 Ki) ahead of the heap.
-const FREEZE_MIN: usize = 4096;
 
 impl<E: Ranked> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            run: Vec::new(),
             heap: BinaryHeap::new(),
             ranked: BinaryHeap::new(),
             seq: 0,
@@ -217,17 +187,8 @@ impl<E: Ranked> EventQueue<E> {
 
     /// Removes and returns the earliest pending event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.run.is_empty() && self.heap.len() > FREEZE_MIN {
-            self.run = std::mem::take(&mut self.heap).into_vec();
-            // Ascending `Reverse` is descending `(time, rank, seq)`; the
-            // keys are unique, so the unstable (allocation-free) sort is
-            // exact.
-            self.run.sort_unstable();
-        }
         let next = if self.ranked_is_next() {
             self.ranked.pop()
-        } else if self.run_is_next() {
-            self.run.pop()
         } else {
             self.heap.pop()
         };
@@ -237,27 +198,9 @@ impl<E: Ranked> EventQueue<E> {
     /// Whether the earliest pending event is the ranked heap's (false
     /// when that heap is empty).
     fn ranked_is_next(&self) -> bool {
-        match (self.ranked.peek(), self.dynamic_head()) {
+        match (self.ranked.peek(), self.heap.peek()) {
             (Some(Reverse(ranked)), Some(Reverse(dynamic))) => ranked < dynamic,
             (ranked, _) => ranked.is_some(),
-        }
-    }
-
-    /// The earliest dynamic event: the run's head or the heap's.
-    fn dynamic_head(&self) -> Option<&Reverse<Scheduled<E>>> {
-        if self.run_is_next() {
-            self.run.last()
-        } else {
-            self.heap.peek()
-        }
-    }
-
-    /// Whether the earliest dynamic event is the run's (false when there
-    /// is none).
-    fn run_is_next(&self) -> bool {
-        match (self.run.last(), self.heap.peek()) {
-            (Some(Reverse(run)), Some(Reverse(heap))) => run < heap,
-            (run, _) => run.is_some(),
         }
     }
 
@@ -267,14 +210,14 @@ impl<E: Ranked> EventQueue<E> {
         let next = if self.ranked_is_next() {
             self.ranked.peek()
         } else {
-            self.dynamic_head()
+            self.heap.peek()
         };
         next.map(|Reverse(s)| s.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len() + self.ranked.len()
+        self.heap.len() + self.ranked.len()
     }
 
     /// Whether the queue holds no pending events.
@@ -360,8 +303,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
     }
 
-    /// The reference: a lone heap of `(time, rank, seq)`, which is what the
-    /// queue was before it grew a run.
+    /// The reference: a lone heap of `(time, rank, seq)`.
     #[derive(Default)]
     struct Model {
         heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
@@ -381,9 +323,6 @@ mod tests {
     /// `(time, rank, seq)`.
     #[derive(Default)]
     struct Pair {
-        /// Whether events get [`rank_of`] their seq, or all stay dynamic
-        /// (and so can be frozen).
-        ranked: bool,
         queue: EventQueue<Tagged>,
         model: Model,
         /// The time of the last pop: what `schedule_in` is relative to.
@@ -401,11 +340,7 @@ mod tests {
 
         fn next_event(&mut self, at: SimTime) -> Tagged {
             let seq = self.model.seq;
-            let rank = if self.ranked {
-                rank_of(seq)
-            } else {
-                DYNAMIC_RANK
-            };
+            let rank = rank_of(seq);
             self.model.heap.push(Reverse((at, rank, seq)));
             self.model.seq += 1;
             Tagged { rank, seq }
@@ -444,33 +379,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn freezes_bulk_loads_and_refreezes_after_the_run_drains() {
-        let mut pair = Pair::default();
-        pair.bulk(FREEZE_MIN, 0, 50, 1);
-        assert!(pair.pop());
-        assert!(pair.queue.run.is_empty(), "at the constant: still a heap");
-        pair.bulk(FREEZE_MIN, 0, 50, 2);
-        assert!(pair.pop());
-        assert_eq!(pair.queue.run.len(), 2 * FREEZE_MIN - 2, "frozen");
-        assert!(pair.queue.heap.is_empty());
-        // While the run lasts, new events go to the heap: one before the
-        // run's head, one tied with it, some among it, most after it.
-        pair.schedule(SimTime::ZERO);
-        pair.schedule(pair.now);
-        pair.bulk(8, 0, 50, 3);
-        pair.bulk(FREEZE_MIN + 1, 50, 200, 4);
-        assert_eq!(pair.queue.heap.len(), FREEZE_MIN + 11);
-        while !pair.queue.run.is_empty() {
-            assert!(pair.pop());
-        }
-        // The run is gone and the heap is over the constant again.
-        assert_eq!(pair.queue.heap.len(), FREEZE_MIN + 1);
-        assert!(pair.pop());
-        assert_eq!(pair.queue.run.len(), FREEZE_MIN, "frozen a second time");
-        while pair.pop() {}
-        assert!(pair.queue.is_empty());
-    }
+    /// The size the proptest's bulk loads are drawn around.
+    const BULK: usize = 4096;
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
@@ -482,23 +392,19 @@ mod tests {
         fn any_interleaving_matches_a_lone_heap(
             ops in proptest::collection::vec((0u8..8, 0u64..1_000_000), 1..24),
         ) {
-            let mut pair = Pair {
-                ranked: true,
-                ..Pair::default()
-            };
+            let mut pair = Pair::default();
             for (kind, arg) in ops {
                 let n = arg as usize;
                 match kind {
-                    // Bulk loads below and above the constant, on few
+                    // Bulk loads of up to a few thousand events, on few
                     // timestamps (rank and FIFO ties) or many.
-                    0 => pair.bulk(n % FREEZE_MIN, 0, 1 + arg % 7, arg),
-                    1 => pair.bulk(FREEZE_MIN + n % (2 * FREEZE_MIN), arg % 3, 1 + arg % 5000, arg),
+                    0 => pair.bulk(n % BULK, 0, 1 + arg % 7, arg),
+                    1 => pair.bulk(BULK + n % (2 * BULK), arg % 3, 1 + arg % 5000, arg),
                     // Absolute times, often before the current head.
                     2 => pair.schedule(SimTime::from_micros(arg % 3000)),
                     3 => pair.schedule_in(SimTime::from_micros(arg % 100)),
-                    // Long drains (the run empties, the next pop may
-                    // freeze again) and short ones.
-                    4 => for _ in 0..n % (3 * FREEZE_MIN) { if !pair.pop() { break; } },
+                    // Long drains (often emptying the queue) and short ones.
+                    4 => for _ in 0..n % (3 * BULK) { if !pair.pop() { break; } },
                     _ => for _ in 0..1 + n % 8 { pair.pop(); },
                 }
             }

@@ -23,10 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arrivals;
 pub mod models;
 pub mod synthetic;
 pub mod workload;
 
+pub use arrivals::{Arrival, Arrivals};
 pub use models::{
     assign_profile, datasets_for, models_for, table1_rows, AppDomain, DatasetSpec, ModelSpec,
     WorkloadProfile,

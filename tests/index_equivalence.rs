@@ -4,8 +4,8 @@
 //! ranking order bit for bit — otherwise seeded simulations diverge the
 //! moment the platform consults the index. These properties drive random
 //! typed-mutation sequences (add/remove/subscribe/unsubscribe/commit/
-//! release/drain) interleaved with typed calls that must change nothing
-//! (a refused commit, a drain flag set to itself), and after every step
+//! release) interleaved with typed calls that must change nothing (a
+//! refused commit), and after every step
 //! compare each indexed query against its scan-based reference:
 //!
 //! * `rank_top_into` for all four placement policies vs the prefix of the
@@ -77,7 +77,7 @@ fn churned(mut c: Cluster, ops: &[(u8, u8, u8)]) -> Cluster {
         let ids: Vec<HostId> = c.hosts().iter().map(|h| h.id()).collect();
         let host = ids[usize::from(hsel) % ids.len()];
         let gpus = u32::from(arg) % 5; // 0 covers CPU-only subscriptions
-        match op % 10 {
+        match op % 9 {
             0 => {
                 let shape = if arg % 2 == 0 {
                     ResourceBundle::p3_16xlarge()
@@ -116,24 +116,15 @@ fn churned(mut c: Cluster, ops: &[(u8, u8, u8)]) -> Cluster {
                     assert!(c.release(h, owner));
                 }
             }
-            8 => {
-                let draining = c.host(host).expect("host exists").is_draining();
-                assert!(c.set_draining(host, !draining));
-            }
             // Typed calls that change nothing: a commit the host must
             // refuse — no shape has 99 GPUs, and an owner holds at most one
-            // commitment per host — and a drain flag set to itself.
-            _ if arg % 2 == 0 => {
+            // commitment per host.
+            _ => {
                 assert!(!c.try_commit(host, next_owner, &req(99), &mut devices));
                 assert!(devices.is_empty(), "a refused commit binds no device");
                 if let Some(&(h, owner)) = commits.iter().find(|&&(h, _)| h == host) {
                     assert!(!c.try_commit(h, owner, &req(1), &mut devices));
                 }
-            }
-            _ => {
-                let draining = c.host(host).expect("host exists").is_draining();
-                assert!(c.set_draining(host, draining), "the host exists");
-                assert_eq!(c.host(host).map(|h| h.is_draining()), Some(draining));
             }
         }
     }
@@ -159,7 +150,7 @@ fn scan_migration_target(
 ) -> Option<HostId> {
     c.hosts()
         .iter()
-        .filter(|h| !exclude.contains(&h.id()) && !h.is_draining() && h.can_commit(request))
+        .filter(|h| !exclude.contains(&h.id()) && h.can_commit(request))
         .map(|h| (h.idle_gpus(), h.id()))
         .max()
         .map(|(_, id)| id)
@@ -390,22 +381,14 @@ fn burst_added_hosts_past_word_edges_match_the_scan() {
     }
 }
 
-/// The two no-op kinds drawn for certain, on a host that holds a commitment
-/// and while it drains: refused and unchanged at every step.
+/// The no-op kind drawn for certain, on a host that holds a commitment:
+/// refused and unchanged at every step.
 #[test]
 fn refused_and_no_op_mutations_leave_the_index_exact() {
-    let ops = [
-        (5, 0, 2),
-        (9, 0, 0),
-        (9, 0, 1),
-        (8, 0, 0),
-        (9, 0, 0),
-        (9, 0, 1),
-    ];
+    let ops = [(5, 0, 2), (8, 0, 0), (8, 0, 1), (8, 0, 2)];
     for prefix in 1..=ops.len() {
         let c = churned_cluster(&ops[..prefix]);
         assert_eq!(c.total_committed_gpus(), 2, "one commit, never a second");
-        assert_eq!(c.hosts()[0].is_draining(), prefix >= 4);
         assert_index_matches_scan(&c).unwrap_or_else(|e| panic!("prefix {prefix}: {e:?}"));
     }
 }

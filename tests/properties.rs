@@ -157,16 +157,22 @@ proptest! {
 // Placement policies: shared viability screen and determinism.
 // ---------------------------------------------------------------------
 
-/// A randomized cluster: per-host (drain die, subscriptions, commits);
-/// `drain == 0` (1 in 4) marks the host draining.
+/// A randomized cluster: per-host (shape die, subscriptions, commits);
+/// `shape == 0` (1 in 4) makes the host CPU-only, which the viability
+/// screen rejects for any GPU request.
 fn arb_cluster_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     proptest::collection::vec((0u8..4, 0u8..16, 0u8..3), 2..10)
 }
 
 fn build_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
-    let mut c = Cluster::with_hosts(ops.len(), ResourceBundle::p3_16xlarge());
-    for (i, &(drain_die, subs, commits)) in ops.iter().enumerate() {
-        let (host, one_gpu) = (i as u64, ResourceRequest::one_gpu());
+    let mut c = Cluster::new();
+    for &(shape_die, subs, commits) in ops {
+        if shape_die == 0 {
+            c.add_host(ResourceBundle::new(8_000, 32_768, 0));
+            continue;
+        }
+        let host = c.add_host(ResourceBundle::p3_16xlarge());
+        let one_gpu = ResourceRequest::one_gpu();
         for _ in 0..subs {
             assert!(c.subscribe(host, &one_gpu));
         }
@@ -174,7 +180,6 @@ fn build_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
             let fits = c.try_commit(host, u64::from(k) + 1, &one_gpu, &mut Vec::new());
             assert!(fits, "commit fits");
         }
-        assert!(c.set_draining(host, drain_die == 0));
     }
     c
 }
@@ -198,10 +203,11 @@ fn all_policies(seed: u64) -> Vec<Box<dyn PlacementPolicy>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// No policy ever ranks a draining host, whatever the cluster state,
-    /// and rankings never repeat a host.
+    /// Every policy ranks exactly the hosts the viability screen admits,
+    /// each once, whatever the cluster state: never a host too small for
+    /// the request, and never a host twice.
     #[test]
-    fn policies_never_rank_draining_hosts(ops in arb_cluster_ops(), seed in 0u64..1000) {
+    fn policies_rank_exactly_the_viable_hosts_once(ops in arb_cluster_ops(), seed in 0u64..1000) {
         let cluster = build_cluster(&ops);
         let request = ResourceRequest::one_gpu();
         let ctx = PlacementContext {
@@ -209,22 +215,16 @@ proptest! {
             request: &request,
             replication_factor: 3,
         };
+        let mut viable = Viability::default();
+        ctx.viable_into(&mut viable);
+        let mut admitted = [viable.within_cap, viable.over_cap].concat();
+        admitted.sort_unstable();
         for policy in &mut all_policies(seed) {
             // Repeated calls (stateful policies rotate) stay clean too.
             for _ in 0..3 {
-                let ranked = rank_all(policy.as_mut(), &ctx);
-                let mut unique = ranked.clone();
-                unique.sort_unstable();
-                unique.dedup();
-                prop_assert_eq!(unique.len(), ranked.len(), "{} repeated a host", policy.name());
-                for id in ranked {
-                    prop_assert!(
-                        !cluster.host(id).expect("ranked host exists").is_draining(),
-                        "{} ranked draining host {}",
-                        policy.name(),
-                        id
-                    );
-                }
+                let mut ranked = rank_all(policy.as_mut(), &ctx);
+                ranked.sort_unstable();
+                prop_assert_eq!(&ranked, &admitted, "{} ranked another set", policy.name());
             }
         }
     }
