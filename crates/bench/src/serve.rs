@@ -22,29 +22,32 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use notebookos_core::platform::REPLICATION_FACTOR;
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
 use notebookos_des::{Ranked, Scheduler, SimTime, DYNAMIC_RANK};
 use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint};
 use notebookos_metrics::Cdf;
 use notebookos_trace::{generate, Arrival, Arrivals, SyntheticConfig, WorkloadTrace};
 
+/// Gauge sampling interval.
+const TICK: SimTime = SimTime::from_millis(500);
+
 /// Events of the serving loop. Session lifecycles and submissions are the
 /// trace's arrivals, fed one at a time; completions and gauge ticks are
-/// scheduled as the run unfolds.
+/// scheduled as the run unfolds. A cell is `(user, cell)`: its running
+/// time is read from the trace, never carried in the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeEv {
     /// A user's session begins (kernel launch through the control plane).
     SessionStart(usize),
     /// A user's session ends (deferred while a cell is still running).
     SessionEnd(usize),
-    /// A user submits a cell with the given (compressed) running time.
+    /// A user submits a cell.
     Submit {
         /// The submitting user.
         user: usize,
         /// The cell's index within the user's session.
         cell: usize,
-        /// Compressed cell running time.
-        duration: SimTime,
     },
     /// A fanned-out execution reaches its completion deadline.
     ExecDone {
@@ -65,7 +68,7 @@ impl Ranked for ServeEv {
         match *self {
             ServeEv::SessionStart(user) => Arrival::Start(user).rank(),
             ServeEv::SessionEnd(user) => Arrival::End(user).rank(),
-            ServeEv::Submit { user, cell, .. } => Arrival::Cell(user, cell).rank(),
+            ServeEv::Submit { user, cell } => Arrival::Cell(user, cell).rank(),
             ServeEv::ExecDone { .. } | ServeEv::ProgressTick => DYNAMIC_RANK,
         }
     }
@@ -80,28 +83,22 @@ pub struct ServeOpts {
     pub duration: SimTime,
     /// GPU servers in the fleet.
     pub hosts: usize,
-    /// Replicas per kernel.
-    pub replication_factor: u32,
     /// Trace-generation seed.
     pub seed: u64,
     /// Cap on a compressed cell's running time, so executions finish
     /// within the window.
     pub max_cell: SimTime,
-    /// Gauge sampling interval.
-    pub tick: SimTime,
 }
 
 impl ServeOpts {
-    /// Defaults: 8 users over 10 s on 8 hosts, R = 3, 250 ms cell cap.
+    /// Defaults: 8 users over 10 s on 8 hosts, 250 ms cell cap.
     pub fn new(users: usize, duration: SimTime) -> Self {
         ServeOpts {
             users,
             duration,
             hosts: 8,
-            replication_factor: 3,
             seed: crate::EVAL_SEED,
             max_cell: SimTime::from_millis(250),
-            tick: SimTime::from_millis(500),
         }
     }
 
@@ -282,17 +279,20 @@ struct UserState {
     kernel_id: String,
     active: bool,
     busy: bool,
-    queued: VecDeque<SimTime>,
+    /// Cells submitted while one ran, by index.
+    queued: VecDeque<usize>,
     end_requested: bool,
 }
 
-/// The generated workload and the factor that compresses it onto the
-/// serving window.
+/// The generated workload, the factor that compresses it onto the
+/// serving window, and the cap on a compressed cell.
 #[derive(Debug)]
 struct ServeTrace {
     trace: WorkloadTrace,
     /// Serving seconds per trace second.
     factor: f64,
+    /// [`ServeOpts::max_cell`].
+    max_cell: SimTime,
 }
 
 impl ServeTrace {
@@ -310,7 +310,20 @@ impl ServeTrace {
         };
         let trace = generate(&config, opts.seed);
         let factor = opts.duration.as_secs_f64() / trace.span_s().max(1.0);
-        ServeTrace { trace, factor }
+        ServeTrace {
+            trace,
+            factor,
+            max_cell: opts.max_cell,
+        }
+    }
+
+    /// The compressed running time of `user`'s cell `cell`, between 1 ms
+    /// and the cap.
+    fn duration(&self, user: usize, cell: usize) -> SimTime {
+        let run = self.trace.sessions[user].events[cell].duration_s;
+        SimTime::from_secs_f64(run * self.factor)
+            .min(self.max_cell)
+            .max(SimTime::from_millis(1))
     }
 
     /// The resource spec of `user`'s session.
@@ -343,17 +356,7 @@ pub fn run_serve(opts: &ServeOpts, sched: &mut dyn Scheduler<ServeEv>) -> ServeR
         let event = match arrival {
             Arrival::Start(user) => ServeEv::SessionStart(user),
             Arrival::End(user) => ServeEv::SessionEnd(user),
-            Arrival::Cell(user, cell) => {
-                let run = trace.trace.sessions[user].events[cell].duration_s;
-                let duration = SimTime::from_secs_f64(run * trace.factor)
-                    .min(opts.max_cell)
-                    .max(SimTime::from_millis(1));
-                ServeEv::Submit {
-                    user,
-                    cell,
-                    duration,
-                }
-            }
+            Arrival::Cell(user, cell) => ServeEv::Submit { user, cell },
         };
         sched.schedule(at, event);
     };
@@ -372,7 +375,7 @@ fn serve_loop(
     let (mut gateway, mut client) = LiveGateway::new(
         opts.hosts,
         notebookos_cluster::ResourceBundle::p3_16xlarge(),
-        opts.replication_factor,
+        REPLICATION_FACTOR,
     );
     let mut users: Vec<UserState> = (0..opts.users).map(|_| UserState::default()).collect();
     let mut ids = MsgIdGen::new("cell");
@@ -418,17 +421,17 @@ fn serve_loop(
                     }
                 }
             }
-            ServeEv::Submit { user, duration, .. } => {
+            ServeEv::Submit { user, cell } => {
                 if !users[user].active {
                     report.dropped += 1;
                 } else if users[user].busy {
                     // §2.3.2: a user's cells never overlap — queue behind
                     // the running one.
-                    users[user].queued.push_back(duration);
+                    users[user].queued.push_back(cell);
                 } else {
                     submit_cell(
                         user,
-                        duration,
+                        trace.duration(user, cell),
                         now,
                         &mut users,
                         &mut ids,
@@ -460,10 +463,10 @@ fn serve_loop(
                 // The user is free again: drain their queue, then honor a
                 // deferred session end.
                 if !users[user].busy {
-                    if let Some(duration) = users[user].queued.pop_front() {
+                    if let Some(cell) = users[user].queued.pop_front() {
                         submit_cell(
                             user,
-                            duration,
+                            trace.duration(user, cell),
                             now,
                             &mut users,
                             &mut ids,
@@ -486,8 +489,8 @@ fn serve_loop(
                     .min_viable_hosts
                     .min(gateway.viable_count(gauge_spec));
                 report.peak_sessions = report.peak_sessions.max(gateway.session_count());
-                if now + opts.tick <= opts.duration {
-                    sched.schedule_in(opts.tick, ServeEv::ProgressTick);
+                if now + TICK <= opts.duration {
+                    sched.schedule_in(TICK, ServeEv::ProgressTick);
                 }
             }
         }
@@ -575,7 +578,7 @@ mod tests {
         );
         assert_eq!(
             report.gateway.fan_out_copies,
-            report.gateway.accepted * u64::from(opts.replication_factor)
+            report.gateway.accepted * u64::from(REPLICATION_FACTOR)
         );
         assert_eq!(sched.pending(), 0, "clean shutdown drains the queue");
         assert!(report.latency_p99_ms >= report.latency_p50_ms);
@@ -651,17 +654,7 @@ mod tests {
             sched.schedule(end, ServeEv::SessionEnd(user));
             for (cell, event) in session.events.iter().enumerate() {
                 let submit = SimTime::from_secs_f64(event.submit_s * factor);
-                let duration = SimTime::from_secs_f64(event.duration_s * factor)
-                    .min(opts.max_cell)
-                    .max(SimTime::from_millis(1));
-                sched.schedule(
-                    submit,
-                    ServeEv::Submit {
-                        user,
-                        cell,
-                        duration,
-                    },
-                );
+                sched.schedule(submit, ServeEv::Submit { user, cell });
             }
         }
         serve_loop(opts, &trace, sched, |_| {})

@@ -102,39 +102,41 @@ impl BreakdownRecorder {
     /// Renders the Figs. 16–19 row set: one row per step with the
     /// percentile spread in milliseconds.
     pub fn to_table(&self) -> Table {
-        let mut table = Table::new(
+        let steps = self.steps.iter().map(|(s, c)| (s.label(), c));
+        percentile_table(
             format!("Latency breakdown — {}", self.policy),
-            &["step", "n", "p50 (ms)", "p90 (ms)", "p99 (ms)", "max (ms)"],
-        );
-        let mut rows: Vec<(String, Cdf)> = vec![("E2E".to_string(), self.end_to_end.clone())];
-        rows.extend(
-            self.steps
-                .iter()
-                .map(|(s, c)| (s.label().to_string(), c.clone())),
-        );
-        for (label, mut cdf) in rows {
-            if cdf.is_empty() {
-                table.row_owned(vec![
-                    label,
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-            } else {
-                table.row_owned(vec![
-                    label,
-                    cdf.len().to_string(),
-                    format!("{:.2}", cdf.percentile(50.0)),
-                    format!("{:.2}", cdf.percentile(90.0)),
-                    format!("{:.2}", cdf.percentile(99.0)),
-                    format!("{:.2}", cdf.max()),
-                ]);
-            }
-        }
-        table
+            "step",
+            std::iter::once(("E2E", &self.end_to_end)).chain(steps),
+        )
     }
+}
+
+/// Renders one row per `(label, cdf)` under a `first`-named label column:
+/// the count, then p50, p90, p99 and max in milliseconds, or dashes for an
+/// empty CDF.
+fn percentile_table<'a>(
+    title: String,
+    first: &str,
+    rows: impl Iterator<Item = (&'a str, &'a Cdf)>,
+) -> Table {
+    let mut table = Table::new(
+        title,
+        &[first, "n", "p50 (ms)", "p90 (ms)", "p99 (ms)", "max (ms)"],
+    );
+    for (label, cdf) in rows {
+        let mut cdf = cdf.clone();
+        let mut row = vec![label.to_string(), cdf.len().to_string()];
+        if cdf.is_empty() {
+            row.extend(["-"; 4].map(String::from));
+        } else {
+            for p in [50.0, 90.0, 99.0] {
+                row.push(format!("{:.2}", cdf.percentile(p)));
+            }
+            row.push(format!("{:.2}", cdf.max()));
+        }
+        table.row_owned(row);
+    }
+    table
 }
 
 /// The phases of one kill→recover cycle in a chaos drill, decomposed the
@@ -154,7 +156,9 @@ pub enum RecoveryPhase {
 }
 
 impl RecoveryPhase {
-    /// All phases in cycle order.
+    /// All phases in cycle order, which is declaration order:
+    /// `RecoveryPhase::ALL[phase as usize] == phase`, so a recorder indexes
+    /// its per-phase CDFs by the phase itself.
     pub const ALL: [RecoveryPhase; 4] = [
         RecoveryPhase::Detect,
         RecoveryPhase::Failover,
@@ -198,12 +202,7 @@ impl RecoveryBreakdown {
 
     /// Records one phase's latency (milliseconds) for one cycle.
     pub fn record_phase(&mut self, phase: RecoveryPhase, millis: f64) {
-        let (_, cdf) = self
-            .phases
-            .iter_mut()
-            .find(|(p, _)| *p == phase)
-            .expect("all phases pre-registered");
-        cdf.record(millis);
+        self.phases[phase as usize].1.record(millis);
     }
 
     /// Records a cycle's total kill→recovered latency (milliseconds).
@@ -223,38 +222,12 @@ impl RecoveryBreakdown {
 
     /// One row per phase plus the total, percentile spread in ms.
     pub fn to_table(&self) -> Table {
-        let mut table = Table::new(
+        let phases = self.phases.iter().map(|(p, c)| (p.label(), c));
+        percentile_table(
             format!("Recovery breakdown — {}", self.label),
-            &["phase", "n", "p50 (ms)", "p90 (ms)", "p99 (ms)", "max (ms)"],
-        );
-        let mut rows: Vec<(String, Cdf)> = vec![("total".to_string(), self.total.clone())];
-        rows.extend(
-            self.phases
-                .iter()
-                .map(|(p, c)| (p.label().to_string(), c.clone())),
-        );
-        for (label, mut cdf) in rows {
-            if cdf.is_empty() {
-                table.row_owned(vec![
-                    label,
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-            } else {
-                table.row_owned(vec![
-                    label,
-                    cdf.len().to_string(),
-                    format!("{:.2}", cdf.percentile(50.0)),
-                    format!("{:.2}", cdf.percentile(90.0)),
-                    format!("{:.2}", cdf.percentile(99.0)),
-                    format!("{:.2}", cdf.max()),
-                ]);
-            }
-        }
-        table
+            "phase",
+            std::iter::once(("total", &self.total)).chain(phases),
+        )
     }
 }
 

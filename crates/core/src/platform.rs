@@ -31,7 +31,7 @@ use crate::types::ReplicaId;
 
 /// Replicas per distributed kernel (§3.1: R = 3 — Raft cannot run R = 2,
 /// and R = 5 costs too much).
-pub(crate) const REPLICATION_FACTOR: u32 = 3;
+pub const REPLICATION_FACTOR: u32 = 3;
 
 /// Seconds between two auto-scaler evaluations (§3.4.2).
 const AUTOSCALE_INTERVAL_S: f64 = 30.0;
@@ -49,6 +49,11 @@ const MIGRATION_MAX_RETRIES: u32 = 8;
 /// *arrivals*, fed from the trace one at a time; they rank by
 /// [`Ranked::rank`] ahead of every other event due at the same instant
 /// (see [`Platform`]).
+///
+/// A cell is `(s, e)`: cell `e` of session `s`. An event carries only what
+/// the trace does not hold, so a cell's submission instant and running
+/// time are read from the trace, never copied into the queue (32 bytes an
+/// event).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field meanings documented on each variant
 pub enum Ev {
@@ -56,27 +61,14 @@ pub enum Ev {
     SessionStart(usize),
     /// A user session terminates.
     SessionEnd(usize),
-    /// The client submits cell `e` of session `s`. `submit_us` is the
-    /// original submission instant for retried/queued requests, and
-    /// `retry` is set on every submission the platform re-issues (a
-    /// retry, a queued cell, a wait for replication or a kernel), which
-    /// is not an arrival.
-    CellSubmit {
-        s: usize,
-        e: usize,
-        submit_us: u64,
-        retry: bool,
-    },
-    /// A cell execution finishes on `host`.
-    ExecFinish {
-        s: usize,
-        e: usize,
-        host: HostId,
-        submit_us: u64,
-        start_us: u64,
-    },
-    /// Retry a failed migration (§3.2.3).
-    MigrationRetry { s: usize, e: usize, submit_us: u64 },
+    /// The client submits cell `e` of session `s`. `retry` is set on every
+    /// submission the platform re-issues (a retry, a queued cell, a wait
+    /// for replication or a kernel), which is not an arrival.
+    CellSubmit { s: usize, e: usize, retry: bool },
+    /// Cell `e` of session `s` finishes executing on `host`.
+    ExecFinish { s: usize, e: usize, host: HostId },
+    /// Retry a failed migration of cell `e` of session `s` (§3.2.3).
+    MigrationRetry { s: usize, e: usize },
     /// A scale-out completes: one new host of the carried shape joins.
     HostReady(ResourceBundle),
     /// Periodic auto-scaler evaluation (§3.4.2).
@@ -107,15 +99,10 @@ impl Ranked for Ev {
     }
 }
 
-/// Cell `e` of session `s`, submitted at `submit_us`, as the platform
-/// re-issues it (not a trace arrival).
-fn resubmit(s: usize, e: usize, submit_us: u64) -> Ev {
-    Ev::CellSubmit {
-        s,
-        e,
-        submit_us,
-        retry: true,
-    }
+/// Cell `e` of session `s` as the platform re-issues it (not a trace
+/// arrival).
+fn resubmit(s: usize, e: usize) -> Ev {
+    Ev::CellSubmit { s, e, retry: true }
 }
 
 /// Runtime state of one session.
@@ -145,11 +132,9 @@ struct SessionRt {
     /// Whether a cell is currently executing (or being placed).
     busy: bool,
     /// Cells waiting because the session was busy.
-    waiting: VecDeque<(usize, u64)>,
+    waiting: VecDeque<usize>,
     /// Migration retries consumed by the currently pending execution.
     migration_retries: u32,
-    /// Whether this session's kernel creation is waiting for scale-out.
-    kernel_pending: bool,
 }
 
 /// The platform world.
@@ -192,8 +177,8 @@ pub struct Platform {
     /// GPUs requested by sessions holding a `reserved_host` (all of them
     /// active) — the Reservation arm of the provisioned gauge.
     reserved_host_gpus: u64,
-    /// FCFS queue of (session, event, submit_us) for the Batch baseline.
-    batch_queue: VecDeque<(usize, usize, u64)>,
+    /// FCFS queue of (session, cell) for the Batch baseline.
+    batch_queue: VecDeque<(usize, usize)>,
     /// Sessions whose kernel creation awaits capacity.
     pending_kernels: VecDeque<usize>,
     /// Hosts currently being provisioned by scale-out.
@@ -270,7 +255,6 @@ impl Platform {
                 busy: false,
                 waiting: VecDeque::new(),
                 migration_retries: 0,
-                kernel_pending: false,
             })
             .collect();
         let horizon_us = (trace.span_s() * 1e6) as u64;
@@ -419,14 +403,15 @@ impl Platform {
         let event = match arrival {
             Arrival::Start(s) => Ev::SessionStart(s),
             Arrival::End(s) => Ev::SessionEnd(s),
-            Arrival::Cell(s, e) => Ev::CellSubmit {
-                s,
-                e,
-                submit_us: (self.trace.sessions[s].events[e].submit_s * 1e6) as u64,
-                retry: false,
-            },
+            Arrival::Cell(s, e) => Ev::CellSubmit { s, e, retry: false },
         };
         sched.schedule(at, event);
+    }
+
+    /// When the client submitted cell `e` of session `s`, in µs: the
+    /// trace's own instant, however often the platform re-issued the cell.
+    fn submit_us(&self, s: usize, e: usize) -> u64 {
+        (self.trace.sessions[s].events[e].submit_s * 1e6) as u64
     }
 
     fn schedule_ticks(&mut self, sched: &mut dyn Scheduler<Ev>) {
@@ -685,10 +670,7 @@ impl Platform {
         ) {
             let shortfall = r - total as u32;
             self.rank_buf = rank_buf;
-            self.sessions[s].kernel_pending = true;
-            if !self.pending_kernels.contains(&s) {
-                self.pending_kernels.push_back(s);
-            }
+            self.pending_kernels.push_back(s);
             self.trigger_scale_out(now, shortfall, req, sched);
             return;
         }
@@ -698,14 +680,7 @@ impl Platform {
         // of any cell, but the first cell waits if it arrives earlier.
         let mut boot = SimTime::ZERO;
         for &host in &chosen {
-            let container = if self.pool.acquire(host) {
-                self.metrics.counters.warm_hits += 1;
-                self.provisioning.warm_container_start(&mut self.rng)
-            } else {
-                self.metrics.counters.cold_starts += 1;
-                self.provisioning.cold_container_start(&mut self.rng)
-            };
-            boot = boot.max(container);
+            boot = boot.max(self.start_container(host));
         }
         boot += self.provisioning.registration(&mut self.rng);
         boot += self.election.sync_latency(&mut self.rng); // Raft group formation
@@ -715,7 +690,6 @@ impl Platform {
         self.rank_buf = chosen;
         let session = &mut self.sessions[s];
         session.kernel_ready_us = now.as_micros() + boot.as_micros();
-        session.kernel_pending = false;
         self.metrics.counters.kernel_creations += 1;
         self.metrics.kernel_creation_times_s.push(now_s);
         self.set_standby(now_s, i64::from(r));
@@ -726,67 +700,49 @@ impl Platform {
     // Cell submission
     // ------------------------------------------------------------------
 
-    fn on_cell_submit(
-        &mut self,
-        now: SimTime,
-        s: usize,
-        e: usize,
-        submit_us: u64,
-        sched: &mut dyn Scheduler<Ev>,
-    ) {
+    fn on_cell_submit(&mut self, now: SimTime, s: usize, e: usize, sched: &mut dyn Scheduler<Ev>) {
         if !self.sessions[s].active {
             return; // session ended before the queued cell ran
         }
         if self.sessions[s].busy {
-            self.sessions[s].waiting.push_back((e, submit_us));
+            self.sessions[s].waiting.push_back(e);
             return;
         }
         // §3.2.4: requests during state replication wait for it to finish.
         let repl_until = self.sessions[s].replicating_until_us;
         if now.as_micros() < repl_until {
-            sched.schedule(SimTime::from_micros(repl_until), resubmit(s, e, submit_us));
+            sched.schedule(SimTime::from_micros(repl_until), resubmit(s, e));
             return;
         }
         self.sessions[s].busy = true;
         self.sessions[s].migration_retries = 0;
         match self.config.policy {
-            PolicyKind::Reservation => self.submit_reservation(now, s, e, submit_us, sched),
+            PolicyKind::Reservation => self.submit_reservation(now, s, e, sched),
             PolicyKind::Batch => {
-                self.batch_queue.push_back((s, e, submit_us));
+                self.batch_queue.push_back((s, e));
                 self.serve_batch_queue(now, sched);
             }
-            PolicyKind::NotebookOs => self.submit_notebookos(now, s, e, submit_us, sched),
-            PolicyKind::NotebookOsLcp => self.submit_lcp(now, s, e, submit_us, sched),
+            PolicyKind::NotebookOs => self.submit_notebookos(now, s, e, sched),
+            PolicyKind::NotebookOsLcp => self.submit_lcp(now, s, e, sched),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn schedule_exec(
         &mut self,
         now: SimTime,
         s: usize,
         e: usize,
-        submit_us: u64,
         host: HostId,
         pre_exec_delay: SimTime,
         sched: &mut dyn Scheduler<Ev>,
     ) {
         let start = now + pre_exec_delay;
-        let interactivity_ms = (start.as_micros().saturating_sub(submit_us)) as f64 / 1e3;
+        let interactivity_ms = start.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
         self.metrics.interactivity_ms.record(interactivity_ms);
         self.training_gpus += i64::from(self.sessions[s].req.gpus);
         self.refresh_committed_gauge(now.as_secs_f64());
         let duration = SimTime::from_secs_f64(self.trace.sessions[s].events[e].duration_s);
-        sched.schedule(
-            start + duration,
-            Ev::ExecFinish {
-                s,
-                e,
-                host,
-                submit_us,
-                start_us: start.as_micros(),
-            },
-        );
+        sched.schedule(start + duration, Ev::ExecFinish { s, e, host });
         self.metrics
             .breakdown
             .record_step(Step::Execute, duration.as_millis_f64());
@@ -799,7 +755,6 @@ impl Platform {
         now: SimTime,
         s: usize,
         e: usize,
-        submit_us: u64,
         sched: &mut dyn Scheduler<Ev>,
     ) {
         let host = self.sessions[s].reserved_host.expect("reserved at start");
@@ -815,13 +770,13 @@ impl Platform {
         self.metrics
             .breakdown
             .record_step(Step::IntermediaryInterval, load.as_millis_f64());
-        self.schedule_exec(now, s, e, submit_us, host, gs + pre + load, sched);
+        self.schedule_exec(now, s, e, host, gs + pre + load, sched);
     }
 
     /// Batch (FCFS): serve the queue head whenever capacity exists.
     fn serve_batch_queue(&mut self, now: SimTime, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
-        while let Some(&(s, e, submit_us)) = self.batch_queue.front() {
+        while let Some(&(s, e)) = self.batch_queue.front() {
             let req = self.sessions[s].req;
             let owner = batch_owner(s);
             let Some(host) = self.cluster.best_commit_host(&req) else {
@@ -839,7 +794,7 @@ impl Platform {
                 .record_step(Step::KernelPreprocess, pre.as_millis_f64());
             let cold = self.provisioning.cold_container_start(&mut self.rng);
             self.metrics.counters.cold_starts += 1;
-            let queue_wait_ms = (now.as_micros().saturating_sub(submit_us)) as f64 / 1e3;
+            let queue_wait_ms = now.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
             self.metrics.breakdown.record_step(
                 Step::GlobalSchedulerRequest,
                 queue_wait_ms + cold.as_millis_f64(),
@@ -849,7 +804,7 @@ impl Platform {
             self.metrics
                 .breakdown
                 .record_step(Step::IntermediaryInterval, (fetch + load).as_millis_f64());
-            self.schedule_exec(now, s, e, submit_us, host, pre + cold + fetch + load, sched);
+            self.schedule_exec(now, s, e, host, pre + cold + fetch + load, sched);
         }
     }
 
@@ -861,20 +816,19 @@ impl Platform {
         now: SimTime,
         s: usize,
         e: usize,
-        submit_us: u64,
         sched: &mut dyn Scheduler<Ev>,
     ) {
         // Wait for kernel bootstrap if the first cell beat it.
         let ready = self.sessions[s].kernel_ready_us;
-        if self.sessions[s].kernel_pending || self.sessions[s].replica_hosts.is_empty() {
+        if self.sessions[s].replica_hosts.is_empty() {
             // Kernel creation is waiting on scale-out; retry shortly.
             self.sessions[s].busy = false;
-            sched.schedule_in(SimTime::from_secs(5), resubmit(s, e, submit_us));
+            sched.schedule_in(SimTime::from_secs(5), resubmit(s, e));
             return;
         }
         if now.as_micros() < ready {
             self.sessions[s].busy = false;
-            sched.schedule(SimTime::from_micros(ready), resubmit(s, e, submit_us));
+            sched.schedule(SimTime::from_micros(ready), resubmit(s, e));
             return;
         }
 
@@ -936,15 +890,7 @@ impl Platform {
                 self.metrics
                     .breakdown
                     .record_step(Step::IntermediaryInterval, load.as_millis_f64());
-                self.schedule_exec(
-                    now,
-                    s,
-                    e,
-                    submit_us,
-                    host,
-                    gs + pre + election + load,
-                    sched,
-                );
+                self.schedule_exec(now, s, e, host, gs + pre + election + load, sched);
             }
             None => {
                 // Failed election: all replicas yield (one sync round), then
@@ -957,7 +903,7 @@ impl Platform {
                     .record_step(Step::PrimaryReplicaProtocol, yield_round.as_millis_f64());
                 // The migration starts once the all-yield round commits;
                 // route through the queue so virtual time stays monotone.
-                sched.schedule(now + yield_round, Ev::MigrationRetry { s, e, submit_us });
+                sched.schedule(now + yield_round, Ev::MigrationRetry { s, e });
             }
         }
     }
@@ -965,14 +911,7 @@ impl Platform {
     /// Migration of one kernel replica to a host with idle resources
     /// (§3.2.3), retried periodically and aborted after the configured
     /// number of attempts.
-    fn start_migration(
-        &mut self,
-        now: SimTime,
-        s: usize,
-        e: usize,
-        submit_us: u64,
-        sched: &mut dyn Scheduler<Ev>,
-    ) {
+    fn start_migration(&mut self, now: SimTime, s: usize, e: usize, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
         let req = self.sessions[s].req;
         // Reusable copy of the kernel's replica hosts (the target scan
@@ -998,7 +937,7 @@ impl Platform {
             self.trigger_scale_out(now, 1, req, sched);
             sched.schedule_in(
                 SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
-                Ev::MigrationRetry { s, e, submit_us },
+                Ev::MigrationRetry { s, e },
             );
             return;
         };
@@ -1021,19 +960,8 @@ impl Platform {
         // Costs on this execution's critical path: persist state, start the
         // replacement container (pre-warmed if possible), reconfigure Raft,
         // replay the log / read state back, then re-submit.
-        let persist = self.store.write_keyed(
-            &self.sessions[s].state_key,
-            self.sessions[s].checkpoint_bytes,
-            &mut self.rng,
-        );
-        self.metrics.write_ms.record(persist.as_millis_f64());
-        let container = if self.pool.acquire(target) {
-            self.metrics.counters.warm_hits += 1;
-            self.provisioning.warm_container_start(&mut self.rng)
-        } else {
-            self.metrics.counters.cold_starts += 1;
-            self.provisioning.cold_container_start(&mut self.rng)
-        };
+        let persist = self.persist_state(s);
+        let container = self.start_container(target);
         let reconfig =
             self.election.sync_latency(&mut self.rng) + self.election.sync_latency(&mut self.rng);
         let read_back = self.data_read(s, false);
@@ -1059,7 +987,7 @@ impl Platform {
             // The window closed while we migrated; retry.
             sched.schedule_in(
                 SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
-                Ev::MigrationRetry { s, e, submit_us },
+                Ev::MigrationRetry { s, e },
             );
             return;
         }
@@ -1068,19 +996,12 @@ impl Platform {
         self.metrics
             .breakdown
             .record_step(Step::IntermediaryInterval, (delay + load).as_millis_f64());
-        self.schedule_exec(now, s, e, submit_us, target, delay + load, sched);
+        self.schedule_exec(now, s, e, target, delay + load, sched);
     }
 
     /// NotebookOS (LCP): a warm container from the pool serves the request
     /// directly; inputs are fetched on the critical path (§5.3.3).
-    fn submit_lcp(
-        &mut self,
-        now: SimTime,
-        s: usize,
-        e: usize,
-        submit_us: u64,
-        sched: &mut dyn Scheduler<Ev>,
-    ) {
+    fn submit_lcp(&mut self, now: SimTime, s: usize, e: usize, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
         let req = self.sessions[s].req;
         let owner = batch_owner(s);
@@ -1091,18 +1012,12 @@ impl Platform {
             // No capacity: queue like a batch system and trigger scale-out.
             self.trigger_scale_out(now, 1, req, sched);
             self.sessions[s].busy = false;
-            sched.schedule_in(SimTime::from_secs(10), resubmit(s, e, submit_us));
+            sched.schedule_in(SimTime::from_secs(10), resubmit(s, e));
             return;
         };
         let ok = self.commit_on(now_s, host, owner, &req);
         debug_assert!(ok);
-        let container = if self.pool.acquire(host) {
-            self.metrics.counters.warm_hits += 1;
-            self.provisioning.warm_container_start(&mut self.rng)
-        } else {
-            self.metrics.counters.cold_starts += 1;
-            self.provisioning.cold_container_start(&mut self.rng)
-        };
+        let container = self.start_container(host);
         self.metrics
             .breakdown
             .record_step(Step::GlobalSchedulerRequest, container.as_millis_f64());
@@ -1113,7 +1028,30 @@ impl Platform {
         self.metrics
             .breakdown
             .record_step(Step::IntermediaryInterval, (fetch + load).as_millis_f64());
-        self.schedule_exec(now, s, e, submit_us, host, container + fetch + load, sched);
+        self.schedule_exec(now, s, e, host, container + fetch + load, sched);
+    }
+
+    /// Starts a kernel container on `host`: a pre-warmed one from the pool
+    /// if the host has one, else a cold start. Returns its start latency.
+    fn start_container(&mut self, host: HostId) -> SimTime {
+        if self.pool.acquire(host) {
+            self.metrics.counters.warm_hits += 1;
+            self.provisioning.warm_container_start(&mut self.rng)
+        } else {
+            self.metrics.counters.cold_starts += 1;
+            self.provisioning.cold_container_start(&mut self.rng)
+        }
+    }
+
+    /// Persists session `s`'s checkpointed state to the data store. Returns
+    /// the write latency, which Fig. 11's "Writes" series records.
+    fn persist_state(&mut self, s: usize) -> SimTime {
+        let session = &self.sessions[s];
+        let latency =
+            self.store
+                .write_keyed(&session.state_key, session.checkpoint_bytes, &mut self.rng);
+        self.metrics.write_ms.record(latency.as_millis_f64());
+        latency
     }
 
     /// Reads this session's inputs from the data store: parameters, plus
@@ -1143,31 +1081,21 @@ impl Platform {
     // Completion
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn on_exec_finish(
         &mut self,
         now: SimTime,
         s: usize,
         e: usize,
         host: HostId,
-        submit_us: u64,
-        start_us: u64,
         sched: &mut dyn Scheduler<Ev>,
     ) {
-        let _ = start_us;
-        let _ = e;
         let now_s = now.as_secs_f64();
         self.training_gpus -= i64::from(self.sessions[s].req.gpus);
         self.refresh_committed_gauge(now_s);
         match self.config.policy {
             PolicyKind::Reservation => {
                 // GPUs stay bound; persist state on the critical path.
-                let persist = self.store.write_keyed(
-                    &self.sessions[s].state_key,
-                    self.sessions[s].checkpoint_bytes,
-                    &mut self.rng,
-                );
-                self.metrics.write_ms.record(persist.as_millis_f64());
+                let persist = self.persist_state(s);
                 self.metrics
                     .breakdown
                     .record_step(Step::KernelPostprocess, persist.as_millis_f64());
@@ -1176,16 +1104,11 @@ impl Platform {
                     .breakdown
                     .record_step(Step::ReplyToLocalScheduler, reply.as_millis_f64());
                 let done = now + persist + reply;
-                self.record_tct(done, submit_us);
+                self.record_tct(s, e, done);
             }
             PolicyKind::Batch => {
                 // Write results back, then tear the container down.
-                let persist = self.store.write_keyed(
-                    &self.sessions[s].state_key,
-                    self.sessions[s].checkpoint_bytes,
-                    &mut self.rng,
-                );
-                self.metrics.write_ms.record(persist.as_millis_f64());
+                let persist = self.persist_state(s);
                 self.metrics
                     .breakdown
                     .record_step(Step::KernelPostprocess, persist.as_millis_f64());
@@ -1194,7 +1117,7 @@ impl Platform {
                     .breakdown
                     .record_step(Step::ReplyToLocalScheduler, reply.as_millis_f64());
                 let done = now + persist + reply;
-                self.record_tct(done, submit_us);
+                self.record_tct(s, e, done);
                 self.release_on(now_s, host, batch_owner(s));
                 self.serve_batch_queue(now, sched);
             }
@@ -1213,16 +1136,11 @@ impl Platform {
                 );
                 self.set_standby(now_s, 1);
                 let done = now + reply;
-                self.record_tct(done, submit_us);
+                self.record_tct(s, e, done);
 
                 let sync = self.election.sync_latency(&mut self.rng);
                 self.metrics.sync_ms.record(sync.as_millis_f64());
-                let write = self.store.write_keyed(
-                    &self.sessions[s].state_key,
-                    self.sessions[s].checkpoint_bytes,
-                    &mut self.rng,
-                );
-                self.metrics.write_ms.record(write.as_millis_f64());
+                let write = self.persist_state(s);
                 self.metrics
                     .breakdown
                     .record_step(Step::KernelPostprocess, (sync + write).as_millis_f64());
@@ -1233,17 +1151,12 @@ impl Platform {
                 self.metrics
                     .breakdown
                     .record_step(Step::ReplyToLocalScheduler, reply.as_millis_f64());
-                let persist = self.store.write_keyed(
-                    &self.sessions[s].state_key,
-                    self.sessions[s].checkpoint_bytes,
-                    &mut self.rng,
-                );
-                self.metrics.write_ms.record(persist.as_millis_f64());
+                let persist = self.persist_state(s);
                 self.metrics
                     .breakdown
                     .record_step(Step::KernelPostprocess, persist.as_millis_f64());
                 let done = now + persist + reply;
-                self.record_tct(done, submit_us);
+                self.record_tct(s, e, done);
                 self.release_on(now_s, host, batch_owner(s));
                 // The container returns to the pool instead of terminating.
                 self.pool.put(host);
@@ -1253,8 +1166,8 @@ impl Platform {
         self.finish_cell(s, sched);
     }
 
-    fn record_tct(&mut self, done: SimTime, submit_us: u64) {
-        let tct_ms = (done.as_micros().saturating_sub(submit_us)) as f64 / 1e3;
+    fn record_tct(&mut self, s: usize, e: usize, done: SimTime) {
+        let tct_ms = done.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
         self.metrics.tct_ms.record(tct_ms);
         self.metrics.breakdown.record_end_to_end(tct_ms);
     }
@@ -1262,8 +1175,8 @@ impl Platform {
     /// Marks the session idle and serves any queued submission.
     fn finish_cell(&mut self, s: usize, sched: &mut dyn Scheduler<Ev>) {
         self.sessions[s].busy = false;
-        if let Some((e, submit_us)) = self.sessions[s].waiting.pop_front() {
-            sched.schedule_in(SimTime::from_millis(1), resubmit(s, e, submit_us));
+        if let Some(e) = self.sessions[s].waiting.pop_front() {
+            sched.schedule_in(SimTime::from_millis(1), resubmit(s, e));
         }
     }
 
@@ -1531,19 +1444,11 @@ impl Platform {
         match event {
             Ev::SessionStart(s) => self.on_session_start(now, s, sched),
             Ev::SessionEnd(s) => self.on_session_end(now, s),
-            Ev::CellSubmit {
-                s, e, submit_us, ..
-            } => self.on_cell_submit(now, s, e, submit_us, sched),
-            Ev::ExecFinish {
-                s,
-                e,
-                host,
-                submit_us,
-                start_us,
-            } => self.on_exec_finish(now, s, e, host, submit_us, start_us, sched),
-            Ev::MigrationRetry { s, e, submit_us } => {
+            Ev::CellSubmit { s, e, .. } => self.on_cell_submit(now, s, e, sched),
+            Ev::ExecFinish { s, e, host } => self.on_exec_finish(now, s, e, host, sched),
+            Ev::MigrationRetry { s, e } => {
                 if self.sessions[s].active {
-                    self.start_migration(now, s, e, submit_us, sched)
+                    self.start_migration(now, s, e, sched)
                 }
             }
             Ev::HostReady(shape) => self.on_host_ready(now, shape, sched),
@@ -1668,6 +1573,17 @@ mod tests {
         assert_eq!(m.counters.executions + m.counters.aborted, expected);
     }
 
+    /// An event holds a cell as `(s, e)` and reads the rest from the
+    /// trace, so no submission instant rides in the queue.
+    #[test]
+    fn an_event_is_at_most_32_bytes() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 32,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
+    }
+
     /// A [`Scheduler`] over a bare `BinaryHeap` of `(time, seq)`: the
     /// queue as it was before it grew a sorted run or ranks.
     #[derive(Default)]
@@ -1722,12 +1638,7 @@ mod tests {
             for (e, event) in session.events.iter().enumerate() {
                 sched.schedule(
                     SimTime::from_secs_f64(event.submit_s),
-                    Ev::CellSubmit {
-                        s,
-                        e,
-                        submit_us: (event.submit_s * 1e6) as u64,
-                        retry: false,
-                    },
+                    Ev::CellSubmit { s, e, retry: false },
                 );
             }
         }
@@ -1884,12 +1795,7 @@ mod tests {
         let mut lazy = Recorder::new(DesScheduler::new());
         let world = Platform::run_with_scheduler(config.clone(), trace.clone(), &mut lazy);
 
-        let cell = |s, retry| Ev::CellSubmit {
-            s,
-            e: 0,
-            submit_us: if s == 0 { 100_000_000 } else { 105_000_000 },
-            retry,
-        };
+        let cell = |s, retry| Ev::CellSubmit { s, e: 0, retry };
         let at = |secs| {
             let t = SimTime::from_secs(secs);
             let popped = lazy.popped.iter().filter(|(at, _)| *at == t);

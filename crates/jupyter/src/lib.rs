@@ -9,7 +9,7 @@
 //! * [`wire`] — ZMQ-style multipart framing with a keyed signature,
 //! * [`json`] — a from-scratch JSON codec (no offline serializer crates),
 //! * [`router`] — the Global Scheduler's fan-out/fan-in routing table,
-//! * [`session`] — persistent notebook sessions and idle detection,
+//! * [`session`] — persistent notebook sessions and message-id generation,
 //! * [`transport`] — an in-process duplex transport carrying signed frames,
 //! * [`provisioner`] — what a kernel launch through the Global Scheduler
 //!   takes and returns.

@@ -22,6 +22,12 @@
 //! direct run bit-for-bit, so live service mode can never drift from the
 //! simulated studies.
 //!
+//! The serve replay is pinned the same way: `serve_*.json` hold
+//! [`ServeReport::to_json`](notebookos_bench::serve::ServeReport::to_json)
+//! of [`run_serve`] under a [`DesScheduler`] at two shapes, the `serve`
+//! bin's default and `--users 2048 --duration 60 --hosts 256`, byte for
+//! byte.
+//!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //!
 //! ```sh
@@ -32,8 +38,9 @@ use std::path::PathBuf;
 
 use notebookos::core::sweep::{Scenario, SweepSpec};
 use notebookos::core::{Platform, PlatformConfig, PolicyKind};
-use notebookos::des::{DesScheduler, ManualClock, RealTimeScheduler, Scheduler};
+use notebookos::des::{DesScheduler, ManualClock, RealTimeScheduler, Scheduler, SimTime};
 use notebookos::trace::{generate, SyntheticConfig};
+use notebookos_bench::serve::{run_serve, ServeOpts};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -153,6 +160,56 @@ fn placement_by_elasticity_matrix_is_bit_identical_to_golden() {
 #[test]
 fn per_policy_runs_are_bit_identical_to_golden() {
     assert_matches_golden(&policy_spec(), "pr5_policies.json");
+}
+
+/// Runs the serve replay under `opts` on a [`DesScheduler`] and compares
+/// its `--out` bytes with the committed golden file, regenerating the file
+/// when `NOTEBOOKOS_UPDATE_GOLDEN` is set. A mismatch names the first
+/// differing member.
+fn assert_serve_matches_golden(opts: &ServeOpts, file: &str) {
+    let path = golden_dir().join(file);
+    let fresh = run_serve(opts, &mut DesScheduler::new()).to_json().encode();
+    if std::env::var("NOTEBOOKOS_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &fresh).expect("golden report written");
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "golden report {} unreadable ({e}); regenerate with \
+             NOTEBOOKOS_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    if fresh == golden {
+        return;
+    }
+    // The report is one line: compare it member by member.
+    let (now, was): (Vec<&str>, Vec<&str>) =
+        (fresh.split(',').collect(), golden.split(',').collect());
+    let i = (0..now.len().max(was.len()))
+        .find(|&i| now.get(i) != was.get(i))
+        .expect("unequal texts differ in some member");
+    panic!(
+        "{file}: member {i} drifted from the golden\n  now:    {}\n  golden: {}\n\
+         (regenerate with NOTEBOOKOS_UPDATE_GOLDEN=1 only for an intended behaviour change)",
+        now.get(i).unwrap_or(&"<none>"),
+        was.get(i).unwrap_or(&"<none>"),
+    );
+}
+
+/// The `serve` bin's default shape: 8 users over 10 s on 8 hosts.
+#[test]
+fn serve_replay_at_the_default_shape_is_bit_identical_to_golden() {
+    let opts = ServeOpts::new(8, SimTime::from_secs(10));
+    assert_serve_matches_golden(&opts, "serve_default.json");
+}
+
+/// `serve --users 2048 --duration 60 --hosts 256`, the shape CI replays
+/// twice.
+#[test]
+fn serve_replay_at_2048_users_is_bit_identical_to_golden() {
+    let mut opts = ServeOpts::new(2048, SimTime::from_secs(60));
+    opts.hosts = 256;
+    assert_serve_matches_golden(&opts, "serve_2048_users.json");
 }
 
 #[test]
