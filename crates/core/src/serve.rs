@@ -27,10 +27,10 @@ use std::collections::HashMap;
 
 use notebookos_cluster::{Cluster, ResourceBundle};
 use notebookos_des::SimTime;
+use notebookos_jupyter::message::DESTINATION_KEY;
 use notebookos_jupyter::{
-    wire_pair, Bytes, ConnectionInfo, Header, Json, JupyterMessage, KernelResourceSpec,
-    KernelRoute, MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, SessionManager,
-    WireEndpoint,
+    wire_pair, Bytes, ConnectionInfo, Header, JupyterMessage, KernelResourceSpec, KernelRoute,
+    MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, SessionManager, WireEndpoint,
 };
 
 use crate::gateway::{request_of, GatewayProvisioner};
@@ -51,10 +51,6 @@ pub const GATEWAY_KEY: &[u8] = b"notebookos-gateway";
 pub struct AcceptedExecution {
     /// The request's message id (the completion-callback handle).
     pub msg_id: String,
-    /// The submitting session.
-    pub session_id: String,
-    /// The kernel that executes the cell.
-    pub kernel_id: String,
     /// Simulated cell running time from the request metadata.
     pub duration: SimTime,
     /// Wire copies fanned out to replicas (1 `execute_request` +
@@ -187,12 +183,8 @@ impl LiveGateway {
     /// counted in [`GatewayStats::rejected`] and changes nothing else.
     pub fn pump(&mut self, now: SimTime) -> Vec<AcceptedExecution> {
         let mut accepted = Vec::new();
-        while let Some(decoded) = self.endpoint.try_recv() {
-            let Ok((identities, message)) = decoded else {
-                self.stats.rejected += 1;
-                continue;
-            };
-            match self.accept(identities, message, now) {
+        while let Some(frames) = self.endpoint.recv_frames() {
+            match self.accept(&frames, now) {
                 Some(execution) => {
                     self.stats.accepted += 1;
                     self.stats.fan_out_copies += execution.fan_out as u64;
@@ -204,22 +196,33 @@ impl LiveGateway {
         accepted
     }
 
-    /// Validates first, mutates after: a refused request leaves the session
-    /// record, the rotation, the router and `pending` as they were.
-    fn accept(
-        &mut self,
-        identities: Vec<Bytes>,
-        message: JupyterMessage,
-        now: SimTime,
-    ) -> Option<AcceptedExecution> {
-        if message.header.msg_type != MsgType::ExecuteRequest {
+    /// Reads one request in place ([`WireEndpoint::read`]): its session,
+    /// destination and duration are looked up as slices of its frames, and
+    /// only an accepted request's message id and session are owned, for the
+    /// reply that names it as parent. Validates first, mutates after: a
+    /// refused request leaves the session record, the rotation, the router
+    /// and `pending` as they were.
+    fn accept(&mut self, frames: &[Bytes], now: SimTime) -> Option<AcceptedExecution> {
+        let (mut destination, mut duration_us) = (None, None);
+        let request = self
+            .endpoint
+            .read(
+                frames,
+                |key, value| match key {
+                    DESTINATION_KEY => destination = value.str(),
+                    DURATION_KEY => duration_us = value.u64(),
+                    _ => {}
+                },
+                |_, _| {},
+            )
+            .ok()?;
+        if request.header.msg_type != MsgType::ExecuteRequest {
             return None;
         }
-        let duration =
-            SimTime::from_micros(message.metadata.get(DURATION_KEY).and_then(Json::as_u64)?);
-        let session = self.sessions.get_mut(&message.header.session)?;
-        let kernel_id = message.destination()?;
-        if kernel_id != session.kernel_id {
+        let duration = SimTime::from_micros(duration_us?);
+        let session = self.sessions.get_mut(&request.header.session)?;
+        let kernel_id = destination?;
+        if *kernel_id != *session.kernel_id {
             return None;
         }
         // Rotate the designated executor across replicas — the live
@@ -229,16 +232,12 @@ impl LiveGateway {
         // only if the route exists and the `msg_id` is not already in flight.
         let fan_out = self
             .router
-            .route_execute(&message, Some(designated))
-            .ok()?
-            .len();
-        let kernel_id = kernel_id.to_string();
+            .fan_out(&kernel_id, &request.header.msg_id, Some(designated))
+            .ok()?;
         let execution_count = session.record_execution(now.as_micros());
-        let header = message.header;
+        let header = request.header.into_owned();
         let accepted = AcceptedExecution {
             msg_id: header.msg_id.clone(),
-            session_id: header.session.clone(),
-            kernel_id,
             duration,
             fan_out,
         };
@@ -246,7 +245,7 @@ impl LiveGateway {
             header.msg_id.clone(),
             PendingExecution {
                 header,
-                identities,
+                identities: request.identities.to_vec(),
                 designated,
                 execution_count,
                 replicas: fan_out,
@@ -270,7 +269,7 @@ impl LiveGateway {
         let followers = pending.replicas - 1;
         let designated = u64::from(pending.designated);
         self.reply_ids.skip(designated);
-        let reply = pending.header.execute_reply(
+        let reply = pending.header.into_execute_reply(
             self.reply_ids.next_id(),
             ReplyStatus::Ok,
             pending.execution_count,
@@ -333,6 +332,8 @@ mod tests {
     use super::*;
     use crate::policy::PlacementContext;
     use notebookos_cluster::ResourceRequest;
+    use notebookos_jupyter::json::MAX_DEPTH;
+    use notebookos_jupyter::Json;
 
     fn spec() -> KernelResourceSpec {
         KernelResourceSpec {
@@ -619,6 +620,327 @@ mod tests {
         }
     }
 
+    /// `pump` as it was before requests were read in place: each one
+    /// decoded to an owned message by [`WireEndpoint::try_recv`] and checked
+    /// on that message. The reference the in-place read is held to.
+    fn pump_decoding_owned(gw: &mut LiveGateway, now: SimTime) -> Vec<AcceptedExecution> {
+        let mut accepted = Vec::new();
+        while let Some(decoded) = gw.endpoint.try_recv() {
+            let execution = decoded
+                .ok()
+                .and_then(|(identities, message)| accept_owned(gw, identities, message, now));
+            match execution {
+                Some(execution) => {
+                    gw.stats.accepted += 1;
+                    gw.stats.fan_out_copies += execution.fan_out as u64;
+                    accepted.push(execution);
+                }
+                None => gw.stats.rejected += 1,
+            }
+        }
+        accepted
+    }
+
+    fn accept_owned(
+        gw: &mut LiveGateway,
+        identities: Vec<Bytes>,
+        message: JupyterMessage,
+        now: SimTime,
+    ) -> Option<AcceptedExecution> {
+        if message.header.msg_type != MsgType::ExecuteRequest {
+            return None;
+        }
+        let duration =
+            SimTime::from_micros(message.metadata.get(DURATION_KEY).and_then(Json::as_u64)?);
+        let session = gw.sessions.get_mut(&message.header.session)?;
+        let kernel_id = message.destination()?;
+        if kernel_id != session.kernel_id {
+            return None;
+        }
+        let designated = (session.execution_count % u64::from(gw.replication_factor)) as u32;
+        let fan_out = gw
+            .router
+            .route_execute(&message, Some(designated))
+            .ok()?
+            .len();
+        let execution_count = session.record_execution(now.as_micros());
+        let header = message.header;
+        let accepted = AcceptedExecution {
+            msg_id: header.msg_id.clone(),
+            duration,
+            fan_out,
+        };
+        gw.pending.insert(
+            header.msg_id.clone(),
+            PendingExecution {
+                header,
+                identities,
+                designated,
+                execution_count,
+                replicas: fan_out,
+            },
+        );
+        Some(accepted)
+    }
+
+    /// Frames carrying `body` as it is, signed with `key` by the wire's
+    /// keyed FNV-1a (`notebookos_jupyter::wire` module docs), written out
+    /// here to sign text the codec would never write.
+    fn signed(identities: &[&'static [u8]], body: [&[u8]; 4], key: &[u8]) -> Vec<Bytes> {
+        let mut lanes = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142];
+        for (lane_byte, lane) in (0u8..).zip(&mut lanes) {
+            let bytes = key
+                .iter()
+                .chain([&lane_byte])
+                .chain(body.iter().copied().flatten());
+            for &b in bytes {
+                *lane = (*lane ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let mut frames: Vec<Bytes> = identities.iter().map(|i| Bytes::from_static(i)).collect();
+        frames.push(Bytes::from_static(notebookos_jupyter::wire::DELIMITER));
+        frames.push(Bytes::from(format!("{:016x}{:016x}", lanes[0], lanes[1])));
+        frames.extend(body.iter().map(|part| Bytes::copy_from_slice(part)));
+        frames
+    }
+
+    /// A header frame as another writer might spell it.
+    fn header_text(msg_id: &str, msg_type: &str, session: &str) -> String {
+        format!(
+            r#"{{"date": 5, "msg_id": "{msg_id}", "msg_type": "{msg_type}", "session": "{session}", "username": "notebookos", "version": "5.4"}}"#
+        )
+    }
+
+    /// Requests well-formed and not, one frame list each: every refusal
+    /// `pump` knows, reached through metadata, headers and frames the
+    /// client's codec never writes — keys and values spelled with escapes,
+    /// keys given twice, durations that are not a `u64`, frames that fail
+    /// the signature, UTF-8 or JSON.
+    fn mixed_traffic() -> Vec<Vec<Bytes>> {
+        const CONTENT: &str = r#"{"code": "x = \"\u00e9\"\n", "silent": false}"#;
+        let request = |id: &str, session: &str, metadata: &str| {
+            let header = header_text(id, "execute_request", session);
+            signed(
+                &[],
+                [
+                    header.as_bytes(),
+                    b"{}",
+                    metadata.as_bytes(),
+                    CONTENT.as_bytes(),
+                ],
+                GATEWAY_KEY,
+            )
+        };
+        let to_s0 = r#"{"kernel_id": "kernel-s0", "duration_us": 10}"#;
+        let mut traffic = vec![
+            request("a1", "s0", to_s0),
+            // Escapes in the header, in metadata keys, in metadata values.
+            request(
+                r"a\u0032",
+                r"s\u0031",
+                r#"{"kernel_id": "kernel-s1", "duration_us": 7}"#,
+            ),
+            request(
+                "a3",
+                "s2",
+                r#"{"kernel\u005fid": "kernel-s2", "duration\u005fus": 7}"#,
+            ),
+            request(
+                "a4",
+                "s0",
+                r#"{"kernel_id": "kernel\u002ds0", "duration_us": 1e3}"#,
+            ),
+            // The later of two duplicates wins, whichever is valid.
+            request(
+                "a5",
+                "s1",
+                r#"{"kernel_id": "kernel-s0", "kernel_id": "kernel-s1", "duration_us": 1}"#,
+            ),
+            request(
+                "r1",
+                "s1",
+                r#"{"kernel_id": "kernel-s1", "kernel_id": "kernel-s0", "duration_us": 1}"#,
+            ),
+            request(
+                "a6",
+                "s2",
+                r#"{"kernel_id": "kernel-s2", "duration_us": 1.5, "duration_us": 3}"#,
+            ),
+            request(
+                "r2",
+                "s2",
+                r#"{"kernel_id": "kernel-s2", "duration_us": 3, "duration_us": "3"}"#,
+            ),
+            // Durations that are not a `u64`, and the last `f64` that is.
+            request(
+                "r3",
+                "s0",
+                r#"{"kernel_id": "kernel-s0", "duration_us": 1.5}"#,
+            ),
+            request(
+                "r4",
+                "s0",
+                r#"{"kernel_id": "kernel-s0", "duration_us": -1}"#,
+            ),
+            request(
+                "r5",
+                "s0",
+                r#"{"kernel_id": "kernel-s0", "duration_us": 18446744073709551616}"#,
+            ),
+            request(
+                "a7",
+                "s0",
+                r#"{"kernel_id": "kernel-s0", "duration_us": 18446744073709549568}"#,
+            ),
+            request("r6", "s0", r#"{"kernel_id": "kernel-s0"}"#),
+            request("r7", "s0", r#"{"duration_us": 2}"#),
+            request("r8", "s0", r#"{"kernel_id": 7, "duration_us": 2}"#),
+            request(
+                "r9",
+                "s0",
+                r#"[{"kernel_id": "kernel-s0", "duration_us": 2}]"#,
+            ),
+            // Unknown session, another session's kernel, an unknown kernel.
+            request("r10", "ghost", to_s0),
+            request("r11", "s1", to_s0),
+            request(
+                "r12",
+                "s0",
+                r#"{"kernel_id": "kernel-ghost", "duration_us": 2}"#,
+            ),
+            // A message id still in flight.
+            request("a1", "s0", to_s0),
+            // Members nobody reads, a nested `kernel_id` among them.
+            request(
+                "a8",
+                "s1",
+                r#"{"x": {"kernel_id": "kernel-s0"}, "gpu_device_ids": [0, 1], "kernel_id": "kernel-s1", "duration_us": 4}"#,
+            ),
+        ];
+        // Not an `execute_request`, or no header at all.
+        for (id, msg_type) in [
+            ("r13", "execute_reply"),
+            ("r14", "status"),
+            ("r15", "bogus"),
+        ] {
+            let header = header_text(id, msg_type, "s0");
+            traffic.push(signed(
+                &[],
+                [header.as_bytes(), b"{}", to_s0.as_bytes(), b"{}"],
+                GATEWAY_KEY,
+            ));
+        }
+        traffic.push(signed(
+            &[],
+            [b"{}", b"{}", to_s0.as_bytes(), b"{}"],
+            GATEWAY_KEY,
+        ));
+        // Another user and version, a parent, an identity: accepted, and
+        // carried into the reply.
+        let odd = r#"{"version": "5.3", "msg_type": "execute_request", "session": "s2", "username": "al\u0069ce", "msg_id": "a9", "extra": [1, {"date": "no"}], "date": 12}"#;
+        let parent = header_text("p1", "execute_reply", "s2");
+        traffic.push(signed(
+            &[b"client-7"],
+            [
+                odd.as_bytes(),
+                parent.as_bytes(),
+                to_s0.replace("s0", "s2").as_bytes(),
+                CONTENT.as_bytes(),
+            ],
+            GATEWAY_KEY,
+        ));
+        // Bad signature, bad UTF-8, bad JSON in each frame, too deep.
+        let good = header_text("r16", "execute_request", "s0");
+        let body = [good.as_bytes(), b"{}", to_s0.as_bytes(), CONTENT.as_bytes()];
+        traffic.push(signed(&[], body, b"other-key"));
+        for frame in 0..4 {
+            for bad in [&b"{\"k\": \"\xff\"}"[..], b"{\"k\": tru", b"{} x"] {
+                let mut broken = body;
+                broken[frame] = bad;
+                traffic.push(signed(&[], broken, GATEWAY_KEY));
+            }
+        }
+        let deep = format!(
+            r#"{{"x": {}{}}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        traffic.push(signed(
+            &[],
+            [body[0], body[1], body[2], deep.as_bytes()],
+            GATEWAY_KEY,
+        ));
+        // No delimiter; one frame short.
+        let mut cut = signed(&[], body, GATEWAY_KEY);
+        cut.pop();
+        traffic.push(cut);
+        traffic.push(signed(&[], body, GATEWAY_KEY).split_off(1));
+        traffic
+    }
+
+    #[test]
+    fn the_read_in_place_accepts_and_refuses_what_the_owned_decode_did() {
+        let traffic = mixed_traffic();
+        // Pumped after every request, after every few, and once at the end.
+        for batch in [1, 3, 7, traffic.len()] {
+            let (mut in_place, mut in_place_client) = gateway();
+            let (mut owned, mut owned_client) = gateway();
+            for gw in [&mut in_place, &mut owned] {
+                for session in ["s0", "s1", "s2"] {
+                    gw.start_session(session, spec(), SimTime::ZERO).unwrap();
+                }
+            }
+            let mut accepted = Vec::new();
+            for (i, chunk) in traffic.chunks(batch).enumerate() {
+                let now = SimTime::from_secs(i as u64);
+                for frames in chunk {
+                    assert!(in_place_client.send_frames(frames.clone()));
+                    assert!(owned_client.send_frames(frames.clone()));
+                }
+                let got = in_place.pump(now);
+                assert_eq!(
+                    got,
+                    pump_decoding_owned(&mut owned, now),
+                    "batch {batch}, chunk {i}"
+                );
+                accepted.extend(got);
+            }
+            let ids: Vec<&str> = accepted.iter().map(|a| a.msg_id.as_str()).collect();
+            assert_eq!(
+                ids,
+                ["a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9"],
+                "batch {batch}"
+            );
+            assert_eq!(in_place.stats(), owned.stats());
+            assert_eq!(in_place.stats().rejected, traffic.len() as u64 - 9);
+            assert_eq!(in_place.endpoint.received(), owned.endpoint.received());
+            for session in ["s0", "s1", "s2"] {
+                let state = |gw: &LiveGateway| {
+                    let s = gw.sessions.get(session).unwrap();
+                    (s.execution_count, s.last_activity_us)
+                };
+                assert_eq!(state(&in_place), state(&owned), "{session}");
+            }
+            // The replies name the requests as their parents, byte for byte.
+            let done = SimTime::from_secs(99);
+            for execution in &accepted {
+                assert!(in_place.finish_execution(&execution.msg_id, done));
+                assert!(owned.finish_execution(&execution.msg_id, done));
+            }
+            let replies = |client: &mut WireEndpoint| {
+                let (replies, rejected) = client.drain();
+                assert_eq!(rejected, 0);
+                replies
+                    .iter()
+                    .map(|(ids, reply)| notebookos_jupyter::wire::encode(ids, reply, GATEWAY_KEY))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(replies(&mut in_place_client), replies(&mut owned_client));
+            assert_eq!(in_place.stats(), owned.stats());
+            assert_eq!((in_place.in_flight(), owned.in_flight()), (0, 0));
+        }
+    }
+
     #[test]
     fn a_request_for_an_unknown_kernel_does_not_count_as_an_execution() {
         let (mut gw, mut client) = gateway();
@@ -661,7 +983,8 @@ mod tests {
         client.send(&[], &request_to("m1", "s1", "kernel-s1", SimTime::ZERO));
         let accepted = gw.pump(SimTime::ZERO);
         assert_eq!(accepted.len(), 1);
-        assert_eq!(accepted[0].session_id, "s1");
+        let executions = |gw: &LiveGateway, id| gw.sessions.get(id).unwrap().execution_count;
+        assert_eq!((executions(&gw, "s1"), executions(&gw, "s2")), (1, 0));
         assert_eq!((gw.stats().accepted, gw.stats().rejected), (1, 2));
         assert!(gw.finish_execution("m1", SimTime::from_secs(1)));
         let (_, reply) = client.try_recv().expect("reply").expect("verifies");

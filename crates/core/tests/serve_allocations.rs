@@ -1,15 +1,32 @@
 //! Heap allocations per served round trip through `LiveGateway`, counted.
 //!
-//! A round trip is what the `serve-small` ledger workload times: build an
-//! `execute_request`, send it, pump the gateway (decode, route, fan out),
-//! finish the execution (the merged reply, encoded and sent), and drain the
-//! client (decode). On the fixture below — 64 hosts, R = 3, 512 sessions,
-//! an 11-byte cell — a round trip made 128.06 allocations while the gateway
+//! A round trip is what the `serve-small` ledger workload times, in five
+//! steps the test counts apart: build an `execute_request` (its message id
+//! included), send it, pump the gateway (read, route, fan out), finish the
+//! execution (the merged reply, encoded and sent), and drain the client
+//! (decode). On the fixture below — 64 hosts, R = 3, 512 sessions, an
+//! 11-byte cell — a round trip made 128.06 allocations while the gateway
 //! built all R replies and `wire::encode` allocated each frame twice
 //! (finish 59.03, send 14.03). Building only the executor's reply and
-//! encoding into one buffer brought it to 76.06 (finish 18.03, send 3.03);
-//! the .06 is the channel's block allocation, one per 31 messages each way.
-//! The budget holds that count, rounded up.
+//! encoding into one buffer brought it to 76.06. Reading each request in
+//! place, borrowing the headers' username and version from the protocol's
+//! constants, moving the request's header into the reply and bounding the
+//! transport brought it to 46; sizing each reply id up front
+//! (`MsgIdGen::next_id`) to 45. Step by step:
+//!
+//! | step   | before | after |
+//! |--------|-------:|------:|
+//! | build  |  16    |  14   |
+//! | send   |   3.03 |   3   |
+//! | pump   |  22    |   6   |
+//! | finish |  18.03 |  11   |
+//! | drain  |  17    |  11   |
+//! | total  |  76.06 |  45   |
+//!
+//! The .03s were the unbounded channel's block allocation, one per 31
+//! messages each way; the bounded queue allocates only when it first grows.
+//! The budgets hold the total and the pump, rounded up; what is left is
+//! mostly the client's owned request and reply (`wire`'s module docs).
 //!
 //! This binary holds one test: the counting allocator sees every thread of
 //! the process, and no other test may allocate while it counts.
@@ -64,7 +81,12 @@ const CELL: &str = "model.fit()";
 const WARM_UP_TRIPS: usize = 2_000;
 const COUNTED_TRIPS: usize = 1_000;
 /// Allocations a round trip may make (module docs).
-const BUDGET_PER_TRIP: f64 = 77.0;
+const BUDGET_PER_TRIP: f64 = 45.0;
+/// Allocations the gateway's pump may make per request (module docs).
+const PUMP_BUDGET: f64 = 7.0;
+
+/// The five steps of a round trip, in order, as the ledger's spans name them.
+const PHASES: [&str; 5] = ["build", "send", "pump", "finish", "drain"];
 
 struct Fixture {
     gateway: LiveGateway,
@@ -72,6 +94,8 @@ struct Fixture {
     sessions: Vec<(String, String)>,
     now: SimTime,
     trips: usize,
+    /// Allocations made in each of [`PHASES`], summed over the trips made.
+    counts: [u64; 5],
 }
 
 impl Fixture {
@@ -98,26 +122,41 @@ impl Fixture {
             sessions,
             now: SimTime::ZERO,
             trips: 0,
+            counts: [0; 5],
         }
     }
 
     /// One round trip, as the ledger's `serve-small` pass makes it, on the
-    /// sessions in a fixed stride order. Returns whether the one merged
-    /// reply came back `ok`.
+    /// sessions in a fixed stride order, counting each step's allocations.
+    /// Returns whether the one merged reply came back `ok`.
     fn round_trip(&mut self) -> bool {
+        let mut mark = CALLS.load(Ordering::Relaxed);
+        let mut step_done = |counts: &mut [u64; 5], phase: usize| {
+            let now = CALLS.load(Ordering::Relaxed);
+            counts[phase] += now - mark;
+            mark = now;
+        };
         let (session, kernel) = &self.sessions[self.trips * 37 % SESSIONS];
         let msg_id = format!("m{}", self.trips);
         self.trips += 1;
         let step = SimTime::from_micros(10);
         let request = client_request(msg_id.as_str(), session, kernel, CELL, step, self.now);
+        step_done(&mut self.counts, 0);
         self.client.send(&[], &request);
+        step_done(&mut self.counts, 1);
         let accepted = self.gateway.pump(self.now);
+        step_done(&mut self.counts, 2);
         self.now += step;
         for execution in &accepted {
             self.gateway.finish_execution(&execution.msg_id, self.now);
         }
+        drop(accepted);
+        step_done(&mut self.counts, 3);
         let (replies, _) = self.client.drain();
-        replies.len() == 1 && replies[0].1.is_ok_reply()
+        let ok = replies.len() == 1 && replies[0].1.is_ok_reply();
+        drop(replies);
+        step_done(&mut self.counts, 4);
+        ok
     }
 }
 
@@ -127,17 +166,28 @@ fn a_served_round_trip_stays_within_its_allocation_budget() {
     for _ in 0..WARM_UP_TRIPS {
         assert!(fixture.round_trip());
     }
-    let before = CALLS.load(Ordering::Relaxed);
+    fixture.counts = [0; 5];
     let mut ok = 0;
     for _ in 0..COUNTED_TRIPS {
         ok += usize::from(fixture.round_trip());
     }
-    let per_trip = (CALLS.load(Ordering::Relaxed) - before) as f64 / COUNTED_TRIPS as f64;
     assert_eq!(ok, COUNTED_TRIPS);
     assert_eq!(fixture.gateway.stats().replies, fixture.trips as u64);
-    println!("{per_trip:.2} allocations per round trip");
+    let per_trip = fixture
+        .counts
+        .map(|count| count as f64 / COUNTED_TRIPS as f64);
+    for (phase, count) in PHASES.iter().zip(per_trip) {
+        println!("{phase:>6}: {count:.2} allocations per round trip");
+    }
+    let total: f64 = per_trip.iter().sum();
+    println!(" total: {total:.2} allocations per round trip");
     assert!(
-        per_trip <= BUDGET_PER_TRIP,
-        "{per_trip:.2} allocations per round trip, budget {BUDGET_PER_TRIP}"
+        per_trip[2] <= PUMP_BUDGET,
+        "the pump makes {:.2} allocations a request, budget {PUMP_BUDGET}",
+        per_trip[2]
+    );
+    assert!(
+        total <= BUDGET_PER_TRIP,
+        "{total:.2} allocations per round trip, budget {BUDGET_PER_TRIP}"
     );
 }

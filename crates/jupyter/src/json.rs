@@ -24,8 +24,8 @@
 //!   to the next stop is a valid `&str` slice and is copied as one —
 //!   already-validated UTF-8 is never validated again. A string with no
 //!   escape is that one slice, so it is not copied at all until a value
-//!   needs to own it: object keys handed to a member visitor (the wire's
-//!   header reader) stay borrowed.
+//!   needs to own it: object keys, and the values a reader borrows
+//!   ("Reading in place"), stay slices of the text.
 //! * **An absorber underneath.** The encoder and the parser are generic
 //!   over a crate-private `Absorb`er that is fed every byte of the text, in
 //!   order, as it is written or read. The wire signature is one
@@ -53,6 +53,33 @@
 //! None of this needs `unsafe` (the crate forbids it). The per-character
 //! encoder these replaced survives as the oracle of this module's
 //! differential tests.
+//!
+//! # Reading in place
+//!
+//! The parser has one object loop, `Parser::members`, and every object
+//! goes through it. [`Json::parse`] builds each member's value into the
+//! dict; a reader of a few fields — the wire's header reader, and through
+//! `wire::decode_in_place` the gateway's request reader — is handed each
+//! member's key and its [`Value`] instead, and does one of three things:
+//!
+//! * **borrows a string** ([`Value::str`]): a slice of the text, owned only
+//!   when the string holds an escape. The parser's text and its absorber
+//!   have lifetimes of their own, so the slice outlives the absorber — the
+//!   wire signer — that checked it;
+//! * **reads a number** ([`Value::u64`]), as [`Json::as_u64`] would once
+//!   the number was parsed;
+//! * **leaves it**, and the parser checks it and skips it, building
+//!   nothing.
+//!
+//! Building and skipping are one function, `Parser::value`, whose `BUILD`
+//! parameter says whether strings, arrays and objects are built, and the
+//! one string scanner's `KEEP` says whether an escaped string's characters
+//! are kept. A skipped value therefore has the grammar, the errors, their
+//! offsets and the [`MAX_DEPTH`] of a parsed one, and allocates nothing
+//! (a key that holds an escape, inside a skipped object, is still decoded).
+//! A syntax error inside a value fails the read that handed the value out,
+//! whatever the reader did with it: the reader sees `None`, never the
+//! error, so it cannot drop it.
 //!
 //! # Input from outside
 //!
@@ -135,12 +162,7 @@ impl Json {
     /// The value as `u64`, if it is a non-negative integral number below
     /// 2^64 (a larger one does not fit, and does not saturate either).
     pub fn as_u64(&self) -> Option<u64> {
-        // 2^64 is exact as an `f64`; `u64::MAX` is not, and rounds up to it.
-        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
-        match self {
-            Json::Num(n) if (0.0..TWO_POW_64).contains(n) && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(f64_as_u64)
     }
 
     /// The value as `bool`, if it is a boolean.
@@ -213,28 +235,114 @@ impl Json {
     /// in order, as it is read. On an error the absorber has seen some
     /// prefix of `text` and should be dropped.
     pub(crate) fn parse_with<A: Absorb>(text: &str, absorber: &mut A) -> Result<Json, JsonError> {
-        Parser::whole(text, absorber, Parser::value)
+        Parser::whole(text, absorber, Parser::value::<true>)
     }
 }
 
-/// [`Json::parse_with`] for a text whose top-level object is not built: each
-/// member goes to `member`, key and value, in text order, duplicates
-/// included. A key is borrowed from `text` unless it holds an escape. Any
-/// other top-level value is parsed and dropped. Returns the number of
-/// members, or `None` when the text is not an object. Errors, their texts
-/// and offsets, and [`MAX_DEPTH`] are those of [`Json::parse`].
-pub(crate) fn parse_members_with<A: Absorb>(
-    text: &str,
+/// A number as a `u64`, if it is non-negative, integral and below 2^64 (a
+/// larger one does not fit, and does not saturate either).
+fn f64_as_u64(n: f64) -> Option<u64> {
+    // 2^64 is exact as an `f64`; `u64::MAX` is not, and rounds up to it.
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    ((0.0..TWO_POW_64).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+}
+
+/// Reads a text whose top-level object is not built: each member's key and
+/// value go to `reader`, in text order, duplicates included (module docs,
+/// "Reading in place"). A key is borrowed from `text` unless it holds an
+/// escape. Any other top-level value is checked and skipped. Returns the
+/// number of members, or `None` when the text is not an object. Errors,
+/// their texts and offsets, and [`MAX_DEPTH`] are those of [`Json::parse`].
+pub(crate) fn read_members_with<'t, A: Absorb>(
+    text: &'t str,
     absorber: &mut A,
-    member: impl FnMut(Cow<'_, str>, Json),
+    mut reader: impl FnMut(&str, Value<'_, 't>),
 ) -> Result<Option<usize>, JsonError> {
     Parser::whole(text, absorber, |p| {
-        if p.peek() == Some(b'{') {
-            p.nested(|p| p.members(member)).map(Some)
-        } else {
-            p.value().map(|_| None)
+        if p.peek() != Some(b'{') {
+            return p.skip().map(|()| None);
         }
+        p.nested(|p| {
+            p.members(|p, key| {
+                let start = p.pos;
+                let mut error = None;
+                reader(
+                    &key,
+                    Value {
+                        parser: p,
+                        error: &mut error,
+                    },
+                );
+                match error {
+                    Some(e) => Err(e),
+                    // Every value is at least a byte long: one the reader
+                    // did not take is still at `start`.
+                    None if p.pos == start => p.skip(),
+                    None => Ok(()),
+                }
+            })
+        })
+        .map(Some)
     })
+}
+
+/// One member's value, handed to a reader of an object read in place
+/// (module docs, "Reading in place"). The reader takes it as a string or
+/// as a number, or leaves it, and then the parser checks it and skips it.
+/// Either way the parser has read the whole value, and a syntax error in
+/// it fails the read that handed it out; the reader only sees `None`.
+pub struct Value<'p, 't> {
+    parser: &'p mut dyn ReadValue<'t>,
+    error: &'p mut Option<JsonError>,
+}
+
+impl<'t> Value<'_, 't> {
+    /// The value if it is a string: a slice of the text, owned only when
+    /// the string holds an escape. `None` for any other value.
+    pub fn str(self) -> Option<Cow<'t, str>> {
+        let read = self.parser.str_value();
+        Self::settle(read, self.error)
+    }
+
+    /// The value as [`Json::as_u64`] would read it once parsed: a
+    /// non-negative integral number below 2^64. `None` for any other value.
+    pub fn u64(self) -> Option<u64> {
+        let read = self.parser.u64_value();
+        Self::settle(read, self.error)
+    }
+
+    fn settle<T>(read: Result<Option<T>, JsonError>, error: &mut Option<JsonError>) -> Option<T> {
+        read.unwrap_or_else(|e| {
+            *error = Some(e);
+            None
+        })
+    }
+}
+
+/// What a [`Value`] asks of the parser underneath it, whatever it absorbs
+/// into: one call per member, so the absorber's per-byte loops stay
+/// monomorphic below it.
+trait ReadValue<'t> {
+    fn str_value(&mut self) -> Result<Option<Cow<'t, str>>, JsonError>;
+    fn u64_value(&mut self) -> Result<Option<u64>, JsonError>;
+}
+
+impl<'t, A: Absorb> ReadValue<'t> for Parser<'t, '_, A> {
+    fn str_value(&mut self) -> Result<Option<Cow<'t, str>>, JsonError> {
+        if self.peek() == Some(b'"') {
+            self.string::<true>().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    fn u64_value(&mut self) -> Result<Option<u64>, JsonError> {
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(f64_as_u64)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
 }
 
 /// Sees every byte the codec writes or reads, in text order: the wire
@@ -414,12 +522,16 @@ pub(crate) fn encode_string_with<A: Absorb>(s: &str, out: &mut String, absorber:
     put_ascii(b'"', out, absorber);
 }
 
-struct Parser<'a, A> {
-    text: &'a str,
+/// The text's one reader. `'t` is the text, which strings are borrowed
+/// from; `'s` is the absorber, which is only lent for the read, so a
+/// borrowed string outlives it (`wire::decode_in_place` hands its reader
+/// slices of the frames after the signer is gone).
+struct Parser<'t, 's, A> {
+    text: &'t str,
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
-    absorber: &'a mut A,
+    absorber: &'s mut A,
     /// `text[..absorbed]` has been fed to `absorber`. Strings absorb their
     /// runs as they scan them; the few bytes between strings (punctuation,
     /// numbers, escapes) are caught up before the next run and at the end.
@@ -427,12 +539,12 @@ struct Parser<'a, A> {
     absorbed: usize,
 }
 
-impl<'a, A: Absorb> Parser<'a, A> {
+impl<'t, 's, A: Absorb> Parser<'t, 's, A> {
     /// Reads all of `text` with `top`, whitespace around it allowed,
     /// feeding `absorber` every byte.
     fn whole<T>(
-        text: &'a str,
-        absorber: &'a mut A,
+        text: &'t str,
+        absorber: &'s mut A,
         top: impl FnOnce(&mut Self) -> Result<T, JsonError>,
     ) -> Result<T, JsonError> {
         let mut p = Parser {
@@ -468,7 +580,7 @@ impl<'a, A: Absorb> Parser<'a, A> {
         }
     }
 
-    fn bytes(&self) -> &'a [u8] {
+    fn bytes(&self) -> &'t [u8] {
         self.text.as_bytes()
     }
 
@@ -506,18 +618,34 @@ impl<'a, A: Absorb> Parser<'a, A> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value, built when `BUILD`. Otherwise it is checked and skipped:
+    /// the same grammar, errors and depth limit, but no string, array or
+    /// object is built, so nothing is allocated (module docs, "Reading in
+    /// place"), and what is returned is a placeholder.
+    fn value<const BUILD: bool>(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            Some(b'"') => {
+                let s = self.string::<BUILD>()?;
+                Ok(if BUILD {
+                    Json::Str(s.into_owned())
+                } else {
+                    Json::Null
+                })
+            }
+            Some(b'[') => self.nested(Self::array::<BUILD>),
+            Some(b'{') => self.nested(Self::object::<BUILD>),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Checks one value and moves past it, building nothing.
+    fn skip(&mut self) -> Result<(), JsonError> {
+        self.value::<false>().map(drop)
     }
 
     /// Parses one container, refusing to recurse past [`MAX_DEPTH`].
@@ -534,8 +662,11 @@ impl<'a, A: Absorb> Parser<'a, A> {
         parsed
     }
 
-    /// A string, borrowed from `text` when it holds no escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    /// The one string scanner: a string, borrowed from `text` when it holds
+    /// no escape. With `KEEP` false an escaped string is still read to its
+    /// end and each escape checked, but its characters go nowhere and `""`
+    /// comes back.
+    fn string<const KEEP: bool>(&mut self) -> Result<Cow<'t, str>, JsonError> {
         self.expect(b'"')?;
         let start = self.pos;
         let mut s = String::new();
@@ -561,21 +692,27 @@ impl<'a, A: Absorb> Parser<'a, A> {
                 if unescaped {
                     return Ok(Cow::Borrowed(chars));
                 }
+                if !KEEP {
+                    return Ok(Cow::Borrowed(""));
+                }
                 s.push_str(chars);
                 return Ok(Cow::Owned(s));
             }
-            s.push_str(chars);
-            match self.bump() {
-                Some(b'"') => s.push('"'),
-                Some(b'\\') => s.push('\\'),
-                Some(b'/') => s.push('/'),
-                Some(b'n') => s.push('\n'),
-                Some(b'r') => s.push('\r'),
-                Some(b't') => s.push('\t'),
-                Some(b'b') => s.push('\u{8}'),
-                Some(b'f') => s.push('\u{c}'),
-                Some(b'u') => s.push(self.unicode_escape()?),
+            let escaped = match self.bump() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
                 _ => return Err(self.err("bad escape")),
+            };
+            if KEEP {
+                s.push_str(chars);
+                s.push(escaped);
             }
         }
     }
@@ -612,7 +749,7 @@ impl<'a, A: Absorb> Parser<'a, A> {
         Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -637,11 +774,10 @@ impl<'a, A: Absorb> Parser<'a, A> {
         }
         self.text[start..self.pos]
             .parse::<f64>()
-            .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array<const BUILD: bool>(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -651,7 +787,10 @@ impl<'a, A: Absorb> Parser<'a, A> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value::<BUILD>()?;
+            if BUILD {
+                items.push(item);
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -661,17 +800,25 @@ impl<'a, A: Absorb> Parser<'a, A> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object<const BUILD: bool>(&mut self) -> Result<Json, JsonError> {
         let mut map = BTreeMap::new();
-        self.members(|key, value| {
-            map.insert(key.into_owned(), value);
+        self.members(|p, key| {
+            let value = p.value::<BUILD>()?;
+            if BUILD {
+                map.insert(key.into_owned(), value);
+            }
+            Ok(())
         })?;
         Ok(Json::Obj(map))
     }
 
-    /// The one object loop: hands each member to `member` in text order
-    /// and returns how many there were.
-    fn members(&mut self, mut member: impl FnMut(Cow<'a, str>, Json)) -> Result<usize, JsonError> {
+    /// The one object loop: hands each member's key to `member`, which
+    /// reads the value that follows it, in text order, and returns how many
+    /// members there were.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'t, str>) -> Result<(), JsonError>,
+    ) -> Result<usize, JsonError> {
         self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -681,11 +828,11 @@ impl<'a, A: Absorb> Parser<'a, A> {
         let mut count = 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string::<true>()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            member(key, self.value()?);
+            member(self, key)?;
             count += 1;
             self.skip_ws();
             match self.bump() {

@@ -46,7 +46,7 @@ pub mod wire;
 
 pub use bytes::Bytes;
 pub use json::Json;
-pub use message::{merge_replies, Header, JupyterMessage, MsgType, ReplyStatus};
+pub use message::{merge_replies, Header, HeaderRef, JupyterMessage, MsgType, ReplyStatus};
 pub use provisioner::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 pub use router::{KernelRoute, LocalSchedulerId, RouteError, RoutedCopy, Router};
 pub use session::{MsgIdGen, Session, SessionManager};

@@ -6,12 +6,19 @@
 //! NotebookOS-specific `yield_request` conversion (§3.2.2), kernel-info and
 //! shutdown messages, and status updates.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::json::{encode_number, encode_string_with, put, Absorb, Json};
+use crate::json::{encode_number, encode_string_with, put, Absorb, Json, Value};
 
 /// Protocol version stamped into every header.
 pub const PROTOCOL_VERSION: &str = "5.4";
+
+/// The user every header this crate builds names.
+const USERNAME: &str = "notebookos";
+
+/// The metadata key that names an execution's destination kernel.
+pub const DESTINATION_KEY: &str = "kernel_id";
 
 /// The message types NotebookOS routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,12 +90,13 @@ pub struct Header {
     pub msg_id: String,
     /// The client session that produced the message.
     pub session: String,
-    /// Originating user.
-    pub username: String,
+    /// Originating user: borrowed when it is this crate's own, which every
+    /// header it builds or reads then shares instead of a copy each.
+    pub username: Cow<'static, str>,
     /// Message type.
     pub msg_type: MsgType,
-    /// Protocol version.
-    pub version: String,
+    /// Protocol version: borrowed when it is [`PROTOCOL_VERSION`].
+    pub version: Cow<'static, str>,
     /// Send timestamp in microseconds of virtual time (the protocol uses an
     /// ISO date; a numeric stamp keeps the simulator exact).
     pub date_us: u64,
@@ -105,9 +113,9 @@ impl Header {
         Header {
             msg_id: msg_id.into(),
             session: session.into(),
-            username: "notebookos".to_string(),
+            username: Cow::Borrowed(USERNAME),
             msg_type,
-            version: PROTOCOL_VERSION.to_string(),
+            version: Cow::Borrowed(PROTOCOL_VERSION),
             date_us,
         }
     }
@@ -119,9 +127,9 @@ impl Header {
         Json::object()
             .with("msg_id", self.msg_id.as_str())
             .with("session", self.session.as_str())
-            .with("username", self.username.as_str())
+            .with("username", &*self.username)
             .with("msg_type", self.msg_type.as_str())
-            .with("version", self.version.as_str())
+            .with("version", &*self.version)
             .with("date", self.date_us)
     }
 
@@ -145,8 +153,8 @@ impl Header {
             (",\"msg_id\":", self.msg_id.as_str()),
             (",\"msg_type\":", self.msg_type.as_str()),
             (",\"session\":", self.session.as_str()),
-            (",\"username\":", self.username.as_str()),
-            (",\"version\":", self.version.as_str()),
+            (",\"username\":", &*self.username),
+            (",\"version\":", &*self.version),
         ] {
             put(key, out, absorber);
             encode_string_with(value, out, absorber);
@@ -180,16 +188,16 @@ impl Header {
         Ok(Header {
             msg_id: take("msg_id")?,
             session: take("session")?,
-            username: take("username")?,
+            username: take("username")?.into(),
             msg_type: msg_type?,
-            version: take("version")?,
+            version: take("version")?.into(),
             date_us: fields.get("date").and_then(Json::as_u64).unwrap_or(0),
         })
     }
 
     /// Builds the `execute_reply` to the request this header belongs to
     /// ([`JupyterMessage::execute_reply`], for a caller that kept only the
-    /// request's header).
+    /// request's header): [`Header::into_execute_reply`] on a copy.
     pub fn execute_reply(
         &self,
         msg_id: impl Into<String>,
@@ -198,9 +206,23 @@ impl Header {
         executed: bool,
         date_us: u64,
     ) -> JupyterMessage {
+        self.clone()
+            .into_execute_reply(msg_id, status, execution_count, executed, date_us)
+    }
+
+    /// [`Header::execute_reply`] for a caller done with the header, which
+    /// moves into the reply as its parent instead of being copied there.
+    pub fn into_execute_reply(
+        self,
+        msg_id: impl Into<String>,
+        status: ReplyStatus,
+        execution_count: u64,
+        executed: bool,
+        date_us: u64,
+    ) -> JupyterMessage {
         JupyterMessage {
             header: Header::new(msg_id, self.session.clone(), MsgType::ExecuteReply, date_us),
-            parent: Some(self.clone()),
+            parent: Some(self),
             metadata: Json::object().with("executed", executed),
             content: Json::object()
                 .with("status", status.as_str())
@@ -209,28 +231,73 @@ impl Header {
     }
 }
 
-/// A header frame's fields as [`crate::wire::decode`] reads them, member by
-/// member, before the checks that make them a [`Header`]. What it accepts
-/// and each error it reports are the test-only `Header::from_json`'s on the
-/// parsed dict.
+/// A header read in place (`crate::wire::decode_in_place`): its strings
+/// are slices of the frame, owned only where the frame escapes a
+/// character. [`HeaderRef::into_owned`] makes it a [`Header`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HeaderRef<'a> {
+    /// Unique message id.
+    pub msg_id: Cow<'a, str>,
+    /// The client session that produced the message.
+    pub session: Cow<'a, str>,
+    /// Originating user.
+    pub username: Cow<'a, str>,
+    /// Message type.
+    pub msg_type: MsgType,
+    /// Protocol version.
+    pub version: Cow<'a, str>,
+    /// Send timestamp in microseconds of virtual time.
+    pub date_us: u64,
+}
+
+impl HeaderRef<'_> {
+    /// The owned header. The username and version are compared with this
+    /// crate's own before anything is owned, and are borrowed from the
+    /// constants when they match, so a header of this crate's owns only its
+    /// message id and session.
+    pub fn into_owned(self) -> Header {
+        Header {
+            msg_id: self.msg_id.into_owned(),
+            session: self.session.into_owned(),
+            username: intern(self.username, USERNAME),
+            msg_type: self.msg_type,
+            version: intern(self.version, PROTOCOL_VERSION),
+            date_us: self.date_us,
+        }
+    }
+}
+
+/// `text` borrowed from `constant` when the two are equal, else owned.
+fn intern(text: Cow<'_, str>, constant: &'static str) -> Cow<'static, str> {
+    if text == constant {
+        Cow::Borrowed(constant)
+    } else {
+        Cow::Owned(text.into_owned())
+    }
+}
+
+/// A header frame's fields as [`crate::wire::decode`] and
+/// `decode_in_place` read them, member by member, before the checks that
+/// make them a [`HeaderRef`]. What it accepts and each error it reports
+/// are the test-only `Header::from_json`'s on the parsed dict.
 #[derive(Debug, Default)]
-pub(crate) struct HeaderDraft {
-    msg_id: Option<String>,
-    session: Option<String>,
-    username: Option<String>,
-    msg_type: Option<String>,
-    version: Option<String>,
+pub(crate) struct HeaderDraft<'t> {
+    msg_id: Option<Cow<'t, str>>,
+    session: Option<Cow<'t, str>>,
+    username: Option<Cow<'t, str>>,
+    msg_type: Option<Cow<'t, str>>,
+    version: Option<Cow<'t, str>>,
     date_us: Option<u64>,
 }
 
-impl HeaderDraft {
+impl<'t> HeaderDraft<'t> {
     /// Takes in one member of the frame. As in the dict, a later duplicate
     /// replaces an earlier one, and a string field whose value is not a
-    /// string counts as missing.
-    pub(crate) fn set(&mut self, key: &str, value: Json) {
+    /// string counts as missing. The value of any other key is skipped.
+    pub(crate) fn set(&mut self, key: &str, value: Value<'_, 't>) {
         let field = match key {
             "date" => {
-                self.date_us = value.as_u64();
+                self.date_us = value.u64();
                 return;
             }
             "msg_id" => &mut self.msg_id,
@@ -240,16 +307,13 @@ impl HeaderDraft {
             "version" => &mut self.version,
             _ => return,
         };
-        *field = match value {
-            Json::Str(s) => Some(s),
-            _ => None,
-        };
+        *field = value.str();
     }
 
     /// The header, or the first missing or invalid field: a missing
     /// `msg_type`, then `msg_id`, `session` and `username`, then an unknown
     /// `msg_type`, then `version`. A `date` that is not a `u64` reads as 0.
-    pub(crate) fn finish(self) -> Result<Header, String> {
+    pub(crate) fn finish(self) -> Result<HeaderRef<'t>, String> {
         let missing = |k: &str| format!("header missing `{k}`");
         let raw_type = self.msg_type.ok_or_else(|| missing("msg_type"))?;
         let msg_id = self.msg_id.ok_or_else(|| missing("msg_id"))?;
@@ -257,7 +321,7 @@ impl HeaderDraft {
         let username = self.username.ok_or_else(|| missing("username"))?;
         let msg_type = MsgType::parse_wire(&raw_type)
             .ok_or_else(|| format!("unknown msg_type `{raw_type}`"))?;
-        Ok(Header {
+        Ok(HeaderRef {
             msg_id,
             session,
             username,
@@ -345,13 +409,13 @@ impl JupyterMessage {
 
     /// Sets the destination kernel id in metadata (used for routing).
     pub fn with_destination(mut self, kernel_id: &str) -> Self {
-        self.metadata = self.metadata.with("kernel_id", kernel_id);
+        self.metadata = self.metadata.with(DESTINATION_KEY, kernel_id);
         self
     }
 
     /// The destination kernel id, if present.
     pub fn destination(&self) -> Option<&str> {
-        self.metadata.get("kernel_id").and_then(Json::as_str)
+        self.metadata.get(DESTINATION_KEY).and_then(Json::as_str)
     }
 
     /// Attaches the GPU device ids allocated for this execution (§3.3: the
@@ -483,8 +547,8 @@ mod tests {
             for id in ids {
                 for date_us in [0, 99, 9_000_000_000_000_000, u64::MAX] {
                     let mut header = Header::new(id, id, msg_type, date_us);
-                    header.username = id.to_string();
-                    header.version = id.to_string();
+                    header.username = id.to_string().into();
+                    header.version = id.to_string().into();
                     let text = header.encode();
                     assert_eq!(text, header.to_json().encode());
                     let parsed = Header::from_json(Json::parse(&text).unwrap()).unwrap();

@@ -164,19 +164,8 @@ impl Router {
         let kernel_id = message
             .destination()
             .ok_or(RouteError::MissingDestination)?;
-        let route = self
-            .routes
-            .get(kernel_id)
-            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
-        if let Some(i) = designated_executor {
-            if i as usize >= route.replicas.len() {
-                return Err(RouteError::BadDesignation(i));
-            }
-        }
-        let Entry::Vacant(fan_in) = self.pending.entry(message.header.msg_id.clone()) else {
-            return Err(RouteError::DuplicateRequest(message.header.msg_id.clone()));
-        };
-        let copies: Vec<RoutedCopy> = route
+        let route = self.track(kernel_id, &message.header.msg_id, designated_executor)?;
+        Ok(route
             .replicas
             .iter()
             .enumerate()
@@ -192,9 +181,49 @@ impl Router {
                     },
                 }
             })
-            .collect();
-        fan_in.insert((copies.len(), None));
-        Ok(copies)
+            .collect())
+    }
+
+    /// [`Router::route_execute`] for a caller that read the request in
+    /// place and only counts its copies: starts tracking the fan-in of
+    /// request `msg_id` to `kernel_id`'s replicas and returns how many
+    /// copies go out.
+    ///
+    /// # Errors
+    ///
+    /// As [`Router::route_execute`] for a request that names `kernel_id`.
+    pub fn fan_out(
+        &mut self,
+        kernel_id: &str,
+        msg_id: &str,
+        designated_executor: Option<u32>,
+    ) -> Result<usize, RouteError> {
+        self.track(kernel_id, msg_id, designated_executor)
+            .map(|route| route.replicas.len())
+    }
+
+    /// Checks the route, the designation and the id, in that order, then
+    /// tracks the fan-in and returns the route; tracks nothing on an error.
+    fn track(
+        &mut self,
+        kernel_id: &str,
+        msg_id: &str,
+        designated_executor: Option<u32>,
+    ) -> Result<&KernelRoute, RouteError> {
+        let route = self
+            .routes
+            .get(kernel_id)
+            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
+        if let Some(i) = designated_executor {
+            if i as usize >= route.replicas.len() {
+                return Err(RouteError::BadDesignation(i));
+            }
+        }
+        let Entry::Vacant(fan_in) = self.pending.entry(msg_id.to_string()) else {
+            return Err(RouteError::DuplicateRequest(msg_id.to_string()));
+        };
+        fan_in.insert((route.replicas.len(), None));
+        Ok(route)
     }
 
     /// Accepts one replica's `execute_reply`. Returns the merged reply to

@@ -1,6 +1,7 @@
 //! Notebook sessions and deterministic message-id generation.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// A persistent notebook session: the long-lived working instance whose
 /// kernel maintains variables, imports, and other execution context (§2.1).
@@ -121,7 +122,11 @@ impl MsgIdGen {
     /// Produces the next unique id.
     pub fn next_id(&mut self) -> String {
         self.counter += 1;
-        format!("{}-{}", self.prefix, self.counter)
+        // Sized up front: `format!` starts small and grows, two allocations
+        // an id where one will do. A `u64` has at most 20 digits.
+        let mut id = String::with_capacity(self.prefix.len() + 21);
+        let _ = write!(id, "{}-{}", self.prefix, self.counter);
+        id
     }
 
     /// Uses up the next `n` ids without formatting them: the id

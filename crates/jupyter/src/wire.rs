@@ -36,19 +36,26 @@
 //! the chain leaves free. Only UTF-8 validation of each frame stays a pass
 //! of its own.
 //!
-//! `decode`'s verdicts keep their order: a bad signature outranks bad JSON,
-//! which outranks a bad header. A frame that is not UTF-8 or not JSON
-//! stops the parser partway, so that cold path signs the whole body again
-//! before it chooses its error, and nothing parsed from frames that fail
-//! the signature leaves `decode`.
+//! The verdicts keep one order, in one function (`read_signed`) that both
+//! [`decode`] and [`decode_in_place`] go through: a bad signature outranks
+//! bad JSON, which outranks a bad header. A frame that is not UTF-8 or not
+//! JSON stops the parser partway, so that cold path signs the whole body
+//! again before it chooses its error, and nothing read from frames that
+//! fail the signature leaves either decode.
 //!
 //! Above the signature's floor, a small message costs its heap
 //! allocations. A round trip served through `notebookos_core::LiveGateway`
-//! with an 11-byte cell made 128 and makes 76
-//! (`crates/core/tests/serve_allocations.rs` holds the count): the gateway
-//! builds one reply instead of R, and [`encode`] makes three (next
-//! section). Most of what is left is the client's request build and
-//! `decode`'s strings and JSON tree.
+//! with an 11-byte cell made 128, then 76, and makes 45
+//! (`crates/core/tests/serve_allocations.rs` counts each of its five steps
+//! and holds the total and the gateway's pump): the gateway builds one
+//! reply instead of R, [`encode`] makes three (next section), and the
+//! gateway reads each request in place and owns only its message id and
+//! session ("Reading in place"). What is left is mostly the client's: it
+//! builds each request as a [`JupyterMessage`] (14 allocations) and
+//! decodes each reply into one (11), a dict and an owned key for every
+//! member, because the perf ledger (`benchmark/`), frozen for now, builds
+//! and receives owned messages and reads `Json::Obj` as a map of `String`
+//! keys.
 //!
 //! # One buffer per message
 //!
@@ -64,18 +71,21 @@
 //! # Headers without the dict
 //!
 //! Around the signature, [`encode`] writes each header straight to its
-//! canonical text instead of building a dict per header, and [`decode`]
-//! reads the header and parent frames member by member into a draft of the
+//! canonical text instead of building a dict per header, and both decodes
+//! read the header and parent frames member by member into a draft of the
 //! six fields (`message::HeaderDraft`) through the parser's one object
-//! loop: a key is a slice of the frame unless it holds an escape, a string
-//! value moves into the draft, and an unknown key's value is parsed and
-//! dropped. No dict and no owned key is built, so a header frame costs its
-//! five value strings. With the dict, a header was most of a small
-//! message's decode: six owned keys and a tree node for five values. The
-//! ledger's `jupyter.wire.decode_ns` on `serve-small` (its request and its
-//! merged reply, which carries two headers, alternately) reads ≈1.19 µs a
-//! message against ≈1.86 µs with the dict (medians of six alternating
-//! traced runs each, 2-core Xeon VM).
+//! loop: a key is a slice of the frame unless it holds an escape, so is a
+//! string value, and an unknown key's value is checked and skipped. No
+//! dict, owned key or owned value is built: the draft becomes a
+//! [`HeaderRef`] of slices, and [`decode`] owns it
+//! ([`HeaderRef::into_owned`]) by copying the message id and session and
+//! borrowing the username and version from the protocol's constants when
+//! they are this crate's, so a header frame costs two strings. With the
+//! dict, a header was most of a small message's decode: six owned keys and
+//! a tree node for five values. The ledger's `jupyter.wire.decode_ns` on
+//! `serve-small` (its request and its merged reply, which carries two
+//! headers, alternately) read ≈1.19 µs a message against ≈1.86 µs with the
+//! dict (medians of six alternating traced runs each, 2-core Xeon VM).
 //!
 //! The draft's checks are the dict's: a later duplicate key wins, a string
 //! field whose value is not a string is missing, errors come in the dict's
@@ -83,11 +93,32 @@
 //! parent". `tests::differential` holds `decode` to parsing every frame to
 //! a tree and building each header with the test-only `Header::from_json`,
 //! over header and parent frames this crate never writes.
+//!
+//! # Reading in place
+//!
+//! A reader that wants a few fields of a message need not build it.
+//! [`decode_in_place`] makes [`decode`]'s checks, in its order and with its
+//! errors, but builds nothing: the headers come back as [`HeaderRef`]s,
+//! and each member of the metadata and content objects goes to a reader of
+//! the caller's, which borrows the value as a string, reads it as a
+//! number, or leaves it to be checked and skipped (`json`'s module docs,
+//! "Reading in place"). The gateway reads each request so: the session,
+//! the destination kernel and the duration are looked up as slices of the
+//! frames, the cell is skipped, and only an accepted request's message id
+//! and session are owned, for the reply that names it as parent. Its pump
+//! made 22 allocations a request and makes 6. On `serve-small`'s request
+//! the read in place takes ≈670 ns against ≈1 120 ns for [`decode`]
+//! (≈1 200 ns before headers were read as slices; the fastest of 10
+//! alternating runs of 7 × 200 000 calls, 2-core VM).
+//! `tests::differential` holds it to [`decode`]
+//! over messages this crate writes and frames it never writes: the same
+//! verdict and error, and on success the same identities, headers and
+//! member values, however each member is read.
 
 use bytes::Bytes;
 
-use crate::json::{parse_members_with, put, Absorb, Json, HEX};
-use crate::message::{HeaderDraft, JupyterMessage};
+use crate::json::{put, read_members_with, Absorb, Json, Value, HEX};
+use crate::message::{HeaderDraft, HeaderRef, JupyterMessage};
 
 /// The frame delimiter between routing identities and the message body.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
@@ -225,35 +256,80 @@ pub fn encode(identities: &[Bytes], message: &JupyterMessage, key: &[u8]) -> Vec
     frames
 }
 
-/// The body as [`decode`] reads it: the header and parent frames as drafts,
-/// checked only once the signature holds, the other two as JSON.
-struct Body {
-    header: HeaderDraft,
-    /// `None` for a parent frame that is an object with no members.
-    parent: Option<HeaderDraft>,
-    metadata: Json,
-    content: Json,
+/// A signed message read in place by [`decode_in_place`]: its identities
+/// and headers borrow from the frames. Metadata and content went to the
+/// caller's readers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MessageRef<'f> {
+    /// The routing identities before the delimiter.
+    pub identities: &'f [Bytes],
+    /// This message's header.
+    pub header: HeaderRef<'f>,
+    /// The request this message replies to, if any.
+    pub parent: Option<HeaderRef<'f>>,
 }
 
-/// Reads the four body frames in order, feeding `signer` every byte. On an
-/// error, `signer` has seen only part of the body.
-fn parse_signed(body: [&[u8]; 4], signer: &mut Signer) -> Result<Body, WireError> {
-    let [header, parent, metadata, content] = body;
-    Ok(Body {
+/// The checks every decode makes, in their order, around `body`, which
+/// reads the metadata and content frames: the framing, then the signature,
+/// then the JSON of all four body frames, then the two headers. Each body
+/// byte is verified as the parser reads it (module docs). A frame that does
+/// not parse stops the parser partway, so that cold path signs the whole
+/// body again: a bad signature outranks bad JSON, and nothing read from
+/// frames that fail the signature leaves this function.
+fn read_signed<'f, T>(
+    frames: &'f [Bytes],
+    key: &[u8],
+    body: impl FnOnce(&'f [u8], &'f [u8], &mut Signer) -> Result<T, WireError>,
+) -> Result<(MessageRef<'f>, T), WireError> {
+    let delim = frames
+        .iter()
+        .position(|f| f.as_ref() == DELIMITER)
+        .ok_or(WireError::MissingDelimiter)?;
+    if frames.len() < delim + 6 {
+        return Err(WireError::TooFewFrames);
+    }
+    let [signature, header, parent, metadata, content] = &frames[delim + 1..delim + 6] else {
+        unreachable!("a slice of five frames");
+    };
+    let mut signer = Signer::new(key);
+    let read = || {
         // An empty header has no fields and reports the first it lacks.
-        header: read_header(header, signer)?.unwrap_or_default(),
-        parent: read_header(parent, signer)?,
-        metadata: Json::parse_with(text(metadata)?, signer).map_err(bad_json)?,
-        content: Json::parse_with(text(content)?, signer).map_err(bad_json)?,
-    })
+        let header = read_header(header, &mut signer)?.unwrap_or_default();
+        let parent = read_header(parent, &mut signer)?;
+        Ok((header, parent, body(metadata, content, &mut signer)?))
+    };
+    let parsed = read();
+    let expected = if parsed.is_ok() {
+        signer.finish()
+    } else {
+        sign(key, &[header, parent, metadata, content])
+    };
+    if signature.as_ref() != expected {
+        return Err(WireError::BadSignature);
+    }
+    let (header, parent, body) = parsed?;
+    let header = header.finish().map_err(WireError::BadHeader)?;
+    let parent = parent
+        .map(HeaderDraft::finish)
+        .transpose()
+        .map_err(WireError::BadHeader)?;
+    let message = MessageRef {
+        identities: &frames[..delim],
+        header,
+        parent,
+    };
+    Ok((message, body))
 }
 
 /// Reads a header frame member by member into a draft, building no dict;
 /// `None` for an object with no members. Any other text, an array or a
 /// string too, is a draft with no fields.
-fn read_header(frame: &[u8], signer: &mut Signer) -> Result<Option<HeaderDraft>, WireError> {
+fn read_header<'f>(
+    frame: &'f [u8],
+    signer: &mut Signer,
+) -> Result<Option<HeaderDraft<'f>>, WireError> {
     let mut draft = HeaderDraft::default();
-    let members = parse_members_with(text(frame)?, signer, |key, value| draft.set(&key, value))
+    let members = read_members_with(text(frame)?, signer, |key, value| draft.set(key, value))
         .map_err(bad_json)?;
     Ok((members != Some(0)).then_some(draft))
 }
@@ -274,51 +350,46 @@ fn bad_json(e: impl std::fmt::Display) -> WireError {
 /// Returns a [`WireError`] when the framing, signature, or JSON parts are
 /// invalid.
 pub fn decode(frames: &[Bytes], key: &[u8]) -> Result<(Vec<Bytes>, JupyterMessage), WireError> {
-    let delim = frames
-        .iter()
-        .position(|f| f.as_ref() == DELIMITER)
-        .ok_or(WireError::MissingDelimiter)?;
-    if frames.len() < delim + 6 {
-        return Err(WireError::TooFewFrames);
-    }
-    let [signature, header, parent, metadata, content] = &frames[delim + 1..delim + 6] else {
-        unreachable!("a slice of five frames");
-    };
-    let body: [&[u8]; 4] = [header, parent, metadata, content];
-    // Each body byte is verified as the parser reads it (module docs). A
-    // frame that does not parse stops the parser partway, so that cold
-    // path signs the whole body again: a bad signature outranks bad JSON.
-    let mut signer = Signer::new(key);
-    let parsed = parse_signed(body, &mut signer);
-    let expected = if parsed.is_ok() {
-        signer.finish()
-    } else {
-        sign(key, &body)
-    };
-    if signature.as_ref() != expected {
-        return Err(WireError::BadSignature);
-    }
-    let Body {
-        header,
-        parent,
-        metadata,
-        content,
-    } = parsed?;
-    let header = header.finish().map_err(WireError::BadHeader)?;
-    let parent = parent
-        .map(HeaderDraft::finish)
-        .transpose()
-        .map_err(WireError::BadHeader)?;
-    let identities = frames[..delim].to_vec();
+    let parse =
+        |frame, signer: &mut Signer| Json::parse_with(text(frame)?, signer).map_err(bad_json);
+    let (message, (metadata, content)) = read_signed(frames, key, |metadata, content, signer| {
+        Ok((parse(metadata, signer)?, parse(content, signer)?))
+    })?;
     Ok((
-        identities,
+        message.identities.to_vec(),
         JupyterMessage {
-            header,
-            parent,
+            header: message.header.into_owned(),
+            parent: message.parent.map(HeaderRef::into_owned),
             metadata,
             content,
         },
     ))
+}
+
+/// [`decode`] without building the message (module docs, "Reading in
+/// place"): the headers' strings stay slices of the frames, and each member
+/// of the metadata and content objects goes to `metadata` and `content`,
+/// which take what they need from it as it is read. The checks, their
+/// order and the errors are [`decode`]'s.
+///
+/// The readers run before the signature is known: what they take is to be
+/// trusted only when this returns `Ok`.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_in_place<'f>(
+    frames: &'f [Bytes],
+    key: &[u8],
+    metadata: impl FnMut(&str, Value<'_, 'f>),
+    content: impl FnMut(&str, Value<'_, 'f>),
+) -> Result<MessageRef<'f>, WireError> {
+    let (message, ()) = read_signed(frames, key, |metadata_frame, content_frame, signer| {
+        read_members_with(text(metadata_frame)?, signer, metadata).map_err(bad_json)?;
+        read_members_with(text(content_frame)?, signer, content).map_err(bad_json)?;
+        Ok(())
+    })?;
+    Ok(message)
 }
 
 #[cfg(test)]
@@ -794,9 +865,9 @@ mod tests {
                 .prop_map(|(msg_id, session, username, t, version, date_us)| Header {
                     msg_id,
                     session,
-                    username,
+                    username: username.into(),
                     msg_type: TYPES[t],
-                    version,
+                    version: version.into(),
                     date_us,
                 })
         }
@@ -1000,6 +1071,222 @@ mod tests {
                 .prop_map(|(len, bytes)| bytes[..[0, 1, 40][len]].to_vec())
         }
 
+        /// Metadata members under the keys a request carries, keys it does
+        /// not, and the same keys spelled with escapes, any of them twice.
+        const METADATA_KEYS: [&str; 5] = ["kernel_id", "duration_us", "gpu_device_ids", "x", ""];
+
+        /// Values of every JSON type for a metadata member: durations that
+        /// are and are not a `u64` (fractional, negative, 2^64 and the last
+        /// `f64` below it), strings with and without escapes, escapes that
+        /// are not JSON, containers.
+        fn arb_metadata_value() -> impl Strategy<Value = String> {
+            const VALUES: [&str; 19] = [
+                "0",
+                "-0",
+                "10",
+                "1e3",
+                "1.5",
+                "2.5E-1",
+                "-1",
+                "18446744073709551616",
+                "18446744073709549568",
+                "null",
+                "true",
+                r#""kernel-1""#,
+                r#""kern\u002d1""#,
+                r#""bad \uzz12 hex""#,
+                r#""bad \q escape""#,
+                r#"["\ud83d\ude00", {"k\u00e9y": "\ud83dA"}]"#,
+                "[0, 1]",
+                "{}",
+                r#"{"kernel_id": "inner", "a": [null, {"duration_us": 5}]}"#,
+            ];
+            prop_oneof![
+                3 => (0..VALUES.len()).prop_map(|i| VALUES[i].to_string()),
+                1 => arb_text(8).prop_map(|s| quoted(&s)),
+                1 => (any::<u8>(), 0..2usize)
+                    .prop_map(|(escapes, v)| spell_key(["kernel-1", "kernel-s7"][v], escapes)),
+            ]
+        }
+
+        /// A metadata frame: an object of up to six such members, or, one
+        /// time in eight, a value that is not an object.
+        fn arb_metadata_text() -> impl Strategy<Value = String> {
+            let member = (0..METADATA_KEYS.len(), any::<u8>(), arb_metadata_value())
+                .prop_map(|(k, escapes, value)| (spell_key(METADATA_KEYS[k], escapes), value));
+            (
+                proptest::collection::vec(member, 0..7),
+                0..WS.len(),
+                0..NOT_OBJECTS.len() * 8,
+            )
+                .prop_map(|(members, ws, shape)| match NOT_OBJECTS.get(shape) {
+                    Some(other) => other.to_string(),
+                    None => object(&members, WS[ws]),
+                })
+        }
+
+        /// A content frame: a cell with escapes, the flags, and one time in
+        /// four a member nested just within [`MAX_DEPTH`] or just past it.
+        fn arb_content_text() -> impl Strategy<Value = String> {
+            (arb_text(40), any::<bool>(), 0..8usize).prop_map(|(cell, silent, deep)| {
+                let mut members = vec![
+                    (quoted("code"), quoted(&cell)),
+                    (quoted("silent"), silent.to_string()),
+                ];
+                // The content object is the first level.
+                if let Some(levels) = [MAX_DEPTH - 1, MAX_DEPTH].get(deep) {
+                    let nested = "[".repeat(*levels) + &"]".repeat(*levels);
+                    members.push((quoted("deep"), nested));
+                }
+                object(&members, "")
+            })
+        }
+
+        /// What is done to a signed body before it is sent.
+        #[derive(Debug, Clone, Copy)]
+        enum Damage {
+            None,
+            /// A byte that is never UTF-8 put into the frame.
+            NotUtf8(usize),
+            /// The frame cut short: no longer JSON, or still JSON when the
+            /// cut falls in trailing whitespace.
+            Cut(usize),
+            /// Text after the frame's value.
+            Trailing,
+        }
+
+        fn arb_damage() -> impl Strategy<Value = (Damage, usize)> {
+            let damage = prop_oneof![
+                4 => Just(Damage::None),
+                1 => any::<usize>().prop_map(Damage::NotUtf8),
+                1 => any::<usize>().prop_map(Damage::Cut),
+                1 => Just(Damage::Trailing),
+            ];
+            (damage, 0..4usize)
+        }
+
+        fn damaged(frame: &str, damage: Damage) -> Vec<u8> {
+            let mut bytes = frame.as_bytes().to_vec();
+            match damage {
+                Damage::None => {}
+                Damage::NotUtf8(at) => bytes.insert(at % (bytes.len() + 1), 0xff),
+                Damage::Cut(at) => bytes.truncate(at % (bytes.len() + 1)),
+                Damage::Trailing => bytes.extend_from_slice(b" x"),
+            }
+            bytes
+        }
+
+        /// How a test reads each member it is handed in place.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Take {
+            Str,
+            U64,
+            /// Takes nothing: the parser skips every value.
+            Nothing,
+            /// What the gateway takes: `kernel_id` as a string,
+            /// `duration_us` as a number, nothing else.
+            Gateway,
+        }
+
+        /// One member as read in place.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Took {
+            Str(Option<String>),
+            U64(Option<u64>),
+            Nothing,
+        }
+
+        /// `members` folded into a dict as the owned decode's objects are:
+        /// a later duplicate replaces an earlier one.
+        fn folded(members: Vec<(String, Took)>) -> BTreeMap<String, Took> {
+            members.into_iter().collect()
+        }
+
+        /// The members `take` would read from `value`, a parsed frame.
+        fn took_from_tree(value: &Json, take: Take) -> BTreeMap<String, Took> {
+            let Json::Obj(members) = value else {
+                return BTreeMap::new();
+            };
+            members
+                .iter()
+                .map(|(key, value)| {
+                    let took = match (take, key.as_str()) {
+                        (Take::Str, _) | (Take::Gateway, "kernel_id") => {
+                            Took::Str(value.as_str().map(String::from))
+                        }
+                        (Take::U64, _) | (Take::Gateway, "duration_us") => {
+                            Took::U64(value.as_u64())
+                        }
+                        _ => Took::Nothing,
+                    };
+                    (key.clone(), took)
+                })
+                .collect()
+        }
+
+        /// A reader for [`decode_in_place`] that takes each value as `take`
+        /// says and keeps what it took.
+        fn reader<'f>(
+            take: Take,
+            kept: &mut Vec<(String, Took)>,
+        ) -> impl FnMut(&str, Value<'_, 'f>) + '_ {
+            move |key, value| {
+                let took = match (take, key) {
+                    (Take::Str, _) | (Take::Gateway, "kernel_id") => {
+                        Took::Str(value.str().map(String::from))
+                    }
+                    (Take::U64, _) | (Take::Gateway, "duration_us") => Took::U64(value.u64()),
+                    _ => Took::Nothing,
+                };
+                kept.push((key.to_string(), took));
+            }
+        }
+
+        /// Holds [`decode_in_place`] to [`decode`] on `frames`, reading
+        /// every member in each [`Take`]: the same verdict and error, and
+        /// on success the same identities, headers, and member values.
+        fn in_place_agrees_with_decode(frames: &[Bytes], key: &[u8]) -> Result<(), TestCaseError> {
+            let owned = decode(frames, key);
+            for take in [Take::Str, Take::U64, Take::Nothing, Take::Gateway] {
+                let (mut metadata, mut content) = (Vec::new(), Vec::new());
+                let read = decode_in_place(
+                    frames,
+                    key,
+                    reader(take, &mut metadata),
+                    reader(take, &mut content),
+                );
+                match (&owned, read) {
+                    (Err(want), Err(got)) => prop_assert_eq!(&got, want, "{:?}", take),
+                    (Ok((identities, message)), Ok(read)) => {
+                        prop_assert_eq!(read.identities, &identities[..]);
+                        prop_assert_eq!(&read.header.into_owned(), &message.header);
+                        prop_assert_eq!(
+                            read.parent.map(HeaderRef::into_owned),
+                            message.parent.clone()
+                        );
+                        prop_assert_eq!(
+                            folded(metadata),
+                            took_from_tree(&message.metadata, take),
+                            "{:?}",
+                            take
+                        );
+                        prop_assert_eq!(
+                            folded(content),
+                            took_from_tree(&message.content, take),
+                            "{:?}",
+                            take
+                        );
+                    }
+                    (want, got) => {
+                        return Err(TestCaseError::fail(format!(
+                            "{take:?}: decode {want:?}, in place {got:?}"
+                        )))
+                    }
+                }
+            }
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1051,6 +1338,51 @@ mod tests {
                     let frames = signed_by_reference(signed_with, body);
                     prop_assert_eq!(decode(&frames, &key), reference_decode(&frames, &key));
                 }
+            }
+
+            /// The read in place is `decode` without the message: over
+            /// requests and replies this crate writes, and over frames it
+            /// never writes — foreign headers, metadata whose keys and
+            /// values are escaped, repeated, or not what they should be,
+            /// content nested to the depth limit and past it, a frame that
+            /// is not UTF-8 or not JSON, a signature by another key or with
+            /// a digit changed — every verdict, error and field agrees.
+            #[test]
+            fn the_read_in_place_agrees_with_decode(
+                message in arb_message(),
+                (header, own_header) in (arb_header_text(), any::<bool>()),
+                (parent, own_parent) in (arb_parent_text(), 0..3usize),
+                metadata in arb_metadata_text(),
+                content in arb_content_text(),
+                (damage, damaged_frame) in arb_damage(),
+                (signature, flip_at) in (0..6usize, any::<usize>()),
+                key in arb_key(),
+            ) {
+                let encoded = encode(&[Bytes::from_static(b"client-7")], &message, &key);
+                in_place_agrees_with_decode(&encoded, &key)?;
+                let own = |header: &Header| {
+                    let mut out = String::new();
+                    header.encode_with(&mut out, &mut ());
+                    out
+                };
+                let header = if own_header { own(&message.header) } else { header };
+                let parent = match (own_parent, &message.parent) {
+                    (0, Some(p)) => own(p),
+                    (1, _) => NO_PARENT.to_string(),
+                    _ => parent,
+                };
+                let mut body = [header, parent, metadata, content].map(String::into_bytes);
+                body[damaged_frame] =
+                    damaged(std::str::from_utf8(&body[damaged_frame]).unwrap(), damage);
+                let parts = [&body[0][..], &body[1], &body[2], &body[3]];
+                let mut frames = signed_by_reference(if signature == 0 { b"other-key" } else { &key }, parts);
+                if signature == 1 {
+                    let mut digits = frames[1].to_vec();
+                    let at = flip_at % digits.len();
+                    digits[at] = if digits[at] == b'0' { b'1' } else { b'0' };
+                    frames[1] = Bytes::from(digits);
+                }
+                in_place_agrees_with_decode(&frames, &key)?;
             }
         }
     }
