@@ -25,7 +25,9 @@ use std::collections::{HashMap, VecDeque};
 use notebookos_core::platform::REPLICATION_FACTOR;
 use notebookos_core::serve::{client_request, GatewayStats, LiveGateway};
 use notebookos_des::{Ranked, Scheduler, SimTime, DYNAMIC_RANK};
-use notebookos_jupyter::{Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint};
+use notebookos_jupyter::{
+    kernel_id_of, Json, KernelResourceSpec, MsgIdGen, ProvisionError, WireEndpoint,
+};
 use notebookos_metrics::Cdf;
 use notebookos_trace::{generate, Arrival, Arrivals, SyntheticConfig, WorkloadTrace};
 
@@ -273,10 +275,11 @@ fn cdf_json(cdf: &Cdf) -> Json {
         .with("neg", buckets(&mut cdf.negative_buckets()))
 }
 
-/// Per-user client state.
+/// Per-user client state. A user's session id is `user-{user}`, and its
+/// kernel's id is derived from that ([`kernel_id_of`]) when a request is
+/// built.
 #[derive(Debug, Default)]
 struct UserState {
-    kernel_id: String,
     active: bool,
     busy: bool,
     /// Cells submitted while one ran, by index.
@@ -396,8 +399,7 @@ fn serve_loop(
             ServeEv::SessionStart(user) => {
                 let session_id = format!("user-{user}");
                 match gateway.start_session(&session_id, trace.spec(user), now) {
-                    Ok(info) => {
-                        users[user].kernel_id = info.kernel_id;
+                    Ok(_) => {
                         users[user].active = true;
                         report.sessions_started += 1;
                         report.peak_sessions = report.peak_sessions.max(gateway.session_count());
@@ -532,7 +534,7 @@ fn submit_cell(
     let request = client_request(
         &msg_id,
         &session_id,
-        &users[user].kernel_id,
+        &kernel_id_of(&session_id),
         "model.fit()",
         duration,
         now,

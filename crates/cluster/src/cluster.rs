@@ -63,12 +63,16 @@
 //!
 //! Each move is a few word operations, independent of fleet size; an
 //! occupancy bit or a `subs` bit flips only when its bucket empties or
-//! fills. The grid grows by whole `S` rows to the highest level a host of
-//! the class has held (a few dozen: replicas × GPUs per replica), and a
-//! bitset to the highest id it has held. Neither gives capacity back, so
-//! in steady state a commit, release, subscribe or unsubscribe allocates
-//! nothing. `tests::index_equals_rebuild_after_every_typed_mutation` holds
-//! the result to a rebuild from the slab after every mutation.
+//! fills. The grid spans whole `S` rows up to the highest level a host of
+//! the class holds: it grows when a subscription reaches a new level, and
+//! an unsubscribe or removal that empties the top level drops the rows
+//! above the new top (a live gateway's 8 hosts reach thousands of levels at
+//! peak, and would otherwise keep every row for the rest of the run). A
+//! bitset keeps its capacity up to the highest id it has held, so in steady
+//! state a commit, release, subscribe or unsubscribe allocates nothing
+//! unless it takes a host to a new top level.
+//! `tests::index_equals_rebuild_after_every_typed_mutation` holds the
+//! result to a rebuild from the slab after every mutation.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -135,12 +139,15 @@ fn census_key(shape: &ResourceBundle) -> (u32, u64, u64) {
 /// hosts in a class share one capacity [`ResourceBundle`],
 /// hence one viability verdict per request, one SR denominator and
 /// `committed = G − idle` — which is what lets the `(idle, subscribed)`
-/// grid carry every order the queries read (module docs).
-#[derive(Debug, Clone)]
+/// grid carry every order the queries read (module docs). Equality is set
+/// equality: the grid and the counts span exactly the levels held
+/// ([`ShapeClass::trim`]), and [`IdSet`] compares as a set.
+#[derive(Debug, Clone, PartialEq)]
 struct ShapeClass {
     shape: ResourceBundle,
     /// `cells[S · (G + 1) + I]`: the hosts with `S` subscribed and `I` idle
-    /// GPUs. Grows by whole `S` rows and never shrinks.
+    /// GPUs. Grows by whole `S` rows and gives back the rows above the
+    /// highest `S` still held ([`ShapeClass::trim`]).
     cells: Vec<IdSet>,
     /// `occupied[I]`: the `S` whose `(I, S)` cell is non-empty; `G + 1`
     /// rows.
@@ -153,20 +160,6 @@ struct ShapeClass {
     /// round-robin rotation order within the class, with the subscription
     /// level at hand for the SR-cap check.
     by_id: BTreeMap<HostId, u64>,
-}
-
-/// Set equality: grid rows and counts past the highest level held are
-/// empty on one side and absent on the other, depending on how high a
-/// subscription once went, so they do not count.
-impl PartialEq for ShapeClass {
-    fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape
-            && self.by_id == other.by_id
-            && self.subs == other.subs
-            && self.occupied == other.occupied
-            && eq_padded(&self.per_sub, &other.per_sub)
-            && eq_padded(&self.cells, &other.cells)
-    }
 }
 
 /// Whether `a` and `b` agree where both are defined and the longer one
@@ -249,6 +242,15 @@ impl ShapeClass {
         if self.per_sub[s] == 0 {
             self.subs.remove(subscribed);
         }
+    }
+
+    /// Drops the grid rows and counts above the highest subscription level
+    /// a host of the class still holds; run once a move is complete, when
+    /// no host is indexed above that level.
+    fn trim(&mut self) {
+        let rows = self.subs.last().map_or(0, |top| top as usize + 1);
+        self.per_sub.truncate(rows);
+        self.cells.truncate(rows * self.occupied.len());
     }
 }
 
@@ -368,6 +370,8 @@ impl HostIndex {
         class.by_id.remove(&id);
         if class.by_id.is_empty() {
             self.classes.remove(slot);
+        } else {
+            class.trim();
         }
     }
 
@@ -396,6 +400,9 @@ impl HostIndex {
                 .by_id
                 .get_mut(&id)
                 .expect("indexed host is in its class's rotation") = new.subscribed;
+            if new.subscribed < old.subscribed {
+                class.trim();
+            }
         }
     }
 }
@@ -1819,6 +1826,7 @@ mod tests {
             let mut rebuilt = HostIndex::default();
             rebuilt.rebuild(&c.hosts);
             assert_eq!(c.index, rebuilt, "step {step}, kind {kind}");
+            assert_grid_spans_the_levels_held(&c, step);
         }
         assert!(
             applied.iter().all(|&n| n > 20),
@@ -1831,6 +1839,52 @@ mod tests {
                 .map(|&(_, g)| u64::from(g))
                 .sum::<u64>()
         );
+
+        // A storm: a few hosts climb hundreds of levels, then everything
+        // is unsubscribed in random order; the grid never spans a row
+        // above the highest level held.
+        let hosts: Vec<HostId> = c.hosts.iter().map(Host::id).take(6).collect();
+        for step in 4000..4600u64 {
+            let host = hosts[rng.index(hosts.len())];
+            let gpus = 1 + rng.below(4) as u32;
+            assert!(c.subscribe(host, &gpu_req(gpus)));
+            subscriptions.push((host, gpus));
+            assert_grid_spans_the_levels_held(&c, step);
+        }
+        let mut step = 4600;
+        while !subscriptions.is_empty() {
+            let (host, gpus) = subscriptions.swap_remove(rng.index(subscriptions.len()));
+            assert!(c.unsubscribe(host, &gpu_req(gpus)));
+            let mut rebuilt = HostIndex::default();
+            rebuilt.rebuild(&c.hosts);
+            assert_eq!(c.index, rebuilt, "step {step}, unsubscribe");
+            assert_grid_spans_the_levels_held(&c, step);
+            step += 1;
+        }
+        for class in &c.index.classes {
+            assert_eq!(
+                (class.cells.len(), class.per_sub.len()),
+                (class.occupied.len(), 1)
+            );
+        }
+    }
+
+    /// Each shape class's grid and counts span at most the levels up to the
+    /// highest one a host of the class holds.
+    fn assert_grid_spans_the_levels_held(c: &Cluster, step: u64) {
+        for class in &c.index.classes {
+            let rows = class
+                .by_id
+                .values()
+                .max()
+                .map_or(0, |&top| top as usize + 1);
+            assert!(
+                class.cells.len() <= rows * class.occupied.len() && class.per_sub.len() <= rows,
+                "step {step}: {} grid cells and {} counts for levels 0..{rows}",
+                class.cells.len(),
+                class.per_sub.len()
+            );
+        }
     }
 
     /// Index equality is set equality: grid rows, counts, `by_idle` rows
@@ -1851,7 +1905,8 @@ mod tests {
         }
         let mut rebuilt = HostIndex::default();
         rebuilt.rebuild(&c.hosts);
-        assert!(c.index.classes[0].cells.len() > rebuilt.classes[0].cells.len());
+        // The grid gave its rows back; `by_idle` keeps the wide hosts' rows.
+        assert_eq!(c.index.classes[0].cells, rebuilt.classes[0].cells);
         assert!(c.index.by_idle.len() > rebuilt.by_idle.len());
         assert_eq!(c.index, rebuilt);
         // …while a host in another cell does count.

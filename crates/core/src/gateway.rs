@@ -18,14 +18,13 @@ use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 use crate::policy::{place_replicas, PlacementPolicy};
 use crate::serve::GATEWAY_KEY;
 
-/// A created distributed kernel's placement record: what `shutdown`
-/// releases.
+/// A launched kernel's placement record: what `shutdown` releases.
 #[derive(Debug)]
 struct KernelPlacement {
     /// Host of each replica (index = replica index).
     replica_hosts: Vec<HostId>,
-    /// The original resource request.
-    request: ResourceRequest,
+    /// The kernel's resources.
+    spec: KernelResourceSpec,
 }
 
 /// Converts a Jupyter-facing resource spec to the cluster's request type.
@@ -38,19 +37,34 @@ pub(crate) fn request_of(spec: KernelResourceSpec) -> ResourceRequest {
     )
 }
 
+/// The connection info handed back for kernel `kernel_id` with replicas on
+/// `hosts`.
+pub(crate) fn connection_info(kernel_id: String, hosts: &[HostId]) -> ConnectionInfo {
+    ConnectionInfo {
+        kernel_id,
+        endpoints: hosts
+            .iter()
+            .enumerate()
+            .map(|(index, host)| format!("host-{host}:59{index}1"))
+            .collect(),
+        key: GATEWAY_KEY.to_vec(),
+    }
+}
+
 /// The Global Scheduler's kernel-creation front end.
 ///
-/// Owns kernel bookkeeping over its cluster view and places replicas
-/// through the same step as the DES platform; this type exposes it to
-/// external (Jupyter-facing) callers plus the tests.
+/// Places and releases kernels' replicas over its cluster view through the
+/// same step as the DES platform. [`GatewayProvisioner::launch`] and
+/// [`GatewayProvisioner::shutdown`] keep a placement record per kernel id;
+/// the live gateway keeps its own in each session's slot and places and
+/// releases without a key.
 #[derive(Debug)]
 pub struct GatewayProvisioner<P: PlacementPolicy> {
     cluster: Cluster,
     policy: P,
     replication_factor: u32,
     kernels: HashMap<String, KernelPlacement>,
-    /// Reusable placement-ranking buffer (the ranking is truncated to the
-    /// consumed prefix and copied into the kernel's placement record).
+    /// Reusable placement-ranking buffer: the last placement's hosts.
     rank_buf: Vec<HostId>,
 }
 
@@ -77,6 +91,44 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         self.kernels.len()
     }
 
+    /// Places an R-replica kernel of `spec`: ranks R hosts and subscribes
+    /// each. Returns the replica hosts (index = replica index), which the
+    /// caller records to [`GatewayProvisioner::release`] them later.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProvisionError::InsufficientResources`] for fewer than R
+    /// viable hosts; nothing changes then.
+    pub(crate) fn place(&mut self, spec: KernelResourceSpec) -> Result<&[HostId], ProvisionError> {
+        let placed = place_replicas(
+            &mut self.policy,
+            &mut self.cluster,
+            &request_of(spec),
+            self.replication_factor,
+            &mut self.rank_buf,
+        );
+        match placed {
+            Ok(()) => Ok(&self.rank_buf),
+            // §3.2.1: without R viable candidates the Global Scheduler
+            // invokes the scale-out handler; at this API layer the caller
+            // owns scale-out, so report the shortfall.
+            Err(found) => Err(ProvisionError::InsufficientResources(format!(
+                "need {} candidate hosts, found {found}",
+                self.replication_factor,
+            ))),
+        }
+    }
+
+    /// Releases the replicas [`GatewayProvisioner::place`] placed on
+    /// `hosts` for `spec`: unsubscribes each (a no-op for a host that
+    /// already left the cluster).
+    pub(crate) fn release(&mut self, hosts: &[HostId], spec: KernelResourceSpec) {
+        let request = request_of(spec);
+        for &host in hosts {
+            self.cluster.unsubscribe(host, &request);
+        }
+    }
+
     /// Launches a kernel with the given resources, returning its
     /// connection info and its replica hosts (index = replica index): the
     /// route-table entry a gateway registers.
@@ -94,43 +146,15 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
         if self.kernels.contains_key(kernel_id) {
             return Err(ProvisionError::DuplicateKernel(kernel_id.to_string()));
         }
-        let request = request_of(spec);
-        let mut rank_buf = std::mem::take(&mut self.rank_buf);
-        if let Err(found) = place_replicas(
-            &mut self.policy,
-            &mut self.cluster,
-            &request,
-            self.replication_factor,
-            &mut rank_buf,
-        ) {
-            // §3.2.1: without R viable candidates the Global Scheduler
-            // invokes the scale-out handler; at this API layer the caller
-            // owns scale-out, so report the shortfall.
-            self.rank_buf = rank_buf;
-            return Err(ProvisionError::InsufficientResources(format!(
-                "need {} candidate hosts, found {found}",
-                self.replication_factor,
-            )));
-        }
-        let endpoints = rank_buf
-            .iter()
-            .enumerate()
-            .map(|(index, host)| format!("host-{host}:59{index}1"))
-            .collect();
+        let hosts = self.place(spec)?.to_vec();
+        let info = connection_info(kernel_id.to_string(), &hosts);
         self.kernels.insert(
             kernel_id.to_string(),
             KernelPlacement {
-                replica_hosts: rank_buf.clone(),
-                request,
+                replica_hosts: hosts.clone(),
+                spec,
             },
         );
-        let hosts = rank_buf.clone();
-        self.rank_buf = rank_buf;
-        let info = ConnectionInfo {
-            kernel_id: kernel_id.to_string(),
-            endpoints,
-            key: GATEWAY_KEY.to_vec(),
-        };
         Ok((info, hosts))
     }
 
@@ -144,10 +168,7 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
             .kernels
             .remove(kernel_id)
             .ok_or_else(|| ProvisionError::UnknownKernel(kernel_id.to_string()))?;
-        for host in placement.replica_hosts {
-            // A no-op for hosts that already left the cluster.
-            self.cluster.unsubscribe(host, &placement.request);
-        }
+        self.release(&placement.replica_hosts, placement.spec);
         Ok(())
     }
 }

@@ -111,11 +111,11 @@ struct SessionRt {
     req: ResourceRequest,
     checkpoint_bytes: u64,
     dataset_bytes: u64,
-    /// Data-store key of this session's checkpointed state, prebuilt so
-    /// the per-cell persist path never formats a key.
-    state_key: String,
-    /// Data-store key of this session's inputs (parameters + dataset).
-    inputs_key: String,
+    /// This session's record of its inputs object in the data store, so
+    /// no read looks a key up: `None` until the first read writes it, then
+    /// whether it holds the dataset beside the parameters, which with the
+    /// two sizes above gives its size.
+    inputs_with_dataset: Option<bool>,
     active: bool,
     /// Reservation baseline: the host exclusively holding this session's
     /// resources for its whole lifetime.
@@ -239,13 +239,11 @@ impl Platform {
         let sessions = trace
             .sessions
             .iter()
-            .enumerate()
-            .map(|(i, s)| SessionRt {
+            .map(|s| SessionRt {
                 req: ResourceRequest::new(s.millicpus, s.memory_mb, s.gpus, s.vram_gb),
                 checkpoint_bytes: s.profile.checkpoint_bytes(),
                 dataset_bytes: s.profile.dataset.size_bytes,
-                state_key: format!("kernel-{i}/state"),
-                inputs_key: format!("kernel-{i}/inputs"),
+                inputs_with_dataset: None,
                 active: false,
                 reserved_host: None,
                 replica_hosts: Vec::new(),
@@ -1046,33 +1044,29 @@ impl Platform {
     /// Persists session `s`'s checkpointed state to the data store. Returns
     /// the write latency, which Fig. 11's "Writes" series records.
     fn persist_state(&mut self, s: usize) -> SimTime {
-        let session = &self.sessions[s];
-        let latency =
-            self.store
-                .write_keyed(&session.state_key, session.checkpoint_bytes, &mut self.rng);
+        let bytes = self.sessions[s].checkpoint_bytes;
+        let latency = self.store.write_sized(bytes, &mut self.rng);
         self.metrics.write_ms.record(latency.as_millis_f64());
         latency
     }
 
     /// Reads this session's inputs from the data store: parameters, plus
-    /// the dataset when `with_dataset`. Keys are prebuilt per session and
-    /// the keyed store entry points take them by reference, so the
-    /// per-cell read path performs no allocation.
+    /// the dataset when `with_dataset`. The first read writes the object
+    /// as it asks for it, and every later read reads what was written then.
     fn data_read(&mut self, s: usize, with_dataset: bool) -> SimTime {
-        let bytes = self.sessions[s].checkpoint_bytes
+        let session = &mut self.sessions[s];
+        let written = session.inputs_with_dataset.is_some();
+        let with_dataset = *session.inputs_with_dataset.get_or_insert(with_dataset);
+        let bytes = session.checkpoint_bytes
             + if with_dataset {
-                self.sessions[s].dataset_bytes
+                session.dataset_bytes
             } else {
                 0
             };
-        let key = &self.sessions[s].inputs_key;
-        if !self.store.contains(key) {
-            let _ = self.store.write_keyed(key, bytes, &mut self.rng);
+        if !written {
+            let _ = self.store.write_sized(bytes, &mut self.rng);
         }
-        let latency = self
-            .store
-            .read_keyed(key, &mut self.rng)
-            .expect("just written");
+        let latency = self.store.read_sized(bytes, &mut self.rng);
         self.metrics.read_ms.record(latency.as_millis_f64());
         latency
     }

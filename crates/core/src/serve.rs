@@ -2,9 +2,9 @@
 //! traffic.
 //!
 //! Everything below runs the *same* control plane the simulator models —
-//! [`GatewayProvisioner`] kernel creation (Fig. 4), [`Router`] fan-out and
-//! reply aggregation (Fig. 3/5), [`SessionManager`] bookkeeping — but fed
-//! by real, signed Jupyter wire messages arriving over a
+//! [`GatewayProvisioner`] kernel placement (Fig. 4), fan-out and reply
+//! aggregation (Fig. 3/5), [`SessionManager`] bookkeeping — but fed by
+//! real, signed Jupyter wire messages arriving over a
 //! [`notebookos_jupyter::WireEndpoint`] instead of by trace
 //! events. A driver (the `serve` bin's load generator, or a test) owns the
 //! scheduler: it pumps the gateway, learns which executions were accepted
@@ -22,18 +22,40 @@
 //! actual user code a production kernel would run. The wire protocol, the
 //! fan-out to R replicas, and the one-merged-reply-per-request contract
 //! are all real.
+//!
+//! # One slot per live session
+//!
+//! A live session is one [`SessionIdx`](notebookos_jupyter::SessionIdx), handed out by `start_session` from
+//! the [`SessionManager`]'s free-list slab. Its slot holds:
+//!
+//! * the session record: its id (one `Rc<str>`, shared with the id index),
+//!   its execution count and its last activity;
+//! * its kernel's route, which is also the placement record: the R replica
+//!   hosts, at `R · idx` in one flat column;
+//! * its kernel's resources, in a second column, for `end_session` to
+//!   release.
+//!
+//! The kernel's id is not stored: it is `kernel-{session}`
+//! ([`kernel_id_of`]), checked against a request's destination without
+//! being built. The pump resolves a request's session with one lookup and
+//! reads everything else from the slot. A request in flight is keyed once,
+//! by its `msg_id`, in one [`InFlight`] table whose fan-in holds what the
+//! reply is built from. Strings are built only where a frame is: the reply
+//! header's session and message id when the reply is encoded, the kernel id
+//! in the [`ConnectionInfo`] a start returns.
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
-use notebookos_cluster::{Cluster, ResourceBundle};
+use notebookos_cluster::{Cluster, HostId, ResourceBundle};
 use notebookos_des::SimTime;
 use notebookos_jupyter::message::DESTINATION_KEY;
 use notebookos_jupyter::{
-    wire_pair, Bytes, ConnectionInfo, Header, JupyterMessage, KernelResourceSpec, KernelRoute,
-    MsgIdGen, MsgType, ProvisionError, ReplyStatus, Router, SessionManager, WireEndpoint,
+    kernel_id_of, wire_pair, Bytes, ConnectionInfo, Header, HeaderRef, InFlight, JupyterMessage,
+    KernelResourceSpec, MsgIdGen, MsgType, ProvisionError, ReplyStatus, SessionManager,
+    WireEndpoint,
 };
 
-use crate::gateway::{request_of, GatewayProvisioner};
+use crate::gateway::{connection_info, request_of, GatewayProvisioner};
 use crate::policy::LeastLoaded;
 
 /// Metadata key carrying the simulated cell running time (µs) in an
@@ -73,16 +95,19 @@ pub struct GatewayStats {
     pub fan_out_copies: u64,
 }
 
-/// A fanned-out execution awaiting its completion deadline: what the
-/// replies are built from (the request's header — they name it as parent)
-/// and routed by, not the request itself.
+/// A fanned-out execution awaiting its completion deadline, kept with its
+/// fan-in: what the reply is built from and routed by.
 #[derive(Debug)]
 struct PendingExecution {
-    header: Header,
+    /// The request's header with its message id and session left empty:
+    /// the in-flight table's key is the one, `session` the other.
+    parent: Header,
+    /// The requesting session's id, shared with its slot: a reply still
+    /// names it after the session ends and its slot is taken again.
+    session: Rc<str>,
     identities: Vec<Bytes>,
     designated: u32,
     execution_count: u64,
-    replicas: usize,
 }
 
 /// The live gateway: Fig. 4's control plane plus Fig. 3/5's data plane,
@@ -95,12 +120,17 @@ struct PendingExecution {
 #[derive(Debug)]
 pub struct LiveGateway {
     provisioner: GatewayProvisioner<LeastLoaded>,
-    router: Router,
+    /// The session slab: one slot per live session (module docs).
     sessions: SessionManager,
+    /// Each slot's kernel route and placement record: its R replica hosts
+    /// at `R · idx`.
+    replicas: Vec<HostId>,
+    /// Each slot's kernel resources.
+    specs: Vec<KernelResourceSpec>,
+    in_flight: InFlight<PendingExecution>,
     reply_ids: MsgIdGen,
     endpoint: WireEndpoint,
     replication_factor: u32,
-    pending: HashMap<String, PendingExecution>,
     stats: GatewayStats,
 }
 
@@ -121,57 +151,61 @@ impl LiveGateway {
                     LeastLoaded::default(),
                     replication_factor,
                 ),
-                router: Router::new(),
                 sessions: SessionManager::new(),
+                replicas: Vec::new(),
+                specs: Vec::new(),
+                in_flight: InFlight::default(),
                 reply_ids: MsgIdGen::new("gw-reply"),
                 endpoint: server,
                 replication_factor,
-                pending: HashMap::new(),
                 stats: GatewayStats::default(),
             },
             client,
         )
     }
 
-    /// Starts a session: launches its distributed kernel through the
-    /// Fig. 4 control plane and registers the replica route.
+    /// Starts a session: places its distributed kernel through the Fig. 4
+    /// control plane and records the route in the session's slot.
     ///
     /// # Errors
     ///
-    /// Propagates the provisioner's placement shortfall when fewer than R
-    /// viable hosts exist.
+    /// Returns [`ProvisionError::DuplicateKernel`] for a session that is
+    /// already live, and propagates the provisioner's placement shortfall
+    /// when fewer than R viable hosts exist; nothing changes in either
+    /// case.
     pub fn start_session(
         &mut self,
         session_id: &str,
         spec: KernelResourceSpec,
         now: SimTime,
     ) -> Result<ConnectionInfo, ProvisionError> {
-        let kernel_id = format!("kernel-{session_id}");
-        let (info, replica_hosts) = self.provisioner.launch(&kernel_id, spec)?;
-        self.router.register(
-            &kernel_id,
-            KernelRoute {
-                // `HostId` doubles as the Local Scheduler id (one per
-                // GPU server).
-                replicas: replica_hosts,
-            },
-        );
-        self.sessions
-            .create(session_id, &kernel_id, now.as_micros());
-        Ok(info)
+        if self.sessions.find(session_id).is_some() {
+            return Err(ProvisionError::DuplicateKernel(kernel_id_of(session_id)));
+        }
+        let hosts = self.provisioner.place(spec)?;
+        let idx = self.sessions.create(session_id, now.as_micros());
+        // A slot the slab never handed out before is the next index, and
+        // extends the columns; a reused one overwrites its old entries.
+        let r = self.replication_factor as usize;
+        if idx.index() == self.specs.len() {
+            self.replicas.extend_from_slice(hosts);
+            self.specs.push(spec);
+        } else {
+            self.replicas[idx.index() * r..][..r].copy_from_slice(hosts);
+            self.specs[idx.index()] = spec;
+        }
+        Ok(connection_info(kernel_id_of(session_id), hosts))
     }
 
-    /// Ends a session: deregisters the route and releases the kernel's
+    /// Ends a session: frees its slot and releases its kernel's
     /// subscriptions. Unknown sessions are a no-op (`false`).
     pub fn end_session(&mut self, session_id: &str) -> bool {
-        let Some(session) = self.sessions.remove(session_id) else {
+        let Some((idx, _)) = self.sessions.remove(session_id) else {
             return false;
         };
-        self.router.deregister(&session.kernel_id);
-        // Always `Ok`: a session exists only once its kernel launched
-        // (`start_session`), and only here is it shut down.
-        let shut_down = self.provisioner.shutdown(&session.kernel_id);
-        debug_assert!(shut_down.is_ok(), "session kernels are live");
+        let r = self.replication_factor as usize;
+        let route = &self.replicas[idx.index() * r..][..r];
+        self.provisioner.release(route, self.specs[idx.index()]);
         true
     }
 
@@ -198,10 +232,10 @@ impl LiveGateway {
 
     /// Reads one request in place ([`WireEndpoint::read`]): its session,
     /// destination and duration are looked up as slices of its frames, and
-    /// only an accepted request's message id and session are owned, for the
-    /// reply that names it as parent. Validates first, mutates after: a
-    /// refused request leaves the session record, the rotation, the router
-    /// and `pending` as they were.
+    /// only an accepted request's message id is owned, once for the caller
+    /// and once as its in-flight key. Validates first, mutates after: a
+    /// refused request leaves the session's slot, the rotation and the
+    /// in-flight table as they were.
     fn accept(&mut self, frames: &[Bytes], now: SimTime) -> Option<AcceptedExecution> {
         let (mut destination, mut duration_us) = (None, None);
         let request = self
@@ -220,56 +254,63 @@ impl LiveGateway {
             return None;
         }
         let duration = SimTime::from_micros(duration_us?);
-        let session = self.sessions.get_mut(&request.header.session)?;
-        let kernel_id = destination?;
-        if *kernel_id != *session.kernel_id {
+        let idx = self.sessions.find(&request.header.session)?;
+        let session = self.sessions.slot(idx);
+        if !session.runs(&destination?) {
             return None;
         }
         // Rotate the designated executor across replicas — the live
         // stand-in for the §3.2.2 election the DES models in detail.
         let designated = (session.execution_count % u64::from(self.replication_factor)) as u32;
-        // The last check and the first change: the router tracks the fan-in
-        // only if the route exists and the `msg_id` is not already in flight.
-        let fan_out = self
-            .router
-            .fan_out(&kernel_id, &request.header.msg_id, Some(designated))
-            .ok()?;
-        let execution_count = session.record_execution(now.as_micros());
-        let header = request.header.into_owned();
-        let accepted = AcceptedExecution {
-            msg_id: header.msg_id.clone(),
+        let fan_out = self.replication_factor as usize;
+        let pending = PendingExecution {
+            session: Rc::clone(&session.id),
+            execution_count: session.execution_count + 1,
+            identities: request.identities.to_vec(),
+            designated,
+            parent: HeaderRef {
+                msg_id: "".into(),
+                session: "".into(),
+                ..request.header
+            }
+            .into_owned(),
+        };
+        let msg_id = request.header.msg_id;
+        // The last check and the first change: the fan-in starts only if
+        // the `msg_id` is not already in flight.
+        self.in_flight.begin(&msg_id, fan_out, pending).ok()?;
+        self.sessions
+            .slot_mut(idx)
+            .record_execution(now.as_micros());
+        Some(AcceptedExecution {
+            msg_id: msg_id.into_owned(),
             duration,
             fan_out,
-        };
-        self.pending.insert(
-            header.msg_id.clone(),
-            PendingExecution {
-                header,
-                identities: request.identities.to_vec(),
-                designated,
-                execution_count,
-                replicas: fan_out,
-            },
-        );
-        Some(accepted)
+        })
     }
 
     /// Completes an accepted execution (Fig. 5 step 8): every replica
-    /// answers, the router merges, and the merged reply goes back over the
+    /// answers, the fan-in merges, and the merged reply goes back over the
     /// wire. Only the designated executor's `execute_reply` is built; the
     /// R−1 followers' `ok` replies are counted, not built, since the
     /// executor's outranks them and they would be dropped on arrival
-    /// ([`Router::accept_followers`]). Each replica still uses up its reply
-    /// id, so the merged reply is named as if all R had been built. Returns
-    /// `false` for an unknown or already-completed `msg_id`.
+    /// ([`notebookos_jupyter::FanIn::accept_followers`]). Each replica
+    /// still uses up its reply id, so the merged reply is named as if all R
+    /// had been built. Returns `false` for an unknown or already-completed
+    /// `msg_id`.
     pub fn finish_execution(&mut self, msg_id: &str, now: SimTime) -> bool {
-        let Some(pending) = self.pending.remove(msg_id) else {
+        let Some((msg_id, mut fan_in, pending)) = self.in_flight.take(msg_id) else {
             return false;
         };
-        let followers = pending.replicas - 1;
+        let followers = self.replication_factor as usize - 1;
         let designated = u64::from(pending.designated);
         self.reply_ids.skip(designated);
-        let reply = pending.header.into_execute_reply(
+        let parent = Header {
+            msg_id,
+            session: pending.session.to_string(),
+            ..pending.parent
+        };
+        let reply = parent.into_execute_reply(
             self.reply_ids.next_id(),
             ReplyStatus::Ok,
             pending.execution_count,
@@ -277,10 +318,10 @@ impl LiveGateway {
             now.as_micros(),
         );
         self.reply_ids.skip(followers as u64 - designated);
-        if self.router.accept_followers(msg_id, followers).is_err() {
+        if !fan_in.accept_followers(followers) {
             return false;
         }
-        let Ok(Some(merged)) = self.router.accept_reply(reply) else {
+        let Some(merged) = fan_in.accept(reply) else {
             return false;
         };
         self.stats.replies += 1;
@@ -302,7 +343,7 @@ impl LiveGateway {
 
     /// Executions fanned out but not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.in_flight.len()
     }
 
     /// Cumulative serving counters.
@@ -354,7 +395,7 @@ mod tests {
         gw.start_session("s1", spec(), SimTime::ZERO)
             .expect("starts");
         assert_eq!(gw.session_count(), 1);
-        assert_eq!(gw.provisioner.kernel_count(), 1);
+        assert_eq!(gw.provisioner.cluster().total_subscribed_gpus(), 3);
 
         let req = client_request(
             "m1",
@@ -455,7 +496,7 @@ mod tests {
         assert!(gw.end_session("s1"));
         assert!(!gw.end_session("s1"), "second end is a no-op");
         assert_eq!(gw.session_count(), 0);
-        assert_eq!(gw.provisioner.kernel_count(), 0);
+        assert_eq!(gw.provisioner.cluster().total_subscribed_gpus(), 0);
         assert!(gw.viable_count(spec()) >= before);
     }
 
@@ -471,7 +512,7 @@ mod tests {
         assert_eq!((gw.stats().rejected, gw.in_flight()), (1, 0));
         // The same id starts again on a fresh kernel and counts from 1.
         gw.start_session("s1", spec(), at(2)).unwrap();
-        assert_eq!(gw.provisioner.kernel_count(), 1);
+        assert_eq!(gw.provisioner.cluster().total_subscribed_gpus(), 3);
         let again = request_to("m1", "s1", "kernel-s1", at(3));
         assert_eq!(complete(&mut gw, &mut client, &again, at(3)), (1, 0));
     }
@@ -542,30 +583,31 @@ mod tests {
     }
 
     /// `finish_execution` as it was before the followers were counted:
-    /// every replica's `execute_reply` built and handed to
-    /// `Router::accept_reply`. The reference the one-reply path is held to.
+    /// every replica's `execute_reply` built and handed to the fan-in. The
+    /// reference the one-reply path is held to.
     fn finish_execution_building_every_reply(
         gw: &mut LiveGateway,
         msg_id: &str,
         now: SimTime,
     ) -> bool {
-        let Some(pending) = gw.pending.remove(msg_id) else {
+        let Some((msg_id, mut fan_in, pending)) = gw.in_flight.take(msg_id) else {
             return false;
         };
+        let parent = Header {
+            msg_id,
+            session: pending.session.to_string(),
+            ..pending.parent
+        };
         let mut merged = None;
-        for replica in 0..pending.replicas as u32 {
-            let reply = pending.header.execute_reply(
+        for replica in 0..gw.replication_factor {
+            let reply = parent.execute_reply(
                 gw.reply_ids.next_id(),
                 ReplyStatus::Ok,
                 pending.execution_count,
                 replica == pending.designated,
                 now.as_micros(),
             );
-            match gw.router.accept_reply(reply) {
-                Ok(Some(m)) => merged = Some(m),
-                Ok(None) => {}
-                Err(_) => return false,
-            }
+            merged = fan_in.accept(reply);
         }
         let Some(merged) = merged else {
             return false;
@@ -652,35 +694,32 @@ mod tests {
         }
         let duration =
             SimTime::from_micros(message.metadata.get(DURATION_KEY).and_then(Json::as_u64)?);
-        let session = gw.sessions.get_mut(&message.header.session)?;
-        let kernel_id = message.destination()?;
-        if kernel_id != session.kernel_id {
+        let idx = gw.sessions.find(&message.header.session)?;
+        let session = gw.sessions.slot(idx);
+        if message.destination()? != kernel_id_of(&session.id) {
             return None;
         }
         let designated = (session.execution_count % u64::from(gw.replication_factor)) as u32;
-        let fan_out = gw
-            .router
-            .route_execute(&message, Some(designated))
-            .ok()?
-            .len();
-        let execution_count = session.record_execution(now.as_micros());
-        let header = message.header;
-        let accepted = AcceptedExecution {
-            msg_id: header.msg_id.clone(),
+        let fan_out = gw.replication_factor as usize;
+        let msg_id = message.header.msg_id.clone();
+        let pending = PendingExecution {
+            session: Rc::clone(&session.id),
+            execution_count: session.execution_count + 1,
+            identities,
+            designated,
+            parent: Header {
+                msg_id: String::new(),
+                session: String::new(),
+                ..message.header
+            },
+        };
+        gw.in_flight.begin(&msg_id, fan_out, pending).ok()?;
+        gw.sessions.slot_mut(idx).record_execution(now.as_micros());
+        Some(AcceptedExecution {
+            msg_id,
             duration,
             fan_out,
-        };
-        gw.pending.insert(
-            header.msg_id.clone(),
-            PendingExecution {
-                header,
-                identities,
-                designated,
-                execution_count,
-                replicas: fan_out,
-            },
-        );
-        Some(accepted)
+        })
     }
 
     /// Frames carrying `body` as it is, signed with `key` by the wire's

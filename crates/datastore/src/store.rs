@@ -6,10 +6,23 @@
 //! log entries carry [`ObjectPointer`]s that encode retrieval (§3.2.4:
 //! "Pointers in the Raft log encode data retrieval").
 //!
-//! The object map is read and written once or twice per simulated cell,
-//! always under a short prebuilt key (`kernel-<i>/state`), so it hashes
-//! keys a word at a time with `KeyHasher` rather than with SipHash. No
-//! result depends on the map's order: nothing walks it.
+//! # Two ways in, one body each
+//!
+//! A caller that keeps its own record of an object's size — the platform
+//! keeps each session's in the session's own slot — writes and reads it
+//! with [`DataStore::write_sized`] and [`DataStore::read_sized`]: no key,
+//! no hash, no lookup. Every other write and read is keyed
+//! ([`DataStore::write`], [`DataStore::write_keyed`], [`DataStore::read`],
+//! [`DataStore::read_keyed`]): it finds or records the object's size in
+//! the store's object map, then runs the same keyless body, so both ways
+//! draw the same latencies in the same RNG order and count the same
+//! [`StoreStats`].
+//!
+//! The keyed path's keys are short and chosen by the caller, not by an
+//! adversary (`kernel-<i>/…` in the examples and the perf ledger's probe),
+//! so the object map hashes them a word at a time with `KeyHasher` rather
+//! than with SipHash. No result depends on the map's order: nothing walks
+//! it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -128,10 +141,8 @@ impl DataStore {
         rng: &mut SimRng,
     ) -> (ObjectPointer, SimTime) {
         let key = key.into();
-        let latency = self.model.write_latency(size_bytes, rng);
         self.objects.insert(key.clone(), size_bytes);
-        self.stats.writes += 1;
-        self.stats.bytes_written += size_bytes;
+        let latency = self.write_sized(size_bytes, rng);
         (
             ObjectPointer {
                 key,
@@ -142,23 +153,26 @@ impl DataStore {
         )
     }
 
-    /// Allocation-free twin of [`DataStore::write`] for hot paths that
-    /// re-checkpoint the same key every cell: no [`ObjectPointer`] is
-    /// built and the key is only copied on first insertion. Samples the
-    /// same latency distribution in the same RNG order as
-    /// [`DataStore::write`], so the two are interchangeable without
-    /// perturbing a seeded simulation.
+    /// Allocation-free twin of [`DataStore::write`] for callers that
+    /// re-checkpoint the same key: no [`ObjectPointer`] is built and the
+    /// key is only copied on first insertion.
     pub fn write_keyed(&mut self, key: &str, size_bytes: u64, rng: &mut SimRng) -> SimTime {
-        let latency = self.model.write_latency(size_bytes, rng);
         match self.objects.get_mut(key) {
             Some(size) => *size = size_bytes,
             None => {
                 self.objects.insert(key.to_string(), size_bytes);
             }
         }
+        self.write_sized(size_bytes, rng)
+    }
+
+    /// Writes an object whose size the caller records itself (module docs,
+    /// "Two ways in, one body each"): samples the write latency and counts
+    /// the write. Every keyed write ends here.
+    pub fn write_sized(&mut self, size_bytes: u64, rng: &mut SimRng) -> SimTime {
         self.stats.writes += 1;
         self.stats.bytes_written += size_bytes;
-        latency
+        self.model.write_latency(size_bytes, rng)
     }
 
     /// Reads an object by pointer, returning the sampled latency.
@@ -185,9 +199,16 @@ impl DataStore {
             .objects
             .get(key)
             .ok_or_else(|| StoreError::NotFound(key.to_string()))?;
+        Ok(self.read_sized(size, rng))
+    }
+
+    /// Reads an object of `size_bytes` whose size the caller recorded when
+    /// it wrote it ([`DataStore::write_sized`]): samples the read latency
+    /// and counts the read. Every keyed read that finds its key ends here.
+    pub fn read_sized(&mut self, size_bytes: u64, rng: &mut SimRng) -> SimTime {
         self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        Ok(self.model.read_latency(size, rng))
+        self.stats.bytes_read += size_bytes;
+        self.model.read_latency(size_bytes, rng)
     }
 
     /// Deletes an object. Returns whether it existed.
@@ -260,8 +281,9 @@ mod tests {
         assert_eq!(store.stats().bytes_read, 200);
     }
 
-    /// The platform's key shapes hash apart, and their table-index bits
-    /// spread about as a random hash's would (70 % distinct here).
+    /// Keys shaped like the platform's (`kernel-<i>/…`) hash apart, and
+    /// their table-index bits spread about as a random hash's would (70 %
+    /// distinct here).
     #[test]
     fn platform_keys_hash_apart() {
         use std::hash::BuildHasher;
@@ -282,6 +304,37 @@ mod tests {
             "{} of {n} distinct low-17-bit indices",
             low.len()
         );
+    }
+
+    /// The keyless path is the keyed path without the map: over a mix of
+    /// sizes, first writes, overwrites and reads, both sample the same
+    /// latencies, count the same stats and leave the RNG at the same place.
+    #[test]
+    fn the_keyless_path_draws_and_counts_what_the_keyed_path_does() {
+        for kind in [BackendKind::Redis, BackendKind::S3, BackendKind::Hdfs] {
+            let mut keyed = DataStore::new(kind);
+            let mut keyless = DataStore::new(kind);
+            let (mut keyed_rng, mut keyless_rng) = (SimRng::seed(9), SimRng::seed(9));
+            let mut sizes = [0u64; 4];
+            for i in 0..400u64 {
+                let object = (i * 7 % 4) as usize;
+                let key = format!("kernel-{object}/state");
+                if i % 3 == 0 && sizes[object] > 0 {
+                    let want = keyed.read_keyed(&key, &mut keyed_rng).unwrap();
+                    let got = keyless.read_sized(sizes[object], &mut keyless_rng);
+                    assert_eq!(got, want, "{kind} read {i}");
+                } else {
+                    sizes[object] = 1 + i * 48_611 % 900_000_000;
+                    let want = keyed.write_keyed(&key, sizes[object], &mut keyed_rng);
+                    let got = keyless.write_sized(sizes[object], &mut keyless_rng);
+                    assert_eq!(got, want, "{kind} write {i}");
+                }
+                assert_eq!(keyless.stats(), keyed.stats(), "{kind} op {i}");
+            }
+            assert_eq!(keyless_rng.next_u64(), keyed_rng.next_u64(), "{kind}");
+            assert!(keyless.is_empty(), "the keyless path records nothing");
+            assert_eq!(keyed.len(), 4);
+        }
     }
 
     #[test]

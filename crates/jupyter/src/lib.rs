@@ -9,7 +9,8 @@
 //! * [`wire`] — ZMQ-style multipart framing with a keyed signature,
 //! * [`json`] — a from-scratch JSON codec (no offline serializer crates),
 //! * [`router`] — the Global Scheduler's fan-out/fan-in routing table,
-//! * [`session`] — persistent notebook sessions and message-id generation,
+//! * [`session`] — persistent notebook sessions, one slab slot each, and
+//!   message-id generation,
 //! * [`transport`] — an in-process duplex transport carrying signed frames,
 //! * [`provisioner`] — what a kernel launch through the Global Scheduler
 //!   takes and returns.
@@ -48,6 +49,6 @@ pub use bytes::Bytes;
 pub use json::Json;
 pub use message::{merge_replies, Header, HeaderRef, JupyterMessage, MsgType, ReplyStatus};
 pub use provisioner::{ConnectionInfo, KernelResourceSpec, ProvisionError};
-pub use router::{KernelRoute, LocalSchedulerId, RouteError, RoutedCopy, Router};
-pub use session::{MsgIdGen, Session, SessionManager};
+pub use router::{FanIn, InFlight, KernelRoute, LocalSchedulerId, RouteError, RoutedCopy, Router};
+pub use session::{kernel_id_of, MsgIdGen, Session, SessionIdx, SessionManager};
 pub use transport::{wire_pair, WireEndpoint};

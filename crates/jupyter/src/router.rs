@@ -16,14 +16,14 @@
 //! the caller. Whoever puts a copy on a wire materialises it there, once per
 //! destination: a Local Scheduler transport would take the request,
 //! [`JupyterMessage::to_yield_request`] for the descriptors that say so, and
-//! [`crate::wire::encode`]. The in-process live gateway has no such hop and
-//! counts the descriptors.
+//! [`crate::wire::encode`]. The in-process live gateway has no such hop: it
+//! keeps each kernel's route in the session's slot and counts the copies.
 //!
 //! # Fan-in by running winner
 //!
 //! [`Router::accept_reply`] owns each reply it is given, and a request's
-//! pending entry holds the replies still to come and the best one so far,
-//! not every reply: an arriving reply either replaces the best or is
+//! [`FanIn`] holds the replies still to come and the best one so far, not
+//! every reply: an arriving reply either replaces the best or is
 //! dropped on arrival, and the R-th hands the winner back by move: no `Vec`
 //! of R replies, no merge scan over it. The preference is
 //! [`merge_replies`](crate::merge_replies)'s, written once in `message.rs`,
@@ -39,6 +39,14 @@
 //! dropped on arrival. It refuses a count that would complete the fan-in,
 //! so the reply that completes it is always a real one and the merged reply
 //! always exists.
+//!
+//! # One table of requests in flight
+//!
+//! [`InFlight`] keys each request in flight once, by its `msg_id`, to its
+//! fan-in and to whatever the request's owner keeps with it. The router
+//! keeps nothing there; the live gateway keeps what it builds the merged
+//! reply from, so a request it serves is tracked in this one table and
+//! [`InFlight::take`] hands its id back when the reply is built.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -105,13 +113,100 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// The Global Scheduler's router.
+/// One request's fan-in (module docs, "Fan-in by running winner"): the
+/// replies still to come and the preferred reply so far.
+#[derive(Debug)]
+pub struct FanIn {
+    remaining: usize,
+    best: Option<JupyterMessage>,
+}
+
+impl FanIn {
+    /// Takes one reply: the merged reply if it was the last to come, else
+    /// `None`.
+    pub fn accept(&mut self, reply: JupyterMessage) -> Option<JupyterMessage> {
+        keep_preferred(&mut self.best, reply);
+        self.remaining = self.remaining.saturating_sub(1);
+        if self.remaining == 0 {
+            self.best.take()
+        } else {
+            None
+        }
+    }
+
+    /// Counts `count` replies without taking them (module docs, "Followers
+    /// counted, not built"). Refuses, changing nothing, a count that would
+    /// leave no reply to come.
+    pub fn accept_followers(&mut self, count: usize) -> bool {
+        if count >= self.remaining {
+            return false;
+        }
+        self.remaining -= count;
+        true
+    }
+}
+
+/// The requests in flight, keyed once by `msg_id`: each one's [`FanIn`],
+/// and whatever its owner keeps with the request until the merged reply
+/// goes back (the router keeps nothing; the live gateway keeps what it
+/// builds the reply from).
+#[derive(Debug)]
+pub struct InFlight<T> {
+    requests: HashMap<String, (FanIn, T)>,
+}
+
+impl<T> Default for InFlight<T> {
+    fn default() -> Self {
+        InFlight {
+            requests: HashMap::new(),
+        }
+    }
+}
+
+impl<T> InFlight<T> {
+    /// Starts the fan-in of request `msg_id` to `replicas` replicas,
+    /// keeping `held` with it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::DuplicateRequest`], and tracks nothing, if
+    /// `msg_id` is already in flight.
+    pub fn begin(&mut self, msg_id: &str, replicas: usize, held: T) -> Result<(), RouteError> {
+        let Entry::Vacant(slot) = self.requests.entry(msg_id.to_string()) else {
+            return Err(RouteError::DuplicateRequest(msg_id.to_string()));
+        };
+        let fan_in = FanIn {
+            remaining: replicas,
+            best: None,
+        };
+        slot.insert((fan_in, held));
+        Ok(())
+    }
+
+    /// Stops tracking request `msg_id`, handing back its id, its fan-in and
+    /// what was kept with it.
+    pub fn take(&mut self, msg_id: &str) -> Option<(String, FanIn, T)> {
+        let (id, (fan_in, held)) = self.requests.remove_entry(msg_id)?;
+        Some((id, fan_in, held))
+    }
+
+    /// Requests in flight.
+    pub fn len(&self) -> usize {
+        self.requests.len()
+    }
+
+    /// Whether no request is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.requests.is_empty()
+    }
+}
+
+/// The Global Scheduler's router: kernel routes by kernel id, and the
+/// fan-in of each routed request.
 #[derive(Debug, Default)]
 pub struct Router {
     routes: HashMap<String, KernelRoute>,
-    /// Pending fan-ins: request msg_id → (replies still to come, the
-    /// preferred reply so far).
-    pending: HashMap<String, (usize, Option<JupyterMessage>)>,
+    pending: InFlight<()>,
 }
 
 impl Router {
@@ -123,23 +218,6 @@ impl Router {
     /// Registers (or replaces) the route for `kernel_id`.
     pub fn register(&mut self, kernel_id: impl Into<String>, route: KernelRoute) {
         self.routes.insert(kernel_id.into(), route);
-    }
-
-    /// Removes a kernel's route (kernel shutdown). Returns whether it
-    /// existed.
-    pub fn deregister(&mut self, kernel_id: &str) -> bool {
-        self.routes.remove(kernel_id).is_some()
-    }
-
-    /// Number of registered kernels.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether no kernels are registered.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 
     /// Fans an `execute_request` out to every replica (Fig. 3 step 3).
@@ -155,7 +233,7 @@ impl Router {
     ///
     /// Returns [`RouteError`] if the destination is missing/unknown, the
     /// designation is out of range, or the request's id is already in
-    /// flight; nothing is tracked in that case.
+    /// flight, checked in that order; nothing is tracked in that case.
     pub fn route_execute(
         &mut self,
         message: &JupyterMessage,
@@ -164,7 +242,17 @@ impl Router {
         let kernel_id = message
             .destination()
             .ok_or(RouteError::MissingDestination)?;
-        let route = self.track(kernel_id, &message.header.msg_id, designated_executor)?;
+        let route = self
+            .routes
+            .get(kernel_id)
+            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
+        if let Some(i) = designated_executor {
+            if i as usize >= route.replicas.len() {
+                return Err(RouteError::BadDesignation(i));
+            }
+        }
+        self.pending
+            .begin(&message.header.msg_id, route.replicas.len(), ())?;
         Ok(route
             .replicas
             .iter()
@@ -182,48 +270,6 @@ impl Router {
                 }
             })
             .collect())
-    }
-
-    /// [`Router::route_execute`] for a caller that read the request in
-    /// place and only counts its copies: starts tracking the fan-in of
-    /// request `msg_id` to `kernel_id`'s replicas and returns how many
-    /// copies go out.
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::route_execute`] for a request that names `kernel_id`.
-    pub fn fan_out(
-        &mut self,
-        kernel_id: &str,
-        msg_id: &str,
-        designated_executor: Option<u32>,
-    ) -> Result<usize, RouteError> {
-        self.track(kernel_id, msg_id, designated_executor)
-            .map(|route| route.replicas.len())
-    }
-
-    /// Checks the route, the designation and the id, in that order, then
-    /// tracks the fan-in and returns the route; tracks nothing on an error.
-    fn track(
-        &mut self,
-        kernel_id: &str,
-        msg_id: &str,
-        designated_executor: Option<u32>,
-    ) -> Result<&KernelRoute, RouteError> {
-        let route = self
-            .routes
-            .get(kernel_id)
-            .ok_or_else(|| RouteError::UnknownKernel(kernel_id.to_string()))?;
-        if let Some(i) = designated_executor {
-            if i as usize >= route.replicas.len() {
-                return Err(RouteError::BadDesignation(i));
-            }
-        }
-        let Entry::Vacant(fan_in) = self.pending.entry(msg_id.to_string()) else {
-            return Err(RouteError::DuplicateRequest(msg_id.to_string()));
-        };
-        fan_in.insert((route.replicas.len(), None));
-        Ok(route)
     }
 
     /// Accepts one replica's `execute_reply`. Returns the merged reply to
@@ -245,17 +291,15 @@ impl Router {
         else {
             return Err(RouteError::UnknownRequest(reply.header.msg_id));
         };
-        let Some((remaining, best)) = self.pending.get_mut(&parent.msg_id) else {
+        let requests = &mut self.pending.requests;
+        let Some((fan_in, ())) = requests.get_mut(&parent.msg_id) else {
             return Err(RouteError::UnknownRequest(parent.msg_id.clone()));
         };
-        if *remaining > 1 {
-            *remaining -= 1;
-            keep_preferred(best, reply);
-            return Ok(None);
+        if fan_in.remaining > 1 {
+            return Ok(fan_in.accept(reply));
         }
-        let (_, mut best) = self.pending.remove(&parent.msg_id).expect("just present");
-        keep_preferred(&mut best, reply);
-        Ok(best)
+        let (mut fan_in, ()) = requests.remove(&parent.msg_id).expect("just present");
+        Ok(fan_in.accept(reply))
     }
 
     /// Counts `count` replies toward the fan-in of request `request_id`
@@ -270,14 +314,14 @@ impl Router {
     /// not tracking, and [`RouteError::FanInOverrun`] for a count that
     /// would leave no reply to come; the fan-in is unchanged in both cases.
     pub fn accept_followers(&mut self, request_id: &str, count: usize) -> Result<(), RouteError> {
-        let Some((remaining, _)) = self.pending.get_mut(request_id) else {
+        let Some((fan_in, ())) = self.pending.requests.get_mut(request_id) else {
             return Err(RouteError::UnknownRequest(request_id.to_string()));
         };
-        if count >= *remaining {
-            return Err(RouteError::FanInOverrun(request_id.to_string()));
+        if fan_in.accept_followers(count) {
+            Ok(())
+        } else {
+            Err(RouteError::FanInOverrun(request_id.to_string()))
         }
-        *remaining -= count;
-        Ok(())
     }
 }
 
@@ -508,15 +552,6 @@ mod tests {
         r.route_execute(&request(), None).unwrap();
         let not_reply = request();
         assert!(r.accept_reply(not_reply).is_err());
-    }
-
-    #[test]
-    fn deregister_removes_route() {
-        let mut r = router();
-        assert!(r.deregister("kernel-1"));
-        assert!(!r.deregister("kernel-1"));
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
     }
 
     #[test]

@@ -1,21 +1,52 @@
 //! Notebook sessions and deterministic message-id generation.
+//!
+//! # One slot per live session
+//!
+//! [`SessionManager`] keeps each live session in one slot of a slab and
+//! names it by the slot's index, a [`SessionIdx`]. A session's id is
+//! owned once: the slot and the id → slot index share one `Rc<str>`. Its
+//! kernel's id is not stored at all: it is [`kernel_id_of`] the session's.
+//! An ended session's slot goes on a free list and the next session to
+//! start takes it, so the slab spans the most sessions ever live at once,
+//! not every session ever started. Callers keep their own per-session
+//! columns (the gateway keeps each kernel's route and resources) at the
+//! same index.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
+
+/// What a session's kernel id adds before the session id.
+const KERNEL_PREFIX: &str = "kernel-";
+
+/// The id of session `session_id`'s kernel: `kernel-{session_id}`.
+pub fn kernel_id_of(session_id: &str) -> String {
+    [KERNEL_PREFIX, session_id].concat()
+}
+
+/// The index of a live session's slot in its [`SessionManager`]: valid
+/// from [`SessionManager::create`] until the session is removed, after
+/// which a later session may be given the same index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionIdx(u32);
+
+impl SessionIdx {
+    /// The slot's position, for indexing a caller's own columns.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A persistent notebook session: the long-lived working instance whose
 /// kernel maintains variables, imports, and other execution context (§2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Session {
-    /// The session's unique id.
-    pub id: String,
-    /// The backing (distributed) kernel's id.
-    pub kernel_id: String,
+    /// The session's unique id, shared with the manager's id index.
+    pub id: Rc<str>,
     /// Number of cell executions completed so far.
     pub execution_count: u64,
-    /// Creation time (µs of virtual time).
-    pub created_us: u64,
-    /// Last client activity (µs of virtual time).
+    /// Last client activity (µs of virtual time); the creation time until
+    /// the first execution.
     pub last_activity_us: u64,
 }
 
@@ -27,12 +58,22 @@ impl Session {
         self.execution_count += 1;
         self.execution_count
     }
+
+    /// Whether `kernel_id` names this session's kernel
+    /// ([`kernel_id_of`] its id), compared without building it.
+    pub fn runs(&self, kernel_id: &str) -> bool {
+        kernel_id.strip_prefix(KERNEL_PREFIX) == Some(&*self.id)
+    }
 }
 
-/// Tracks the set of live sessions for a Jupyter Server.
+/// Tracks the set of live sessions for a Jupyter Server, one slot each
+/// (module docs, "One slot per live session").
 #[derive(Debug, Default)]
 pub struct SessionManager {
-    sessions: HashMap<String, Session>,
+    /// The slab: `None` marks a free slot, listed in `free`.
+    slots: Vec<Option<Session>>,
+    free: Vec<SessionIdx>,
+    by_id: HashMap<Rc<str>, SessionIdx>,
 }
 
 impl SessionManager {
@@ -41,62 +82,90 @@ impl SessionManager {
         SessionManager::default()
     }
 
-    /// Registers a session bound to `kernel_id`.
+    /// Registers session `id`, in a free slot if there is one, and returns
+    /// its slot.
     ///
     /// # Panics
     ///
-    /// Panics if the session id is already registered.
-    pub fn create(
-        &mut self,
-        id: impl Into<String>,
-        kernel_id: impl Into<String>,
-        now_us: u64,
-    ) -> &Session {
-        let id = id.into();
+    /// Panics if the session id is already registered, or if more than
+    /// `u32::MAX` sessions are live at once.
+    pub fn create(&mut self, id: &str, now_us: u64) -> SessionIdx {
         assert!(
-            !self.sessions.contains_key(&id),
+            !self.by_id.contains_key(id),
             "session `{id}` already exists"
         );
+        let id: Rc<str> = Rc::from(id);
         let session = Session {
-            id: id.clone(),
-            kernel_id: kernel_id.into(),
+            id: Rc::clone(&id),
             execution_count: 0,
-            created_us: now_us,
             last_activity_us: now_us,
         };
-        self.sessions.insert(id.clone(), session);
-        &self.sessions[&id]
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx.index()] = Some(session);
+                idx
+            }
+            None => {
+                let idx = SessionIdx(u32::try_from(self.slots.len()).expect("u32 slots"));
+                self.slots.push(Some(session));
+                idx
+            }
+        };
+        self.by_id.insert(id, idx);
+        idx
+    }
+
+    /// The slot of live session `id`.
+    pub fn find(&self, id: &str) -> Option<SessionIdx> {
+        self.by_id.get(id).copied()
     }
 
     /// Looks up a session.
     pub fn get(&self, id: &str) -> Option<&Session> {
-        self.sessions.get(id)
+        self.find(id).map(|idx| self.slot(idx))
     }
 
-    /// Looks up a session to change it.
-    pub fn get_mut(&mut self, id: &str) -> Option<&mut Session> {
-        self.sessions.get_mut(id)
+    /// The session in slot `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free: `idx` outlived its session.
+    pub fn slot(&self, idx: SessionIdx) -> &Session {
+        self.slots[idx.index()]
+            .as_ref()
+            .expect("a live session's slot")
     }
 
-    /// [`Session::record_execution`] on session `id`. Returns the new
-    /// count, or `None` for unknown sessions.
-    pub fn record_execution(&mut self, id: &str, now_us: u64) -> Option<u64> {
-        Some(self.sessions.get_mut(id)?.record_execution(now_us))
+    /// The session in slot `idx`, to change it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SessionManager::slot`].
+    pub fn slot_mut(&mut self, idx: SessionIdx) -> &mut Session {
+        self.slots[idx.index()]
+            .as_mut()
+            .expect("a live session's slot")
     }
 
-    /// Removes a session, returning it if it existed.
-    pub fn remove(&mut self, id: &str) -> Option<Session> {
-        self.sessions.remove(id)
+    /// Removes a session, returning the slot it held (now free) and the
+    /// session, if it existed.
+    pub fn remove(&mut self, id: &str) -> Option<(SessionIdx, Session)> {
+        let idx = self.by_id.remove(id)?;
+        let session = self.slots[idx.index()]
+            .take()
+            .expect("an indexed slot is live");
+        self.free.push(idx);
+        Some((idx, session))
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.sessions.len()
+        self.by_id.len()
     }
 
     /// Whether no sessions are live.
     pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.by_id.is_empty()
     }
 }
 
@@ -144,8 +213,15 @@ mod tests {
     #[test]
     fn create_and_lookup() {
         let mut m = SessionManager::new();
-        m.create("s1", "k1", 100);
-        assert_eq!(m.get("s1").unwrap().kernel_id, "k1");
+        let idx = m.create("s1", 100);
+        assert_eq!(m.find("s1"), Some(idx));
+        let session = m.get("s1").unwrap();
+        assert_eq!((&*session.id, session.last_activity_us), ("s1", 100));
+        assert!(session.runs("kernel-s1"));
+        assert_eq!(kernel_id_of("s1"), "kernel-s1");
+        for other in ["kernel-s2", "kernel-s", "kernel-s10", "s1", "kernel_s1", ""] {
+            assert!(!session.runs(other), "{other}");
+        }
         assert_eq!(m.len(), 1);
         assert!(m.get("nope").is_none());
     }
@@ -154,27 +230,49 @@ mod tests {
     #[should_panic(expected = "already exists")]
     fn duplicate_session_panics() {
         let mut m = SessionManager::new();
-        m.create("s1", "k1", 0);
-        m.create("s1", "k2", 0);
+        m.create("s1", 0);
+        m.create("s1", 0);
     }
 
     #[test]
     fn execution_bumps_activity() {
         let mut m = SessionManager::new();
-        m.create("s1", "k1", 0);
-        assert_eq!(m.record_execution("s1", 500), Some(1));
-        assert_eq!(m.record_execution("s1", 900), Some(2));
+        let idx = m.create("s1", 0);
+        assert_eq!(m.slot_mut(idx).record_execution(500), 1);
+        assert_eq!(m.slot_mut(idx).record_execution(900), 2);
         assert_eq!(m.get("s1").unwrap().last_activity_us, 900);
-        assert_eq!(m.record_execution("ghost", 900), None);
+        assert_eq!(m.slot(idx).execution_count, 2);
     }
 
     #[test]
     fn remove_returns_session() {
         let mut m = SessionManager::new();
-        m.create("s1", "k1", 0);
-        assert!(m.remove("s1").is_some());
+        let idx = m.create("s1", 0);
+        let (freed, session) = m.remove("s1").unwrap();
+        assert_eq!((freed, &*session.id), (idx, "s1"));
         assert!(m.remove("s1").is_none());
         assert!(m.is_empty());
+    }
+
+    /// Ended sessions' slots are taken again, most recently freed first,
+    /// and the slab spans only the most sessions live at once.
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut m = SessionManager::new();
+        let ids: Vec<SessionIdx> = (0..4).map(|i| m.create(&format!("s{i}"), 0)).collect();
+        assert_eq!(
+            ids.iter().map(|i| i.index()).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        m.remove("s1");
+        m.remove("s3");
+        assert_eq!(m.create("t0", 5), ids[3]);
+        assert_eq!(m.create("t1", 5), ids[1]);
+        assert_eq!(m.create("t2", 5).index(), 4);
+        assert_eq!(m.slots.len(), 5);
+        assert_eq!(m.slot(ids[1]).id.as_ref(), "t1");
+        assert_eq!(m.find("s1"), None);
+        assert_eq!((m.len(), m.get("s2").unwrap().execution_count), (5, 0));
     }
 
     #[test]

@@ -342,11 +342,39 @@ pub fn generate_with_profile(
             events,
         });
     }
-    sessions.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).expect("finite"));
+    sort_by_start(&mut sessions);
     for (i, s) in sessions.iter_mut().enumerate() {
         s.id = i as u64;
     }
     WorkloadTrace { sessions }
+}
+
+/// Orders sessions by start instant, ties in generation order (what a
+/// stable sort by `start_s` gives). Sorts `(start_s, index)` keys, then
+/// walks the cycles of that permutation with one swap per position: at
+/// most one swap per session, where a merge sort moves each session
+/// about log n times.
+fn sort_by_start(sessions: &mut [SessionTrace]) {
+    let mut order: Vec<(f64, usize)> = sessions
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.start_s, i))
+        .collect();
+    order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+    // `from[k]`: where the session that belongs at `k` is before the
+    // moves. Each cycle is walked once; a visited position points at
+    // itself.
+    let mut from: Vec<usize> = order.into_iter().map(|(_, i)| i).collect();
+    for start in 0..from.len() {
+        let mut k = start;
+        while from[k] != start {
+            let next = from[k];
+            sessions.swap(k, next);
+            from[k] = k;
+            k = next;
+        }
+        from[k] = k;
+    }
 }
 
 /// Samples standalone `(duration, iat)` streams from a profile — used for
@@ -535,6 +563,29 @@ mod tests {
         let sessions = trace.active_sessions_timeline();
         assert!(sessions.max_value() <= 433.0);
         assert!(sessions.value_at(cfg.span_s * 0.999) > 350.0);
+    }
+
+    /// The key sort and the cycle moves order sessions as the stable sort
+    /// by start did, ties in generation order, on starts drawn from a few
+    /// values so that most of them tie.
+    #[test]
+    fn sorting_keys_orders_sessions_as_the_stable_sort_did() {
+        let mut rng = SimRng::seed(11);
+        let template = generate(&SyntheticConfig::smoke(), 1).sessions[0].clone();
+        for n in [0, 1, 2, 7, 64, 1000] {
+            let mut sessions: Vec<SessionTrace> = (0..n)
+                .map(|i| SessionTrace {
+                    id: i as u64,
+                    start_s: rng.below(1 + n as u64 / 8) as f64,
+                    ..template.clone()
+                })
+                .collect();
+            let mut stable = sessions.clone();
+            stable.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).expect("finite"));
+            sort_by_start(&mut sessions);
+            let ids = |v: &[SessionTrace]| v.iter().map(|s| s.id).collect::<Vec<_>>();
+            assert_eq!(ids(&sessions), ids(&stable), "{n} sessions");
+        }
     }
 
     #[test]

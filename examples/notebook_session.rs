@@ -11,21 +11,21 @@ use notebookos::core::ast::analyze_cell;
 use notebookos::datastore::{BackendKind, DataStore};
 use notebookos::des::SimRng;
 use notebookos::jupyter::{
-    merge_replies, wire, JupyterMessage, MsgIdGen, ReplyStatus, SessionManager,
+    kernel_id_of, merge_replies, wire, JupyterMessage, MsgIdGen, ReplyStatus, SessionManager,
 };
 
 fn main() {
     let key = b"notebookos-demo-key";
     let mut ids = MsgIdGen::new("client");
     let mut sessions = SessionManager::new();
-    sessions.create("sess-1", "kernel-1", 0);
+    let session = sessions.create("sess-1", 0);
 
     // 1. The client submits a training cell.
     let code = "model = VGG16()\nhistory = model.fit(train_data, epochs=2)\nacc = history.best\n";
     let request = JupyterMessage::execute_request(ids.next_id(), "sess-1", code, 1_000)
-        .with_destination("kernel-1")
+        .with_destination(&kernel_id_of("sess-1"))
         .with_gpu_device_ids(&[0, 1]);
-    sessions.record_execution("sess-1", 1_000);
+    sessions.slot_mut(session).record_execution(1_000);
 
     // 2. It crosses the wire to the Global Scheduler.
     let frames = wire::encode(&[], &request, key);
