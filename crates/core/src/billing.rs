@@ -28,8 +28,10 @@ pub struct BillingMeter {
     // tracked in host-equivalents (fractional for heterogeneous fleets).
     hosts: f64,
     standby_replicas: u32,
-    active_gpus: u64,
-    reserved_gpus: u64,
+    // GPU counts are `u32`, so `f64::from` converts them exactly in one
+    // instruction (a `u64` cast takes several on baseline x86-64).
+    active_gpus: u32,
+    reserved_gpus: u32,
 }
 
 impl BillingMeter {
@@ -68,8 +70,9 @@ impl BillingMeter {
         // training replicas in proportion to GPUs used, and (Reservation)
         // reserved GPUs in proportion to the reservation.
         self.revenue_usd += f64::from(self.standby_replicas) * user * STANDBY_FRACTION * hours;
-        self.revenue_usd += self.active_gpus as f64 / f64::from(self.host_gpus) * user * hours;
-        self.revenue_usd += self.reserved_gpus as f64 / f64::from(self.host_gpus) * user * hours;
+        self.revenue_usd += f64::from(self.active_gpus) / f64::from(self.host_gpus) * user * hours;
+        self.revenue_usd +=
+            f64::from(self.reserved_gpus) / f64::from(self.host_gpus) * user * hours;
     }
 
     /// Updates the provisioned fleet in *host-equivalents* — total fleet
@@ -89,14 +92,14 @@ impl BillingMeter {
     }
 
     /// Updates the number of GPUs actively used by executing replicas.
-    pub fn set_active_gpus(&mut self, now_s: f64, gpus: u64) {
+    pub fn set_active_gpus(&mut self, now_s: f64, gpus: u32) {
         self.accrue(now_s);
         self.active_gpus = gpus;
     }
 
     /// Updates the number of GPUs held by full-lifetime reservations
     /// (Reservation baseline only).
-    pub fn set_reserved_gpus(&mut self, now_s: f64, gpus: u64) {
+    pub fn set_reserved_gpus(&mut self, now_s: f64, gpus: u32) {
         self.accrue(now_s);
         self.reserved_gpus = gpus;
     }
@@ -176,8 +179,9 @@ mod tests {
         assert_eq!(empty.totals(100.0), (0.0, 0.0));
     }
 
-    /// `BillingMeter` as it was before it skipped zero-length intervals:
-    /// every rate change accrues, however short the interval.
+    /// `BillingMeter` as it was before it skipped zero-length intervals
+    /// and before its GPU counts were `u32`: every rate change accrues,
+    /// however short the interval, and a count converts as a `u64` cast.
     struct EveryCallMeter(BillingMeter);
 
     impl EveryCallMeter {
@@ -189,8 +193,9 @@ mod tests {
             let user = base * USER_MULTIPLIER;
             m.cost_usd += m.hosts * base * hours;
             m.revenue_usd += f64::from(m.standby_replicas) * user * STANDBY_FRACTION * hours;
-            m.revenue_usd += m.active_gpus as f64 / f64::from(m.host_gpus) * user * hours;
-            m.revenue_usd += m.reserved_gpus as f64 / f64::from(m.host_gpus) * user * hours;
+            let (active, reserved) = (u64::from(m.active_gpus), u64::from(m.reserved_gpus));
+            m.revenue_usd += active as f64 / f64::from(m.host_gpus) * user * hours;
+            m.revenue_usd += reserved as f64 / f64::from(m.host_gpus) * user * hours;
         }
     }
 
@@ -208,6 +213,12 @@ mod tests {
                     now += rng.next_f64() * 100.0;
                 }
                 let value = rng.below(40);
+                // Half the GPU counts span all of `u32`.
+                let gpus = if step % 8 < 4 {
+                    value as u32
+                } else {
+                    rng.next_u64() as u32
+                };
                 reference.accrue(now);
                 let r = &mut reference.0;
                 match step % 4 {
@@ -220,12 +231,12 @@ mod tests {
                         r.standby_replicas = value as u32;
                     }
                     2 => {
-                        fast.set_active_gpus(now, value);
-                        r.active_gpus = value;
+                        fast.set_active_gpus(now, gpus);
+                        r.active_gpus = gpus;
                     }
                     _ => {
-                        fast.set_reserved_gpus(now, value);
-                        r.reserved_gpus = value;
+                        fast.set_reserved_gpus(now, gpus);
+                        r.reserved_gpus = gpus;
                     }
                 }
                 if step % 97 == 0 {

@@ -15,6 +15,7 @@ use notebookos_cluster::{
     Cluster, Host, HostId, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
 };
 use notebookos_datastore::{BackendKind, DataStore};
+use notebookos_des::time::{f64_to_u64, u64_to_f64};
 use notebookos_des::{DesScheduler, Ranked, Scheduler, SimRng, SimTime, DYNAMIC_RANK};
 use notebookos_trace::{Arrival, Arrivals, WorkloadTrace};
 
@@ -50,27 +51,30 @@ const MIGRATION_MAX_RETRIES: u32 = 8;
 /// [`Ranked::rank`] ahead of every other event due at the same instant
 /// (see [`Platform`]).
 ///
-/// A cell is `(s, e)`: cell `e` of session `s`. An event carries only what
-/// the trace does not hold, so a cell's submission instant and running
-/// time are read from the trace, never copied into the queue (32 bytes an
+/// A cell is `(s, e)`: cell `e` of session `s`, both `u32` (the trace
+/// fits, [`Platform::new`] checks). An event carries only what the trace
+/// and the platform do not hold, so a cell's submission instant and
+/// running time are read from the trace and a new host's shape from the
+/// platform's shape table, never copied into the queue (24 bytes an
 /// event).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field meanings documented on each variant
 pub enum Ev {
     /// A user session (notebook) starts.
-    SessionStart(usize),
+    SessionStart(u32),
     /// A user session terminates.
-    SessionEnd(usize),
+    SessionEnd(u32),
     /// The client submits cell `e` of session `s`. `retry` is set on every
     /// submission the platform re-issues (a retry, a queued cell, a wait
     /// for replication or a kernel), which is not an arrival.
-    CellSubmit { s: usize, e: usize, retry: bool },
+    CellSubmit { s: u32, e: u32, retry: bool },
     /// Cell `e` of session `s` finishes executing on `host`.
-    ExecFinish { s: usize, e: usize, host: HostId },
+    ExecFinish { s: u32, e: u32, host: HostId },
     /// Retry a failed migration of cell `e` of session `s` (§3.2.3).
-    MigrationRetry { s: usize, e: usize },
-    /// A scale-out completes: one new host of the carried shape joins.
-    HostReady(ResourceBundle),
+    MigrationRetry { s: u32, e: u32 },
+    /// A scale-out completes: one new host joins, of the shape at this
+    /// index of the platform's shape table.
+    HostReady(u32),
     /// Periodic auto-scaler evaluation (§3.4.2).
     AutoscaleTick,
     /// Periodic pre-warm deficit reconciliation (opt-in via
@@ -89,11 +93,11 @@ pub enum Ev {
 impl Ranked for Ev {
     fn rank(&self) -> u64 {
         match *self {
-            Ev::SessionStart(s) => Arrival::Start(s).rank(),
-            Ev::SessionEnd(s) => Arrival::End(s).rank(),
+            Ev::SessionStart(s) => Arrival::Start(s as usize).rank(),
+            Ev::SessionEnd(s) => Arrival::End(s as usize).rank(),
             Ev::CellSubmit {
                 s, e, retry: false, ..
-            } => Arrival::Cell(s, e).rank(),
+            } => Arrival::Cell(s as usize, e as usize).rank(),
             _ => DYNAMIC_RANK,
         }
     }
@@ -102,7 +106,27 @@ impl Ranked for Ev {
 /// Cell `e` of session `s` as the platform re-issues it (not a trace
 /// arrival).
 fn resubmit(s: usize, e: usize) -> Ev {
-    Ev::CellSubmit { s, e, retry: true }
+    Ev::CellSubmit {
+        s: ix(s),
+        e: ix(e),
+        retry: true,
+    }
+}
+
+/// The retry of a failed migration of cell `e` of session `s`.
+fn migration_retry(s: usize, e: usize) -> Ev {
+    Ev::MigrationRetry { s: ix(s), e: ix(e) }
+}
+
+/// A session or cell index as an event carries it: lossless, since
+/// [`Platform::new`] refuses a trace whose indices do not fit a `u32`.
+fn ix(i: usize) -> u32 {
+    i as u32
+}
+
+/// A GPU count as the billing meter takes it.
+fn gpus(count: u64) -> u32 {
+    u32::try_from(count).expect("GPU count fits u32")
 }
 
 /// Runtime state of one session.
@@ -188,8 +212,13 @@ pub struct Platform {
     gpus_in_flight: u64,
     /// The auto-scaler deciding scale-out and scale-in.
     elasticity: Elasticity,
-    /// Shapes scale-out may provision, ascending by GPU count.
+    /// Shapes scale-out may provision, ascending by GPU count (the
+    /// auto-scaler's catalog), then any other shape it provisioned (the
+    /// reference shape, when a mixed fleet's catalog lacks it). An
+    /// [`Ev::HostReady`] names its shape by index here.
     shape_catalog: Vec<ResourceBundle>,
+    /// How many of `shape_catalog`'s shapes are the catalog.
+    catalog_len: usize,
     placement: Box<dyn PlacementPolicy + Send>,
     billing: BillingMeter,
     standby_replicas: i64,
@@ -222,12 +251,18 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, or if a session's cells are
+    /// Panics if the configuration is invalid, if a session's cells are
     /// not sorted by submission time or precede its start (the order
     /// [`SessionTrace::events`](notebookos_trace::SessionTrace::events)
-    /// documents).
+    /// documents), or if the trace holds 2^32 sessions or a session 2^32
+    /// cells (an [`Ev`] carries both indices as `u32`).
     pub fn new(config: PlatformConfig, trace: WorkloadTrace) -> Self {
         config.validate().expect("invalid platform config");
+        let fits = |n: usize| u32::try_from(n).is_ok();
+        assert!(
+            fits(trace.sessions.len()) && trace.sessions.iter().all(|s| fits(s.events.len())),
+            "session and cell indices must fit u32"
+        );
         let arrivals = Arrivals::new(&trace, 1.0);
         let cluster = if config.host_mix.is_empty() {
             Cluster::with_hosts(config.initial_hosts as usize, ResourceBundle::p3_16xlarge())
@@ -255,7 +290,7 @@ impl Platform {
                 migration_retries: 0,
             })
             .collect();
-        let horizon_us = (trace.span_s() * 1e6) as u64;
+        let horizon_us = f64_to_u64(trace.span_s() * 1e6);
         let billing = BillingMeter::new(ResourceBundle::p3_16xlarge().gpus);
         let placement: Box<dyn PlacementPolicy + Send> = match config.placement {
             PlacementKind::LeastLoaded => Box::new(LeastLoaded::default()),
@@ -292,6 +327,7 @@ impl Platform {
             hosts_in_flight: 0,
             gpus_in_flight: 0,
             elasticity,
+            catalog_len: shape_catalog.len(),
             shape_catalog,
             billing,
             standby_replicas: 0,
@@ -399,17 +435,21 @@ impl Platform {
             return;
         };
         let event = match arrival {
-            Arrival::Start(s) => Ev::SessionStart(s),
-            Arrival::End(s) => Ev::SessionEnd(s),
-            Arrival::Cell(s, e) => Ev::CellSubmit { s, e, retry: false },
+            Arrival::Start(s) => Ev::SessionStart(ix(s)),
+            Arrival::End(s) => Ev::SessionEnd(ix(s)),
+            Arrival::Cell(s, e) => Ev::CellSubmit {
+                s: ix(s),
+                e: ix(e),
+                retry: false,
+            },
         };
         sched.schedule(at, event);
     }
 
-    /// When the client submitted cell `e` of session `s`, in µs: the
-    /// trace's own instant, however often the platform re-issued the cell.
-    fn submit_us(&self, s: usize, e: usize) -> u64 {
-        (self.trace.sessions[s].events[e].submit_s * 1e6) as u64
+    /// When the client submitted cell `e` of session `s`: the trace's own
+    /// instant, however often the platform re-issued the cell.
+    fn submitted(&self, s: usize, e: usize) -> SimTime {
+        SimTime::from_micros(f64_to_u64(self.trace.sessions[s].events[e].submit_s * 1e6))
     }
 
     fn schedule_ticks(&mut self, sched: &mut dyn Scheduler<Ev>) {
@@ -503,7 +543,7 @@ impl Platform {
     /// in proportion to their capacity. Autoscaler scale-out targets are
     /// computed in the same unit (it always adds p3.16xlarge hosts).
     fn host_equivalents(&self) -> f64 {
-        self.cluster.total_gpus() as f64 / f64::from(ResourceBundle::p3_16xlarge().gpus)
+        u64_to_f64(self.cluster.total_gpus()) / f64::from(ResourceBundle::p3_16xlarge().gpus)
     }
 
     fn refresh_fleet_billing(&mut self, now_s: f64) {
@@ -513,9 +553,11 @@ impl Platform {
 
     fn refresh_provisioned_gauge(&mut self, now_s: f64) {
         let provisioned = match self.config.policy {
-            PolicyKind::Reservation => self.reserved_host_gpus as f64,
-            PolicyKind::Batch => self.cluster.total_committed_gpus() as f64,
-            PolicyKind::NotebookOs | PolicyKind::NotebookOsLcp => self.cluster.total_gpus() as f64,
+            PolicyKind::Reservation => u64_to_f64(self.reserved_host_gpus),
+            PolicyKind::Batch => u64_to_f64(self.cluster.total_committed_gpus()),
+            PolicyKind::NotebookOs | PolicyKind::NotebookOsLcp => {
+                u64_to_f64(self.cluster.total_gpus())
+            }
         };
         self.metrics.provisioned_gpus.set(now_s, provisioned);
     }
@@ -528,7 +570,7 @@ impl Platform {
         // Under Reservation the cluster's commitments *are* the lifetime
         // reservations, which the reserved-GPU meter already bills.
         if self.config.policy != PolicyKind::Reservation {
-            self.billing.set_active_gpus(now_s, committed);
+            self.billing.set_active_gpus(now_s, gpus(committed));
         }
         if self.config.policy == PolicyKind::Batch {
             self.refresh_provisioned_gauge(now_s);
@@ -545,8 +587,8 @@ impl Platform {
     fn refresh_reserved_gauge(&mut self, now_s: f64) {
         // An integer total is exact in `f64`: the same bit pattern as
         // summing `f64::from(gpus)` over the active sessions, in any order.
-        let reserved = self.active_gpus;
-        self.metrics.reserved_gpus.set(now_s, reserved as f64);
+        let reserved = gpus(self.active_gpus);
+        self.metrics.reserved_gpus.set(now_s, f64::from(reserved));
         if self.config.policy == PolicyKind::Reservation {
             self.billing.set_reserved_gpus(now_s, reserved);
         }
@@ -735,12 +777,17 @@ impl Platform {
         sched: &mut dyn Scheduler<Ev>,
     ) {
         let start = now + pre_exec_delay;
-        let interactivity_ms = start.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
+        let interactivity_ms = start.saturating_sub(self.submitted(s, e)).as_millis_f64();
         self.metrics.interactivity_ms.record(interactivity_ms);
         self.training_gpus += i64::from(self.sessions[s].req.gpus);
         self.refresh_committed_gauge(now.as_secs_f64());
         let duration = SimTime::from_secs_f64(self.trace.sessions[s].events[e].duration_s);
-        sched.schedule(start + duration, Ev::ExecFinish { s, e, host });
+        let finish = Ev::ExecFinish {
+            s: ix(s),
+            e: ix(e),
+            host,
+        };
+        sched.schedule(start + duration, finish);
         self.metrics
             .breakdown
             .record_step(Step::Execute, duration.as_millis_f64());
@@ -792,7 +839,7 @@ impl Platform {
                 .record_step(Step::KernelPreprocess, pre.as_millis_f64());
             let cold = self.provisioning.cold_container_start(&mut self.rng);
             self.metrics.counters.cold_starts += 1;
-            let queue_wait_ms = now.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
+            let queue_wait_ms = now.saturating_sub(self.submitted(s, e)).as_millis_f64();
             self.metrics.breakdown.record_step(
                 Step::GlobalSchedulerRequest,
                 queue_wait_ms + cold.as_millis_f64(),
@@ -901,7 +948,7 @@ impl Platform {
                     .record_step(Step::PrimaryReplicaProtocol, yield_round.as_millis_f64());
                 // The migration starts once the all-yield round commits;
                 // route through the queue so virtual time stays monotone.
-                sched.schedule(now + yield_round, Ev::MigrationRetry { s, e });
+                sched.schedule(now + yield_round, migration_retry(s, e));
             }
         }
     }
@@ -935,7 +982,7 @@ impl Platform {
             self.trigger_scale_out(now, 1, req, sched);
             sched.schedule_in(
                 SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
-                Ev::MigrationRetry { s, e },
+                migration_retry(s, e),
             );
             return;
         };
@@ -985,7 +1032,7 @@ impl Platform {
             // The window closed while we migrated; retry.
             sched.schedule_in(
                 SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
-                Ev::MigrationRetry { s, e },
+                migration_retry(s, e),
             );
             return;
         }
@@ -1161,7 +1208,7 @@ impl Platform {
     }
 
     fn record_tct(&mut self, s: usize, e: usize, done: SimTime) {
-        let tct_ms = done.as_micros().saturating_sub(self.submit_us(s, e)) as f64 / 1e3;
+        let tct_ms = done.saturating_sub(self.submitted(s, e)).as_millis_f64();
         self.metrics.tct_ms.record(tct_ms);
         self.metrics.breakdown.record_end_to_end(tct_ms);
     }
@@ -1196,7 +1243,7 @@ impl Platform {
             cluster: &self.cluster,
             autoscale: &self.config.autoscale,
             sr_target: self.config.policy.sr_target(),
-            shape_catalog: &self.shape_catalog,
+            shape_catalog: &self.shape_catalog[..self.catalog_len],
             hosts_in_flight: self.hosts_in_flight,
             gpus_in_flight: self.gpus_in_flight,
             queued_demand: &queued_demand,
@@ -1244,6 +1291,7 @@ impl Platform {
                             shape.gpus,
                             ResourceBundle::p3_16xlarge().gpus,
                         );
+                        let shape = self.shape_index(shape);
                         sched.schedule_in(latency, Ev::HostReady(shape));
                     }
                 }
@@ -1296,12 +1344,22 @@ impl Platform {
         self.apply_elasticity(now, actions, sched);
     }
 
-    fn on_host_ready(
-        &mut self,
-        now: SimTime,
-        shape: ResourceBundle,
-        sched: &mut dyn Scheduler<Ev>,
-    ) {
+    /// `shape`'s index in the shape table, which it joins if scale-out
+    /// never provisioned it before and the catalog lacks it.
+    fn shape_index(&mut self, shape: ResourceBundle) -> u32 {
+        let i = self
+            .shape_catalog
+            .iter()
+            .position(|&known| known == shape)
+            .unwrap_or_else(|| {
+                self.shape_catalog.push(shape);
+                self.shape_catalog.len() - 1
+            });
+        ix(i)
+    }
+
+    fn on_host_ready(&mut self, now: SimTime, shape: u32, sched: &mut dyn Scheduler<Ev>) {
+        let shape = self.shape_catalog[shape as usize];
         let now_s = now.as_secs_f64();
         self.hosts_in_flight = self.hosts_in_flight.saturating_sub(1);
         self.gpus_in_flight = self.gpus_in_flight.saturating_sub(u64::from(shape.gpus));
@@ -1436,13 +1494,16 @@ impl Platform {
     /// `sched`; [`Platform::dispatch`] feeds the trace around it.
     fn handle_event(&mut self, now: SimTime, event: Ev, sched: &mut dyn Scheduler<Ev>) {
         match event {
-            Ev::SessionStart(s) => self.on_session_start(now, s, sched),
-            Ev::SessionEnd(s) => self.on_session_end(now, s),
-            Ev::CellSubmit { s, e, .. } => self.on_cell_submit(now, s, e, sched),
-            Ev::ExecFinish { s, e, host } => self.on_exec_finish(now, s, e, host, sched),
+            Ev::SessionStart(s) => self.on_session_start(now, s as usize, sched),
+            Ev::SessionEnd(s) => self.on_session_end(now, s as usize),
+            Ev::CellSubmit { s, e, .. } => self.on_cell_submit(now, s as usize, e as usize, sched),
+            Ev::ExecFinish { s, e, host } => {
+                self.on_exec_finish(now, s as usize, e as usize, host, sched)
+            }
             Ev::MigrationRetry { s, e } => {
+                let s = s as usize;
                 if self.sessions[s].active {
-                    self.start_migration(now, s, e, sched)
+                    self.start_migration(now, s, e as usize, sched)
                 }
             }
             Ev::HostReady(shape) => self.on_host_ready(now, shape, sched),
@@ -1567,14 +1628,46 @@ mod tests {
         assert_eq!(m.counters.executions + m.counters.aborted, expected);
     }
 
-    /// An event holds a cell as `(s, e)` and reads the rest from the
-    /// trace, so no submission instant rides in the queue.
+    /// An event holds a cell as `(s, e)` in two `u32`s and reads the rest
+    /// from the trace, and a new host's shape by its index in the shape
+    /// table, so neither a submission instant nor a 24-byte bundle rides
+    /// in the queue. With `des::queue`'s
+    /// `a_dynamic_entry_of_a_24_byte_event_is_at_most_40_bytes`, a queue
+    /// entry is then at most 40 bytes.
     #[test]
-    fn an_event_is_at_most_32_bytes() {
+    fn an_event_is_at_most_24_bytes() {
         assert!(
-            std::mem::size_of::<Ev>() <= 32,
+            std::mem::size_of::<Ev>() <= 24,
             "{}",
             std::mem::size_of::<Ev>()
+        );
+    }
+
+    /// A fleet whose catalog lacks the reference shape still provisions
+    /// it (the threshold controller always asks for p3.16xlarge): the
+    /// shape joins the table after the catalog, and the auto-scaler's
+    /// catalog is unchanged.
+    #[test]
+    fn a_shape_outside_the_catalog_joins_the_shape_table() {
+        let small = ResourceBundle::new(32_000, 249_856, 4);
+        let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
+        config.host_mix = vec![(small, 2)];
+        let world = Platform::run_for_inspection(config, smoke_trace(3));
+        let p3 = ResourceBundle::p3_16xlarge();
+        assert_eq!(world.shape_catalog, [small, p3]);
+        assert_eq!(world.catalog_len, 1);
+        let of_p3 = |counts: &[(ResourceBundle, u64)]| -> u64 {
+            counts.iter().filter(|c| c.0 == p3).map(|c| c.1).sum()
+        };
+        let requested = of_p3(&world.metrics.hosts_provisioned_by_shape);
+        let retired = of_p3(&world.metrics.hosts_retired_by_shape);
+        let joined = world.cluster.hosts().iter().filter(|h| h.capacity() == p3);
+        let joined = joined.count() as u64;
+        // Every p3 host that joined (and is still here or was retired) was
+        // a requested one; a request can still be in flight at the end.
+        assert!(
+            joined + retired > 0 && joined + retired <= requested,
+            "{joined} + {retired} of {requested}"
         );
     }
 
@@ -1627,13 +1720,16 @@ mod tests {
     ) -> Platform {
         let mut platform = Platform::new(config, trace);
         for (s, session) in platform.trace.sessions.iter().enumerate() {
-            sched.schedule(SimTime::from_secs_f64(session.start_s), Ev::SessionStart(s));
-            sched.schedule(SimTime::from_secs_f64(session.end_s), Ev::SessionEnd(s));
+            let start = Ev::SessionStart(ix(s));
+            sched.schedule(SimTime::from_secs_f64(session.start_s), start);
+            sched.schedule(SimTime::from_secs_f64(session.end_s), Ev::SessionEnd(ix(s)));
             for (e, event) in session.events.iter().enumerate() {
-                sched.schedule(
-                    SimTime::from_secs_f64(event.submit_s),
-                    Ev::CellSubmit { s, e, retry: false },
-                );
+                let cell = Ev::CellSubmit {
+                    s: ix(s),
+                    e: ix(e),
+                    retry: false,
+                };
+                sched.schedule(SimTime::from_secs_f64(event.submit_s), cell);
             }
         }
         platform.schedule_ticks(sched);

@@ -6,6 +6,7 @@
 //! backend is modelled as a base per-operation latency plus a
 //! size-proportional transfer time, with log-normal jitter on both.
 
+use notebookos_des::time::u64_to_f64;
 use notebookos_des::{Distribution, LogNormal, SimRng, SimTime};
 
 /// Which storage system backs the data store.
@@ -81,7 +82,7 @@ impl BackendModel {
     /// Samples the latency of reading `size_bytes`.
     pub fn read_latency(&self, size_bytes: u64, rng: &mut SimRng) -> SimTime {
         let base = self.read_base.sample(rng);
-        let transfer = size_bytes as f64 / self.read_throughput;
+        let transfer = u64_to_f64(size_bytes) / self.read_throughput;
         // Transfer jitter: ±20% log-normal-ish via a second base draw scale.
         let jitter = 0.9 + 0.2 * rng.next_f64();
         SimTime::from_secs_f64(base + transfer * jitter)
@@ -90,7 +91,7 @@ impl BackendModel {
     /// Samples the latency of writing `size_bytes`.
     pub fn write_latency(&self, size_bytes: u64, rng: &mut SimRng) -> SimTime {
         let base = self.write_base.sample(rng);
-        let transfer = size_bytes as f64 / self.write_throughput;
+        let transfer = u64_to_f64(size_bytes) / self.write_throughput;
         let jitter = 0.9 + 0.2 * rng.next_f64();
         SimTime::from_secs_f64(base + transfer * jitter)
     }
@@ -161,6 +162,53 @@ mod tests {
             .map(|_| model.read_latency(1_000_000_000, &mut rng).as_secs_f64())
             .sum();
         assert!(large > 10.0 * small);
+    }
+
+    /// What `read_latency` and `write_latency` computed before the size
+    /// converted through `i64`: the plain cast.
+    fn latency_by_cast(
+        model: &BackendModel,
+        write: bool,
+        size_bytes: u64,
+        rng: &mut SimRng,
+    ) -> SimTime {
+        let (base, throughput) = if write {
+            (model.write_base.sample(rng), model.write_throughput)
+        } else {
+            (model.read_base.sample(rng), model.read_throughput)
+        };
+        let transfer = size_bytes as f64 / throughput;
+        let jitter = 0.9 + 0.2 * rng.next_f64();
+        SimTime::from_secs_f64(base + transfer * jitter)
+    }
+
+    #[test]
+    fn latencies_match_the_cast_sizes_bit_for_bit() {
+        let mut sizes = SimRng::seed(41);
+        for kind in [BackendKind::Redis, BackendKind::S3, BackendKind::Hdfs] {
+            let model = BackendModel::new(kind);
+            let (mut rng, mut reference) = (SimRng::seed(43), SimRng::seed(43));
+            for i in 0..20_000u64 {
+                // Sizes at every magnitude, half of the uniform ones at or
+                // above 2^63 (where the latency saturates).
+                let size = match i % 3 {
+                    0 => sizes.next_u64(),
+                    1 => sizes.next_u64() >> sizes.below(64),
+                    _ => sizes.below(2_000_000_000),
+                };
+                let write = i % 2 == 0;
+                let fast = if write {
+                    model.write_latency(size, &mut rng)
+                } else {
+                    model.read_latency(size, &mut rng)
+                };
+                assert_eq!(
+                    fast,
+                    latency_by_cast(&model, write, size, &mut reference),
+                    "{kind} {size}"
+                );
+            }
+        }
     }
 
     #[test]

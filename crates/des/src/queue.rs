@@ -36,6 +36,11 @@
 //! each yields its own minimum, and the lesser of the minima is the
 //! minimum of the union — under the same total order `(time, rank, seq)`,
 //! with `seq` unique, that a lone heap would use.
+//!
+//! Every event in the dynamic heap has [`DYNAMIC_RANK`], so its entries
+//! store the key `(time, seq)` without the rank: a 24-byte event makes a
+//! 40-byte entry instead of 48, and the heap moves less on every sift.
+//! Comparing its head with the ranked heap's puts the rank back.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -92,42 +97,42 @@ macro_rules! unranked {
 
 unranked!((), u32, usize, &str);
 
-/// A scheduled event: the queue orders by `(time, rank, seq)` so that
-/// events of one rank due at the same instant fire in the order they were
-/// scheduled. `seq` is unique, so the event itself never decides.
+/// A pending event and the key it pops by, lowest first: `(time, rank,
+/// seq)` in the ranked heap, `(time, seq)` in the dynamic one, whose
+/// events all share [`DYNAMIC_RANK`] and so need not store it. `seq` is
+/// unique, so the event itself never decides.
 #[derive(Debug, Clone)]
-struct Scheduled<E> {
-    time: SimTime,
-    rank: u64,
-    seq: u64,
+struct Scheduled<K, E> {
+    key: K,
     event: E,
 }
 
-impl<E> Scheduled<E> {
-    fn key(&self) -> (SimTime, u64, u64) {
-        (self.time, self.rank, self.seq)
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
+impl<K: Ord, E> PartialEq for Scheduled<K, E> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.key == other.key
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+impl<K: Ord, E> Eq for Scheduled<K, E> {}
 
-impl<E> Ord for Scheduled<E> {
+impl<K: Ord, E> Ord for Scheduled<K, E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        self.key.cmp(&other.key)
     }
 }
 
-impl<E> PartialOrd for Scheduled<E> {
+impl<K: Ord, E> PartialOrd for Scheduled<K, E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
+
+/// A [`DYNAMIC_RANK`] event, keyed `(time, seq)`: 40 bytes with a
+/// 24-byte event, where the full key would make it 48.
+type Dynamic<E> = Reverse<Scheduled<(SimTime, u64), E>>;
+
+/// An event of a lower rank, keyed `(time, rank, seq)`.
+type RankedEntry<E> = Reverse<Scheduled<(SimTime, u64, u64), E>>;
 
 /// Priority queue of future events, ordered by firing time, then by
 /// [`Ranked::rank`], then first-scheduled first.
@@ -146,9 +151,9 @@ impl<E> PartialOrd for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Every [`DYNAMIC_RANK`] event.
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    heap: BinaryHeap<Dynamic<E>>,
     /// Every event that states a lower rank.
-    ranked: BinaryHeap<Reverse<Scheduled<E>>>,
+    ranked: BinaryHeap<RankedEntry<E>>,
     seq: u64,
 }
 
@@ -167,16 +172,12 @@ impl<E: Ranked> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let rank = event.rank();
-        let scheduled = Reverse(Scheduled {
-            time: at,
-            rank,
-            seq,
-            event,
-        });
         if rank == DYNAMIC_RANK {
-            self.heap.push(scheduled);
+            let key = (at, seq);
+            self.heap.push(Reverse(Scheduled { key, event }));
         } else {
-            self.ranked.push(scheduled);
+            let key = (at, rank, seq);
+            self.ranked.push(Reverse(Scheduled { key, event }));
         }
     }
 
@@ -187,19 +188,21 @@ impl<E: Ranked> EventQueue<E> {
 
     /// Removes and returns the earliest pending event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let next = if self.ranked_is_next() {
-            self.ranked.pop()
+        if self.ranked_is_next() {
+            self.ranked.pop().map(|Reverse(s)| (s.key.0, s.event))
         } else {
-            self.heap.pop()
-        };
-        next.map(|Reverse(s)| (s.time, s.event))
+            self.heap.pop().map(|Reverse(s)| (s.key.0, s.event))
+        }
     }
 
     /// Whether the earliest pending event is the ranked heap's (false
     /// when that heap is empty).
     fn ranked_is_next(&self) -> bool {
         match (self.ranked.peek(), self.heap.peek()) {
-            (Some(Reverse(ranked)), Some(Reverse(dynamic))) => ranked < dynamic,
+            (Some(Reverse(ranked)), Some(Reverse(dynamic))) => {
+                let (time, seq) = dynamic.key;
+                ranked.key < (time, DYNAMIC_RANK, seq)
+            }
             (ranked, _) => ranked.is_some(),
         }
     }
@@ -207,12 +210,11 @@ impl<E: Ranked> EventQueue<E> {
     /// Returns the firing time of the earliest pending event without
     /// removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let next = if self.ranked_is_next() {
-            self.ranked.peek()
+        if self.ranked_is_next() {
+            self.ranked.peek().map(|Reverse(s)| s.key.0)
         } else {
-            self.heap.peek()
-        };
-        next.map(|Reverse(s)| s.time)
+            self.heap.peek().map(|Reverse(s)| s.key.0)
+        }
     }
 
     /// Number of pending events.
@@ -410,6 +412,14 @@ mod tests {
             }
             while pair.pop() {}
         }
+    }
+
+    /// A dynamic entry holds no rank: with a 24-byte event it is 40
+    /// bytes, the key `(time, seq)` and the event.
+    #[test]
+    fn a_dynamic_entry_of_a_24_byte_event_is_at_most_40_bytes() {
+        let size = std::mem::size_of::<Dynamic<[u64; 3]>>();
+        assert!(size <= 40, "{size}");
     }
 
     #[test]

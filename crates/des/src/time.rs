@@ -6,11 +6,30 @@
 //! than any latency the NotebookOS evaluation reports (the finest is
 //! sub-millisecond Raft message latency).
 //!
-//! Every sampled latency enters through [`SimTime::from_secs_f64`], several
-//! times per simulated cell execution. It rounds to the microsecond without
-//! `f64::round`, which baseline x86-64 lowers to a software routine: it
-//! truncates natively and adds one when the (exact) fraction is at least a
-//! half, which is the same answer bit for bit.
+//! # Conversions to and from `f64`: signed below 2^63
+//!
+//! A simulated cell converts between microseconds and floating point
+//! about thirty times: every sampled latency enters through
+//! [`SimTime::from_secs_f64`], every recorded one leaves through
+//! [`SimTime::as_millis_f64`], and the gauges and the billing meter read
+//! [`SimTime::as_secs_f64`]. Baseline x86-64 converts between `f64` and
+//! *signed* 64-bit integers in one instruction each way, but has no
+//! unsigned form: the compiler builds each `u64` ↔ `f64` cast from several
+//! instructions and a fix-up for the top half of the range. A count below
+//! 2^63 — 292 000 years of microseconds — fits an `i64`, and converting
+//! the same integer through `i64` gives the same `f64` (or the same
+//! truncated integer) bit for bit. So every conversion here goes through
+//! [`u64_to_f64`] and [`f64_to_u64`], which take the signed instruction
+//! below 2^63 and keep the plain cast above it: no value changes, only
+//! the instructions that compute it. The simulator's other `u64` ↔ `f64`
+//! casts on the per-cell path (a cell's submission instant, waits in
+//! milliseconds, the data store's transfer sizes) use the same two
+//! functions.
+//!
+//! `from_secs_f64` also rounds to the microsecond without `f64::round`,
+//! which baseline x86-64 lowers to a software routine: it truncates and
+//! adds one when the (exact) fraction is at least a half, which is the
+//! same answer bit for bit.
 
 use std::fmt;
 use std::iter::Sum;
@@ -34,8 +53,35 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
-/// 2^64, the first microsecond count past [`SimTime::MAX`].
-const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+/// 2^63, the first count an `i64` cannot hold.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x as f64`, bit for bit: through `i64` below 2^63 (one instruction on
+/// baseline x86-64), the plain cast above (see the module docs).
+#[inline]
+pub fn u64_to_f64(x: u64) -> f64 {
+    match i64::try_from(x) {
+        Ok(signed) => signed as f64,
+        // Halve, keeping the dropped bit as a sticky bit so the one
+        // rounding is the cast's, then double exactly: the compiler's own
+        // unsigned sequence. Spelt out, it keeps the optimiser from
+        // folding both arms back into that sequence.
+        Err(_) => (((x >> 1) | (x & 1)) as i64 as f64) * 2.0,
+    }
+}
+
+/// `x as u64`, bit for bit — truncating toward zero, NaN and negatives
+/// to 0, saturating at `u64::MAX` — through `i64` below 2^63 (see the
+/// module docs).
+#[inline]
+pub fn f64_to_u64(x: f64) -> u64 {
+    if x < TWO_POW_63 {
+        // Negatives truncate or saturate below zero; the clamp makes them 0.
+        (x as i64).max(0) as u64
+    } else {
+        x as u64
+    }
+}
 
 impl SimTime {
     /// The instant at which every simulation starts.
@@ -61,18 +107,21 @@ impl SimTime {
     /// Creates a time from fractional seconds, rounded to the nearest
     /// microsecond (halves away from zero), saturating at zero for
     /// negative or non-finite input and at [`SimTime::MAX`] from 2^64 µs.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        if !secs.is_finite() || secs <= 0.0 {
-            return SimTime::ZERO;
-        }
         let micros = secs * 1e6;
-        if micros >= TWO_POW_64 {
-            return SimTime::MAX;
+        if secs > 0.0 && micros < TWO_POW_63 {
+            // The signed path: the conversion truncates, and
+            // `micros − whole` is exact.
+            let whole = f64_to_u64(micros);
+            SimTime(whole + u64::from(micros - u64_to_f64(whole) >= 0.5))
+        } else if secs > 0.0 && secs < f64::INFINITY {
+            // From 2^63 µs every float is whole, and the conversion
+            // saturates at `MAX` from 2^64 (and for an overflowed product).
+            SimTime(f64_to_u64(micros))
+        } else {
+            SimTime::ZERO
         }
-        // `micros` is positive and below 2^64: the cast truncates, and
-        // `micros − whole` is exact.
-        let whole = micros as u64;
-        SimTime(whole + u64::from(micros - whole as f64 >= 0.5))
     }
 
     /// Returns the raw microsecond count.
@@ -82,17 +131,17 @@ impl SimTime {
 
     /// Returns the time in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
+        u64_to_f64(self.0) / 1e6
     }
 
     /// Returns the time in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
+        u64_to_f64(self.0) / 1e3
     }
 
     /// Returns the time in fractional hours.
     pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3.6e9
+        u64_to_f64(self.0) / 3.6e9
     }
 
     /// Saturating subtraction: `self - other`, clamped at zero.
@@ -193,6 +242,9 @@ impl fmt::Display for SimTime {
 mod tests {
     use super::*;
 
+    /// 2^64, the first microsecond count past [`SimTime::MAX`].
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
     #[test]
     fn constructors_round_trip() {
         assert_eq!(SimTime::from_secs(1).as_micros(), 1_000_000);
@@ -277,6 +329,80 @@ mod tests {
         }
         assert_eq!(SimTime::from_secs_f64(1e14), SimTime::MAX);
         assert_eq!(SimTime::from_secs_f64(f64::MAX), SimTime::MAX);
+    }
+
+    /// What `as_secs_f64`, `as_millis_f64` and `as_hours_f64` computed
+    /// before they converted through `i64`: the plain cast, then the
+    /// division.
+    fn as_f64_by_cast(t: SimTime, per_unit: f64) -> f64 {
+        t.0 as f64 / per_unit
+    }
+
+    /// Every power of two, and the counts either side of it.
+    fn powers_of_two_and_neighbours() -> Vec<u64> {
+        (0..64)
+            .flat_map(|k| {
+                let p = 1u64 << k;
+                [p - 1, p, p + 1]
+            })
+            .chain([u64::MAX - 1, u64::MAX])
+            .collect()
+    }
+
+    #[test]
+    fn signed_conversions_to_f64_match_the_casts_bit_for_bit() {
+        let mut counts = powers_of_two_and_neighbours();
+        let mut rng = crate::SimRng::seed(31);
+        for _ in 0..200_000 {
+            // Uniform counts (half of them at or above 2^63), counts at
+            // every magnitude, and the top half of the range alone.
+            counts.push(rng.next_u64());
+            counts.push(rng.next_u64() >> rng.below(64));
+            counts.push((1 << 63) | rng.next_u64());
+        }
+        for x in counts {
+            assert_eq!(u64_to_f64(x).to_bits(), (x as f64).to_bits(), "{x}");
+            let t = SimTime(x);
+            for (fast, per_unit) in [
+                (t.as_secs_f64(), 1e6),
+                (t.as_millis_f64(), 1e3),
+                (t.as_hours_f64(), 3.6e9),
+            ] {
+                let reference = as_f64_by_cast(t, per_unit);
+                assert_eq!(fast.to_bits(), reference.to_bits(), "{x} / {per_unit}");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_truncation_matches_the_cast_bit_for_bit() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ];
+        // The edges: ±1, ±2^53, ±2^63 and ±2^64, with their neighbours.
+        for edge in [1.0, 9_007_199_254_740_992.0, TWO_POW_63, TWO_POW_64] {
+            inputs.extend(with_neighbours(edge));
+            inputs.extend(with_neighbours(-edge));
+        }
+        inputs.extend(powers_of_two_and_neighbours().iter().map(|&x| x as f64));
+        let mut rng = crate::SimRng::seed(37);
+        for _ in 0..200_000 {
+            inputs.push(f64::from_bits(rng.next_u64()));
+            let magnitude = 2f64.powi(rng.below(70) as i32 - 3);
+            inputs.push((rng.next_f64() - 0.25) * magnitude);
+        }
+        for x in inputs {
+            assert_eq!(f64_to_u64(x), x as u64, "{x:e} ({:#018x})", x.to_bits());
+        }
     }
 
     #[test]

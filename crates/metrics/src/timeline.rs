@@ -314,7 +314,7 @@ impl Points<'_> {
                 let us = us0 + self.read_varint();
                 let iv = v0 + dv;
                 self.base = Some((us, iv));
-                return (us as f64 / 1e6, iv as f64);
+                return (us_to_f64(us) / 1e6, iv as f64);
             }
             _ => {
                 debug_assert_eq!(self.bytes[self.pos], ESCAPE);
@@ -369,14 +369,39 @@ impl ExactSizeIterator for Points<'_> {}
 
 /// `(µs, value)` when `(t, v)` is on the grid (see the module docs).
 fn on_grid(t: Seconds, v: f64) -> Base {
-    // Saturating casts: NaN and negatives become 0, and the bit comparison
-    // rejects them. `+ 0.5` rounds the only candidate there can be.
-    let us = (t * 1e6 + 0.5) as u64;
+    // Saturating conversions: NaN and negatives become 0, and the bit
+    // comparison rejects them. `+ 0.5` rounds the only candidate there
+    // can be.
+    let us = f64_to_us(t * 1e6 + 0.5);
     let iv = v as i64;
-    let exact = (us as f64 / 1e6).to_bits() == t.to_bits()
+    let exact = (us_to_f64(us) / 1e6).to_bits() == t.to_bits()
         && iv.unsigned_abs() <= 1 << 53
         && (iv as f64).to_bits() == v.to_bits();
     exact.then_some((us, iv))
+}
+
+/// 2^63, the first count an `i64` cannot hold.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x as u64`, bit for bit, through `i64` below 2^63: one instruction on
+/// baseline x86-64 where the unsigned cast takes several. The simulator's
+/// `notebookos_des::time::f64_to_u64` is the same function; this crate
+/// does not depend on that one.
+fn f64_to_us(x: f64) -> u64 {
+    if x < TWO_POW_63 {
+        (x as i64).max(0) as u64
+    } else {
+        x as u64
+    }
+}
+
+/// `us as f64`, bit for bit, through `i64` below 2^63 (as
+/// `notebookos_des::time::u64_to_f64`, which explains the other arm).
+fn us_to_f64(us: u64) -> f64 {
+    match i64::try_from(us) {
+        Ok(signed) => signed as f64,
+        Err(_) => (((us >> 1) | (us & 1)) as i64 as f64) * 2.0,
+    }
 }
 
 fn zigzag(d: i64) -> u64 {
@@ -528,6 +553,58 @@ mod tests {
         assert_eq!(on_grid(1.0, 2f64.powi(54)), None);
         for d in [0, 1, -1, 63, -64, i64::from(i32::MAX), -(1 << 54)] {
             assert_eq!(unzigzag(zigzag(d)), d);
+        }
+    }
+
+    /// What `on_grid` computed before it converted through `i64`.
+    fn on_grid_by_cast(t: Seconds, v: f64) -> Base {
+        let us = (t * 1e6 + 0.5) as u64;
+        let iv = v as i64;
+        let exact = (us as f64 / 1e6).to_bits() == t.to_bits()
+            && iv.unsigned_abs() <= 1 << 53
+            && (iv as f64).to_bits() == v.to_bits();
+        exact.then_some((us, iv))
+    }
+
+    #[test]
+    fn on_grid_matches_the_unsigned_casts_bit_for_bit() {
+        // SplitMix64: the test needs bits, not a simulator stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut times = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::MAX];
+        for k in 0..64 {
+            // Grid times at every power of two of µs and either side,
+            // through 2^63 µs and past it.
+            let us = 1u64 << k;
+            times.extend([us - 1, us, us + 1].map(|us| us as f64 / 1e6));
+        }
+        for _ in 0..100_000 {
+            let bits = next();
+            times.push(f64::from_bits(bits));
+            times.push((bits >> (bits % 64)) as f64 / 1e6);
+            times.push(((1 << 63) | bits) as f64 / 1e6);
+        }
+        for (i, &t) in times.iter().enumerate() {
+            let v = match i % 3 {
+                0 => f64::from_bits(next()),
+                1 => (next() % 64) as f64 - 32.0,
+                _ => 8.0,
+            };
+            assert_eq!(on_grid(t, v), on_grid_by_cast(t, v), "{t:e} {v:e}");
+            // Uniform counts (half of them at or above 2^63), and counts
+            // at every magnitude.
+            let us = if i % 2 == 0 {
+                next()
+            } else {
+                next() >> (next() % 64)
+            };
+            assert_eq!(us_to_f64(us).to_bits(), (us as f64).to_bits(), "{us}");
         }
     }
 
