@@ -447,9 +447,10 @@ impl Platform {
     }
 
     /// When the client submitted cell `e` of session `s`: the trace's own
-    /// instant, however often the platform re-issued the cell.
+    /// instant, however often the platform re-issued the cell — the
+    /// instant its arrival fired at, rounded as [`Arrivals`] rounds it.
     fn submitted(&self, s: usize, e: usize) -> SimTime {
-        SimTime::from_micros(f64_to_u64(self.trace.sessions[s].events[e].submit_s * 1e6))
+        SimTime::from_secs_f64(self.trace.sessions[s].events[e].submit_s)
     }
 
     fn schedule_ticks(&mut self, sched: &mut dyn Scheduler<Ev>) {
