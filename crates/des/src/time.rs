@@ -9,7 +9,7 @@
 //! # Conversions to and from `f64`: signed below 2^63
 //!
 //! A simulated cell converts between microseconds and floating point
-//! about thirty times: every sampled latency enters through
+//! many times: every sampled latency enters through
 //! [`SimTime::from_secs_f64`], every recorded one leaves through
 //! [`SimTime::as_millis_f64`], and the gauges and the billing meter read
 //! [`SimTime::as_secs_f64`]. Baseline x86-64 converts between `f64` and
@@ -20,8 +20,8 @@
 //! the same integer through `i64` gives the same `f64` (or the same
 //! truncated integer) bit for bit. So every conversion here goes through
 //! [`u64_to_f64`] and [`f64_to_u64`], which take the signed instruction
-//! below 2^63 and keep the plain cast above it: no value changes, only
-//! the instructions that compute it. The simulator's other `u64` ↔ `f64`
+//! below 2^63 and give the plain cast's value above it: no value changes,
+//! only the instructions that compute it. The simulator's other `u64` ↔ `f64`
 //! casts on the per-cell path (a cell's submission instant, waits in
 //! milliseconds, the data store's transfer sizes) use the same two
 //! functions.
@@ -57,7 +57,7 @@ pub struct SimTime(u64);
 const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// `x as f64`, bit for bit: through `i64` below 2^63 (one instruction on
-/// baseline x86-64), the plain cast above (see the module docs).
+/// baseline x86-64), the cast's own sequence above (see the module docs).
 #[inline]
 pub fn u64_to_f64(x: u64) -> f64 {
     match i64::try_from(x) {
