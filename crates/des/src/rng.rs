@@ -1,7 +1,19 @@
 //! Seeded randomness for deterministic workloads.
+//!
+//! The generator is xoshiro256++ (Blackman and Vigna), its state seeded
+//! with SplitMix64's first four outputs. The stream is this file's own:
+//! every simulation, golden and figure is built on it, so no dependency
+//! swap may change it, and `tests::known_answers` pins it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+/// SplitMix64's increment, the 64-bit golden ratio.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijection on `u64` with `mix(0) = 0`.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A seeded random-number generator used by every stochastic component.
 ///
@@ -21,14 +33,19 @@ use rand::{Rng, RngCore, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Creates a generator from a seed.
     pub fn seed(seed: u64) -> Self {
+        // SplitMix64's first four outputs. The four arguments of `mix` are
+        // distinct and `mix` is a bijection that is 0 only at 0, so at most
+        // one lane is 0: the all-zero state, xoshiro's fixed point, cannot
+        // arise and needs no fallback.
+        let lane = |i: u64| mix(seed.wrapping_add(i.wrapping_mul(GAMMA)));
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: [lane(1), lane(2), lane(3), lane(4)],
         }
     }
 
@@ -38,23 +55,27 @@ impl SimRng {
     /// generator, so `fork(0)` and `fork(1)` are decorrelated, and two forks
     /// with the same id taken at different points differ as well.
     pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base = self.inner.next_u64();
-        // SplitMix64 finalizer mixes the stream id thoroughly.
-        let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed(z)
+        let base = self.next_u64();
+        SimRng::seed(mix(base ^ stream.wrapping_mul(GAMMA)))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform draw in `[0, 1)`.
+    /// Uniform draw in `[0, 1)`: the top 53 bits scaled by 2⁻⁵³.
     pub fn next_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform draw in `[0, 1)` that is never exactly zero (safe for `ln`).
@@ -67,14 +88,15 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[0, bound)`.
+    /// Uniform integer in `[0, bound)`, by multiply-shift (Lemire) without
+    /// rejection: the bias is below `bound / 2⁶⁴`.
     ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
-        self.inner.gen_range(0..bound)
+        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
     /// Uniform index into a slice of length `len`.
@@ -84,7 +106,7 @@ impl SimRng {
     /// Panics if `len` is zero.
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "cannot index an empty collection");
-        self.inner.gen_range(0..len)
+        self.below(len as u64) as usize
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -105,24 +127,6 @@ impl SimRng {
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         debug_assert!(lo <= hi);
         lo + (hi - lo) * self.next_f64()
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 
