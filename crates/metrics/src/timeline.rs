@@ -41,11 +41,13 @@
 //! [`Timeline::integral`] decode from the last block that starts at or
 //! before their instant, not from the first point.
 
+use notebookos_des::time::{f64_to_u64, u64_to_f64};
+
 /// Seconds-denominated virtual timestamp used by the collectors.
 ///
 /// The collectors deliberately take plain `f64` seconds rather than a
-/// simulator time type so that this crate stays dependency-free and usable
-/// from both the DES and offline analysis.
+/// simulator time type so that they serve both the DES and offline
+/// analysis.
 pub type Seconds = f64;
 
 /// Encoded points per checkpoint block: a query decodes at most this many
@@ -314,7 +316,7 @@ impl Points<'_> {
                 let us = us0 + self.read_varint();
                 let iv = v0 + dv;
                 self.base = Some((us, iv));
-                return (us_to_f64(us) / 1e6, iv as f64);
+                return (u64_to_f64(us) / 1e6, iv as f64);
             }
             _ => {
                 debug_assert_eq!(self.bytes[self.pos], ESCAPE);
@@ -372,36 +374,12 @@ fn on_grid(t: Seconds, v: f64) -> Base {
     // Saturating conversions: NaN and negatives become 0, and the bit
     // comparison rejects them. `+ 0.5` rounds the only candidate there
     // can be.
-    let us = f64_to_us(t * 1e6 + 0.5);
+    let us = f64_to_u64(t * 1e6 + 0.5);
     let iv = v as i64;
-    let exact = (us_to_f64(us) / 1e6).to_bits() == t.to_bits()
+    let exact = (u64_to_f64(us) / 1e6).to_bits() == t.to_bits()
         && iv.unsigned_abs() <= 1 << 53
         && (iv as f64).to_bits() == v.to_bits();
     exact.then_some((us, iv))
-}
-
-/// 2^63, the first count an `i64` cannot hold.
-const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
-
-/// `x as u64`, bit for bit, through `i64` below 2^63: one instruction on
-/// baseline x86-64 where the unsigned cast takes several. The simulator's
-/// `notebookos_des::time::f64_to_u64` is the same function; this crate
-/// does not depend on that one.
-fn f64_to_us(x: f64) -> u64 {
-    if x < TWO_POW_63 {
-        (x as i64).max(0) as u64
-    } else {
-        x as u64
-    }
-}
-
-/// `us as f64`, bit for bit, through `i64` below 2^63 (as
-/// `notebookos_des::time::u64_to_f64`, which explains the other arm).
-fn us_to_f64(us: u64) -> f64 {
-    match i64::try_from(us) {
-        Ok(signed) => signed as f64,
-        Err(_) => (((us >> 1) | (us & 1)) as i64 as f64) * 2.0,
-    }
 }
 
 fn zigzag(d: i64) -> u64 {
@@ -604,7 +582,7 @@ mod tests {
             } else {
                 next() >> (next() % 64)
             };
-            assert_eq!(us_to_f64(us).to_bits(), (us as f64).to_bits(), "{us}");
+            assert_eq!(u64_to_f64(us).to_bits(), (us as f64).to_bits(), "{us}");
         }
     }
 
