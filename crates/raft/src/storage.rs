@@ -295,9 +295,14 @@ impl<C> RaftStorage<C> for MemStorage {
 pub struct WalOptions {
     /// How many [`RaftStorage::sync`] calls share one physical fsync.
     /// `1` (the default) fsyncs on every processed input — full Raft
-    /// durability. Larger batches amortize the fsync across inputs,
-    /// trading a bounded window of acked-but-volatile entries for
-    /// throughput; the chaos drill measures both.
+    /// durability. Larger batches amortize the fsync across inputs, and
+    /// give up more than a window of acked-but-volatile entries: a vote
+    /// or a term change (`persist_hard_state`) is also answered before it
+    /// is on disk, and election safety rests on it being there, so a
+    /// machine crash can let a node vote twice in one term. The chaos
+    /// drill cannot show that loss: its `kill` drops the `WalStorage`
+    /// while the written bytes stay in the OS page cache, so it exercises
+    /// the batched code path, not crash durability.
     pub fsync_batch: usize,
 }
 
