@@ -1,7 +1,7 @@
 //! Sampling distributions.
 //!
-//! Implemented from scratch (the offline `rand` build ships only uniform
-//! primitives). The workload generators lean on two families:
+//! Implemented from scratch over [`SimRng`]'s uniform draws. The workload
+//! generators lean on two families:
 //!
 //! * [`LogNormal`] — the classic heavy-tailed model for task durations; the
 //!   paper's duration CDFs are close to log-normal in the body.

@@ -89,7 +89,8 @@ impl SimRng {
     }
 
     /// Uniform integer in `[0, bound)`, by multiply-shift (Lemire) without
-    /// rejection: the bias is below `bound / 2⁶⁴`.
+    /// rejection: each value's probability is off by a relative error
+    /// below `bound / 2⁶⁴`.
     ///
     /// # Panics
     ///
@@ -229,9 +230,8 @@ mod tests {
         h
     }
 
-    /// The stream every simulation, golden and figure is built on. A change
-    /// here moves every number the repository prints: it is never an
-    /// incidental refactor. The first words are xoshiro256++'s published
+    /// A failure here moves every number the repository prints: it is never
+    /// an incidental refactor. The first words are xoshiro256++'s published
     /// algorithm seeded with SplitMix64's first four outputs.
     #[test]
     fn known_answers() {
