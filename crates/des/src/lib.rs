@@ -43,3 +43,29 @@ pub use scheduler::{
     Clock, DesScheduler, ManualClock, MonotonicClock, RealTimeScheduler, Scheduler,
 };
 pub use time::SimTime;
+
+#[cfg(test)]
+mod tests {
+    use super::SimRng;
+
+    #[test]
+    fn deterministic_from_seed() {
+        let mut a = SimRng::seed(42);
+        let mut b = SimRng::seed(42);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn gen_range_bounds() {
+        let mut rng = SimRng::seed(9);
+        for _ in 0..10_000 {
+            assert!(rng.below(17) < 17);
+            let u = 3 + rng.index(6);
+            assert!((3..9).contains(&u));
+            let f = rng.range_f64(-2.0, 5.0);
+            assert!((-2.0..5.0).contains(&f));
+        }
+    }
+}
