@@ -1,7 +1,6 @@
 //! The evaluation harness: the figure table behind the `repro` binary
-//! ([`figures`]), the live-service load generator ([`serve`]), the Raft
-//! chaos drill ([`chaos`]) and the sweep binaries' shared flags
-//! ([`sweep_cli`]).
+//! ([`figures`]), the live-service load generator ([`serve`]) and the Raft
+//! chaos drill ([`chaos`]).
 //!
 //! `repro` regenerates every table and figure of the paper's evaluation
 //! section in one process, or the ones it is given by name:
@@ -24,20 +23,9 @@ use notebookos_trace::{generate, SyntheticConfig, WorkloadTrace};
 pub mod chaos;
 pub mod figures;
 pub mod serve;
-pub mod sweep_cli;
 
 /// The seed every figure uses, so artifacts are mutually consistent.
 pub const EVAL_SEED: u64 = 2026;
-
-/// Base configuration for the elasticity studies (`elasticity_sweep`'s
-/// per-policy comparison, `interaction_sweep`'s placement × elasticity
-/// interaction): the NotebookOS evaluation setup with the pre-warm
-/// reconcile loop enabled (the control plane under test).
-pub fn elastic_config(policy: PolicyKind) -> PlatformConfig {
-    let mut config = PlatformConfig::evaluation(policy);
-    config.autoscale.prewarm_reconcile_interval_s = Some(120.0);
-    config
-}
 
 /// The 17.5-hour AdobeTrace excerpt (§5.2's prototype workload).
 pub fn excerpt_trace() -> WorkloadTrace {

@@ -13,14 +13,13 @@
 //! * `ΣG`/`ΣS`/`ΣC` fleet totals are plain integers moved by the
 //!   cluster-level mutators ([`Cluster::subscribe`], [`Cluster::try_commit`],
 //!   [`Cluster::release`], …) together with the per-host change;
-//! * the shape census is a persistent sorted index updated on host
-//!   add/remove, not an O(hosts × shapes) scan per query;
 //! * a placement index (`HostIndex`, private) buckets every host by the
-//!   two small integers the placement policies and the commit-side scans
+//!   two small integers least-loaded placement and the commit-side scans
 //!   sort by — idle and subscribed GPUs — in id bitsets, so top-k host
 //!   selection walks a few buckets instead of rescanning the slab per
-//!   decision (see [`Cluster::rank_least_loaded_top`] and friends), and
-//!   re-keying a host is a few word operations.
+//!   decision (see [`Cluster::rank_least_loaded_top`] and
+//!   [`Cluster::best_commit_host`]), and re-keying a host is a few word
+//!   operations.
 //!
 //! Index ≡ slab holds by construction, not by repair: every `&mut Host` is
 //! taken inside `apply_indexed`, which re-keys the host in the same call,
@@ -40,16 +39,14 @@
 //! * per shape class, over its hosts: the grid `cell(I, S)`;
 //!   `occupied[I]`, the `S` levels whose cell in row `I` is non-empty;
 //!   `per_sub[S]`, the count of hosts at level `S`; `subs`, the levels
-//!   with a non-zero count; and `by_id` (id → `S`) for the rotation.
+//!   with a non-zero count; and the class's host count.
 //!
 //! | query | order | walk |
 //! |---|---|---|
 //! | least-loaded | `I`↓, `S`↑, id↑ | rows `I` descending; `occupied[I]` ascending; cell ids ascending |
-//! | bin-packing | `S`↓, `C`↓, id↓ | `subs` descending; `I` ascending (`C = G − I`); cell ids descending |
 //! | best-commit picks | `I`↓, id↓ | `by_idle` rows descending, down to the request's GPUs; ids descending |
 //! | SR-cap split | by `S` | first and last of `subs` against the `class_cap` threshold |
 //! | `viable_counts` | by `S` | `per_sub` summed over the `subs` above the threshold |
-//! | round-robin | id, rotated | `by_id` ranges |
 //!
 //! A typed mutator snapshots `(I, S)` around the per-host change
 //! and moves the host only where its key moved:
@@ -57,7 +54,7 @@
 //! * `try_commit` / `release` clear one bit and set another in `by_idle`
 //!   and in the grid;
 //! * `subscribe` / `unsubscribe` move the grid bit and the `per_sub`
-//!   count, and rewrite the host's `by_id` value in place;
+//!   count;
 //! * a failed commit or a 0-GPU request moves nothing;
 //! * `add_host` / `remove_host` join or leave everything.
 //!
@@ -74,23 +71,19 @@
 //! `tests::index_equals_rebuild_after_every_typed_mutation` holds the
 //! result to a rebuild from the slab after every mutation.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
-
 use crate::host::{Host, HostId, OwnerId};
 use crate::idset::IdSet;
 use crate::resources::{ResourceBundle, ResourceRequest};
 
-/// Placement candidates screened by one shared viability rule (capacity
-/// covers the request), split by the dynamic SR cap
-/// (§3.4.1). The cap is a *preference*: `over_cap` hosts are still usable
-/// as a last resort — "the server is rejected in favor of another" — so
-/// every placement policy ranks `within_cap` hosts ahead of `over_cap`
-/// hosts and orders *within* each segment by its own criterion.
+/// Placement candidates screened by the viability rule (capacity covers
+/// the request), split by the dynamic SR cap (§3.4.1). The cap is a
+/// *preference*: `over_cap` hosts are still usable as a last resort — "the
+/// server is rejected in favor of another" — so placement ranks
+/// `within_cap` hosts ahead of `over_cap` hosts.
 ///
 /// The buffers are reusable: [`Cluster::viable_hosts_into`] clears and
-/// refills them, so a caller that owns one `Viability` screens every
-/// placement without allocating.
+/// refills them, so a caller that owns one `Viability` screens without
+/// allocating.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Viability {
     /// Hosts whose post-placement SR stays at or below the cap, ascending
@@ -129,9 +122,9 @@ pub struct RankScratch {
     over: Vec<(u32, f64, HostId)>,
 }
 
-/// The sort key of one census entry; covers every [`ResourceBundle`]
+/// The sort key of a shape class; covers every [`ResourceBundle`]
 /// field, so it totally orders shapes.
-fn census_key(shape: &ResourceBundle) -> (u32, u64, u64) {
+fn class_key(shape: &ResourceBundle) -> (u32, u64, u64) {
     (shape.gpus, shape.millicpus, shape.memory_mb)
 }
 
@@ -156,10 +149,8 @@ struct ShapeClass {
     per_sub: Vec<usize>,
     /// The `S` with `per_sub[S] > 0`.
     subs: IdSet,
-    /// id → subscribed GPUs: in-order iteration is exactly the
-    /// round-robin rotation order within the class, with the subscription
-    /// level at hand for the SR-cap check.
-    by_id: BTreeMap<HostId, u64>,
+    /// Hosts in this class.
+    len: usize,
 }
 
 /// Whether `a` and `b` agree where both are defined and the longer one
@@ -177,13 +168,8 @@ impl ShapeClass {
             occupied: vec![IdSet::default(); shape.gpus as usize + 1],
             per_sub: Vec::new(),
             subs: IdSet::default(),
-            by_id: BTreeMap::new(),
+            len: 0,
         }
-    }
-
-    /// Hosts in this class.
-    fn len(&self) -> usize {
-        self.by_id.len()
     }
 
     /// Where the `(idle, subscribed)` cell sits in `cells`.
@@ -278,7 +264,7 @@ impl HostKey {
 /// the typed cluster mutators (apply → `relink`).
 #[derive(Debug, Clone, Default)]
 struct HostIndex {
-    /// Per-shape structures, ascending by `census_key`.
+    /// Per-shape structures, ascending by `class_key`.
     classes: Vec<ShapeClass>,
     /// `by_idle[I]`: every host with `I` idle GPUs, which the commit-side
     /// picks (reservation, batch, LCP and migration) walk.
@@ -312,7 +298,7 @@ impl HostIndex {
 
     fn class_position(&self, shape: &ResourceBundle) -> Result<usize, usize> {
         self.classes
-            .binary_search_by_key(&census_key(shape), |c| census_key(&c.shape))
+            .binary_search_by_key(&class_key(shape), |c| class_key(&c.shape))
     }
 
     /// The first host `accept` takes in the commit-side picks' order —
@@ -353,7 +339,7 @@ impl HostIndex {
         let class = &mut self.classes[slot];
         class.cell_insert(key, id);
         class.count_insert(key.subscribed);
-        class.by_id.insert(id, key.subscribed);
+        class.len += 1;
     }
 
     /// Removes `h`, indexed under `key`, from every structure; the exact
@@ -367,8 +353,8 @@ impl HostIndex {
         let class = &mut self.classes[slot];
         class.cell_remove(key, id);
         class.count_remove(key.subscribed);
-        class.by_id.remove(&id);
-        if class.by_id.is_empty() {
+        class.len -= 1;
+        if class.len == 0 {
             self.classes.remove(slot);
         } else {
             class.trim();
@@ -396,10 +382,6 @@ impl HostIndex {
         if new.subscribed != old.subscribed {
             class.count_remove(old.subscribed);
             class.count_insert(new.subscribed);
-            *class
-                .by_id
-                .get_mut(&id)
-                .expect("indexed host is in its class's rotation") = new.subscribed;
             if new.subscribed < old.subscribed {
                 class.trim();
             }
@@ -481,8 +463,8 @@ enum CapSplit {
 
 /// Classifies `class` against the [`class_cap`] threshold from its lowest
 /// and highest subscribed levels alone — the homogeneous verdicts every
-/// same-load fleet hits, which is what keeps the round-robin walk and the
-/// viability split flat when *all* hosts are over the cap.
+/// same-load fleet hits, which is what keeps the viability split flat
+/// when *all* hosts are over the cap.
 fn cap_split(class: &ShapeClass, cap: Option<u64>) -> CapSplit {
     match cap {
         Some(u64::MAX) => CapSplit::AllWithin,
@@ -504,34 +486,6 @@ fn cap_side(cap: Option<u64>, over: bool) -> Option<(u64, u64)> {
         (Some(t), false) => Some((0, t)),
         (Some(t), true) => Some((t + 1, u64::MAX)),
         (None, true) => Some((0, u64::MAX)),
-    }
-}
-
-/// Appends up to `take` host ids from `class` in ascending-id order over
-/// `range` (one rotation phase), keeping only hosts on the requested side
-/// of the cap split. Homogeneous classes answer in O(log + take); only a
-/// genuinely `Mixed` class walks members past the threshold check.
-fn gather_round_robin(
-    class: &ShapeClass,
-    split: CapSplit,
-    over: bool,
-    range: (Bound<HostId>, Bound<HostId>),
-    take: usize,
-    out: &mut Vec<HostId>,
-) {
-    match (split, over) {
-        (CapSplit::AllWithin, true) | (CapSplit::AllOver, false) => {}
-        (CapSplit::AllWithin, false) | (CapSplit::AllOver, true) => {
-            out.extend(class.by_id.range(range).map(|(&id, _)| id).take(take));
-        }
-        (CapSplit::Mixed(t), _) => out.extend(
-            class
-                .by_id
-                .range(range)
-                .filter(|&(_, &s)| (s > t) == over)
-                .map(|(&id, _)| id)
-                .take(take),
-        ),
     }
 }
 
@@ -563,34 +517,6 @@ fn gather_least_loaded(
     }
 }
 
-/// Appends up to `take` (≥ 1) bin-packing keys `(S, C, id)` — descending —
-/// from one shape class; `over` selects the over-cap side of the `cap`
-/// split.
-fn gather_bin_packing(
-    class: &ShapeClass,
-    cap: Option<u64>,
-    over: bool,
-    take: usize,
-    out: &mut Vec<(u64, u64, HostId)>,
-) {
-    let Some((lo, hi)) = cap_side(cap, over) else {
-        return;
-    };
-    let start = out.len();
-    let gpus = u64::from(class.shape.gpus);
-    for s in class.subs.iter_rev_through(hi).take_while(|&s| s >= lo) {
-        // Committed descending is idle ascending.
-        for idle in 0..class.occupied.len() {
-            for id in class.cell(idle, s).iter_rev() {
-                out.push((s, gpus - idle as u64, id));
-                if out.len() - start >= take {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// The exact comparator [`Cluster::subscription_candidates_into`] sorts
 /// with: most idle GPUs first, then lowest SR, then lowest id.
 fn least_loaded_first(keyed: &mut [(u32, f64, HostId)]) {
@@ -613,9 +539,6 @@ pub struct Cluster {
     /// `position[id]`: where host `id` sits in `hosts`, or `REMOVED`; one
     /// entry per id ever issued, so its length is the next id.
     position: Vec<u32>,
-    /// Persistent shape census, ascending by
-    /// `(gpus, millicpus, memory_mb)`; maintained on add/remove.
-    census: Vec<(ResourceBundle, u32)>,
     /// Total GPUs across all hosts (`ΣG`). A host's capacity never
     /// changes after creation, so this is always exact.
     total_gpus: u64,
@@ -702,13 +625,6 @@ impl Cluster {
         self.position.push(self.hosts.len() as u32);
         self.hosts.push(Host::new(id, capacity));
         self.total_gpus += u64::from(capacity.gpus);
-        match self
-            .census
-            .binary_search_by_key(&census_key(&capacity), |(s, _)| census_key(s))
-        {
-            Ok(i) => self.census[i].1 += 1,
-            Err(i) => self.census.insert(i, (capacity, 1)),
-        }
         self.index
             .link(self.hosts.last().expect("host just pushed"));
         id
@@ -725,18 +641,9 @@ impl Cluster {
         for later in &self.hosts[idx..] {
             self.position[later.id() as usize] -= 1;
         }
-        let shape = host.capacity();
-        self.total_gpus -= u64::from(shape.gpus);
+        self.total_gpus -= u64::from(host.capacity().gpus);
         self.total_subscribed -= host.subscribed_gpus();
         self.total_committed -= u64::from(host.committed_gpus());
-        let slot = self
-            .census
-            .binary_search_by_key(&census_key(&shape), |(s, _)| census_key(s))
-            .expect("every host's shape is in the census");
-        self.census[slot].1 -= 1;
-        if self.census[slot].1 == 0 {
-            self.census.remove(slot);
-        }
         Some(host)
     }
 
@@ -910,7 +817,7 @@ impl Cluster {
     }
 
     /// Hosts that could host a new replica subscription of `request`,
-    /// ranked by §3.4.1's default policy: hosts whose post-placement SR
+    /// ranked by §3.4.1's placement rule: hosts whose post-placement SR
     /// stays within `sr_cap` come first (most idle GPUs, then lowest SR),
     /// followed by over-cap hosts ordered by ascending SR. The SR cap is a
     /// *preference* — "the server is rejected in favor of another" — so
@@ -959,10 +866,10 @@ impl Cluster {
         out.extend(scratch.over.iter().map(|&(_, _, id)| id));
     }
 
-    /// The single viability rule every placement policy shares: hosts whose
-    /// *capacity* covers the request, split into those the SR cap allows and those it forbids (§3.4.1). CPU-only
-    /// requests never count against the cap. Segments are ascending by
-    /// host id; policies order within them. Clears and refills `out`, so a
+    /// The viability rule placement ranks under: hosts whose *capacity*
+    /// covers the request, split into those the SR cap allows and those it
+    /// forbids (§3.4.1). CPU-only requests never count against the cap.
+    /// Segments are ascending by host id. Clears and refills `out`, so a
     /// caller that owns the buffer screens every placement without
     /// allocating.
     pub fn viable_hosts_into(
@@ -988,15 +895,6 @@ impl Cluster {
         // monotonically), so the segments inherit that order.
     }
 
-    /// The fleet's shape census: distinct host shapes with their counts,
-    /// ascending by `(gpus, millicpus, memory_mb)` — the catalog the
-    /// platform hands a shape-aware elasticity policy, so "first covering
-    /// shape" means "cheapest covering shape". Served from the persistent
-    /// census index (maintained on add/remove), not a fleet scan.
-    pub fn shape_census(&self) -> Vec<(ResourceBundle, u32)> {
-        self.census.clone()
-    }
-
     // ------------------------------------------------------------------
     // Indexed placement queries: sub-linear replacements for the slab
     // scans. Each reproduces its scan counterpart's ordering bit for bit
@@ -1009,7 +907,7 @@ impl Cluster {
     /// O(shape classes) via the per-class live counts.
     pub fn viable_count(&self, request: &ResourceRequest) -> usize {
         let needed = ResourceBundle::from_request(request);
-        self.index.covering(&needed).map(|c| c.len()).sum()
+        self.index.covering(&needed).map(|c| c.len).sum()
     }
 
     /// The viability *split* — [`Cluster::viable_hosts_into`]'s segment lengths
@@ -1029,8 +927,8 @@ impl Cluster {
         for class in self.index.covering(&needed) {
             let cap = class_cap(request, class.shape, replication_factor, sr_cap);
             match cap_split(class, cap) {
-                CapSplit::AllWithin => within += class.len(),
-                CapSplit::AllOver => over += class.len(),
+                CapSplit::AllWithin => within += class.len,
+                CapSplit::AllOver => over += class.len,
                 CapSplit::Mixed(t) => {
                     let o: usize = class
                         .subs
@@ -1038,7 +936,7 @@ impl Cluster {
                         .map(|s| class.per_sub[s as usize])
                         .sum();
                     over += o;
-                    within += class.len() - o;
+                    within += class.len - o;
                 }
             }
         }
@@ -1065,7 +963,7 @@ impl Cluster {
         out.clear();
         let needed = ResourceBundle::from_request(request);
         let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len()).sum();
+        let total: usize = covering().map(|c| c.len).sum();
         if limit == 0 || total == 0 {
             return total;
         }
@@ -1099,127 +997,6 @@ impl Cluster {
             least_loaded_first(&mut scratch.over);
             scratch.over.truncate(rest);
             out.extend(scratch.over.iter().map(|&(_, _, id)| id));
-        }
-        total
-    }
-
-    /// The first `limit` hosts of the bin-packing ranking (most
-    /// subscribed, then most committed, then highest id, within-cap
-    /// segment first) without scanning the slab; returns the total viable
-    /// count. Same per-class gather-and-merge shape as
-    /// [`Cluster::rank_least_loaded_top`].
-    pub fn rank_bin_packing_top(
-        &self,
-        request: &ResourceRequest,
-        replication_factor: u32,
-        sr_cap: f64,
-        limit: usize,
-        keyed: &mut Vec<(u64, u64, HostId)>,
-        out: &mut Vec<HostId>,
-    ) -> usize {
-        keyed.clear();
-        out.clear();
-        let needed = ResourceBundle::from_request(request);
-        let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len()).sum();
-        if limit == 0 || total == 0 {
-            return total;
-        }
-        for class in covering() {
-            let cap = class_cap(request, class.shape, replication_factor, sr_cap);
-            gather_bin_packing(class, cap, false, limit, keyed);
-        }
-        keyed.sort_by(|a, b| b.cmp(a));
-        keyed.truncate(limit);
-        out.extend(keyed.iter().map(|&(_, _, id)| id));
-        if out.len() < limit {
-            let rest = limit - out.len();
-            keyed.clear();
-            for class in covering() {
-                let cap = class_cap(request, class.shape, replication_factor, sr_cap);
-                gather_bin_packing(class, cap, true, rest, keyed);
-            }
-            keyed.sort_by(|a, b| b.cmp(a));
-            keyed.truncate(rest);
-            out.extend(keyed.iter().map(|&(_, _, id)| id));
-        }
-        total
-    }
-
-    /// The first `limit` hosts of the round-robin ranking (ids rotated
-    /// past `last`, within-cap segment first) and the total viable count.
-    ///
-    /// Served from the per-class rotation-ordered `by_id` maps rather than a
-    /// circular slab walk: each rotation phase (ids after `last`, then
-    /// the wrap back to `last`) range-scans every covering class in
-    /// ascending-id order — which *is* the global rotation order within a
-    /// phase — takes at most `limit` qualifying ids per class, and keeps
-    /// the smallest across classes. A class whose members are uniformly
-    /// over (or under) the SR cap is classified from its extreme subscribed
-    /// levels, so the all-over-cap fleet that degraded the slab walk to
-    /// O(hosts) now answers in O(classes · (log hosts + limit)). Only a class the cap genuinely splits walks members past
-    /// the threshold check.
-    // Mirrors the scan-path signature (request/RF/cap/cursor) plus the
-    // two caller-owned scratch buffers the allocation-free API requires.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_round_robin_top(
-        &self,
-        request: &ResourceRequest,
-        replication_factor: u32,
-        sr_cap: f64,
-        last: Option<HostId>,
-        limit: usize,
-        over_scratch: &mut Vec<HostId>,
-        out: &mut Vec<HostId>,
-    ) -> usize {
-        out.clear();
-        over_scratch.clear();
-        let needed = ResourceBundle::from_request(request);
-        let covering = || self.index.covering(&needed);
-        let total: usize = covering().map(|c| c.len()).sum();
-        if limit == 0 || total == 0 {
-            return total;
-        }
-        // Rotation phases: ids strictly after `last`, then the wrap back
-        // to (and including) `last`. With no cursor the single unbounded
-        // phase is the plain ascending order.
-        let phases: [Option<(Bound<HostId>, Bound<HostId>)>; 2] = match last {
-            Some(last) => [
-                Some((Bound::Excluded(last), Bound::Unbounded)),
-                Some((Bound::Unbounded, Bound::Included(last))),
-            ],
-            None => [Some((Bound::Unbounded, Bound::Unbounded)), None],
-        };
-        let fill = |over: bool, want: usize, dest: &mut Vec<HostId>| {
-            for phase in phases.iter().flatten() {
-                if dest.len() >= want {
-                    break;
-                }
-                let before = dest.len();
-                for class in covering() {
-                    let cap = class_cap(request, class.shape, replication_factor, sr_cap);
-                    gather_round_robin(
-                        class,
-                        cap_split(class, cap),
-                        over,
-                        *phase,
-                        want - before,
-                        dest,
-                    );
-                }
-                // Within a phase every class range is ascending by id, so
-                // the globally-first `want` ids are the smallest gathered.
-                dest[before..].sort_unstable();
-                dest.truncate(want.max(before));
-            }
-        };
-        // Within-cap segment first, then — only if short — the over-cap
-        // segment, exactly the scan path's preference order.
-        fill(false, limit, out);
-        if out.len() < limit {
-            let rest = limit - out.len();
-            fill(true, rest, over_scratch);
-            out.extend(over_scratch.iter());
         }
         total
     }
@@ -1572,29 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn shape_census_counts_distinct_shapes() {
-        let small = ResourceBundle::new(32_000, 249_856, 4);
-        let mut c = Cluster::with_host_mix(&[(ResourceBundle::p3_16xlarge(), 2), (small, 3)]);
-        assert_eq!(
-            c.shape_census(),
-            vec![(small, 3), (ResourceBundle::p3_16xlarge(), 2)],
-            "ascending by gpus"
-        );
-        c.remove_host(0);
-        assert_eq!(
-            c.shape_census(),
-            vec![(small, 3), (ResourceBundle::p3_16xlarge(), 1)]
-        );
-        c.remove_host(1);
-        assert_eq!(
-            c.shape_census(),
-            vec![(small, 3)],
-            "exhausted shapes drop out of the census"
-        );
-        assert!(Cluster::new().shape_census().is_empty());
-    }
-
-    #[test]
     fn idle_host_detection() {
         let mut c = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
         assert!(c.subscribe(0, &gpu_req(1)));
@@ -1645,82 +1399,6 @@ mod tests {
                 );
             }
             assert_eq!(c.viable_count(&req), full.len());
-        }
-    }
-
-    #[test]
-    fn indexed_bin_packing_matches_scan_prefix() {
-        let mut c = Cluster::with_hosts(6, ResourceBundle::p3_16xlarge());
-        for i in 0..6u64 {
-            for _ in 0..(6 - i) % 5 {
-                assert!(c.subscribe(i, &gpu_req(3)));
-            }
-        }
-        let mut devices = Vec::new();
-        assert!(c.try_commit(3, 60, &gpu_req(4), &mut devices));
-        let req = gpu_req(2);
-        // Scan reference: the policy's (S, C, id)-descending order per
-        // SR-cap segment.
-        let v = viable(&c, &req, 3, 1.0);
-        let keyed = |ids: &[HostId]| {
-            let mut k: Vec<_> = ids
-                .iter()
-                .map(|&id| {
-                    let h = c.host(id).unwrap();
-                    (h.subscribed_gpus(), u64::from(h.committed_gpus()), id)
-                })
-                .collect();
-            k.sort_by(|a, b| b.cmp(a));
-            k.into_iter().map(|(_, _, id)| id).collect::<Vec<_>>()
-        };
-        let mut full = keyed(&v.within_cap);
-        full.extend(keyed(&v.over_cap));
-        let mut scratch = Vec::new();
-        let mut top = Vec::new();
-        for limit in [1, 2, full.len(), full.len() + 1] {
-            let total = c.rank_bin_packing_top(&req, 3, 1.0, limit, &mut scratch, &mut top);
-            assert_eq!(total, full.len());
-            assert_eq!(
-                top,
-                full[..limit.min(full.len())],
-                "prefix for limit {limit}"
-            );
-        }
-    }
-
-    #[test]
-    fn indexed_round_robin_rotates_like_the_scan() {
-        let mut c = Cluster::with_hosts(5, ResourceBundle::p3_16xlarge());
-        assert!(c.remove_host(1).is_some());
-        for _ in 0..7 {
-            assert!(c.subscribe(3, &gpu_req(4)));
-        }
-        let req = gpu_req(4);
-        // Scan reference: rotate each viability segment past `last`.
-        let rotate = |ids: &[HostId], last: Option<HostId>| {
-            let pivot = match last {
-                Some(l) => ids.partition_point(|&h| h <= l) % ids.len().max(1),
-                None => 0,
-            };
-            let mut r = ids[pivot..].to_vec();
-            r.extend(&ids[..pivot]);
-            r
-        };
-        let mut over = Vec::new();
-        let mut top = Vec::new();
-        for last in [None, Some(0), Some(2), Some(4), Some(9)] {
-            let v = viable(&c, &req, 3, 1.0);
-            let mut full = rotate(&v.within_cap, last);
-            full.extend(rotate(&v.over_cap, last));
-            for limit in [1, 2, full.len() + 1] {
-                let total = c.rank_round_robin_top(&req, 3, 1.0, last, limit, &mut over, &mut top);
-                assert_eq!(total, full.len());
-                assert_eq!(
-                    top,
-                    full[..limit.min(full.len())],
-                    "prefix for last {last:?} limit {limit}"
-                );
-            }
         }
     }
 
@@ -1873,11 +1551,13 @@ mod tests {
     /// highest one a host of the class holds.
     fn assert_grid_spans_the_levels_held(c: &Cluster, step: u64) {
         for class in &c.index.classes {
-            let rows = class
-                .by_id
-                .values()
+            let rows = c
+                .hosts
+                .iter()
+                .filter(|h| h.capacity() == class.shape)
+                .map(Host::subscribed_gpus)
                 .max()
-                .map_or(0, |&top| top as usize + 1);
+                .map_or(0, |top| top as usize + 1);
             assert!(
                 class.cells.len() <= rows * class.occupied.len() && class.per_sub.len() <= rows,
                 "step {step}: {} grid cells and {} counts for levels 0..{rows}",
@@ -1973,58 +1653,6 @@ mod tests {
                 (v.within_cap.len(), v.over_cap.len()),
                 "split for {req:?}"
             );
-        }
-    }
-
-    #[test]
-    fn round_robin_worst_cases_match_the_scan_reference() {
-        // The degradation case the rotation-ordered BTrees exist for:
-        // every host over the SR cap.
-        let mut c = Cluster::with_hosts(12, ResourceBundle::p3_16xlarge());
-        for i in 0..12u64 {
-            for _ in 0..7 {
-                assert!(c.subscribe(i, &gpu_req(4)));
-            }
-        }
-        let req = gpu_req(4);
-        let rotate = |ids: &[HostId], last: Option<HostId>| {
-            let pivot = match last {
-                Some(l) => ids.partition_point(|&h| h <= l) % ids.len().max(1),
-                None => 0,
-            };
-            let mut r = ids[pivot..].to_vec();
-            r.extend(&ids[..pivot]);
-            r
-        };
-        let mut over = Vec::new();
-        let mut top = Vec::new();
-        for last in [None, Some(9), Some(10), Some(11), Some(99)] {
-            let v = viable(&c, &req, 3, 1.0);
-            assert!(v.within_cap.is_empty(), "every host is over the cap");
-            let full = rotate(&v.over_cap, last);
-            for limit in [1, 2, 3, 5] {
-                let total = c.rank_round_robin_top(&req, 3, 1.0, last, limit, &mut over, &mut top);
-                assert_eq!(total, full.len());
-                assert_eq!(
-                    top,
-                    full[..limit.min(full.len())],
-                    "prefix for last {last:?} limit {limit}"
-                );
-            }
-        }
-        // Relieve one mid-fleet host's load: a genuinely mixed class (one
-        // within-cap member among over-cap ones).
-        for _ in 0..7 {
-            assert!(c.unsubscribe(5, &gpu_req(4)));
-        }
-        let v = viable(&c, &req, 3, 1.0);
-        assert_eq!(v.within_cap, vec![5]);
-        for last in [None, Some(5), Some(11)] {
-            let mut full = rotate(&v.within_cap, last);
-            full.extend(rotate(&v.over_cap, last));
-            let total = c.rank_round_robin_top(&req, 3, 1.0, last, 3, &mut over, &mut top);
-            assert_eq!(total, full.len());
-            assert_eq!(top, full[..3.min(full.len())], "mixed class, last {last:?}");
         }
     }
 

@@ -111,21 +111,6 @@ impl IdSet {
             bits: 0,
         }
     }
-
-    /// The values `≤ end`, descending.
-    pub(crate) fn iter_rev_through(&self, end: u64) -> Descending<'_> {
-        let (w, bit) = locate(end);
-        match self.words.get(w) {
-            // `bit | (bit - 1)` masks `bit` and every bit below it.
-            Some(&word) => Descending {
-                words: &self.words,
-                at: w,
-                bits: word & (bit | (bit - 1)),
-            },
-            // `end` lies past the last word.
-            None => self.iter_rev(),
-        }
-    }
 }
 
 /// Ascending walk over an [`IdSet`]'s set bits.
@@ -206,16 +191,8 @@ mod tests {
         for start in 0..260 {
             let want: Vec<u64> = EDGES.iter().copied().filter(|&v| v >= start).collect();
             assert_eq!(s.iter_from(start).collect::<Vec<_>>(), want, "from {start}");
-            let mut want: Vec<u64> = EDGES.iter().copied().filter(|&v| v <= start).collect();
-            want.reverse();
-            assert_eq!(
-                s.iter_rev_through(start).collect::<Vec<_>>(),
-                want,
-                "through {start}"
-            );
         }
         assert_eq!(s.iter_from(u64::MAX).next(), None);
-        assert_eq!(s.iter_rev_through(u64::MAX).next(), Some(191));
     }
 
     #[test]

@@ -60,22 +60,6 @@ impl ProvisioningModel {
         SimTime::from_secs_f64(self.vm_scale_out.sample(rng))
     }
 
-    /// Shape-indexed scale-out latency: provisioning a host with `gpus`
-    /// GPUs relative to the `reference_gpus` host the base calibration
-    /// describes. Smaller hosts image fewer devices and attach less
-    /// storage, so they come up proportionally (but sub-linearly) faster;
-    /// a host of the reference shape draws **exactly** the base sample —
-    /// same RNG consumption, same value — so homogeneous fleets are
-    /// unaffected by the shape-aware path.
-    pub fn vm_scale_out_for(&self, rng: &mut SimRng, gpus: u32, reference_gpus: u32) -> SimTime {
-        if gpus == reference_gpus {
-            return self.vm_scale_out(rng);
-        }
-        let ratio = f64::from(gpus.max(1)) / f64::from(reference_gpus.max(1));
-        let factor = 0.5 + 0.5 * ratio;
-        SimTime::from_secs_f64(self.vm_scale_out.sample(rng) * factor)
-    }
-
     /// One network hop (client ↔ Jupyter Server ↔ Global Scheduler ↔ Local
     /// Scheduler ↔ replica).
     pub fn network_hop(&self, rng: &mut SimRng) -> SimTime {
@@ -141,38 +125,6 @@ mod tests {
                 .collect(),
         );
         assert!((60.0..150.0).contains(&med), "scale-out median {med:.1}");
-    }
-
-    #[test]
-    fn shaped_scale_out_matches_reference_bit_for_bit() {
-        let model = ProvisioningModel::new();
-        let mut a = SimRng::seed(7);
-        let mut b = SimRng::seed(7);
-        for _ in 0..200 {
-            assert_eq!(
-                model.vm_scale_out_for(&mut a, 8, 8),
-                model.vm_scale_out(&mut b)
-            );
-        }
-    }
-
-    #[test]
-    fn smaller_shapes_provision_faster_on_average() {
-        let model = ProvisioningModel::new();
-        let mut rng = SimRng::seed(8);
-        let small = median_of(
-            (0..2000)
-                .map(|_| model.vm_scale_out_for(&mut rng, 4, 8).as_secs_f64())
-                .collect(),
-        );
-        let mut rng = SimRng::seed(8);
-        let full = median_of(
-            (0..2000)
-                .map(|_| model.vm_scale_out_for(&mut rng, 8, 8).as_secs_f64())
-                .collect(),
-        );
-        assert!(small < full, "4-GPU {small:.1}s vs 8-GPU {full:.1}s");
-        assert!(small > full * 0.5, "sub-linear, not proportional");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 
 use notebookos_cluster::ResourceBundle;
 
-use crate::elasticity::{HYSTERESIS_COOLDOWN_S, HYSTERESIS_SURPLUS_TICKS};
-
 /// Which scheduling policy runs the platform (§5.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -72,90 +70,6 @@ impl PolicyKind {
     }
 }
 
-/// Which replica-placement policy the Global Scheduler uses (§3.4.1 — the
-/// policy is pluggable; this selects among the bundled implementations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlacementKind {
-    /// The paper's default: least-loaded with the dynamic SR cap.
-    #[default]
-    LeastLoaded,
-    /// Round-robin over viable hosts.
-    RoundRobin,
-    /// Consolidate onto the most-subscribed viable hosts.
-    BinPacking,
-    /// Seeded-random (ablation baseline).
-    Random,
-}
-
-impl std::fmt::Display for PlacementKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlacementKind::LeastLoaded => write!(f, "least-loaded"),
-            PlacementKind::RoundRobin => write!(f, "round-robin"),
-            PlacementKind::BinPacking => write!(f, "bin-packing"),
-            PlacementKind::Random => write!(f, "random"),
-        }
-    }
-}
-
-impl PlacementKind {
-    /// All four bundled placement policies, in ablation order — the
-    /// placement sweep axis mirror of [`PolicyKind::ALL`].
-    pub const ALL: [PlacementKind; 4] = [
-        PlacementKind::LeastLoaded,
-        PlacementKind::RoundRobin,
-        PlacementKind::BinPacking,
-        PlacementKind::Random,
-    ];
-}
-
-/// Which variant of the §3.4.2 auto-scaler drives scale-out and scale-in
-/// decisions. It is the sweepable configuration axis, as [`PlacementKind`]
-/// is for replica placement; the platform's controller matches on it
-/// directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ElasticityKind {
-    /// The paper's §3.4.2 threshold controller: targets
-    /// `ΣG' = f · ΣC` in host-equivalents and always provisions
-    /// p3.16xlarge hosts. Bit-identical to the pre-elasticity platform on
-    /// homogeneous fleets.
-    #[default]
-    Threshold,
-    /// Shape-aware scaling for heterogeneous fleets: provisions the
-    /// cheapest shape in the fleet's catalog that satisfies the queued
-    /// GPU/VRAM demand, with targets billed in host-equivalents.
-    ShapeAware,
-    /// Threshold targets wrapped in hysteresis: scale-out is rate-limited
-    /// by a 2-minute cooldown and scale-in only fires after 4 consecutive
-    /// surplus ticks (2 minutes at the 30 s tick), damping the
-    /// provision/release churn diurnal workloads induce.
-    Hysteresis,
-}
-
-impl ElasticityKind {
-    /// The three bundled policies, in sweep order.
-    pub const ALL: [ElasticityKind; 3] = [
-        ElasticityKind::Threshold,
-        ElasticityKind::ShapeAware,
-        ElasticityKind::Hysteresis,
-    ];
-}
-
-impl std::fmt::Display for ElasticityKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ElasticityKind::Threshold => write!(f, "threshold"),
-            ElasticityKind::ShapeAware => write!(f, "shape-aware"),
-            // The parameters stay in the label: persisted reports and the
-            // placement-matrix golden carry it.
-            ElasticityKind::Hysteresis => write!(
-                f,
-                "hysteresis(cooldown={HYSTERESIS_COOLDOWN_S}s,surplus={HYSTERESIS_SURPLUS_TICKS})"
-            ),
-        }
-    }
-}
-
 /// Auto-scaler parameters (§3.4.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
@@ -165,17 +79,6 @@ pub struct AutoscaleConfig {
     pub max_release_per_step: u32,
     /// Lower bound on cluster size.
     pub min_hosts: u32,
-    /// Which variant of the auto-scaler turns these parameters into
-    /// scaling decisions.
-    pub elasticity: ElasticityKind,
-    /// When set, a periodic tick re-evaluates [`PrewarmPool::deficits`]
-    /// and provisions the missing warm containers, so pools self-heal
-    /// after a flash crowd drains them. `None` keeps the pre-elasticity
-    /// behavior (pools refill only at host-ready), preserving bit-exact
-    /// reproduction of earlier results.
-    ///
-    /// [`PrewarmPool::deficits`]: notebookos_cluster::PrewarmPool::deficits
-    pub prewarm_reconcile_interval_s: Option<f64>,
 }
 
 impl Default for AutoscaleConfig {
@@ -184,8 +87,6 @@ impl Default for AutoscaleConfig {
             scaling_buffer_hosts: 2,
             max_release_per_step: 2,
             min_hosts: 4,
-            elasticity: ElasticityKind::Threshold,
-            prewarm_reconcile_interval_s: None,
         }
     }
 }
@@ -206,10 +107,9 @@ pub struct PlatformConfig {
     /// NotebookOS variants).
     pub autoscale: AutoscaleConfig,
     /// Mean time between injected replica fail-stop failures, in hours of
-    /// virtual time (§3.2.5 fault model). `None` disables injection.
+    /// virtual time (§3.2.5 fault model); must be positive. `None`
+    /// disables injection.
     pub replica_mtbf_hours: Option<f64>,
-    /// Replica-placement policy (§3.4.1).
-    pub placement: PlacementKind,
     /// RNG seed for the run.
     pub seed: u64,
 }
@@ -232,7 +132,6 @@ impl PlatformConfig {
                 ..AutoscaleConfig::default()
             },
             replica_mtbf_hours: None,
-            placement: PlacementKind::LeastLoaded,
             seed: 0xC0FFEE,
         }
     }
@@ -253,9 +152,11 @@ impl PlatformConfig {
         if !self.host_mix.is_empty() && self.host_mix.iter().all(|&(_, count)| count == 0) {
             return Err("host mix must contain at least one host".into());
         }
-        if let Some(interval) = self.autoscale.prewarm_reconcile_interval_s {
-            if !interval.is_finite() || interval <= 0.0 {
-                return Err("prewarm reconcile interval must be positive".into());
+        // A zero (or NaN) mean draws a zero inter-failure delay, and the
+        // failure event would reschedule itself at the same instant forever.
+        if let Some(mtbf) = self.replica_mtbf_hours {
+            if !(mtbf.is_finite() && mtbf > 0.0) {
+                return Err("replica MTBF must be a positive number of hours".into());
             }
         }
         Ok(())
@@ -332,37 +233,18 @@ mod tests {
     }
 
     #[test]
+    fn replica_mtbf_validation() {
+        let mut cfg = PlatformConfig::evaluation(PolicyKind::NotebookOs);
+        for mtbf in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            cfg.replica_mtbf_hours = Some(mtbf);
+            assert!(cfg.validate().is_err(), "MTBF {mtbf} rejected");
+        }
+        cfg.replica_mtbf_hours = Some(0.25);
+        cfg.validate().expect("a positive MTBF is valid");
+    }
+
+    #[test]
     fn policy_display() {
         assert_eq!(PolicyKind::NotebookOsLcp.to_string(), "NotebookOS (LCP)");
-    }
-
-    #[test]
-    fn elasticity_defaults_and_display() {
-        assert_eq!(ElasticityKind::default(), ElasticityKind::Threshold);
-        assert_eq!(
-            AutoscaleConfig::default().elasticity,
-            ElasticityKind::Threshold
-        );
-        assert_eq!(
-            AutoscaleConfig::default().prewarm_reconcile_interval_s,
-            None
-        );
-        assert_eq!(ElasticityKind::Threshold.to_string(), "threshold");
-        assert_eq!(ElasticityKind::ShapeAware.to_string(), "shape-aware");
-        assert_eq!(
-            ElasticityKind::Hysteresis.to_string(),
-            "hysteresis(cooldown=120s,surplus=4)",
-            "the placement-matrix golden pins this label"
-        );
-        assert_eq!(ElasticityKind::ALL.len(), 3);
-    }
-
-    #[test]
-    fn elasticity_validation() {
-        let mut cfg = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-        cfg.autoscale.prewarm_reconcile_interval_s = Some(0.0);
-        assert!(cfg.validate().is_err(), "zero reconcile interval rejected");
-        cfg.autoscale.prewarm_reconcile_interval_s = Some(60.0);
-        cfg.validate().expect("positive interval is valid");
     }
 }

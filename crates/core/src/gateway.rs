@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use notebookos_cluster::{Cluster, HostId, ResourceRequest};
 use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
-use crate::policy::{place_replicas, PlacementPolicy};
+use crate::policy::{place_replicas, LeastLoaded};
 use crate::serve::GATEWAY_KEY;
 
 /// A launched kernel's placement record: what `shutdown` releases.
@@ -59,21 +59,22 @@ pub(crate) fn connection_info(kernel_id: String, hosts: &[HostId]) -> Connection
 /// the live gateway keeps its own in each session's slot and places and
 /// releases without a key.
 #[derive(Debug)]
-pub struct GatewayProvisioner<P: PlacementPolicy> {
+pub struct GatewayProvisioner {
     cluster: Cluster,
-    policy: P,
+    policy: LeastLoaded,
     replication_factor: u32,
     kernels: HashMap<String, KernelPlacement>,
     /// Reusable placement-ranking buffer: the last placement's hosts.
     rank_buf: Vec<HostId>,
 }
 
-impl<P: PlacementPolicy> GatewayProvisioner<P> {
-    /// Creates a provisioner over `cluster` with the given policy.
-    pub fn new(cluster: Cluster, policy: P, replication_factor: u32) -> Self {
+impl GatewayProvisioner {
+    /// Creates a provisioner over `cluster` that places R =
+    /// `replication_factor` replicas least-loaded first (§3.4.1).
+    pub fn new(cluster: Cluster, replication_factor: u32) -> Self {
         GatewayProvisioner {
             cluster,
-            policy,
+            policy: LeastLoaded::default(),
             replication_factor,
             kernels: HashMap::new(),
             rank_buf: Vec::new(),
@@ -176,7 +177,6 @@ impl<P: PlacementPolicy> GatewayProvisioner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BinPacking, LeastLoaded};
     use notebookos_cluster::ResourceBundle;
 
     fn spec() -> KernelResourceSpec {
@@ -188,9 +188,9 @@ mod tests {
         }
     }
 
-    fn gateway() -> GatewayProvisioner<LeastLoaded> {
+    fn gateway() -> GatewayProvisioner {
         let cluster = Cluster::with_hosts(4, ResourceBundle::p3_16xlarge());
-        GatewayProvisioner::new(cluster, LeastLoaded::default(), 3)
+        GatewayProvisioner::new(cluster, 3)
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn shortfall_reports_insufficient_resources() {
         let cluster = Cluster::with_hosts(2, ResourceBundle::p3_16xlarge());
-        let mut g = GatewayProvisioner::new(cluster, LeastLoaded::default(), 3);
+        let mut g = GatewayProvisioner::new(cluster, 3);
         // Only 2 candidate hosts for R = 3.
         let err = g.launch("kernel-1", spec()).unwrap_err();
         assert!(matches!(err, ProvisionError::InsufficientResources(_)));
@@ -268,37 +268,5 @@ mod tests {
         for host in g.cluster().hosts() {
             assert!(host.replica_count() > 0, "host {} unused", host.id());
         }
-    }
-
-    #[test]
-    fn round_robin_rotates_across_launches() {
-        // Regression: rank() is pure since the placed() feedback change,
-        // so the gateway must report consumed hosts or every launch would
-        // re-rank from the same rotation point and pile kernels onto
-        // hosts {0, 1, 2} forever.
-        let cluster = Cluster::with_hosts(5, ResourceBundle::p3_16xlarge());
-        let mut g = GatewayProvisioner::new(cluster, crate::policy::RoundRobin::default(), 3);
-        let (_, first) = g.launch("k1", spec()).expect("launches");
-        let (_, second) = g.launch("k2", spec()).expect("launches");
-        assert_eq!(
-            first,
-            vec![0, 1, 2],
-            "first placement takes the rotation head"
-        );
-        assert_eq!(
-            second,
-            vec![3, 4, 0],
-            "second placement resumes after the last consumed host"
-        );
-    }
-
-    #[test]
-    fn works_with_alternative_policies() {
-        let cluster = Cluster::with_hosts(4, ResourceBundle::p3_16xlarge());
-        let mut g = GatewayProvisioner::new(cluster, BinPacking::default(), 3);
-        let (_, hosts) = g
-            .launch("kernel-1", spec())
-            .expect("launches under bin-packing");
-        assert_eq!(hosts.len(), 3);
     }
 }

@@ -19,9 +19,10 @@
 //!   dynamic GPU binding, migration §3.2.3, auto-scaling §3.4.2) plus the
 //!   three baselines (Reservation, Batch, NotebookOS-LCP) in one
 //!   discrete-event world,
-//! * `elasticity` (crate-private) — the §3.4.2 auto-scaler: scale-out
-//!   and scale-in decisions, one controller matched on
-//!   [`ElasticityKind`] (threshold / shape-aware / hysteresis),
+//! * [`policy`] — §3.4.1's replica placement, least-loaded under the
+//!   dynamic SR cap,
+//! * `elasticity` (crate-private) — the §3.4.2 auto-scaler: stateless
+//!   threshold scale-out and scale-in decisions,
 //! * [`billing`] — the §5.5.1 cost/revenue model,
 //! * [`reclamation`] — the Fig. 13 idle-reclamation savings analysis,
 //! * [`latency_breakdown`] — Fig. 15–19 critical-path accounting.
@@ -59,16 +60,14 @@ pub mod sweep;
 pub mod types;
 
 pub use billing::BillingMeter;
-pub use config::{AutoscaleConfig, ElasticityKind, PlacementKind, PlatformConfig, PolicyKind};
+pub use config::{AutoscaleConfig, PlatformConfig, PolicyKind};
 pub use election::{Designation, ElectionModel};
 pub use failure::{recovery_action, FailureDetector, RecoveryAction};
 pub use gateway::GatewayProvisioner;
 pub use latency_breakdown::{BreakdownRecorder, RecoveryBreakdown, RecoveryPhase, Step};
 pub use placement_service::{PlacementClient, PlacementService, ProvisioningBackend};
 pub use platform::Platform;
-pub use policy::{
-    BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, RandomPlacement, RoundRobin,
-};
+pub use policy::{LeastLoaded, PlacementContext, PlacementPolicy};
 pub use reclamation::{analyze as analyze_reclamation, fig13_sweep, ReclamationSavings};
 pub use results::{RunCounters, RunMetrics};
 pub use serve::{

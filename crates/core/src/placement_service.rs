@@ -19,7 +19,6 @@ use notebookos_cluster::{Cluster, HostId, ResourceBundle};
 use notebookos_jupyter::{ConnectionInfo, KernelResourceSpec, ProvisionError};
 
 use crate::gateway::GatewayProvisioner;
-use crate::policy::LeastLoaded;
 
 /// Kernel launch and shutdown through a provisioning plane.
 /// [`PlacementClient`] is its one implementor.
@@ -92,8 +91,7 @@ impl PlacementService {
         replication_factor: u32,
     ) {
         let cluster = Cluster::with_hosts(hosts, shape);
-        let mut provisioner =
-            GatewayProvisioner::new(cluster, LeastLoaded::default(), replication_factor);
+        let mut provisioner = GatewayProvisioner::new(cluster, replication_factor);
         while let Ok(cmd) = rx.recv() {
             match cmd {
                 PlacementCmd::Launch {

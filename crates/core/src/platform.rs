@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 
 use notebookos_cluster::{
-    Cluster, Host, HostId, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
+    Cluster, HostId, PrewarmPool, ProvisioningModel, ResourceBundle, ResourceRequest,
 };
 use notebookos_datastore::{BackendKind, DataStore};
 use notebookos_des::time::{f64_to_u64, u64_to_f64};
@@ -20,13 +20,11 @@ use notebookos_des::{DesScheduler, Ranked, Scheduler, SimRng, SimTime, DYNAMIC_R
 use notebookos_trace::{Arrival, Arrivals, WorkloadTrace};
 
 use crate::billing::BillingMeter;
-use crate::config::{PlacementKind, PlatformConfig, PolicyKind};
-use crate::elasticity::{self, DemandShortfall, Elasticity, ElasticityAction, ElasticityContext};
+use crate::config::{PlatformConfig, PolicyKind};
+use crate::elasticity::{self, ElasticityAction, ElasticityContext};
 use crate::election::{Designation, ElectionModel};
 use crate::latency_breakdown::Step;
-use crate::policy::{
-    place_replicas, BinPacking, LeastLoaded, PlacementPolicy, RandomPlacement, RoundRobin,
-};
+use crate::policy::{place_replicas, LeastLoaded};
 use crate::results::RunMetrics;
 use crate::types::ReplicaId;
 
@@ -54,9 +52,8 @@ const MIGRATION_MAX_RETRIES: u32 = 8;
 /// A cell is `(s, e)`: cell `e` of session `s`, both `u32` (the trace
 /// fits, [`Platform::new`] checks). An event carries only what the trace
 /// and the platform do not hold, so a cell's submission instant and
-/// running time are read from the trace and a new host's shape from the
-/// platform's shape table, never copied into the queue (24 bytes an
-/// event).
+/// running time are read from the trace, never copied into the queue (24
+/// bytes an event).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field meanings documented on each variant
 pub enum Ev {
@@ -72,16 +69,10 @@ pub enum Ev {
     ExecFinish { s: u32, e: u32, host: HostId },
     /// Retry a failed migration of cell `e` of session `s` (§3.2.3).
     MigrationRetry { s: u32, e: u32 },
-    /// A scale-out completes: one new host joins, of the shape at this
-    /// index of the platform's shape table.
-    HostReady(u32),
+    /// A scale-out completes: one new p3.16xlarge host joins.
+    HostReady,
     /// Periodic auto-scaler evaluation (§3.4.2).
     AutoscaleTick,
-    /// Periodic pre-warm deficit reconciliation (opt-in via
-    /// [`crate::config::AutoscaleConfig::prewarm_reconcile_interval_s`]):
-    /// pools self-heal after a flash crowd drains them instead of waiting
-    /// for the next host arrival.
-    PrewarmReconcileTick,
     /// Periodic billing/metrics snapshot.
     MetricsTick,
     /// An injected fail-stop failure of one kernel replica (§3.2.5).
@@ -207,19 +198,7 @@ pub struct Platform {
     pending_kernels: VecDeque<usize>,
     /// Hosts currently being provisioned by scale-out.
     hosts_in_flight: u32,
-    /// GPUs aboard the in-flight hosts (shape-aware fleets provision
-    /// mixed shapes, so a host count alone no longer measures capacity).
-    gpus_in_flight: u64,
-    /// The auto-scaler deciding scale-out and scale-in.
-    elasticity: Elasticity,
-    /// Shapes scale-out may provision, ascending by GPU count (the
-    /// auto-scaler's catalog), then any other shape it provisioned (the
-    /// reference shape, when a mixed fleet's catalog lacks it). An
-    /// [`Ev::HostReady`] names its shape by index here.
-    shape_catalog: Vec<ResourceBundle>,
-    /// How many of `shape_catalog`'s shapes are the catalog.
-    catalog_len: usize,
-    placement: Box<dyn PlacementPolicy + Send>,
+    placement: LeastLoaded,
     billing: BillingMeter,
     standby_replicas: i64,
     /// GPUs belonging to cells that are actively executing right now — the
@@ -292,27 +271,8 @@ impl Platform {
             .collect();
         let horizon_us = f64_to_u64(trace.span_s() * 1e6);
         let billing = BillingMeter::new(ResourceBundle::p3_16xlarge().gpus);
-        let placement: Box<dyn PlacementPolicy + Send> = match config.placement {
-            PlacementKind::LeastLoaded => Box::new(LeastLoaded::default()),
-            PlacementKind::RoundRobin => Box::new(RoundRobin::default()),
-            PlacementKind::BinPacking => Box::new(BinPacking::default()),
-            PlacementKind::Random => Box::new(RandomPlacement::new(config.seed ^ 0xFACE)),
-        };
-        // Distinct shapes scale-out may provision: the initial fleet's
-        // census for heterogeneous fleets (ascending by GPU count, so
-        // "first covering" is "cheapest covering"), or just p3.16xlarge.
-        let shape_catalog: Vec<ResourceBundle> = if config.host_mix.is_empty() {
-            vec![ResourceBundle::p3_16xlarge()]
-        } else {
-            cluster
-                .shape_census()
-                .into_iter()
-                .map(|(shape, _)| shape)
-                .collect()
-        };
-        let elasticity = Elasticity::new(config.autoscale.elasticity);
         let mut platform = Platform {
-            placement,
+            placement: LeastLoaded::default(),
             pool: PrewarmPool::new(),
             // §5.1.2: the evaluation's Distributed Data Store is S3-backed.
             store: DataStore::new(BackendKind::S3),
@@ -325,10 +285,6 @@ impl Platform {
             batch_queue: VecDeque::new(),
             pending_kernels: VecDeque::new(),
             hosts_in_flight: 0,
-            gpus_in_flight: 0,
-            elasticity,
-            catalog_len: shape_catalog.len(),
-            shape_catalog,
             billing,
             standby_replicas: 0,
             training_gpus: 0,
@@ -360,8 +316,8 @@ impl Platform {
     }
 
     /// Runs the full trace but returns the whole sealed world, so tests
-    /// and tools can inspect end-of-run state ([`Platform::cluster`],
-    /// [`Platform::pool`]) alongside [`Platform::metrics`] — the metrics
+    /// and tools can inspect end-of-run state ([`Platform::cluster`])
+    /// alongside [`Platform::metrics`] — the metrics
     /// are identical to what [`Platform::run`] returns.
     pub fn run_for_inspection(config: PlatformConfig, trace: WorkloadTrace) -> Platform {
         let mut sched = DesScheduler::new();
@@ -459,11 +415,6 @@ impl Platform {
                 SimTime::from_secs_f64(AUTOSCALE_INTERVAL_S),
                 Ev::AutoscaleTick,
             );
-        }
-        if let Some(interval_s) = self.config.autoscale.prewarm_reconcile_interval_s {
-            if self.config.policy.prewarm_min_per_host() > 0 {
-                sched.schedule(SimTime::from_secs_f64(interval_s), Ev::PrewarmReconcileTick);
-            }
         }
         sched.schedule(SimTime::from_secs(3600), Ev::MetricsTick);
         if self.config.replica_mtbf_hours.is_some() {
@@ -703,7 +654,7 @@ impl Platform {
         // transient allocation.
         let mut rank_buf = std::mem::take(&mut self.rank_buf);
         if let Err(total) = place_replicas(
-            &mut *self.placement,
+            &mut self.placement,
             &mut self.cluster,
             &req,
             r,
@@ -712,7 +663,7 @@ impl Platform {
             let shortfall = r - total as u32;
             self.rank_buf = rank_buf;
             self.pending_kernels.push_back(s);
-            self.trigger_scale_out(now, shortfall, req, sched);
+            self.trigger_scale_out(now, shortfall, sched);
             return;
         }
         let chosen = rank_buf;
@@ -980,7 +931,7 @@ impl Platform {
                 return;
             }
             // Placement failure triggers scale-out (§3.4.2).
-            self.trigger_scale_out(now, 1, req, sched);
+            self.trigger_scale_out(now, 1, sched);
             sched.schedule_in(
                 SimTime::from_secs_f64(MIGRATION_RETRY_INTERVAL_S),
                 migration_retry(s, e),
@@ -1056,7 +1007,7 @@ impl Platform {
             .best_warm_commit_host(&req, |id| self.pool.warm_on(id));
         let Some(host) = host else {
             // No capacity: queue like a batch system and trigger scale-out.
-            self.trigger_scale_out(now, 1, req, sched);
+            self.trigger_scale_out(now, 1, sched);
             self.sessions[s].busy = false;
             sched.schedule_in(SimTime::from_secs(10), resubmit(s, e));
             return;
@@ -1227,32 +1178,13 @@ impl Platform {
     // (crate::elasticity) and applies the actions it returns.
     // ------------------------------------------------------------------
 
-    /// Consults the auto-scaler with a read-only fleet snapshot that
-    /// carries the parked kernels' resource requests: a periodic tick, or
-    /// the demand `shortfall` a placement hit.
-    fn consult_elasticity(
-        &mut self,
-        now: SimTime,
-        shortfall: Option<DemandShortfall>,
-    ) -> Vec<ElasticityAction> {
-        let queued_demand: Vec<ResourceRequest> = self
-            .pending_kernels
-            .iter()
-            .map(|&s| self.sessions[s].req)
-            .collect();
-        let ctx = ElasticityContext {
+    /// The auto-scaler's read-only view of the fleet.
+    fn elasticity_context(&self) -> ElasticityContext<'_> {
+        ElasticityContext {
             cluster: &self.cluster,
             autoscale: &self.config.autoscale,
             sr_target: self.config.policy.sr_target(),
-            shape_catalog: &self.shape_catalog[..self.catalog_len],
             hosts_in_flight: self.hosts_in_flight,
-            gpus_in_flight: self.gpus_in_flight,
-            queued_demand: &queued_demand,
-            now_s: now.as_secs_f64(),
-        };
-        match shortfall {
-            None => self.elasticity.on_tick(&ctx),
-            Some(shortfall) => self.elasticity.on_shortfall(&ctx, shortfall),
         }
     }
 
@@ -1262,41 +1194,28 @@ impl Platform {
     fn apply_elasticity(
         &mut self,
         now: SimTime,
-        actions: Vec<ElasticityAction>,
+        actions: impl IntoIterator<Item = ElasticityAction>,
         sched: &mut dyn Scheduler<Ev>,
     ) {
         let now_s = now.as_secs_f64();
         let mut retired_any = false;
-        let mut provisioned_any = false;
         for action in actions {
             match action {
-                ElasticityAction::ProvisionHosts { shape, count } => {
+                ElasticityAction::ProvisionHosts(count) => {
                     if count == 0 {
                         continue;
                     }
-                    // One scaling *decision* counts once, however many
-                    // shapes it spans — a shape-aware tick that plans two
-                    // shapes must compare 1:1 against a threshold tick.
-                    if !provisioned_any {
-                        provisioned_any = true;
-                        self.metrics.counters.scale_outs += 1;
-                        self.metrics.scale_out_times_s.push(now_s);
-                    }
+                    self.metrics.counters.scale_outs += 1;
+                    self.metrics.scale_out_times_s.push(now_s);
                     self.metrics
-                        .record_hosts_provisioned(shape, u64::from(count));
+                        .record_hosts_provisioned(ResourceBundle::p3_16xlarge(), u64::from(count));
                     for _ in 0..count {
                         self.hosts_in_flight += 1;
-                        self.gpus_in_flight += u64::from(shape.gpus);
-                        let latency = self.provisioning.vm_scale_out_for(
-                            &mut self.rng,
-                            shape.gpus,
-                            ResourceBundle::p3_16xlarge().gpus,
-                        );
-                        let shape = self.shape_index(shape);
-                        sched.schedule_in(latency, Ev::HostReady(shape));
+                        let latency = self.provisioning.vm_scale_out(&mut self.rng);
+                        sched.schedule_in(latency, Ev::HostReady);
                     }
                 }
-                ElasticityAction::RetireHost { host } => {
+                ElasticityAction::RetireHost(host) => {
                     // §3.4.2 releases *idle* servers only (no kernel
                     // replicas at all): withdrawing hosts that still hold
                     // replica subscriptions would block placements and
@@ -1328,43 +1247,20 @@ impl Platform {
         }
     }
 
-    /// Demand found no viable host: route the shortfall to the auto-scaler
-    /// (§3.4.2's scale-out trigger).
-    fn trigger_scale_out(
-        &mut self,
-        now: SimTime,
-        replicas: u32,
-        request: ResourceRequest,
-        sched: &mut dyn Scheduler<Ev>,
-    ) {
+    /// Demand found no viable host for `replicas` replica subscriptions:
+    /// route the shortfall to the auto-scaler (§3.4.2's scale-out
+    /// trigger).
+    fn trigger_scale_out(&mut self, now: SimTime, replicas: u32, sched: &mut dyn Scheduler<Ev>) {
         if !self.config.policy.autoscales() {
             return;
         }
-        let shortfall = DemandShortfall { replicas, request };
-        let actions = self.consult_elasticity(now, Some(shortfall));
-        self.apply_elasticity(now, actions, sched);
+        self.apply_elasticity(now, [elasticity::on_shortfall(replicas)], sched);
     }
 
-    /// `shape`'s index in the shape table, which it joins if scale-out
-    /// never provisioned it before and the catalog lacks it.
-    fn shape_index(&mut self, shape: ResourceBundle) -> u32 {
-        let i = self
-            .shape_catalog
-            .iter()
-            .position(|&known| known == shape)
-            .unwrap_or_else(|| {
-                self.shape_catalog.push(shape);
-                self.shape_catalog.len() - 1
-            });
-        ix(i)
-    }
-
-    fn on_host_ready(&mut self, now: SimTime, shape: u32, sched: &mut dyn Scheduler<Ev>) {
-        let shape = self.shape_catalog[shape as usize];
+    fn on_host_ready(&mut self, now: SimTime, sched: &mut dyn Scheduler<Ev>) {
         let now_s = now.as_secs_f64();
         self.hosts_in_flight = self.hosts_in_flight.saturating_sub(1);
-        self.gpus_in_flight = self.gpus_in_flight.saturating_sub(u64::from(shape.gpus));
-        let id = self.cluster.add_host(shape);
+        let id = self.cluster.add_host(ResourceBundle::p3_16xlarge());
         // Pre-warm containers provision asynchronously (§3.2.3): the pool
         // tracks them as in flight until each start completes, so a host
         // scaled back in before then reconciles instead of leaking counts.
@@ -1388,39 +1284,13 @@ impl Platform {
     }
 
     fn on_autoscale_tick(&mut self, now: SimTime, sched: &mut dyn Scheduler<Ev>) {
-        let actions = self.consult_elasticity(now, None);
+        let actions = elasticity::on_tick(&self.elasticity_context());
         self.apply_elasticity(now, actions, sched);
         if now.as_micros() < self.horizon_us {
             sched.schedule_in(
                 SimTime::from_secs_f64(AUTOSCALE_INTERVAL_S),
                 Ev::AutoscaleTick,
             );
-        }
-    }
-
-    /// Provisions whatever the pre-warm pool is missing under the
-    /// configured per-host minimum. Driven by the periodic
-    /// [`Ev::PrewarmReconcileTick`], so pools recover after a
-    /// flash crowd instead of waiting for the next host arrival.
-    fn reconcile_prewarm(&mut self, sched: &mut dyn Scheduler<Ev>) {
-        let minimum = self.config.policy.prewarm_min_per_host();
-        let hosts = self.cluster.hosts().iter().map(Host::id);
-        for (host, missing) in self.pool.deficits(hosts, minimum) {
-            self.pool.begin_provision(host, missing);
-            self.metrics.counters.prewarms_reconciled += u64::from(missing);
-            for _ in 0..missing {
-                let warm = self.provisioning.warm_container_start(&mut self.rng);
-                sched.schedule_in(warm, Ev::PrewarmReady(host));
-            }
-        }
-    }
-
-    fn on_prewarm_reconcile_tick(&mut self, now: SimTime, sched: &mut dyn Scheduler<Ev>) {
-        self.reconcile_prewarm(sched);
-        if let Some(interval_s) = self.config.autoscale.prewarm_reconcile_interval_s {
-            if now.as_micros() < self.horizon_us {
-                sched.schedule_in(SimTime::from_secs_f64(interval_s), Ev::PrewarmReconcileTick);
-            }
         }
     }
 
@@ -1441,11 +1311,6 @@ impl Platform {
     /// Read access to the cluster.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// Read access to the pre-warm container pool.
-    pub fn pool(&self) -> &PrewarmPool {
-        &self.pool
     }
 
     /// Simulation events dispatched by the completed run — populated by
@@ -1507,9 +1372,8 @@ impl Platform {
                     self.start_migration(now, s, e as usize, sched)
                 }
             }
-            Ev::HostReady(shape) => self.on_host_ready(now, shape, sched),
+            Ev::HostReady => self.on_host_ready(now, sched),
             Ev::AutoscaleTick => self.on_autoscale_tick(now, sched),
-            Ev::PrewarmReconcileTick => self.on_prewarm_reconcile_tick(now, sched),
             Ev::MetricsTick => self.on_metrics_tick(now, sched),
             Ev::ReplicaFailure => self.on_replica_failure(now, sched),
             Ev::PrewarmReady(host) => {
@@ -1630,9 +1494,7 @@ mod tests {
     }
 
     /// An event holds a cell as `(s, e)` in two `u32`s and reads the rest
-    /// from the trace, and a new host's shape by its index in the shape
-    /// table, so neither a submission instant nor a 24-byte bundle rides
-    /// in the queue. With `des::queue`'s
+    /// from the trace, so no submission instant rides in the queue. With `des::queue`'s
     /// `a_dynamic_entry_of_a_24_byte_event_is_at_most_40_bytes`, a queue
     /// entry is then at most 40 bytes.
     #[test]
@@ -1644,19 +1506,16 @@ mod tests {
         );
     }
 
-    /// A fleet whose catalog lacks the reference shape still provisions
-    /// it (the threshold controller always asks for p3.16xlarge): the
-    /// shape joins the table after the catalog, and the auto-scaler's
-    /// catalog is unchanged.
+    /// A fleet without the reference shape still scales out with it (the
+    /// auto-scaler always provisions p3.16xlarge), and every such host
+    /// that joins was requested.
     #[test]
-    fn a_shape_outside_the_catalog_joins_the_shape_table() {
+    fn a_small_shape_fleet_scales_out_with_reference_hosts() {
         let small = ResourceBundle::new(32_000, 249_856, 4);
         let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
         config.host_mix = vec![(small, 2)];
         let world = Platform::run_for_inspection(config, smoke_trace(3));
         let p3 = ResourceBundle::p3_16xlarge();
-        assert_eq!(world.shape_catalog, [small, p3]);
-        assert_eq!(world.catalog_len, 1);
         let of_p3 = |counts: &[(ResourceBundle, u64)]| -> u64 {
             counts.iter().filter(|c| c.0 == p3).map(|c| c.1).sum()
         };

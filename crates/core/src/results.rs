@@ -36,10 +36,6 @@ pub struct RunCounters {
     /// Pre-warm containers discarded because their host left the cluster
     /// while they were warm or still provisioning (§3.2.3 reconciliation).
     pub prewarms_discarded: u64,
-    /// Warm containers provisioned by the periodic deficit-reconciliation
-    /// loop (the `PrewarmReconcileTick` the elasticity control plane
-    /// drives), as opposed to host-arrival seeding.
-    pub prewarms_reconciled: u64,
 }
 
 impl RunCounters {
@@ -101,10 +97,9 @@ pub struct RunMetrics {
     pub billing_samples: Vec<(f64, f64, f64)>,
     /// Event counters.
     pub counters: RunCounters,
-    /// Hosts provisioned by scale-out, per shape — the signal the
-    /// shape-aware elasticity policy is judged on (a heterogeneous fleet
-    /// should grow along its mix, not as p3.16xlarge monoculture).
-    /// Sorted by `(gpus, millicpus, memory_mb)`.
+    /// Hosts provisioned by scale-out, per shape, sorted by
+    /// `(gpus, millicpus, memory_mb)`. Scale-out adds only p3.16xlarge
+    /// hosts, so this holds at most that one entry.
     pub hosts_provisioned_by_shape: Vec<(ResourceBundle, u64)>,
     /// Hosts retired by scale-in, per shape; same order as
     /// [`RunMetrics::hosts_provisioned_by_shape`].
@@ -155,11 +150,6 @@ impl RunMetrics {
     /// Records one host of `shape` retired by scale-in.
     pub fn record_host_retired(&mut self, shape: ResourceBundle) {
         bump_shape(&mut self.hosts_retired_by_shape, shape, 1);
-    }
-
-    /// Distinct host shapes scale-out provisioned during the run.
-    pub fn distinct_shapes_provisioned(&self) -> usize {
-        self.hosts_provisioned_by_shape.len()
     }
 
     /// GPU-hours provisioned over the run (area under the provisioned
@@ -219,7 +209,6 @@ mod tests {
             vec![(small, 1), (big, 5)],
             "sorted by gpus, counts folded"
         );
-        assert_eq!(m.distinct_shapes_provisioned(), 2);
         m.record_host_retired(small);
         m.record_host_retired(small);
         assert_eq!(m.hosts_retired_by_shape, vec![(small, 2)]);

@@ -56,7 +56,6 @@ use notebookos_jupyter::{
 };
 
 use crate::gateway::{connection_info, request_of, GatewayProvisioner};
-use crate::policy::LeastLoaded;
 
 /// Metadata key carrying the simulated cell running time (µs) in an
 /// `execute_request` — the load generator's stand-in for user code.
@@ -119,7 +118,7 @@ struct PendingExecution {
 /// wall-clock traffic unchanged.
 #[derive(Debug)]
 pub struct LiveGateway {
-    provisioner: GatewayProvisioner<LeastLoaded>,
+    provisioner: GatewayProvisioner,
     /// The session slab: one slot per live session (module docs).
     sessions: SessionManager,
     /// Each slot's kernel route and placement record: its R replica hosts
@@ -146,11 +145,7 @@ impl LiveGateway {
         let (server, client) = wire_pair(GATEWAY_KEY);
         (
             LiveGateway {
-                provisioner: GatewayProvisioner::new(
-                    cluster,
-                    LeastLoaded::default(),
-                    replication_factor,
-                ),
+                provisioner: GatewayProvisioner::new(cluster, replication_factor),
                 sessions: SessionManager::new(),
                 replicas: Vec::new(),
                 specs: Vec::new(),

@@ -8,20 +8,18 @@
 //!   executor: scoped worker threads claim items through a shared atomic
 //!   cursor and results are put back in item order, so the output order
 //!   never depends on thread scheduling.
-//! * [`SweepSpec`] — a matrix of policies × placements × elasticities ×
-//!   seeds × scenario variants, expanded into [`SweepJob`]s and executed
-//!   by the pool.
+//! * [`SweepSpec`] — a matrix of policies × seeds × scenario variants,
+//!   expanded into [`SweepJob`]s and executed by the pool.
 //! * [`SweepReport`] — per-run [`RunMetrics`], one query that aggregates
 //!   the runs a predicate selects ([`SweepReport::aggregate`]: pooled
 //!   CDFs, means, and 95 % confidence intervals — [`SweepAggregate`]),
 //!   and persistence of the full records ([`SweepReport::write_json`]).
 //!
-//! A sweep runs in one process, on the pool: the largest study this
-//! repository commits (72 runs of the 17.5-hour excerpt) simulates in
-//! 0.13–0.2 s on two cores, so there is no split across processes, no
-//! checkpoint and no resume — a killed sweep is run again. Writes go through a `.tmp`
-//! sibling plus rename, so a process killed mid-write cannot leave a
-//! truncated report behind.
+//! A sweep runs in one process, on the pool: a run of the 17.5-hour
+//! excerpt simulates in a few milliseconds, so there is no split across
+//! processes, no checkpoint and no resume — a killed sweep is run again.
+//! Writes go through a `.tmp` sibling plus rename, so a process killed
+//! mid-write cannot leave a truncated report behind.
 //!
 //! # Determinism
 //!
@@ -62,7 +60,7 @@ use notebookos_jupyter::json::encode_string;
 use notebookos_metrics::{Cdf, MeanCi};
 use notebookos_trace::{generate_with_profile, SyntheticConfig, TraceProfile, WorkloadTrace};
 
-use crate::config::{ElasticityKind, PlacementKind, PlatformConfig, PolicyKind};
+use crate::config::{PlatformConfig, PolicyKind};
 use crate::latency_breakdown::Step;
 use crate::platform::Platform;
 use crate::results::RunMetrics;
@@ -142,10 +140,6 @@ pub struct SweepJob {
     pub scenario: String,
     /// The scheduling policy under evaluation.
     pub policy: PolicyKind,
-    /// The replica-placement policy for this run.
-    pub placement: PlacementKind,
-    /// The elasticity policy driving scale-out/scale-in for this run.
-    pub elasticity: ElasticityKind,
     /// The run's seed (both trace generation and platform RNG).
     pub seed: u64,
     /// The resolved platform configuration.
@@ -172,8 +166,6 @@ impl SweepJob {
         SweepJob {
             scenario: "default".into(),
             policy,
-            placement: config.placement,
-            elasticity: config.autoscale.elasticity,
             seed,
             config,
             trace: trace.into(),
@@ -232,20 +224,6 @@ impl Scenario {
         Scenario::new("excerpt-17.5h", SyntheticConfig::excerpt_17_5h())
     }
 
-    /// Flash-crowd arrivals: the excerpt's population compressed into
-    /// three bursts, stressing scale-out and pre-warm provisioning.
-    pub fn flash_crowd() -> Self {
-        Scenario::new("flash-crowd", SyntheticConfig::flash_crowd_17_5h())
-    }
-
-    /// Diurnal arrivals at excerpt scale: ~3 day/night cycles with 4×
-    /// peak-to-trough contrast and half the sessions short-lived, so the
-    /// fleet repeatedly grows and shrinks — the scenario that separates
-    /// hysteresis elasticity from plain threshold scaling.
-    pub fn diurnal() -> Self {
-        Scenario::new("diurnal", SyntheticConfig::diurnal_17_5h())
-    }
-
     /// The excerpt workload on a mixed-generation fleet: 8-GPU trainers
     /// alongside half-size 4-GPU boxes (same CPU:GPU ratio).
     pub fn heterogeneous_hosts() -> Self {
@@ -268,28 +246,17 @@ impl Scenario {
     }
 }
 
-/// A matrix of policies × placements × elasticities × seeds × scenarios,
-/// executed by the worker pool.
+/// A matrix of policies × seeds × scenarios on the evaluation
+/// configuration ([`PlatformConfig::evaluation`]), executed by the worker
+/// pool.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Scheduling policies to evaluate.
     pub policies: Vec<PolicyKind>,
-    /// Replica-placement policies to range over. The default
-    /// single-element `[LeastLoaded]` is the paper's placement, the one
-    /// [`PlatformConfig::evaluation`] picks.
-    pub placements: Vec<PlacementKind>,
-    /// Elasticity policies to range over (the control-plane axis). The
-    /// default single-element `[Threshold]` reproduces pre-elasticity
-    /// sweeps exactly.
-    pub elasticities: Vec<ElasticityKind>,
     /// Seeds each `(policy, scenario)` pair runs under.
     pub seeds: Vec<u64>,
     /// Workload scenarios to range over.
     pub scenarios: Vec<Scenario>,
-    /// Maps a policy to its base configuration (seed and scenario
-    /// overrides are applied on top). Defaults to
-    /// [`PlatformConfig::evaluation`].
-    pub configure: fn(PolicyKind) -> PlatformConfig,
     /// Worker threads; 0 picks [`default_workers`].
     pub workers: usize,
 }
@@ -305,11 +272,8 @@ impl SweepSpec {
     pub fn new() -> Self {
         SweepSpec {
             policies: vec![PolicyKind::NotebookOs],
-            placements: vec![PlacementKind::LeastLoaded],
-            elasticities: vec![ElasticityKind::Threshold],
             seeds: vec![PlatformConfig::evaluation(PolicyKind::NotebookOs).seed],
             scenarios: vec![Scenario::excerpt()],
-            configure: PlatformConfig::evaluation,
             workers: 0,
         }
     }
@@ -318,29 +282,6 @@ impl SweepSpec {
     pub fn policies(mut self, policies: Vec<PolicyKind>) -> Self {
         self.policies = policies;
         self
-    }
-
-    /// Sets the placement axis.
-    pub fn placements(mut self, placements: Vec<PlacementKind>) -> Self {
-        self.placements = placements;
-        self
-    }
-
-    /// Ranges over all four bundled placement policies — the
-    /// `placement × elasticity` interaction study's row axis.
-    pub fn all_placements(self) -> Self {
-        self.placements(PlacementKind::ALL.to_vec())
-    }
-
-    /// Sets the elasticity axis.
-    pub fn elasticities(mut self, elasticities: Vec<ElasticityKind>) -> Self {
-        self.elasticities = elasticities;
-        self
-    }
-
-    /// Ranges over all three bundled elasticity policies.
-    pub fn all_elasticities(self) -> Self {
-        self.elasticities(ElasticityKind::ALL.to_vec())
     }
 
     /// Sets the seed axis.
@@ -355,12 +296,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the per-policy base-configuration function.
-    pub fn configure(mut self, f: fn(PolicyKind) -> PlatformConfig) -> Self {
-        self.configure = f;
-        self
-    }
-
     /// Sets the worker count (0 = automatic).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -368,33 +303,18 @@ impl SweepSpec {
     }
 
     /// Expands the matrix into jobs: scenario-major, then seed, then
-    /// policy, then placement, then elasticity. All runs of a
-    /// `(scenario, seed)` share one generated trace.
+    /// policy. All runs of a `(scenario, seed)` share one generated trace.
     pub fn jobs(&self) -> Vec<SweepJob> {
         let mut jobs = Vec::new();
         for scenario in &self.scenarios {
             for &seed in &self.seeds {
                 let trace = Arc::new(scenario.trace(seed));
                 for &policy in &self.policies {
-                    for &placement in &self.placements {
-                        for &elasticity in &self.elasticities {
-                            let mut config = (self.configure)(policy);
-                            config.policy = policy;
-                            config.seed = seed;
-                            config.autoscale.elasticity = elasticity;
-                            config.placement = placement;
-                            scenario.apply(&mut config);
-                            jobs.push(SweepJob {
-                                scenario: scenario.name.clone(),
-                                policy,
-                                placement,
-                                elasticity,
-                                seed,
-                                config,
-                                trace: Arc::clone(&trace),
-                            });
-                        }
-                    }
+                    let mut config = PlatformConfig::evaluation(policy);
+                    scenario.apply(&mut config);
+                    let mut job = SweepJob::new(policy, seed, config, Arc::clone(&trace));
+                    job.scenario = scenario.name.clone();
+                    jobs.push(job);
                 }
             }
         }
@@ -406,8 +326,6 @@ impl SweepSpec {
         let runs = parallel_map_indexed(&self.jobs(), self.workers, |_, job| SweepRun {
             scenario: job.scenario.clone(),
             policy: job.policy,
-            placement: job.placement,
-            elasticity: job.elasticity,
             seed: job.seed,
             metrics: job.run(),
         });
@@ -422,10 +340,6 @@ pub struct SweepRun {
     pub scenario: String,
     /// Policy evaluated.
     pub policy: PolicyKind,
-    /// Replica-placement policy the run placed under.
-    pub placement: PlacementKind,
-    /// Elasticity policy the run scaled under.
-    pub elasticity: ElasticityKind,
     /// Seed used for trace generation and platform RNG.
     pub seed: u64,
     /// The run's full measurement record.
@@ -452,7 +366,7 @@ impl SweepReport {
     }
 
     /// Aggregates the runs `select` picks across their seeds — one
-    /// `(scenario, policy, placement, elasticity)` cell, or any coarser
+    /// `(scenario, policy)` cell, or any coarser
     /// pooling the predicate asks for — or `None` when it picks no run.
     pub fn aggregate(&self, select: impl Fn(&SweepRun) -> bool) -> Option<SweepAggregate> {
         let runs: Vec<&SweepRun> = self.runs.iter().filter(|run| select(run)).collect();
@@ -589,8 +503,8 @@ fn json_cdf(cdf: &Cdf) -> String {
 /// labels go through `jupyter::json`'s string escaper. The escaper this
 /// module used to carry differed from it only in spelling `\n`, `\r` and
 /// `\t` as `\u000a`-style escapes — both parse back equal — and no
-/// scenario, policy, placement or elasticity label holds a control
-/// character, so the switch moved no byte of any report.
+/// scenario or policy label holds a control character, so the switch
+/// moved no byte of any report.
 fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> {
     let json_string = |label: &str| {
         let mut quoted = String::with_capacity(label.len() + 2);
@@ -605,16 +519,6 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
         "      \"policy\": {},",
         json_string(&run.policy.to_string())
     )?;
-    writeln!(
-        out,
-        "      \"placement\": {},",
-        json_string(&run.placement.to_string())
-    )?;
-    writeln!(
-        out,
-        "      \"elasticity\": {},",
-        json_string(&run.elasticity.to_string())
-    )?;
     writeln!(out, "      \"seed\": {},", run.seed)?;
     writeln!(out, "      \"end_s\": {},", json_num(m.end_s))?;
     let c = &m.counters;
@@ -623,7 +527,7 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
         "      \"counters\": {{\"executions\": {}, \"aborted\": {}, \"immediate_commits\": {}, \
          \"executor_reuse\": {}, \"kernel_creations\": {}, \"migrations\": {}, \
          \"scale_outs\": {}, \"scale_ins\": {}, \"cold_starts\": {}, \"warm_hits\": {}, \
-         \"replica_failures\": {}, \"prewarms_discarded\": {}, \"prewarms_reconciled\": {}}},",
+         \"replica_failures\": {}, \"prewarms_discarded\": {}}},",
         c.executions,
         c.aborted,
         c.immediate_commits,
@@ -636,7 +540,6 @@ fn write_run_json<W: Write>(out: &mut W, run: &SweepRun) -> std::io::Result<()> 
         c.warm_hits,
         c.replica_failures,
         c.prewarms_discarded,
-        c.prewarms_reconciled,
     )?;
     let shapes = |counters: &[(ResourceBundle, u64)]| {
         let items: Vec<String> = counters
@@ -758,8 +661,7 @@ pub struct SweepAggregate {
     pub immediate_commit_pct: MeanCi,
     /// Per-seed migration counts.
     pub migrations: MeanCi,
-    /// Per-seed final provider cost, USD (the elasticity policies trade
-    /// this against interactivity).
+    /// Per-seed final provider cost, USD.
     pub provider_cost_usd: MeanCi,
     /// Per-seed scale-out operation counts.
     pub scale_outs: MeanCi,
@@ -926,45 +828,9 @@ mod tests {
     }
 
     #[test]
-    fn elasticity_axis_expands_and_aggregates_per_cell() {
-        let spec = SweepSpec::new()
-            .policies(vec![PolicyKind::NotebookOs])
-            .all_elasticities()
-            .seeds(vec![1])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .workers(2);
-        let jobs = spec.jobs();
-        assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[0].elasticity, ElasticityKind::Threshold);
-        assert_eq!(
-            jobs[0].config.autoscale.elasticity,
-            ElasticityKind::Threshold
-        );
-        assert_eq!(jobs[1].elasticity, ElasticityKind::ShapeAware);
-        assert_eq!(
-            jobs[1].config.autoscale.elasticity,
-            ElasticityKind::ShapeAware
-        );
-        let report = spec.run();
-        for kind in ElasticityKind::ALL {
-            let cell = report
-                .aggregate(|run| run.elasticity == kind)
-                .expect("one aggregate per cell");
-            assert_eq!(cell.seeds, vec![1]);
-            let run = report
-                .runs
-                .iter()
-                .find(|run| run.elasticity == kind)
-                .expect("the cell's run");
-            assert_eq!(cell.executions, run.metrics.counters.executions);
-        }
-    }
-
-    #[test]
     fn report_persists_json() {
         let report = SweepSpec::new()
-            .policies(vec![PolicyKind::NotebookOs])
-            .elasticities(vec![ElasticityKind::Threshold, ElasticityKind::Hysteresis])
+            .policies(vec![PolicyKind::NotebookOs, PolicyKind::NotebookOsLcp])
             .seeds(vec![1, 2])
             .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
             .workers(2)
@@ -977,7 +843,7 @@ mod tests {
 
         let json = std::fs::read_to_string(&json_path).expect("json readable");
         assert_eq!(json.matches("\"seed\":").count(), 4, "one object per run");
-        assert!(json.contains("\"hysteresis(cooldown=120s,surplus=4)\""));
+        assert!(json.contains("\"NotebookOS (LCP)\""));
         for key in [
             "\"interactivity_ms\"",
             "\"provisioned_gpus\"",
@@ -1008,29 +874,5 @@ mod tests {
             assert!(line.contains(&persisted), "{line}");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn placement_axis_expands_and_stamps_configs() {
-        let spec = SweepSpec::new()
-            .policies(vec![PolicyKind::NotebookOs])
-            .all_placements()
-            .seeds(vec![1])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())]);
-        let jobs = spec.jobs();
-        assert_eq!(jobs.len(), 4);
-        for (job, kind) in jobs.iter().zip(PlacementKind::ALL) {
-            assert_eq!(job.placement, kind);
-            assert_eq!(job.config.placement, kind);
-        }
-        // The default axis is the paper's placement.
-        let default_jobs = SweepSpec::new()
-            .policies(vec![PolicyKind::NotebookOs])
-            .seeds(vec![1])
-            .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-            .jobs();
-        assert_eq!(default_jobs.len(), 1);
-        assert_eq!(default_jobs[0].placement, PlacementKind::LeastLoaded);
-        assert_eq!(default_jobs[0].config.placement, PlacementKind::LeastLoaded);
     }
 }

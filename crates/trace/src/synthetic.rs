@@ -119,7 +119,7 @@ pub enum ArrivalPattern {
     },
     /// Diurnal arrivals: a sinusoidal rate with the given period, peaking
     /// every cycle — the day/night pattern that makes a fleet repeatedly
-    /// grow and shrink, exercising scale-in damping (hysteresis).
+    /// grow and shrink.
     Diurnal {
         /// Oscillation period in seconds (e.g. `86_400.0` for daily).
         period_s: f64,
@@ -189,9 +189,9 @@ impl SyntheticConfig {
     }
 
     /// An excerpt-scale workload whose sessions arrive in three tight
-    /// bursts — the flash-crowd scenario the sweep engine ranges over to
-    /// stress scale-out and pre-warm provisioning.
-    pub fn flash_crowd_17_5h() -> Self {
+    /// bursts (the generator's and the arrival merge's tests replay it).
+    #[cfg(test)]
+    pub(crate) fn flash_crowd_17_5h() -> Self {
         SyntheticConfig {
             arrival: ArrivalPattern::FlashCrowd {
                 waves: 3,
@@ -204,9 +204,9 @@ impl SyntheticConfig {
     /// An excerpt-scale workload with diurnal arrivals: roughly three
     /// day/night cycles across the window with 4× more arrivals at peak
     /// than at trough, plus enough short-lived sessions that troughs
-    /// actually idle the fleet — the scenario that separates hysteresis
-    /// from plain threshold scaling.
-    pub fn diurnal_17_5h() -> Self {
+    /// actually idle the fleet (the generator's tests replay it).
+    #[cfg(test)]
+    pub(crate) fn diurnal_17_5h() -> Self {
         SyntheticConfig {
             arrival: ArrivalPattern::Diurnal {
                 period_s: 6.0 * 3600.0,

@@ -72,7 +72,7 @@ fn main() {
     println!("{table}");
     println!(
         "Flash crowds concentrate kernel creations into bursts (more\n\
-         scale-out pressure), and the mixed fleet shows placement policies\n\
+         scale-out pressure), and the mixed fleet shows least-loaded placement\n\
          coping with 4-GPU boxes next to 8-GPU trainers."
     );
 }

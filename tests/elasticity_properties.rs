@@ -1,17 +1,11 @@
-//! Elasticity control-plane invariants: golden bit-identity of the
-//! Threshold policy against the pre-refactor platform, the `min_hosts`
-//! floor, pre-warm deficit convergence, shape-aware provisioning on
-//! heterogeneous fleets, and hysteresis churn damping.
+//! Auto-scaler invariants: golden bit-identity of the threshold
+//! controller against the pre-refactor platform, and the `min_hosts`
+//! floor.
 
 use notebookos::cluster::ResourceBundle;
-use notebookos::core::sweep::{Scenario, SweepSpec};
-use notebookos::core::{ElasticityKind, Platform, PlatformConfig, PolicyKind, RunMetrics};
+use notebookos::core::{Platform, PlatformConfig, PolicyKind, RunMetrics};
 use notebookos::metrics::Cdf;
 use notebookos::trace::{generate, ArrivalPattern, SyntheticConfig};
-
-fn small_host() -> ResourceBundle {
-    ResourceBundle::new(32_000, 249_856, 4)
-}
 
 // ---------------------------------------------------------------------
 // Golden bit-identity: the Threshold elasticity policy reproduces the
@@ -69,10 +63,6 @@ fn assert_golden(label: &str, mut m: RunMetrics, golden: &Golden) {
         m.counters.prewarms_discarded, golden.prewarms_discarded,
         "{label} prewarms discarded"
     );
-    assert_eq!(
-        m.counters.prewarms_reconciled, 0,
-        "{label}: reconcile loop must stay off by default"
-    );
     assert_eq!(m.end_s, golden.end_s, "{label} end_s");
     assert_median(
         label,
@@ -101,7 +91,6 @@ fn threshold_reproduces_pre_refactor_metrics_bit_identically() {
     // NotebookOS on the smoke trace, seed 6 (the deterministic-run seed).
     let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
     config.seed = 6;
-    assert_eq!(config.autoscale.elasticity, ElasticityKind::Threshold);
     let m = Platform::run(config, generate(&SyntheticConfig::smoke(), 6));
     assert_golden(
         "nbos-smoke-6",
@@ -195,236 +184,33 @@ fn threshold_reproduces_pre_refactor_scale_out_path_bit_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Fleet-floor invariant: whatever the elasticity policy, seed, and
-// arrival pattern, the fleet never drops below `min_hosts`.
+// Fleet-floor invariant: whatever the seed, the fleet never drops below
+// `min_hosts`.
 // ---------------------------------------------------------------------
 
 #[test]
 fn fleet_never_drops_below_min_hosts_under_any_elasticity() {
-    for kind in ElasticityKind::ALL {
-        for seed in [1u64, 2, 3] {
-            let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-            config.seed = seed;
-            config.initial_hosts = 3;
-            config.autoscale.min_hosts = 3;
-            config.autoscale.scaling_buffer_hosts = 0;
-            config.autoscale.elasticity = kind;
-            let min_gpus =
-                f64::from(config.autoscale.min_hosts * ResourceBundle::p3_16xlarge().gpus);
-            let trace = generate(&SyntheticConfig::smoke(), seed);
-            let world = Platform::run_for_inspection(config, trace);
+    for seed in [1u64, 2, 3] {
+        let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
+        config.seed = seed;
+        config.initial_hosts = 3;
+        config.autoscale.min_hosts = 3;
+        config.autoscale.scaling_buffer_hosts = 0;
+        let min_gpus = f64::from(config.autoscale.min_hosts * ResourceBundle::p3_16xlarge().gpus);
+        let trace = generate(&SyntheticConfig::smoke(), seed);
+        let world = Platform::run_for_inspection(config, trace);
+        assert!(
+            world.cluster().len() >= 3,
+            "seed {seed}: final fleet {} < min_hosts",
+            world.cluster().len()
+        );
+        // The provisioned-GPU gauge (total fleet GPUs for NotebookOS)
+        // never dips below the floor at any recorded instant.
+        for (t, v) in world.metrics().provisioned_gpus.points() {
             assert!(
-                world.cluster().len() >= 3,
-                "{kind} seed {seed}: final fleet {} < min_hosts",
-                world.cluster().len()
+                v + 1e-9 >= min_gpus,
+                "seed {seed}: fleet {v} GPUs at t={t}s below floor"
             );
-            // The provisioned-GPU gauge (total fleet GPUs for NotebookOS)
-            // never dips below the floor at any recorded instant.
-            for (t, v) in world.metrics().provisioned_gpus.points() {
-                assert!(
-                    v + 1e-9 >= min_gpus,
-                    "{kind} seed {seed}: fleet {v} GPUs at t={t}s below floor"
-                );
-            }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Pre-warm deficit convergence: after a flash crowd drains the pools,
-// the periodic reconcile tick restores every host to its minimum.
-// ---------------------------------------------------------------------
-
-#[test]
-fn prewarm_deficits_converge_to_zero_after_flash_crowd() {
-    let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-    config.seed = 2;
-    config.autoscale.prewarm_reconcile_interval_s = Some(120.0);
-    let workload = SyntheticConfig {
-        arrival: ArrivalPattern::FlashCrowd {
-            waves: 2,
-            wave_width_s: 600.0,
-        },
-        ..SyntheticConfig::smoke()
-    };
-    let world = Platform::run_for_inspection(config, generate(&workload, 2));
-    let m = world.metrics();
-    assert!(
-        m.counters.prewarms_reconciled > 0,
-        "the bursts drained pools, so the reconcile loop must have provisioned"
-    );
-    let hosts: Vec<u64> = world.cluster().hosts().iter().map(|h| h.id()).collect();
-    let deficits = world.pool().deficits(&hosts, 1);
-    assert!(
-        deficits.is_empty(),
-        "deficits must converge to zero by the end of the run: {deficits:?}"
-    );
-    // `deficits` counts in-flight provisions as stock, so also check that
-    // nothing is still in flight: the pools are genuinely warm, not
-    // perpetually "about to be".
-    assert!(
-        hosts.iter().all(|&h| world.pool().in_flight_on(h) == 0),
-        "all reconcile provisions completed before the horizon"
-    );
-
-    // Without the reconcile loop the same run ends with drained pools —
-    // the ROADMAP gap this control plane closes.
-    let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-    config.seed = 2;
-    let world = Platform::run_for_inspection(config, generate(&workload, 2));
-    assert_eq!(world.metrics().counters.prewarms_reconciled, 0);
-    let hosts: Vec<u64> = world.cluster().hosts().iter().map(|h| h.id()).collect();
-    assert!(
-        !world.pool().deficits(&hosts, 1).is_empty(),
-        "pre-elasticity behavior leaves deficits after the crowd"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Shape-aware provisioning on heterogeneous fleets.
-// ---------------------------------------------------------------------
-
-/// A small mixed fleet under bursty mixed demand: 8-GPU kernels force
-/// full trainers while 1–2-GPU kernels and residual tick deficits pull in
-/// the cheap 4-GPU boxes.
-fn heterogeneous_stress(seed: u64, kind: ElasticityKind) -> RunMetrics {
-    let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-    config.seed = seed;
-    config.host_mix = vec![(ResourceBundle::p3_16xlarge(), 2), (small_host(), 2)];
-    config.autoscale.min_hosts = 2;
-    config.autoscale.scaling_buffer_hosts = 0;
-    config.autoscale.elasticity = kind;
-    // A flash crowd of mostly small kernels makes the SR-backing term
-    // jump past the queued (8-GPU) demand, so tick-driven deficits spill
-    // into the residual filler — the cheap 4-GPU boxes — while the 8-GPU
-    // kernels that fail placement pull in full trainers.
-    let workload = SyntheticConfig {
-        sessions: 40,
-        span_s: 3.0 * 3600.0,
-        gpu_active_fraction: 0.7,
-        long_lived_fraction: 0.9,
-        gpu_demand: vec![(1, 0.6), (2, 0.25), (8, 0.15)],
-        arrival: ArrivalPattern::FlashCrowd {
-            waves: 2,
-            wave_width_s: 600.0,
-        },
-    };
-    Platform::run(config, generate(&workload, seed))
-}
-
-#[test]
-fn shape_aware_provisions_multiple_shapes_on_heterogeneous_fleets() {
-    let m = heterogeneous_stress(1, ElasticityKind::ShapeAware);
-    assert!(m.counters.scale_outs > 0, "the bursts force scale-out");
-    assert!(
-        m.distinct_shapes_provisioned() >= 2,
-        "shape-aware must grow the fleet along its mix: {:?}",
-        m.hosts_provisioned_by_shape
-    );
-    assert!(
-        m.hosts_provisioned_by_shape
-            .iter()
-            .any(|&(shape, _)| shape == small_host()),
-        "the cheap 4-GPU shape is provisioned for small demand"
-    );
-
-    // Threshold on the identical inputs stays monoculture.
-    let m = heterogeneous_stress(1, ElasticityKind::Threshold);
-    assert!(
-        m.hosts_provisioned_by_shape
-            .iter()
-            .all(|&(shape, _)| shape == ResourceBundle::p3_16xlarge()),
-        "threshold always adds p3.16xlarge hosts: {:?}",
-        m.hosts_provisioned_by_shape
-    );
-}
-
-// ---------------------------------------------------------------------
-// Hysteresis damping under diurnal arrivals.
-// ---------------------------------------------------------------------
-
-#[test]
-fn hysteresis_damps_scaling_churn_on_diurnal_arrivals() {
-    let run = |kind: ElasticityKind| {
-        let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-        config.seed = 4;
-        config.initial_hosts = 4;
-        config.autoscale.scaling_buffer_hosts = 0;
-        config.autoscale.elasticity = kind;
-        let workload = SyntheticConfig {
-            sessions: 30,
-            span_s: 6.0 * 3600.0,
-            gpu_active_fraction: 0.6,
-            long_lived_fraction: 0.4,
-            gpu_demand: vec![(1, 0.5), (2, 0.3), (4, 0.2)],
-            arrival: ArrivalPattern::Diurnal {
-                period_s: 2.0 * 3600.0,
-                peak_to_trough: 5.0,
-            },
-        };
-        Platform::run(config, generate(&workload, 4))
-    };
-    let threshold = run(ElasticityKind::Threshold);
-    let hysteresis = run(ElasticityKind::Hysteresis);
-    let churn = |m: &RunMetrics| m.counters.scale_outs + m.counters.scale_ins;
-    assert!(
-        churn(&hysteresis) <= churn(&threshold),
-        "hysteresis must not thrash more than threshold: {} vs {}",
-        churn(&hysteresis),
-        churn(&threshold)
-    );
-    assert!(
-        hysteresis.counters.scale_ins <= threshold.counters.scale_ins,
-        "scale-in damping: {} vs {}",
-        hysteresis.counters.scale_ins,
-        threshold.counters.scale_ins
-    );
-    // Damping must not break the workload: every cell still completes.
-    assert_eq!(
-        hysteresis.counters.executions + hysteresis.counters.aborted,
-        threshold.counters.executions + threshold.counters.aborted
-    );
-}
-
-// ---------------------------------------------------------------------
-// Sweep integration: the elasticity axis is deterministic and the JSON
-// persistence emits well-formed documents.
-// ---------------------------------------------------------------------
-
-#[test]
-fn elasticity_sweep_axis_is_deterministic_and_persists_valid_json() {
-    let spec = SweepSpec::new()
-        .policies(vec![PolicyKind::NotebookOs])
-        .all_elasticities()
-        .seeds(vec![21])
-        .scenarios(vec![Scenario::new("smoke", SyntheticConfig::smoke())])
-        .workers(2);
-    let a = spec.run();
-    let b = spec.run();
-    assert_eq!(a, b, "sweeps over the elasticity axis are reproducible");
-
-    let dir = std::env::temp_dir().join(format!("nbos-elasticity-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("report.json");
-    a.write_json(&path).expect("json written");
-    let text = std::fs::read_to_string(&path).expect("readable");
-    let parsed = notebookos::jupyter::Json::parse(&text).expect("well-formed JSON");
-    let runs = parsed
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .expect("runs array");
-    assert_eq!(runs.len(), 3, "one record per elasticity");
-    let kinds: Vec<&str> = runs
-        .iter()
-        .map(|r| r.get("elasticity").and_then(|e| e.as_str()).expect("kind"))
-        .collect();
-    assert_eq!(
-        kinds,
-        vec![
-            "threshold",
-            "shape-aware",
-            "hysteresis(cooldown=120s,surplus=4)"
-        ]
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,12 +2,15 @@
 //! and the scheduler-trait refactor (live service mode).
 //!
 //! The committed reports under `tests/golden/` hold the full
-//! [`RunMetrics`] record (every CDF histogram, timeline point, counter) of a
-//! small placement × elasticity matrix plus one run per scheduling
+//! [`RunMetrics`] record (every CDF histogram, timeline point, counter) of
+//! one NotebookOS run on a heterogeneous fleet plus one run per scheduling
 //! policy, captured at the pre-optimization commit (their `cdfs` and
 //! `breakdown` re-captured, and nothing else, when `Cdf` became a
-//! histogram). The tests re-run the same specs through today's code and
-//! compare the bytes `SweepReport::write_json` writes with the committed
+//! histogram; the heterogeneous run is the one cell left of what was a
+//! placement × elasticity matrix, and the per-run `placement`,
+//! `elasticity` and `prewarms_reconciled` members went with those axes).
+//! The tests re-run the same specs through today's code and compare the
+//! bytes `SweepReport::write_json` writes with the committed
 //! files. The writer serialises every `RunMetrics` field, each CDF as its
 //! exact count, sum, min, max, zeros and bucket counts, and floats in
 //! shortest round-trip `{:?}` form, so equal bytes mean equal histograms
@@ -57,14 +60,11 @@ fn golden_workload() -> SyntheticConfig {
     }
 }
 
-/// One run per placement × elasticity policy (the interaction matrix the
-/// placement fast path must reproduce), on a heterogeneous fleet so the
-/// shape census and shape-aware provisioning paths are covered too.
+/// One NotebookOS run on a heterogeneous fleet, so placement and scale-in
+/// walk more than one shape class of the index.
 fn placement_matrix_spec() -> SweepSpec {
     SweepSpec::new()
         .policies(vec![PolicyKind::NotebookOs])
-        .all_placements()
-        .all_elasticities()
         .seeds(vec![11])
         .scenarios(vec![Scenario::new("golden", golden_workload())
             .with_host_mix(vec![
@@ -129,14 +129,7 @@ fn assert_matches_golden(spec: &SweepSpec, file: &str) {
         .filter(|l| **l == "    {")
         .count();
     let run = match opened.checked_sub(1).and_then(|i| report.runs.get(i)) {
-        Some(r) => format!(
-            "run {} ({}/{}/{}/seed {})",
-            opened - 1,
-            r.policy,
-            r.placement,
-            r.elasticity,
-            r.seed
-        ),
+        Some(r) => format!("run {} ({}/seed {})", opened - 1, r.policy, r.seed),
         None => "outside any run".to_string(),
     };
     let clip = |l: Option<&&str>| -> String {

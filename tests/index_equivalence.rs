@@ -4,12 +4,14 @@
 //! ranking order bit for bit — otherwise seeded simulations diverge the
 //! moment the platform consults the index. These properties drive random
 //! typed-mutation sequences (add/remove/subscribe/unsubscribe/commit/
-//! release) interleaved with typed calls that must change nothing (a
-//! refused commit), and after every step
-//! compare each indexed query against its scan-based reference:
+//! release, and placement storms that subscribe R hosts in one of the
+//! `support/orderings.rs` orders) interleaved with typed calls that must
+//! change nothing (a refused commit), and after every step compare each
+//! indexed query against its scan-based reference:
 //!
-//! * `rank_top_into` for all four placement policies vs the prefix of the
-//!   full-scan `scan_rank` ordering (plus the viable total),
+//! * least-loaded `rank_top_into` vs the prefix of the full-scan
+//!   `scan_rank` ordering (plus the viable total),
+//! * `viable_count` / `viable_counts` vs the materialized screen,
 //! * `best_commit_host` / `best_commit_host_excluding` /
 //!   `best_warm_commit_host` vs the reservation/batch, migration, and
 //!   LCP baseline scans they replaced.
@@ -23,9 +25,11 @@ use proptest::test_runner::TestCaseError;
 
 use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest, Viability};
 use notebookos::core::policy::scan_rank;
-use notebookos::core::{
-    BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, RandomPlacement, RoundRobin,
-};
+use notebookos::core::{LeastLoaded, PlacementContext, PlacementPolicy};
+
+#[path = "support/orderings.rs"]
+mod orderings;
+use orderings::StormOrder;
 
 fn req(gpus: u32) -> ResourceRequest {
     ResourceRequest::new(2000, 8_192, gpus, 16)
@@ -77,7 +81,7 @@ fn churned(mut c: Cluster, ops: &[(u8, u8, u8)]) -> Cluster {
         let ids: Vec<HostId> = c.hosts().iter().map(|h| h.id()).collect();
         let host = ids[usize::from(hsel) % ids.len()];
         let gpus = u32::from(arg) % 5; // 0 covers CPU-only subscriptions
-        match op % 9 {
+        match op % 10 {
             0 => {
                 let shape = if arg % 2 == 0 {
                     ResourceBundle::p3_16xlarge()
@@ -114,6 +118,12 @@ fn churned(mut c: Cluster, ops: &[(u8, u8, u8)]) -> Cluster {
                 if let Some(pos) = commits.iter().position(|&(h, _)| h == host) {
                     let (h, owner) = commits.remove(pos);
                     assert!(c.release(h, owner));
+                }
+            }
+            9 => {
+                let ordering = StormOrder::pick(hsel, u64::from(arg));
+                for host in orderings::place(&mut c, &req(gpus), ordering) {
+                    subs.push((host, gpus));
                 }
             }
             // Typed calls that change nothing: a commit the host must
@@ -182,47 +192,27 @@ fn assert_index_matches_scan(c: &Cluster) -> Result<(), TestCaseError> {
         let mut viable = Viability::default();
         ctx.viable_into(&mut viable);
         prop_assert_eq!(c.viable_count(&request), viable.len(), "viable count");
+        prop_assert_eq!(
+            c.viable_counts(&request, 3, ctx.sr_cap()),
+            (viable.within_cap.len(), viable.over_cap.len()),
+            "viable split ({} gpus)",
+            gpus
+        );
 
-        let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
-            Box::new(LeastLoaded::default()),
-            Box::new(RoundRobin::default()),
-            Box::new(BinPacking::default()),
-        ];
-        for policy in &mut policies {
-            let full = scan_rank(policy.name(), &ctx, None);
-            for limit in [1usize, 3, full.len(), full.len() + 2] {
-                let mut top = Vec::new();
-                let total = policy.rank_top_into(&ctx, limit, &mut top);
-                prop_assert_eq!(total, full.len(), "{}: viable total", policy.name());
-                prop_assert_eq!(
-                    &top[..],
-                    &full[..limit.min(full.len())],
-                    "{}: top-{} ({} gpus)",
-                    policy.name(),
-                    limit,
-                    gpus
-                );
-            }
-        }
-        // RoundRobin rotation state feeds the indexed walk too.
-        let mut rr = RoundRobin::default();
-        let ranked = scan_rank("round-robin", &ctx, None);
-        if !ranked.is_empty() {
-            let consumed = &ranked[..1.max(ranked.len() / 2)];
-            rr.placed(consumed);
-            let resumed = scan_rank("round-robin", &ctx, consumed.last().copied());
+        let full = scan_rank(&ctx);
+        let mut policy = LeastLoaded::default();
+        for limit in [1usize, 3, full.len(), full.len() + 2] {
             let mut top = Vec::new();
-            rr.rank_top_into(&ctx, 3, &mut top);
-            prop_assert_eq!(&top[..], &resumed[..3.min(resumed.len())], "rotated top-3");
+            let total = policy.rank_top_into(&ctx, limit, &mut top);
+            prop_assert_eq!(total, full.len(), "viable total");
+            prop_assert_eq!(
+                &top[..],
+                &full[..limit.min(full.len())],
+                "top-{} ({} gpus)",
+                limit,
+                gpus
+            );
         }
-        // Random shuffles the whole screen and truncates; equality of the
-        // RNG stream needs twin instances.
-        let mut full = Vec::new();
-        RandomPlacement::new(11).rank_top_into(&ctx, usize::MAX, &mut full);
-        let mut top = Vec::new();
-        let total = RandomPlacement::new(11).rank_top_into(&ctx, 3, &mut top);
-        prop_assert_eq!(total, full.len(), "random: viable total");
-        prop_assert_eq!(&top[..], &full[..3.min(full.len())], "random: top-3");
 
         // Commit-side baseline scans.
         prop_assert_eq!(

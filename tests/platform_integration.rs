@@ -213,25 +213,3 @@ fn failure_injection_preserves_throughput_at_scale() {
         trace.total_events() as u64
     );
 }
-
-#[test]
-fn placement_policies_all_complete_the_workload() {
-    use notebookos::core::PlacementKind;
-    let trace = eval_trace();
-    let expected = trace.total_events() as u64;
-    for placement in [
-        PlacementKind::LeastLoaded,
-        PlacementKind::RoundRobin,
-        PlacementKind::BinPacking,
-        PlacementKind::Random,
-    ] {
-        let mut config = PlatformConfig::evaluation(PolicyKind::NotebookOs);
-        config.placement = placement;
-        let m = Platform::run(config, trace.clone());
-        assert_eq!(
-            m.counters.executions + m.counters.aborted,
-            expected,
-            "{placement}"
-        );
-    }
-}

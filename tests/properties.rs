@@ -6,13 +6,16 @@ use proptest::prelude::*;
 use notebookos::cluster::{Cluster, HostId, ResourceBundle, ResourceRequest, Viability};
 use notebookos::core::sweep::{Scenario, SweepRun, SweepSpec};
 use notebookos::core::{
-    BinPacking, LeastLoaded, PlacementContext, PlacementPolicy, Platform, PlatformConfig,
-    PolicyKind, RandomPlacement, RoundRobin,
+    LeastLoaded, PlacementContext, PlacementPolicy, Platform, PlatformConfig, PolicyKind,
 };
 use notebookos::des::{Distribution, Empirical, SimRng};
 use notebookos::jupyter::{wire, Json, JupyterMessage};
 use notebookos::raft::harness::Network;
 use notebookos::trace::SyntheticConfig;
+
+#[path = "support/orderings.rs"]
+mod orderings;
+use orderings::StormOrder;
 
 // ---------------------------------------------------------------------
 // Raft safety: state-machine prefix agreement under lossy networks.
@@ -184,93 +187,97 @@ fn build_cluster(ops: &[(u8, u8, u8)]) -> Cluster {
     c
 }
 
-/// The policy's full ranking through its one ranking method.
-fn rank_all(policy: &mut dyn PlacementPolicy, ctx: &PlacementContext<'_>) -> Vec<HostId> {
+/// The full least-loaded ranking through the one ranking method.
+fn rank_all(policy: &mut LeastLoaded, ctx: &PlacementContext<'_>) -> Vec<HostId> {
     let mut out = Vec::new();
     policy.rank_top_into(ctx, usize::MAX, &mut out);
     out
 }
 
-fn all_policies(seed: u64) -> Vec<Box<dyn PlacementPolicy>> {
-    vec![
-        Box::new(LeastLoaded::default()),
-        Box::new(RoundRobin::default()),
-        Box::new(BinPacking::default()),
-        Box::new(RandomPlacement::new(seed)),
-    ]
+/// `cluster` after a storm of up to twelve one-GPU placements in each
+/// test-local ordering, `seed` picking the rotation point and the shuffle:
+/// grid states with subscriptions piled up, spread by id, or scattered.
+fn storm_states(cluster: &Cluster, seed: u64) -> Vec<Cluster> {
+    (0..4u8)
+        .map(|die| {
+            let mut c = cluster.clone();
+            for kernel in 0..12 {
+                let ordering = StormOrder::pick(die, seed + kernel);
+                orderings::place(&mut c, &ResourceRequest::one_gpu(), ordering);
+            }
+            c
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every policy ranks exactly the hosts the viability screen admits,
-    /// each once, whatever the cluster state: never a host too small for
-    /// the request, and never a host twice.
+    /// Least-loaded placement ranks exactly the hosts the viability screen
+    /// admits, each once, whatever the cluster state: never a host too
+    /// small for the request, and never a host twice.
     #[test]
     fn policies_rank_exactly_the_viable_hosts_once(ops in arb_cluster_ops(), seed in 0u64..1000) {
-        let cluster = build_cluster(&ops);
-        let request = ResourceRequest::one_gpu();
-        let ctx = PlacementContext {
-            cluster: &cluster,
-            request: &request,
-            replication_factor: 3,
-        };
-        let mut viable = Viability::default();
-        ctx.viable_into(&mut viable);
-        let mut admitted = [viable.within_cap, viable.over_cap].concat();
-        admitted.sort_unstable();
-        for policy in &mut all_policies(seed) {
-            // Repeated calls (stateful policies rotate) stay clean too.
+        for cluster in storm_states(&build_cluster(&ops), seed) {
+            let request = ResourceRequest::one_gpu();
+            let ctx = PlacementContext {
+                cluster: &cluster,
+                request: &request,
+                replication_factor: 3,
+            };
+            let mut viable = Viability::default();
+            ctx.viable_into(&mut viable);
+            let mut admitted = [viable.within_cap, viable.over_cap].concat();
+            admitted.sort_unstable();
+            let mut policy = LeastLoaded::default();
+            // Repeated calls on one instance stay clean too.
             for _ in 0..3 {
-                let mut ranked = rank_all(policy.as_mut(), &ctx);
+                let mut ranked = rank_all(&mut policy, &ctx);
                 ranked.sort_unstable();
-                prop_assert_eq!(&ranked, &admitted, "{} ranked another set", policy.name());
+                prop_assert_eq!(&ranked, &admitted, "ranked another set");
             }
         }
     }
 
-    /// For a fixed seed, every policy's ranking sequence is a pure function
-    /// of the context sequence it has seen.
+    /// Least-loaded ranking is a pure function of the cluster: two
+    /// instances, and one instance asked again, agree.
     #[test]
     fn policies_are_deterministic_for_a_fixed_seed(ops in arb_cluster_ops(), seed in 0u64..1000) {
-        let cluster = build_cluster(&ops);
-        let request = ResourceRequest::one_gpu();
-        let ctx = PlacementContext {
-            cluster: &cluster,
-            request: &request,
-            replication_factor: 3,
-        };
-        let mut a = all_policies(seed);
-        let mut b = all_policies(seed);
-        for (pa, pb) in a.iter_mut().zip(b.iter_mut()) {
+        for cluster in storm_states(&build_cluster(&ops), seed) {
+            let request = ResourceRequest::one_gpu();
+            let ctx = PlacementContext {
+                cluster: &cluster,
+                request: &request,
+                replication_factor: 3,
+            };
+            let (mut a, mut b) = (LeastLoaded::default(), LeastLoaded::default());
             for _ in 0..4 {
-                prop_assert_eq!(
-                    rank_all(pa.as_mut(), &ctx),
-                    rank_all(pb.as_mut(), &ctx),
-                    "{} diverged",
-                    pa.name()
-                );
+                prop_assert_eq!(rank_all(&mut a, &ctx), rank_all(&mut b, &ctx), "diverged");
             }
         }
     }
 
-    /// Whenever the SR cap still admits some host, no policy puts a
-    /// cap-forbidden host ahead of an admitted one (the unified-viability
-    /// bugfix: baselines used to rank on total capacity alone).
+    /// Whenever the SR cap still admits some host, least-loaded placement
+    /// puts no cap-forbidden host ahead of an admitted one, and the
+    /// index's split of the screen is the materialized one.
     #[test]
     fn policies_rank_sr_capped_hosts_behind_admitted_ones(ops in arb_cluster_ops(), seed in 0u64..1000) {
-        let cluster = build_cluster(&ops);
-        let request = ResourceRequest::one_gpu();
-        let ctx = PlacementContext {
-            cluster: &cluster,
-            request: &request,
-            replication_factor: 3,
-        };
-        let mut viable = Viability::default();
-        ctx.viable_into(&mut viable);
-        for policy in &mut all_policies(seed) {
-            let ranked = rank_all(policy.as_mut(), &ctx);
-            prop_assert_eq!(ranked.len(), viable.len(), "{} changed the viable set", policy.name());
+        for cluster in storm_states(&build_cluster(&ops), seed) {
+            let request = ResourceRequest::one_gpu();
+            let ctx = PlacementContext {
+                cluster: &cluster,
+                request: &request,
+                replication_factor: 3,
+            };
+            let mut viable = Viability::default();
+            ctx.viable_into(&mut viable);
+            prop_assert_eq!(
+                cluster.viable_counts(&request, 3, ctx.sr_cap()),
+                (viable.within_cap.len(), viable.over_cap.len()),
+                "viable split"
+            );
+            let ranked = rank_all(&mut LeastLoaded::default(), &ctx);
+            prop_assert_eq!(ranked.len(), viable.len(), "changed the viable set");
             // All within-cap hosts precede all over-cap hosts.
             let first_over = ranked
                 .iter()
@@ -280,8 +287,7 @@ proptest! {
                 if viable.within_cap.contains(id) {
                     prop_assert!(
                         i < first_over,
-                        "{} ranked admitted host {} behind a cap-forbidden one",
-                        policy.name(),
+                        "ranked admitted host {} behind a cap-forbidden one",
                         id
                     );
                 }
